@@ -22,7 +22,6 @@ from repro.core import (
     optimize_source,
     posterior_summary,
 )
-from repro.validation import match_catalogs, score_catalog
 
 __version__ = "1.0.0"
 
@@ -42,3 +41,13 @@ __all__ = [
     "score_catalog",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``match_catalogs``/``score_catalog`` resolve on first use: every
+    # spawned node-worker imports this package and never scores a catalog.
+    if name in ("match_catalogs", "score_catalog"):
+        from repro import validation
+
+        return getattr(validation, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.constants import BANDS, GALAXY, STAR, TYPE_PROB_EDGE
 from repro.core.fluxes import COLOR_COEFFS
@@ -74,6 +73,10 @@ def posterior_summary(params: SourceParams, level: float = 0.95) -> PosteriorSum
     w = np.array([1.0 - pg, pg])
     flux_mean = float(w @ means)
     flux_var = float(w @ seconds - flux_mean ** 2)
+
+    # Imported where it is used: repro.core is on every node-worker's
+    # import graph, and scipy.stats alone costs a seat ~0.4 s of boot.
+    from scipy.stats import norm
 
     z = norm.ppf(0.5 + level / 2.0)
     m, v = params.r1[dominant], params.r2[dominant]

@@ -37,15 +37,6 @@ from repro.driver.checkpoint import (
     shard_path,
 )
 from repro.driver.merge import dedup_catalog, merge_catalogs
-from repro.driver.pipeline import (
-    DriverConfig,
-    DriverResult,
-    TaskOutcome,
-    images_for_region,
-    run_pipeline,
-    seed_catalog_from_fields,
-    survey_bounds,
-)
 from repro.driver.shards import (
     ROW_WIDTH,
     ShardedCatalog,
@@ -73,3 +64,25 @@ __all__ = [
     "entry_from_row",
     "entry_to_row",
 ]
+
+_PIPELINE_EXPORTS = (
+    "DriverConfig",
+    "DriverResult",
+    "TaskOutcome",
+    "images_for_region",
+    "run_pipeline",
+    "seed_catalog_from_fields",
+    "survey_bounds",
+)
+
+
+def __getattr__(name: str):
+    # The driver side resolves on first use, not at package import: a
+    # spawned node-worker imports this package on its way to
+    # ``repro.driver.pool`` and must not load the pipeline module, the
+    # seed stage (``repro.photo``) and SciPy with it.
+    if name in _PIPELINE_EXPORTS:
+        from repro.driver import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -59,9 +59,14 @@ traffic lands in the driver report.
 a persistent :class:`~repro.driver.pool.WorkerPool`, bound to a run's
 state per stage and reusable across ``run_pipeline`` calls (pass ``pool=``
 to amortize spawn cost); the pool grows and shrinks between stages and
-respawns dead seats.  A worker that dies mid-stage is survived: the
-scheduler reclaims its undispatched work (:meth:`~repro.sched.dtree.Dtree
-.reclaim`), its in-flight tasks are re-dispatched to surviving workers
+respawns dead seats.  A run's fixed cost is kept small and off the
+critical path: seats are asked for before the serial prologue (seed,
+partition, sharding, field spill) so they boot alongside it, and what a
+seat runs lives in :mod:`repro.driver.worker`, which this module imports
+and a seat imports *instead of* this module — no seed stage, no SciPy
+(``docs/scaling.md``, "Fixed cost of a process run").  A worker that
+dies mid-stage is survived: the scheduler reclaims its undispatched work
+(:meth:`~repro.sched.dtree.Dtree.reclaim`), its in-flight tasks are re-dispatched to surviving workers
 (idempotent — snapshot discipline plus per-task seeding make re-execution
 bit-identical), and the event is recorded in ``DriverReport.recoveries``.
 With ``task_checkpoint`` (and a checkpoint path), every completed task is
@@ -115,9 +120,18 @@ from repro.driver.checkpoint import (
 from repro.driver.merge import dedup_catalog, merge_catalogs
 from repro.driver.pool import WorkerPool
 from repro.driver.shards import ShardedCatalog
+from repro.driver.worker import (
+    TaskConfig,
+    _bounds_region,
+    _box_touches_region,
+    _comm_totals,
+    _dict_delta,
+    _execute_task,
+    _FieldStore,
+)
 from repro.envvars import env_flag, env_int, env_raw
 from repro.knobs import knob
-from repro.parallel import ParallelRegionConfig, optimize_region_parallel
+from repro.parallel import ParallelRegionConfig
 from repro.partition import Region, Task, generate_tasks
 from repro.perf.counters import Counters
 from repro.perf.driver import DriverReport
@@ -125,7 +139,7 @@ from repro.pgas import TRANSPORT_NAMES, make_transport
 from repro.photo import PhotoConfig, run_photo
 from repro.sched import Dtree, DtreeConfig
 from repro.survey.image import Image
-from repro.survey.io import FieldPrefetcher, field_metadata, save_field
+from repro.survey.io import save_field
 
 __all__ = [
     "DriverConfig",
@@ -492,24 +506,6 @@ def survey_bounds(fields: list[list[Image]]) -> Region:
     return _bounds_region(boxes)
 
 
-def _bounds_region(boxes: list[tuple]) -> Region:
-    eps = 1e-6  # upper edges are half-open; keep boundary sources inside
-    return Region(
-        min(b[0] for b in boxes), max(b[1] for b in boxes) + eps,
-        min(b[2] for b in boxes), max(b[3] for b in boxes) + eps,
-    )
-
-
-def _box_touches_region(box: tuple, region: Region, margin: float) -> bool:
-    x0, x1, y0, y1 = box
-    return (
-        region.x_min < x1 + margin
-        and region.x_max > x0 - margin
-        and region.y_min < y1 + margin
-        and region.y_max > y0 - margin
-    )
-
-
 def images_for_region(
     fields: list[list[Image]], region: Region, margin: float
 ) -> list[Image]:
@@ -540,112 +536,6 @@ def _halo_indices(
         & (y >= region.y_min - margin) & (y <= region.y_max + margin)
     )
     return [int(j) for j in np.nonzero(mask)[0] if int(j) not in own]
-
-
-# ---------------------------------------------------------------------------
-# Field access: in-memory lists or on-disk files behind a prefetch thread
-
-
-class _FieldStore:
-    """Uniform access to a survey's fields, in-memory or on disk.
-
-    Each element of ``fields`` is either a ``list[Image]`` (held as given)
-    or a path to a ``.npz`` field file, loaded on demand through a
-    :class:`FieldPrefetcher` so Dtree look-ahead hints overlap I/O with
-    optimization.  Image footprints and shapes are cached as metadata on
-    first load (and can be injected, so process workers skip the metadata
-    pass the parent already did).
-    """
-
-    def __init__(self, fields: list, capacity: int = 16, metadata=None):
-        if not fields:
-            raise ValueError("need at least one field")
-        self._specs = list(fields)
-        self._paths = [f if isinstance(f, str) else None for f in fields]
-        self._prefetcher = (
-            FieldPrefetcher(capacity=capacity)
-            if any(p is not None for p in self._paths) else None
-        )
-        #: Per field: list of per-image (sky_bounds, (h, w), band) triples.
-        self._meta: list[list[tuple] | None] = [None] * len(fields)
-        if metadata is not None:
-            self._meta = [list(m) if m is not None else None for m in metadata]
-
-    @property
-    def n_fields(self) -> int:
-        return len(self._specs)
-
-    def field(self, i: int) -> list[Image]:
-        spec = self._specs[i]
-        if self._paths[i] is None:
-            images = spec
-        else:
-            images = self._prefetcher.get(self._paths[i])
-        if self._meta[i] is None:
-            self._meta[i] = [
-                (im.sky_bounds(), (im.height, im.width), im.band)
-                for im in images
-            ]
-        return images
-
-    def ensure_metadata(self) -> None:
-        for i in range(self.n_fields):
-            if self._meta[i] is None:
-                if self._paths[i] is not None:
-                    # Header-only peek: footprints and shapes without
-                    # reading pixel data (the fingerprint/partition pass
-                    # must not cost a full survey read).
-                    self._meta[i] = field_metadata(self._paths[i])
-                else:
-                    self.field(i)
-
-    def metadata(self) -> list:
-        self.ensure_metadata()
-        return [list(m) for m in self._meta]
-
-    def field_shapes(self) -> list[list[int]]:
-        self.ensure_metadata()
-        return [[h, w] for m in self._meta for (_, (h, w), _) in m]
-
-    def bounds(self) -> Region:
-        self.ensure_metadata()
-        return _bounds_region([b for m in self._meta for (b, _, _) in m])
-
-    def field_indices_for_region(self, region: Region, margin: float) -> list[int]:
-        """Fields with at least one image touching the region (metadata
-        only — never triggers a load; used to build prefetch hints)."""
-        self.ensure_metadata()
-        return [
-            i for i, m in enumerate(self._meta)
-            if any(_box_touches_region(b, region, margin) for (b, _, _) in m)
-        ]
-
-    def images_for_region(self, region: Region, margin: float) -> list[Image]:
-        self.ensure_metadata()
-        out: list[Image] = []
-        for i in self.field_indices_for_region(region, margin):
-            out.extend(
-                im for im in self.field(i)
-                if _box_touches_region(im.sky_bounds(), region, margin)
-            )
-        return out
-
-    def hint_fields(self, indices) -> None:
-        if self._prefetcher is None:
-            return
-        paths = [self._paths[i] for i in indices if self._paths[i] is not None]
-        if paths:
-            self._prefetcher.hint(paths)
-
-    def prefetch_stats(self) -> dict:
-        if self._prefetcher is None:
-            return {"prefetch_hits": 0, "prefetch_misses": 0,
-                    "prefetched": 0, "prefetch_seconds": 0.0}
-        return self._prefetcher.stats()
-
-    def close(self) -> None:
-        if self._prefetcher is not None:
-            self._prefetcher.close()
 
 
 # ---------------------------------------------------------------------------
@@ -741,71 +631,16 @@ def _parallel_fingerprint(parallel: ParallelRegionConfig) -> dict:
     return d
 
 
-def _task_seed_config(config: DriverConfig, task: Task) -> ParallelRegionConfig:
-    # Per-task deterministic seed: results must not depend on which worker
-    # runs the task or in what order tasks complete.
-    return replace(
-        config.parallel,
-        seed=config.parallel.seed + 7919 * task.task_id + task.stage,
+def _task_config(config: DriverConfig) -> TaskConfig:
+    """What task execution reads of the (pinned) driver config — the form
+    in which it reaches :func:`_execute_task` and, pickled, the seats."""
+    return TaskConfig(
+        parallel=config.parallel,
+        image_margin=config.image_margin,
+        halo_refresh=config.halo_refresh,
+        field_cache_capacity=config.field_cache_capacity,
+        fault_kill_task=config.fault_kill_task,
     )
-
-
-def _execute_task(
-    task: Task,
-    halo_idx: list[int],
-    base: ShardedCatalog,
-    working: ShardedCatalog,
-    store: _FieldStore,
-    priors: Priors,
-    config: DriverConfig,
-    counters: Counters,
-):
-    """Run one task against the sharded catalog; returns the region result,
-    or ``None`` when the task had nothing to optimize.
-
-    This is the single execution path both executors share: read own
-    sources and halo rows one-sidedly from the stage-start snapshot
-    (``base``), optimize, put result rows into the live ``working`` array.
-    With ``halo_refresh`` the halo is instead re-read from ``working`` at
-    every pass, and each pass's results are published immediately so
-    neighboring tasks see them.
-    """
-    images = store.images_for_region(task.region, config.image_margin)
-    entries = base.get_entries(task.source_indices)
-    if not images or not entries:
-        return None
-    pconfig = _task_seed_config(config, task)
-    if config.halo_refresh:
-        result = None
-        current = entries
-        for p in range(pconfig.n_passes):
-            halo = working.get_entries(halo_idx)
-            sub = replace(pconfig, n_passes=1, seed=pconfig.seed + 104729 * p)
-            result = optimize_region_parallel(
-                images, current, priors, sub, counters, frozen_entries=halo,
-            )
-            current = list(result.catalog)
-            working.put_entries(task.source_indices, current)
-        return result
-    halo = base.get_entries(halo_idx)
-    result = optimize_region_parallel(
-        images, entries, priors, pconfig, counters, frozen_entries=halo,
-    )
-    working.put_entries(task.source_indices, list(result.catalog))
-    return result
-
-
-def _comm_totals(*recorders) -> dict:
-    return {
-        "rma_gets": sum(r.stats.n_get for r in recorders),
-        "rma_puts": sum(r.stats.n_put for r in recorders),
-        "rma_bytes": sum(r.stats.total_bytes for r in recorders),
-        "rma_remote": sum(r.stats.remote_fraction_ops for r in recorders),
-    }
-
-
-def _dict_delta(current: dict, previous: dict) -> dict:
-    return {k: v - previous.get(k, 0) for k, v in current.items()}
 
 
 class _StageRunnerBase:
@@ -816,6 +651,7 @@ class _StageRunnerBase:
         self.working: ShardedCatalog = working
         self.priors = priors
         self.config: DriverConfig = config
+        self.task_config = _task_config(config)
         self.counters: Counters = counters
         self.outcomes: list[TaskOutcome] = []
         #: Task-granular checkpoint journal for the stage being run; set by
@@ -1060,7 +896,7 @@ class _ThreadStageRunner(_StageRunnerBase):
                             work_shadow.set_task(actor, epoch)
                         result = _execute_task(
                             task, halo_idx, base_view, work_view, self.store,
-                            self.priors, config, self.counters,
+                            self.priors, self.task_config, self.counters,
                         )
                         seconds = time.perf_counter() - t1
                         task_s[w] += seconds
@@ -1114,110 +950,6 @@ class _ThreadStageRunner(_StageRunnerBase):
         return stage_elbo[0]
 
 
-class _WorkerState:
-    """Execution state a pool seat binds for one stage of one run.
-
-    Built inside the worker process from a ``("bind", ...)`` message
-    (:mod:`repro.driver.pool`): the field store, the one-sided views onto
-    the snapshot and working catalogs (whose pickled transports attached
-    this process to the parent's windows — shared-memory segments or
-    socket clients), and the shadow/recording instrumentation.  ``epoch``
-    tags every result message so the parent's collector can discard
-    stragglers from an earlier bind.
-    """
-
-    def __init__(self, epoch: int, worker_id: int, fields: list,
-                 metadata: list, priors: Priors, config: DriverConfig,
-                 base: ShardedCatalog, working: ShardedCatalog,
-                 fault_dir: str | None = None):
-        self.epoch = epoch
-        self.worker_id = worker_id
-        self.priors = priors
-        self.config = config
-        self.fault_dir = fault_dir
-        self._catalogs = (base, working)
-        self.store = _FieldStore(fields, config.field_cache_capacity,
-                                 metadata=metadata)
-        self.access_log = self.base_shadow = self.work_shadow = None
-        if config.race_detect:
-            # Workers cannot see the parent's detector: record into a
-            # local log, ship the (picklable) accesses with each result,
-            # and let the parent's detector cross-check between workers.
-            from repro.analysis.race import AccessLog
-
-            self.access_log = AccessLog()
-            self.base_view, self.base_rec, self.base_shadow = \
-                base.shadow_view(worker_id, self.access_log, "cat-base")
-            self.work_view, self.work_rec, self.work_shadow = \
-                working.shadow_view(worker_id, self.access_log, "cat-work")
-        else:
-            self.base_view, self.base_rec = base.recording_view(worker_id)
-            self.work_view, self.work_rec = working.recording_view(worker_id)
-        self.prev_comm: dict = {}
-        self.prev_prefetch: dict = {}
-
-    def _maybe_die(self, task: Task) -> None:
-        """Fault injection: hard-exit before reporting ``fault_kill_task``,
-        at most once per run (the O_EXCL marker is the consumed token, so
-        the retry on a surviving worker completes)."""
-        config = self.config
-        if (config.fault_kill_task is None
-                or task.task_id != config.fault_kill_task
-                or self.fault_dir is None):
-            return
-        marker = os.path.join(self.fault_dir,
-                              "killed.%d" % int(task.task_id))
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return  # token consumed: this is the retry — survive
-        os.close(fd)
-        os._exit(17)
-
-    def execute(self, task: Task, halo_idx: list[int], hint: list[int],
-                result_q) -> None:
-        config = self.config
-        self.store.hint_fields(hint)
-        counters = Counters()
-        if self.base_shadow is not None:
-            actor = ("task", task.task_id)
-            epoch = ("stage", task.stage)
-            self.base_shadow.set_task(actor, epoch)
-            self.work_shadow.set_task(actor, epoch)
-        t0 = time.perf_counter()
-        result = _execute_task(
-            task, halo_idx, self.base_view, self.work_view, self.store,
-            self.priors, config, counters,
-        )
-        seconds = time.perf_counter() - t0
-        self._maybe_die(task)
-        comm = _comm_totals(self.base_rec, self.work_rec)
-        prefetch = self.store.prefetch_stats()
-        result_q.put((
-            "done", self.epoch, self.worker_id, task.task_id, task.stage,
-            result is not None, task.n_sources,
-            result.elbo_total if result is not None else 0.0,
-            seconds, counters.snapshot(),
-            _dict_delta(comm, self.prev_comm),
-            _dict_delta(prefetch, self.prev_prefetch),
-            list(result.race_reports) if result is not None else [],
-            self.access_log.drain() if self.access_log is not None else [],
-            list(result.numeric_reports) if result is not None else [],
-        ))
-        self.prev_comm, self.prev_prefetch = comm, prefetch
-
-    def close(self) -> None:
-        # Join the prefetcher thread and drop its cache (daemon threads
-        # die abruptly otherwise, and an error path should not strand a
-        # mid-flight field load), then detach the catalog windows so a
-        # released seat stops pinning segments the parent will unlink.
-        self.store.close()
-        for catalog in self._catalogs:
-            transport = catalog.array.transport
-            if hasattr(transport, "close"):
-                transport.close()
-
-
 class _ProcessStageRunner(_StageRunnerBase):
     """Node-workers as pool seats over pluggable PGAS windows.
 
@@ -1226,8 +958,8 @@ class _ProcessStageRunner(_StageRunnerBase):
     matches the thread executor); workers access the catalog one-sidedly
     through the configured transport (shared-memory windows or socket RMA)
     and never see more of it than their tasks touch.  Seats come from an
-    elastic :class:`~repro.driver.pool.WorkerPool` — either a private one
-    or a caller-shared one reused across :func:`run_pipeline` calls — and
+    elastic :class:`~repro.driver.pool.WorkerPool` that :func:`run_pipeline`
+    owns or was lent, already booting by the time this runner exists, and
     are re-bound to this run's state at every stage.  A seat whose process
     dies mid-stage is recovered: its undispatched leaf pool is reclaimed
     into the Dtree, its in-flight tasks are re-dispatched to survivors,
@@ -1235,15 +967,17 @@ class _ProcessStageRunner(_StageRunnerBase):
     """
 
     def __init__(self, store, working, priors, config, counters,
-                 fields_spec: list, pool: WorkerPool | None = None,
-                 transport_name: str = "shared_memory"):
+                 fields_spec: list, pool: WorkerPool, transport_name: str,
+                 run_started: float):
         super().__init__(store, working, priors, config, counters)
         self._scratch_dir: str | None = None
         self._closed = False
-        self.pool = pool if pool is not None else \
-            WorkerPool(config.mp_start_method)
-        self._private_pool = pool is None
+        self.pool = pool
         self.transport_name = transport_name
+        #: ``time.time()`` at the start of the run, and the largest
+        #: first-bind lag past it seen so far (spawn_bind_seconds).
+        self._run_started = run_started
+        self._spawn_bind = 0.0
         # The snapshot is only written between stages (no tasks in flight),
         # so it needs no rank locking even in halo_refresh mode.
         self.base = ShardedCatalog(
@@ -1271,10 +1005,8 @@ class _ProcessStageRunner(_StageRunnerBase):
                         spilled.append(path)
                 fields_spec = spilled
             self._fields_spec = fields_spec
-            self.pool.ensure(config.n_nodes)
         except BaseException:
-            # Partial construction must not leak segments, spilled files,
-            # or blocked worker processes.
+            # Partial construction must not leak segments or spilled files.
             self.close()
             raise
 
@@ -1303,11 +1035,16 @@ class _ProcessStageRunner(_StageRunnerBase):
         self.pool.ensure(n)
         epoch = next(_STAGE_EPOCH)
         metadata = self.store.metadata()
-        for w in range(n):
-            self.pool.send(w, (
-                "bind", epoch, w, self._fields_spec, metadata, self.priors,
-                config, self.base, self.working, self._scratch_dir,
+
+        def bind(s: int) -> None:
+            self.pool.send(s, (
+                "bind", epoch, s, self._fields_spec, metadata, self.priors,
+                self.task_config, self.base, self.working,
+                self._scratch_dir,
             ))
+
+        for w in range(n):
+            bind(w)
 
         dtree = Dtree(n, len(tasks), config.dtree)
         pending = [0] * n
@@ -1348,11 +1085,7 @@ class _ProcessStageRunner(_StageRunnerBase):
                 return alive
             for s in self.pool.ensure(n):
                 dead[s] = False
-                self.pool.send(s, (
-                    "bind", epoch, s, self._fields_spec, metadata,
-                    self.priors, config, self.base, self.working,
-                    self._scratch_dir,
-                ))
+                bind(s)
             return [s for s in range(n)
                     if not dead[s] and self.pool.alive(s)]
 
@@ -1447,11 +1180,20 @@ class _ProcessStageRunner(_StageRunnerBase):
                     continue  # pragma: no cover - stale straggler
                 (_, msg_epoch, w, task_id, stage, executed, n_sources,
                  elbo, seconds, counter_delta, comm_delta, prefetch_delta,
-                 region_races, accesses, region_numeric) = msg
+                 region_races, accesses, region_numeric,
+                 first_bind_at) = msg
                 if msg_epoch != epoch:
                     # Straggler from an earlier bind (e.g. a stage that
                     # failed with results unconsumed): not this stage's.
                     continue
+                if first_bind_at is not None:
+                    # A seat's first result ever: how long after the run
+                    # started it stood bound.  The row is the latest seat
+                    # (a warm seat ships no stamp and adds nothing).
+                    lag = first_bind_at - self._run_started
+                    if lag > self._spawn_bind:
+                        report.spawn_bind_seconds += lag - self._spawn_bind
+                        self._spawn_bind = lag
                 first = task_id not in done_tids
                 done_tids.add(task_id)
                 with conds[w]:
@@ -1563,30 +1305,15 @@ class _ProcessStageRunner(_StageRunnerBase):
         if self._closed:
             return
         self._closed = True
-        pool = getattr(self, "pool", None)
-        if pool is not None:
-            if self._private_pool:
-                pool.close()
-            else:
-                # Hand the shared pool back with its seats unbound so they
-                # stop pinning the catalog windows we unlink below.
-                pool.release()
+        # Hand the pool back with its seats unbound so they stop pinning
+        # the catalog windows unlinked below (a private pool was already
+        # closed by run_pipeline, and has no seat left to tell).
+        self.pool.release()
         transport = self.base.array.transport
         if hasattr(transport, "unlink"):
             transport.unlink()
         if self._scratch_dir is not None:
             shutil.rmtree(self._scratch_dir, ignore_errors=True)
-
-
-def _make_stage_runner(executor: str, store, working, priors, config,
-                       counters, fields_spec, pool=None,
-                       transport_name: str = "local"):
-    if executor == "process":
-        return _ProcessStageRunner(
-            store, working, priors, config, counters, fields_spec,
-            pool=pool, transport_name=transport_name,
-        )
-    return _ThreadStageRunner(store, working, priors, config, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -1622,7 +1349,14 @@ def run_pipeline(
         ownership and must eventually ``close()`` it.  Ignored by the
         thread executor.  When omitted, the process executor uses a
         private pool torn down with the run.
+
+    Under the process executor the seats are asked for as soon as the
+    checkpoint shows an optimization stage left to run — before seeding,
+    partitioning, sharding and field spill — so they boot while the
+    driver does its serial prologue.  Whatever happens after that, a
+    private pool is closed on the way out and a caller's is left alone.
     """
+    run_started = time.time()  # det: ignore[DET105] -- observational: the origin of DriverReport.spawn_bind_seconds, compared with seats' stamps across processes (perf_counter is per process)
     if config is None:
         config = DriverConfig()
     # Pin the ELBO backend before anything reads or fingerprints the config.
@@ -1641,8 +1375,12 @@ def run_pipeline(
     if config.stop_after == "stage1" and not config.two_stage:
         raise ValueError("stop_after='stage1' requires two_stage=True")
 
+    stage_names = ["stage0"] + (["stage1"] if config.two_stage else [])
+    last = STAGES.index(config.stop_after or "final")
+    reachable = [s for s in stage_names if STAGES.index(s) <= last]
+
     store = _FieldStore(fields, config.field_cache_capacity)
-    runner = None
+    runner = working = private_pool = None
     try:
         fingerprint = _fingerprint(store, config)
         ckpt = None
@@ -1651,6 +1389,10 @@ def run_pipeline(
         resumed = list(ckpt.completed) if ckpt is not None else []
         if ckpt is None:
             ckpt = Checkpoint(fingerprint=fingerprint)
+        if executor == "process" and not all(map(ckpt.done, reachable)):
+            if pool is None:
+                pool = private_pool = WorkerPool(config.mp_start_method)
+            pool.ensure(config.n_nodes)
 
         counters = Counters()
         for name, value in ckpt.counters.items():
@@ -1725,13 +1467,16 @@ def run_pipeline(
         # -- Stages "stage0"/"stage1": Dtree-scheduled joint optimization -------
         task_checkpoint = (bool(config.task_checkpoint)
                            and config.checkpoint_path is not None)
-        stage_names = ["stage0"] + (["stage1"] if config.two_stage else [])
         for stage_idx, stage_name in enumerate(stage_names):
             if not ckpt.done(stage_name):
                 if runner is None:
-                    runner = _make_stage_runner(
-                        executor, store, working, priors, config, counters,
-                        fields, pool=pool, transport_name=transport_name,
+                    runner = (
+                        _ProcessStageRunner(
+                            store, working, priors, config, counters, fields,
+                            pool, transport_name, run_started)
+                        if executor == "process" else
+                        _ThreadStageRunner(
+                            store, working, priors, config, counters)
                     )
                 replay = None
                 if task_checkpoint:
@@ -1769,9 +1514,12 @@ def run_pipeline(
         outcomes = list(runner.outcomes) if runner else []
         return result(final, outcomes, early=False)
     finally:
+        if private_pool is not None:
+            # Before the windows go: seats detach from live windows.
+            private_pool.close()
         if runner is not None:
             runner.close()
-        if 'working' in locals():
+        if working is not None:
             transport = working.array.transport
             if hasattr(transport, "unlink"):
                 transport.unlink()

@@ -13,12 +13,15 @@ half, re-dispatching a dead worker's tasks, lives in the stage runner).
 
 The seat protocol (per-seat FIFO task queue, one shared result queue):
 
-``("bind", epoch, worker_id, fields, metadata, priors, config, base,
-working)``
+``("bind", epoch, worker_id, fields, metadata, priors, task_config, base,
+working, fault_dir)``
     (Re)build the seat's execution state for one stage.  ``epoch`` is a
     parent-chosen integer echoed in every result message, so a collector
     never misattributes a straggler message from an earlier stage (e.g.
-    after a mid-stage failure left unconsumed results behind).
+    after a mid-stage failure left unconsumed results behind).  The
+    message carries a :class:`~repro.driver.worker.TaskConfig`, never the
+    ``DriverConfig``: a seat imports :mod:`repro.driver.worker` and
+    nothing of the driver side.
 
 ``("task", task, halo_indices, field_hint)``
     Execute one task against the bound state; report a ``("done", epoch,
@@ -36,17 +39,27 @@ working)``
 from __future__ import annotations
 
 import multiprocessing
+import time
 import traceback
 
+# A seat's whole import graph hangs off this line: the worker module, and
+# through it nothing of the driver side and no SciPy.
+from repro.driver.worker import _WorkerState
+
 __all__ = ["WorkerPool"]
+
+#: One deadline for all the seats a shrink/close shuts down, after which
+#: the stragglers are terminated.
+_SHUTDOWN_TIMEOUT_S = 30.0
 
 
 def _pool_worker_main(seat: int, task_q, result_q) -> None:
     """Body of one pool seat: a bind/execute/release loop."""
-    # Lazy import: pipeline imports this module at load time.
-    from repro.driver.pipeline import _WorkerState
-
     state = None
+    #: Wall-clock stamp of this seat's first completed bind, shipped with
+    #: its first result and never again (a warm seat reports nothing).
+    first_bind_at = None
+    stamp_shipped = False
     try:
         while True:
             item = task_q.get()
@@ -57,13 +70,17 @@ def _pool_worker_main(seat: int, task_q, result_q) -> None:
                 if state is not None:
                     state.close()
                 state = _WorkerState(*item[1:])
+                if first_bind_at is None:
+                    first_bind_at = time.time()  # det: ignore[DET105] -- observational: feeds DriverReport.spawn_bind_seconds only, and must compare across processes
             elif kind == "release":
                 if state is not None:
                     state.close()
                     state = None
             elif kind == "task":
                 _, task, halo_idx, hint = item
-                state.execute(task, halo_idx, hint, result_q)
+                state.execute(task, halo_idx, hint, result_q,
+                              None if stamp_shipped else first_bind_at)
+                stamp_shipped = True
     except BaseException:  # noqa: BLE001 - forwarded to the parent
         result_q.put(("error", seat,
                       state.epoch if state is not None else None,
@@ -147,18 +164,28 @@ class WorkerPool:
                     pass
 
     def shrink(self, n: int) -> None:
-        """Shut down seats beyond the first ``n`` (blocking)."""
-        while len(self.procs) > max(n, 0):
-            p = self.procs.pop()
-            q = self.task_qs.pop()
+        """Shut down seats beyond the first ``n`` (blocking).
+
+        Every sentinel goes out first, then the seats are joined against
+        one shared deadline, then stragglers are terminated: teardown
+        costs the slowest seat rather than the sum, and a hung seat
+        cannot keep the others from being told to exit."""
+        keep = max(n, 0)
+        procs, queues = self.procs[keep:], self.task_qs[keep:]
+        del self.procs[keep:], self.task_qs[keep:]
+        for q in queues:
             try:
                 q.put(None)
             except (OSError, ValueError):  # pragma: no cover - queue gone
                 pass
-            p.join(timeout=30.0)
-            if p.is_alive():  # pragma: no cover - hung worker
+        deadline = time.monotonic() + _SHUTDOWN_TIMEOUT_S
+        for p in procs:
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
+        for p in procs:
+            if p.is_alive():
                 p.terminate()
                 p.join(timeout=5.0)
+        for q in queues:
             q.close()
 
     def close(self) -> None:

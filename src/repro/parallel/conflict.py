@@ -99,19 +99,21 @@ def build_conflict_graph(
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (n,))
     adjacency = [set() for _ in range(n)]
     if n > 1:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(positions)
-        r_max = float(radii.max())
+        # A sweep along x, not a k-d tree: this runs inside every task, and
+        # SciPy stays off a node-worker's import graph (docs/scaling.md).
+        # j can conflict with i only while |x_i - x_j| < r_i + r_max + pad
+        # — a contiguous run of the x-sorted sources, taken a pixel wide
+        # so rounding at its ends cannot lose a neighbor; the exact
+        # Chebyshev test below decides.
+        x = positions[:, 0]
+        order = np.argsort(x, kind="stable")
+        x_sorted = x[order]
+        reach = radii + (float(radii.max()) + pad + 1.0)
+        lo = np.searchsorted(x_sorted, x - reach, side="left")
+        hi = np.searchsorted(x_sorted, x + reach, side="right")
         for i in range(n):
-            candidates = tree.query_ball_point(
-                positions[i], radii[i] + r_max + pad, p=np.inf
-            )
-            for j in candidates:
-                if j == i:
-                    continue
-                cheb = np.abs(positions[i] - positions[j]).max()
-                if cheb < radii[i] + radii[j] + pad:
-                    adjacency[i].add(int(j))
-                    adjacency[int(j)].add(i)
+            near = order[lo[i]:hi[i]]
+            cheb = np.abs(positions[near] - positions[i]).max(axis=1)
+            hits = near[(cheb < radii[i] + radii[near] + pad) & (near != i)]
+            adjacency[i].update(hits.tolist())
     return ConflictGraph(n=n, adjacency=adjacency)

@@ -32,6 +32,15 @@ class DriverReport:
     sched_seconds:
         Time node-workers spent inside ``Dtree.request`` summed across
         workers — the driver's scheduling overhead.
+    spawn_bind_seconds:
+        The "pool spawn/bind" row of the wall-clock ledger: from the start
+        of the run to the last process seat standing bound for the first
+        time (each seat stamps the wall clock once in its life and ships
+        it with its first result).  It runs *alongside* the driver's
+        serial prologue, so it is hidden cost until it exceeds that;
+        0.0 under the thread executor and on a warm caller-owned pool.
+        Summed over the runs a resumed report covers, like
+        ``wall_seconds``.
     n_fields, n_tasks, n_source_updates:
         Work volume: fields processed, tasks executed, and single-source
         block updates performed (a source optimized in both stages counts
@@ -75,6 +84,7 @@ class DriverReport:
     wall_seconds: float = 0.0
     task_seconds: float = 0.0
     sched_seconds: float = 0.0
+    spawn_bind_seconds: float = 0.0
     n_fields: int = 0
     n_tasks: int = 0
     n_source_updates: int = 0
@@ -154,6 +164,7 @@ class DriverReport:
             "wall_seconds": self.wall_seconds,
             "task_seconds": self.task_seconds,
             "sched_seconds": self.sched_seconds,
+            "spawn_bind_seconds": self.spawn_bind_seconds,
             "n_fields": self.n_fields,
             "n_tasks": self.n_tasks,
             "n_source_updates": self.n_source_updates,
@@ -199,6 +210,9 @@ class DriverReport:
             % (self.messages, self.messages_per_task),
             "dtree parent hops     %8d" % self.hops,
         ]
+        if self.spawn_bind_seconds:
+            lines.append("pool spawn/bind       %10.2f s (overlaps the "
+                         "seed stage)" % self.spawn_bind_seconds)
         if self.worker_comm:
             lines.append(
                 "catalog RMA           %8d gets / %d puts (%.1f KB)"

@@ -11,13 +11,19 @@ The exponential and de Vaucouleurs surface-brightness laws
 half-light radius) do not convolve analytically with a Gaussian PSF.
 Following Celeste (and Hogg & Lang), each profile is approximated by a
 mixture of concentric circular Gaussians; the approximation is *fitted here
-from scratch* by non-negative least squares on a flux-weighted radial grid.
+from scratch* (:func:`fit_radial_mixture`) by non-negative least squares on
+a flux-weighted radial grid.
 
-The fitted tables are cached at module level: ``exp_mixture()`` (6
-components) and ``dev_mixture()`` (8 components) return ``(weights,
-variances)`` for a unit half-light-radius profile normalized to unit total
-flux.  A galaxy of effective radius :math:`\\sigma` simply scales every
-variance by :math:`\\sigma^2`.
+``exp_mixture()`` (6 components) and ``dev_mixture()`` (8 components)
+return ``(weights, variances)`` for a unit half-light-radius profile
+normalized to unit total flux.  A galaxy of effective radius
+:math:`\\sigma` simply scales every variance by :math:`\\sigma^2`.  The two
+default tables are committed constants — the fitter's own float64 output,
+28 numbers — so a fresh process (every spawned node-worker) neither
+imports SciPy nor re-runs the fit, and the catalog bits do not depend on
+the installed SciPy's ``nnls``/``least_squares``;
+``tests/test_profiles.py`` regenerates them with the fitter, which also
+serves every other component count.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.constants import NNLS_AMPLITUDE_FLOOR, PROFILE_RADIUS_FLOOR
 
@@ -93,7 +98,9 @@ def fit_radial_mixture(
     Returns ``(weights, variances)`` with ``weights.sum() == 1`` and the
     variances sorted ascending.
     """
-    from scipy.optimize import least_squares
+    # SciPy is imported where it is used: nothing a node-worker imports
+    # may import it (docs/scaling.md, "Fixed cost of a process run").
+    from scipy.optimize import least_squares, nnls
 
     if var_max is None:
         var_max = (0.6 * r_max) ** 2
@@ -133,16 +140,40 @@ def fit_radial_mixture(
     return weights[order], variances[order]
 
 
+#: ``fit_radial_mixture(profile_exp, 6, r_max=EXP_TRUNCATION)``.
+_EXP_TABLE = (
+    (0.0006234783306874178, 0.007992314875331377, 0.05342511938636321,
+     0.2181190892887215, 0.4547453140070771, 0.26509468411181947),
+    (0.002601138585521739, 0.019023454165694998, 0.08307566371079095,
+     0.2833952035844499, 0.8323943378717507, 2.254897476907319),
+)
+#: ``fit_radial_mixture(profile_dev, 8, r_max=DEV_TRUNCATION, var_min=2e-4)``.
+_DEV_TABLE = (
+    (0.008582694869463668, 0.025924119993047622, 0.05271819817828867,
+     0.09390467941608238, 0.15072974953373577, 0.20993688950841116,
+     0.2418139328307387, 0.21638973567023198),
+    (0.0002000000000000002, 0.0019428099354813816, 0.009297868508999064,
+     0.035710005004594876, 0.13087673928006863, 0.49555246059008895,
+     2.077470239748567, 11.81339494007528),
+)
+
+
 @lru_cache(maxsize=None)
 def exp_mixture(n_components: int = 6) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Cached MoG table for the exponential profile (unit R_e, unit flux)."""
+    """MoG table for the exponential profile (unit R_e, unit flux): the
+    committed table for the default 6 components, a cached fit otherwise."""
+    if n_components == len(_EXP_TABLE[0]):
+        return _EXP_TABLE
     w, v = fit_radial_mixture(profile_exp, n_components, r_max=EXP_TRUNCATION)
     return tuple(w), tuple(v)
 
 
 @lru_cache(maxsize=None)
 def dev_mixture(n_components: int = 8) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Cached MoG table for the de Vaucouleurs profile (unit R_e, unit flux)."""
+    """MoG table for the de Vaucouleurs profile (unit R_e, unit flux): the
+    committed table for the default 8 components, a cached fit otherwise."""
+    if n_components == len(_DEV_TABLE[0]):
+        return _DEV_TABLE
     w, v = fit_radial_mixture(
         profile_dev, n_components, r_max=DEV_TRUNCATION, var_min=2e-4
     )

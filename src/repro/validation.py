@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.catalog import Catalog, CatalogEntry
 
@@ -59,6 +58,8 @@ def match_catalogs(
     """Greedy nearest-neighbor matching within ``max_distance`` pixels."""
     if len(truth) == 0 or len(estimate) == 0:
         return CatalogMatch([], list(truth), list(estimate))
+    from scipy.spatial import cKDTree
+
     est_pos = estimate.positions()
     tree = cKDTree(est_pos)
     taken: set[int] = set()

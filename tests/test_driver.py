@@ -6,8 +6,14 @@ worker pool, task-granular journals, on-disk fields with prefetch, and
 the full pipeline (smoke + kill/resume)."""
 
 import dataclasses
+import glob
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -281,6 +287,13 @@ class TestDriverReport:
                          stage_elbo={"stage0": 1.5})
         back = DriverReport.from_dict(r.as_dict())
         assert back.as_dict() == r.as_dict()
+
+    def test_report_without_spawn_bind_row_still_loads(self):
+        # A checkpoint written before the ledger had a spawn/bind row.
+        old = DriverReport(wall_seconds=3.0, n_tasks=5).as_dict()
+        del old["spawn_bind_seconds"]
+        back = DriverReport.from_dict(old)
+        assert back.spawn_bind_seconds == 0.0 and back.n_tasks == 5
 
     def test_summary_lines_render(self):
         lines = DriverReport(wall_seconds=1.0, stage_elbo={"stage0": 2.0}
@@ -585,6 +598,10 @@ class TestProcessExecutor:
         assert processed.stage_elbo["stage0"] == pytest.approx(
             threaded.stage_elbo["stage0"]
         )
+        # The ledger's pool spawn/bind row: cold seats cost something,
+        # threads nothing.
+        assert threaded.report.spawn_bind_seconds == 0.0
+        assert processed.report.spawn_bind_seconds > 0.0
         for result in (threaded, processed):
             assert result.report.rma_puts > 0
             assert result.report.rma_bytes > 0
@@ -844,6 +861,10 @@ class TestWorkerPool:
             second = run_pipeline(fields, config, pool=pool)
             assert pool.spawned_total == spawned
             assert _identical_catalogs(first.catalog, second.catalog)
+            # Seats stamp their first bind once in their life: the cold run
+            # has a spawn/bind row, the warm one none.
+            assert first.report.spawn_bind_seconds > 0.0
+            assert second.report.spawn_bind_seconds == 0.0
         finally:
             pool.close()
 
@@ -869,6 +890,206 @@ class TestWorkerPool:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.ensure(1)
+
+    def test_shutdown_tells_every_seat_before_waiting_on_any(self):
+        """Teardown is sentinel-all, join-all, terminate-stragglers: a hung
+        seat neither delays the others' sentinel nor survives."""
+        events = []
+
+        class FakeQueue:
+            def __init__(self, seat):
+                self.seat = seat
+
+            def put(self, item):
+                assert item is None
+                events.append(("sentinel", self.seat))
+
+            def close(self):
+                events.append(("queue_closed", self.seat))
+
+        class FakeSeat:
+            def __init__(self, seat, hung):
+                self.seat, self.hung, self.terminated = seat, hung, False
+
+            def join(self, timeout=None):
+                events.append(("join", self.seat))
+
+            def is_alive(self):
+                return self.hung and not self.terminated
+
+            def terminate(self):
+                self.terminated = True
+                events.append(("terminate", self.seat))
+
+        pool = WorkerPool()
+        pool.procs = [FakeSeat(0, hung=True), FakeSeat(1, hung=False),
+                      FakeSeat(2, hung=False)]
+        pool.task_qs = [FakeQueue(seat) for seat in range(3)]
+        pool.close()
+        assert pool.size == 0
+        kinds = [kind for kind, _ in events]
+        assert sorted(s for k, s in events if k == "sentinel") == [0, 1, 2]
+        first_join = kinds.index("join")
+        assert kinds[:first_join] == ["sentinel"] * 3
+        assert [e for e in events if e[0] == "terminate"] == [("terminate", 0)]
+        # Nobody is terminated before everybody had the chance to exit.
+        last_first_round_join = max(
+            i for i, e in enumerate(events) if e in {("join", 1), ("join", 2)})
+        assert kinds.index("terminate") > last_first_round_join
+
+
+def _corrupt_pixels(path):
+    """Flip bytes in the middle of a field file: the zip directory and the
+    array headers still read (metadata, fingerprint), loading the pixels
+    fails their checksum."""
+    size = os.path.getsize(path)
+    with open(path, "r+b") as f:
+        f.seek(size // 2)
+        chunk = f.read(16)
+        f.seek(size // 2)
+        f.write(bytes(b ^ 0xFF for b in chunk))
+
+
+def _driver_scratch_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                      "repro-driver-*")))
+
+
+class TestEarlyPoolBoot:
+    """``run_pipeline`` asks for its seats before the serial prologue, so
+    every way out of that prologue has to account for them."""
+
+    def _broken_survey(self, tiny_survey, tmp_path):
+        _, fields = tiny_survey
+        paths = []
+        for i, images in enumerate(fields):
+            paths.append(str(tmp_path / ("field%d.npz" % i)))
+            save_field(paths[-1], images)
+        _corrupt_pixels(paths[-1])
+        return paths
+
+    def test_failure_after_boot_closes_a_private_pool(self, tiny_survey,
+                                                      tmp_path):
+        paths = self._broken_survey(tiny_survey, tmp_path)
+        before = _driver_scratch_dirs()
+        with pytest.raises(zipfile.BadZipFile):
+            run_pipeline(paths, _driver_config(executor="process"))
+        assert multiprocessing.active_children() == []
+        assert _driver_scratch_dirs() == before
+
+    def test_failure_after_boot_leaves_a_callers_pool_alone(self, tiny_survey,
+                                                            tmp_path):
+        paths = self._broken_survey(tiny_survey, tmp_path)
+        before = _driver_scratch_dirs()
+        pool = WorkerPool()
+        try:
+            with pytest.raises(zipfile.BadZipFile):
+                run_pipeline(paths, _driver_config(executor="process"),
+                             pool=pool)
+            # The seats were asked for before the seed stage hit the bad
+            # file, and they are still the caller's, alive.
+            assert pool.spawned_total == 2
+            assert all(pool.alive(seat) for seat in range(2))
+            assert _driver_scratch_dirs() == before
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_bad_arguments_are_rejected_before_any_seat_boots(self,
+                                                              tiny_survey):
+        _, fields = tiny_survey
+        pool = WorkerPool()
+        try:
+            for bad in (dict(stop_after="nope"),
+                        dict(pgas_transport="local"),
+                        dict(pgas_transport="carrier-pigeon")):
+                with pytest.raises(ValueError):
+                    run_pipeline(fields, _driver_config(executor="process",
+                                                        **bad), pool=pool)
+            assert pool.spawned_total == 0
+        finally:
+            pool.close()
+
+    def test_nothing_left_to_optimize_spawns_nothing(self, tiny_survey,
+                                                     tmp_path):
+        """A checkpoint with every optimization stage done (or a run that
+        stops at the seed) needs no seats, and gets none."""
+        _, fields = tiny_survey
+        ckpt = str(tmp_path / "ckpt.json")
+        run_pipeline(fields, _driver_config(ckpt, executor="thread",
+                                            stop_after="stage1"))
+        pool = WorkerPool()
+        try:
+            resumed = run_pipeline(
+                fields, _driver_config(ckpt, executor="process"), pool=pool)
+            assert resumed.resumed_stages == ["seed", "stage0", "stage1"]
+            run_pipeline(fields, _driver_config(executor="process",
+                                                stop_after="seed"), pool=pool)
+            assert pool.spawned_total == 0
+        finally:
+            pool.close()
+
+
+_SEAT_PROBE = """
+import json, sys
+import repro.driver.pool
+print(json.dumps(sorted(sys.modules)))
+
+# One real task, two overlapping sources, through the seat's own code path.
+import numpy as np
+from repro.core.catalog import CatalogEntry
+from repro.core.priors import default_priors
+from repro.core.joint import JointConfig
+from repro.core.single import OptimizeConfig
+from repro.driver.shards import ShardedCatalog
+from repro.driver.worker import TaskConfig, _FieldStore, _execute_task
+from repro.parallel import ParallelRegionConfig
+from repro.partition import Region, Task
+from repro.perf.counters import Counters
+from repro.psf import default_psf
+from repro.survey import AffineWCS, ImageMeta, render_image
+
+entries = [CatalogEntry([12.0, 16.0], False, 300.0, [1.0, 0.8, 0.3, 0.1]),
+           CatalogEntry([19.0, 16.0], False, 300.0, [1.0, 0.8, 0.3, 0.1])]
+meta = ImageMeta(band=2, wcs=AffineWCS.translation(0.0, 0.0),
+                 psf=default_psf(3.0), sky_level=100.0, calibration=100.0)
+image = render_image(entries, meta, (32, 32), rng=np.random.default_rng(0))
+catalog = ShardedCatalog.from_entries(entries, n_ranks=1)
+config = TaskConfig(
+    parallel=ParallelRegionConfig(n_threads=1, n_passes=1, joint=JointConfig(
+        n_passes=1, single=OptimizeConfig(max_iter=2))),
+    image_margin=16.0, halo_refresh=False, field_cache_capacity=4,
+    fault_kill_task=None)
+task = Task(0, 0, Region(0.0, 32.0, 0.0, 32.0), [0, 1], entries)
+result = _execute_task(task, [], catalog, catalog, _FieldStore([[image]]),
+                       default_priors(), config, Counters())
+assert result is not None
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestSeatImportGraph:
+    def test_a_seat_loads_no_scipy_and_no_driver_side(self):
+        """The rule of docs/scaling.md ("Fixed cost of a process run"):
+        what a spawned seat imports — and what executing a task then pulls
+        in lazily — contains no SciPy, no seed stage, no scoring, and not
+        the pipeline module.  A module-set assertion, no timing."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _SEAT_PROBE], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout.strip().splitlines()
+        at_import, after_task = (set(json.loads(line)) for line in out[-2:])
+        assert "repro.driver.worker" in at_import
+        for modules in (at_import, after_task):
+            offenders = sorted(
+                m for m in modules
+                if m.split(".")[0] == "scipy"
+                or m.startswith(("repro.photo", "repro.validation"))
+                or m == "repro.driver.pipeline")
+            assert offenders == []
 
 
 class TestTaskJournal:

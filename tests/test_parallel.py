@@ -121,6 +121,26 @@ class TestConflictGraph:
         assert g.n == 0
         assert g.connected_components() == []
 
+    def test_sweep_finds_exactly_the_all_pairs_edges(self):
+        """The x-sweep is a candidate filter only: on random geometry
+        (per-source radii, coincident coordinates, sources sitting exactly
+        on the conflict distance) the graph is the all-pairs one."""
+        rng = np.random.default_rng(11)
+        for trial in range(120):
+            n = int(rng.integers(2, 40))
+            pos = rng.uniform(0.0, 60.0, size=(n, 2))
+            if trial % 3 == 0:
+                pos = np.round(pos / 4.0) * 4.0
+            radii = rng.uniform(1.0, 9.0, size=n) if trial % 2 else 5.0
+            g = build_conflict_graph(pos, radii)
+            r = np.broadcast_to(np.asarray(radii, dtype=float), (n,))
+            expected = [
+                {j for j in range(n) if j != i
+                 and np.abs(pos[i] - pos[j]).max() < r[i] + r[j] + 2.0}
+                for i in range(n)
+            ]
+            assert g.adjacency == expected
+
 
 class TestAllocation:
     def test_components_never_split(self):

@@ -9,8 +9,10 @@ from repro.profiles import (
     convolved_components,
     dev_mixture,
     exp_mixture,
+    fit_radial_mixture,
     galaxy_components,
     galaxy_density,
+    mog,
     profile_dev,
     profile_exp,
 )
@@ -83,6 +85,48 @@ class TestMixtureTables:
 
     def test_mixture_cached(self):
         assert exp_mixture() is exp_mixture()
+
+    @pytest.mark.slow
+    def test_committed_tables_are_the_fitters_output(self):
+        """The default tables are generated, not hand-entered: the fitter
+        reproduces them — to the bit on the SciPy they were generated
+        with (1.17), to 1e-9 on any other."""
+        import scipy
+
+        for table, fitted in (
+            (exp_mixture(), fit_radial_mixture(
+                profile_exp, 6, r_max=mog.EXP_TRUNCATION)),
+            (dev_mixture(), fit_radial_mixture(
+                profile_dev, 8, r_max=mog.DEV_TRUNCATION, var_min=2e-4)),
+        ):
+            for committed, refit in zip(table, fitted):
+                np.testing.assert_allclose(refit, committed, rtol=1e-9)
+                if scipy.__version__.startswith("1.17."):
+                    assert tuple(refit) == committed
+
+    def test_other_component_counts_are_fitted(self, monkeypatch):
+        calls = []
+
+        def spy(profile, n_components, **kwargs):
+            calls.append(n_components)
+            return fit_radial_mixture(profile, n_components, **kwargs)
+
+        monkeypatch.setattr(mog, "fit_radial_mixture", spy)
+        exp_mixture.cache_clear()
+        dev_mixture.cache_clear()
+        try:
+            exp_mixture(), dev_mixture()
+            assert calls == []
+            w, v = exp_mixture(4)
+            assert calls == [4] and len(w) <= 4
+            np.testing.assert_allclose(np.sum(w), 1.0, rtol=1e-9)
+            assert (w, v) != exp_mixture()
+            dev_mixture(5)
+            assert calls == [4, 5]
+        finally:
+            # Drop the entries fitted through the spy.
+            exp_mixture.cache_clear()
+            dev_mixture.cache_clear()
 
 
 class TestGalaxyShape:
