@@ -52,61 +52,32 @@ See ``docs/determinism.md`` for the contract itself: every rule, the
 invariant it guards, and the PR that motivated it.
 """
 
-from repro.analysis.lint import RULES, LintViolation, lint_paths, lint_source
-from repro.analysis.numeric import (
-    NumericReport,
-    NumericSanitizer,
-    current_check,
-    numeric_checking,
-    numeric_source,
-)
-from repro.analysis.provenance import (
-    Knob,
-    analyze_provenance,
-    knob_inventory,
-    render_inventory,
-)
-from repro.analysis.race import (
-    AccessLog,
-    RaceDetector,
-    RaceReport,
-    ShadowAccess,
-    ShadowTransport,
-)
-from repro.analysis.schedule import (
-    PatchBox,
-    ScheduleError,
-    ScheduleViolation,
-    audit_random_schedule,
-    boxes_from_plan,
-    verify_batches,
-    verify_plan,
-)
+import importlib
 
-__all__ = [
-    "RULES",
-    "LintViolation",
-    "lint_paths",
-    "lint_source",
-    "Knob",
-    "analyze_provenance",
-    "knob_inventory",
-    "render_inventory",
-    "PatchBox",
-    "ScheduleError",
-    "ScheduleViolation",
-    "audit_random_schedule",
-    "boxes_from_plan",
-    "verify_batches",
-    "verify_plan",
-    "AccessLog",
-    "RaceDetector",
-    "RaceReport",
-    "ShadowAccess",
-    "ShadowTransport",
-    "NumericReport",
-    "NumericSanitizer",
-    "current_check",
-    "numeric_checking",
-    "numeric_source",
-]
+#: Public name -> submodule.  Resolved on first use (PEP 562): the optimizer's
+#: hot path imports ``repro.analysis.numeric`` from every process seat, and
+#: importing this package must not drag the lint, provenance, schedule and
+#: race modules in with it.
+_EXPORTS = {
+    "lint": ("RULES", "LintViolation", "lint_paths", "lint_source"),
+    "provenance": ("Knob", "analyze_provenance", "knob_inventory",
+                   "render_inventory"),
+    "schedule": ("PatchBox", "ScheduleError", "ScheduleViolation",
+                 "audit_random_schedule", "boxes_from_plan",
+                 "verify_batches", "verify_plan"),
+    "race": ("AccessLog", "RaceDetector", "RaceReport", "ShadowAccess",
+             "ShadowTransport"),
+    "numeric": ("NumericReport", "NumericSanitizer", "current_check",
+                "numeric_checking", "numeric_source"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module("%s.%s" % (__name__, _MODULE_OF[name]))
+    return getattr(module, name)

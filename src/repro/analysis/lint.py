@@ -110,7 +110,7 @@ _NUMERIC_MODULES = (
     "autodiff/", "survey/", "gaussians.py", "driver/merge.py",
 )
 _LANE_STACKED_MODULES = ("core/kernel.py", "core/kernel_targets.py",
-                         "optim/lockstep.py")
+                         "optim/lockstep.py", "optim/lbfgs.py")
 _FINGERPRINTED_MODULES = (
     "core/", "optim/", "parallel/", "partition/", "transforms/",
     "profiles/", "psf/", "autodiff/", "gaussians.py", "driver/",
@@ -994,9 +994,8 @@ def _check_dtype_narrowing(tree, path):
         if narrowing:
             out.append(_violation(
                 path, node, "NUM204",
-                "dtype-narrowing cast in a lane-stacked module: batched "
-                "lanes must stay float64 to remain bit-identical with the "
-                "scalar path",
+                "dtype-narrowing cast in a lane-stacked module: lanes must "
+                "stay float64 to remain bit-identical at any lane limit",
             ))
     return out
 

@@ -3,7 +3,7 @@
 The static NUM rules (:mod:`repro.analysis.lint`) reject *idioms* that can
 overflow or cancel; this module watches the numbers themselves — an
 ASan/UBSan analogue for float math.  When enabled, every ELBO evaluation
-(scalar, batched, and KL-only) and every trust-region step is checked for
+(at any lane count, and KL-only) and every trust-region step is checked for
 
 - non-finite values (NaN anywhere in a value, gradient, or Hessian block),
 - overflow-to-inf (the distinct signature of an unguarded ``exp``),
@@ -20,8 +20,8 @@ checkpoint fingerprints.
 
 Wiring mirrors ``analysis.race``: the Cyclades executor installs a sanitizer
 per region (:func:`numeric_checking` binds it to the worker thread together
-with a deterministic actor label); the ELBO front ends and the Newton /
-lockstep drivers consult :func:`current_check` — a single thread-local read
+with a deterministic actor label); the ELBO front ends and the lockstep
+Newton driver consult :func:`current_check` — a single thread-local read
 when checking is off.  Reports travel on ``RegionResult.numeric_reports``,
 process workers ship them back on the done message, and the driver surfaces
 them in ``DriverReport.numeric_reports``.
@@ -66,7 +66,7 @@ class NumericReport:
 
     #: "non-finite" | "overflow" | "asymmetric-hessian" | "cancellation"
     kind: str
-    #: Evaluation surface: "elbo" | "elbo-batch" | "kl" | "trust-region-step"
+    #: Evaluation surface: "elbo" | "kl" | "trust-region-step"
     #: | "elbo-accumulation"
     stage: str
     #: Which piece went bad: "value" | "gradient" | "hessian" | "step" |
@@ -74,7 +74,8 @@ class NumericReport:
     term: str
     #: Source id within the run's region (None when not attributable).
     source: int | None
-    #: Lane index within a lockstep evaluation batch (None on scalar paths).
+    #: Lane index within a lockstep evaluation batch (None under a
+    #: one-source :class:`numeric_source` scope).
     lane: int | None
     #: Who was evaluating, e.g. ("cyclades-thread", 2) or ("serial", 0).
     actor: tuple
@@ -269,29 +270,29 @@ class NumericContext:
     #: Source ids per lane of the batch being evaluated, when known.
     batch_sources: tuple | None = None
 
-    def check_eval(self, out, *, stage, lane=None):
+    def _attribute(self, lane) -> dict:
+        """Who a finding on ``lane`` belongs to: that lane's entry of a
+        batch scope (``numeric_source([...])``), else the scope's single
+        source — under which a lane index says nothing and is dropped, so
+        a one-source scope reports the same whichever front end (``elbo``
+        or a one-lane ``elbo_batch``) did the evaluation."""
         source = self.source
         if lane is not None and self.batch_sources is not None \
                 and lane < len(self.batch_sources):
             source = self.batch_sources[lane]
-        self.sanitizer.check_eval(out, stage=stage, source=source, lane=lane,
-                                  actor=self.actor)
+        elif source is not None:
+            lane = None
+        return dict(source=source, lane=lane, actor=self.actor)
+
+    def check_eval(self, out, *, stage, lane=None):
+        self.sanitizer.check_eval(out, stage=stage, **self._attribute(lane))
 
     def check_step(self, step, f_new, *, lane=None):
-        source = self.source
-        if lane is not None and self.batch_sources is not None \
-                and lane < len(self.batch_sources):
-            source = self.batch_sources[lane]
-        self.sanitizer.check_step(step, f_new, source=source, lane=lane,
-                                  actor=self.actor)
+        self.sanitizer.check_step(step, f_new, **self._attribute(lane))
 
     def check_reduction(self, f, f_new, predicted, *, lane=None):
-        source = self.source
-        if lane is not None and self.batch_sources is not None \
-                and lane < len(self.batch_sources):
-            source = self.batch_sources[lane]
-        self.sanitizer.check_reduction(f, f_new, predicted, source=source,
-                                       lane=lane, actor=self.actor)
+        self.sanitizer.check_reduction(f, f_new, predicted,
+                                       **self._attribute(lane))
 
     def check_accumulation(self, total, parts):
         self.sanitizer.check_accumulation(total, parts, source=self.source,

@@ -48,27 +48,27 @@ fused evaluation never enters Taylor mode.  :func:`elbo_kl` exposes the
 KL-only dispatch (used by the parity tests and the benchmark's
 pixel-vs-KL cost split).
 
-**Batch evaluation.**  Backends also expose a *batched* evaluation surface
+**Batch evaluation.**  Evaluation is *batched* throughout
 (:meth:`ElboBackend.compile_batch` / :meth:`ElboBackend.evaluate_batch`,
 front ends :func:`compile_elbo_batch` / :func:`elbo_batch`): many sources'
 contexts evaluated in one sweep, the paper's AVX-512
-many-sources-at-once analogue.  The contract is strict — every lane's
-result must be **bit-for-bit identical** to the scalar call's, so batching
-is always an execution strategy and never an approximation.  The fused
-backend packs same-shaped contexts into lane-stacked structure-of-arrays
-workspaces; the Taylor backend runs the base class's trivial per-lane
-loop, keeping the oracle available for batched parity tests.  The lockstep
+many-sources-at-once analogue, with :func:`elbo` the batch of one.  The
+contract is strict — every lane's result must be **bit-for-bit identical**
+to a one-lane call's, so batching is always an execution strategy and
+never an approximation.  The fused backend packs same-shaped contexts into
+lane-stacked structure-of-arrays workspaces; the Taylor backend runs the
+base class's trivial per-lane loop over its per-context ``evaluate``,
+keeping the oracle independent of any batching code.  The lockstep
 optimizer (:func:`repro.core.single.optimize_sources_batch`) drives this
 surface with per-lane active masks and repacking.
 
 Both backends see the same :class:`SourceContext` and are accounted
 identically: this front end increments ``active_pixel_visits`` (the paper's
-FLOP-accounting unit) and ``objective_evaluations`` once per call, whichever
-backend ran.  KL terms are pixel-count-independent, so they never
+FLOP-accounting unit) and ``objective_evaluations`` once per active lane,
+whichever backend ran.  KL terms are pixel-count-independent, so they never
 contribute visits under either backend — FLOP totals from
-:mod:`repro.perf.flops` stay comparable across backends.  Batched calls
-account each active lane exactly as its scalar call would, plus
-batch-shape counters (``elbo_batch_lanes`` / ``elbo_batch_lanes_active``)
+:mod:`repro.perf.flops` stay comparable across backends.  Every call also
+adds batch-shape counters (``elbo_batch_lanes`` / ``elbo_batch_lanes_active``)
 that make batch occupancy — wasted masked-lane work — visible
 (:func:`repro.perf.counters.batch_occupancy`).
 
@@ -562,23 +562,11 @@ def elbo(
         under a backend without target support raises ``ValueError``.
 
     Returns an object with ``.val``, ``.gradient(41)``, ``.hessian(41)``
-    and ``.hess`` (``None`` at order 1).  Accounting is backend-neutral:
-    every call counts ``ctx.n_active_pixels`` active-pixel visits — the
-    paper's FLOP unit — and one objective evaluation, so FLOP totals from
-    :mod:`repro.perf.flops` are comparable across backends.
+    and ``.hess`` (``None`` at order 1).  This is the batch of one of
+    :func:`elbo_batch`, which does the (backend-neutral) accounting.
     """
-    bk = get_backend(backend)
-    out = bk.evaluate(ctx, free, order, variance_correction,
-                      **_kernel_target_kwargs(bk, kernel_target))
-    chk = current_check()
-    if chk is not None:
-        chk.check_eval(out, stage="elbo")
-    ctx.counters.add_many({
-        "active_pixel_visits": float(ctx.n_active_pixels),
-        "objective_evaluations": 1.0,
-        "objective_evaluations_" + bk.name: 1.0,
-    })
-    return out
+    return elbo_batch([ctx], [free], order, variance_correction, backend,
+                      kernel_target=kernel_target)[0]
 
 
 def compile_elbo_batch(ctxs: list, backend: str | None = None):
@@ -603,18 +591,20 @@ def elbo_batch(
 ) -> list:
     """Evaluate many single-source ELBOs in one batched backend call.
 
-    The batched counterpart of :func:`elbo`: one entry per context, each
-    exposing the same ``val``/``gradient``/``hessian`` surface, and each
-    **bit-for-bit identical** to the scalar :func:`elbo` result for that
-    context — the backend contract every implementation must honor
-    (:meth:`ElboBackend.evaluate_batch`).
+    The one evaluation front end (:func:`elbo` is its batch of one): one
+    entry per context, each exposing the ``val``/``gradient``/``hessian``
+    surface, and each **bit-for-bit identical** to what a one-lane call
+    returns for that context — the backend contract every implementation
+    must honor (:meth:`ElboBackend.evaluate_batch`).
 
-    ``active`` masks lanes out of the result (``None`` entries): a masked
-    lane's pixels may still be swept by a backend whose compiled stacks
-    bake the lane in, but it is never *accounted* — each active lane
-    counts exactly the visits and evaluation ticks its scalar call would,
-    so FLOP totals are identical whether a catalog was optimized scalar or
-    batched.  Batch-shape accounting (``elbo_batch_calls`` /
+    Accounting is backend-neutral: every active lane counts
+    ``ctx.n_active_pixels`` active-pixel visits — the paper's FLOP unit —
+    and one objective evaluation, so FLOP totals from
+    :mod:`repro.perf.flops` are comparable across backends.  ``active``
+    masks lanes out of the result (``None`` entries): a masked lane's
+    pixels may still be swept by a backend whose compiled stacks bake the
+    lane in, but it is never *accounted*, so FLOP totals are identical at
+    any lane limit.  Batch-shape accounting (``elbo_batch_calls`` /
     ``elbo_batch_lanes`` / ``elbo_batch_lanes_active``) lands on the first
     context's counter bag — in practice a whole region shares one bag —
     making occupancy (and therefore the wasted work of inactive lanes)
@@ -637,7 +627,7 @@ def elbo_batch(
     if chk is not None:
         for i, lane_out in enumerate(out):
             if lane_out is not None:
-                chk.check_eval(lane_out, stage="elbo-batch", lane=i)
+                chk.check_eval(lane_out, stage="elbo", lane=i)
     n_active = 0
     for i, ctx in enumerate(ctxs):
         if active is not None and not active[i]:

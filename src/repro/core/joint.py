@@ -7,11 +7,12 @@ Coupling between neighboring sources enters through *residual model images*:
 when source s is optimized, the expected contributions of every other source
 are part of its pixel backgrounds.
 
-:class:`RegionOptimizer` owns that shared state.  Its ``update_source``
-method is the unit of work executed serially here and concurrently by the
-Cyclades executor (:mod:`repro.parallel`) — conflict-free, because Cyclades
-never schedules two overlapping sources at once, and non-overlapping sources
-touch disjoint patch pixels.
+:class:`RegionOptimizer` owns that shared state.  Its
+``update_sources_batch`` method is the unit of work executed serially here
+(one source at a time) and concurrently by the Cyclades executor
+(:mod:`repro.parallel`) — conflict-free, because Cyclades never schedules
+two overlapping sources at once, and non-overlapping sources touch disjoint
+patch pixels.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.single import (
     OptimizeConfig,
     SourceResult,
     initial_params,
-    optimize_source,
     optimize_sources_batch,
     to_catalog_entry,
 )
@@ -238,17 +238,9 @@ class RegionOptimizer:
 
     def update_source(self, s: int) -> SourceResult:
         """Optimize one source against the current residual backgrounds and
-        fold its new expected contribution back into the model images.
-
-        This is the unit of work distributed by Cyclades; it is safe to run
-        concurrently for sources whose patches do not overlap.
-        """
-        with numeric_source(s):
-            ctx = self._make_context(s)
-            result = optimize_source(ctx, self.params[s], self.config.single)
-        with self._lock:
-            self._fold_back(s, result)
-        return result
+        fold its new expected contribution back into the model images: the
+        batch of one of :meth:`update_sources_batch`."""
+        return self.update_sources_batch([s])[0]
 
     def _make_context(self, s: int):
         return make_context(
@@ -276,17 +268,21 @@ class RegionOptimizer:
             self._contrib[s][i] = new_c
 
     def update_sources_batch(self, sources: list[int]) -> list[SourceResult]:
-        """Optimize several *non-overlapping* sources in one lockstep batch.
+        """Optimize several *non-overlapping* sources in one lockstep batch
+        and fold their new expected contributions back into the model
+        images.
 
-        The batched unit of work the Cyclades executor distributes when
-        ``elbo_batch_size`` is set: all the sources' contexts are built
-        against the current residual backgrounds up front, optimized with
-        :func:`repro.core.single.optimize_sources_batch`, and folded back.
-        Because the executor only batches sources from one conflict-free
-        assignment, their patches are pixel-disjoint — each source's
-        backgrounds are identical whether its neighbors in the batch were
-        updated before or after it, so this is bit-for-bit equivalent to
-        calling :meth:`update_source` on each source in order.
+        This is the unit of work distributed by Cyclades (each thread's
+        conflict-free assignment is cut into runs of at most
+        ``elbo_batch_size`` sources); it is safe to run concurrently for
+        sources whose patches do not overlap.  All the sources' contexts
+        are built against the current residual backgrounds up front,
+        optimized with :func:`repro.core.single.optimize_sources_batch`,
+        and folded back.  Because the executor only batches sources from
+        one conflict-free assignment, their patches are pixel-disjoint —
+        each source's backgrounds are identical whether its neighbors in
+        the batch were updated before or after it, so this is bit-for-bit
+        equivalent to updating the sources one at a time, in order.
         """
         with numeric_source(sources):
             ctxs = [self._make_context(s) for s in sources]

@@ -58,11 +58,11 @@ the randomized parity tests pin this kernel against.
 axis, and :class:`_FusedBatchWorkspace` concatenates same-shaped contexts
 along it, so one stacked NumPy sweep evaluates a whole batch of sources —
 the reproduction's analogue of the paper's AVX-512 batching of objective
-evaluations across light sources.  The scalar path is literally the
-lane-count-1 case of the batched path, and lanes are grouped by shape
+evaluations across light sources.  A single-source evaluation is the
+lane-count-1 case of the same code, and lanes are grouped by shape
 rather than padded (padding cannot be bit-exact: NumPy's pairwise-summation
-grouping depends on the reduced length), which makes batched results
-bit-for-bit identical to scalar results — the invariant the lockstep
+grouping depends on the reduced length), which makes every lane's result
+bit-for-bit independent of what shares its batch — the invariant the lockstep
 optimizer (:func:`repro.core.single.optimize_sources_batch`) and the
 driver's catalog-level parity tests rely on.
 
@@ -72,9 +72,10 @@ Cyclades worker thread re-uses the same buffers across every iteration of
 every source it updates (see :mod:`repro.parallel.cyclades`); pools are
 bounded and released by the executor when an assignment completes.
 
-**Execution targets.**  The two hot inner loops — the per-patch pixel term
-and the closed-form KL term — are factored behind the small
-:class:`KernelTarget` interface.  The shipped default is
+**Execution targets.**  The hot inner loop — the per-patch pixel term — is
+factored behind the small :class:`KernelTarget` interface (the closed-form
+KL term is pixel-count-independent and runs the same NumPy closed forms
+under every target).  The shipped default is
 :class:`NumpyKernelTarget` (this module's stacked NumPy sweeps, the
 bit-for-bit reference); :mod:`repro.core.kernel_targets` ships an
 array-API-generic target (CuPy/torch namespaces drop in) and a Numba-JIT
@@ -119,10 +120,7 @@ from repro.core.params import (
 from repro.core.priors import Priors
 from repro.envvars import env_int, env_raw
 from repro.transforms import LogitBox
-from repro.transforms.bijectors import (
-    softmax_fixed_last_d012,
-    softmax_fixed_last_d012_stacked,
-)
+from repro.transforms.bijectors import softmax_fixed_last_d012_stacked
 
 __all__ = ["FusedBackend", "KernelTarget", "KlWorkspace",
            "NumpyKernelTarget", "available_kernel_targets", "elbo_fused",
@@ -178,6 +176,10 @@ _IDX_R2 = FREE.indices("r2")
 _IDX_C1 = np.asarray(FREE.indices("c1")).reshape(2, NUM_COLORS)
 _IDX_C2 = np.asarray(FREE.indices("c2")).reshape(2, NUM_COLORS)
 _IDX_K = np.asarray(FREE.indices("k")).reshape(2, NUM_COLOR_COMPONENTS - 1)
+_KL_TYPE_IDX = tuple(
+    np.concatenate(([_IDX_R1[ty], _IDX_R2[ty]], _IDX_C1[ty], _IDX_C2[ty],
+                    _IDX_K[ty]))
+    for ty in (STAR, GALAXY))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 #: Diagonal index vectors for the stacked KL Hessian's separable color
@@ -344,8 +346,8 @@ class KlWorkspace:
       softmax Jacobian/Hessian.
 
     Free-parameter derivatives chain through the same logistic bijectors as
-    the canonical map (:meth:`LogitBox.forward_d012`) and through
-    :func:`softmax_fixed_last_d012` for the responsibilities; the whole
+    the canonical map (:meth:`LogitBox.forward_d012_vec`) and through
+    :func:`softmax_fixed_last_d012_stacked` for the responsibilities; the whole
     evaluation is a few dozen operations on arrays no larger than the 8x2
     mixture table, so it is pixel-count-independent and never enters Taylor
     mode.  Everything prior-dependent (log prior odds, inverse variances,
@@ -373,125 +375,22 @@ class KlWorkspace:
         self.e_const = -0.5 * (_LOG_2PI + np.log(
             np.asarray(priors.c_var, dtype=float))).sum(axis=0)
 
-    def _type_term(self, free: np.ndarray, ty: int, order: int):
+    def _type_term_stacked(self, frees: np.ndarray, ty: int, order: int):
         """One type's ``KL_bright + color`` term over its own 17 free
         indices ``[r1, r2, c1 x4, c2 x4, k x7]`` (before the type-probability
-        weighting): ``(indices, value, gradient, hessian)``."""
-        ic1 = _IDX_C1[ty]
-        ic2 = _IDX_C2[ty]
-        idx = np.concatenate(([_IDX_R1[ty], _IDX_R2[ty]], ic1, ic2,
-                              _IDX_K[ty]))
-
-        # Gaussian log-brightness KL.
-        m = float(free[_IDX_R1[ty]])
-        v, v1, v2 = _BIJ_R2.forward_d012(free[_IDX_R2[ty]])
-        diff = m - self.r_loc[ty]
-        iv0 = self.r_ivar[ty]
-        gb = -0.5 * ((v + diff * diff) * iv0 - 1.0 + self.log_r_var[ty]
-                     - np.log(v))
-
-        # Color GMM term: expected component log-densities and their
-        # (separable) color derivatives.
-        c1 = free[ic1]
-        c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(free[ic2])
-        dif = c1[:, None] - self.c_mean[:, :, ty]          # (C, D)
-        iv = self.c_ivar[:, :, ty]
-        e = self.e_const[:, ty] - 0.5 * (
-            (c2v[:, None] + dif * dif) * iv).sum(axis=0)   # (D,)
-        de_c1 = -dif * iv                                  # dE_d/dc1_i
-        de_c2 = -0.5 * iv                                  # dE_d/dc2_i
-
-        kappa, kjac, kh2 = softmax_fixed_last_d012(free[_IDX_K[ty]])
-        r = e + self.log_w[:, ty] - np.log(kappa)          # (D,)
-        val = (gb + float(kappa @ r)
-               + 0.5 * float(np.sum(np.log(c2v) + _LOG_2PI + 1.0,
-                                    axis=None)))
-        if order < 1:
-            return idx, val, None, None
-
-        dv = 0.5 / v - 0.5 * iv0                            # d gb / d v
-        gc2 = de_c2 @ kappa + 0.5 / c2v                     # d/d c2 (canonical)
-        s = r - 1.0                                         # d/d kappa_d
-        g = np.empty(idx.size)
-        g[0] = -diff * iv0
-        g[1] = dv * v1
-        g[2:6] = de_c1 @ kappa
-        g[6:10] = gc2 * c2d1
-        g[10:] = kjac.T @ s
-        if order < 2:
-            return idx, val, g, None
-
-        h = np.zeros((idx.size, idx.size))
-        h[0, 0] = -iv0
-        h[1, 1] = -0.5 / (v * v) * v1 * v1 + dv * v2
-        np.fill_diagonal(h[2:6, 2:6], -iv @ kappa)
-        np.fill_diagonal(h[6:10, 6:10],
-                         -0.5 / (c2v * c2v) * c2d1 * c2d1 + gc2 * c2d2)
-        # Responsibility x color coupling, through the softmax Jacobian.
-        c1k = de_c1 @ kjac                                  # (4, 7)
-        c2k = (de_c2 @ kjac) * c2d1[:, None]
-        h[2:6, 10:] = c1k
-        h[10:, 2:6] = c1k.T
-        h[6:10, 10:] = c2k
-        h[10:, 6:10] = c2k.T
-        # Responsibility block: kappa-space curvature diag(-1/kappa) plus
-        # the softmax's own second derivatives.
-        h[10:, 10:] = (np.einsum("d,djl->jl", s, kh2)
-                       - (kjac / kappa[:, None]).T @ kjac)
-        return idx, val, g, h
-
-    def evaluate(self, free: np.ndarray, order: int):
-        """KL value / 41-gradient / 41x41-Hessian at a free vector.
-
-        Returns ``(value, gradient, hessian)`` with the derivative slots
-        ``None`` beyond ``order``; the returned arrays are freshly
-        allocated (the fused objective accumulates the pixel term into
-        them in place).
-        """
-        free = np.asarray(free, dtype=np.float64)
-        grad = np.zeros(FREE.size) if order >= 1 else None
-        hess = np.zeros((FREE.size, FREE.size)) if order >= 2 else None
-
-        pg, pg1, pg2 = _BIJ_PROB.forward_d012(free[_IDX_A])
-        ps = 1.0 - pg
-        log_pg = float(np.log(pg))
-        log_ps = float(np.log(ps))
-        val = -(pg * (log_pg - self.log_phi) + ps * (log_ps - self.log_1mphi))
-        db = self.logit_phi - (log_pg - log_ps)
-        if order >= 1:
-            grad[_IDX_A] = db * pg1
-        if order >= 2:
-            hess[_IDX_A, _IDX_A] = -(1.0 / pg + 1.0 / ps) * pg1 * pg1 + db * pg2
-
-        for ty, p, pa1, pa2 in ((STAR, ps, -pg1, -pg2),
-                                (GALAXY, pg, pg1, pg2)):
-            idx, tval, tgrad, thess = self._type_term(free, ty, order)
-            val += p * tval
-            if order >= 1:
-                grad[idx] += p * tgrad
-                grad[_IDX_A] += pa1 * tval
-            if order >= 2:
-                hess[np.ix_(idx, idx)] += p * thess
-                cross = pa1 * tgrad
-                hess[_IDX_A, idx] += cross
-                hess[idx, _IDX_A] += cross
-                hess[_IDX_A, _IDX_A] += pa2 * tval
-        return val, grad, hess
-
-    def _type_term_stacked(self, frees: np.ndarray, ty: int, order: int):
-        """Lane-stacked :meth:`_type_term`: ``frees`` is ``(G, 41)`` and
-        every output carries a leading lane axis.  Each operation is the
-        per-lane image of the scalar one — elementwise ufuncs, reductions
+        weighting), lane-stacked: ``frees`` is ``(G, 41)`` and the returned
+        ``(indices, value, gradient, hessian)`` carry a leading lane axis.
+        Every operation is lane-independent — elementwise ufuncs, reductions
         over non-lane axes, and stacked ``matmul`` (which dispatches the
-        identical per-lane product) — so lane ``i`` is bit-for-bit the
-        scalar ``_type_term(frees[i])``, which the batched-vs-scalar parity
+        identical per-lane product) — so lane ``i`` is bit-for-bit what a
+        one-lane call on ``frees[i]`` returns, which the lane-independence
         tests pin."""
         ic1 = _IDX_C1[ty]
         ic2 = _IDX_C2[ty]
-        idx = np.concatenate(([_IDX_R1[ty], _IDX_R2[ty]], ic1, ic2,
-                              _IDX_K[ty]))
+        idx = _KL_TYPE_IDX[ty]
         gsz = frees.shape[0]
 
+        # Gaussian log-brightness KL.
         m = frees[:, _IDX_R1[ty]]
         v, v1, v2 = _BIJ_R2.forward_d012_vec(frees[:, _IDX_R2[ty]])
         diff = m - self.r_loc[ty]
@@ -499,14 +398,16 @@ class KlWorkspace:
         gb = -0.5 * ((v + diff * diff) * iv0 - 1.0 + self.log_r_var[ty]
                      - np.log(v))
 
+        # Color GMM term: expected component log-densities and their
+        # (separable) color derivatives.
         c1 = frees[:, ic1]                                   # (G, C)
         c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, ic2])
         dif = c1[:, :, None] - self.c_mean[None, :, :, ty]   # (G, C, D)
         iv = self.c_ivar[:, :, ty]
         e = self.e_const[None, :, ty] - 0.5 * (
             (c2v[:, :, None] + dif * dif) * iv[None]).sum(axis=1)
-        de_c1 = -dif * iv[None]
-        de_c2 = -0.5 * iv                                    # lane-free
+        de_c1 = -dif * iv[None]                              # dE_d/dc1_i
+        de_c2 = -0.5 * iv                                    # dE_d/dc2_i
 
         kappa, kjac, kh2 = softmax_fixed_last_d012_stacked(
             frees[:, _IDX_K[ty]])
@@ -516,10 +417,10 @@ class KlWorkspace:
         if order < 1:
             return idx, val, None, None
 
-        dv = 0.5 / v - 0.5 * iv0
+        dv = 0.5 / v - 0.5 * iv0                             # d gb / d v
         gc2 = (np.matmul(de_c2[None], kappa[:, :, None])[:, :, 0]
-               + 0.5 / c2v)
-        s = r - 1.0
+               + 0.5 / c2v)                                  # d/d c2
+        s = r - 1.0                                          # d/d kappa_d
         g = np.empty((gsz, idx.size))
         g[:, 0] = -diff * iv0
         g[:, 1] = dv * v1
@@ -536,12 +437,15 @@ class KlWorkspace:
             (-iv)[None], kappa[:, :, None])[:, :, 0]
         h[:, _DIAG_C2, _DIAG_C2] = (-0.5 / (c2v * c2v) * c2d1 * c2d1
                                     + gc2 * c2d2)
-        c1k = np.matmul(de_c1, kjac)
+        # Responsibility x color coupling, through the softmax Jacobian.
+        c1k = np.matmul(de_c1, kjac)                         # (G, 4, 7)
         c2k = np.matmul(de_c2[None], kjac) * c2d1[:, :, None]
         h[:, 2:6, 10:] = c1k
         h[:, 10:, 2:6] = c1k.transpose(0, 2, 1)
         h[:, 6:10, 10:] = c2k
         h[:, 10:, 6:10] = c2k.transpose(0, 2, 1)
+        # Responsibility block: kappa-space curvature diag(-1/kappa) plus
+        # the softmax's own second derivatives.
         h[:, 10:, 10:] = (np.einsum("gd,gdjl->gjl", s, kh2)
                           - np.matmul(
                               (kjac / kappa[:, :, None]).transpose(0, 2, 1),
@@ -549,15 +453,17 @@ class KlWorkspace:
         return idx, val, g, h
 
     def evaluate_stacked(self, frees: np.ndarray, order: int):
-        """Lane-stacked :meth:`evaluate`: ``(G, 41)`` free vectors to
-        ``(value (G,), gradient (G, 41), hessian (G, 41, 41))`` with the
-        derivative slots ``None`` beyond ``order``.
+        """KL value / 41-gradient / 41x41-Hessian for ``(G, 41)`` stacked
+        free vectors: ``(value (G,), gradient (G, 41), hessian (G, 41,
+        41))`` with the derivative slots ``None`` beyond ``order``; the
+        returned arrays are freshly allocated (the fused objective
+        accumulates the pixel term into them in place).
 
-        Lane ``i`` of every output is bit-for-bit ``evaluate(frees[i])``
-        (the lane-independence argument in :meth:`_type_term_stacked`), so
-        the batched fused path can amortize the KL term's many-small-ops
-        dispatch cost across a whole lane group without breaking the
-        batched==scalar contract."""
+        Lane ``i`` of every output is bit-for-bit what a one-lane call on
+        ``frees[i]`` returns (the lane-independence argument in
+        :meth:`_type_term_stacked`), so the KL term's many-small-ops
+        dispatch cost is amortized across a whole lane group without
+        results depending on how lanes were grouped."""
         frees = np.asarray(frees, dtype=np.float64)
         gsz = frees.shape[0]
         grad = np.zeros((gsz, FREE.size)) if order >= 1 else None
@@ -741,13 +647,14 @@ class _FusedBatchWorkspace:
     structure-of-arrays stacks, so the pixel-term sweep for a group is one
     set of NumPy calls covering all its lanes.
 
-    **No padding, by design.**  The batched path must be bit-for-bit
-    identical to the scalar path, and a masked/padded tail cannot be: NumPy
-    reductions use pairwise summation whose grouping depends on the reduced
-    length, so summing a zero-padded row changes the result's last bits.
-    Shape-grouping gives the same SIMD-width win as the paper's AVX-512
-    source batching while keeping every lane's reduction lengths exactly
-    what the scalar path uses — a heterogeneous batch simply evaluates as
+    **No padding, by design.**  A lane's result must be bit-for-bit
+    independent of what shares its batch, and a masked/padded tail cannot
+    be: NumPy reductions use pairwise summation whose grouping depends on
+    the reduced length, so summing a zero-padded row changes the result's
+    last bits.  Shape-grouping gives the same SIMD-width win as the paper's
+    AVX-512 source batching while keeping every lane's reduction lengths
+    exactly what a one-lane call uses — a heterogeneous batch simply
+    evaluates as
     several stacked groups (degenerating to ``G = 1`` lanes in the worst
     case), never as one padded block.  Within a group, every stacked
     primitive used by the kernel is lane-independent (elementwise ufuncs;
@@ -758,7 +665,8 @@ class _FusedBatchWorkspace:
     **Cache-bounded sweeps.**  A stacked sweep materializes
     ``(G, components, pixels)`` temporaries; letting ``G`` grow unbounded
     trades the dispatch-overhead win for cache thrash (a 64-lane stack of
-    30x30 five-band contexts is slower than scalar).  Groups are therefore
+    30x30 five-band contexts is slower than one lane at a time).  Groups
+    are therefore
     split so each sweep's working set stays cache-resident, with the lane
     cap autotuned per shape group from the measured cache hierarchy
     (:func:`_lane_sweep_cap`) — small sources batch wide, big sources
@@ -773,8 +681,13 @@ class _FusedBatchWorkspace:
         by_sig: dict[tuple, list[int]] = {}
         for i, ctx in enumerate(self.ctxs):
             by_sig.setdefault(_context_workspace(ctx).signature, []).append(i)
-        #: ``(lane_indices, patch_stacks)`` per shape group; a singleton
-        #: group reuses the context's own (lane count 1) workspace arrays.
+        #: ``(lane_indices, patch_stacks, u_centers, kl_groups)`` per sweep;
+        #: a singleton sweep reuses the context's own (lane count 1)
+        #: workspace arrays.  ``u_centers`` is the sweep's ``(G, 2)`` stack
+        #: of box centers and ``kl_groups`` its lanes (as positions in
+        #: ``lane_indices``) grouped by shared :class:`KlWorkspace` —
+        #: both fixed per context, so resolved here rather than per
+        #: evaluation.
         self.groups = []
         for sig, lanes in by_sig.items():
             per_lane = sum((k + jd + je) * m for k, jd, je, m in sig)  # det: ignore[DET103] -- integer size signature; exact in any order
@@ -786,17 +699,23 @@ class _FusedBatchWorkspace:
             size = -(-len(lanes) // n_sweeps)
             for start in range(0, len(lanes), size):
                 chunk = lanes[start:start + size]
+                members = [_context_workspace(self.ctxs[l]) for l in chunk]
                 if len(chunk) == 1:
-                    stacks = _context_workspace(self.ctxs[chunk[0]]).patches
+                    stacks = members[0].patches
                 else:
-                    members = [_context_workspace(self.ctxs[l])
-                               for l in chunk]
                     stacks = [
                         _PatchWorkspace._concat([m.patches[p]
                                                  for m in members])
                         for p in range(len(sig))
                     ]
-                self.groups.append((chunk, stacks))
+                u_centers = np.array([
+                    np.asarray(self.ctxs[l].u_center, dtype=float)
+                    for l in chunk])
+                by_kl: dict[int, tuple] = {}
+                for j, m in enumerate(members):
+                    by_kl.setdefault(id(m.kl), (m.kl, []))[1].append(j)
+                self.groups.append(
+                    (chunk, stacks, u_centers, list(by_kl.values())))
 
     @property
     def n_lanes(self) -> int:
@@ -1439,25 +1358,20 @@ def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
 # Execution targets
 
 class KernelTarget:
-    """One execution strategy for the fused kernel's two inner loops.
+    """One execution strategy for the fused kernel's hot inner loop.
 
     The fused backend's compile-once workspaces, lane grouping, scratch
-    pool, and chain-rule bookkeeping are target-independent; what varies
-    is *how* the per-patch pixel term and the closed-form KL term are
-    executed.  A target supplies exactly those two hooks:
-
-    - :meth:`pixel_term` — one patch slot's expected Poisson
-      log-likelihood value / z-gradient / z-Hessian over a lane group,
-      given the slot's pixel-static stacks and the group's
-      :class:`_EvalChain`.
-    - :meth:`kl_term` — one lane's KL value / 41-gradient / 41x41-Hessian
-      from a compiled :class:`KlWorkspace`.
-    - :meth:`kl_term_batch` — the same for a stack of lanes sharing one
-      workspace (defaults to a per-lane loop; the NumPy target overrides
-      it with the lane-stacked closed forms).
+    pool, chain-rule bookkeeping, and closed-form KL term
+    (:class:`KlWorkspace` — pixel-count-independent and tiny, so it runs
+    the same NumPy closed forms under every target) are
+    target-independent; what varies is *how* the per-patch pixel term is
+    executed.  A target supplies exactly that hook: :meth:`pixel_term` —
+    one patch slot's expected Poisson log-likelihood value / z-gradient /
+    z-Hessian over a lane group, given the slot's pixel-static stacks and
+    the group's :class:`_EvalChain`.
 
     :class:`NumpyKernelTarget` is the default and the bit-for-bit
-    reference (batched == scalar exactly); other targets
+    reference (lane-independent exactly); other targets
     (:mod:`repro.core.kernel_targets`) promise tolerance-level parity
     only, pinned by the randomized harness, and are therefore
     checkpoint-fingerprinted so a resume never mixes targets.
@@ -1467,21 +1381,6 @@ class KernelTarget:
 
     def pixel_term(self, pws, chain):
         raise NotImplementedError
-
-    def kl_term(self, klws, free, order):
-        raise NotImplementedError
-
-    def kl_term_batch(self, klws, frees, order):
-        """KL terms for a stack of ``(G, 41)`` free vectors sharing one
-        :class:`KlWorkspace`: ``(values (G,), gradients (G, 41) or None,
-        hessians (G, 41, 41) or None)``.  Each lane must match what
-        :meth:`kl_term` returns for that vector alone; this default loops,
-        which satisfies the contract by construction."""
-        outs = [self.kl_term(klws, free, order) for free in frees]
-        vals = np.array([o[0] for o in outs])
-        grads = np.stack([o[1] for o in outs]) if order >= 1 else None
-        hesses = np.stack([o[2] for o in outs]) if order >= 2 else None
-        return vals, grads, hesses
 
 
 class NumpyKernelTarget(KernelTarget):
@@ -1493,14 +1392,6 @@ class NumpyKernelTarget(KernelTarget):
         # Late module-global lookup, so tests can monkeypatch
         # _patch_pixel_term and instrumentation can wrap it.
         return _patch_pixel_term(pws, chain)
-
-    def kl_term(self, klws, free, order):
-        return klws.evaluate(free, order)
-
-    def kl_term_batch(self, klws, frees, order):
-        # Lane-stacked closed forms; bit-for-bit the per-lane evaluate()
-        # results (pinned by the batched-vs-scalar parity tests).
-        return klws.evaluate_stacked(frees, order)
 
 
 KERNEL_TARGET_ENV_VAR = "REPRO_KERNEL_TARGET"
@@ -1598,18 +1489,6 @@ def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int,
     return val, g27, h27
 
 
-def _finalize_lane(ws: _FusedWorkspace, free: np.ndarray, order: int,
-                   val, g27, h27, target: KernelTarget) -> ElboEval:
-    """Add the closed-form KL terms and scatter the pixel term's dense
-    27-block into the full free space."""
-    kl_val, grad, hess = target.kl_term(ws.kl, free, order)
-    if order >= 1:
-        grad[:_N_ACTIVE] += g27
-    if order >= 2:
-        hess[:_N_ACTIVE, :_N_ACTIVE] += h27
-    return ElboEval(val + kl_val, grad, hess)
-
-
 def elbo_fused(
     ctx: SourceContext,
     free,
@@ -1617,27 +1496,12 @@ def elbo_fused(
     variance_correction: bool = True,
     kernel_target: str | None = None,
 ) -> ElboEval:
-    """Evaluate the full ELBO with the fused analytic kernel.
-
-    This is the lane-count-1 case of :func:`elbo_fused_batch`: both paths
-    run the identical stacked code, which is what makes batched evaluation
-    bit-for-bit equal to scalar evaluation.  ``kernel_target`` picks the
-    execution target (explicit name, else ``REPRO_KERNEL_TARGET``, else
-    the NumPy reference)."""
-    target = get_kernel_target(resolve_kernel_target_name(kernel_target))
-    ws = _context_workspace(ctx)
-    free = np.asarray(free, dtype=np.float64)
-    chain = _EvalChain(np.asarray(ctx.u_center, dtype=float)[None, :],
-                       free[None, :], order, variance_correction)
-    if ws.patches:
-        val, g27, h27 = _evaluate_lanes(ws.patches, chain, order, target)
-        val, g27 = val[0], g27[0]
-        h27 = h27[0] if h27 is not None else None
-    else:
-        val = 0.0
-        g27 = np.zeros(_N_ACTIVE)
-        h27 = np.zeros((_N_ACTIVE, _N_ACTIVE)) if order >= 2 else None
-    return _finalize_lane(ws, free, order, val, g27, h27, target)
+    """Evaluate one source's full ELBO with the fused analytic kernel: the
+    lane-count-1 case of :func:`elbo_fused_batch` (see there for
+    ``kernel_target``)."""
+    return elbo_fused_batch([ctx], [free], order=order,
+                            variance_correction=variance_correction,
+                            kernel_target=kernel_target)[0]
 
 
 def elbo_fused_batch(
@@ -1658,9 +1522,11 @@ def elbo_fused_batch(
     stacked pixel sweep (their lanes are baked into the stacks — that waste
     is what the batch-occupancy counters expose, and why callers repack
     once occupancy drops), but their results are skipped and returned as
-    ``None``.  Returns one :class:`ElboEval` (or ``None``) per context, in
-    order, each bit-for-bit equal to what :func:`elbo_fused` returns for
-    that context and free vector alone.
+    ``None``.  ``kernel_target`` picks the execution target (explicit name,
+    else ``REPRO_KERNEL_TARGET``, else the NumPy reference).  Returns one
+    :class:`ElboEval` (or ``None``) per context, in order, each bit-for-bit
+    equal to what a one-lane call returns for that context and free vector
+    alone (lanes are independent).
     """
     target = get_kernel_target(resolve_kernel_target_name(kernel_target))
     if compiled is None:
@@ -1671,11 +1537,9 @@ def elbo_fused_batch(
             "recompile with compile_batch after changing batch membership"
         )
     out: list = [None] * len(ctxs)
-    for lanes, stacks in compiled.groups:
+    for lanes, stacks, u_centers, kl_groups in compiled.groups:
         frees_g = np.array([np.asarray(frees[l], dtype=np.float64)
                             for l in lanes])
-        u_centers = np.array([np.asarray(ctxs[l].u_center, dtype=float)
-                              for l in lanes])
         chain = _EvalChain(u_centers, frees_g, order, variance_correction)
         if stacks:
             val, g27, h27 = _evaluate_lanes(stacks, chain, order, target)
@@ -1687,26 +1551,25 @@ def elbo_fused_batch(
                    if order >= 2 else None)
         # KL terms, stacked per shared prior workspace: lanes under one
         # Priors (the production case — a survey uses one) evaluate their
-        # KL values/gradients/Hessians in one lane-stacked sweep instead
-        # of G per-lane calls, amortizing the many-small-ops dispatch cost
-        # the same way the pixel sweep amortizes per-patch dispatch.
-        by_kl: dict[int, tuple] = {}
-        for j, l in enumerate(lanes):
-            if active is not None and not active[l]:
-                continue
-            klws = _context_workspace(ctxs[l]).kl
-            by_kl.setdefault(id(klws), (klws, []))[1].append(j)
-        for klws, js in by_kl.values():
-            kvals, kgrads, khesses = target.kl_term_batch(
-                klws, frees_g[js], order)
+        # KL values/gradients/Hessians in one lane-stacked sweep,
+        # amortizing the many-small-ops dispatch cost the same way the
+        # pixel sweep amortizes per-patch dispatch.  The pixel term's dense
+        # 27-block is then added into the full free space.
+        for klws, js in kl_groups:
+            if active is not None:
+                js = [j for j in js if active[lanes[j]]]
+                if not js:
+                    continue
+            kvals, grads, hesses = klws.evaluate_stacked(frees_g[js], order)
+            kvals += val[js]
+            if order >= 1:
+                grads[:, :_N_ACTIVE] += g27[js]
+            if order >= 2:
+                hesses[:, :_N_ACTIVE, :_N_ACTIVE] += h27[js]
             for i, j in enumerate(js):
-                grad = kgrads[i] if kgrads is not None else None
-                hess = khesses[i] if khesses is not None else None
-                if order >= 1:
-                    grad[:_N_ACTIVE] += g27[j]
-                if order >= 2:
-                    hess[:_N_ACTIVE, :_N_ACTIVE] += h27[j]
-                out[lanes[j]] = ElboEval(val[j] + kvals[i], grad, hess)
+                out[lanes[j]] = ElboEval(
+                    kvals[i], None if grads is None else grads[i],
+                    None if hesses is None else hesses[i])
     return out
 
 
@@ -1725,10 +1588,13 @@ class FusedBackend(ElboBackend):
                           kernel_target=kernel_target)
 
     def evaluate_kl(self, ctx, free, order, kernel_target=None):
-        target = get_kernel_target(resolve_kernel_target_name(kernel_target))
-        val, grad, hess = target.kl_term(_kl_workspace(ctx.priors), free,
-                                         order)
-        return ElboEval(val, grad, hess)
+        # The KL term is target-independent; the name is still validated so
+        # a mis-pinned target fails here as it would in a full evaluation.
+        get_kernel_target(resolve_kernel_target_name(kernel_target))
+        val, grad, hess = _kl_workspace(ctx.priors).evaluate_stacked(
+            np.asarray(free, dtype=np.float64)[None], order)
+        return ElboEval(val[0], None if grad is None else grad[0],
+                        None if hess is None else hess[0])
 
     def compile_batch(self, ctxs):
         """Pack the contexts' compiled workspaces into lane-grouped

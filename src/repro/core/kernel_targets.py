@@ -2,8 +2,8 @@
 
 :mod:`repro.core.kernel` keeps the target-independent machinery — compile-once
 workspaces, lane grouping, cache-blocked sweep splitting, the chain-rule
-stage — and routes the two inner loops (the per-patch pixel term and the
-closed-form KL term) through a :class:`~repro.core.kernel.KernelTarget`.
+stage, the closed-form KL term — and routes the hot inner loop (the
+per-patch pixel term) through a :class:`~repro.core.kernel.KernelTarget`.
 This module provides the non-default targets:
 
 - ``array_api`` — the pixel sweep written as pure array expressions against
@@ -307,8 +307,7 @@ def _pixel_term_from_features(pws, chain, star_fn, group_fn, xp):
 
 
 class ArrayApiTarget(KernelTarget):
-    """Namespace-generic pixel sweeps; the KL term stays on the compiled
-    NumPy workspace (it is pixel-count-independent and tiny)."""
+    """Namespace-generic pixel sweeps."""
 
     name = "array_api"
 
@@ -316,9 +315,6 @@ class ArrayApiTarget(KernelTarget):
         return _pixel_term_from_features(
             pws, chain, _star_features_xp, _group_features_xp,
             _namespace(pws.counts))
-
-    def kl_term(self, klws, free, order):
-        return klws.evaluate(free, order)
 
 
 register_kernel_target(ArrayApiTarget())
@@ -448,8 +444,5 @@ if numba is not None:  # pragma: no cover - requires the optional dependency
         def pixel_term(self, pws, chain):
             return _pixel_term_from_features(
                 pws, chain, _star_features_nb, _group_features_nb, np)
-
-        def kl_term(self, klws, free, order):
-            return klws.evaluate(free, order)
 
     register_kernel_target(NumbaTarget())

@@ -17,7 +17,6 @@ from repro.core.catalog import CatalogEntry
 from repro.core.elbo import (
     SourceContext,
     compile_elbo_batch,
-    elbo,
     elbo_batch,
     release_scratch,
 )
@@ -32,9 +31,7 @@ from repro.envvars import env_float
 from repro.knobs import knob
 from repro.optim import (
     OptimResult,
-    lbfgs_minimize,
     lbfgs_minimize_batch,
-    newton_trust_region,
     newton_trust_region_batch,
 )
 
@@ -124,61 +121,9 @@ def optimize_source(
     init: SourceParams | CatalogEntry,
     config: OptimizeConfig | None = None,
 ) -> SourceResult:
-    """Maximize the source's ELBO starting from a catalog initialization."""
-    if config is None:
-        config = OptimizeConfig()
-    if isinstance(init, CatalogEntry):
-        init = initial_params(init, ctx.priors)
-
-    free0 = canonical_to_free(init.to_canonical(), ctx.u_center)
-
-    # On a clean solve the per-thread evaluation scratch stays pooled — the
-    # next source on this thread (a Cyclades assignment, a benchmark loop)
-    # reuses it, and the executor releases it when the assignment ends.  An
-    # evaluation that *raises* inside the solver gets no such downstream
-    # release on many call paths (direct single-source API, baselines), so
-    # the except arm drops the pool rather than strand buffers on a thread
-    # that may never evaluate again.
-    try:
-        if config.method == "newton":
-            def fgh(free):
-                out = elbo(ctx, free, order=2,
-                           variance_correction=config.variance_correction,
-                           backend=config.backend,
-                           kernel_target=config.kernel_target)
-                return (-float(out.val), -out.gradient(FREE.size),
-                        -out.hessian(FREE.size))
-
-            ctx.counters.add("newton_solves", 1.0)
-            res = newton_trust_region(
-                fgh, free0,
-                grad_tol=config.grad_tol,
-                max_iter=config.max_iter,
-                initial_radius=config.initial_radius,
-            )
-            ctx.counters.add("newton_iterations", float(res.n_iterations))
-        elif config.method == "lbfgs":
-            def fg(free):
-                out = elbo(ctx, free, order=1,
-                           variance_correction=config.variance_correction,
-                           backend=config.backend,
-                           kernel_target=config.kernel_target)
-                return -float(out.val), -out.gradient(FREE.size)
-
-            ctx.counters.add("lbfgs_solves", 1.0)
-            res = lbfgs_minimize(
-                fg, free0, grad_tol=config.grad_tol, max_iter=config.max_iter
-            )
-            ctx.counters.add("lbfgs_iterations", float(res.n_iterations))
-        else:
-            raise ValueError("unknown method %r" % (config.method,))
-    except BaseException:
-        release_scratch()
-        raise
-
-    canonical = free_to_canonical(res.x, ctx.u_center)
-    params = SourceParams.from_canonical(canonical)
-    return SourceResult(params=params, free=res.x, elbo=-res.fun, optim=res)
+    """Maximize the source's ELBO starting from a catalog initialization:
+    the batch of one of :func:`optimize_sources_batch`."""
+    return optimize_sources_batch([ctx], [init], config)[0]
 
 
 def optimize_sources_batch(
@@ -189,24 +134,22 @@ def optimize_sources_batch(
 ) -> list[SourceResult]:
     """Optimize many independent sources with lockstep batched evaluations.
 
-    The batched counterpart of :func:`optimize_source`: each source runs
-    its own solve (independent iterates, radii/line searches, and
-    convergence), but every round's objective evaluations are served by one
-    :func:`repro.core.elbo.elbo_batch` call, so a backend with a batched
-    kernel sweeps all still-active sources' pixels at once — the paper's
-    AVX-512 batching of evaluations across light sources.  Both methods
-    have lockstep drivers: ``"newton"`` (the paper's trust region, order-2
-    evaluations) and ``"lbfgs"`` (the baseline, order-1 evaluations via
-    :func:`repro.optim.lbfgs_minimize_batch`).
+    The one optimization path (:func:`optimize_source` is its batch of
+    one): each source runs its own solve (independent iterates, radii/line
+    searches, and convergence), but every round's objective evaluations
+    are served by one :func:`repro.core.elbo.elbo_batch` call, so a backend
+    with a batched kernel sweeps all still-active sources' pixels at once —
+    the paper's AVX-512 batching of evaluations across light sources.  Both
+    methods have lockstep drivers: ``"newton"`` (the paper's trust region,
+    order-2 evaluations) and ``"lbfgs"`` (the baseline, order-1 evaluations
+    via :func:`repro.optim.lbfgs_minimize_batch`).
 
-    **Bit-for-bit contract.**  Results are *identical* to calling
-    :func:`optimize_source` per source — same iterates, same diagnostics,
-    same counter totals — because each lockstep driver replicates the
-    scalar solver's state machine exactly and every backend's batched
-    evaluation is required to be bit-for-bit equal to its scalar one.
-    Batching is an execution strategy, never an approximation; the
-    Cyclades executor relies on this to keep batched and scalar catalogs
-    identical.
+    **Bit-for-bit contract.**  Each source's result — iterates,
+    diagnostics, counter totals — is the same whatever else shares its
+    batch, because lanes of a lockstep driver never interact and every
+    backend's batched evaluation is lane-independent to the bit.  Batching
+    is an execution strategy, never an approximation; the Cyclades executor
+    relies on this to keep catalogs identical at any lane limit.
 
     **Masking and repacking.**  Converged sources drop out of the active
     set.  A dropped lane is initially only *masked*: the compiled batch
@@ -246,43 +189,53 @@ def optimize_sources_batch(
     ]
     last_free = list(free0s)
     order = 2 if config.method == "newton" else 1
-    # The compiled workspace covers the lanes in ``lanes``; it shrinks to
-    # the active set whenever occupancy drops below the repack threshold.
-    state = {
-        "lanes": list(range(len(ctxs))),
-        "compiled": compile_elbo_batch(ctxs, backend=config.backend),
-    }
+    # The compiled workspace covers the problems in ``state["lanes"]``; it
+    # shrinks to the active set whenever occupancy drops below the repack
+    # threshold.
+    state = {"lanes": list(range(len(ctxs))), "ctxs": list(ctxs)}
+    state["compiled"] = compile_elbo_batch(ctxs, backend=config.backend)
 
     def eval_batch(idx: list, xs: list) -> list:
-        for k, i in enumerate(idx):
-            last_free[i] = np.asarray(xs[k], dtype=np.float64)
-        lanes = state["lanes"]
-        if len(idx) < repack_threshold * len(lanes):
-            lanes = state["lanes"] = list(idx)
+        """Evaluate problems ``idx`` (ascending, a subset of the compiled
+        lanes) at ``xs``; masked lanes ride along at their last point."""
+        for i, x in zip(idx, xs):
+            last_free[i] = np.asarray(x, dtype=np.float64)
+        if len(idx) < repack_threshold * len(state["lanes"]):
+            state["lanes"] = list(idx)
+            state["ctxs"] = [ctxs[i] for i in idx]
             state["compiled"] = compile_elbo_batch(
-                [ctxs[i] for i in lanes], backend=config.backend
+                state["ctxs"], backend=config.backend
             )
-        members = set(idx)
+        lanes = state["lanes"]
+        active = None
+        if len(idx) < len(lanes):
+            members = set(idx)
+            active = [i in members for i in lanes]
         outs = elbo_batch(
-            [ctxs[i] for i in lanes],
+            state["ctxs"],
             [last_free[i] for i in lanes],
             order=order,
             variance_correction=config.variance_correction,
             backend=config.backend,
             compiled=state["compiled"],
-            active=[i in members for i in lanes],
+            active=active,
             kernel_target=config.kernel_target,
         )
-        by_lane = dict(zip(lanes, outs))
-        return [by_lane[i] for i in idx]
+        # Results come back in lane order with None for masked lanes, and
+        # ``idx`` lists the active lanes in that same order.
+        return [out for out in outs if out is not None]
 
     solves_counter = config.method + "_solves"
     iters_counter = config.method + "_iterations"
     for ctx in ctxs:
         ctx.counters.add(solves_counter, 1.0)
-    # Mirror optimize_source: an evaluation that raises mid-solve gets no
-    # downstream scratch release, so drop the pool here instead of
-    # stranding buffers on a thread that may never evaluate again.
+    # On a clean solve the per-thread evaluation scratch stays pooled — the
+    # next batch on this thread (a Cyclades assignment, a benchmark loop)
+    # reuses it, and the executor releases it when the assignment ends.  An
+    # evaluation that *raises* inside the solver gets no such downstream
+    # release on many call paths (direct single-source API, baselines), so
+    # the except arm drops the pool rather than strand buffers on a thread
+    # that may never evaluate again.
     try:
         if config.method == "newton":
             def fgh_batch(idx: list, xs: list) -> list:

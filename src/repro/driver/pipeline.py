@@ -366,8 +366,8 @@ def _resolve_pgas_transport(config: DriverConfig, executor: str) -> str:
 def _resolve_elbo_batch_size(config: DriverConfig) -> int | None:
     """The lockstep evaluation batch size a run will use: an explicit
     ``DriverConfig.elbo_batch_size`` wins, then the parallel config's own
-    field, then :data:`ELBO_BATCH_ENV_VAR`; ``None``/``1`` means the scalar
-    per-source path."""
+    field, then :data:`ELBO_BATCH_ENV_VAR`; ``None``/``1`` means one lane
+    per evaluation."""
     size = config.elbo_batch_size
     if size is None:
         size = config.parallel.elbo_batch_size
@@ -602,8 +602,8 @@ def _fingerprint(store: _FieldStore, config: DriverConfig) -> dict:
         # top level so fingerprint mismatches across default-backend changes
         # are legible in the checkpoint file itself.
         "elbo_backend": config.elbo_backend,
-        # Result-neutral by hard invariant (batched == scalar bit-for-bit,
-        # tested), but fingerprinted anyway — also inside
+        # Result-neutral by hard invariant (lanes are independent to the
+        # bit, tested), but fingerprinted anyway — also inside
         # parallel.elbo_batch_size — so a resumed run's evaluation layout
         # is recorded next to its backend.
         "elbo_batch_size": config.elbo_batch_size,

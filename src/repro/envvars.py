@@ -82,9 +82,9 @@ _VARS = (
         provenance="scheduling", resolves_to="DriverConfig.pgas_transport",
     ),
     EnvVar(
-        "REPRO_ELBO_BATCH", "int", "unset (scalar path)",
-        "Lockstep evaluation batch size when no config sets one; forces "
-        "every source optimization through the batched path.",
+        "REPRO_ELBO_BATCH", "int", "unset (one lane)",
+        "Lane limit of a lockstep evaluation batch when no config sets one "
+        "(every source optimization runs the one batched path at any limit).",
         provenance="fingerprinted",
         resolves_to="DriverConfig.elbo_batch_size",
     ),

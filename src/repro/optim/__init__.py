@@ -9,8 +9,10 @@ advantage against it (tens of iterations vs. up to 2000).
 """
 
 from repro.optim.trust_region import solve_trust_region
-from repro.optim.newton import newton_trust_region
-from repro.optim.lockstep import newton_trust_region_batch
+from repro.optim.lockstep import (
+    newton_trust_region,
+    newton_trust_region_batch,
+)
 from repro.optim.lbfgs import lbfgs_minimize, lbfgs_minimize_batch
 from repro.optim.result import OptimResult
 

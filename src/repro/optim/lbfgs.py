@@ -21,85 +21,8 @@ from repro.optim.result import OptimResult
 __all__ = ["lbfgs_minimize", "lbfgs_minimize_batch"]
 
 
-def lbfgs_minimize(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    grad_tol: float = 1e-6,
-    max_iter: int = 2000,
-    memory: int = 10,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
-    max_line_search: int = 40,
-) -> OptimResult:
-    """Minimize with gradient-only information.
-
-    Parameters
-    ----------
-    fg:
-        Callable returning ``(value, gradient)``.
-    max_iter:
-        Defaults to 2000 — the paper's observed worst case for this method.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fg(x)
-    n_eval = 1
-    s_hist: deque = deque(maxlen=memory)
-    y_hist: deque = deque(maxlen=memory)
-
-    for it in range(max_iter):
-        gnorm = float(np.linalg.norm(g, ord=np.inf))
-        if gnorm < grad_tol:
-            return OptimResult(x, f, g, it, n_eval, True, "gradient tolerance met")
-
-        # Two-loop recursion for the search direction.
-        q = g.copy()
-        alphas = []
-        for s, y in reversed(list(zip(s_hist, y_hist))):
-            rho = 1.0 / (y @ s)
-            a = rho * (s @ q)
-            alphas.append((a, rho, s, y))
-            q -= a * y
-        if y_hist:
-            s, y = s_hist[-1], y_hist[-1]
-            gamma = (s @ y) / (y @ y)
-            q *= gamma
-        for a, rho, s, y in reversed(alphas):
-            beta = rho * (y @ q)
-            q += (a - beta) * s
-        direction = -q
-        if direction @ g >= 0:  # not a descent direction; reset
-            direction = -g
-            s_hist.clear()
-            y_hist.clear()
-
-        # Armijo backtracking.
-        step = 1.0
-        descent = direction @ g
-        accepted = False
-        for _ in range(max_line_search):
-            x_new = x + step * direction
-            f_new, g_new = fg(x_new)
-            n_eval += 1
-            if np.isfinite(f_new) and f_new <= f + armijo_c * step * descent:
-                accepted = True
-                break
-            step *= backtrack
-        if not accepted:
-            return OptimResult(x, f, g, it, n_eval, False, "line search failed")
-
-        s_vec = x_new - x
-        y_vec = g_new - g
-        if s_vec @ y_vec > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-        x, f, g = x_new, f_new, g_new
-
-    return OptimResult(x, f, g, max_iter, n_eval, False, "iteration limit")
-
-
 class _LbfgsLane:
-    """One lane's solver state in the lockstep batch driver: the scalar
-    loop's locals, parked between objective evaluations."""
+    """One lane's solver state, parked between objective evaluations."""
 
     __slots__ = ("x", "f", "g", "it", "n_eval", "s_hist", "y_hist",
                  "direction", "descent", "step", "ls_left", "trial",
@@ -141,14 +64,17 @@ def lbfgs_minimize_batch(
     lane — are served by a single ``fg_batch(indices, xs)`` call returning
     ``(value, gradient)`` pairs in lane order.
 
-    **Bit-for-bit contract.**  Each lane's result is *identical* to
-    :func:`lbfgs_minimize` on that lane alone (same iterates, same
-    ``n_evaluations``, same termination message): the per-lane state
-    machine below replays the scalar loop's arithmetic exactly, merely
-    parking a lane while its next evaluation is in flight.  Lanes desync
-    naturally (a lane backtracking its line search evaluates at a different
-    cadence than one accepting every unit step); the driver only ever
-    synchronizes *rounds*, never solver decisions.
+    This is the only L-BFGS state machine in the tree
+    (:func:`lbfgs_minimize` is its batch of one).  ``max_iter`` defaults to
+    2000 — the paper's observed worst case for this method.
+
+    **Bit-for-bit contract.**  Lanes do not interact: each lane's result
+    (iterates, ``n_evaluations``, termination message) is the same whatever
+    else shares its batch — a lane is merely parked while its next
+    evaluation is in flight.  Lanes desync naturally (a lane backtracking
+    its line search evaluates at a different cadence than one accepting
+    every unit step); the driver only ever synchronizes *rounds*, never
+    solver decisions.
     """
     lanes = [_LbfgsLane(x0, memory) for x0 in x0s]
 
@@ -233,3 +159,21 @@ def lbfgs_minimize_batch(
             on_result(lanes[i], f_new, g_new)
         pending = [i for i in pending if lanes[i].result is None]
     return [ln.result for ln in lanes]
+
+
+def lbfgs_minimize(
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    grad_tol: float = 1e-6,
+    max_iter: int = 2000,
+    memory: int = 10,
+    armijo_c: float = 1e-4,
+    backtrack: float = 0.5,
+    max_line_search: int = 40,
+) -> OptimResult:
+    """Minimize one function with gradient-only information: the batch of
+    one of :func:`lbfgs_minimize_batch`, with ``fg`` returning
+    ``(value, gradient)`` at a point."""
+    return lbfgs_minimize_batch(
+        lambda _, xs: [fg(xs[0])], [x0], grad_tol, max_iter, memory,
+        armijo_c, backtrack, max_line_search)[0]

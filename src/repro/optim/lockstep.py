@@ -1,28 +1,32 @@
-"""Lockstep Newton trust-region iterations over a batch of problems.
+"""Newton's method with a trust region, for nonconvex minimization.
+
+The driver used for every light source (paper Section IV-D): exact Hessians
+from the AD engine, step control by :func:`solve_trust_region`, standard
+accept/expand/shrink logic on the predicted-vs-actual decrease ratio
+(Nocedal & Wright Algorithm 4.1).  Converges in tens of iterations on the
+ELBO where first-order methods need hundreds to thousands.
 
 The paper's AVX-512 kernel evaluates the objective for many light sources
 at once; to feed it, the *optimizer* must ask for many evaluations at once.
-This module advances ``B`` independent Newton trust-region solves in
-lockstep: each round, every still-active problem runs its (cheap,
+:func:`newton_trust_region_batch` therefore advances ``B`` independent
+solves in lockstep: each round, every still-active problem runs its (cheap,
 per-problem) trust-region bookkeeping until it either terminates or needs
 an objective evaluation, and all requested evaluations are then served by
-one batched callback.
+one batched callback.  It is the only Newton state machine in the tree;
+:func:`newton_trust_region` is its batch of one.
 
-**Exactness contract.**  Each problem's iterate sequence is *identical* to
-what :func:`repro.optim.newton.newton_trust_region` would produce alone —
-same iterates, same accept/shrink decisions, same iteration and evaluation
-counts, same convergence message.  The state machine below is a faithful
-transcription of that function's loop (including the no-evaluation
-``continue`` branches that shrink the radius on a failed subproblem), and
-the batched callback is required to return bit-for-bit the values a scalar
-evaluation would (the ELBO backends guarantee this; see
+**Exactness contract.**  Problems do not interact — a batch is just a set
+of solves that happen to share evaluation sweeps — so each problem's
+iterates, accept/shrink decisions, iteration and evaluation counts, and
+convergence message are the same whatever else shares its batch, provided
+the batched callback returns bit-for-bit the values a one-problem call
+would (the ELBO backends guarantee this; see
 :meth:`repro.core.elbo.ElboBackend.evaluate_batch`).  Lockstep batching is
 therefore an execution strategy, not a different algorithm: catalogs
-optimized batched and scalar are bit-for-bit identical.
-
-Problems do not interact — a batch is just a set of solves that happen to
-share evaluation sweeps — so convergence of one never perturbs another;
-it only shrinks the next round's evaluation batch (the caller sees the
+optimized at any lane limit are bit-for-bit identical
+(``tests/test_optim.py`` pins the state machine's results on fixed
+problems, every early-exit branch included).  Convergence of one problem
+only shrinks the next round's evaluation batch (the caller sees the
 shrinking active set through the callback's index argument and may repack
 its compiled evaluation state whenever occupancy drops).
 """
@@ -38,7 +42,7 @@ from repro.constants import TRUST_REGION_MIN_RADIUS
 from repro.optim.result import OptimResult
 from repro.optim.trust_region import solve_trust_region
 
-__all__ = ["newton_trust_region_batch"]
+__all__ = ["newton_trust_region", "newton_trust_region_batch"]
 
 
 class _LaneState:
@@ -89,10 +93,11 @@ def newton_trust_region_batch(
         state as lanes drop out.
     x0s:
         One starting point per problem.
+    grad_tol:
+        Convergence threshold on the infinity norm of the gradient.
 
-    Every other knob matches :func:`~repro.optim.newton.newton_trust_region`
-    and applies to each problem independently.  Returns one
-    :class:`OptimResult` per problem, each identical to the scalar solver's.
+    Every knob applies to each problem independently.  Returns one
+    :class:`OptimResult` per problem.
     """
     lanes = [_LaneState(i, x0, initial_radius) for i, x0 in enumerate(x0s)]
     if not lanes:
@@ -154,3 +159,22 @@ def newton_trust_region_batch(
             s.it += 1
 
     return [s.result for s in lanes]
+
+
+def newton_trust_region(
+    fgh: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    x0: np.ndarray,
+    grad_tol: float = 1e-6,
+    max_iter: int = 60,
+    initial_radius: float = 1.0,
+    max_radius: float = 16.0,
+    min_radius: float = TRUST_REGION_MIN_RADIUS,
+    eta_accept: float = 0.1,
+    eta_expand: float = 0.75,
+) -> OptimResult:
+    """Minimize one smooth nonconvex function with exact second order info:
+    the batch of one of :func:`newton_trust_region_batch`, with ``fgh``
+    returning ``(value, gradient, hessian)`` at a point."""
+    return newton_trust_region_batch(
+        lambda _, xs: [fgh(xs[0])], [x0], grad_tol, max_iter, initial_radius,
+        max_radius, min_radius, eta_accept, eta_expand)[0]

@@ -73,15 +73,15 @@ class ParallelRegionConfig:
     #: ``None`` uses the ``max(2 * n_threads, 8)`` rule.
     batch_size: int | None = knob(None, provenance="fingerprinted")
     seed: int = knob(0, provenance="fingerprinted")
-    #: Sources per lockstep ELBO evaluation batch: each thread's
-    #: conflict-free assignment is cut into chunks of this size and each
-    #: chunk is optimized through
+    #: Lane limit of a lockstep ELBO evaluation batch: each thread's
+    #: conflict-free assignment is cut into chunks of at most this many
+    #: sources and each chunk is optimized through
     #: :meth:`repro.core.joint.RegionOptimizer.update_sources_batch`, so
     #: one stacked kernel sweep serves every still-active source in the
-    #: chunk.  ``None``/``1`` keeps the scalar per-source path.  Results
-    #: are bit-for-bit identical either way (batching is an execution
-    #: strategy — tested, not assumed); the driver plumbs this from
-    #: ``DriverConfig.elbo_batch_size`` / ``REPRO_ELBO_BATCH``.
+    #: chunk.  ``None``/``1`` is lane limit 1 through the same path.
+    #: Results are bit-for-bit identical at any limit (batching is an
+    #: execution strategy — tested, not assumed); the driver plumbs this
+    #: from ``DriverConfig.elbo_batch_size`` / ``REPRO_ELBO_BATCH``.
     elbo_batch_size: int | None = knob(None, provenance="fingerprinted")
     #: Merge consecutive Cyclades batches whose conflicting pairs are
     #: co-threaded (:func:`_coalesce_batches`) before cutting lockstep
@@ -150,14 +150,14 @@ def optimize_region_parallel(
 
         detector = RaceDetector()
     sanitizer = NumericSanitizer() if config.numeric_check else None
+    lane_limit = max(1, config.elbo_batch_size or 1)
 
     with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
         for pass_idx in range(config.n_passes):
             batches = cyclades_batches(
                 graph, config.n_threads, config.batch_size, rng=rng
             )
-            if config.coalesce_batches and config.elbo_batch_size is not None \
-                    and config.elbo_batch_size > 1:
+            if config.coalesce_batches and lane_limit > 1:
                 batches = _coalesce_batches(batches, graph, config.n_threads)
             if config.verify_schedule:
                 _verify_pass(_patch_boxes, batches)
@@ -168,7 +168,7 @@ def optimize_region_parallel(
                                           "batch", batch_idx))
                 futures = [
                     pool.submit(_run_assignment, opt, assignment,
-                                config.elbo_batch_size, graph,
+                                lane_limit, graph,
                                 sanitizer, ("cyclades-thread", t))
                     for t, assignment in enumerate(batch.thread_assignments)
                     if assignment
@@ -302,8 +302,8 @@ def _coalesce_batches(batches: list, graph, n_threads: int) -> list:
     (the sampling batch size bounds them) leave lanes empty at every
     barrier.  Coalescing hands it one long assignment per thread spanning
     several rounds — this is what "cross-assignment batching" means — and
-    is gated on the lockstep path being active (``elbo_batch_size > 1``),
-    since without stacked evaluation the barriers cost nothing.
+    is gated on a lane limit above one (``elbo_batch_size > 1``), since
+    one-lane runs gain nothing from longer assignments.
 
     The static schedule verifier and the shadow race detector run *after*
     coalescing, so they prove/watch the schedule that actually executes.
@@ -355,35 +355,24 @@ def _coalesce_batches(batches: list, graph, n_threads: int) -> list:
 
 
 def _run_assignment(opt: RegionOptimizer, assignment: list[int],
-                    elbo_batch_size: int | None = None,
-                    graph=None, sanitizer=None,
+                    lane_limit: int, graph, sanitizer=None,
                     actor: tuple = ("cyclades-thread", 0)) -> None:
     """One thread's Cyclades assignment.
+
+    The assignment is cut into conflict-free runs of at most ``lane_limit``
+    sources (:func:`_batchable_runs`) and each run is optimized as one
+    lockstep batch (:meth:`RegionOptimizer.update_sources_batch`) —
+    bit-for-bit equivalent to updating the sources one by one, just served
+    by stacked evaluation sweeps.
 
     All of an assignment's sources run on one thread, so the fused ELBO
     backend's thread-local scratch buffers are reused across every Newton
     iteration of every source here; they are released when the assignment
     completes so idle pool threads hold no evaluation buffers.
-
-    With ``elbo_batch_size`` set (and the conflict ``graph`` available),
-    the assignment is cut into conflict-free runs
-    (:func:`_batchable_runs`) and each run is optimized as one lockstep
-    batch (:meth:`RegionOptimizer.update_sources_batch`) — bit-for-bit
-    equivalent to the per-source loop, just served by stacked evaluation
-    sweeps.
     """
     try:
         with numeric_checking(sanitizer, actor):
-            if elbo_batch_size is not None and elbo_batch_size > 1 \
-                    and graph is not None:
-                for run in _batchable_runs(assignment, graph,
-                                           elbo_batch_size):
-                    if len(run) == 1:
-                        opt.update_source(run[0])
-                    else:
-                        opt.update_sources_batch(run)
-            else:
-                for s in assignment:
-                    opt.update_source(s)
+            for run in _batchable_runs(assignment, graph, lane_limit):
+                opt.update_sources_batch(run)
     finally:
         release_scratch()

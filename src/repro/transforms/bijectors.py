@@ -127,18 +127,9 @@ def softmax_fixed_last_d012(
     (delta_dl - kappa_l) - kappa_j (delta_jl - kappa_l)]`` (the pinned
     logit simply has no column).
     """
-    kappa = softmax_fixed_last(free)
-    n = kappa.size
-    kj = kappa[:-1]                               # kappa at the free logits
-    delta = np.zeros((n, n - 1))
-    delta[:n - 1, :] = np.eye(n - 1)
-    u = delta - kj[None, :]                       # (n, n-1): delta_dj - k_j
-    jac = kappa[:, None] * u
-    v = np.eye(n - 1) - kj[None, :]               # (n-1, n-1): delta_jl - k_l
-    hess = (kappa[:, None, None]
-            * (u[:, :, None] * u[:, None, :]
-               - kj[None, :, None] * v[None, :, :]))
-    return kappa, jac, hess
+    kappa, jac, hess = softmax_fixed_last_d012_stacked(
+        np.asarray(free, dtype=float)[None])
+    return kappa[0], jac[0], hess[0]
 
 
 def softmax_fixed_last_stacked(free: np.ndarray) -> np.ndarray:
@@ -162,10 +153,9 @@ def softmax_fixed_last_stacked(free: np.ndarray) -> np.ndarray:
 def softmax_fixed_last_d012_stacked(
     free: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lane-stacked :func:`softmax_fixed_last_d012`: ``(G, n-1)`` free
-    logits to ``(kappa (G, n), jac (G, n, n-1), hess (G, n, n-1, n-1))``,
-    each lane bit-for-bit the scalar triple (same closed forms, with a
-    leading lane axis on every broadcast)."""
+    """Lane-stacked :func:`softmax_fixed_last_d012` (which is its one-lane
+    case): ``(G, n-1)`` free logits to ``(kappa (G, n), jac (G, n, n-1),
+    hess (G, n, n-1, n-1))``, every lane independent of the others."""
     kappa = softmax_fixed_last_stacked(free)
     n = kappa.shape[1]
     kj = kappa[:, :-1]

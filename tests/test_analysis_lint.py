@@ -164,6 +164,15 @@ class TestMissingAxis:
         """, rel="optim/lockstep.py")
         assert _rules(out) == ["DET104"]
 
+    def test_both_lockstep_solvers_in_scope(self):
+        for rel in ("optim/lockstep.py", "optim/lbfgs.py"):
+            out = _lint("""
+                import numpy as np
+                def f(stacked):
+                    return np.sum(stacked), stacked.astype(np.float32)
+            """, rel=rel)
+            assert _rules(out) == ["DET104", "NUM204"]
+
     def test_explicit_axis_clean(self):
         out = _lint("""
             import numpy as np
@@ -271,6 +280,16 @@ class TestAcquireRelease:
             def drive(opt, order):
                 for s in order:
                     opt.update_source(s)
+        """)
+        assert _rules(out) == ["DET106"]
+
+    def test_batched_scratch_loop_without_release_flagged(self):
+        # The executor's loop shape: runs of an assignment through the
+        # batched unit of work (update_source is its batch of one).
+        out = _lint("""
+            def drive(opt, runs):
+                for run in runs:
+                    opt.update_sources_batch(run)
         """)
         assert _rules(out) == ["DET106"]
 

@@ -1072,8 +1072,10 @@ class TestSeatImportGraph:
     def test_a_seat_loads_no_scipy_and_no_driver_side(self):
         """The rule of docs/scaling.md ("Fixed cost of a process run"):
         what a spawned seat imports — and what executing a task then pulls
-        in lazily — contains no SciPy, no seed stage, no scoring, and not
-        the pipeline module.  A module-set assertion, no timing."""
+        in lazily — contains no SciPy, no seed stage, no scoring, not the
+        pipeline module, and none of the static-analysis passes (the
+        optimizer needs only ``repro.analysis.numeric``).  A module-set
+        assertion, no timing."""
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -1088,7 +1090,8 @@ class TestSeatImportGraph:
                 m for m in modules
                 if m.split(".")[0] == "scipy"
                 or m.startswith(("repro.photo", "repro.validation"))
-                or m == "repro.driver.pipeline")
+                or m in ("repro.driver.pipeline", "repro.analysis.lint",
+                         "repro.analysis.provenance"))
             assert offenders == []
 
 

@@ -1,13 +1,14 @@
 """Batched ELBO evaluation and the lockstep Newton optimizer.
 
-The hard invariant of the batch path: **batched execution is bit-for-bit
-identical to scalar execution** at every level — a single evaluation, a
-whole Newton solve, a Cyclades region, a multi-field driver run.  Padding a
-batch to a common shape cannot satisfy that (NumPy's pairwise-summation
-grouping depends on the reduced length), so the fused kernel groups lanes
-by shape instead; these tests pin the invariant with exact equality, and
-pin batched-vs-Taylor parity with the shared randomized harness from
-``tests/conftest.py``.
+There is one evaluation path and one solver path, and every single-source
+entry point is its batch of one.  The hard invariant is **lane
+independence**: k lanes in one call are bit-for-bit identical to k one-lane
+calls at every level — a single evaluation, a whole Newton solve, a
+Cyclades region, a multi-field driver run.  Padding a batch to a common
+shape cannot satisfy that (NumPy's pairwise-summation grouping depends on
+the reduced length), so the fused kernel groups lanes by shape instead;
+these tests pin the invariant with exact equality, and pin batched-vs-Taylor
+parity with the shared randomized harness from ``tests/conftest.py``.
 """
 
 import numpy as np
@@ -63,7 +64,8 @@ UNIFORM = [dict(entry="star", seed=s, perturb=0.1) for s in range(5)]
 
 
 class TestBatchedEvaluationParity:
-    """elbo_batch against the scalar call and against the Taylor oracle."""
+    """Lane independence of elbo_batch — k lanes against k one-lane calls
+    (``elbo`` is the batch of one) — and parity with the Taylor oracle."""
 
     @pytest.mark.parametrize("specs", [UNIFORM, RAGGED],
                              ids=["uniform", "ragged"])
@@ -175,7 +177,8 @@ class TestBatchedEvaluationParity:
 
 
 class TestLockstepOptimizer:
-    """optimize_sources_batch against per-source optimize_source."""
+    """Lane independence of optimize_sources_batch: k lanes against k
+    one-lane solves (``optimize_source`` is the batch of one)."""
 
     def _solve_both(self, make_random_context, specs, config,
                     **batch_kwargs):
@@ -402,6 +405,14 @@ class TestBatchableRuns:
         runs = _batchable_runs(list(range(7)), graph, limit=3)
         assert runs == [[0, 1, 2], [3, 4, 5], [6]]
 
+    def test_lane_limit_one_is_the_one_by_one_loop(self):
+        # Limit 1 never reorders anything, conflicts or not: the
+        # assignment's sources come back as singletons in their order.
+        pos = np.array([[0.0, 0.0], [8.0, 0.0], [16.0, 0.0], [80.0, 0.0]])
+        graph = build_conflict_graph(pos, radii=5.0)
+        assignment = [2, 0, 3, 1]
+        assert _batchable_runs(assignment, graph, 1) == [[2], [0], [3], [1]]
+
 
 class TestCoalesceBatches:
     def _graph(self):
@@ -486,7 +497,7 @@ class TestCoalesceBatches:
 
 
 class TestExecutorBatching:
-    @pytest.mark.parametrize("elbo_batch_size", [2, 4, 16])
+    @pytest.mark.parametrize("elbo_batch_size", [None, 1, 2, 4, 8, 16])
     def test_region_catalog_bit_for_bit(self, elbo_batch_size):
         images, entries = _region_scene()
         priors = default_priors()
@@ -511,6 +522,29 @@ class TestExecutorBatching:
             assert a.is_galaxy == b.is_galaxy
             np.testing.assert_array_equal(a.colors, b.colors)
         assert ref.elbo_total == out.elbo_total
+
+    @pytest.mark.parametrize("elbo_batch_size", [None, 1])
+    def test_lane_limit_one_runs_the_one_path(self, elbo_batch_size):
+        """``None`` and ``1`` both mean lane limit 1 through the same
+        batched path: every evaluation is a one-lane batch call, and no
+        lane is ever swept masked."""
+        from repro.perf import Counters
+
+        images, entries = _region_scene()
+        counters = Counters()
+        optimize_region_parallel(
+            images, entries, default_priors(),
+            ParallelRegionConfig(
+                n_threads=2, n_passes=1, elbo_batch_size=elbo_batch_size,
+                joint=JointConfig(n_passes=1, single=OptimizeConfig(
+                    max_iter=6, grad_tol=2e-3, backend="fused"))),
+            counters=counters,
+        )
+        snap = counters.snapshot()
+        assert snap["objective_evaluations"] > 0
+        assert snap["elbo_batch_calls"] == snap["objective_evaluations"]
+        assert snap["elbo_batch_lanes"] == snap["elbo_batch_calls"]
+        assert batch_occupancy(snap) == 1.0
 
     def test_cross_assignment_coalescing_bit_for_bit_and_fuller(self):
         """Cross-assignment batching: with batch coalescing on, lockstep
@@ -605,17 +639,19 @@ def _entry_tuple(e):
 
 class TestDriverBatching:
     def test_batched_catalog_bit_for_bit_both_executors(self, batch_survey):
-        """The acceptance invariant: batched fused catalogs are bit-for-bit
-        identical to scalar fused catalogs under the thread *and* process
-        executors, and the batched path really ran."""
+        """The acceptance invariant: fused catalogs at lane limit 8 are
+        bit-for-bit identical to fused catalogs at lane limit 1 under the
+        thread *and* process executors, and lanes really were shared."""
         _, fields = batch_survey
-        # Explicit 1 pins the scalar path even when CI forces
-        # REPRO_ELBO_BATCH (an explicit config always beats the env var).
+        # Explicit 1 pins one lane even when CI forces REPRO_ELBO_BATCH
+        # (an explicit config always beats the env var).
         ref = run_pipeline(fields, _driver_config("thread", 1))
-        assert "elbo_batch_calls" not in ref.counters
+        assert (ref.counters["elbo_batch_calls"]
+                == ref.counters["objective_evaluations"])
         for executor in ("thread", "process"):
             out = run_pipeline(fields, _driver_config(executor, 8))
-            assert out.counters["elbo_batch_calls"] > 0
+            assert (0 < out.counters["elbo_batch_calls"]
+                    < out.counters["objective_evaluations"])
             assert ([_entry_tuple(e) for e in out.catalog]
                     == [_entry_tuple(e) for e in ref.catalog])
 
@@ -623,7 +659,8 @@ class TestDriverBatching:
         _, fields = batch_survey
         monkeypatch.setenv(ELBO_BATCH_ENV_VAR, "8")
         result = run_pipeline(fields, _driver_config("thread", None))
-        assert result.counters["elbo_batch_calls"] > 0
+        assert (0 < result.counters["elbo_batch_calls"]
+                < result.counters["objective_evaluations"])
 
     def test_batch_size_is_pinned_and_fingerprinted(self, monkeypatch):
         monkeypatch.delenv(ELBO_BATCH_ENV_VAR, raising=False)

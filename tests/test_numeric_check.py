@@ -199,7 +199,7 @@ class TestContextBinding:
         with numeric_checking(san, ("worker", 0)):
             with numeric_source([7, 11]):
                 current_check().check_eval(
-                    _eval(float("inf")), stage="elbo-batch", lane=1)
+                    _eval(float("inf")), stage="elbo", lane=1)
         (r,) = san.reports
         assert (r.source, r.lane) == (11, 1)
 
@@ -235,6 +235,24 @@ class TestSeededOverflowFixtures:
             assert r.actor == ("test", 0)
             assert r.kind in ("overflow", "non-finite")
 
+    def test_one_problem_newton_solve_attributed(self):
+        """The single-problem solver is the lockstep driver's batch of
+        one: a non-finite trial objective under a one-source scope still
+        names that source (and no lane)."""
+        from repro.optim import newton_trust_region
+
+        def fgh(x):  # finite at the start, NaN at every trial point
+            f = 1.0 if x[0] == 0.0 else float("nan")
+            return f, np.ones(1), np.eye(1)
+
+        san = NumericSanitizer()
+        with numeric_checking(san, ("test", 0)), numeric_source(7):
+            newton_trust_region(fgh, np.zeros(1), max_iter=2)
+        (r,) = san.reports
+        assert (r.stage, r.term, r.kind) == (
+            "trust-region-step", "value", "non-finite")
+        assert (r.source, r.lane, r.actor) == (7, None, ("test", 0))
+
     def test_batched_overflow_names_the_lane(self, make_random_context):
         ctx0, free0 = make_random_context("star", seed=3)
         ctx1, free1 = make_random_context("star", seed=4)
@@ -244,7 +262,7 @@ class TestSeededOverflowFixtures:
                 elbo_batch([ctx0, ctx1], [free0, self._bad_free(free1)])
         assert san.n_reports > 0
         for r in san.reports:
-            assert r.stage == "elbo-batch"
+            assert r.stage == "elbo"
             assert (r.source, r.lane) == (9, 1)  # never the healthy lane
 
     def test_healthy_evaluations_silent(self, make_random_context):

@@ -173,3 +173,142 @@ def test_property_tr_step_feasible_and_decreasing(d1, d2, gx, gy, radius):
     # The model value at the step never exceeds the value at the origin.
     model = g @ step + 0.5 * step @ H @ step
     assert model <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Pinned solver behaviour.  There is one Newton and one L-BFGS state machine;
+# these constants record what the solvers return on every fixture above plus
+# one fixture per early-exit branch, bit for bit, so a change to either state
+# machine shows up here without a second copy to compare against.
+
+
+def saddle_fgh(x):
+    f = x[0] ** 4 / 4 - x[0] ** 2 / 2 + x[1] ** 2
+    g = np.array([x[0] ** 3 - x[0], 2 * x[1]])
+    h = np.array([[3 * x[0] ** 2 - 1, 0.0], [0.0, 2.0]])
+    return f, g, h
+
+
+def illconditioned_factory():
+    rng = np.random.default_rng(0)
+    n = 12
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    H = Q @ np.diag(np.geomspace(1.0, 1e4, n)) @ Q.T
+    return quad_factory(H, rng.normal(size=n)) + (n,)
+
+
+def parabola_fgh(x):
+    """f = x^2/2: one unit Newton step from x0 = 1 lands on the exact
+    minimizer, after which (with ``grad_tol=0``) every subproblem predicts a
+    zero decrease and the radius shrinks until it collapses."""
+    return float(0.5 * x[0] ** 2), x.copy(), np.eye(1)
+
+
+def log_barrier_fgh(x):
+    """f = x - log x on x > 0, +inf outside: the first Newton step from
+    x0 = 3 overshoots to x < 0, so the trial objective is non-finite."""
+    if x[0] <= 0.0:
+        return np.inf, np.zeros(1), np.eye(1)
+    return (float(x[0] - np.log(x[0])), np.array([1.0 - 1.0 / x[0]]),
+            np.array([[1.0 / x[0] ** 2]]))
+
+
+def lying_gradient_fg(x):
+    """f = x.x with the gradient's sign flipped: every "descent" direction
+    climbs, so the Armijo test fails at every backtracking step."""
+    return float(x @ x), -2.0 * x
+
+
+def _fg(fgh):
+    return lambda x: fgh(x)[:2]
+
+
+def _newton_cases():
+    quad_fgh, _ = quad_factory(np.diag([1.0, 10.0]), np.array([1.0, -2.0]))
+    ill_fgh, _, n = illconditioned_factory()
+    start = np.array([-1.2, 1.0])
+    return {
+        "quadratic": (quad_fgh, np.zeros(2), dict(initial_radius=100.0)),
+        "rosenbrock": (rosenbrock_fgh, start, dict(max_iter=100)),
+        "saddle": (saddle_fgh, np.array([0.0, 0.5]), dict(max_iter=100)),
+        "illconditioned": (ill_fgh, np.zeros(n), dict(initial_radius=1e3)),
+        "iteration-limit": (rosenbrock_fgh, start, dict(max_iter=2)),
+        "predicted-zero-shrink": (parabola_fgh, np.ones(1),
+                                  dict(grad_tol=0.0, max_iter=5)),
+        "collapsed": (parabola_fgh, np.ones(1), dict(grad_tol=0.0)),
+        "nonfinite-trial-shrink": (log_barrier_fgh, np.array([3.0]),
+                                   dict(initial_radius=10.0)),
+    }
+
+
+def _lbfgs_cases():
+    _, quad_fg = quad_factory(np.diag([1.0, 4.0, 9.0]), np.ones(3))
+    _, ill_fg, n = illconditioned_factory()
+    start = np.array([-1.2, 1.0])
+    return {
+        "quadratic": (quad_fg, np.zeros(3), {}),
+        "rosenbrock": (_fg(rosenbrock_fgh), start, dict(max_iter=2000)),
+        "illconditioned": (ill_fg, np.zeros(n), dict(max_iter=2000)),
+        "iteration-limit": (_fg(rosenbrock_fgh), start, dict(max_iter=3)),
+        "line-search-failed": (lying_gradient_fg, np.array([1.0, -2.0]), {}),
+    }
+
+
+#: case -> (n_iterations, n_evaluations, message, x.tobytes().hex())
+PINNED_NEWTON = {
+    "quadratic": (1, 2, "gradient tolerance met",
+                  "000000000000f0bf9a9999999999c93f"),
+    "rosenbrock": (24, 25, "gradient tolerance met",
+                   "e32291ffffffef3f9fef21ffffffef3f"),
+    "saddle": (4, 5, "gradient tolerance met",
+               "9f51e8000000f03f0000000000000000"),
+    "illconditioned": (
+        1, 2, "gradient tolerance met",
+        "6c62a17b2c6aacbfa8f879c6a020cfbfc5e07c8eb2a5c93f73f22f203b61c5bf"
+        "a8bd3d6de703e03f425c283bc8ccdabf32a928a0ac2fbabf28f1b694daedb0bf"
+        "30337f67d45e893f2f0a9e6abf87c4bf4b120f59dc41d23f52b7561bb098d43f"),
+    "iteration-limit": (2, 3, "iteration limit",
+                        "2c9a0458f3cdf2bf2dce00c93d17f63f"),
+    "predicted-zero-shrink": (5, 2, "iteration limit", "0000000000000000"),
+    "collapsed": (19, 2, "trust region collapsed", "0000000000000000"),
+    "nonfinite-trial-shrink": (7, 8, "gradient tolerance met",
+                               "0000e0ffffffef3f"),
+}
+PINNED_LBFGS = {
+    "quadratic": (8, 11, "gradient tolerance met",
+                  "d797701b0000f0bff3ad7a56ffffcfbff38618a3c771bcbf"),
+    "rosenbrock": (672, 699, "gradient tolerance met",
+                   "9ca1efffffffef3fc39be3ffffffef3f"),
+    "illconditioned": (
+        2000, 62354, "iteration limit",
+        "d917879f2c6aacbfed32bdd79f20cfbffa72d540b2a5c93f739bb8e03a61c5bf"
+        "5d12e92ce703e03f0a384e19c8ccdabfbef38673ad2fbabf4d6fbd0edaedb0bf"
+        "cf614a0dd85e893fc54d7db2be87c4bfb508770edc41d23f495c23eaaf98d43f"),
+    "iteration-limit": (3, 14, "iteration limit",
+                        "aae06e242972f0bfc839dd905404f13f"),
+    "line-search-failed": (0, 41, "line search failed",
+                           "000000000000f03f00000000000000c0"),
+}
+
+
+def _signature(res):
+    return (res.n_iterations, res.n_evaluations, res.message,
+            res.x.tobytes().hex())
+
+
+class TestPinnedSolverBehaviour:
+    @pytest.mark.parametrize("case", sorted(PINNED_NEWTON))
+    def test_newton(self, case):
+        fgh, x0, kwargs = _newton_cases()[case]
+        res = newton_trust_region(fgh, x0, **kwargs)
+        assert _signature(res) == PINNED_NEWTON[case]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_LBFGS))
+    def test_lbfgs(self, case):
+        fg, x0, kwargs = _lbfgs_cases()[case]
+        res = lbfgs_minimize(fg, x0, **kwargs)
+        assert _signature(res) == PINNED_LBFGS[case]
+
+    def test_every_case_is_pinned(self):
+        assert set(PINNED_NEWTON) == set(_newton_cases())
+        assert set(PINNED_LBFGS) == set(_lbfgs_cases())
