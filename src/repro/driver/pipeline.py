@@ -20,14 +20,15 @@ IV-A through IV-D), over many fields:
 5. **Merge** — optimized parameters flow back into the global catalog;
    a final deduplication produces the result.
 
-**Node-worker executors.**  Node-workers run in one of two modes, selected
-by ``DriverConfig.executor`` (or the ``REPRO_DRIVER_EXECUTOR`` environment
-variable): ``"thread"`` workers are threads in this process, ``"process"``
-workers are spawn-safe ``multiprocessing`` processes — the paper's
-distributed-memory layout, which the GIL cannot cap.  Both modes drive the
-same task-execution path and produce bit-for-bit identical catalogs: tasks
-are seeded per task id, and every worker reads its sources and frozen halo
-from a stage-start snapshot of the catalog, so results never depend on the
+**Node-worker executors.**  Node-workers are seats of a pool, driven by
+one stage loop (:mod:`repro.driver.stage`).  ``DriverConfig.executor`` (or
+the ``REPRO_DRIVER_EXECUTOR`` environment variable) picks the kind of
+seat: ``"thread"`` seats are threads in this process, ``"process"`` seats
+are spawn-safe ``multiprocessing`` processes — the paper's
+distributed-memory layout, which the GIL cannot cap.  Both run the same
+seat body and produce bit-for-bit identical catalogs: tasks are seeded per
+task id, and every worker reads its sources and frozen halo from a
+stage-start snapshot of the catalog, so results never depend on the
 executor, the worker count, or task completion order.
 
 **ELBO backends.**  Every source optimization evaluates its objective
@@ -91,16 +92,8 @@ final catalog.  FLOP and throughput accounting accumulate in a
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import os
-import queue as queue_mod
-import shutil
-import tempfile
-import threading
 import time
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from repro.core.catalog import Catalog
 from repro.core.elbo import get_backend, resolve_backend_name
@@ -109,24 +102,18 @@ from repro.core.priors import Priors, default_priors
 from repro.driver.checkpoint import (
     STAGES,
     Checkpoint,
-    append_task_record,
-    entry_from_dict,
-    entry_to_dict,
     load_checkpoint,
     load_task_journal,
     save_checkpoint,
     task_journal_path,
 )
 from repro.driver.merge import dedup_catalog, merge_catalogs
-from repro.driver.pool import WorkerPool
+from repro.driver.pool import InProcessPool, WorkerPool
 from repro.driver.shards import ShardedCatalog
+from repro.driver.stage import StageRunner, TaskOutcome
 from repro.driver.worker import (
-    TaskConfig,
     _bounds_region,
     _box_touches_region,
-    _comm_totals,
-    _dict_delta,
-    _execute_task,
     _FieldStore,
 )
 from repro.envvars import env_flag, env_int, env_raw
@@ -137,9 +124,8 @@ from repro.perf.counters import Counters
 from repro.perf.driver import DriverReport
 from repro.pgas import TRANSPORT_NAMES, make_transport
 from repro.photo import PhotoConfig, run_photo
-from repro.sched import Dtree, DtreeConfig
+from repro.sched import DtreeConfig
 from repro.survey.image import Image
-from repro.survey.io import save_field
 
 __all__ = [
     "DriverConfig",
@@ -180,11 +166,6 @@ NUMERIC_CHECK_ENV_VAR = "REPRO_NUMERIC_CHECK"
 PGAS_TRANSPORT_ENV_VAR = "REPRO_PGAS_TRANSPORT"
 
 _EXECUTORS = ("thread", "process")
-
-#: Unique per-stage epochs for pool-worker result attribution: a collector
-#: must never mistake a straggler message from an earlier (possibly
-#: failed) stage for one of its own.
-_STAGE_EPOCH = itertools.count(1)
 
 
 @dataclass
@@ -463,18 +444,6 @@ def _pin_analysis_flags(config: DriverConfig) -> DriverConfig:
 
 
 @dataclass
-class TaskOutcome:
-    """Per-task execution record (diagnostics; not checkpointed)."""
-
-    task_id: int
-    stage: int
-    worker: int
-    n_sources: int
-    elbo: float
-    seconds: float
-
-
-@dataclass
 class DriverResult:
     """Everything a driver run produces.
 
@@ -518,26 +487,6 @@ def images_for_region(
     ]
 
 
-def _halo_indices(
-    positions: np.ndarray, own: set, region: Region, margin: float
-) -> list[int]:
-    """Catalog indices inside the task's halo margin box, excluding its own
-    sources.
-
-    The box is closed on *both* sides: a neighbor sitting exactly on the
-    far margin edge contributes its flux to border pixels just like one on
-    the near edge, so a half-open upper bound would asymmetrically drop it.
-    """
-    if len(positions) == 0:
-        return []
-    x, y = positions[:, 0], positions[:, 1]
-    mask = (
-        (x >= region.x_min - margin) & (x <= region.x_max + margin)
-        & (y >= region.y_min - margin) & (y <= region.y_max + margin)
-    )
-    return [int(j) for j in np.nonzero(mask)[0] if int(j) not in own]
-
-
 # ---------------------------------------------------------------------------
 # Stage 1: seeding
 
@@ -569,7 +518,7 @@ def _seed_catalog_from_store(store: _FieldStore, config: DriverConfig) -> Catalo
 
 
 # ---------------------------------------------------------------------------
-# Stages 2+3+4: Dtree-scheduled two-stage optimization
+# Checkpoint fingerprint
 
 
 def _fingerprint(store: _FieldStore, config: DriverConfig) -> dict:
@@ -629,691 +578,6 @@ def _parallel_fingerprint(parallel: ParallelRegionConfig) -> dict:
     # a different executor.
     d.pop("coalesce_batches", None)
     return d
-
-
-def _task_config(config: DriverConfig) -> TaskConfig:
-    """What task execution reads of the (pinned) driver config — the form
-    in which it reaches :func:`_execute_task` and, pickled, the seats."""
-    return TaskConfig(
-        parallel=config.parallel,
-        image_margin=config.image_margin,
-        halo_refresh=config.halo_refresh,
-        field_cache_capacity=config.field_cache_capacity,
-        fault_kill_task=config.fault_kill_task,
-    )
-
-
-class _StageRunnerBase:
-    """Shared bookkeeping of the two executors."""
-
-    def __init__(self, store, working, priors, config, counters):
-        self.store: _FieldStore = store
-        self.working: ShardedCatalog = working
-        self.priors = priors
-        self.config: DriverConfig = config
-        self.task_config = _task_config(config)
-        self.counters: Counters = counters
-        self.outcomes: list[TaskOutcome] = []
-        #: Task-granular checkpoint journal for the stage being run; set by
-        #: the driver before each ``run`` when task checkpointing is on.
-        self.journal_path: str | None = None
-        self._completed_in_stage = 0
-        # Baseline at runner creation (i.e. after seeding): the report's
-        # prefetch hit/miss numbers cover the optimization stages only, so
-        # the thread executor (parent store) and the process executor
-        # (per-worker stores) measure the same thing.
-        self._prefetch_applied: dict = dict(store.prefetch_stats())
-        # One detector for the runner's lifetime (it spans stages); the
-        # report only ever receives each finding once (_sync_race_reports).
-        self.race_detector = None
-        self._race_synced = 0
-        if config.race_detect:
-            from repro.analysis.race import RaceDetector
-
-            self.race_detector = RaceDetector()
-        # Same lifetime/watermark discipline for the numeric sanitizer: one
-        # sink spanning stages, findings shipped to the report exactly once.
-        self.numeric_sink = None
-        self._numeric_shipped: set[tuple] = set()
-        if config.numeric_check:
-            from repro.analysis.numeric import NumericSanitizer
-
-            self.numeric_sink = NumericSanitizer()
-
-    def _sync_numeric_reports(self, report: DriverReport) -> None:
-        """Append sanitizer findings made since the last sync to the report
-        (checkpoint-resumed reports already carry earlier stages').  The
-        sink's report list is sorted rather than arrival-ordered, so the
-        additive guarantee uses the dedup key, not a count watermark."""
-        if self.numeric_sink is None:
-            return
-        for r in self.numeric_sink.reports:
-            d = r.as_dict()
-            key = (d["kind"], d["stage"], d["term"], d["source"], d["lane"],
-                   tuple(d["actor"]))
-            if key in self._numeric_shipped:
-                continue
-            self._numeric_shipped.add(key)
-            report.numeric_reports.append(d)
-
-    def _sync_race_reports(self, report: DriverReport) -> None:
-        """Append findings made since the last sync to the report.
-
-        A checkpoint-resumed report already carries earlier stages'
-        findings; the consumed-count watermark keeps this additive."""
-        if self.race_detector is None:
-            return
-        found = self.race_detector.reports
-        new = found[self._race_synced:]
-        self._race_synced = len(found)
-        report.race_reports.extend(r.as_dict() for r in new)
-
-    def _lookahead_hint(self, dtree: Dtree, worker: int, batch: list[int],
-                        tasks: list[Task]) -> list[int]:
-        """Field indices the current batch plus the Dtree look-ahead will
-        need — the prefetch hint."""
-        config = self.config
-        tids = list(batch) + dtree.peek(worker, config.prefetch_lookahead)
-        out: list[int] = []
-        for tid in tids:
-            for i in self.store.field_indices_for_region(
-                tasks[tid].region, config.image_margin
-            ):
-                if i not in out:
-                    out.append(i)
-        return out
-
-    def _apply_prefetch_stats(self, report: DriverReport, stats: dict) -> None:
-        delta = _dict_delta(stats, self._prefetch_applied)
-        self._prefetch_applied = dict(stats)
-        report.prefetch_hits += int(delta.get("prefetch_hits", 0))
-        report.prefetch_misses += int(delta.get("prefetch_misses", 0))
-        report.prefetch_seconds += float(delta.get("prefetch_seconds", 0.0))
-
-    def _apply_replay(self, tasks: list[Task], replay, report: DriverReport,
-                      stage_elbo: list) -> set:
-        """Apply journaled task results to the working catalog and account
-        for them; returns the replayed task ids.
-
-        MUST run *after* the stage-start snapshot was taken: remaining
-        tasks read their halos from the snapshot, which has to hold
-        pre-stage values for bit parity with an uninterrupted run.
-        Records that do not match a task of this stage (stale journal,
-        corrupt tail) are ignored — those tasks simply re-execute.
-        """
-        if not replay:
-            return set()
-        by_id = {t.task_id: t for t in tasks}
-        replayed: set[int] = set()
-        for rec in replay:
-            tid = rec.get("task_id")
-            task = by_id.get(tid)
-            if task is None or tid in replayed:
-                continue
-            indices = [int(i) for i in rec.get("indices", [])]
-            rows = rec.get("rows", [])
-            if indices != [int(i) for i in task.source_indices] \
-                    or len(rows) != len(indices):
-                continue
-            self.working.put_entries(
-                indices, [entry_from_dict(r) for r in rows])
-            replayed.add(tid)
-            elbo = float(rec.get("elbo", 0.0))
-            stage_elbo[0] += elbo
-            report.n_source_updates += (
-                task.n_sources * self.config.parallel.n_passes
-            )
-            self.outcomes.append(TaskOutcome(
-                task_id=tid, stage=task.stage, worker=-1,
-                n_sources=task.n_sources, elbo=elbo, seconds=0.0,
-            ))
-        if replayed:
-            report.recoveries.append({
-                "kind": "task_replay",
-                "stage": int(tasks[0].stage),
-                "n_tasks": len(replayed),
-            })
-        return replayed
-
-    def _journal_task(self, task: Task, elbo: float) -> None:
-        """Durably record one completed task: its result rows are read
-        back from the working catalog (safe — only this task writes them)
-        so both executors share one journaling path."""
-        if self.journal_path is None:
-            return
-        rows = self.working.get_entries(task.source_indices)
-        append_task_record(self.journal_path, {
-            "task_id": int(task.task_id),
-            "stage": int(task.stage),
-            "n_sources": int(task.n_sources),
-            "elbo": float(elbo),
-            "indices": [int(i) for i in task.source_indices],
-            "rows": [entry_to_dict(e) for e in rows],
-        })
-
-    def _count_completed(self) -> None:
-        """Fault injection: simulate a hard crash of the run once
-        ``fault_abort_after`` tasks completed in this stage."""
-        self._completed_in_stage += 1
-        abort_after = self.config.fault_abort_after
-        if abort_after is not None and self._completed_in_stage >= abort_after:
-            raise RuntimeError(
-                "fault injection: simulated crash after %d completed tasks"
-                % self._completed_in_stage
-            )
-
-    def close(self) -> None:  # pragma: no cover - overridden where needed
-        pass
-
-
-class _ThreadStageRunner(_StageRunnerBase):
-    """Node-workers as threads in this address space (the PR-1 layout).
-
-    Cheap to start and fine when the NumPy kernels release the GIL, but
-    Python-level work serializes — the limitation the process executor
-    removes.
-    """
-
-    def __init__(self, store, working, priors, config, counters):
-        super().__init__(store, working, priors, config, counters)
-        self._lock = threading.Lock()
-
-    def run(self, tasks: list[Task], report: DriverReport,
-            replay=None) -> float:
-        """Run every task in ``tasks``; returns the stage's total ELBO.
-        ``replay`` holds journaled records of tasks a killed run already
-        completed — applied instead of re-executed."""
-        if not tasks:
-            return 0.0
-        config = self.config
-        self._completed_in_stage = 0
-        # Tasks read entries and halos from the stage-start snapshot, never
-        # from live results of concurrent tasks: results must not depend on
-        # task completion order (and a resumed run must reproduce them).
-        # The snapshot is taken *before* replayed rows land in the working
-        # catalog: a re-executed task whose halo contains a replayed source
-        # must see its pre-stage value, exactly as the original run did.
-        base = ShardedCatalog(self.working.n_rows, self.working.n_ranks)
-        base.copy_rows_from(self.working)
-        positions = base.positions()
-        stage_elbo = [0.0]
-        replayed = self._apply_replay(tasks, replay, report, stage_elbo)
-        report.n_tasks += len(tasks)
-        run_tasks = [t for t in tasks if t.task_id not in replayed]
-        if not run_tasks:
-            return stage_elbo[0]
-        tasks = run_tasks
-        dtree = Dtree(config.n_nodes, len(tasks), config.dtree)
-        sched_s = [0.0] * config.n_nodes
-        task_s = [0.0] * config.n_nodes
-        errors: list[BaseException] = []
-
-        def node_worker(w: int) -> None:
-            try:
-                detector = self.race_detector
-                if detector is not None:
-                    base_view, base_rec, base_shadow = base.shadow_view(
-                        w, detector, "cat-base")
-                    work_view, work_rec, work_shadow = \
-                        self.working.shadow_view(w, detector, "cat-work")
-                else:
-                    base_view, base_rec = base.recording_view(w)
-                    work_view, work_rec = self.working.recording_view(w)
-                    base_shadow = work_shadow = None
-                while True:
-                    t0 = time.perf_counter()
-                    batch = dtree.request(w, max_batch=config.max_batch)
-                    sched_s[w] += time.perf_counter() - t0
-                    if not batch:
-                        break
-                    hinted_version = dtree.version
-                    self.store.hint_fields(
-                        self._lookahead_hint(dtree, w, batch, tasks)
-                    )
-                    for pos, tid in enumerate(batch):
-                        if dtree.version != hinted_version:
-                            # The schedule moved under us since the hint
-                            # (a sibling's grant drained pools we peeked):
-                            # re-peek at dispatch so the prefetcher tracks
-                            # the fields this worker will actually need,
-                            # not the ones it would have before stealing.
-                            hinted_version = dtree.version
-                            self.store.hint_fields(self._lookahead_hint(
-                                dtree, w, batch[pos:], tasks))
-                        t1 = time.perf_counter()
-                        task = tasks[tid]
-                        halo_idx = _halo_indices(
-                            positions, set(task.source_indices),
-                            task.region, config.halo_margin,
-                        )
-                        if base_shadow is not None:
-                            # Concurrently scheduled tasks of one stage
-                            # share a logical epoch: any same-epoch catalog
-                            # overlap between tasks is a race.
-                            actor = ("task", task.task_id)
-                            epoch = ("stage", task.stage)
-                            base_shadow.set_task(actor, epoch)
-                            work_shadow.set_task(actor, epoch)
-                        result = _execute_task(
-                            task, halo_idx, base_view, work_view, self.store,
-                            self.priors, self.task_config, self.counters,
-                        )
-                        seconds = time.perf_counter() - t1
-                        task_s[w] += seconds
-                        if result is None:
-                            continue
-                        if detector is not None:
-                            detector.absorb(result.race_reports)
-                        if self.numeric_sink is not None:
-                            self.numeric_sink.absorb(result.numeric_reports)
-                        with self._lock:
-                            stage_elbo[0] += result.elbo_total
-                            report.n_source_updates += (
-                                task.n_sources * config.parallel.n_passes
-                            )
-                            self.outcomes.append(TaskOutcome(
-                                task_id=task.task_id,
-                                stage=task.stage,
-                                worker=w,
-                                n_sources=task.n_sources,
-                                elbo=result.elbo_total,
-                                seconds=seconds,
-                            ))
-                            self._journal_task(task, result.elbo_total)
-                            self._count_completed()
-                with self._lock:
-                    comm = _comm_totals(base_rec, work_rec)
-                    report.add_worker_comm(w, **comm)
-            except BaseException as exc:  # noqa: BLE001 - reraised below
-                with self._lock:
-                    errors.append(exc)
-
-        threads = [
-            threading.Thread(target=node_worker, args=(w,), daemon=True)
-            for w in range(config.n_nodes)
-        ]
-        t_start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        report.wall_seconds += time.perf_counter() - t_start
-        report.sched_seconds += sum(sched_s)
-        report.task_seconds += sum(task_s)
-        report.messages += dtree.stats["messages"]
-        report.hops += dtree.stats["hops"]
-        self._apply_prefetch_stats(report, self.store.prefetch_stats())
-        self._sync_race_reports(report)
-        self._sync_numeric_reports(report)
-        return stage_elbo[0]
-
-
-class _ProcessStageRunner(_StageRunnerBase):
-    """Node-workers as pool seats over pluggable PGAS windows.
-
-    The parent keeps the Dtree and pumps batches to the pool's per-seat
-    queues (one pump thread per seat, so the request/complete cadence
-    matches the thread executor); workers access the catalog one-sidedly
-    through the configured transport (shared-memory windows or socket RMA)
-    and never see more of it than their tasks touch.  Seats come from an
-    elastic :class:`~repro.driver.pool.WorkerPool` that :func:`run_pipeline`
-    owns or was lent, already booting by the time this runner exists, and
-    are re-bound to this run's state at every stage.  A seat whose process
-    dies mid-stage is recovered: its undispatched leaf pool is reclaimed
-    into the Dtree, its in-flight tasks are re-dispatched to survivors,
-    and the event is recorded in ``DriverReport.recoveries``.
-    """
-
-    def __init__(self, store, working, priors, config, counters,
-                 fields_spec: list, pool: WorkerPool, transport_name: str,
-                 run_started: float):
-        super().__init__(store, working, priors, config, counters)
-        self._scratch_dir: str | None = None
-        self._closed = False
-        self.pool = pool
-        self.transport_name = transport_name
-        #: ``time.time()`` at the start of the run, and the largest
-        #: first-bind lag past it seen so far (spawn_bind_seconds).
-        self._run_started = run_started
-        self._spawn_bind = 0.0
-        # The snapshot is only written between stages (no tasks in flight),
-        # so it needs no rank locking even in halo_refresh mode.
-        self.base = ShardedCatalog(
-            working.n_rows, working.n_ranks,
-            transport=make_transport(transport_name),
-        )
-        try:
-            # Scratch space for this runner: spilled field files and the
-            # fault-injection kill markers (consumed-once tokens).
-            self._scratch_dir = tempfile.mkdtemp(prefix="repro-driver-")
-            # Workers must never hold the whole survey: spill in-memory
-            # fields to temp field files once and ship paths, so each
-            # worker's prefetcher loads only the fields its tasks touch
-            # (on-disk fields ship as the paths they already are).
-            if any(not isinstance(f, str) for f in fields_spec):
-                spilled = []
-                for i, spec in enumerate(fields_spec):
-                    if isinstance(spec, str):
-                        spilled.append(spec)
-                    else:
-                        path = os.path.join(
-                            self._scratch_dir, "field%d.npz" % i
-                        )
-                        save_field(path, spec)
-                        spilled.append(path)
-                fields_spec = spilled
-            self._fields_spec = fields_spec
-        except BaseException:
-            # Partial construction must not leak segments or spilled files.
-            self.close()
-            raise
-
-    def run(self, tasks: list[Task], report: DriverReport,
-            replay=None) -> float:
-        if not tasks:
-            return 0.0
-        config = self.config
-        self._completed_in_stage = 0
-        # Stage-start snapshot, taken *before* replayed rows land in the
-        # working catalog (see _ThreadStageRunner.run for why).
-        self.base.copy_rows_from(self.working)
-        positions = self.base.positions()
-        stage_elbo = [0.0]
-        replayed = self._apply_replay(tasks, replay, report, stage_elbo)
-        report.n_tasks += len(tasks)
-        run_tasks = [t for t in tasks if t.task_id not in replayed]
-        if not run_tasks:
-            return stage_elbo[0]
-        tasks = run_tasks
-        task_by_id = {t.task_id: t for t in tasks}
-
-        # Elastic sizing: never bind more seats than there are tasks, and
-        # respawn/grow the pool to exactly what this stage needs.
-        n = max(1, min(config.n_nodes, len(tasks)))
-        self.pool.ensure(n)
-        epoch = next(_STAGE_EPOCH)
-        metadata = self.store.metadata()
-
-        def bind(s: int) -> None:
-            self.pool.send(s, (
-                "bind", epoch, s, self._fields_spec, metadata, self.priors,
-                self.task_config, self.base, self.working,
-                self._scratch_dir,
-            ))
-
-        for w in range(n):
-            bind(w)
-
-        dtree = Dtree(n, len(tasks), config.dtree)
-        pending = [0] * n
-        conds = [threading.Condition() for _ in range(n)]
-        #: Per-seat map of task_id -> (task, halo_idx, hint) shipped but
-        #: not yet reported done — what a dead seat's recovery re-dispatches.
-        inflight: list[dict] = [{} for _ in range(n)]
-        dead = [False] * n
-        done_tids: set[int] = set()
-        deaths = [0]
-        active_pumps = [n]
-        sched_s = [0.0] * n
-        task_s = [0.0] * n
-        errors: list[BaseException] = []
-        failed = threading.Event()
-
-        def fail(exc: BaseException) -> None:
-            errors.append(exc)
-            failed.set()
-            for w in range(n):
-                with conds[w]:
-                    pending[w] = 0
-                    conds[w].notify_all()
-
-        def dispatch(s: int, task: Task, halo_idx, hint) -> None:
-            with conds[s]:
-                pending[s] += 1
-                inflight[s][task.task_id] = (task, halo_idx, hint)
-            self.pool.send(s, ("task", task, halo_idx, hint))
-
-        def survivors_or_respawn(exclude: int | None = None) -> list[int]:
-            """Live, usable seats — respawning dead ones (and re-binding
-            them to this stage's state) when none survive, so a run on one
-            node-worker can outlive that worker's death."""
-            alive = [s for s in range(n)
-                     if s != exclude and not dead[s] and self.pool.alive(s)]
-            if alive:
-                return alive
-            for s in self.pool.ensure(n):
-                dead[s] = False
-                bind(s)
-            return [s for s in range(n)
-                    if not dead[s] and self.pool.alive(s)]
-
-        def recover(w: int) -> None:
-            """Seat ``w``'s process died: reclaim its undispatched work
-            and re-dispatch its in-flight tasks to surviving seats (safe —
-            a task that half-ran before the crash never reported done, so
-            re-executing it against the immutable stage snapshot writes
-            the same rows it would have)."""
-            deaths[0] += 1
-            if deaths[0] > max(2 * n, 4):
-                fail(RuntimeError(
-                    "process node-workers keep dying (%d deaths this "
-                    "stage); giving up" % deaths[0]
-                ))
-                return
-            dead[w] = True
-            with conds[w]:
-                items = list(inflight[w].items())
-                inflight[w].clear()
-                pending[w] = 0
-                conds[w].notify_all()
-            dtree.reclaim(w)
-            report.recoveries.append({
-                "kind": "worker_death",
-                "stage": int(tasks[0].stage),
-                "worker": int(w),
-                "retried": sorted(tid for tid, _ in items),
-            })
-            survivors = survivors_or_respawn(exclude=w)
-            if not survivors:
-                fail(RuntimeError(
-                    "process node-worker %d died and no node-workers "
-                    "survive to take over its %d in-flight tasks"
-                    % (w, len(items))
-                ))
-                return
-            for i, (tid, item) in enumerate(items):
-                dispatch(survivors[i % len(survivors)], *item)
-
-        def drain_stranded() -> None:
-            """Every pump exited and nothing is in flight, yet tasks
-            remain: work reclaimed from a dead seat landed at the Dtree
-            root *after* the surviving pumps saw an empty tree and
-            returned.  Dispatch it directly, round-robin."""
-            survivors = survivors_or_respawn()
-            if not survivors:
-                fail(RuntimeError(
-                    "all process node-workers died with %d tasks "
-                    "unfinished" % (len(tasks) - len(done_tids))
-                ))
-                return
-            i = 0
-            while True:
-                batch = dtree.request(survivors[0],
-                                      max_batch=config.max_batch)
-                if not batch:
-                    return
-                hint = self._lookahead_hint(
-                    dtree, survivors[0], batch, tasks)
-                for tid in batch:
-                    task = tasks[tid]
-                    halo_idx = _halo_indices(
-                        positions, set(task.source_indices),
-                        task.region, config.halo_margin,
-                    )
-                    dispatch(survivors[i % len(survivors)],
-                             task, halo_idx, hint)
-                    i += 1
-
-        def collect() -> None:
-            total = len(tasks)
-            while len(done_tids) < total and not failed.is_set():
-                try:
-                    msg = self.pool.result_q.get(timeout=0.2)
-                except queue_mod.Empty:
-                    for w in range(n):
-                        if (not dead[w] and pending[w] > 0
-                                and not self.pool.alive(w)):
-                            recover(w)
-                    if (not failed.is_set() and active_pumps[0] == 0
-                            and sum(pending) == 0):
-                        drain_stranded()
-                    continue
-                if msg[0] == "error":
-                    _, w, msg_epoch, tb = msg
-                    if msg_epoch == epoch:
-                        fail(RuntimeError(
-                            "process node-worker %d failed:\n%s" % (w, tb)
-                        ))
-                        return
-                    continue  # pragma: no cover - stale straggler
-                (_, msg_epoch, w, task_id, stage, executed, n_sources,
-                 elbo, seconds, counter_delta, comm_delta, prefetch_delta,
-                 region_races, accesses, region_numeric,
-                 first_bind_at) = msg
-                if msg_epoch != epoch:
-                    # Straggler from an earlier bind (e.g. a stage that
-                    # failed with results unconsumed): not this stage's.
-                    continue
-                if first_bind_at is not None:
-                    # A seat's first result ever: how long after the run
-                    # started it stood bound.  The row is the latest seat
-                    # (a warm seat ships no stamp and adds nothing).
-                    lag = first_bind_at - self._run_started
-                    if lag > self._spawn_bind:
-                        report.spawn_bind_seconds += lag - self._spawn_bind
-                        self._spawn_bind = lag
-                first = task_id not in done_tids
-                done_tids.add(task_id)
-                with conds[w]:
-                    inflight[w].pop(task_id, None)
-                    pending[w] = max(0, pending[w] - 1)
-                    conds[w].notify_all()
-                if not first:
-                    # A re-dispatched task whose first execution reported
-                    # after all: identical result (deterministic against
-                    # the same snapshot), already accounted — drop it.
-                    continue
-                if self.race_detector is not None:
-                    self.race_detector.absorb(region_races)
-                    self.race_detector.ingest(accesses)
-                if self.numeric_sink is not None:
-                    self.numeric_sink.absorb(region_numeric)
-                for name, value in counter_delta.items():
-                    self.counters.add(name, value)
-                report.add_worker_comm(w, **comm_delta)
-                report.prefetch_hits += int(
-                    prefetch_delta.get("prefetch_hits", 0))
-                report.prefetch_misses += int(
-                    prefetch_delta.get("prefetch_misses", 0))
-                report.prefetch_seconds += float(
-                    prefetch_delta.get("prefetch_seconds", 0.0))
-                task_s[w] += seconds
-                if executed:
-                    stage_elbo[0] += elbo
-                    report.n_source_updates += (
-                        n_sources * config.parallel.n_passes
-                    )
-                    self.outcomes.append(TaskOutcome(
-                        task_id=task_id, stage=stage, worker=w,
-                        n_sources=n_sources, elbo=elbo, seconds=seconds,
-                    ))
-                    try:
-                        self._journal_task(task_by_id[task_id], elbo)
-                        self._count_completed()
-                    except BaseException as exc:  # noqa: BLE001
-                        fail(exc)
-                        return
-
-        def pump(w: int) -> None:
-            try:
-                while not failed.is_set() and not dead[w]:
-                    t0 = time.perf_counter()
-                    batch = dtree.request(w, max_batch=config.max_batch)
-                    sched_s[w] += time.perf_counter() - t0
-                    if not batch:
-                        return
-                    hinted_version = dtree.version
-                    hint = self._lookahead_hint(dtree, w, batch, tasks)
-                    for pos, tid in enumerate(batch):
-                        if failed.is_set() or dead[w]:
-                            return
-                        if dtree.version != hinted_version:
-                            # The schedule moved under us since the hint
-                            # (a sibling's grant drained pools we peeked):
-                            # re-peek at dispatch so the shipped hint
-                            # tracks the fields this worker will actually
-                            # need, not the pre-stealing guess.
-                            hinted_version = dtree.version
-                            hint = self._lookahead_hint(
-                                dtree, w, batch[pos:], tasks)
-                        task = tasks[tid]
-                        halo_idx = _halo_indices(
-                            positions, set(task.source_indices),
-                            task.region, config.halo_margin,
-                        )
-                        dispatch(w, task, halo_idx, hint)
-                    # Match the thread executor's cadence: request the next
-                    # batch only after this one completed, so the Dtree's
-                    # dynamic load balancing still sees completion times.
-                    with conds[w]:
-                        while (pending[w] > 0 and not failed.is_set()
-                               and not dead[w]):
-                            conds[w].wait(timeout=0.5)
-            except BaseException as exc:  # noqa: BLE001
-                fail(exc)
-            finally:
-                with self._pump_lock:
-                    active_pumps[0] -= 1
-
-        self._pump_lock = threading.Lock()
-        collector = threading.Thread(target=collect, daemon=True)
-        pumps = [
-            threading.Thread(target=pump, args=(w,), daemon=True)
-            for w in range(n)
-        ]
-        t_start = time.perf_counter()
-        collector.start()
-        for t in pumps:
-            t.start()
-        for t in pumps:
-            t.join()
-        collector.join()
-        if errors:
-            raise errors[0]
-        report.wall_seconds += time.perf_counter() - t_start
-        report.sched_seconds += sum(sched_s)
-        report.task_seconds += sum(task_s)
-        report.messages += dtree.stats["messages"]
-        report.hops += dtree.stats["hops"]
-        self._sync_race_reports(report)
-        self._sync_numeric_reports(report)
-        return stage_elbo[0]
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Hand the pool back with its seats unbound so they stop pinning
-        # the catalog windows unlinked below (a private pool was already
-        # closed by run_pipeline, and has no seat left to tell).
-        self.pool.release()
-        transport = self.base.array.transport
-        if hasattr(transport, "unlink"):
-            transport.unlink()
-        if self._scratch_dir is not None:
-            shutil.rmtree(self._scratch_dir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1389,10 +653,14 @@ def run_pipeline(
         resumed = list(ckpt.completed) if ckpt is not None else []
         if ckpt is None:
             ckpt = Checkpoint(fingerprint=fingerprint)
-        if executor == "process" and not all(map(ckpt.done, reachable)):
-            if pool is None:
-                pool = private_pool = WorkerPool(config.mp_start_method)
-            pool.ensure(config.n_nodes)
+        if not all(map(ckpt.done, reachable)):
+            # The one place the kind of seat is decided.
+            if executor == "thread":
+                pool = private_pool = InProcessPool()
+            else:
+                if pool is None:
+                    pool = private_pool = WorkerPool(config.mp_start_method)
+                pool.ensure(config.n_nodes)
 
         counters = Counters()
         for name, value in ckpt.counters.items():
@@ -1447,9 +715,8 @@ def run_pipeline(
             by_stage[t.stage].append(t)
 
         # The working catalog, sharded across node-worker ranks over the
-        # resolved PGAS transport (process workers attach to its windows
-        # one-sidedly; the thread executor's "local" name means in-process
-        # numpy views, i.e. no transport object at all).
+        # resolved PGAS transport (process seats attach to its windows
+        # one-sidedly; "local" is in-process numpy views).
         start_entries = (list(ckpt.working_catalog)
                          if ckpt.working_catalog else list(seed))
         # halo_refresh makes workers read rows other workers are writing;
@@ -1457,11 +724,8 @@ def run_pipeline(
         # mode's disjoint access does not, so skip the syscall cost).
         working = ShardedCatalog.from_entries(
             start_entries, n_ranks=config.n_nodes,
-            transport=(
-                None if transport_name == "local"
-                else make_transport(transport_name,
-                                    locking=config.halo_refresh)
-            ),
+            transport=make_transport(transport_name,
+                                     locking=config.halo_refresh),
         )
 
         # -- Stages "stage0"/"stage1": Dtree-scheduled joint optimization -------
@@ -1470,14 +734,9 @@ def run_pipeline(
         for stage_idx, stage_name in enumerate(stage_names):
             if not ckpt.done(stage_name):
                 if runner is None:
-                    runner = (
-                        _ProcessStageRunner(
-                            store, working, priors, config, counters, fields,
-                            pool, transport_name, run_started)
-                        if executor == "process" else
-                        _ThreadStageRunner(
-                            store, working, priors, config, counters)
-                    )
+                    runner = StageRunner(
+                        store, working, priors, config, counters, pool,
+                        fields, make_transport(transport_name), run_started)
                 replay = None
                 if task_checkpoint:
                     # The journal is valid only against the checkpoint

@@ -1,13 +1,14 @@
 """The worker side of the driver: what one task execution needs.
 
-Everything a node-worker runs lives here — field access
-(:class:`_FieldStore`), the single task-execution path both executors
-share (:func:`_execute_task`), and the per-stage state of a process seat
-(:class:`_WorkerState`) — apart from the driver side in
-:mod:`repro.driver.pipeline` (config resolution, seeding, the stage
-runners, the entry point).  The split is an import boundary: a spawned
-seat imports this module (:func:`repro.driver.pool._pool_worker_main`)
-and never the pipeline, so it loads neither the seed stage
+The seat body lives here — field access (:class:`_FieldStore`), task
+execution (:func:`_execute_task`), the per-stage state a seat binds
+(:class:`_WorkerState`) and the record it reports each task with
+(:class:`TaskDone`) — apart from the driver side: the stage loop in
+:mod:`repro.driver.stage` and config resolution, seeding and the entry
+point in :mod:`repro.driver.pipeline`.  The split is an import boundary:
+a spawned seat imports this module
+(:func:`repro.driver.pool._pool_worker_main`) and never the driver side,
+so it loads neither the seed stage
 (:mod:`repro.photo`) nor SciPy.  The rule, pinned by
 ``tests/test_driver.py::TestSeatImportGraph``: **nothing this module
 imports, or runs for a task, may import SciPy**; optional heavy
@@ -19,6 +20,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.core.priors import Priors
 from repro.driver.shards import ShardedCatalog
@@ -174,7 +176,7 @@ class _FieldStore:
 
 
 # ---------------------------------------------------------------------------
-# Task execution: the one path both executors share
+# Task execution
 
 
 def _task_seed_config(config: TaskConfig, task: Task) -> ParallelRegionConfig:
@@ -199,9 +201,9 @@ def _execute_task(
     """Run one task against the sharded catalog; returns the region result,
     or ``None`` when the task had nothing to optimize.
 
-    This is the single execution path both executors share: read own
-    sources and halo rows one-sidedly from the stage-start snapshot
-    (``base``), optimize, put result rows into the live ``working`` array.
+    Reads own sources and halo rows one-sidedly from the stage-start
+    snapshot (``base``), optimizes, puts result rows into the live
+    ``working`` array.
     With ``halo_refresh`` the halo is instead re-read from ``working`` at
     every pass, and each pass's results are published immediately so
     neighboring tasks see them.
@@ -243,39 +245,62 @@ def _comm_totals(*recorders) -> dict:
 def _dict_delta(current: dict, previous: dict) -> dict:
     return {k: v - previous.get(k, 0) for k, v in current.items()}
 
+
 # ---------------------------------------------------------------------------
-# A process seat's bound state
+# A seat's bound state, and what it reports
+
+
+class TaskDone(NamedTuple):
+    """What a seat reports for every task it ran, whatever it runs on;
+    the fields are documented with the seat protocol
+    (:mod:`repro.driver.pool`)."""
+
+    epoch: int
+    worker: int
+    task_id: int
+    executed: bool
+    elbo: float
+    seconds: float
+    counters: dict
+    comm: dict
+    prefetch: dict
+    race_reports: list
+    accesses: list
+    numeric_reports: list
+    first_bind_at: float | None
 
 
 class _WorkerState:
     """Execution state a pool seat binds for one stage of one run.
 
-    Built inside the worker process from a ``("bind", ...)`` message
+    Built by the seat from a ``("bind", ...)`` message
     (:mod:`repro.driver.pool`): the field store, the one-sided views onto
     the snapshot and working catalogs (whose pickled transports attached
-    this process to the parent's windows — shared-memory segments or
-    socket clients), and the shadow/recording instrumentation.  ``epoch``
-    tags every result message so the parent's collector can discard
-    stragglers from an earlier bind.
+    a process seat to the parent's windows — shared-memory segments or
+    socket clients), and the shadow/recording instrumentation.  A seat
+    ``in_process`` is handed the driver's own store and catalogs instead,
+    and closes nothing.  ``epoch`` tags every record so the parent's
+    collector can discard stragglers from an earlier bind.
     """
 
-    def __init__(self, epoch: int, worker_id: int, fields: list,
+    def __init__(self, epoch: int, worker_id: int, fields,
                  metadata: list, priors: Priors, config: TaskConfig,
                  base: ShardedCatalog, working: ShardedCatalog,
-                 fault_dir: str | None = None):
+                 fault_dir: str | None = None, in_process: bool = False):
         self.epoch = epoch
         self.worker_id = worker_id
         self.priors = priors
         self.config = config
         self.fault_dir = fault_dir
+        self.in_process = in_process
         self._catalogs = (base, working)
-        self.store = _FieldStore(fields, config.field_cache_capacity,
-                                 metadata=metadata)
+        self.store = fields if in_process else _FieldStore(
+            fields, config.field_cache_capacity, metadata=metadata)
         self.access_log = self.base_shadow = self.work_shadow = None
         if config.parallel.race_detect:
-            # Workers cannot see the parent's detector: record into a
-            # local log, ship the (picklable) accesses with each result,
-            # and let the parent's detector cross-check between workers.
+            # A seat cannot see the parent's detector: record into a
+            # local log, ship the (picklable) accesses with each record,
+            # and let the parent's detector cross-check between seats.
             from repro.analysis.race import AccessLog
 
             self.access_log = AccessLog()
@@ -309,14 +334,13 @@ class _WorkerState:
 
     def execute(self, task: Task, halo_idx: list[int], hint: list[int],
                 result_q, first_bind_at: float | None = None) -> None:
-        """Run one task and report it.  ``first_bind_at`` rides along on a
-        seat's first result only: the wall-clock stamp of its first
-        completed bind, which the parent turns into
-        ``DriverReport.spawn_bind_seconds``."""
+        """Run one task and report it with a :class:`TaskDone`."""
         config = self.config
         self.store.hint_fields(hint)
         counters = Counters()
         if self.base_shadow is not None:
+            # Concurrently scheduled tasks of one stage share a logical
+            # epoch: any same-epoch catalog overlap between tasks is a race.
             actor = ("task", task.task_id)
             epoch = ("stage", task.stage)
             self.base_shadow.set_task(actor, epoch)
@@ -329,22 +353,30 @@ class _WorkerState:
         seconds = time.perf_counter() - t0
         self._maybe_die(task)
         comm = _comm_totals(self.base_rec, self.work_rec)
-        prefetch = self.store.prefetch_stats()
-        result_q.put((
-            "done", self.epoch, self.worker_id, task.task_id, task.stage,
-            result is not None, task.n_sources,
-            result.elbo_total if result is not None else 0.0,
-            seconds, counters.snapshot(),
-            _dict_delta(comm, self.prev_comm),
-            _dict_delta(prefetch, self.prev_prefetch),
-            list(result.race_reports) if result is not None else [],
-            self.access_log.drain() if self.access_log is not None else [],
-            list(result.numeric_reports) if result is not None else [],
-            first_bind_at,
+        prefetch = {} if self.in_process else self.store.prefetch_stats()
+        result_q.put(TaskDone(
+            epoch=self.epoch,
+            worker=self.worker_id,
+            task_id=task.task_id,
+            executed=result is not None,
+            elbo=result.elbo_total if result is not None else 0.0,
+            seconds=seconds,
+            counters=counters.snapshot(),
+            comm=_dict_delta(comm, self.prev_comm),
+            prefetch=_dict_delta(prefetch, self.prev_prefetch),
+            race_reports=(list(result.race_reports)
+                          if result is not None else []),
+            accesses=(self.access_log.drain()
+                      if self.access_log is not None else []),
+            numeric_reports=(list(result.numeric_reports)
+                             if result is not None else []),
+            first_bind_at=first_bind_at,
         ))
         self.prev_comm, self.prev_prefetch = comm, prefetch
 
     def close(self) -> None:
+        if self.in_process:
+            return
         # Join the prefetcher thread and drop its cache (daemon threads
         # die abruptly otherwise, and an error path should not strand a
         # mid-flight field load), then detach the catalog windows so a

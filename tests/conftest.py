@@ -13,9 +13,16 @@ ad-hoc copy.
 Test modules consume these through fixtures (pytest injects them by name),
 which sidesteps the two-``conftest.py``-modules import ambiguity that a
 plain ``from conftest import ...`` would hit in this layout.
+
+Also here: the driver suites' leak fixture (``no_driver_leaks``).
 """
 
 import dataclasses
+import glob
+import multiprocessing
+import os
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -187,3 +194,28 @@ def star_entry():
 @pytest.fixture
 def galaxy_entry():
     return dataclasses.replace(GAL_ENTRY)
+
+
+def _driver_scratch_dirs():
+    """The spill directories process pools make for a run."""
+    return set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                      "repro-driver-*")))
+
+
+@pytest.fixture
+def driver_scratch_dirs():
+    return _driver_scratch_dirs
+
+
+@pytest.fixture
+def no_driver_leaks():
+    """After the test — however it ended — nothing of the driver is left
+    running or lying around: no seat, pump or collector thread (they are
+    all named ``repro-*``), no child process (a test that owns a
+    ``WorkerPool`` closes it first), no new spill directory."""
+    before = _driver_scratch_dirs()
+    yield
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("repro-")] == []
+    assert multiprocessing.active_children() == []
+    assert _driver_scratch_dirs() <= before

@@ -1,18 +1,20 @@
 """Tests for the end-to-end multi-field driver: merging, checkpointing
 (including working-catalog shards), geometry, the survey synthesis helper,
 the driver report, the sharded catalog row codec, halo selection and
-refresh, the thread/process executors, transport resolution, the elastic
-worker pool, task-granular journals, on-disk fields with prefetch, and
-the full pipeline (smoke + kill/resume)."""
+refresh, the thread/process executors (the two kinds of seat of the one
+stage loop), seat failure, transport resolution, the elastic worker pool,
+task-granular journals, on-disk fields with prefetch, and the full
+pipeline (smoke + kill/resume)."""
 
 import dataclasses
-import glob
 import json
 import multiprocessing
 import os
+import pickle
+import queue
 import subprocess
 import sys
-import tempfile
+import time
 import zipfile
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core.catalog import Catalog, CatalogEntry
 from repro.core.joint import JointConfig
+from repro.core.priors import default_priors
 from repro.core.single import OptimizeConfig
 from repro.driver import (
     ROW_WIDTH,
@@ -46,20 +49,26 @@ from repro.driver.checkpoint import (
     task_journal_path,
 )
 from repro.driver.pipeline import (
-    _halo_indices,
     _resolve_executor,
     _resolve_pgas_transport,
 )
-from repro.driver.pool import WorkerPool
+from repro.driver.pool import InProcessPool, WorkerPool
+from repro.driver.stage import StageRunner, _halo_indices, _task_config
+from repro.driver.worker import TaskDone, _FieldStore, _WorkerState
 from repro.parallel import ParallelRegionConfig
 from repro.sched import DtreeConfig
-from repro.partition import Region
+from repro.partition import Region, Task, generate_tasks
+from repro.perf.counters import Counters
 from repro.perf.driver import DriverReport
 from repro.survey import (
     SyntheticSkyConfig,
     generate_survey_fields,
     save_field,
 )
+
+#: Every test here ends with no seat, pump or collector thread, no child
+#: process and no spill directory left behind (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("no_driver_leaks")
 
 COLORS = [1.0, 0.8, 0.3, 0.1]
 
@@ -587,13 +596,17 @@ def _identical_catalogs(a, b):
 
 
 class TestProcessExecutor:
-    def test_identical_catalog_and_comm_counters(self, tiny_survey):
+    @pytest.fixture(scope="class")
+    def both(self, tiny_survey):
+        _, fields = tiny_survey
+        return (run_pipeline(fields, _driver_config(executor="thread")),
+                run_pipeline(fields, _driver_config(executor="process")))
+
+    def test_identical_catalog_and_comm_counters(self, both):
         """The process executor must reproduce the thread executor's
         catalog bit-for-bit, and both must account their one-sided catalog
         traffic."""
-        _, fields = tiny_survey
-        threaded = run_pipeline(fields, _driver_config(executor="thread"))
-        processed = run_pipeline(fields, _driver_config(executor="process"))
+        threaded, processed = both
         assert _identical_catalogs(threaded.catalog, processed.catalog)
         assert processed.stage_elbo["stage0"] == pytest.approx(
             threaded.stage_elbo["stage0"]
@@ -613,6 +626,23 @@ class TestProcessExecutor:
         # Counters crossed the process boundary.
         assert processed.report.active_pixel_visits > 0
         assert processed.counters == pytest.approx(threaded.counters)
+
+    def test_accounting_identical_across_seat_kinds(self, both):
+        """One loop, one collector: the ledger does not depend on the kind
+        of seat that did the work."""
+        threaded, processed = both
+        for name in ("n_tasks", "n_source_updates", "rma_gets", "rma_puts",
+                     "rma_bytes"):
+            assert (getattr(threaded.report, name)
+                    == getattr(processed.report, name)), name
+        for name in ("objective_evaluations", "active_pixel_visits",
+                     "newton_iterations"):
+            assert threaded.counters[name] == processed.counters[name], name
+        assert (
+            sorted((o.task_id, o.stage, o.n_sources, o.elbo)
+                   for o in threaded.outcomes)
+            == sorted((o.task_id, o.stage, o.n_sources, o.elbo)
+                      for o in processed.outcomes))
 
 
 class TestDiskFields:
@@ -729,6 +759,58 @@ class TestShardCheckpoint:
         assert [e.position[0] for e in back.working_catalog] == list(range(5))
 
 
+def _two_task_scene(**overrides):
+    """Two sources either side of the region boundary at x=16, one task
+    each: ``(truth, images, working catalog, tasks, config)``."""
+    from repro.survey.synth import generate_field_images
+
+    rng = np.random.default_rng(3)
+    truth = Catalog([entry(14.0, 16.0, 300.0), entry(18.0, 16.0, 300.0)])
+    images = generate_field_images(
+        truth, (0.0, 0.0), (32, 32), config=SyntheticSkyConfig(),
+        rng=rng, bands=(2,),
+    )
+    # Seeds offset from truth: each source's fit is dragged by its
+    # (also mis-seeded) neighbor across the region boundary.
+    seed = [entry(13.2, 16.6, 200.0), entry(18.8, 15.4, 200.0)]
+    config = DriverConfig(
+        n_nodes=1, halo_margin=16.0,
+        parallel=ParallelRegionConfig(
+            n_threads=1, n_passes=1,
+            joint=JointConfig(
+                n_passes=1,
+                single=OptimizeConfig(max_iter=20, grad_tol=1e-3),
+            ),
+        ),
+    )
+    tasks = [
+        Task(0, 0, Region(0.0, 16.0, 0.0, 32.0), [0], [seed[0]]),
+        Task(1, 0, Region(16.0, 32.0, 0.0, 32.0), [1], [seed[1]]),
+    ]
+    working = ShardedCatalog.from_entries(seed, n_ranks=1)
+    return (truth, images, working, tasks,
+            dataclasses.replace(config, **overrides))
+
+
+def _run_two_task_stage(report=None, **overrides):
+    """The scene through the one stage loop, built by hand on in-process
+    seats; returns ``(truth, working catalog)``."""
+    truth, images, working, tasks, config = _two_task_scene(**overrides)
+    pool = InProcessPool()
+    runner = None
+    try:
+        runner = StageRunner(
+            _FieldStore([images]), working, default_priors(), config,
+            Counters(), pool, [images],
+        )
+        runner.run(tasks, report if report is not None else DriverReport())
+    finally:
+        pool.close()
+        if runner is not None:
+            runner.close()
+    return truth, working
+
+
 class TestHaloRefresh:
     """The halo-refresh quality follow-on: with ``halo_refresh=True`` a
     task re-reads its frozen halo from the live working catalog, so a
@@ -736,41 +818,7 @@ class TestHaloRefresh:
     parameters instead of the stage-start snapshot."""
 
     def _run_stage(self, halo_refresh):
-        from repro.core.priors import default_priors
-        from repro.driver.pipeline import _FieldStore, _ThreadStageRunner
-        from repro.partition import Task
-        from repro.perf.counters import Counters
-        from repro.survey.synth import generate_field_images
-
-        rng = np.random.default_rng(3)
-        truth = Catalog([entry(14.0, 16.0, 300.0), entry(18.0, 16.0, 300.0)])
-        images = generate_field_images(
-            truth, (0.0, 0.0), (32, 32), config=SyntheticSkyConfig(),
-            rng=rng, bands=(2,),
-        )
-        # Seeds offset from truth: each source's fit is dragged by its
-        # (also mis-seeded) neighbor across the region boundary at x=16.
-        seed = [entry(13.2, 16.6, 200.0), entry(18.8, 15.4, 200.0)]
-        config = DriverConfig(
-            n_nodes=1, halo_refresh=halo_refresh, halo_margin=16.0,
-            parallel=ParallelRegionConfig(
-                n_threads=1, n_passes=1,
-                joint=JointConfig(
-                    n_passes=1,
-                    single=OptimizeConfig(max_iter=20, grad_tol=1e-3),
-                ),
-            ),
-        )
-        working = ShardedCatalog.from_entries(seed, n_ranks=1)
-        runner = _ThreadStageRunner(
-            _FieldStore([images]), working, default_priors(), config,
-            Counters(),
-        )
-        tasks = [
-            Task(0, 0, Region(0.0, 16.0, 0.0, 32.0), [0], [seed[0]]),
-            Task(1, 0, Region(16.0, 32.0, 0.0, 32.0), [1], [seed[1]]),
-        ]
-        runner.run(tasks, DriverReport())
+        truth, working = _run_two_task_stage(halo_refresh=halo_refresh)
         out = working.to_catalog()
         return [
             float(np.linalg.norm(out[i].position - truth[i].position))
@@ -950,11 +998,6 @@ def _corrupt_pixels(path):
         f.write(bytes(b ^ 0xFF for b in chunk))
 
 
-def _driver_scratch_dirs():
-    return set(glob.glob(os.path.join(tempfile.gettempdir(),
-                                      "repro-driver-*")))
-
-
 class TestEarlyPoolBoot:
     """``run_pipeline`` asks for its seats before the serial prologue, so
     every way out of that prologue has to account for them."""
@@ -968,19 +1011,19 @@ class TestEarlyPoolBoot:
         _corrupt_pixels(paths[-1])
         return paths
 
-    def test_failure_after_boot_closes_a_private_pool(self, tiny_survey,
-                                                      tmp_path):
+    def test_failure_after_boot_closes_a_private_pool(
+            self, tiny_survey, tmp_path, driver_scratch_dirs):
         paths = self._broken_survey(tiny_survey, tmp_path)
-        before = _driver_scratch_dirs()
+        before = driver_scratch_dirs()
         with pytest.raises(zipfile.BadZipFile):
             run_pipeline(paths, _driver_config(executor="process"))
         assert multiprocessing.active_children() == []
-        assert _driver_scratch_dirs() == before
+        assert driver_scratch_dirs() == before
 
-    def test_failure_after_boot_leaves_a_callers_pool_alone(self, tiny_survey,
-                                                            tmp_path):
+    def test_failure_after_boot_leaves_a_callers_pool_alone(
+            self, tiny_survey, tmp_path, driver_scratch_dirs):
         paths = self._broken_survey(tiny_survey, tmp_path)
-        before = _driver_scratch_dirs()
+        before = driver_scratch_dirs()
         pool = WorkerPool()
         try:
             with pytest.raises(zipfile.BadZipFile):
@@ -990,7 +1033,7 @@ class TestEarlyPoolBoot:
             # file, and they are still the caller's, alive.
             assert pool.spawned_total == 2
             assert all(pool.alive(seat) for seat in range(2))
-            assert _driver_scratch_dirs() == before
+            assert driver_scratch_dirs() == before
         finally:
             pool.close()
         assert multiprocessing.active_children() == []
@@ -1028,6 +1071,80 @@ class TestEarlyPoolBoot:
             assert pool.spawned_total == 0
         finally:
             pool.close()
+
+
+class TestSeatFailure:
+    """A seat that fails — binding or executing — fails the stage at once,
+    with its own traceback, whichever kind of seat it is.  Run on
+    in-process seats, where a monkeypatch reaches the seat."""
+
+    def test_bind_failure_surfaces_the_seats_traceback(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("cannot attach catalog window")
+
+        monkeypatch.setattr("repro.driver.pool._WorkerState", refuse)
+        report = DriverReport()
+        with pytest.raises(RuntimeError) as err:
+            _run_two_task_stage(report)
+        assert "cannot attach catalog window" in str(err.value)
+        assert "node-worker 0 failed" in str(err.value)
+        assert not [rec for rec in report.recoveries
+                    if rec["kind"] == "worker_death"]
+
+    def test_a_failing_task_stops_every_worker(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        _, fields = generate_survey_fields(
+            4, field_shape_hw=(48, 48), overlap=8.0,
+            config=SyntheticSkyConfig(source_density=60.0,
+                                      min_separation=8.0, flux_floor=20.0),
+            rng=rng, bands=(2,),
+        )
+        config = _driver_config(executor="thread", target_weight=1.0)
+        stage0 = [t for t in generate_tasks(
+            seed_catalog_from_fields(fields, config), survey_bounds(fields),
+            config.target_weight) if t.stage == 0]
+        assert len(stage0) >= 12
+        bad = stage0[0].task_id
+        started = []
+
+        def execute(task, *args):
+            started.append(task.task_id)
+            if task.task_id == bad:
+                raise ValueError("injected task failure")
+            time.sleep(0.02)
+
+        monkeypatch.setattr("repro.driver.worker._execute_task", execute)
+        with pytest.raises(RuntimeError, match=r"node-worker \d+ failed") \
+                as err:
+            run_pipeline(fields, config)
+        message = str(err.value)
+        assert "Traceback" in message and "injected task failure" in message
+        assert "process node-worker" not in message
+        after = started[started.index(bad) + 1:]
+        assert len(after) <= config.n_nodes * config.max_batch
+
+
+class TestDoneRecord:
+    def test_a_real_record_survives_the_queue(self):
+        """What a seat reports is one named record; it crosses a process
+        boundary pickled, so every field must come back equal."""
+        _, images, working, tasks, config = _two_task_scene()
+        config = dataclasses.replace(config, parallel=dataclasses.replace(
+            config.parallel, race_detect=True))
+        state = _WorkerState(
+            7, 0, _FieldStore([images]), None, default_priors(),
+            _task_config(config), working, working, in_process=True)
+        results = queue.Queue()
+        state.execute(tasks[0], [1], [], results, first_bind_at=12.5)
+        record = results.get_nowait()
+        assert isinstance(record, TaskDone)
+        assert (record.epoch, record.worker, record.task_id) == (7, 0, 0)
+        assert record.executed and record.seconds > 0.0
+        assert record.comm["rma_puts"] == 1 and record.accesses
+        assert record.counters["objective_evaluations"] > 0
+        assert record.first_bind_at == 12.5
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is TaskDone and back == record
 
 
 _SEAT_PROBE = """

@@ -27,6 +27,10 @@ from test_golden_pipeline import (
     catalog_content_hash,
 )
 
+#: Every test here — the ones ending in ``pytest.raises`` included — leaves
+#: no thread, child process or spill directory behind (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("no_driver_leaks")
+
 
 @pytest.fixture(scope="module")
 def small_survey():
