@@ -81,7 +81,7 @@ def test_driver_throughput(benchmark, rng):
 
 def test_driver_executor_modes(benchmark, rng):
     """Thread vs process node-workers: identical catalogs, and the process
-    executor's queue/shared-memory plumbing must cost little — single-worker
+    executor's queue/socket plumbing must cost little — single-worker
     throughput within 10% of the thread executor."""
     import dataclasses
 

@@ -13,7 +13,7 @@ disk), resumed, and checked to reproduce the same final catalog as the
 uninterrupted run.
 
 Finally the same survey runs under **process node-workers** — spawn-safe
-multiprocessing over the shared-memory PGAS catalog, the paper's
+multiprocessing over the socket-served PGAS catalog, the paper's
 distributed-memory layout — and the final catalog is checked to be
 bit-for-bit identical to the thread executor's.
 
@@ -131,7 +131,7 @@ def main():
     assert same, "kill/resume must reproduce the same final catalog"
     assert match.completeness >= 0.9, "driver must recover >=90% of sources"
 
-    # -- Process node-workers over the shared-memory PGAS catalog -------------
+    # -- Process node-workers over the socket-served PGAS catalog -------------
     print("\nRunning again with process node-workers (spawn + PGAS windows)...")
     t0 = time.time()
     process_config = dataclasses.replace(make_config(None), executor="process")

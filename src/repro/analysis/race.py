@@ -116,10 +116,9 @@ def _conflict(a: ShadowAccess, b: ShadowAccess) -> RaceReport | None:
     if not (a.is_write or b.is_write):
         return None
     if a.op == "accumulate" and b.op == "accumulate":
-        # Every transport now serializes accumulate per rank as an atomic
-        # read-modify-write (SharedMemoryTransport takes its per-rank file
-        # lock unconditionally; the socket server applies it under the
-        # rank's server-side lock), so concurrent accumulates never lose
+        # The window store serializes accumulate per rank as an atomic
+        # read-modify-write (in process and, through the socket server,
+        # across processes), so concurrent accumulates never lose
         # updates — the one overlapping access pattern MPI-3 defines as
         # correct without external synchronization.  The detector treats
         # them as benign, like the hardware does; a get or put overlapping

@@ -16,7 +16,7 @@ or the ``REPRO_DRIVER_EXECUTOR`` environment variable):
     Workers are spawn-safe ``multiprocessing`` processes — the paper's
     distributed-memory node layout.  The working catalog is sharded across
     ranks as 44-wide rows of a PGAS :class:`~repro.pgas.GlobalArray`
-    backed by POSIX shared memory, and workers do one-sided
+    whose windows the driver serves over a socket, and workers do one-sided
     ``get_row``/``put_row`` for exactly the rows their tasks touch
     (:mod:`repro.driver.shards`).
 

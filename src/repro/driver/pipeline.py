@@ -47,11 +47,10 @@ backend — a checkpoint written under one backend (including under the old
 rows of a :class:`~repro.pgas.GlobalArray` block-partitioned across
 node-worker ranks.  The PGAS transport behind it is pluggable
 (``DriverConfig.pgas_transport`` / ``REPRO_PGAS_TRANSPORT``): thread
-workers default to the in-process transport; process workers default to
-POSIX shared-memory windows (:class:`~repro.pgas.SharedMemoryTransport`)
-and can instead run over :class:`~repro.pgas.SocketTransport` — TCP
-one-sided RMA, the multi-node layout with processes standing in for nodes
-— or mpi4py RMA where the dependency exists.  Workers do real one-sided
+workers default to the in-process transport; process workers run over
+:class:`~repro.pgas.SocketTransport` — TCP one-sided RMA against windows
+the driver serves on loopback, the multi-node layout with processes
+standing in for nodes.  Workers do real one-sided
 ``get_row``/``put_row`` for exactly the rows a task touches, never pickling
 the catalog; catalogs are bit-identical across transports.  Per-worker RMA
 traffic lands in the driver report.
@@ -195,10 +194,10 @@ class DriverConfig:
     #: PGAS transport backing the sharded catalog, one of
     #: :data:`repro.pgas.TRANSPORT_NAMES`.  ``None`` reads
     #: :data:`PGAS_TRANSPORT_ENV_VAR`, then defaults by executor:
-    #: ``"local"`` for thread workers, ``"shared_memory"`` for process
-    #: workers.  ``"socket"`` serves the windows over TCP so workers can
-    #: span real machines; ``"mpi"`` needs mpi4py.  Pure plumbing:
-    #: catalogs are bit-identical across transports.
+    #: ``"local"`` for thread workers, ``"socket"`` (the windows served
+    #: over loopback TCP) for process workers, which cannot use
+    #: ``"local"``.  Pure plumbing: catalogs are bit-identical across
+    #: transports.
     pgas_transport: str | None = knob(None, provenance="scheduling")
     #: Journal per-task durable progress while a stage runs (needs
     #: ``checkpoint_path``): each completed Cyclades task appends its
@@ -330,7 +329,7 @@ def _resolve_pgas_transport(config: DriverConfig, executor: str) -> str:
     if name is None:
         name = env_raw(PGAS_TRANSPORT_ENV_VAR) or None
     if name is None:
-        return "shared_memory" if executor == "process" else "local"
+        return "socket" if executor == "process" else "local"
     if name not in TRANSPORT_NAMES:
         raise ValueError(
             "pgas_transport must be one of %r, got %r"
@@ -339,7 +338,7 @@ def _resolve_pgas_transport(config: DriverConfig, executor: str) -> str:
     if executor == "process" and name == "local":
         raise ValueError(
             "the in-process 'local' transport cannot back process "
-            "node-workers; use shared_memory, socket, or mpi"
+            "node-workers; use socket"
         )
     return name
 
@@ -719,13 +718,9 @@ def run_pipeline(
         # one-sidedly; "local" is in-process numpy views).
         start_entries = (list(ckpt.working_catalog)
                          if ckpt.working_catalog else list(seed))
-        # halo_refresh makes workers read rows other workers are writing;
-        # across processes that needs the transport's rank locks (snapshot
-        # mode's disjoint access does not, so skip the syscall cost).
         working = ShardedCatalog.from_entries(
             start_entries, n_ranks=config.n_nodes,
-            transport=make_transport(transport_name,
-                                     locking=config.halo_refresh),
+            transport=make_transport(transport_name),
         )
 
         # -- Stages "stage0"/"stage1": Dtree-scheduled joint optimization -------

@@ -97,7 +97,7 @@ class ShardedCatalog:
     ``get``/``put`` row access; nobody ever holds the whole catalog except
     gather points (checkpointing, the final merge).  The transport decides
     the sharing mechanism: :class:`~repro.pgas.LocalTransport` for thread
-    node-workers, :class:`~repro.pgas.SharedMemoryTransport` for process
+    node-workers, :class:`~repro.pgas.SocketTransport` for process
     node-workers.
     """
 

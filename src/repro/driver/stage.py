@@ -135,8 +135,6 @@ class StageRunner:
         self._spawn_bind = 0.0
         self._closed = False
         self._scratch_dir: str | None = None
-        # The snapshot is only written between stages (no tasks in flight),
-        # so it needs no rank locking even in halo_refresh mode.
         self.base = ShardedCatalog(working.n_rows, working.n_ranks,
                                    transport=base_transport)
         try:

@@ -276,8 +276,8 @@ class _WorkerState:
     Built by the seat from a ``("bind", ...)`` message
     (:mod:`repro.driver.pool`): the field store, the one-sided views onto
     the snapshot and working catalogs (whose pickled transports attached
-    a process seat to the parent's windows — shared-memory segments or
-    socket clients), and the shadow/recording instrumentation.  A seat
+    a process seat to the parent's windows as socket clients), and the
+    shadow/recording instrumentation.  A seat
     ``in_process`` is handed the driver's own store and catalogs instead,
     and closes nothing.  ``epoch`` tags every record so the parent's
     collector can discard stragglers from an earlier bind.

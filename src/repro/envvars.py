@@ -74,11 +74,11 @@ _VARS = (
         provenance="scheduling", resolves_to="DriverConfig.executor",
     ),
     EnvVar(
-        "REPRO_PGAS_TRANSPORT", "str", "local (thread) / shared_memory (process)",
+        "REPRO_PGAS_TRANSPORT", "str", "local (thread) / socket (process)",
         "PGAS transport backing the sharded catalog when "
-        "`DriverConfig.pgas_transport` is unset: `local`, `shared_memory`, "
-        "`socket` (TCP one-sided RMA; workers can span machines), or `mpi` "
-        "(requires mpi4py).  Catalogs are bit-identical across transports.",
+        "`DriverConfig.pgas_transport` is unset: `local` (in-process) or "
+        "`socket` (TCP one-sided RMA over loopback; the only choice for "
+        "process workers).  Catalogs are bit-identical across transports.",
         provenance="scheduling", resolves_to="DriverConfig.pgas_transport",
     ),
     EnvVar(

@@ -7,39 +7,32 @@ layer; get and put operations on elements make use of one-sided RMA
 operations" (paper, Section IV-C).
 
 This package reproduces that interface: a :class:`GlobalArray` partitioned
-across ranks with one-sided ``get``/``put`` element operations, over
-pluggable transports — an in-process transport for threaded runs, a
-POSIX shared-memory transport for process node-workers on one box, a TCP
-socket transport whose workers can span real machines, an optional
-mpi4py-backed transport (the paper's actual substrate, gated on the dep),
-and a cost-recording transport that feeds the cluster simulator's
-communication model.  :func:`make_transport` resolves registry names
-(``REPRO_PGAS_TRANSPORT``); :func:`transport_available` probes without
-instantiating.
+across ranks with one-sided ``get``/``put`` element operations, over two
+transports on one window store — in-process memory for threaded runs and
+the same windows served over a TCP socket for process node-workers — plus
+a cost-recording wrapper that feeds the cluster simulator's communication
+model.  :func:`make_transport` resolves registry names
+(``REPRO_PGAS_TRANSPORT``).
 """
 
 from repro.pgas.transport import (
     TRANSPORT_NAMES,
     LocalTransport,
-    MPITransport,
     RecordingTransport,
     RMAStats,
-    SharedMemoryTransport,
     SocketTransport,
+    WindowRangeError,
     make_transport,
-    transport_available,
 )
 from repro.pgas.global_array import GlobalArray
 
 __all__ = [
     "GlobalArray",
     "LocalTransport",
-    "MPITransport",
     "RMAStats",
     "RecordingTransport",
-    "SharedMemoryTransport",
     "SocketTransport",
     "TRANSPORT_NAMES",
+    "WindowRangeError",
     "make_transport",
-    "transport_available",
 ]

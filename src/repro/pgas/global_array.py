@@ -23,7 +23,7 @@ class GlobalArray:
                  transport=None, allocate: bool = True):
         """``allocate=False`` attaches to windows the transport already
         holds (e.g. a per-worker accounting view over shared storage, or a
-        process worker attaching to the parent's shared-memory segments)
+        process worker attaching to the parent's socket-served windows)
         instead of creating and zeroing them."""
         if n_rows < 0 or row_width <= 0 or n_ranks <= 0:
             raise ValueError("invalid GlobalArray geometry")

@@ -2,18 +2,14 @@
 
 The real system rides MPI-3 one-sided get/put, supported in hardware on the
 Aries fabric.  Here a transport is anything that can read/write a byte range
-of a remote rank's window.  :class:`LocalTransport` backs every rank with
-in-process memory; :class:`SharedMemoryTransport` backs every rank with a
-POSIX shared-memory segment, so *process* node-workers do true one-sided
-access to the partitioned catalog without pickling it through queues;
-:class:`SocketTransport` serves the windows over TCP, so node-workers can
-span real machines (multi-process-as-multi-node in the tests);
-:class:`MPITransport` rides mpi4py one-sided RMA where that optional
-dependency exists (probed like the ``numba`` kernel target: resolvable by
-name everywhere, loudly unavailable without the dep); and
-:class:`RecordingTransport` wraps another transport and accumulates the
-operation counts / byte volumes / latency model that the cluster simulator
-charges for "other" time.
+of a remote rank's window.  There is one window store,
+:class:`LocalTransport` (in-process memory, one lock per rank), and one
+wire face on it: :class:`SocketTransport` serves a ``LocalTransport``'s
+windows over TCP, so *process* node-workers do true one-sided access to the
+partitioned catalog without pickling it through queues.
+:class:`RecordingTransport` wraps either and accumulates the operation
+counts / byte volumes / latency model that the cluster simulator charges
+for "other" time.
 
 Transports are resolvable by registry name (:data:`TRANSPORT_NAMES`,
 :func:`make_transport`) — the names ``DriverConfig.pgas_transport`` /
@@ -22,34 +18,42 @@ Transports are resolvable by registry name (:data:`TRANSPORT_NAMES`,
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import os
 import socket
 import struct
-import tempfile
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LocalTransport",
-    "SharedMemoryTransport",
     "SocketTransport",
-    "MPITransport",
     "RecordingTransport",
     "RMAStats",
+    "WindowRangeError",
     "TRANSPORT_NAMES",
     "make_transport",
-    "transport_available",
 ]
 
 
+class WindowRangeError(IndexError):
+    """A one-sided operation addressed elements outside a rank's window."""
+
+    def __init__(self, op: str, rank: int, start: int, count: int,
+                 size: int):
+        super().__init__(
+            "%s(rank=%d, start=%d, count=%d) is outside the rank's window "
+            "of %d elements" % (op, rank, start, count, size))
+        self.op, self.rank = op, rank
+        self.start, self.count, self.size = start, count, size
+
+
 class LocalTransport:
-    """In-process transport: every rank's window is a NumPy array."""
+    """In-process transport, and the one window store: every rank's window
+    is a NumPy array behind its own lock, so puts never tear concurrent
+    gets and accumulate is an atomic read-modify-write."""
 
     def __init__(self):
         self._windows: dict[int, np.ndarray] = {}
@@ -59,224 +63,27 @@ class LocalTransport:
         self._windows[rank] = np.zeros(n_elements)
         self._locks[rank] = threading.Lock()
 
+    def _range(self, op: str, rank: int, start: int,
+               count: int) -> np.ndarray:
+        """View of ``count`` elements at ``start`` of ``rank``'s window."""
+        window = self._windows[rank]
+        if not 0 <= start <= start + count <= len(window):
+            raise WindowRangeError(op, rank, start, count, len(window))
+        return window[start:start + count]
+
     def get(self, rank: int, start: int, count: int) -> np.ndarray:
         with self._locks[rank]:
-            return self._windows[rank][start:start + count].copy()
+            return self._range("get", rank, start, count).copy()
 
     def put(self, rank: int, start: int, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
         with self._locks[rank]:
-            self._windows[rank][start:start + len(values)] = values
+            self._range("put", rank, start, len(values))[:] = values
 
     def accumulate(self, rank: int, start: int, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
         with self._locks[rank]:
-            self._windows[rank][start:start + len(values)] += values
-
-
-def _untrack_shared_memory(shm: shared_memory.SharedMemory) -> None:
-    """Detach an *attached* segment from this process's resource tracker.
-
-    On Python < 3.13 every attach registers the segment with the resource
-    tracker, so a worker process exiting would unlink segments the parent
-    still owns (bpo-38119).  Only the creating process should track them.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-class SharedMemoryTransport:
-    """Cross-process transport: every rank's window is a POSIX shared-memory
-    segment of float64s.
-
-    The creating process allocates the segments; pickling the transport
-    (e.g. into a spawned worker) carries only the segment *names*, and the
-    receiving process attaches lazily on first access — the moral
-    equivalent of exchanging RMA window handles at ``MPI_Win_create`` time.
-
-    By default, like hardware RMA, individual gets and puts of *disjoint*
-    ranges are safe from any number of processes concurrently, while
-    concurrently accessing overlapping ranges is undefined (MPI-3 calls
-    such access erroneous) — the driver's disjoint-region snapshot
-    discipline rules it out.  ``locking=True`` adds per-rank advisory file
-    locks (shared for gets, exclusive for puts) for access patterns that
-    *do* read rows other processes may be writing, e.g. the driver's
-    ``halo_refresh`` mode — without it a concurrent reader could see a
-    torn row.  ``accumulate`` takes the exclusive per-rank lock in *every*
-    mode: it is a read-modify-write, so two processes accumulating into
-    the same rank without it would lose updates.
-
-    The owner must call :meth:`unlink` when done (segments outlive
-    processes otherwise); non-owners only ever :meth:`close`.
-    """
-
-    def __init__(self, locking: bool = False):
-        #: rank -> (segment name, element count); the picklable core.
-        self._segments: dict[int, tuple[str, int]] = {}
-        self._locking = locking
-        self._lockfiles: dict[int, str] = {}
-        self._owner = True
-        self._attached: dict[int, shared_memory.SharedMemory] = {}
-        self._views: dict[int, np.ndarray] = {}
-        self._lock_fds: dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    def allocate(self, rank: int, n_elements: int) -> None:
-        if not self._owner:
-            raise RuntimeError("only the owning process allocates windows")
-        if rank in self._segments:
-            raise ValueError("rank %d already allocated" % rank)
-        n_alloc = max(n_elements, 1)  # zero-size segments are not portable
-        shm = shared_memory.SharedMemory(create=True, size=n_alloc * 8)
-        view = np.ndarray((n_alloc,), dtype=np.float64, buffer=shm.buf)
-        view[:] = 0.0
-        self._segments[rank] = (shm.name, n_elements)
-        self._attached[rank] = shm
-        self._views[rank] = view
-        # Lock files exist regardless of ``locking``: plain gets/puts only
-        # take them in locking mode, but ``accumulate`` is a read-modify-
-        # write and *always* needs cross-process mutual exclusion.
-        fd, path = tempfile.mkstemp(prefix="pgas-win%d-" % rank,
-                                    suffix=".lock")
-        os.close(fd)
-        self._lockfiles[rank] = path
-
-    def _view(self, rank: int) -> np.ndarray:
-        view = self._views.get(rank)
-        if view is None:
-            with self._lock:
-                view = self._views.get(rank)
-                if view is None:
-                    name, n_elements = self._segments[rank]
-                    shm = shared_memory.SharedMemory(name=name)
-                    _untrack_shared_memory(shm)
-                    view = np.ndarray((max(n_elements, 1),),
-                                      dtype=np.float64, buffer=shm.buf)
-                    self._attached[rank] = shm
-                    self._views[rank] = view
-        return view
-
-    @contextmanager
-    def _rank_lock(self, rank: int, exclusive: bool, force: bool = False):
-        if not (self._locking or force):
-            yield
-            return
-        import fcntl
-
-        # One fd per rank per process; flock state lives on the open file
-        # description, so intra-process callers also serialize via _lock.
-        with self._lock:
-            fd = self._lock_fds.get(rank)
-            if fd is None:
-                fd = os.open(self._lockfiles[rank], os.O_RDWR)
-                self._lock_fds[rank] = fd
-            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-            try:
-                yield
-            finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-
-    def get(self, rank: int, start: int, count: int) -> np.ndarray:
-        view = self._view(rank)  # attach outside _rank_lock (both take _lock)
-        with self._rank_lock(rank, exclusive=False):
-            return view[start:start + count].copy()
-
-    def put(self, rank: int, start: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        view = self._view(rank)
-        with self._rank_lock(rank, exclusive=True):
-            view[start:start + len(values)] = values
-
-    def accumulate(self, rank: int, start: int, values: np.ndarray) -> None:
-        """Atomic element-wise ``+=`` on a window range.
-
-        Unlike ``get``/``put`` — where the ``locking`` flag is an opt-in for
-        access patterns that overlap — accumulate is *inherently* a
-        read-modify-write, so the per-rank file lock is taken
-        unconditionally.  A mere in-process ``threading.Lock`` (the old
-        lockless fallback) cannot serialize two worker *processes*
-        accumulating into the same rank; one of the updates would be lost.
-        """
-        values = np.asarray(values, dtype=float)
-        view = self._view(rank)
-        with self._rank_lock(rank, exclusive=True, force=True):
-            view[start:start + len(values)] += values
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {
-            "segments": dict(self._segments),
-            "locking": self._locking,
-            "lockfiles": dict(self._lockfiles),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._segments = dict(state["segments"])
-        self._locking = bool(state.get("locking", False))
-        self._lockfiles = dict(state.get("lockfiles", {}))
-        self._owner = False
-        self._attached = {}
-        self._views = {}
-        self._lock_fds = {}
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        """Drop this process's mappings (the segments survive).
-
-        Idempotent and exception-safe: every mapping and per-rank lock fd
-        is popped from its registry *before* being released, so each is
-        released exactly once even if a release raises or ``close`` is
-        called again (non-owner workers close once on task failure and
-        once on shutdown; a double ``os.close`` could stomp an unrelated
-        fd the process has since opened under the same number).
-        """
-        self._views.clear()
-        while self._attached:
-            _, shm = self._attached.popitem()
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view still referenced
-                pass
-        while self._lock_fds:
-            _, fd = self._lock_fds.popitem()
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-    def unlink(self) -> None:
-        """Destroy the segments (owner only; safe to call more than once).
-
-        Tolerates segments and lock files that are already gone — a worker
-        crash can leave either state behind, and the owner's cleanup path
-        (often a ``finally`` that runs again on teardown) must still
-        succeed.  After the first call the registries are empty, so repeat
-        calls are no-ops.
-        """
-        if not self._owner:
-            raise RuntimeError("only the owning process unlinks windows")
-        self.close()
-        while self._segments:
-            _, (name, _) = self._segments.popitem()
-            try:
-                # Attaching re-registers the name with the resource tracker;
-                # unlink() unregisters it, so the net tracker state is clean.
-                shm = shared_memory.SharedMemory(name=name)  # det: ignore[DET106] -- straight-line attach/close/unlink; FileNotFoundError means already gone
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        while self._lockfiles:
-            _, path = self._lockfiles.popitem()
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
+            self._range("accumulate", rank, start, len(values))[:] += values
 
 
 @dataclass
@@ -379,13 +186,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 class _SocketServer:
-    """The owning side of a :class:`SocketTransport`: holds the windows and
-    serves framed get/put/accumulate requests on a background thread.
-
-    Every window operation runs under a per-rank lock, so puts never tear
-    concurrent gets and accumulate is an atomic read-modify-write — the
-    server is the serialization point the shared-memory transport needs
-    file locks for.
+    """The wire face of a :class:`SocketTransport`: serves framed
+    get/put/accumulate requests against the owner's window store (a
+    :class:`LocalTransport`, whose per-rank locks are the serialization
+    point) on background threads named ``repro-pgas-*``.
 
     **Exactly-once accumulate under retransmission.**  Clients number their
     requests (per-client monotonic ``seq``) and identify themselves with a
@@ -396,9 +200,8 @@ class _SocketServer:
     non-idempotent accumulate is still applied exactly once.
     """
 
-    def __init__(self, host: str):
-        self._windows: dict[int, np.ndarray] = {}
-        self._rank_locks: dict[int, threading.Lock] = {}
+    def __init__(self, host: str, store: LocalTransport):
+        self._store = store
         #: token -> (last applied seq, reply bytes sent for it)
         self._replay: dict[bytes, tuple[int, bytes]] = {}
         self._replay_lock = threading.Lock()
@@ -409,26 +212,9 @@ class _SocketServer:
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True)
+            target=self._accept_loop, daemon=True,
+            name="repro-pgas-accept-%d" % self.address[1])
         self._accept_thread.start()
-
-    # -- direct window access (the owning process bypasses the socket) -----
-
-    def allocate(self, rank: int, n_elements: int) -> None:
-        self._windows[rank] = np.zeros(max(n_elements, 1))
-        self._rank_locks[rank] = threading.Lock()
-
-    def get(self, rank: int, start: int, count: int) -> np.ndarray:
-        with self._rank_locks[rank]:
-            return self._windows[rank][start:start + count].copy()
-
-    def put(self, rank: int, start: int, values: np.ndarray) -> None:
-        with self._rank_locks[rank]:
-            self._windows[rank][start:start + len(values)] = values
-
-    def accumulate(self, rank: int, start: int, values: np.ndarray) -> None:
-        with self._rank_locks[rank]:
-            self._windows[rank][start:start + len(values)] += values
 
     # -- the wire ----------------------------------------------------------
 
@@ -446,8 +232,9 @@ class _SocketServer:
                         pass
                     return
                 self._conns.add(conn)
-            t = threading.Thread(target=self._serve, args=(conn,),
-                                 daemon=True)
+            t = threading.Thread(
+                target=self._serve, args=(conn,), daemon=True,
+                name="repro-pgas-conn-%d" % self.address[1])
             t.start()
             self._threads.append(t)
 
@@ -500,13 +287,13 @@ class _SocketServer:
                payload: bytes, seq: int) -> bytes:
         try:
             if op == _OP_GET:
-                data = self.get(rank, start, count)
+                data = self._store.get(rank, start, count)
                 return _REP.pack(0, seq, len(data)) + data.tobytes()
             values = np.frombuffer(payload, dtype=np.float64)
             if op == _OP_PUT:
-                self.put(rank, start, values)
+                self._store.put(rank, start, values)
             elif op == _OP_ACCUMULATE:
-                self.accumulate(rank, start, values)
+                self._store.accumulate(rank, start, values)
             else:
                 raise ValueError("unknown socket RMA op %d" % op)
             return _REP.pack(0, seq, 0)
@@ -547,31 +334,31 @@ class _SocketServer:
 
 
 class SocketTransport:
-    """TCP transport: the windows live in the owning process, served by a
-    background thread; any process (on any machine reachable over TCP) that
-    unpickles the transport does one-sided get/put/accumulate against them
-    through framed binary requests.
+    """TCP transport: the windows live in the owning process — a
+    :class:`LocalTransport` the owner reads and writes directly — and a
+    background server gives every process that unpickles the transport
+    one-sided get/put/accumulate against them through framed binary
+    requests.
 
-    This is the multi-node transport: where
-    :class:`SharedMemoryTransport` needs a shared kernel,
-    :class:`SocketTransport` needs only a route to the owner — Dtree
-    node-workers can span real machines.  Pickling carries the server
-    address and the window sizes; the receiving process connects lazily on
-    first access (the moral of exchanging RMA window handles at
-    ``MPI_Win_create`` time, like the shared-memory transport's segment
-    names).
+    Needs only a route to the owner, not a shared kernel; the default
+    ``host`` (the only one :func:`make_transport` and so the driver use) is
+    loopback, and passing another is how node-workers on other machines
+    would reach the owner.  Pickling carries the server address and the
+    window sizes; the receiving process connects lazily on first access
+    (the moral of exchanging RMA window handles at ``MPI_Win_create``
+    time).
 
-    Semantics are strictly stronger than hardware RMA: the server applies
-    every operation under a per-rank lock, so gets never see torn puts and
-    accumulate is an atomic read-modify-write in every mode.  Lost or
-    duplicated messages are survived by the protocol: requests carry a
-    per-client sequence number, the client retransmits (reconnecting if
-    need be) when a reply does not arrive in ``timeout`` seconds, and the
-    server deduplicates retransmissions so even accumulate applies exactly
-    once (see :class:`_SocketServer`).
+    Semantics are strictly stronger than hardware RMA: every operation is
+    applied under the store's per-rank lock, so gets never see torn puts
+    and accumulate is an atomic read-modify-write.  Lost or duplicated
+    messages are survived by the protocol: requests carry a per-client
+    sequence number, the client retransmits (reconnecting if need be) when
+    a reply does not arrive in ``timeout`` seconds, and the server
+    deduplicates retransmissions so even accumulate applies exactly once
+    (see :class:`_SocketServer`).
 
-    The owner must call :meth:`unlink` when done (the server thread and
-    its port outlive abandoned transports otherwise); non-owners only ever
+    The owner must call :meth:`unlink` when done (the server threads and
+    the port outlive abandoned transports otherwise); non-owners only ever
     :meth:`close`.
     """
 
@@ -580,8 +367,9 @@ class SocketTransport:
         self._segments: dict[int, int] = {}  # rank -> element count
         self._timeout = float(timeout)
         self._max_retries = int(max_retries)
-        self._owner = True
-        self._server: _SocketServer | None = _SocketServer(host)
+        #: The windows (owner) / ``None`` (a pickled client copy).
+        self._store: LocalTransport | None = LocalTransport()
+        self._server: _SocketServer | None = _SocketServer(host, self._store)
         self.address = self._server.address
         self._init_client_state()
 
@@ -599,31 +387,31 @@ class SocketTransport:
     # -- the transport interface ------------------------------------------
 
     def allocate(self, rank: int, n_elements: int) -> None:
-        if self._server is None:
+        if self._store is None:
             raise RuntimeError("only the owning process allocates windows")
         if rank in self._segments:
             raise ValueError("rank %d already allocated" % rank)
-        self._server.allocate(rank, n_elements)
+        self._store.allocate(rank, n_elements)
         self._segments[rank] = n_elements
 
     def get(self, rank: int, start: int, count: int) -> np.ndarray:
-        if self._server is not None:
-            return self._server.get(rank, start, count)
+        if self._store is not None:
+            return self._store.get(rank, start, count)
         body = self._request(_OP_GET, rank, start, count)
         return np.frombuffer(body, dtype=np.float64).copy()
 
     def put(self, rank: int, start: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if self._server is not None:
-            self._server.put(rank, start, values)
+        if self._store is not None:
+            self._store.put(rank, start, values)
             return
+        values = np.asarray(values, dtype=float)
         self._request(_OP_PUT, rank, start, len(values), values.tobytes())
 
     def accumulate(self, rank: int, start: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if self._server is not None:
-            self._server.accumulate(rank, start, values)
+        if self._store is not None:
+            self._store.accumulate(rank, start, values)
             return
+        values = np.asarray(values, dtype=float)
         self._request(_OP_ACCUMULATE, rank, start, len(values),
                       values.tobytes())
 
@@ -723,7 +511,7 @@ class SocketTransport:
                           for k, v in state["segments"].items()}
         self._timeout = float(state.get("timeout", 30.0))
         self._max_retries = int(state.get("max_retries", 3))
-        self._owner = False
+        self._store = None
         self._server = None
         self._init_client_state()
 
@@ -734,91 +522,10 @@ class SocketTransport:
 
     def unlink(self) -> None:
         """Shut the server down (owner only; safe to call more than once)."""
-        if not self._owner:
+        if self._server is None:
             raise RuntimeError("only the owning process unlinks windows")
         self.close()
-        if self._server is not None:
-            self._server.close()
-
-
-# ---------------------------------------------------------------------------
-# MPI transport: optional, gated on mpi4py
-
-
-class MPITransport:
-    """mpi4py-backed one-sided RMA — the paper's actual transport.
-
-    Optional-dependency pattern of the ``numba`` kernel target: the name
-    ``"mpi"`` is always resolvable (:func:`make_transport`), but
-    instantiation without mpi4py raises loudly with the remedy, and
-    :func:`transport_available` lets callers (CI probes, the driver's
-    config validation) test availability without trying.  Windows are
-    created collectively over ``COMM_WORLD``; get/put/accumulate use
-    passive-target ``Win.Lock``/``Unlock`` epochs, with accumulate mapped
-    to ``MPI.SUM`` — atomic per element, matching the other transports'
-    always-locked accumulate semantics.
-    """
-
-    def __init__(self):
-        try:
-            from mpi4py import MPI
-        except ImportError as exc:
-            raise RuntimeError(
-                "pgas transport 'mpi' requires the optional dependency "
-                "mpi4py, which is not installed; the 'socket' transport "
-                "spans machines without it"
-            ) from exc
-        self._MPI = MPI  # pragma: no cover - needs mpi4py
-        self._comm = MPI.COMM_WORLD  # pragma: no cover - needs mpi4py
-        self._windows = {}  # pragma: no cover - needs mpi4py
-
-    def allocate(self, rank, n_elements):  # pragma: no cover - needs mpi4py
-        MPI = self._MPI
-        size = max(n_elements, 1) * 8 if self._comm.rank == rank else 0
-        self._windows[rank] = MPI.Win.Allocate(size, 8, comm=self._comm)
-
-    def get(self, rank, start, count):  # pragma: no cover - needs mpi4py
-        MPI = self._MPI
-        win = self._windows[rank]
-        out = np.empty(count)
-        win.Lock(rank, MPI.LOCK_SHARED)
-        try:
-            win.Get([out, MPI.DOUBLE], rank,
-                    target=[start, count, MPI.DOUBLE])
-        finally:
-            win.Unlock(rank)
-        return out
-
-    def put(self, rank, start, values):  # pragma: no cover - needs mpi4py
-        MPI = self._MPI
-        values = np.ascontiguousarray(values, dtype=float)
-        win = self._windows[rank]
-        win.Lock(rank, MPI.LOCK_EXCLUSIVE)
-        try:
-            win.Put([values, MPI.DOUBLE], rank,
-                    target=[start, len(values), MPI.DOUBLE])
-        finally:
-            win.Unlock(rank)
-
-    def accumulate(self, rank, start, values):  # pragma: no cover - needs mpi4py
-        MPI = self._MPI
-        values = np.ascontiguousarray(values, dtype=float)
-        win = self._windows[rank]
-        win.Lock(rank, MPI.LOCK_EXCLUSIVE)
-        try:
-            win.Accumulate([values, MPI.DOUBLE], rank,
-                           target=[start, len(values), MPI.DOUBLE],
-                           op=MPI.SUM)
-        finally:
-            win.Unlock(rank)
-
-    def close(self):  # pragma: no cover - needs mpi4py
-        pass
-
-    def unlink(self):  # pragma: no cover - needs mpi4py
-        for win in self._windows.values():
-            win.Free()
-        self._windows = {}
+        self._server.close()
 
 
 # ---------------------------------------------------------------------------
@@ -826,40 +533,17 @@ class MPITransport:
 
 
 #: Registry names ``DriverConfig.pgas_transport`` / ``REPRO_PGAS_TRANSPORT``
-#: accept, in preference order for documentation: in-process, one-box
-#: shared memory, cross-machine TCP, and (optional) MPI RMA.
-TRANSPORT_NAMES = ("local", "shared_memory", "socket", "mpi")
+#: accept: in-process memory, and windows served over TCP.
+TRANSPORT_NAMES = ("local", "socket")
 
 
-def make_transport(name: str, *, locking: bool = False):
-    """Instantiate a transport by registry name.
-
-    ``locking`` maps onto the shared-memory transport's per-rank file
-    locks; the other transports are unconditionally safe for overlapping
-    access (in-process or server-side locks), so it is accepted and
-    ignored there.  An unknown name raises ``ValueError`` listing the
-    registry; a known-but-unavailable transport (``mpi`` without mpi4py)
-    raises ``RuntimeError`` naming the missing dependency.
-    """
-    if name not in TRANSPORT_NAMES:
-        raise ValueError(
-            "unknown pgas transport %r; known transports: %s"
-            % (name, ", ".join(TRANSPORT_NAMES)))
+def make_transport(name: str):
+    """Instantiate a transport by registry name; an unknown name raises
+    ``ValueError`` listing the registry."""
     if name == "local":
         return LocalTransport()
-    if name == "shared_memory":
-        return SharedMemoryTransport(locking=locking)
     if name == "socket":
         return SocketTransport()
-    return MPITransport()
-
-
-def transport_available(name: str) -> tuple[bool, str]:
-    """Whether :func:`make_transport` would succeed for ``name``, and the
-    reason when it would not — the availability probe (CI's pattern for
-    the numba kernel target)."""
-    if name not in TRANSPORT_NAMES:
-        return False, "unknown transport %r" % (name,)
-    if name == "mpi" and importlib.util.find_spec("mpi4py") is None:
-        return False, "mpi4py is not installed"
-    return True, ""
+    raise ValueError(
+        "unknown pgas transport %r; known transports: %s"
+        % (name, ", ".join(TRANSPORT_NAMES)))

@@ -14,7 +14,8 @@ Test modules consume these through fixtures (pytest injects them by name),
 which sidesteps the two-``conftest.py``-modules import ambiguity that a
 plain ``from conftest import ...`` would hit in this layout.
 
-Also here: the driver suites' leak fixture (``no_driver_leaks``).
+Also here: the driver and transport suites' leak fixture
+(``no_driver_leaks``).
 """
 
 import dataclasses
@@ -207,15 +208,40 @@ def driver_scratch_dirs():
     return _driver_scratch_dirs
 
 
+def _listening_sockets():
+    """Inodes of the TCP sockets this process holds in LISTEN state (from
+    ``/proc``; empty where there is none)."""
+    listening = set()
+    for table in ("/proc/self/net/tcp", "/proc/self/net/tcp6"):
+        try:
+            with open(table) as f:
+                rows = [line.split() for line in f.readlines()[1:]]
+        except OSError:
+            continue
+        listening.update(row[9] for row in rows if row[3] == "0A")
+    held = set()
+    for fd in glob.glob("/proc/self/fd/*"):
+        try:
+            target = os.readlink(fd)
+        except OSError:  # the fd glob itself opened and closed one
+            continue
+        if target.startswith("socket:["):
+            held.add(target[len("socket:["):-1])
+    return listening & held
+
+
 @pytest.fixture
 def no_driver_leaks():
     """After the test — however it ended — nothing of the driver is left
-    running or lying around: no seat, pump or collector thread (they are
-    all named ``repro-*``), no child process (a test that owns a
-    ``WorkerPool`` closes it first), no new spill directory."""
+    running or lying around: no seat, pump, collector or PGAS socket-server
+    thread (they are all named ``repro-*``), no child process (a test that
+    owns a ``WorkerPool`` closes it first), no new spill directory, no new
+    listening socket (a ``SocketTransport`` nobody ``unlink()``ed)."""
     before = _driver_scratch_dirs()
+    listening = _listening_sockets()
     yield
     assert [t.name for t in threading.enumerate()
             if t.name.startswith("repro-")] == []
     assert multiprocessing.active_children() == []
     assert _driver_scratch_dirs() <= before
+    assert _listening_sockets() <= listening

@@ -87,13 +87,12 @@ class TestWorkerDeath:
         _, fields = small_survey
         return run_pipeline(fields, _config(executor="process"))
 
-    @pytest.mark.parametrize("transport", ["shared_memory", "socket"])
     def test_killed_worker_recovers_bit_for_bit(
-        self, small_survey, reference, transport
+        self, small_survey, reference
     ):
         _, fields = small_survey
         result = run_pipeline(fields, _config(
-            executor="process", pgas_transport=transport, fault_kill_task=0,
+            executor="process", fault_kill_task=0,
         ))
         assert _identical_catalogs(reference.catalog, result.catalog)
         deaths = [rec for rec in result.report.recoveries

@@ -1,8 +1,8 @@
-"""Tests for the PGAS global array (including edge geometries and the
-shared-memory transport) and the Dtree / central schedulers."""
+"""Tests for the PGAS global array (including edge geometries and
+cross-worker access over the socket transport) and the Dtree / central
+schedulers."""
 
 import multiprocessing
-import os
 import pickle
 import threading
 
@@ -14,9 +14,11 @@ from repro.pgas import (
     GlobalArray,
     LocalTransport,
     RecordingTransport,
-    SharedMemoryTransport,
+    SocketTransport,
 )
 from repro.sched import CentralQueue, Dtree, DtreeConfig
+
+pytestmark = pytest.mark.usefixtures("no_driver_leaks")
 
 
 class TestGlobalArray:
@@ -161,221 +163,114 @@ class TestGlobalArrayEdgeGeometries:
             GlobalArray(n_rows=2, row_width=2, n_ranks=0)
 
 
-def _shm_child_put(ga, rows, value):
+def _child_put(ga, rows, value):
     """Child-process body: one-sided puts into the parent's windows."""
     for r in rows:
         ga.put_row(r, np.full(ga.row_width, value))
+    ga.transport.close()
 
 
-class TestSharedMemoryTransport:
-    def _array(self, n_rows=12, row_width=4, n_ranks=3):
-        return GlobalArray(n_rows, row_width, n_ranks,
-                           transport=SharedMemoryTransport())
+class TestSocketWindowsAcrossWorkers:
+    """What process node-workers rely on, over the transport they run on:
+    pickled copies of the array reach the owner's windows one-sidedly
+    (single-connection wire behaviour is in ``test_socket_transport.py``)."""
 
-    def test_put_get_roundtrip(self):
-        ga = self._array()
-        try:
-            ga.put_row(7, np.array([1.0, 2.0, 3.0, 4.0]))
-            np.testing.assert_allclose(ga.get_row(7), [1.0, 2.0, 3.0, 4.0])
-            assert ga.get_row(0).sum() == 0.0  # windows start zeroed
-        finally:
-            ga.transport.unlink()
+    @pytest.fixture
+    def owner(self):
+        t = SocketTransport()
+        yield t
+        t.unlink()
 
-    def test_accumulate(self):
-        ga = self._array()
-        try:
-            ga.transport.accumulate(0, 0, np.ones(4))
-            ga.transport.accumulate(0, 0, np.ones(4))
-            np.testing.assert_allclose(ga.get_row(0), 2.0)
-        finally:
-            ga.transport.unlink()
-
-    def test_pickled_copy_attaches_to_same_windows(self):
-        # Pickling carries segment names only; the copy sees the owner's
-        # writes and vice versa — the window-handle exchange process
-        # workers rely on.
-        ga = self._array()
-        try:
-            attached = pickle.loads(pickle.dumps(ga))
-            ga.put_row(3, np.array([9.0, 8.0, 7.0, 6.0]))
-            np.testing.assert_allclose(attached.get_row(3), [9.0, 8.0, 7.0, 6.0])
-            attached.put_row(11, np.full(4, 5.0))
-            np.testing.assert_allclose(ga.get_row(11), 5.0)
-            with pytest.raises(RuntimeError):
-                attached.transport.unlink()  # non-owners must not unlink
-            attached.transport.close()
-        finally:
-            ga.transport.unlink()
-
-    def test_concurrent_disjoint_put_get(self):
-        # The driver's access pattern: many workers, disjoint row sets,
-        # concurrent gets of anything.  No torn rows, all writes land.
-        ga = self._array(n_rows=40, row_width=4, n_ranks=4)
+    @staticmethod
+    def _run_attached(ga, bodies):
+        """Run each body on its own thread against its own pickled copy of
+        ``ga`` (one connection each); returns the exceptions raised."""
         errors = []
 
-        def worker(base):
+        def guarded(body):
+            view = pickle.loads(pickle.dumps(ga))
             try:
-                for i in range(base, 40, 4):
-                    ga.put_row(i, np.full(4, float(i)))
-                    ga.get_row((i * 7) % 40)
+                body(view)
             except Exception as e:  # pragma: no cover
                 errors.append(e)
-
-        try:
-            threads = [threading.Thread(target=worker, args=(k,))
-                       for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            for i in range(40):
-                np.testing.assert_allclose(ga.get_row(i), float(i))
-        finally:
-            ga.transport.unlink()
-
-    def test_cross_process_one_sided_put(self):
-        # A real child process (spawn: nothing shared but the pickled
-        # window names) writes rows the parent then reads.
-        ga = self._array(n_rows=6, row_width=3, n_ranks=2)
-        try:
-            ctx = multiprocessing.get_context("spawn")
-            p = ctx.Process(target=_shm_child_put, args=(ga, [1, 5], 42.0))
-            p.start()
-            p.join(timeout=60)
-            assert p.exitcode == 0
-            np.testing.assert_allclose(ga.get_row(1), 42.0)
-            np.testing.assert_allclose(ga.get_row(5), 42.0)
-            np.testing.assert_allclose(ga.get_row(0), 0.0)
-        finally:
-            ga.transport.unlink()
-
-    def test_double_allocate_rejected(self):
-        t = SharedMemoryTransport()
-        try:
-            t.allocate(0, 4)
-            with pytest.raises(ValueError):
-                t.allocate(0, 4)
-        finally:
-            t.unlink()
-
-    def test_nonowner_close_is_idempotent_and_releases_fds_once(self):
-        # attach -> close -> close: the second close must be a no-op.  In
-        # particular each per-rank lock fd is released exactly once — a
-        # repeated os.close could stomp an unrelated fd the process has
-        # since opened under the recycled number.
-        t = SharedMemoryTransport(locking=True)
-        t.allocate(0, 8)
-        t.put(0, 0, np.arange(4.0))
-        worker = pickle.loads(pickle.dumps(t))
-        try:
-            np.testing.assert_allclose(worker.get(0, 0, 4), np.arange(4.0))
-            fd = worker._lock_fds[0]
-            worker.close()
-            assert worker._lock_fds == {}
-            assert worker._attached == {} and worker._views == {}
-            with pytest.raises(OSError):
-                os.fstat(fd)  # really closed
-            # Occupy the lowest free fd (very likely the one just closed);
-            # a second close must not touch it.
-            dummy = os.open(os.devnull, os.O_RDONLY)
-            try:
-                worker.close()
-                os.fstat(dummy)  # still open: nothing was double-closed
             finally:
-                os.close(dummy)
-        finally:
-            t.unlink()
+                view.transport.close()
 
-    def test_owner_unlink_tolerates_crashed_worker_state_and_double_calls(self):
-        # A crashed worker can leave lock files already removed (or a
-        # half-attached segment behind); the owner's unlink — typically in
-        # a finally that may run twice — must still succeed, both times.
-        t = SharedMemoryTransport(locking=True)
-        t.allocate(0, 4)
-        t.allocate(1, 4)
-        lockfiles = list(t._lockfiles.values())
-        segment_names = [name for name, _ in t._segments.values()]
-        os.unlink(lockfiles[0])  # simulate external cleanup after a crash
-        t.unlink()
-        assert t._segments == {} and t._lockfiles == {}
-        assert not any(os.path.exists(p) for p in lockfiles)
-        t.unlink()  # double unlink: registries empty, still fine
-        # The segments are really gone.
-        from multiprocessing import shared_memory
-        for name in segment_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        threads = [threading.Thread(target=guarded, args=(body,))
+                   for body in bodies]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        return errors
 
-    def test_close_after_unlink_and_interleavings(self):
-        t = SharedMemoryTransport(locking=True)
-        t.allocate(0, 4)
-        t.close()
-        t.close()
-        t.unlink()
-        t.close()  # close after unlink: everything already released
-        t.unlink()
+    def test_cross_process_one_sided_put(self, owner):
+        # A real child process (spawn: nothing shared but the pickled
+        # server address) writes rows the parent then reads.
+        ga = GlobalArray(6, 3, 2, transport=owner)
+        ctx = multiprocessing.get_context("spawn")
+        p = ctx.Process(target=_child_put, args=(ga, [1, 5], 42.0))
+        p.start()
+        p.join(timeout=60)
+        assert p.exitcode == 0
+        np.testing.assert_allclose(ga.get_row(1), 42.0)
+        np.testing.assert_allclose(ga.get_row(5), 42.0)
+        np.testing.assert_allclose(ga.get_row(0), 0.0)
 
-    def test_locking_mode_roundtrip_and_pickle(self):
-        # locking=True (used for halo_refresh's live cross-process reads)
-        # guards every get/put with per-rank advisory file locks; the lock
-        # files must travel through pickling and die with unlink().
-        t = SharedMemoryTransport(locking=True)
-        ga = GlobalArray(n_rows=6, row_width=3, n_ranks=2, transport=t)
-        lockfiles = list(t._lockfiles.values())
-        try:
-            assert len(lockfiles) == 2
-            ga.put_row(4, np.array([1.0, 2.0, 3.0]))
-            np.testing.assert_allclose(ga.get_row(4), [1.0, 2.0, 3.0])
-            attached = pickle.loads(pickle.dumps(ga))
-            assert attached.transport._locking
-            np.testing.assert_allclose(attached.get_row(4), [1.0, 2.0, 3.0])
-            attached.transport.close()
-        finally:
-            t.unlink()
-        assert not any(os.path.exists(p) for p in lockfiles)
+    def test_concurrent_disjoint_put_get(self, owner):
+        # The driver's access pattern: many workers, each on its own
+        # connection, disjoint row sets, concurrent gets of anything.  No
+        # torn rows, all writes land.
+        ga = GlobalArray(40, 4, 4, transport=owner)
 
-    def test_locking_mode_concurrent_overlapping_rows(self):
-        # With locking, even *overlapping* concurrent put/get of whole rows
-        # must never observe a torn row: every read shows exactly one
-        # writer's value across the full width.
-        t = SharedMemoryTransport(locking=True)
-        ga = GlobalArray(n_rows=4, row_width=8, n_ranks=2, transport=t)
+        def worker(base):
+            def body(view):
+                for i in range(base, 40, 4):
+                    view.put_row(i, np.full(4, float(i)))
+                    view.get_row((i * 7) % 40)
+            return body
+
+        assert not self._run_attached(ga, [worker(k) for k in range(4)])
+        for i in range(40):
+            np.testing.assert_allclose(ga.get_row(i), float(i))
+
+    def test_concurrent_overlapping_rows_never_torn(self, owner):
+        # What halo_refresh leans on: even *overlapping* concurrent put/get
+        # of whole rows never observes a torn row — every read shows
+        # exactly one writer's value across the full width.
+        ga = GlobalArray(4, 8, 2, transport=owner)
         torn = []
 
         def writer(value):
-            for _ in range(50):
-                ga.put_row(1, np.full(8, value))
+            def body(view):
+                for _ in range(50):
+                    view.put_row(1, np.full(8, value))
+            return body
 
-        def reader():
+        def reader(view):
             for _ in range(100):
-                row = ga.get_row(1)
+                row = view.get_row(1)
                 if row.min() != row.max():
                     torn.append(row)
 
-        try:
-            threads = ([threading.Thread(target=writer, args=(float(v),))
-                        for v in (1, 2)]
-                       + [threading.Thread(target=reader) for _ in range(2)])
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            assert not torn
-        finally:
-            t.unlink()
+        assert not self._run_attached(
+            ga, [writer(1.0), writer(2.0), reader, reader])
+        assert not torn
 
-    def test_recording_wrapper_counts_shared_memory_traffic(self):
-        inner = SharedMemoryTransport()
-        rec = RecordingTransport(inner, local_rank=0)
+    def test_recording_wrapper_counts_socket_traffic(self, owner):
+        ga = GlobalArray(4, 2, 2, transport=owner)
+        client = pickle.loads(pickle.dumps(owner))
+        rec = RecordingTransport(client, local_rank=0)
         try:
-            ga = GlobalArray(n_rows=4, row_width=2, n_ranks=2, transport=rec)
-            ga.put_row(3, np.array([1.0, 2.0]))  # remote rank
-            ga.get_row(0)                        # local rank
+            view = GlobalArray(4, 2, 2, transport=rec, allocate=False)
+            view.put_row(3, np.array([1.0, 2.0]))  # remote rank
+            view.get_row(0)                        # local rank
             assert rec.stats.n_put == 1 and rec.stats.n_get == 1
             assert rec.stats.remote_fraction_ops == 1
+            np.testing.assert_allclose(ga.get_row(3), [1.0, 2.0])
         finally:
-            inner.unlink()
+            client.close()
 
 
 class TestDtreePeek:
@@ -576,45 +471,17 @@ def test_property_dtree_delivery_exactly_once(
 
 class TestAccumulateAlwaysLocked:
     """Regression for the cross-process accumulate race: accumulate is an
-    atomic read-modify-write on *every* transport, including a
-    SharedMemoryTransport constructed without ``locking=True`` — the mode
-    every snapshot-phase driver run uses."""
-
-    @pytest.mark.parametrize("locking", [False, True])
-    def test_concurrent_threaded_accumulate_sums_exactly(self, locking):
-        t = SharedMemoryTransport(locking=locking)
-        t.allocate(0, 8)
-        n_threads, reps = 4, 200
-
-        def worker(copy):
-            for _ in range(reps):
-                copy.accumulate(0, 0, np.ones(8))
-
-        try:
-            copies = [pickle.loads(pickle.dumps(t))
-                      for _ in range(n_threads)]
-            threads = [threading.Thread(target=worker, args=(c,))
-                       for c in copies]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            for c in copies:
-                c.close()
-            np.testing.assert_array_equal(
-                t.get(0, 0, 8), float(n_threads * reps))
-        finally:
-            t.unlink()
+    atomic read-modify-write on every transport, whoever calls it."""
 
     def test_cross_process_accumulate_sums_exactly(self):
         # The actual reported bug shape: two spawn processes accumulating
-        # into overlapping extents of a non-locking transport.
-        t = SharedMemoryTransport()
+        # into overlapping extents of one window.
+        t = SocketTransport()
         t.allocate(0, 4)
         try:
             ctx = multiprocessing.get_context("spawn")
             procs = [
-                ctx.Process(target=_shm_child_accumulate, args=(t, 60))
+                ctx.Process(target=_child_accumulate, args=(t, 60))
                 for _ in range(2)
             ]
             for p in procs:
@@ -646,7 +513,7 @@ class TestAccumulateAlwaysLocked:
         assert det.n_reports == 1
 
 
-def _shm_child_accumulate(transport, reps):
+def _child_accumulate(transport, reps):
     for _ in range(reps):
         transport.accumulate(0, 0, np.ones(4))
     transport.close()
