@@ -167,10 +167,13 @@ def test_driver_batch_occupancy(benchmark, rng):
         c = res.counters
         calls = c.get("elbo_batch_calls", 0.0)
         lanes = c.get("elbo_batch_lanes", 0.0)
+        sweeps = c.get("elbo_sweep_calls", 0.0)
         return {
             "calls": calls,
             "lanes": lanes,
             "lanes_per_call": lanes / calls if calls else 0.0,
+            "lanes_per_sweep": (c.get("elbo_sweep_lanes", 0.0) / sweeps
+                                if sweeps else 0.0),
             "occupancy": batch_occupancy(c),
         }
 
@@ -179,9 +182,9 @@ def test_driver_batch_occupancy(benchmark, rng):
                  " (B=%d)" % batch)
     for name, s in (("per-round", split), ("coalesced", merged)):
         print("  %-10s %6d stacked calls  %5.2f lanes/call  "
-              "%6d batched lane-evals  occupancy %.3f" % (
-                  name, s["calls"], s["lanes_per_call"], s["lanes"],
-                  s["occupancy"]))
+              "%5.2f lanes/sweep  %6d batched lane-evals  occupancy %.3f"
+              % (name, s["calls"], s["lanes_per_call"],
+                 s["lanes_per_sweep"], s["lanes"], s["occupancy"]))
 
     # Bit-for-bit: coalescing must never buy occupancy with a different
     # catalog.

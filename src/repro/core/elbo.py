@@ -609,6 +609,9 @@ def elbo_batch(
     context's counter bag — in practice a whole region shares one bag —
     making occupancy (and therefore the wasted work of inactive lanes)
     visible in perf reports (:func:`repro.perf.counters.batch_occupancy`).
+    The fused backend adds ``elbo_sweep_calls`` / ``elbo_sweep_lanes``: how
+    many stacked pixel sweeps the call split into, and how many lanes
+    those carried.
     """
     if len(frees) != len(ctxs):
         raise ValueError(

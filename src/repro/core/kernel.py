@@ -23,8 +23,11 @@ no expression-graph construction:
    covariance entries ``(sxx, sxy, syy)`` — are polynomials in the
    whitened offsets ``l = C^{-1} d`` times the density itself.  All
    components evaluate in one batched ``(K, M)`` sweep and contract
-   immediately to per-pixel feature rows (value, 5 gradient rows, 15
-   packed Hessian rows).
+   immediately to per-pixel feature rows (value and 5 gradient rows).
+   The 15 packed Hessian rows of a galaxy group are only ever needed
+   summed over pixels against two weight vectors, so they are never built
+   per pixel: they are contracted from Hermite moments
+   (:func:`_group_curvature`).
 2. The expected rate ``E[F]`` and second moment are *bilinear* in those
    per-pixel features and a 10-dimensional per-patch intermediate vector
    ``z = (upx, upy, sxx, sxy, syy, A_star, A_gal, B_star, B_gal,
@@ -207,12 +210,15 @@ _POOL_CAP = 512
 _LANE_SWEEP_BUDGET = 450_000
 
 #: Live float64 temporaries per ``(lane, component, pixel)`` element in the
-#: widest (order-2, variance-corrected) stacked sweep: offsets, whitened
-#: offsets, the density, and the handful of polynomial rows the feature
-#: contractions read concurrently.  Counted from :func:`_group_features`;
-#: deliberately a little generous so the working-set estimate errs toward
-#: smaller, cache-friendlier sweeps.
-_SWEEP_TEMPS = 12
+#: widest (order-2) stacked sweep, counted from :func:`_group_features`: the
+#: galaxy group in flight holds six named arrays (offsets, whitened offsets,
+#: the density and its var-scaled copy) and at most two expression
+#: temporaries; the group swept before it keeps only the three its moment
+#: pass reads, the star group none.  Charging every group the in-flight
+#: eight errs toward smaller, cache-friendlier sweeps.  The moment pass's
+#: monomial scratch is one fixed block per thread (:data:`_MOMENT_BLOCK`):
+#: it does not grow with the sweep and is not counted.
+_SWEEP_TEMPS = 8
 
 #: Lazily-detected ``(l2_bytes, last_level_bytes)`` — ``None`` before the
 #: first probe, ``(0, 0)`` when the sysfs probe failed.
@@ -773,13 +779,85 @@ def _star_features(pws: _PatchWorkspace, upx: np.ndarray, upy: np.ndarray,
     return val, grad, hess
 
 
+# Contract-first Hessian rows.  Every second derivative of a component in
+# the spatial variables is a u-derivative of its Gaussian, because
+# d g/dC_xx = (1/2) d^2 g/du_x^2 (and C_xy -> d^2/du_x du_y, C_yy likewise)
+# and a shape entry reaches C through ``var``: position x shape rows are
+# third and shape x shape rows fourth u-derivatives.  The u-derivatives are
+# the Hermite polynomials ``H_{a+e_i} = l_i H_a - sum_j I_ij dH_a/dl_j`` in
+# the whitened offsets times g, so a row contracted over pixels is a fixed
+# linear map of the moments ``sum_m lx^a ly^b g w`` with coefficients
+# polynomial in (ixx, ixy, iyy, var) — 12 distinct polynomials feed the 15
+# rows (rows (sxx, syy) and (sxy, sxy) are both H_xxyy).
+
+#: Pixels per moment block.  Fixed, so the monomial scratch is one
+#: ``(17, J, block)`` buffer per thread whatever the patch shape, and short
+#: enough that the multiply chain's operands stay cache-resident.
+_MOMENT_BLOCK = 512
+
+#: The 15 monomials ``lx^a ly^b`` with ``a + b <= 4``, by degree.
+_MONOMIALS = [(n - b, b) for n in range(5) for b in range(n + 1)]
+#: ``(k, parent, axis)``: monomial ``k`` is monomial ``parent`` times
+#: ``lx`` (axis 0) or ``ly`` (axis 1).
+_MONO_STEPS = [
+    (k, _MONOMIALS.index((a - 1, b) if a else (a, b - 1)), 0 if a else 1)
+    for k, (a, b) in enumerate(_MONOMIALS) if k]
+#: Exponents of ``(ixx, ixy, iyy)`` in the coefficient basis, in the order
+#: :func:`_group_features` fills it.
+_IMONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0),
+               (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+#: Each spatial variable as a u-derivative: axes, factor, power of var.
+_SPATIAL_DERIVS = (((0,), 1.0, 0), ((1,), 1.0, 0), ((0, 0), 0.5, 1),
+                   ((0, 1), 1.0, 1), ((1, 1), 0.5, 1))
+
+
+def _hermite_table() -> np.ndarray:
+    """``(15, 450)`` constant map from ``monomial x basis`` moments
+    (flattened ``l-monomial * 30 + var power * 10 + I-monomial``) to the
+    packed Hessian rows, from the Hermite recursion above run on
+    polynomials stored as ``{(a, b, p, q, r): coefficient}`` for the term
+    ``lx^a ly^b ixx^p ixy^q iyy^r``."""
+    def raised(poly, axis):
+        out: dict[tuple, float] = {}
+        for (a, b, p, q, r), coef in poly.items():
+            terms = [((a + 1 - axis, b + axis, p, q, r), coef)]
+            if a:   # -I[axis, x] d/dlx
+                terms.append(((a - 1, b, p + 1 - axis, q + axis, r),
+                              -coef * a))
+            if b:   # -I[axis, y] d/dly
+                terms.append(((a, b - 1, p, q + 1 - axis, r + axis),
+                              -coef * b))
+            for key, value in terms:
+                out[key] = out.get(key, 0.0) + value
+        return out
+
+    table = np.zeros((15, 15, 30))
+    for (p, q), row in _PAIR_ROW.items():
+        axes_p, factor_p, vpow_p = _SPATIAL_DERIVS[p]
+        axes_q, factor_q, vpow_q = _SPATIAL_DERIVS[q]
+        poly = {(0, 0, 0, 0, 0): factor_p * factor_q}
+        for axis in axes_p + axes_q:
+            poly = raised(poly, axis)
+        for (a, b, *imon), coef in poly.items():
+            table[row, _MONOMIALS.index((a, b)),
+                  (vpow_p + vpow_q) * 10
+                  + _IMONOMIALS.index(tuple(imon))] = coef
+    return table.reshape(15, 450)
+
+
+_HERMITE_TABLE = _hermite_table()
+
+
 def _group_features(gws: _GroupWorkspace, upx: np.ndarray, upy: np.ndarray,
                     s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
                     order: int, tag: str):
     """One galaxy group's spatial features, contracted over components for
-    every lane: value ``(G, M)``, gradient ``(G, 5, M)`` over
-    ``[upx, upy, sxx, sxy, syy]``, and packed Hessian ``(G, 15, M)`` in
-    :data:`_PAIRS` order.  Position and shape inputs are per-lane arrays."""
+    every lane: value ``(G, M)`` and gradient ``(G, 5, M)`` over
+    ``[upx, upy, sxx, sxy, syy]``.  The third return is ``None`` at order
+    1 and otherwise what :func:`_group_curvature` needs to contract the
+    packed Hessian rows over pixels — the per-pixel ``(G, 15, M)`` block
+    itself is never built.  Position and shape inputs are per-lane
+    arrays."""
     var = gws.var
     e1 = s1[:, None, None]
     e2 = s2[:, None, None]
@@ -798,53 +876,73 @@ def _group_features(gws: _GroupWorkspace, upx: np.ndarray, upy: np.ndarray,
     lx = ixx * dx + ixy * dy
     ly = ixy * dx + iyy * dy
     g = alpha * np.exp(-0.5 * (lx * dx + ly * dy))
-    gsz, m = g.shape[0], g.shape[2]
+    gsz, j, m = g.shape
 
     val = g.sum(axis=1)
     vg = var * g
-    lx2 = lx * lx
-    lxy = lx * ly
-    ly2 = ly * ly
-    d1 = 0.5 * (lx2 - ixx)
-    d2 = lxy - ixy
-    d3 = 0.5 * (ly2 - iyy)
-
     grad = _buf(tag + "_grad", (gsz, 5, m))
     np.sum(lx * g, axis=1, out=grad[:, 0])
     np.sum(ly * g, axis=1, out=grad[:, 1])
-    np.sum(d1 * vg, axis=1, out=grad[:, 2])
-    np.sum(d2 * vg, axis=1, out=grad[:, 3])
-    np.sum(d3 * vg, axis=1, out=grad[:, 4])
+    np.sum((0.5 * (lx * lx - ixx)) * vg, axis=1, out=grad[:, 2])
+    np.sum((lx * ly - ixy) * vg, axis=1, out=grad[:, 3])
+    np.sum((0.5 * (ly * ly - iyy)) * vg, axis=1, out=grad[:, 4])
     if order < 2:
         return val, grad, None
 
-    v2g = var * vg
-    hess = _buf(tag + "_hess", (gsz, 15, m))
-    # position x position
-    np.sum((lx2 - ixx) * g, axis=1, out=hess[:, 0])
-    np.sum((lxy - ixy) * g, axis=1, out=hess[:, 1])
-    np.sum((ly2 - iyy) * g, axis=1, out=hess[:, 5])
-    # position x shape: d^2 g/du dC_m = (dl/dC_m + l D_m) g, dl/dC = -I E l
-    np.sum((lx * (d1 - ixx)) * vg, axis=1, out=hess[:, 2])
-    np.sum((lx * d2 - ixx * ly - ixy * lx) * vg, axis=1, out=hess[:, 3])
-    np.sum((lx * d3 - ixy * ly) * vg, axis=1, out=hess[:, 4])
-    np.sum((ly * d1 - ixy * lx) * vg, axis=1, out=hess[:, 6])
-    np.sum((ly * d2 - ixy * ly - iyy * lx) * vg, axis=1, out=hess[:, 7])
-    np.sum((ly * (d3 - iyy)) * vg, axis=1, out=hess[:, 8])
-    # shape x shape: d^2 g/dC_m dC_n = (dD_n/dC_m + D_m D_n) g
-    np.sum((d1 * d1 - ixx * lx2 + 0.5 * ixx * ixx) * v2g, axis=1,
-           out=hess[:, 9])
-    np.sum((d1 * d2 - ixx * lxy - ixy * lx2 + ixx * ixy) * v2g, axis=1,
-           out=hess[:, 10])
-    np.sum((d1 * d3 - ixy * lxy + 0.5 * ixy * ixy) * v2g, axis=1,
-           out=hess[:, 11])
-    np.sum((d2 * d2 - ixx * ly2 - 2.0 * ixy * lxy - iyy * lx2
-            + ixx * iyy + ixy * ixy) * v2g, axis=1, out=hess[:, 12])
-    np.sum((d2 * d3 - ixy * ly2 - iyy * lxy + ixy * iyy) * v2g, axis=1,
-           out=hess[:, 13])
-    np.sum((d3 * d3 - iyy * ly2 + 0.5 * iyy * iyy) * v2g, axis=1,
-           out=hess[:, 14])
-    return val, grad, hess
+    # Per-component coefficient basis of the Hermite table: the ten
+    # monomials of (ixx, ixy, iyy) up to degree 2, times var^0..2.
+    imon = np.empty((gsz, 10, j))
+    imon[:, 0] = 1.0
+    imon[:, 1] = ixx[:, :, 0]
+    imon[:, 2] = ixy[:, :, 0]
+    imon[:, 3] = iyy[:, :, 0]
+    np.multiply(imon[:, 1:4], imon[:, 1:2], out=imon[:, 4:7])
+    np.multiply(imon[:, 2:4], imon[:, 2:3], out=imon[:, 7:9])
+    np.multiply(imon[:, 3], imon[:, 3], out=imon[:, 9])
+    vpow = np.ones((gsz, 3, j))
+    vpow[:, 1] = var[:, :, 0]
+    np.multiply(vpow[:, 1], vpow[:, 1], out=vpow[:, 2])
+    basis = (vpow[:, :, None] * imon[:, None]).reshape(gsz, 30, j)
+    return val, grad, (lx, ly, g, basis)
+
+
+def _group_curvature(keep, wts: np.ndarray) -> np.ndarray:
+    """One galaxy group's packed Hessian rows (:data:`_PAIRS` order)
+    contracted over pixels against ``C`` weight columns: ``keep`` from
+    :func:`_group_features`, ``wts`` ``(G, M, C)``, result ``(G, 15, C)``
+    — what ``_mv`` of the per-pixel ``(G, 15, M)`` block against each
+    column would give, without building the block.
+
+    Contract before expanding: every row is ``H(l) g`` for a Hermite
+    polynomial ``H`` of degree <= 4 (see :data:`_HERMITE_TABLE`), so the
+    only per-pixel work is the 15 monomials ``lx^a ly^b g`` (three copies
+    and 14 multiplies into scratch) and one GEMM per pixel block against
+    the weights.  The ``(15, J, C)`` moments then meet the per-component
+    coefficients in two small matmuls.  Pixel blocks have a fixed length
+    and each lane is contracted alone, so the scratch is one fixed block
+    per thread (never a buffer per patch shape) and a lane's block
+    boundaries — hence its summation order and its bits — do not depend
+    on what shares its stack."""
+    lx, ly, g, basis = keep
+    gsz, j, m = g.shape
+    c = wts.shape[2]
+    scratch = _buf("mono", (17 * j * _MOMENT_BLOCK,))
+    mom = np.zeros((gsz, 15 * j, c))
+    for lane in range(gsz):
+        for lo in range(0, m, _MOMENT_BLOCK):
+            hi = min(lo + _MOMENT_BLOCK, m)
+            # Rows 0-14 are the monomials, 15-16 contiguous copies of the
+            # block's lx / ly (every multiply then runs as one flat loop).
+            blk = scratch[:17 * j * (hi - lo)].reshape(17, j, hi - lo)
+            blk[0] = g[lane, :, lo:hi]
+            blk[15] = lx[lane, :, lo:hi]
+            blk[16] = ly[lane, :, lo:hi]
+            for k, parent, axis in _MONO_STEPS:
+                np.multiply(blk[parent], blk[15 + axis], out=blk[k])
+            mom[lane] += np.matmul(blk[:15].reshape(15 * j, hi - lo),
+                                   wts[lane, lo:hi])
+    q = np.matmul(basis[:, None], mom.reshape(gsz, 15, j, c))
+    return np.matmul(_HERMITE_TABLE, q.reshape(gsz, 450, c))
 
 
 # ---------------------------------------------------------------------------
@@ -1221,8 +1319,8 @@ def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
     dev = chain.dev
 
     gs, dgs, hgs = _star_features(pws, upx, upy, order)
-    gd, dgd, hgd = _group_features(pws.dev, upx, upy, s1, s2, s3, order, "d")
-    ge, dge, hge = _group_features(pws.exp, upx, upy, s1, s2, s3, order, "e")
+    gd, dgd, kd = _group_features(pws.dev, upx, upy, s1, s2, s3, order, "d")
+    ge, dge, ke = _group_features(pws.exp, upx, upy, s1, s2, s3, order, "e")
 
     devc = dev[:, None]                 # broadcast over (G, M)
     dev5 = dev[:, None, None]           # broadcast over (G, 5, M)
@@ -1299,8 +1397,12 @@ def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
     # Upper-triangular accumulator, symmetrized at the end.
     t = np.zeros((gsz, 10, 10))
     ch = _mv(hgs, phi_e)                # (G, 3): star [xx, xy, yy]
-    cg = _mv(hgd, phi_e)                # packed galaxy pairs (G, 15)
-    cg = devc * cg + (1.0 - devc) * _mv(hge, phi_e)
+    # Packed galaxy pairs (G, 15, C), pixel-contracted against phi_e and
+    # (with the variance correction) phi_e2 * gg in one pass per group.
+    wts = np.stack([phi_e, phi_e2 * gg] if vc else [phi_e], axis=-1)
+    cgw = dev5 * _group_curvature(kd, wts) \
+        + (1.0 - dev5) * _group_curvature(ke, wts)
+    cg = cgw[:, :, 0]
     t[:, 0, 0] = amp_s * ch[:, 0] + amp_g * cg[:, 0]
     t[:, 0, 1] = amp_s * ch[:, 1] + amp_g * cg[:, 1]
     t[:, 1, 1] = amp_s * ch[:, 2] + amp_g * cg[:, 5]
@@ -1319,9 +1421,8 @@ def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
     t[:, 6, 9] = np.sum(dlg * phi_e, axis=-1)
 
     if vc:
-        wg = phi_e2 * gg
         cs2 = _mv(hgs, phi_e2 * gs)
-        cg2 = devc * _mv(hgd, wg) + (1.0 - devc) * _mv(hge, wg)
+        cg2 = cgw[:, :, 1]
         m1 = np.matmul(dgs * phi_e2[:, None, :],
                        dgs.transpose(0, 2, 1))    # (G, 2, 2)
         m2 = np.matmul(dgg * phi_e2[:, None, :],
@@ -1543,6 +1644,13 @@ def elbo_fused_batch(
         chain = _EvalChain(u_centers, frees_g, order, variance_correction)
         if stacks:
             val, g27, h27 = _evaluate_lanes(stacks, chain, order, target)
+            # What the kernel really stacked (a batch call splits into one
+            # sweep per shape group): observational, like the front end's
+            # elbo_batch_* pair, and on the sweep's first context's bag.
+            ctxs[lanes[0]].counters.add_many({
+                "elbo_sweep_calls": 1.0,
+                "elbo_sweep_lanes": float(len(lanes)),
+            })
         else:
             gsz = len(lanes)
             val = np.zeros(gsz)

@@ -22,6 +22,16 @@ Both targets promise **tolerance-level** parity with the NumPy reference,
 not bit equality: they re-associate reductions, so their last bits differ.
 That is exactly why the driver checkpoint-fingerprints the target name —
 a resume never silently mixes targets (``tests/test_kernel_targets.py``).
+
+**The per-pixel form here is an oracle.**  The reference target no longer
+builds a galaxy group's 15 packed Hessian rows per pixel: it contracts
+them over pixels from Hermite moments
+(:func:`repro.core.kernel._group_curvature`).  This module keeps the
+direct per-pixel formulation (:func:`_group_features_xp` and the numba
+sweep), derived row by row from the closed forms rather than from the
+Hermite table, so it is the independent check that algebra is tested
+against (``TestContractedCurvature`` in ``tests/test_kernel_targets.py``)
+— do not port the contraction here without leaving another oracle behind.
 """
 
 from __future__ import annotations

@@ -17,6 +17,13 @@ are real wasted pixel work; :func:`batch_occupancy` turns the counters
 into the fraction of swept lanes that were live — 1.0 means no waste,
 and a low value means the repack threshold is letting dead lanes ride
 too long.
+
+**Lanes per sweep.**  ``elbo_batch_lanes / elbo_batch_calls`` is the width
+of a *call*.  The fused kernel stacks only lanes of equal patch shape, so
+one call runs as one pixel sweep per shape group; it counts those as
+``elbo_sweep_calls`` / ``elbo_sweep_lanes``, and their ratio is the width
+the stacked NumPy sweeps actually ran at (about one on survey data, where
+patch shapes rarely coincide).
 """
 
 from __future__ import annotations

@@ -131,6 +131,24 @@ class TestBatchedEvaluationParity:
         assert snap["elbo_batch_lanes_active"] == 3.0
         assert batch_occupancy(snap) == pytest.approx(0.6)
 
+    def test_sweep_counters_report_what_the_kernel_stacked(
+            self, make_random_context):
+        # elbo_batch_lanes counts lanes per *call*; the kernel only stacks
+        # lanes of equal patch shape, so differently-shaped lanes sweep one
+        # at a time however wide the call — and the counters must say so.
+        def sweeps(specs):
+            ctxs, frees = _batch(make_random_context, specs)
+            elbo_batch(ctxs, frees, order=2, backend="fused")
+            snaps = [c.counters.snapshot() for c in ctxs]
+            assert snaps[0]["elbo_batch_lanes"] == float(len(ctxs))
+            return (sum(s.get("elbo_sweep_calls", 0.0) for s in snaps),
+                    sum(s.get("elbo_sweep_lanes", 0.0) for s in snaps))
+
+        shapes = [(16, 16), (18, 16), (20, 22)]
+        assert sweeps([dict(entry="galaxy", seed=i, patch_shape=shape)
+                       for i, shape in enumerate(shapes)]) == (3.0, 3.0)
+        assert sweeps(UNIFORM) == (1.0, float(len(UNIFORM)))
+
     def test_batch_occupancy_zero_batches(self):
         # A run where no batched evaluation ever happened wasted no lanes:
         # occupancy is defined as 1.0, not a division by zero.

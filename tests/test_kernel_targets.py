@@ -19,12 +19,17 @@ from repro.core import default_priors
 from repro.core.elbo import elbo, elbo_batch, elbo_kl
 from repro.core.joint import JointConfig
 from repro.core.kernel import (
+    _MOMENT_BLOCK,
     DEFAULT_KERNEL_TARGET,
     KERNEL_TARGET_ENV_VAR,
+    _group_curvature,
+    _group_features,
+    _GroupWorkspace,
     available_kernel_targets,
     get_kernel_target,
     resolve_kernel_target_name,
 )
+from repro.core.kernel_targets import _group_features_xp
 from repro.core.single import OptimizeConfig, optimize_source
 from repro.driver import DriverConfig, run_pipeline
 from repro.driver.pipeline import _fingerprint, _pin_elbo_backend
@@ -145,6 +150,77 @@ class TestRandomizedParity:
                                       ref.gradient(free.size))
         np.testing.assert_array_equal(out.hessian(free.size),
                                       ref.hessian(free.size))
+
+
+def _random_group(rng, n_lanes, n_comp, n_pix, near_singular):
+    """A lane-stacked galaxy group on a raster of ``n_pix`` pixels with its
+    per-lane position and shape inputs.  ``near_singular`` makes lane 0's
+    first component a needle (covariance condition number ~1e5)."""
+    side = int(np.ceil(np.sqrt(n_pix)))
+    py, px = np.divmod(np.arange(n_pix), side)
+    lanes = []
+    for lane in range(n_lanes):
+        w = rng.uniform(0.05, 1.0, (n_comp, 1))
+        var = rng.uniform(0.1, 4.0, (n_comp, 1))
+        mux, muy = rng.normal(0.0, 0.5, (2, n_comp, 1))
+        pxx, pyy = rng.uniform(0.8, 3.0, (2, n_comp, 1))
+        pxy = rng.uniform(-0.6, 0.6, (n_comp, 1))
+        if near_singular and lane == 0:
+            var[0], pxx[0], pxy[0], pyy[0] = 1e-3, 1.0, 0.99999, 1.0
+        lanes.append(_GroupWorkspace((w, var, mux, muy, pxx, pxy, pyy),
+                                     px.astype(float), py.astype(float)))
+    upx = side / 2.0 + rng.normal(0.0, 0.5, n_lanes)
+    upy = side / 2.0 + rng.normal(0.0, 0.5, n_lanes)
+    s1, s3 = rng.uniform(0.5, 3.0, (2, n_lanes))
+    s2 = rng.uniform(-0.5, 0.5, n_lanes) * np.sqrt(s1 * s3)
+    if near_singular:
+        s1[0], s2[0], s3[0] = 1.0, 0.9999, 1.0
+    return lanes, (upx, upy, s1, s2, s3)
+
+
+class TestContractedCurvature:
+    """The reference target contracts the galaxy Hessian rows over pixels
+    from Hermite moments and never builds them per pixel; this module's
+    per-pixel targets still do, which makes ``_group_features_xp`` the
+    independent oracle of that algebra."""
+
+    @pytest.mark.parametrize("near_singular", [False, True])
+    @pytest.mark.parametrize("n_pix", [1, 7, _MOMENT_BLOCK - 1,
+                                       _MOMENT_BLOCK, _MOMENT_BLOCK + 1,
+                                       3 * _MOMENT_BLOCK + 5])
+    @pytest.mark.parametrize("n_comp", [8, 14])
+    @pytest.mark.parametrize("n_lanes", [1, 3])
+    def test_matches_contracted_per_pixel_rows(self, n_lanes, n_comp, n_pix,
+                                               near_singular):
+        rng = np.random.default_rng(1000 * n_lanes + 10 * n_comp + n_pix)
+        lanes, args = _random_group(rng, n_lanes, n_comp, n_pix,
+                                    near_singular)
+        gws = _GroupWorkspace._concat(lanes)
+        wts = rng.standard_normal((n_lanes, n_pix, 2))   # both signs
+        _, _, rows = _group_features_xp(np, gws, *args, 2)
+        _, _, keep = _group_features(gws, *args, 2, "t")
+        # "Relative" is to the sum of absolute per-pixel contributions —
+        # the yardstick a reordered floating-point sum is held to.
+        for cols in (wts, wts[:, :, :1]):   # with / without the variance
+            out = _group_curvature(keep, cols)          # correction column
+            assert out.shape == (n_lanes, 15, cols.shape[2])
+            scale = np.matmul(np.abs(rows), np.abs(cols))
+            assert np.all(np.abs(out - np.matmul(rows, cols))
+                          <= 1e-11 * scale)
+
+    def test_lane_alone_equals_lane_in_stack(self):
+        rng = np.random.default_rng(5)
+        n_pix = 2 * _MOMENT_BLOCK + 3
+        lanes, args = _random_group(rng, 3, 14, n_pix, near_singular=True)
+        wts = rng.standard_normal((3, n_pix, 2))
+        _, _, keep = _group_features(_GroupWorkspace._concat(lanes), *args,
+                                     2, "t")
+        stacked = _group_curvature(keep, wts)
+        for i, lane in enumerate(lanes):
+            _, _, keep = _group_features(
+                lane, *(a[i:i + 1] for a in args), 2, "t")
+            np.testing.assert_array_equal(
+                _group_curvature(keep, wts[i:i + 1])[0], stacked[i])
 
 
 class TestOptimizerPlumbing:
