@@ -122,86 +122,6 @@ def test_driver_executor_modes(benchmark, rng):
     )
 
 
-def test_driver_batch_occupancy(benchmark, rng):
-    """Cross-assignment batching's payoff in the full driver: with batch
-    coalescing on (the default), lockstep evaluation spans multiple Cyclades
-    rounds, so stacked calls carry more lanes and far more of the per-source
-    work is served batched instead of falling back to length-1 scalar runs —
-    with the catalog bit-for-bit unchanged (coalescing is an execution
-    strategy, like the executor choice).
-
-    The survey here is separated (min_separation well past the conflict
-    radius) so the conflict graph shatters: that is the regime where small
-    sampling rounds fragment lockstep lanes and coalescing wins them back.
-    A small ``batch_size`` stands in for the paper-scale situation where a
-    region holds many more sources than one sampling round."""
-    import dataclasses
-
-    from repro.perf import batch_occupancy
-
-    sky = SyntheticSkyConfig(
-        source_density=40.0, min_separation=26.0, flux_floor=20.0
-    )
-    survey_rng = np.random.default_rng(rng.integers(1 << 31))
-    truth, fields = generate_survey_fields(
-        2, field_shape_hw=(96, 96), overlap=8.0,
-        config=sky, rng=survey_rng, bands=(2,) if SMOKE else (1, 2),
-    )
-    batch = 8
-
-    def run():
-        out = {}
-        for coalesce in (False, True):
-            config = dataclasses.replace(
-                _config(), elbo_batch_size=batch, target_weight=400.0,
-                parallel=dataclasses.replace(
-                    _config().parallel, batch_size=3,
-                    coalesce_batches=coalesce),
-            )
-            out[coalesce] = run_pipeline(fields, config)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    def stats(res):
-        c = res.counters
-        calls = c.get("elbo_batch_calls", 0.0)
-        lanes = c.get("elbo_batch_lanes", 0.0)
-        sweeps = c.get("elbo_sweep_calls", 0.0)
-        return {
-            "calls": calls,
-            "lanes": lanes,
-            "lanes_per_call": lanes / calls if calls else 0.0,
-            "lanes_per_sweep": (c.get("elbo_sweep_lanes", 0.0) / sweeps
-                                if sweeps else 0.0),
-            "occupancy": batch_occupancy(c),
-        }
-
-    split, merged = stats(results[False]), stats(results[True])
-    print_header("Lockstep batching: per-round vs cross-assignment runs"
-                 " (B=%d)" % batch)
-    for name, s in (("per-round", split), ("coalesced", merged)):
-        print("  %-10s %6d stacked calls  %5.2f lanes/call  "
-              "%5.2f lanes/sweep  %6d batched lane-evals  occupancy %.3f"
-              % (name, s["calls"], s["lanes_per_call"],
-                 s["lanes_per_sweep"], s["lanes"], s["occupancy"]))
-
-    # Bit-for-bit: coalescing must never buy occupancy with a different
-    # catalog.
-    plain, merged_res = results[False], results[True]
-    assert len(plain.catalog) == len(merged_res.catalog)
-    for a, b in zip(plain.catalog, merged_res.catalog):
-        assert np.array_equal(a.position, b.position)
-        assert a.flux_r == b.flux_r
-    # The point of the feature: the same per-source work rides fuller
-    # stacked calls, and more of it is batched at all (a length-1 run falls
-    # back to the scalar path and batches nothing).
-    assert merged["lanes_per_call"] > split["lanes_per_call"]
-    assert merged["lanes"] > split["lanes"]
-    # Lane repacking keeps the swept batches dense in both modes.
-    assert merged["occupancy"] >= 0.5
-
-
 def test_driver_race_detect_overhead(benchmark, rng):
     """Cost of the determinism instrumentation: the same run with shadow
     RMA recording, Cyclades shadow writes, and pre-execution schedule
@@ -214,9 +134,11 @@ def test_driver_race_detect_overhead(benchmark, rng):
     def run():
         out = {}
         for detect in (False, True):
+            config = _config()
             config = dataclasses.replace(
-                _config(), race_detect=detect, verify_schedule=detect
-            )
+                config, parallel=dataclasses.replace(
+                    config.parallel, race_detect=detect,
+                    verify_schedule=detect))
             out[detect] = run_pipeline(fields, config)
         return out
 
@@ -254,7 +176,10 @@ def test_driver_numeric_check_overhead(benchmark, rng):
     def run():
         out = {}
         for check in (False, True):
-            config = dataclasses.replace(_config(), numeric_check=check)
+            config = _config()
+            config = dataclasses.replace(
+                config, parallel=dataclasses.replace(
+                    config.parallel, numeric_check=check))
             out[check] = run_pipeline(fields, config)
         return out
 

@@ -2,15 +2,14 @@
 
 Runs the AST lint over the given files/directories (default: the installed
 ``repro`` package sources), the knob-provenance pass (KNOB3xx — the whole-
-package cross-check of declared provenance against the fingerprint schema
-and knob dataflow), and, unless ``--no-audit`` is passed, a seeded schedule
+package cross-check of declared provenance against knob dataflow), and,
+unless ``--no-audit`` is passed, a seeded schedule
 audit that drives the production conflict graph + Cyclades scheduler on
 random geometry and verifies every emitted batch with the independent box
 checker.  This is the CI ``analysis`` job.
 
 ``--list-knobs`` prints the knob manifest — every config field and
-registered env var with its declared provenance and fingerprint status —
-and exits.
+registered env var with its declared provenance — and exits.
 
 Exit status is a bitmask so CI can distinguish failure modes:
 
@@ -75,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list-knobs", action="store_true",
         help="print the knob manifest (every config field and env var "
-             "with declared provenance and fingerprint status) and exit")
+             "with declared provenance) and exit")
     parser.add_argument(
         "--audit-seed", type=int, default=20180131,
         help="seed for the schedule audit's random geometry")
@@ -90,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps([
                 {"knob": k.qualname, "kind": k.kind,
                  "provenance": k.provenance,
-                 "fingerprinted": k.fingerprinted,
                  "resolves_to": k.resolves_to,
                  "declared_at": "%s:%d" % (k.rel_path, k.line),
                  "read_paths": list(k.read_paths)}

@@ -23,8 +23,8 @@ DET104    Reductions in lane-stacked modules must pass an explicit
           batched-evaluation bug class.
 DET105    No wall clock (``time.time``/``datetime.now``) in fingerprinted
           paths — results must be functions of inputs and seeds only.
-DET106    Resource acquisitions (ELBO scratch loops, ``SharedMemory``,
-          ``tempfile``) pair with their release in a ``finally`` (or a
+DET106    Resource acquisitions (ELBO scratch loops, ``tempfile``) pair
+          with their release in a ``finally`` (or a
           re-raising handler), or hand ownership to ``self`` (the PR-4
           lifecycle bug class).
 DET107    Filesystem listings (``os.listdir``/``glob``) are sorted before
@@ -58,11 +58,12 @@ NUM206    Division by a difference (or by an ``exp``) must guard the
           denominator away from zero.
 ========  ==================================================================
 
-The KNOB rules (KNOB300–KNOB304, :mod:`repro.analysis.provenance`) are the
+The KNOB rules (KNOB300–KNOB303, :mod:`repro.analysis.provenance`) are the
 knob-provenance contract: every config field and registered env var
 declares its provenance class, and the declarations are cross-checked
-against the actual checkpoint fingerprint schema and against where each
-knob's value flows.  They are whole-package properties, so the provenance
+against each other and against where each knob's value flows (the
+checkpoint fingerprint is derived from them, so there is no schema to
+compare with).  They are whole-package properties, so the provenance
 pass runs them once per tree rather than per file; suppression works the
 same way.
 
@@ -169,23 +170,20 @@ RULES: dict[str, tuple[str, tuple | None]] = {
                _CONVERGENCE_MODULES),
     "NUM206": ("division by a difference or by an exp must guard the "
                "denominator away from zero", _MODEL_PARAM_MODULES),
-    # The KNOB rules are whole-package properties (inventory, fingerprint
-    # schema, cross-module dataflow), checked by the provenance pass
+    # The KNOB rules are whole-package properties (inventory, cross-module
+    # dataflow), checked by the provenance pass
     # (:mod:`repro.analysis.provenance`) rather than per file; they are
     # registered here so the suppression machinery and the docs catalogue
     # speak one rule vocabulary.
     "KNOB300": ("every config field and registered env var declares a "
                 "provenance class via repro.knobs.knob / "
                 "EnvVar(provenance=...)", None),
-    "KNOB301": ("provenance declarations agree with the actual "
-                "_fingerprint/_parallel_fingerprint schema and with env "
-                "resolves_to targets", None),
+    "KNOB301": ("an env var's provenance declaration agrees with the "
+                "config field it resolves_to", None),
     "KNOB302": ("scheduling/observational knob values must not flow into "
                 "evaluation modules", None),
     "KNOB303": ("no dead fingerprinted knobs: a fingerprinted knob nothing "
                 "reads poisons resume compatibility for free", None),
-    "KNOB304": ("every fingerprint key maps to a declared knob or a "
-                "structural input", None),
 }
 
 _SUPPRESSION_RE = re.compile(
@@ -482,7 +480,6 @@ def _check_wall_clock(tree, path):
 
 #: callee name -> release callee names that discharge it.
 _ACQUIRE_RELEASE = {
-    "SharedMemory": {"close", "unlink"},
     "mkstemp": {"close", "fdopen", "unlink", "remove", "rmtree"},
     "mkdtemp": {"rmtree"},
     # The ELBO scratch contract: loops driving per-source optimization

@@ -1,27 +1,27 @@
 """Static knob-provenance analysis: the KNOB3xx rules.
 
-The checkpoint/resume story hangs on ``driver/pipeline.py::_fingerprint``
-covering *every result-affecting knob* — and on every excluded knob being
-excluded on purpose.  Each knob (a dataclass field of one of the
-:data:`KNOB_CONFIG_CLASSES` or a registered ``REPRO_*`` variable) now
-carries a machine-readable provenance declaration
-(:func:`repro.knobs.knob` / ``EnvVar.provenance``), and this module is the
-static half of the contract that keeps those declarations honest.  It never
-imports the analyzed code: the whole pass — inventory, fingerprint schema,
-read sites, dataflow — is built from the AST of a source tree, so tests can
-run it against deliberately broken copies of the package.
+The checkpoint/resume story hangs on the checkpoint fingerprint covering
+*every result-affecting knob* — and on every excluded knob being excluded
+on purpose.  Each knob (a dataclass field of one of the
+:data:`KNOB_CONFIG_CLASSES` or a registered ``REPRO_*`` variable) carries
+a machine-readable provenance declaration (:func:`repro.knobs.knob` /
+``EnvVar.provenance``), and the fingerprint is *derived* from those
+declarations (:func:`repro.knobs.fingerprinted_values`), so "declared
+fingerprinted" and "in the fingerprint" cannot disagree.  What a
+declaration can still get wrong is its class, and this module is the
+static half of the contract that keeps the classes honest.  It never
+imports the analyzed code: the whole pass — inventory, read sites, dataflow
+— is built from the AST of a source tree, so tests can run it against
+deliberately broken copies of the package.
 
 The pass:
 
 1. **Inventories** every knob and requires a valid declaration (KNOB300).
-2. **Extracts the actual fingerprint schema** — the dict-literal keys of
-   ``_fingerprint`` and the ``d.pop(...)`` exclusions of
-   ``_parallel_fingerprint`` — and cross-checks every declaration against
-   it, in both directions (KNOB301, KNOB304).  ``dataclasses.asdict``
-   recursion is modeled structurally: the ``photo`` key carries every
-   ``PhotoConfig`` field, the ``parallel`` key carries every
-   ``ParallelRegionConfig`` field not popped, and the nested
-   ``joint``/``single`` sub-dicts carry ``JointConfig``/``OptimizeConfig``.
+2. **Holds an env var to its config field**: a variable that is the
+   environment face of a field (``resolves_to``) must name a declared
+   field and share its class, and a ``fingerprinted`` variable must
+   resolve into one — otherwise its value would never reach the
+   fingerprint (KNOB301).
 3. **Traces each knob's reads** through the tree: attribute loads of the
    field name, registry reads of the variable name, and — via per-function
    taint over assignments plus import-resolved call arguments — values
@@ -36,17 +36,13 @@ The pass:
 KNOB300   Every knob declares a provenance class ("fingerprinted",
           "neutral", "observational", "scheduling") via
           ``repro.knobs.knob`` / ``EnvVar(provenance=...)``.
-KNOB301   Declarations agree with the actual fingerprint: a declared-
-          fingerprinted knob the fingerprint never records, a declared-
-          neutral knob it does record, or an env var whose declaration
-          disagrees with the config field it resolves to.
+KNOB301   An env var's declaration agrees with the config field it
+          resolves to, and a fingerprinted env var resolves to one.
 KNOB302   A scheduling/observational knob's value must not flow into the
           evaluation modules — if results can depend on it, it is not a
           scheduling knob.
 KNOB303   A fingerprinted knob with no read site anywhere is dead — it
           poisons resume compatibility without affecting results.
-KNOB304   Every ``_fingerprint`` key maps to a declared knob (or the
-          structural allowlist: inputs like ``n_fields``/``field_shapes``).
 ========  ==================================================================
 
 Suppression uses the shared ``# det: ignore[KNOB30x] -- why`` machinery;
@@ -95,11 +91,8 @@ _EVAL_MODULES = ("core/elbo", "core/kernel", "core/single.py",
 #: package itself (rule tables and fixtures mention every knob by name).
 _READ_EXEMPT = ("analysis/", "envvars.py", "knobs.py")
 
-#: ``_fingerprint`` keys that describe the *inputs*, not a config knob.
-_STRUCTURAL_FINGERPRINT_KEYS = {"n_fields", "field_shapes"}
-
 #: The typed read functions of the env registry.
-_ENV_READERS = {"env_raw", "env_flag", "env_int", "env_float"}
+_ENV_READERS = {"env_raw", "env_flag", "env_int"}
 
 
 @dataclass(frozen=True)
@@ -117,9 +110,6 @@ class Knob:
     path: str
     rel_path: str
     line: int
-    #: Whether the knob actually lands in the checkpoint fingerprint,
-    #: per the extracted ``_fingerprint``/``_parallel_fingerprint`` schema.
-    fingerprinted: bool
     #: For env vars: the "ClassName.field" this variable resolves into.
     resolves_to: str | None
     #: Package-relative paths with a read site for this knob.
@@ -212,8 +202,6 @@ class _Analysis:
                             self._env_constants[t.id] = node.value.value
         self.config_fields = self._collect_config_fields()
         self.env_vars = self._collect_env_vars()
-        (self.fingerprint_keys, self.fingerprint_pops,
-         self.fingerprint_rel) = self._extract_fingerprint()
         self._read_paths = self._collect_read_paths()
 
     # -- inventory ---------------------------------------------------------
@@ -262,55 +250,6 @@ class _Analysis:
                 out.setdefault(
                     name, (provenance, resolves_to, rel, path, node.lineno))
         return out
-
-    # -- fingerprint schema ------------------------------------------------
-
-    def _extract_fingerprint(self):
-        """(dict-literal keys of ``_fingerprint`` with their source lines,
-        popped keys of ``_parallel_fingerprint``, defining rel path)."""
-        keys: dict[str, int] = {}
-        pops: set[str] = set()
-        fingerprint_rel = None
-        for rel, (_, _, tree) in sorted(self.modules.items()):
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.FunctionDef):
-                    continue
-                if node.name == "_fingerprint":
-                    fingerprint_rel = rel
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.Return) \
-                                and isinstance(sub.value, ast.Dict):
-                            for k in sub.value.keys:
-                                if isinstance(k, ast.Constant) \
-                                        and isinstance(k.value, str):
-                                    keys.setdefault(k.value, k.lineno)
-                elif node.name == "_parallel_fingerprint":
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.Call) \
-                                and isinstance(sub.func, ast.Attribute) \
-                                and sub.func.attr == "pop" and sub.args \
-                                and isinstance(sub.args[0], ast.Constant):
-                            pops.add(sub.args[0].value)
-        return keys, pops, fingerprint_rel
-
-    def effective_fingerprinted(self, cls: str, field_name: str) -> bool:
-        """Whether one config field actually lands in the fingerprint,
-        modeling ``asdict`` recursion through the nested config keys."""
-        keys, pops = self.fingerprint_keys, self.fingerprint_pops
-        if cls == "DriverConfig":
-            return field_name in keys
-        if cls == "PhotoConfig":
-            return "photo" in keys
-        if cls == "ParallelRegionConfig":
-            return "parallel" in keys and field_name not in pops
-        if cls == "JointConfig":
-            return "parallel" in keys and "joint" not in pops
-        if cls == "OptimizeConfig":
-            return ("parallel" in keys and "joint" not in pops
-                    and "single" not in pops)
-        if cls == "DtreeConfig":
-            return "dtree" in keys
-        return False
 
     # -- read sites and dataflow -------------------------------------------
 
@@ -486,8 +425,8 @@ def _package_root(root: str | None) -> str:
 
 def knob_inventory(root: str | None = None) -> list[Knob]:
     """The full knob manifest of a source tree (default: this package):
-    every config field and registered env var, with declared provenance,
-    effective fingerprint membership, and read sites."""
+    every config field and registered env var, with declared provenance
+    and read sites."""
     a = _Analysis(_package_root(root))
     out: list[Knob] = []
     for cls in KNOB_CONFIG_CLASSES:
@@ -495,7 +434,6 @@ def knob_inventory(root: str | None = None) -> list[Knob]:
             out.append(Knob(
                 kind="field", owner=cls, name=name, provenance=provenance,
                 path=path, rel_path=rel, line=line,
-                fingerprinted=a.effective_fingerprinted(cls, name),
                 resolves_to=None,
                 read_paths=a.read_paths("field", name),
             ))
@@ -504,7 +442,6 @@ def knob_inventory(root: str | None = None) -> list[Knob]:
         out.append(Knob(
             kind="env", owner="env", name=name, provenance=provenance,
             path=path, rel_path=rel, line=line,
-            fingerprinted=provenance == "fingerprinted",
             resolves_to=resolves_to,
             read_paths=a.read_paths("env", name),
         ))
@@ -514,25 +451,21 @@ def knob_inventory(root: str | None = None) -> list[Knob]:
 def render_inventory(knobs: list[Knob]) -> str:
     """The human-readable manifest (``--list-knobs``)."""
     lines = [
-        "%-40s %-14s %-14s %s" % ("knob", "provenance", "fingerprint",
-                                  "declared at"),
-        "-" * 100,
+        "%-40s %-14s %s" % ("knob", "provenance", "declared at"),
+        "-" * 85,
     ]
     for k in knobs:
-        lines.append("%-40s %-14s %-14s %s:%d" % (
-            k.qualname,
-            k.provenance or "UNDECLARED",
-            "fingerprinted" if k.fingerprinted else "-",
-            k.rel_path, k.line,
+        lines.append("%-40s %-14s %s:%d" % (
+            k.qualname, k.provenance or "UNDECLARED", k.rel_path, k.line,
         ))
-    counts: dict[str, int] = {}
+    counts = dict.fromkeys(PROVENANCE_CLASSES, 0)
     for k in knobs:
         key = k.provenance or "UNDECLARED"
         counts[key] = counts.get(key, 0) + 1
-    lines.append("-" * 100)
+    lines.append("-" * 85)
     lines.append("%d knobs: %s" % (
         len(knobs),
-        ", ".join("%d %s" % (counts[c], c) for c in sorted(counts)),
+        ", ".join("%d %s" % (n, c) for c, n in counts.items()),
     ))
     return "\n".join(lines)
 
@@ -541,7 +474,7 @@ def _raw_violations(a: _Analysis) -> list[LintViolation]:
     out: list[LintViolation] = []
     field_index: dict[str, dict[str, str | None]] = {}
 
-    # KNOB300 + KNOB301 (+ KNOB303 below) over config fields.
+    # KNOB300 + KNOB303 over config fields.
     for cls in KNOB_CONFIG_CLASSES:
         field_index[cls] = {}
         for name, provenance, rel, path, line in a.config_fields.get(cls, []):
@@ -555,28 +488,7 @@ def _raw_violations(a: _Analysis) -> list[LintViolation]:
                             "provenance=one of %r)"
                             % (qual, list(PROVENANCE_CLASSES)),
                 ))
-                continue
-            if a.fingerprint_rel is None:
-                continue
-            effective = a.effective_fingerprinted(cls, name)
-            if provenance == "fingerprinted" and not effective:
-                out.append(LintViolation(
-                    path=path, line=line, rule="KNOB301",
-                    message="%s declares provenance 'fingerprinted' but "
-                            "%s::_fingerprint never records it; add the "
-                            "key (or un-pop it) or re-declare the knob"
-                            % (qual, a.fingerprint_rel),
-                ))
-            elif provenance != "fingerprinted" and effective:
-                out.append(LintViolation(
-                    path=path, line=line, rule="KNOB301",
-                    message="%s declares provenance '%s' but lands in the "
-                            "checkpoint fingerprint via %s::_fingerprint; "
-                            "pop it in _parallel_fingerprint or declare "
-                            "it 'fingerprinted'"
-                            % (qual, provenance, a.fingerprint_rel),
-                ))
-            if provenance == "fingerprinted" \
+            elif provenance == "fingerprinted" \
                     and not a.read_paths("field", name):
                 out.append(LintViolation(
                     path=path, line=line, rule="KNOB303",
@@ -669,22 +581,6 @@ def _raw_violations(a: _Analysis) -> list[LintViolation]:
                         % (name, provenance, detail),
             ))
 
-    # KNOB304: fingerprint keys with no declared knob behind them.
-    if a.fingerprint_rel is not None:
-        driver_fields = set(field_index.get("DriverConfig", ()))
-        fp_path, _, _ = a.modules[a.fingerprint_rel]
-        for key, line in sorted(a.fingerprint_keys.items()):
-            if key in _STRUCTURAL_FINGERPRINT_KEYS \
-                    or key in driver_fields:
-                continue
-            out.append(LintViolation(
-                path=fp_path, line=line, rule="KNOB304",
-                message="fingerprint key %r maps to no declared knob; "
-                        "every fingerprint entry must be a DriverConfig "
-                        "field or a structural input (%s)"
-                        % (key, "/".join(sorted(
-                            _STRUCTURAL_FINGERPRINT_KEYS))),
-            ))
     return out
 
 

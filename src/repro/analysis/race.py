@@ -24,7 +24,7 @@ The pieces, in the style of
     never conflict: an epoch boundary is a synchronization point (a
     Cyclades batch barrier, a driver stage).
 
-Enabled via ``DriverConfig.race_detect`` / ``REPRO_RACE_DETECT=1``;
+Enabled via ``ParallelRegionConfig.race_detect`` / ``REPRO_RACE_DETECT=1``;
 findings surface in :class:`repro.perf.driver.DriverReport`.
 """
 

@@ -56,8 +56,7 @@ class JointConfig:
     """Knobs for region-level block coordinate ascent.
 
     All fields are ``fingerprinted`` (:func:`repro.knobs.knob`): the whole
-    config rides into the checkpoint fingerprint through the ``joint`` key
-    of ``_parallel_fingerprint``.
+    config rides into the checkpoint fingerprint.
     """
 
     n_passes: int = knob(2, provenance="fingerprinted")

@@ -121,7 +121,7 @@ from repro.core.params import (
     _BIJ_SCALE,
 )
 from repro.core.priors import Priors
-from repro.envvars import env_int, env_raw
+from repro.envvars import env_raw
 from repro.transforms import LogitBox
 from repro.transforms.bijectors import softmax_fixed_last_d012_stacked
 
@@ -200,11 +200,10 @@ _TLS = threading.local()
 _POOL_CAP = 512
 
 #: Fallback max ``(lane, component, pixel)`` elements per stacked batch
-#: sweep, used only when the host's cache sizes cannot be read (and no
-#: ``REPRO_SWEEP_BUDGET`` override is set).  The historical hand-tuned
-#: value: roughly one ~3.5 MB float64 temporary, sized (empirically, via
-#: the bench_elbo_kernel batch sweep) so the handful of live per-sweep
-#: temporaries stay cache-resident.  Batch groups larger than the derived
+#: sweep, used only when the host's cache sizes cannot be read.  The
+#: historical hand-tuned value: roughly one ~3.5 MB float64 temporary,
+#: sized (empirically, via the bench_elbo_kernel batch sweep) so the
+#: handful of live per-sweep temporaries stay cache-resident.  Batch groups larger than the derived
 #: lane cap split into several sweeps (see :class:`_FusedBatchWorkspace`
 #: and :func:`_lane_sweep_cap`).
 _LANE_SWEEP_BUDGET = 450_000
@@ -283,18 +282,14 @@ def _lane_sweep_cap(per_lane: int) -> int:
     five-band groups a narrow one.  The LLC/8 share matched the measured
     throughput optimum on both a desktop-class and a large-LLC
     virtualized host (the bench batch sweep regresses within noise by
-    cap 2x in either direction).  ``REPRO_SWEEP_BUDGET`` overrides with
-    an explicit element budget, and the hand-tuned fallback budget
-    applies when cache probing fails.
+    cap 2x in either direction).  The hand-tuned fallback budget applies
+    when cache probing fails.
 
     Result-invariant by construction: lanes are independent, so any
-    split of a group into sweeps is bit-identical (pinned by the knob
-    sweep in ``tests/test_elbo_batch.py``) — which is why this knob is
+    split of a group into sweeps is bit-identical (pinned by the budget
+    sweep in ``tests/test_elbo_batch.py``) — which is why the cap is
     *not* checkpoint-fingerprinted.
     """
-    budget = env_int("REPRO_SWEEP_BUDGET")
-    if budget is not None:
-        return max(1, budget // per_lane)
     l2, llc = _cache_bytes()
     if not llc:
         return max(1, _LANE_SWEEP_BUDGET // per_lane)

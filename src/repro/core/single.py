@@ -27,7 +27,6 @@ from repro.core.params import (
     free_to_canonical,
 )
 from repro.core.priors import Priors
-from repro.envvars import env_float
 from repro.knobs import knob
 from repro.optim import (
     OptimResult,
@@ -49,8 +48,7 @@ class OptimizeConfig:
     """Knobs for single-source optimization.
 
     All fields are ``fingerprinted`` (:func:`repro.knobs.knob`): the whole
-    config rides into the checkpoint fingerprint through
-    ``_parallel_fingerprint``'s ``joint.single`` sub-dict.
+    config rides into the checkpoint fingerprint.
     """
 
     max_iter: int = knob(50, provenance="fingerprinted")
@@ -62,15 +60,15 @@ class OptimizeConfig:
     #: ELBO evaluation backend: ``"fused"`` (compile-once analytic kernel,
     #: the production default) or ``"taylor"`` (the reference oracle);
     #: ``None`` follows the ``REPRO_ELBO_BACKEND`` environment variable,
-    #: then :data:`repro.core.elbo.DEFAULT_BACKEND`.  The driver resolves
-    #: this up front so checkpoints fingerprint the backend that actually
-    #: ran.
+    #: then :data:`repro.core.elbo.DEFAULT_BACKEND`.  The driver fills
+    #: that default in up front so checkpoints fingerprint the backend that
+    #: actually ran.
     backend: str | None = knob(None, provenance="fingerprinted")
     #: Fused-kernel execution target (``"numpy"``/``"array_api"``/
     #: ``"numba"``); ``None`` follows ``REPRO_KERNEL_TARGET``, then the
-    #: NumPy reference.  Resolved and pinned by the driver alongside the
-    #: backend (non-reference targets are tolerance-parity, so the target
-    #: that ran is part of a checkpoint's fingerprint).
+    #: NumPy reference.  Filled in by the driver alongside the backend
+    #: (non-reference targets are tolerance-parity, so the target that ran
+    #: is part of a checkpoint's fingerprint).
     kernel_target: str | None = knob(None, provenance="fingerprinted")
 
 
@@ -130,7 +128,7 @@ def optimize_sources_batch(
     ctxs: list[SourceContext],
     inits: list,
     config: OptimizeConfig | None = None,
-    repack_threshold: float | None = None,
+    repack_threshold: float = 0.5,
 ) -> list[SourceResult]:
     """Optimize many independent sources with lockstep batched evaluations.
 
@@ -158,11 +156,9 @@ def optimize_sources_batch(
     ``elbo_batch_lanes`` counters.  Once the active set falls below
     ``repack_threshold`` of the compiled lanes, the batch is repacked:
     the workspace recompiles for the survivors and the waste is reclaimed.
-    ``None`` (the default) reads the registered
-    ``REPRO_REPACK_THRESHOLD`` environment variable, falling back to 0.5.
     The threshold is result-invariant occupancy tuning — any value yields
     the same catalog, only different wasted-lane counts — which is why it
-    is an env knob and not part of a checkpoint's fingerprint.
+    is no part of a checkpoint's fingerprint.
     """
     if config is None:
         config = OptimizeConfig()
@@ -174,9 +170,6 @@ def optimize_sources_batch(
         )
     if config.method not in ("newton", "lbfgs"):
         raise ValueError("unknown method %r" % (config.method,))
-    if repack_threshold is None:
-        env = env_float("REPRO_REPACK_THRESHOLD")
-        repack_threshold = 0.5 if env is None else env
 
     params = [
         initial_params(init, ctx.priors)

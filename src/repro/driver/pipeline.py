@@ -32,15 +32,16 @@ stage-start snapshot of the catalog, so results never depend on the
 executor, the worker count, or task completion order.
 
 **ELBO backends.**  Every source optimization evaluates its objective
-through a pluggable backend (``DriverConfig.elbo_backend`` /
+through a pluggable backend (``OptimizeConfig.backend`` /
 ``REPRO_ELBO_BACKEND``): the fused analytic kernel
 (:mod:`repro.core.kernel` — the production default, evaluating both the
 pixel term and the KL terms from compile-once closed-form formulas) or the
-Taylor reference path (the correctness oracle).  The driver resolves the
-choice once, pins it into the per-task optimizer config, and fingerprints
-it, so resumed runs and process workers always evaluate with the same
-backend — a checkpoint written under one backend (including under the old
-``taylor`` default) refuses to resume under another.
+Taylor reference path (the correctness oracle).  The driver fills the
+environment default into the per-task optimizer config once
+(:func:`_pin_config`), where it is fingerprinted, so resumed runs and
+process workers always evaluate with the same backend — a checkpoint
+written under one backend (including under the old ``taylor`` default)
+refuses to resume under another.
 
 **The sharded catalog.**  The working catalog lives in a
 :class:`~repro.driver.shards.ShardedCatalog` — light sources as 44-wide
@@ -90,7 +91,6 @@ final catalog.  FLOP and throughput accounting accumulate in a
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, replace
 
@@ -116,7 +116,7 @@ from repro.driver.worker import (
     _FieldStore,
 )
 from repro.envvars import env_flag, env_int, env_raw
-from repro.knobs import knob
+from repro.knobs import fingerprinted_values, knob
 from repro.parallel import ParallelRegionConfig
 from repro.partition import Region, Task, generate_tasks
 from repro.perf.counters import Counters
@@ -145,18 +145,12 @@ EXECUTOR_ENV_VAR = "REPRO_DRIVER_EXECUTOR"
 #: source optimization through the batched evaluation path.
 ELBO_BATCH_ENV_VAR = "REPRO_ELBO_BATCH"
 
-#: Environment variable consulted when ``DriverConfig.race_detect`` is None
-#: — lets CI run any driver pipeline under the shadow-transport race
-#: detector without touching the config.
+#: Environment variables consulted when the ``ParallelRegionConfig`` field
+#: of the same name is None — let CI run any driver pipeline under the
+#: shadow-transport race detector, the pre-execution schedule verifier or
+#: the runtime float sanitizer without touching the config.
 RACE_DETECT_ENV_VAR = "REPRO_RACE_DETECT"
-
-#: Environment variable consulted when ``DriverConfig.verify_schedule`` is
-#: None — pre-execution static verification of every Cyclades schedule.
 VERIFY_SCHEDULE_ENV_VAR = "REPRO_VERIFY_SCHEDULE"
-
-#: Environment variable consulted when ``DriverConfig.numeric_check`` is
-#: None — lets CI run any driver pipeline under the runtime float
-#: sanitizer without touching the config.
 NUMERIC_CHECK_ENV_VAR = "REPRO_NUMERIC_CHECK"
 
 #: Environment variable consulted when ``DriverConfig.pgas_transport`` is
@@ -176,10 +170,14 @@ class DriverConfig:
     analogue of the paper's processes-per-node x threads-per-process layout.
 
     Every field carries an explicit provenance declaration
-    (:func:`repro.knobs.knob`): ``fingerprinted`` knobs are part of
-    :func:`_fingerprint`, the rest are machine-checked *not* to be (the
-    KNOB3xx rules of ``python -m repro.analysis``) and fuzzer-pinned to be
-    result-invariant (``tests/test_provenance.py``).
+    (:func:`repro.knobs.knob`): :func:`_fingerprint` is derived from the
+    ``fingerprinted`` ones, the rest are machine-checked not to reach an
+    evaluation path (the KNOB3xx rules of ``python -m repro.analysis``)
+    and fuzzer-pinned to be result-invariant
+    (``tests/test_provenance.py``).  A behaviour has one name: what the
+    optimizer or the Cyclades region reads lives on *its* config
+    (``parallel.joint.single.backend``, ``parallel.race_detect``, ...),
+    not on an alias here.
     """
 
     #: Node-workers pulling from the Dtree (the "nodes" of level two).
@@ -205,16 +203,6 @@ class DriverConfig:
     #: *mid-stage* — journaled tasks replay, the rest re-execute, and the
     #: final catalog is bit-for-bit the uninterrupted one's.
     task_checkpoint: bool = knob(True, provenance="scheduling")
-    #: Fault injection (tests): the process node-worker executing this
-    #: task id hard-exits right before reporting it — after the catalog
-    #: write, the worst window — exactly once per run, so the retry on a
-    #: surviving worker completes.  Ignored by the thread executor
-    #: (killing a thread would kill the run).
-    fault_kill_task: int | None = knob(None, provenance="scheduling")
-    #: Fault injection (tests): abort the stage (simulated hard crash of
-    #: the whole run) once this many tasks completed in it — the setup
-    #: half of every resume-from-mid-stage test.
-    fault_abort_after: int | None = knob(None, provenance="scheduling")
     #: Target bright-pixel weight per region (task granularity).
     target_weight: float = knob(40.0, provenance="fingerprinted")
     #: Run the shifted second-stage partition (paper Section IV-A).
@@ -238,68 +226,22 @@ class DriverConfig:
     halo_refresh: bool = knob(False, provenance="fingerprinted")
     #: Task ids granted per Dtree request.
     max_batch: int = knob(2, provenance="scheduling")
-    #: Tasks peeked ahead per Dtree request to drive field prefetching.
-    prefetch_lookahead: int = knob(4, provenance="scheduling")
-    #: Loaded on-disk fields kept per worker (LRU).
-    field_cache_capacity: int = knob(16, provenance="scheduling")
     photo: PhotoConfig = knob(default_factory=PhotoConfig,
                               provenance="fingerprinted")
     parallel: ParallelRegionConfig = knob(
         default_factory=ParallelRegionConfig, provenance="fingerprinted")
     dtree: DtreeConfig = knob(default_factory=DtreeConfig,
                               provenance="scheduling")
-    #: ELBO evaluation backend for every source optimization in the run:
-    #: ``"fused"`` (compile-once analytic kernel, the production default)
-    #: or ``"taylor"`` (the reference oracle).  ``None`` defers to
-    #: ``parallel.joint.single.backend``, then the ``REPRO_ELBO_BACKEND``
-    #: environment variable, then the front end's default.  The driver
-    #: resolves this once up front and pins the result into the per-task
-    #: optimizer config, so process workers and resumed runs can never pick
-    #: a different backend than the checkpoint fingerprint recorded.
-    elbo_backend: str | None = knob(None, provenance="fingerprinted")
-    #: Sources per lockstep ELBO evaluation batch inside each Cyclades
-    #: thread assignment (see ``ParallelRegionConfig.elbo_batch_size``).
-    #: ``None`` defers to ``parallel.elbo_batch_size``, then the
-    #: ``REPRO_ELBO_BATCH`` environment variable; the resolved value is
-    #: pinned into the parallel config up front (so process workers inherit
-    #: it through the pickled config) and lands in the checkpoint
-    #: fingerprint alongside the backend.  Catalogs are bit-for-bit
-    #: identical whatever the batch size — an invariant the test suite
-    #: enforces rather than assumes, which is why the knob is fingerprinted
-    #: like a result-affecting one.
+    #: Lane limit of a lockstep ELBO evaluation batch; wins over
+    #: ``parallel.elbo_batch_size``, then ``REPRO_ELBO_BATCH``
+    #: (:func:`_pin_config`).  Residue: the one behaviour still settable
+    #: under two config names, because ``benchmarks/suite`` spells it both
+    #: ways (``workloads.py::_config``, ``layers.py``); a later
+    #: ``benchmark`` PR that may edit the suite collects this alias.
+    #: Catalogs are bit-for-bit identical whatever the value — an
+    #: invariant the test suite enforces rather than assumes, which is why
+    #: the knob is fingerprinted like a result-affecting one.
     elbo_batch_size: int | None = knob(None, provenance="fingerprinted")
-    #: Kernel execution target for the fused backend's stacked sweeps:
-    #: ``"numpy"`` (the bit-for-bit reference and default), ``"array_api"``,
-    #: or ``"numba"`` (see :mod:`repro.core.kernel_targets`).  ``None``
-    #: defers to ``parallel.joint.single.kernel_target``, then the
-    #: ``REPRO_KERNEL_TARGET`` environment variable, then the default.
-    #: Resolved and pinned once up front like ``elbo_backend`` and
-    #: checkpoint-fingerprinted: non-default targets promise tolerance
-    #: parity only (their reductions re-associate), so a resumed run must
-    #: never silently switch targets mid-stream.
-    kernel_target: str | None = knob(None, provenance="fingerprinted")
-    #: Run the whole pipeline under the shadow-transport race detector
-    #: (:mod:`repro.analysis.race`): every one-sided catalog access and
-    #: every Cyclades patch write is tagged with its (actor, logical epoch)
-    #: and cross-checked for same-epoch overlap between different actors.
-    #: Findings land in ``DriverReport.race_reports``.  ``None`` reads
-    #: :data:`RACE_DETECT_ENV_VAR`.  Observational only: results are
-    #: bit-identical with it on or off, so it is not fingerprinted.
-    race_detect: bool | None = knob(None, provenance="observational")
-    #: Statically verify every Cyclades pass's batches *before executing
-    #: them* with the independent checker (:mod:`repro.analysis.schedule`),
-    #: raising on any cross-thread patch overlap or split component.
-    #: ``None`` reads :data:`VERIFY_SCHEDULE_ENV_VAR`.  Observational only.
-    verify_schedule: bool | None = knob(None, provenance="observational")
-    #: Run the whole pipeline under the runtime float sanitizer
-    #: (:mod:`repro.analysis.numeric`): every ELBO evaluation and
-    #: trust-region step is checked for non-finite values, overflow,
-    #: asymmetric Hessian blocks, and catastrophic cancellation, with
-    #: findings attributed (source, lane, term, stage, actor) in
-    #: ``DriverReport.numeric_reports``.  ``None`` reads
-    #: :data:`NUMERIC_CHECK_ENV_VAR`.  Observational only: results are
-    #: bit-identical with it on or off, so it is not fingerprinted.
-    numeric_check: bool | None = knob(None, provenance="observational")
     #: JSON checkpoint file; ``None`` disables checkpointing.  The working
     #: catalog checkpoints as ``n_nodes`` per-rank shard files.
     checkpoint_path: str | None = knob(None, provenance="scheduling")
@@ -343,55 +285,28 @@ def _resolve_pgas_transport(config: DriverConfig, executor: str) -> str:
     return name
 
 
-def _resolve_elbo_batch_size(config: DriverConfig) -> int | None:
-    """The lockstep evaluation batch size a run will use: an explicit
-    ``DriverConfig.elbo_batch_size`` wins, then the parallel config's own
-    field, then :data:`ELBO_BATCH_ENV_VAR`; ``None``/``1`` means one lane
-    per evaluation."""
-    size = config.elbo_batch_size
-    if size is None:
-        size = config.parallel.elbo_batch_size
-    if size is None:
-        size = env_int(ELBO_BATCH_ENV_VAR)
-    if size is not None and size < 1:
-        raise ValueError(
-            "elbo_batch_size must be a positive integer, got %r" % (size,)
-        )
-    return size
+def _unless_set(value, default):
+    return default if value is None else value
 
 
-def _pin_elbo_backend(config: DriverConfig) -> DriverConfig:
-    """Resolve the ELBO backend and batch size once and pin them through
-    the config tree.
+def _pin_config(config: DriverConfig) -> DriverConfig:
+    """Fill every environment default into the nested config, once, and
+    validate what was filled.
 
-    Backend precedence: ``config.elbo_backend``, then the single-source
-    optimizer's own ``backend`` field, then the ``REPRO_ELBO_BACKEND``
-    environment variable / default.  After this the nested
-    ``OptimizeConfig.backend`` is always a concrete name, so the
-    fingerprint (which recurses into ``config.parallel``) records the
-    backend that actually runs, and process node-workers inherit it through
-    the pickled config instead of re-reading their own environment.  The
-    lockstep batch size is resolved the same way
-    (:func:`_resolve_elbo_batch_size`) and pinned into
-    ``parallel.elbo_batch_size``, and the kernel execution target
-    (``config.kernel_target``, then ``single.kernel_target``, then
-    ``REPRO_KERNEL_TARGET``/default) is validated *by name* — without
-    importing the target's module, so pinning never requires the optional
-    dependency — and pinned into ``single.kernel_target``.
+    After this the optimizer's ``backend`` and ``kernel_target``, the
+    lockstep lane limit and the three analysis opt-ins hold the values
+    that will run, so the fingerprint (derived from the same config)
+    records them, and process node-workers inherit them through the
+    pickled config instead of re-reading their own environment.  A field
+    that is set wins over its variable; ``None`` asks the variable.  The
+    kernel target is validated *by name* — without importing the target's
+    module, so pinning never requires the optional dependency.
     """
-    joint = config.parallel.joint
-    backend = resolve_backend_name(
-        config.elbo_backend
-        if config.elbo_backend is not None
-        else joint.single.backend
-    )
-    batch_size = _resolve_elbo_batch_size(config)
-    explicit_target = (
-        config.kernel_target
-        if config.kernel_target is not None
-        else joint.single.kernel_target
-    )
-    if explicit_target is None and not getattr(
+    parallel = config.parallel
+    single = parallel.joint.single
+    backend = resolve_backend_name(single.backend)
+    target = single.kernel_target
+    if target is not None or getattr(
         get_backend(backend), "supports_kernel_targets", False
     ):
         # The REPRO_KERNEL_TARGET default only applies to backends with an
@@ -399,46 +314,30 @@ def _pin_elbo_backend(config: DriverConfig) -> DriverConfig:
         # turn an environment default into a hard config error there.  An
         # *explicit* target with such a backend stays pinned and is
         # rejected loudly at evaluation time.
-        target = None
-    else:
-        target = resolve_kernel_target_name(explicit_target)
+        target = resolve_kernel_target_name(target)
+    batch_size = _unless_set(
+        config.elbo_batch_size,
+        _unless_set(parallel.elbo_batch_size, env_int(ELBO_BATCH_ENV_VAR)))
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(
+            "elbo_batch_size must be a positive integer, got %r"
+            % (batch_size,)
+        )
     return replace(
         config,
-        elbo_backend=backend,
         elbo_batch_size=batch_size,
-        kernel_target=target,
         parallel=replace(
-            config.parallel,
+            parallel,
             elbo_batch_size=batch_size,
-            joint=replace(joint, single=replace(
-                joint.single, backend=backend, kernel_target=target)),
+            joint=replace(parallel.joint, single=replace(
+                single, backend=backend, kernel_target=target)),
+            race_detect=_unless_set(
+                parallel.race_detect, env_flag(RACE_DETECT_ENV_VAR)),
+            verify_schedule=_unless_set(
+                parallel.verify_schedule, env_flag(VERIFY_SCHEDULE_ENV_VAR)),
+            numeric_check=_unless_set(
+                parallel.numeric_check, env_flag(NUMERIC_CHECK_ENV_VAR)),
         ),
-    )
-
-
-def _resolve_opt_flag(value: bool | None, env_var: str) -> bool:
-    if value is not None:
-        return bool(value)
-    return env_flag(env_var)
-
-
-def _pin_analysis_flags(config: DriverConfig) -> DriverConfig:
-    """Resolve the race-detect / verify-schedule opt-ins once (config wins,
-    then environment) and pin the booleans through the config tree, so
-    process node-workers inherit them through the pickled config instead of
-    re-reading their own environment — the same resolve-once discipline as
-    :func:`_pin_elbo_backend`."""
-    race = _resolve_opt_flag(config.race_detect, RACE_DETECT_ENV_VAR)
-    verify = _resolve_opt_flag(config.verify_schedule,
-                               VERIFY_SCHEDULE_ENV_VAR)
-    numeric = _resolve_opt_flag(config.numeric_check, NUMERIC_CHECK_ENV_VAR)
-    return replace(
-        config,
-        race_detect=race,
-        verify_schedule=verify,
-        numeric_check=numeric,
-        parallel=replace(config.parallel, race_detect=race,
-                         verify_schedule=verify, numeric_check=numeric),
     )
 
 
@@ -521,62 +420,17 @@ def _seed_catalog_from_store(store: _FieldStore, config: DriverConfig) -> Catalo
 
 
 def _fingerprint(store: _FieldStore, config: DriverConfig) -> dict:
-    """Identity of a run for checkpoint compatibility checks.
-
-    Covers every knob that affects *results*: the inputs, the partition and
-    merge parameters, the halo/image margins and refresh policy, the Photo
-    thresholds, and the full parallel/joint/single optimizer configuration
-    (``asdict`` recurses into nested dataclasses — including the resolved
-    ELBO backend, which :func:`_pin_elbo_backend` writes into
-    ``parallel.joint.single.backend`` before this runs, so a checkpoint
-    taken under one backend is never resumed under the other).  Purely
-    scheduling-side knobs (``n_nodes``, ``executor``, ``dtree``,
-    ``max_batch``, prefetch depth) are deliberately excluded: task results
-    are independent of completion order and of the memory model, so a run
-    may legitimately resume with a different worker layout or executor.
-    """
+    """Identity of a run for checkpoint compatibility checks: the inputs,
+    and every knob declared ``fingerprinted`` anywhere in the (pinned)
+    config tree.  Scheduling and observational knobs are thereby excluded:
+    task results are independent of completion order and of the memory
+    model, so a run may legitimately resume with a different worker layout
+    or executor."""
     return {
         "n_fields": store.n_fields,
         "field_shapes": store.field_shapes(),
-        "target_weight": config.target_weight,
-        "two_stage": config.two_stage,
-        "dedup_radius": config.dedup_radius,
-        "image_margin": config.image_margin,
-        "halo_margin": config.halo_margin,
-        "halo_refresh": config.halo_refresh,
-        "photo": dataclasses.asdict(config.photo),
-        "parallel": _parallel_fingerprint(config.parallel),
-        # Also recorded inside parallel.joint.single.backend; named at the
-        # top level so fingerprint mismatches across default-backend changes
-        # are legible in the checkpoint file itself.
-        "elbo_backend": config.elbo_backend,
-        # Result-neutral by hard invariant (lanes are independent to the
-        # bit, tested), but fingerprinted anyway — also inside
-        # parallel.elbo_batch_size — so a resumed run's evaluation layout
-        # is recorded next to its backend.
-        "elbo_batch_size": config.elbo_batch_size,
-        # Also recorded inside parallel.joint.single.kernel_target.
-        # Result-affecting across non-default targets (they promise
-        # tolerance parity only — reductions re-associate), so resume
-        # refuses across targets.
-        "kernel_target": config.kernel_target,
+        **fingerprinted_values(config),
     }
-
-
-def _parallel_fingerprint(parallel: ParallelRegionConfig) -> dict:
-    d = dataclasses.asdict(parallel)
-    # Observational-only knobs: detection and verification never change
-    # results (the detector's job is to *prove* that), so a checkpointed
-    # run may legitimately resume with them toggled — like the excluded
-    # scheduling-side knobs.
-    d.pop("race_detect", None)
-    d.pop("verify_schedule", None)
-    d.pop("numeric_check", None)
-    # Batch coalescing is an execution strategy (bit-for-bit invariant,
-    # tested): resuming with it toggled is as legitimate as resuming with
-    # a different executor.
-    d.pop("coalesce_batches", None)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +476,8 @@ def run_pipeline(
     run_started = time.time()  # det: ignore[DET105] -- observational: the origin of DriverReport.spawn_bind_seconds, compared with seats' stamps across processes (perf_counter is per process)
     if config is None:
         config = DriverConfig()
-    # Pin the ELBO backend before anything reads or fingerprints the config.
-    config = _pin_elbo_backend(config)
-    # Resolve the analysis opt-ins the same way (config, then environment).
-    config = _pin_analysis_flags(config)
+    # Before anything reads or fingerprints the config.
+    config = _pin_config(config)
     if priors is None:
         priors = default_priors()
     executor = _resolve_executor(config)
@@ -642,7 +494,7 @@ def run_pipeline(
     last = STAGES.index(config.stop_after or "final")
     reachable = [s for s in stage_names if STAGES.index(s) <= last]
 
-    store = _FieldStore(fields, config.field_cache_capacity)
+    store = _FieldStore(fields)
     runner = working = private_pool = None
     try:
         fingerprint = _fingerprint(store, config)

@@ -176,7 +176,8 @@ class WorkerPool:
         A process seat must never hold the whole survey: in-memory fields
         are spilled to field files once and shipped as paths, so its
         prefetcher loads only the fields its tasks touch.  The scratch
-        directory also holds the fault-injection kill markers; the caller
+        directory is also where a test plants fault-injection kill tokens
+        (:meth:`~repro.driver.worker._WorkerState._maybe_die`); the caller
         removes it after the run."""
         scratch = tempfile.mkdtemp(prefix="repro-driver-")
         try:

@@ -34,6 +34,9 @@ if TYPE_CHECKING:
 #: failed) stage for one of its own.
 _STAGE_EPOCH = itertools.count(1)
 
+#: Tasks peeked ahead per Dtree request to drive field prefetching.
+PREFETCH_LOOKAHEAD = 4
+
 
 @dataclass
 class TaskOutcome:
@@ -74,8 +77,6 @@ def _task_config(config: DriverConfig) -> TaskConfig:
         parallel=config.parallel,
         image_margin=config.image_margin,
         halo_refresh=config.halo_refresh,
-        field_cache_capacity=config.field_cache_capacity,
-        fault_kill_task=config.fault_kill_task,
     )
 
 
@@ -107,7 +108,6 @@ class StageRunner:
         #: Task-granular checkpoint journal for the stage being run; set by
         #: the driver before each ``run`` when task checkpointing is on.
         self.journal_path: str | None = None
-        self._completed_in_stage = 0
         # Baseline at runner creation (i.e. after seeding): the report's
         # prefetch hit/miss numbers cover the optimization stages only, so
         # seats on the driver's store and seats with stores of their own
@@ -117,7 +117,7 @@ class StageRunner:
         # report only ever receives each finding once (_sync_race_reports).
         self.race_detector = None
         self._race_synced = 0
-        if config.race_detect:
+        if config.parallel.race_detect:
             from repro.analysis.race import RaceDetector
 
             self.race_detector = RaceDetector()
@@ -125,7 +125,7 @@ class StageRunner:
         # sink spanning stages, findings shipped to the report exactly once.
         self.numeric_sink = None
         self._numeric_shipped: set[tuple] = set()
-        if config.numeric_check:
+        if config.parallel.numeric_check:
             from repro.analysis.numeric import NumericSanitizer
 
             self.numeric_sink = NumericSanitizer()
@@ -177,7 +177,7 @@ class StageRunner:
         """Field indices the current batch plus the Dtree look-ahead will
         need — the prefetch hint."""
         config = self.config
-        tids = list(batch) + dtree.peek(worker, config.prefetch_lookahead)
+        tids = list(batch) + dtree.peek(worker, PREFETCH_LOOKAHEAD)
         out: list[int] = []
         for tid in tids:
             for i in self.store.field_indices_for_region(
@@ -254,17 +254,6 @@ class StageRunner:
             "rows": [entry_to_dict(e) for e in rows],
         })
 
-    def _count_completed(self) -> None:
-        """Fault injection: simulate a hard crash of the run once
-        ``fault_abort_after`` tasks completed in this stage."""
-        self._completed_in_stage += 1
-        abort_after = self.config.fault_abort_after
-        if abort_after is not None and self._completed_in_stage >= abort_after:
-            raise RuntimeError(
-                "fault injection: simulated crash after %d completed tasks"
-                % self._completed_in_stage
-            )
-
     def run(self, tasks: list[Task], report: DriverReport,
             replay=None) -> float:
         """Run every task in ``tasks``; returns the stage's total ELBO.
@@ -273,7 +262,6 @@ class StageRunner:
         if not tasks:
             return 0.0
         config = self.config
-        self._completed_in_stage = 0
         # Tasks read entries and halos from the stage-start snapshot, never
         # from live results of concurrent tasks: results must not depend on
         # task completion order (and a resumed run must reproduce them).
@@ -486,7 +474,6 @@ class StageRunner:
                     ))
                     try:
                         self._journal_task(task, msg.elbo)
-                        self._count_completed()
                     except BaseException as exc:  # noqa: BLE001
                         fail(exc)
                         return

@@ -43,8 +43,6 @@ class TaskConfig:
     parallel: ParallelRegionConfig
     image_margin: float
     halo_refresh: bool
-    field_cache_capacity: int
-    fault_kill_task: int | None
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +82,13 @@ class _FieldStore:
     pass the parent already did).
     """
 
-    def __init__(self, fields: list, capacity: int = 16, metadata=None):
+    def __init__(self, fields: list, metadata=None):
         if not fields:
             raise ValueError("need at least one field")
         self._specs = list(fields)
         self._paths = [f if isinstance(f, str) else None for f in fields]
         self._prefetcher = (
-            FieldPrefetcher(capacity=capacity)
+            FieldPrefetcher()
             if any(p is not None for p in self._paths) else None
         )
         #: Per field: list of per-image (sky_bounds, (h, w), band) triples.
@@ -295,7 +293,7 @@ class _WorkerState:
         self.in_process = in_process
         self._catalogs = (base, working)
         self.store = fields if in_process else _FieldStore(
-            fields, config.field_cache_capacity, metadata=metadata)
+            fields, metadata=metadata)
         self.access_log = self.base_shadow = self.work_shadow = None
         if config.parallel.race_detect:
             # A seat cannot see the parent's detector: record into a
@@ -315,21 +313,18 @@ class _WorkerState:
         self.prev_prefetch: dict = {}
 
     def _maybe_die(self, task: Task) -> None:
-        """Fault injection: hard-exit before reporting ``fault_kill_task``,
-        at most once per run (the O_EXCL marker is the consumed token, so
-        the retry on a surviving worker completes)."""
-        config = self.config
-        if (config.fault_kill_task is None
-                or task.task_id != config.fault_kill_task
-                or self.fault_dir is None):
+        """Fault injection: hard-exit before reporting a task for which
+        the run's scratch directory holds a ``kill.<task id>`` token.  Only
+        a test plants one (through a ``WorkerPool.field_source`` of its
+        own); unlinking it is the consumption, so the retry on a surviving
+        worker completes."""
+        if self.fault_dir is None:
             return
-        marker = os.path.join(self.fault_dir,
-                              "killed.%d" % int(task.task_id))
         try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return  # token consumed: this is the retry — survive
-        os.close(fd)
+            os.unlink(os.path.join(self.fault_dir,
+                                   "kill.%d" % int(task.task_id)))
+        except FileNotFoundError:
+            return
         os._exit(17)
 
     def execute(self, task: Task, halo_idx: list[int], hint: list[int],

@@ -29,7 +29,6 @@ __all__ = [
     "ENV_REGISTRY",
     "EnvVar",
     "env_flag",
-    "env_float",
     "env_int",
     "env_raw",
     "registry_markdown",
@@ -45,7 +44,7 @@ class EnvVar:
     """One registered environment variable."""
 
     name: str
-    #: "flag" (truthy strings enable), "int", "float", or "str".
+    #: "flag" (truthy strings enable), "int", or "str".
     kind: str
     #: Rendered in the generated table; the *effective* default when unset.
     default: str
@@ -90,25 +89,27 @@ _VARS = (
     ),
     EnvVar(
         "REPRO_RACE_DETECT", "flag", "off",
-        "Shadow-transport race detection when `DriverConfig.race_detect` "
-        "is unset; findings surface in `DriverReport.race_reports`.",
-        provenance="observational", resolves_to="DriverConfig.race_detect",
+        "Shadow-transport race detection when "
+        "`ParallelRegionConfig.race_detect` is unset; findings surface in "
+        "`DriverReport.race_reports`.",
+        provenance="observational",
+        resolves_to="ParallelRegionConfig.race_detect",
     ),
     EnvVar(
         "REPRO_VERIFY_SCHEDULE", "flag", "off",
         "Pre-execution static verification of every Cyclades schedule when "
-        "`DriverConfig.verify_schedule` is unset (`ScheduleError` on "
-        "violation).",
+        "`ParallelRegionConfig.verify_schedule` is unset (`ScheduleError` "
+        "on violation).",
         provenance="observational",
-        resolves_to="DriverConfig.verify_schedule",
+        resolves_to="ParallelRegionConfig.verify_schedule",
     ),
     EnvVar(
         "REPRO_NUMERIC_CHECK", "flag", "off",
         "Runtime float sanitizer over ELBO evaluations and trust-region "
-        "steps when `DriverConfig.numeric_check` is unset; findings surface "
-        "in `DriverReport.numeric_reports`.",
+        "steps when `ParallelRegionConfig.numeric_check` is unset; findings "
+        "surface in `DriverReport.numeric_reports`.",
         provenance="observational",
-        resolves_to="DriverConfig.numeric_check",
+        resolves_to="ParallelRegionConfig.numeric_check",
     ),
     EnvVar(
         "REPRO_KERNEL_TARGET", "str", "numpy",
@@ -119,31 +120,9 @@ _VARS = (
         resolves_to="OptimizeConfig.kernel_target",
     ),
     EnvVar(
-        "REPRO_SWEEP_BUDGET", "int", "unset (cache-size autotune)",
-        "Override the per-sweep element budget that caps how many lanes a "
-        "stacked kernel sweep covers; result-invariant cache blocking "
-        "(lanes are independent), so it is not checkpoint-fingerprinted.",
-        provenance="neutral",
-    ),
-    EnvVar(
-        "REPRO_REPACK_THRESHOLD", "float", "0.5",
-        "Lockstep batch repack threshold when the caller does not pass "
-        "one: recompile the batch once the active fraction drops below "
-        "this; result-invariant occupancy tuning, so it is not "
-        "checkpoint-fingerprinted.",
-        provenance="neutral",
-    ),
-    EnvVar(
         "REPRO_BENCH_SMOKE", "flag", "off",
         "Benchmark smoke mode: exercise every benchmark code path on CI "
         "hardware without trusting timings or rewriting committed JSON.",
-        provenance="observational",
-    ),
-    EnvVar(
-        "REPRO_PRINT_GOLDEN", "flag", "off",
-        "Make the golden-pipeline test print the catalog content hash it "
-        "computed (used once to regenerate the pin after an intentional "
-        "numeric change).",
         provenance="observational",
     ),
 )
@@ -179,19 +158,6 @@ def env_int(name: str) -> int | None:
         raise ValueError(
             "environment variable %s must be an integer, got %r"
             % (name, raw)
-        ) from None
-
-
-def env_float(name: str) -> float | None:
-    """A registered float variable, or None when unset/empty."""
-    raw = env_raw(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            "environment variable %s must be a float, got %r" % (name, raw)
         ) from None
 
 

@@ -60,9 +60,10 @@ class ParallelRegionConfig:
     """Knobs for Cyclades-parallel region optimization.
 
     Every field declares its provenance class (:func:`repro.knobs.knob`);
-    the ``fingerprinted`` ones are exactly the keys
-    ``driver/pipeline.py::_parallel_fingerprint`` keeps, and the KNOB3xx
-    pass (``python -m repro.analysis``) holds the two in lockstep.
+    the checkpoint fingerprint is derived from the ``fingerprinted`` ones
+    (:func:`repro.knobs.fingerprinted_values`).  The three analysis
+    opt-ins are tri-state: ``None`` is off here, and asks the ``REPRO_*``
+    variable of the same name when the config runs through the driver.
     """
 
     n_threads: int = knob(4, provenance="fingerprinted")
@@ -80,40 +81,31 @@ class ParallelRegionConfig:
     #: one stacked kernel sweep serves every still-active source in the
     #: chunk.  ``None``/``1`` is lane limit 1 through the same path.
     #: Results are bit-for-bit identical at any limit (batching is an
-    #: execution strategy — tested, not assumed); the driver plumbs this
+    #: execution strategy — tested, not assumed); the driver fills it
     #: from ``DriverConfig.elbo_batch_size`` / ``REPRO_ELBO_BATCH``.
     elbo_batch_size: int | None = knob(None, provenance="fingerprinted")
-    #: Merge consecutive Cyclades batches whose conflicting pairs are
-    #: co-threaded (:func:`_coalesce_batches`) before cutting lockstep
-    #: runs, so evaluation batches can span multiple rounds of a pass
-    #: ("cross-assignment batching").  Only consulted when
-    #: ``elbo_batch_size`` > 1; results are bit-for-bit identical either
-    #: way — the toggle exists so benchmarks and tests can measure the
-    #: occupancy gain in isolation.
-    coalesce_batches: bool = knob(True, provenance="neutral")
     #: Record every scheduled source's patch-pixel write extents into a
     #: shadow race detector (:mod:`repro.analysis.race`) and return any
-    #: same-batch cross-thread overlaps in ``RegionResult.race_reports``.
-    #: Observational only — results are bit-identical either way; the
-    #: driver plumbs this from ``DriverConfig.race_detect`` /
-    #: ``REPRO_RACE_DETECT``.
-    race_detect: bool = knob(False, provenance="observational")
+    #: same-batch cross-thread overlaps in ``RegionResult.race_reports``;
+    #: under the driver, also shadow every one-sided catalog access, with
+    #: findings in ``DriverReport.race_reports``.  Observational only —
+    #: results are bit-identical either way (``REPRO_RACE_DETECT``).
+    race_detect: bool | None = knob(None, provenance="observational")
     #: Prove each pass's batches safe *before executing them* with the
     #: independent static verifier (:mod:`repro.analysis.schedule`),
     #: raising :class:`repro.analysis.schedule.ScheduleError` on any
-    #: cross-thread pixel overlap or split component.  Observational only;
-    #: plumbed from ``DriverConfig.verify_schedule`` /
-    #: ``REPRO_VERIFY_SCHEDULE``.
-    verify_schedule: bool = knob(False, provenance="observational")
+    #: cross-thread pixel overlap or split component.  Observational only
+    #: (``REPRO_VERIFY_SCHEDULE``).
+    verify_schedule: bool | None = knob(None, provenance="observational")
     #: Install the runtime float sanitizer
     #: (:mod:`repro.analysis.numeric`) on every worker thread: ELBO
     #: evaluations and trust-region steps are checked for non-finite
     #: values, overflow, asymmetric Hessian blocks, and catastrophic
     #: cancellation, with findings returned in
-    #: ``RegionResult.numeric_reports``.  Observational only — results
-    #: are bit-identical either way; the driver plumbs this from
-    #: ``DriverConfig.numeric_check`` / ``REPRO_NUMERIC_CHECK``.
-    numeric_check: bool = knob(False, provenance="observational")
+    #: ``RegionResult.numeric_reports`` (``DriverReport.numeric_reports``
+    #: under the driver).  Observational only — results are bit-identical
+    #: either way (``REPRO_NUMERIC_CHECK``).
+    numeric_check: bool | None = knob(None, provenance="observational")
 
 
 def optimize_region_parallel(
@@ -157,7 +149,7 @@ def optimize_region_parallel(
             batches = cyclades_batches(
                 graph, config.n_threads, config.batch_size, rng=rng
             )
-            if config.coalesce_batches and lane_limit > 1:
+            if lane_limit > 1:
                 batches = _coalesce_batches(batches, graph, config.n_threads)
             if config.verify_schedule:
                 _verify_pass(_patch_boxes, batches)

@@ -31,8 +31,7 @@ class PhotoConfig:
     """Hand-tuned thresholds of the heuristic pipeline.
 
     All fields are ``fingerprinted`` (:func:`repro.knobs.knob`): the whole
-    config lands in the checkpoint fingerprint through the ``photo`` key
-    of ``driver/pipeline.py::_fingerprint``.
+    config lands in the checkpoint fingerprint.
     """
 
     threshold_sigma: float = knob(4.0, provenance="fingerprinted")

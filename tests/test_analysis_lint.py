@@ -786,8 +786,7 @@ class TestEngine:
                    "DET105", "DET106", "DET107", "DET108", "DET109",
                    "NUM200", "NUM201", "NUM202", "NUM203", "NUM204",
                    "NUM205", "NUM206",
-                   "KNOB300", "KNOB301", "KNOB302", "KNOB303",
-                   "KNOB304"}
+                   "KNOB300", "KNOB301", "KNOB302", "KNOB303"}
         assert set(RULES) == covered
 
     def test_violation_is_hashable_record(self):

@@ -1178,8 +1178,7 @@ catalog = ShardedCatalog.from_entries(entries, n_ranks=1)
 config = TaskConfig(
     parallel=ParallelRegionConfig(n_threads=1, n_passes=1, joint=JointConfig(
         n_passes=1, single=OptimizeConfig(max_iter=2))),
-    image_margin=16.0, halo_refresh=False, field_cache_capacity=4,
-    fault_kill_task=None)
+    image_margin=16.0, halo_refresh=False)
 task = Task(0, 0, Region(0.0, 32.0, 0.0, 32.0), [0, 1], entries)
 result = _execute_task(task, [], catalog, catalog, _FieldStore([[image]]),
                        default_priors(), config, Counters())
@@ -1300,8 +1299,6 @@ class TestPrefetchUnderStealing:
         config = _driver_config(
             target_weight=30.0,
             max_batch=1,
-            prefetch_lookahead=4,
-            field_cache_capacity=6,
             dtree=DtreeConfig(
                 initial_fraction=0.0, drain_fraction=0.05, min_batch=1
             ),

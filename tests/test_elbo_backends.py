@@ -325,13 +325,13 @@ def _driver_config(backend, executor):
         n_nodes=2,
         executor=executor,
         target_weight=60.0,
-        elbo_backend=backend,
         parallel=ParallelRegionConfig(
             n_threads=2,
             n_passes=1,
             joint=JointConfig(
                 n_passes=1,
-                single=OptimizeConfig(max_iter=8, grad_tol=2e-3),
+                single=OptimizeConfig(max_iter=8, grad_tol=2e-3,
+                                      backend=backend),
             ),
         ),
     )

@@ -27,7 +27,7 @@ from repro.core import (
 from repro.core.catalog import CatalogEntry
 from repro.core.params import FREE
 from repro.driver import DriverConfig, run_pipeline
-from repro.driver.pipeline import ELBO_BATCH_ENV_VAR, _pin_elbo_backend
+from repro.driver.pipeline import ELBO_BATCH_ENV_VAR, _pin_config
 from repro.parallel import ParallelRegionConfig, optimize_region_parallel
 from repro.parallel.conflict import build_conflict_graph
 from repro.parallel.executor import _batchable_runs
@@ -169,20 +169,26 @@ class TestBatchedEvaluationParity:
 
     def test_sweep_budget_never_changes_results(self, monkeypatch,
                                                 make_random_context):
-        """Cache blocking is an execution knob: forcing one-lane chunks,
-        the autotuned cap, and effectively-unchunked sweeps must all
-        produce bit-identical evaluations (chunking only slices the lane
-        axis; per-lane reduction trees never see the chunk boundary)."""
+        """Cache blocking is an execution strategy: forcing one-lane
+        chunks, the autotuned cap, and effectively-unchunked sweeps must
+        all produce bit-identical evaluations (chunking only slices the
+        lane axis; per-lane reduction trees never see the chunk
+        boundary)."""
+        from repro.core import kernel
+
         outs = {}
-        for budget in ("1", None, "1000000000"):
-            if budget is None:
-                monkeypatch.delenv("REPRO_SWEEP_BUDGET", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_SWEEP_BUDGET", budget)
-            ctxs, frees = _batch(make_random_context, UNIFORM)
-            outs[budget] = elbo_batch(ctxs, frees, order=2, backend="fused")
+        for budget in (1, None, 1000000000):
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    # An unreadable cache hierarchy falls back to the
+                    # element budget: the two inputs of _lane_sweep_cap.
+                    patch.setattr(kernel, "_CACHE_BYTES", (0, 0))
+                    patch.setattr(kernel, "_LANE_SWEEP_BUDGET", budget)
+                ctxs, frees = _batch(make_random_context, UNIFORM)
+                outs[budget] = elbo_batch(ctxs, frees, order=2,
+                                          backend="fused")
         ref = outs[None]
-        for budget in ("1", "1000000000"):
+        for budget in (1, 1000000000):
             for out, want in zip(outs[budget], ref):
                 assert float(out.val) == float(want.val)
                 np.testing.assert_array_equal(out.gradient(FREE.size),
@@ -237,41 +243,6 @@ class TestLockstepOptimizer:
         for threshold in (0.5, 1.0):
             for a, b in zip(frees[0.0], frees[threshold]):
                 np.testing.assert_array_equal(a, b)
-
-    def test_repack_threshold_env_default(self, monkeypatch,
-                                          make_random_context):
-        """REPRO_REPACK_THRESHOLD backs the default when the caller does
-        not pass one — and, like the explicit argument, never changes
-        results (repacking is workspace bookkeeping, not arithmetic)."""
-        config = OptimizeConfig(max_iter=20, grad_tol=1e-4, backend="fused")
-        frees = {}
-        for env in (None, "0.0", "1.0"):
-            if env is None:
-                monkeypatch.delenv("REPRO_REPACK_THRESHOLD", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_REPACK_THRESHOLD", env)
-            ctxs, entries = _cases(make_random_context, UNIFORM)
-            results = optimize_sources_batch(ctxs, entries, config)
-            frees[env] = [r.free for r in results]
-        for env in ("0.0", "1.0"):
-            for a, b in zip(frees[None], frees[env]):
-                np.testing.assert_array_equal(a, b)
-
-    def test_explicit_repack_threshold_beats_env(self, monkeypatch,
-                                                 make_random_context):
-        # The argument wins over the environment (same precedence rule as
-        # every other registered knob); smoke it by pinning a nonsense env
-        # value that would repack constantly and asserting results hold.
-        monkeypatch.setenv("REPRO_REPACK_THRESHOLD", "1.0")
-        config = OptimizeConfig(max_iter=10, grad_tol=1e-4, backend="fused")
-        ctxs, entries = _cases(make_random_context, UNIFORM)
-        explicit = optimize_sources_batch(ctxs, entries, config,
-                                          repack_threshold=0.0)
-        monkeypatch.delenv("REPRO_REPACK_THRESHOLD")
-        ctxs2, entries2 = _cases(make_random_context, UNIFORM)
-        plain = optimize_sources_batch(ctxs2, entries2, config)
-        for a, b in zip(explicit, plain):
-            np.testing.assert_array_equal(a.free, b.free)
 
     def test_counters_match_scalar_path(self, make_random_context):
         config = OptimizeConfig(max_iter=10, grad_tol=1e-4, backend="fused")
@@ -564,11 +535,14 @@ class TestExecutorBatching:
         assert snap["elbo_batch_lanes"] == snap["elbo_batch_calls"]
         assert batch_occupancy(snap) == 1.0
 
-    def test_cross_assignment_coalescing_bit_for_bit_and_fuller(self):
-        """Cross-assignment batching: with batch coalescing on, lockstep
+    def test_cross_assignment_coalescing_bit_for_bit_and_fuller(
+            self, monkeypatch):
+        """Cross-assignment batching: batch coalescing (always on above
+        lane limit 1; switched off here by patching it out) lets lockstep
         evaluation batches span multiple Cyclades rounds — measurably more
         lanes per call on a clustered scene — while the catalog stays
         bit-for-bit identical to the uncoalesced (and scalar) schedule."""
+        from repro.parallel import executor
         from repro.perf import Counters
 
         # Well-separated sources: the conflict graph shatters, so every
@@ -585,17 +559,20 @@ class TestExecutorBatching:
 
         def run(coalesce):
             counters = Counters()
-            result = optimize_region_parallel(
-                images, entries, priors,
-                ParallelRegionConfig(
-                    n_threads=2, n_passes=1, joint=joint,
-                    # A tiny sampling batch forces many small Cyclades
-                    # rounds — the regime where per-round chunking starves
-                    # the lockstep width.
-                    batch_size=3, elbo_batch_size=16,
-                    coalesce_batches=coalesce, seed=0),
-                counters=counters,
-            )
+            with monkeypatch.context() as patch:
+                if not coalesce:
+                    patch.setattr(executor, "_coalesce_batches",
+                                  lambda batches, graph, n_threads: batches)
+                result = optimize_region_parallel(
+                    images, entries, priors,
+                    ParallelRegionConfig(
+                        n_threads=2, n_passes=1, joint=joint,
+                        # A tiny sampling batch forces many small Cyclades
+                        # rounds — the regime where per-round chunking
+                        # starves the lockstep width.
+                        batch_size=3, elbo_batch_size=16, seed=0),
+                    counters=counters,
+                )
             return result, counters.snapshot()
 
         split, split_snap = run(False)
@@ -636,14 +613,14 @@ def _driver_config(executor, batch, **kwargs):
         n_nodes=2,
         executor=executor,
         target_weight=200.0,
-        elbo_backend="fused",
         elbo_batch_size=batch,
         parallel=ParallelRegionConfig(
             n_threads=2,
             n_passes=1,
             joint=JointConfig(
                 n_passes=1,
-                single=OptimizeConfig(max_iter=8, grad_tol=2e-3),
+                single=OptimizeConfig(max_iter=8, grad_tol=2e-3,
+                                      backend="fused"),
             ),
         ),
         **kwargs,
@@ -682,14 +659,14 @@ class TestDriverBatching:
 
     def test_batch_size_is_pinned_and_fingerprinted(self, monkeypatch):
         monkeypatch.delenv(ELBO_BATCH_ENV_VAR, raising=False)
-        config = _pin_elbo_backend(_driver_config("thread", 8))
+        config = _pin_config(_driver_config("thread", 8))
         assert config.parallel.elbo_batch_size == 8
         monkeypatch.setenv(ELBO_BATCH_ENV_VAR, "4")
-        config = _pin_elbo_backend(_driver_config("thread", None))
+        config = _pin_config(_driver_config("thread", None))
         assert config.elbo_batch_size == 4
         assert config.parallel.elbo_batch_size == 4
         with pytest.raises(ValueError):
-            _pin_elbo_backend(_driver_config("thread", 0))
+            _pin_config(_driver_config("thread", 0))
 
     def test_checkpoint_refuses_resume_across_batch_size(self, batch_survey,
                                                          tmp_path):

@@ -12,7 +12,6 @@ from repro.envvars import (
     ENV_REGISTRY,
     EnvVar,
     env_flag,
-    env_float,
     env_int,
     env_raw,
     registry_markdown,
@@ -29,7 +28,7 @@ class TestRegistry:
         for name, var in ENV_REGISTRY.items():
             assert name.startswith("REPRO_")
             assert var.name == name
-            assert var.kind in ("flag", "int", "float", "str")
+            assert var.kind in ("flag", "int", "str")
             assert var.doc  # the contract line is mandatory
 
     def test_known_knobs_registered(self):
@@ -37,9 +36,7 @@ class TestRegistry:
             "REPRO_ELBO_BACKEND", "REPRO_DRIVER_EXECUTOR",
             "REPRO_ELBO_BATCH", "REPRO_RACE_DETECT",
             "REPRO_VERIFY_SCHEDULE", "REPRO_NUMERIC_CHECK",
-            "REPRO_BENCH_SMOKE", "REPRO_PRINT_GOLDEN",
-            "REPRO_KERNEL_TARGET", "REPRO_SWEEP_BUDGET",
-            "REPRO_REPACK_THRESHOLD",
+            "REPRO_BENCH_SMOKE", "REPRO_KERNEL_TARGET",
         }
         assert expected <= set(ENV_REGISTRY)
 
@@ -101,16 +98,6 @@ class TestTypedReads:
         monkeypatch.setenv("REPRO_ELBO_BATCH", "")
         assert env_int("REPRO_ELBO_BATCH") is None
 
-    def test_float_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPACK_THRESHOLD", "0.25")
-        assert env_float("REPRO_REPACK_THRESHOLD") == 0.25
-
-    def test_float_unset_or_empty_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPACK_THRESHOLD", raising=False)
-        assert env_float("REPRO_REPACK_THRESHOLD") is None
-        monkeypatch.setenv("REPRO_REPACK_THRESHOLD", "")
-        assert env_float("REPRO_REPACK_THRESHOLD") is None
-
     def test_int_parse_error_names_variable_and_value(self, monkeypatch):
         """A typo'd value must fail with the variable name and the raw
         string, not a bare ``invalid literal for int()``."""
@@ -119,13 +106,6 @@ class TestTypedReads:
             env_int("REPRO_ELBO_BATCH")
         assert "REPRO_ELBO_BATCH" in str(exc.value)
         assert "'eight'" in str(exc.value)
-
-    def test_float_parse_error_names_variable_and_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPACK_THRESHOLD", "half")
-        with pytest.raises(ValueError) as exc:
-            env_float("REPRO_REPACK_THRESHOLD")
-        assert "REPRO_REPACK_THRESHOLD" in str(exc.value)
-        assert "'half'" in str(exc.value)
 
 
 class TestGeneratedDocs:

@@ -5,9 +5,15 @@ socket frames (transport-level injection lives in
 bit-identical to an undisturbed run, and the recovery must be recorded in
 the :class:`~repro.perf.driver.DriverReport`.
 
+The faults are injected from here, not configured: no production config
+carries a fault knob.  A seat dies on a kill token this suite plants in the
+run's scratch directory (:func:`_kill_task`), and a run crashes when this
+suite's wrapper around the journal step raises (:func:`_abort_after`).
+
 The fast half runs at tier-1 scale; the ``slow``-marked half re-asserts
 the same invariants against the golden catalog pin."""
 
+import contextlib
 import dataclasses
 import os
 
@@ -17,6 +23,8 @@ import pytest
 from repro.core.joint import JointConfig
 from repro.core.single import OptimizeConfig
 from repro.driver import DriverConfig, run_pipeline
+from repro.driver.pool import WorkerPool
+from repro.driver.stage import StageRunner
 from repro.parallel import ParallelRegionConfig
 from repro.survey import SyntheticSkyConfig, generate_survey_fields
 
@@ -77,6 +85,45 @@ def _journals(directory):
     return sorted(f for f in os.listdir(directory) if ".tasks." in f)
 
 
+@contextlib.contextmanager
+def _kill_task(task_id):
+    """Process runs started inside find a kill token for ``task_id`` in
+    their scratch directory: the seat executing that task hard-exits right
+    before reporting it — after the catalog write, the worst window — and
+    consumes the token, so the retry on a surviving worker completes."""
+    spill = WorkerPool.field_source
+
+    def field_source(self, fields, store):
+        paths, scratch = spill(self, fields, store)
+        open(os.path.join(scratch, "kill.%d" % task_id), "w").close()
+        return paths, scratch
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorkerPool, "field_source", field_source)
+        yield
+
+
+@contextlib.contextmanager
+def _abort_after(n_tasks):
+    """Runs started inside crash (a simulated hard kill of the whole run)
+    once ``n_tasks`` tasks completed and were journaled — the setup half
+    of every resume-from-mid-stage test."""
+    journal = StageRunner._journal_task
+    completed = []
+
+    def journal_then_crash(self, task, elbo):
+        journal(self, task, elbo)
+        completed.append(task.task_id)
+        if len(completed) >= n_tasks:
+            raise RuntimeError(
+                "fault injection: simulated crash after %d completed tasks"
+                % len(completed))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StageRunner, "_journal_task", journal_then_crash)
+        yield
+
+
 class TestWorkerDeath:
     """A process node-worker hard-killed mid-stage (``os._exit``, no
     cleanup) is respawned or its work re-dispatched; the catalog is
@@ -91,9 +138,8 @@ class TestWorkerDeath:
         self, small_survey, reference
     ):
         _, fields = small_survey
-        result = run_pipeline(fields, _config(
-            executor="process", fault_kill_task=0,
-        ))
+        with _kill_task(0):
+            result = run_pipeline(fields, _config(executor="process"))
         assert _identical_catalogs(reference.catalog, result.catalog)
         deaths = [rec for rec in result.report.recoveries
                   if rec["kind"] == "worker_death"]
@@ -116,10 +162,9 @@ class TestCrashResume:
         _, fields = small_survey
         reference = run_pipeline(fields, _config(executor=executor))
         path = str(tmp_path / "ckpt.json")
-        with pytest.raises(RuntimeError, match="fault injection"):
-            run_pipeline(fields, _config(
-                path, executor=executor, fault_abort_after=1,
-            ))
+        with pytest.raises(RuntimeError, match="fault injection"), \
+                _abort_after(1):
+            run_pipeline(fields, _config(path, executor=executor))
         assert _journals(str(tmp_path)), "crash left no task journal"
         resumed = run_pipeline(fields, _config(path, executor=executor))
         assert _identical_catalogs(reference.catalog, resumed.catalog)
@@ -134,10 +179,9 @@ class TestCrashResume:
     ):
         _, fields = small_survey
         path = str(tmp_path / "ckpt.json")
-        with pytest.raises(RuntimeError, match="fault injection"):
-            run_pipeline(fields, _config(
-                path, fault_abort_after=1, task_checkpoint=False,
-            ))
+        with pytest.raises(RuntimeError, match="fault injection"), \
+                _abort_after(1):
+            run_pipeline(fields, _config(path, task_checkpoint=False))
         assert _journals(str(tmp_path)) == []
         # The run still resumes — just from the last stage boundary.
         reference = run_pipeline(fields, _config())
@@ -165,9 +209,8 @@ class TestGoldenUnderFaults:
 
     def test_killed_worker_matches_pin(self):
         _, fields = _golden_fields()
-        result = run_pipeline(fields, self._process_golden_config(
-            fault_kill_task=1,
-        ))
+        with _kill_task(1):
+            result = run_pipeline(fields, self._process_golden_config())
         assert catalog_content_hash(result.catalog) == GOLDEN_CATALOG_SHA256
         assert any(rec["kind"] == "worker_death"
                    for rec in result.report.recoveries)
@@ -175,9 +218,10 @@ class TestGoldenUnderFaults:
     def test_crash_resume_matches_pin(self, tmp_path):
         _, fields = _golden_fields()
         path = str(tmp_path / "ckpt.json")
-        with pytest.raises(RuntimeError, match="fault injection"):
+        with pytest.raises(RuntimeError, match="fault injection"), \
+                _abort_after(2):
             run_pipeline(fields, self._process_golden_config(
-                checkpoint_path=path, fault_abort_after=2,
+                checkpoint_path=path,
             ))
         result = run_pipeline(fields, self._process_golden_config(
             checkpoint_path=path,

@@ -16,7 +16,7 @@ catching genuine result shifts.
 
 If this test fails after an *intentional* change to inference behavior
 (new default, better optimizer, changed priors), regenerate the pin by
-running the test with ``REPRO_PRINT_GOLDEN=1`` and updating
+copying the digest the failing assertion prints into
 ``GOLDEN_CATALOG_SHA256`` — and say why in the commit message.
 """
 
@@ -27,7 +27,6 @@ import pytest
 
 from repro.core import JointConfig, OptimizeConfig
 from repro.driver import DriverConfig, run_pipeline
-from repro.envvars import env_flag
 from repro.parallel import ParallelRegionConfig
 from repro.survey import SyntheticSkyConfig, generate_survey_fields
 
@@ -62,14 +61,14 @@ def _golden_config(elbo_batch_size=1):
         n_nodes=2,
         executor="thread",
         target_weight=150.0,
-        elbo_backend="fused",
         elbo_batch_size=elbo_batch_size,
         parallel=ParallelRegionConfig(
             n_threads=2,
             n_passes=1,
             joint=JointConfig(
                 n_passes=1,
-                single=OptimizeConfig(max_iter=12, grad_tol=1e-3),
+                single=OptimizeConfig(max_iter=12, grad_tol=1e-3,
+                                      backend="fused"),
             ),
         ),
     )
@@ -97,13 +96,11 @@ class TestGoldenPipeline:
         result = run_pipeline(fields, _golden_config())
         assert len(result.catalog) >= 8  # the scene is non-trivial
         digest = catalog_content_hash(result.catalog)
-        if env_flag("REPRO_PRINT_GOLDEN"):
-            print("\nGOLDEN_CATALOG_SHA256 = %r" % digest)
         assert digest == GOLDEN_CATALOG_SHA256, (
             "End-to-end catalog content changed (got %s). If this is an "
-            "intentional inference change, regenerate the pin with "
-            "REPRO_PRINT_GOLDEN=1 and document why; otherwise a refactor "
-            "has shifted results." % digest
+            "intentional inference change, make that digest the pin and "
+            "document why; otherwise a refactor has shifted results."
+            % digest
         )
 
     def test_batched_run_matches_same_pin(self):
@@ -121,8 +118,9 @@ class TestGoldenPipeline:
         import dataclasses
 
         _, fields = _golden_fields()
-        config = dataclasses.replace(
-            _golden_config(), race_detect=True, verify_schedule=True)
+        config = _golden_config()
+        config = dataclasses.replace(config, parallel=dataclasses.replace(
+            config.parallel, race_detect=True, verify_schedule=True))
         result = run_pipeline(fields, config)
         assert result.report.race_reports == []
         assert catalog_content_hash(result.catalog) == GOLDEN_CATALOG_SHA256
@@ -134,8 +132,9 @@ class TestGoldenPipeline:
         import dataclasses
 
         _, fields = _golden_fields()
-        config = dataclasses.replace(
-            _golden_config(elbo_batch_size=8), numeric_check=True)
+        config = _golden_config(elbo_batch_size=8)
+        config = dataclasses.replace(config, parallel=dataclasses.replace(
+            config.parallel, numeric_check=True))
         result = run_pipeline(fields, config)
         assert result.report.numeric_reports == []
         assert catalog_content_hash(result.catalog) == GOLDEN_CATALOG_SHA256

@@ -32,7 +32,7 @@ from repro.core.kernel import (
 from repro.core.kernel_targets import _group_features_xp
 from repro.core.single import OptimizeConfig, optimize_source
 from repro.driver import DriverConfig, run_pipeline
-from repro.driver.pipeline import _fingerprint, _pin_elbo_backend
+from repro.driver.pipeline import _fingerprint, _pin_config
 from repro.parallel import ParallelRegionConfig
 from repro.survey import SyntheticSkyConfig, generate_survey_fields
 
@@ -253,47 +253,45 @@ def target_survey():
     )
 
 
-def _driver_config(**kwargs):
+def _driver_config(kernel_target=None):
     return DriverConfig(
         n_nodes=2,
         target_weight=200.0,
-        elbo_backend="fused",
         parallel=ParallelRegionConfig(
             n_threads=2,
             n_passes=1,
             joint=JointConfig(
                 n_passes=1,
-                single=OptimizeConfig(max_iter=8, grad_tol=2e-3),
+                single=OptimizeConfig(max_iter=8, grad_tol=2e-3,
+                                      backend="fused",
+                                      kernel_target=kernel_target),
             ),
         ),
-        **kwargs,
     )
 
 
 class TestDriverPlumbing:
     def test_target_is_pinned_through_config_tree(self, monkeypatch):
         monkeypatch.delenv(KERNEL_TARGET_ENV_VAR, raising=False)
-        config = _pin_elbo_backend(_driver_config())
-        assert config.kernel_target == "numpy"
-        assert config.parallel.joint.single.kernel_target == "numpy"
+        def pinned(**kwargs):
+            config = _pin_config(_driver_config(**kwargs))
+            return config.parallel.joint.single.kernel_target
 
-        config = _pin_elbo_backend(_driver_config(kernel_target="array_api"))
-        assert config.parallel.joint.single.kernel_target == "array_api"
+        assert pinned() == "numpy"
+        assert pinned(kernel_target="array_api") == "array_api"
 
-        # Env fills in only when neither config level names a target; it
-        # never needs the target's dependency to be importable (the name
-        # is validated without import, so "numba" pins on any host).
+        # Env fills in only when the config names no target; it never
+        # needs the target's dependency to be importable (the name is
+        # validated without import, so "numba" pins on any host).
         monkeypatch.setenv(KERNEL_TARGET_ENV_VAR, "numba")
-        config = _pin_elbo_backend(_driver_config())
-        assert config.kernel_target == "numba"
-        config = _pin_elbo_backend(_driver_config(kernel_target="numpy"))
-        assert config.kernel_target == "numpy"
+        assert pinned() == "numba"
+        assert pinned(kernel_target="numpy") == "numpy"
 
         monkeypatch.setenv(KERNEL_TARGET_ENV_VAR, "hexagonal")
         with pytest.raises(ValueError, match="unknown kernel target"):
-            _pin_elbo_backend(_driver_config())
+            pinned()
 
-    def test_fingerprint_records_target(self, monkeypatch, tmp_path):
+    def test_fingerprint_records_target(self, monkeypatch):
         monkeypatch.delenv(KERNEL_TARGET_ENV_VAR, raising=False)
         from repro.driver.pipeline import _FieldStore
 
@@ -303,9 +301,8 @@ class TestDriverPlumbing:
             config=SyntheticSkyConfig(source_density=60.0), rng=rng,
             bands=(2,),
         )
-        store = _FieldStore(fields, str(tmp_path))
-        fp = _fingerprint(store, _pin_elbo_backend(_driver_config()))
-        assert fp["kernel_target"] == "numpy"
+        store = _FieldStore(fields)
+        fp = _fingerprint(store, _pin_config(_driver_config()))
         assert (fp["parallel"]["joint"]["single"]["kernel_target"]
                 == "numpy")
 

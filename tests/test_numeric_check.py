@@ -24,7 +24,7 @@ from repro.core.params import FREE
 from repro.core.priors import default_priors
 from repro.core.single import OptimizeConfig
 from repro.driver import DriverConfig, run_pipeline
-from repro.driver.pipeline import _pin_analysis_flags
+from repro.driver.pipeline import _pin_config
 from repro.parallel.executor import (
     ParallelRegionConfig,
     optimize_region_parallel,
@@ -333,7 +333,7 @@ def tiny_survey():
     )
 
 
-def _driver_config(**overrides):
+def _driver_config(numeric_check=None, **overrides):
     config = DriverConfig(
         n_nodes=2,
         target_weight=60.0,
@@ -344,6 +344,7 @@ def _driver_config(**overrides):
                 n_passes=1,
                 single=OptimizeConfig(max_iter=8, grad_tol=2e-3),
             ),
+            numeric_check=numeric_check,
         ),
     )
     return dataclasses.replace(config, **overrides)
@@ -389,31 +390,18 @@ class TestPipelineNumericCheck:
 
     def test_env_var_enables_checking(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUMERIC_CHECK", "1")
-        pinned = _pin_analysis_flags(_driver_config())
-        assert pinned.numeric_check is True
+        pinned = _pin_config(_driver_config())
         assert pinned.parallel.numeric_check is True
 
     def test_explicit_config_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUMERIC_CHECK", "1")
-        pinned = _pin_analysis_flags(_driver_config(numeric_check=False))
-        assert pinned.numeric_check is False
+        pinned = _pin_config(_driver_config(numeric_check=False))
         assert pinned.parallel.numeric_check is False
 
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_NUMERIC_CHECK", raising=False)
-        pinned = _pin_analysis_flags(_driver_config())
-        assert pinned.numeric_check is False
+        pinned = _pin_config(_driver_config())
         assert pinned.parallel.numeric_check is False
-
-    def test_checking_flag_not_fingerprinted(self):
-        # Observational knobs must not invalidate checkpoints: a run with
-        # checking on resumes a run with checking off.
-        from repro.driver.pipeline import _parallel_fingerprint
-
-        off = _pin_analysis_flags(_driver_config())
-        on = _pin_analysis_flags(_driver_config(numeric_check=True))
-        assert (_parallel_fingerprint(on.parallel)
-                == _parallel_fingerprint(off.parallel))
 
     def test_driver_report_round_trips_numeric_findings(self):
         finding = NumericReport(

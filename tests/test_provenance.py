@@ -2,10 +2,14 @@
 
 Static: the KNOB3xx pass (:mod:`repro.analysis.provenance`) runs clean on
 the real tree, the AST-extracted manifest agrees with the runtime dataclass
-metadata, the fingerprint schema is pinned key-for-key, and seeded
-mutations of a copied source tree — an undeclared field, a popped
-fingerprinted key, a mis-declared env var — each fail the lint with exact
-attribution.
+metadata, and seeded mutations of a copied source tree — an undeclared
+field, a mis-declared env var, a scheduling knob read by the optimizer —
+each fail the lint with exact attribution.
+
+Derived: the checkpoint fingerprint is computed from the declarations, so
+the rule itself is tested — changing a knob changes the fingerprint iff the
+knob is declared ``fingerprinted`` — and a checkpoint carrying another
+commit's fingerprint keys restarts instead of resuming.
 
 Dynamic: the neutrality fuzzer.  Every knob declared *not* fingerprinted
 (neutral / observational / scheduling) is toggled against a tier-1-scale
@@ -18,6 +22,7 @@ either a fuzz variant or a written reason.
 """
 
 import dataclasses
+import json
 import os
 import shutil
 
@@ -32,7 +37,7 @@ from repro.analysis.provenance import (
 from repro.core.joint import JointConfig
 from repro.core.single import OptimizeConfig
 from repro.driver import DriverConfig, run_pipeline
-from repro.driver.pipeline import _fingerprint, _parallel_fingerprint
+from repro.driver.pipeline import _fingerprint
 from repro.envvars import ENV_REGISTRY
 from repro.knobs import PROVENANCE_CLASSES, provenance_of
 from repro.parallel import ParallelRegionConfig
@@ -71,6 +76,11 @@ class TestCleanTree:
     def test_provenance_pass_clean(self):
         violations = analyze_provenance()
         assert violations == [], "\n".join(v.render() for v in violations)
+
+    def test_knob_budget(self):
+        """The next knob is a conscious edit of this number, made after
+        asking whether an existing knob or a constant would do."""
+        assert len(knob_inventory()) <= 55, MANIFEST_HINT
 
     def test_every_knob_declared(self):
         for k in knob_inventory():
@@ -130,49 +140,38 @@ def _mutate(root: str, rel: str, old: str, new: str) -> None:
 
 
 class TestSeededMutations:
-    def test_undeclared_field_is_knob300(self, tree_copy):
+    def test_undeclared_field_is_knob300_dead_one_knob303(self, tree_copy):
         _mutate(
             tree_copy, "parallel/executor.py",
             'seed: int = knob(0, provenance="fingerprinted")',
             'seed: int = knob(0, provenance="fingerprinted")\n'
-            '    rogue_knob: float = 1.25',
+            '    rogue_knob: float = 1.25\n'
+            '    dead_knob: int = knob(0, provenance="fingerprinted")',
         )
         violations = analyze_provenance(tree_copy)
         hits = [v for v in violations if v.rule == "KNOB300"]
         assert len(hits) == 1
         assert "ParallelRegionConfig.rogue_knob" in hits[0].message
         assert hits[0].path.endswith("parallel/executor.py")
-
-    def test_popping_fingerprinted_key_is_knob301(self, tree_copy):
-        _mutate(
-            tree_copy, "driver/pipeline.py",
-            'd.pop("race_detect", None)',
-            'd.pop("seed", None)\n    d.pop("race_detect", None)',
-        )
-        violations = analyze_provenance(tree_copy)
-        hits = [v for v in violations if v.rule == "KNOB301"]
-        assert len(hits) == 1
-        assert "ParallelRegionConfig.seed" in hits[0].message
-        assert "'fingerprinted'" in hits[0].message
-        # attributed to the knob's declaration site, not the pop
-        assert hits[0].path.endswith("parallel/executor.py")
+        # declared, fingerprinted by construction — and read by nothing
+        dead = [v for v in violations if v.rule == "KNOB303"]
+        assert len(dead) == 1
+        assert "ParallelRegionConfig.dead_knob" in dead[0].message
 
     def test_invalid_env_provenance_is_knob300(self, tree_copy):
         _mutate(
             tree_copy, "envvars.py",
-            '"stacked kernel sweep covers; result-invariant cache blocking "\n'
-            '        "(lanes are independent), so it is not '
-            'checkpoint-fingerprinted.",\n'
-            '        provenance="neutral",',
-            '"stacked kernel sweep covers; result-invariant cache blocking "\n'
-            '        "(lanes are independent), so it is not '
-            'checkpoint-fingerprinted.",\n'
+            '"hardware without trusting timings or rewriting committed '
+            'JSON.",\n'
+            '        provenance="observational",',
+            '"hardware without trusting timings or rewriting committed '
+            'JSON.",\n'
             '        provenance="turbo",',
         )
         violations = analyze_provenance(tree_copy)
         hits = [v for v in violations if v.rule == "KNOB300"]
         assert len(hits) == 1
-        assert "REPRO_SWEEP_BUDGET" in hits[0].message
+        assert "REPRO_BENCH_SMOKE" in hits[0].message
 
     def test_env_config_disagreement_is_knob301(self, tree_copy):
         _mutate(
@@ -186,30 +185,15 @@ class TestSeededMutations:
         assert "REPRO_DRIVER_EXECUTOR" in hits[0].message
         assert "DriverConfig.executor" in hits[0].message
 
-    def test_misdeclared_eval_knob_is_knob301_and_302(self, tree_copy):
+    def test_misdeclared_eval_knob_is_knob302(self, tree_copy):
         _mutate(
             tree_copy, "core/single.py",
             'max_iter: int = knob(50, provenance="fingerprinted")',
             'max_iter: int = knob(50, provenance="scheduling")',
         )
         violations = analyze_provenance(tree_copy)
-        rules = {v.rule for v in violations}
-        assert "KNOB301" in rules  # it still lands in the fingerprint
-        assert "KNOB302" in rules  # and its value is read in core/
         k302 = [v for v in violations if v.rule == "KNOB302"]
-        assert any("max_iter" in v.message for v in k302)
-
-    def test_unmapped_fingerprint_key_is_knob304(self, tree_copy):
-        _mutate(
-            tree_copy, "driver/pipeline.py",
-            '"n_fields": store.n_fields,',
-            '"mystery_key": 0,\n        "n_fields": store.n_fields,',
-        )
-        violations = analyze_provenance(tree_copy)
-        hits = [v for v in violations if v.rule == "KNOB304"]
-        assert len(hits) == 1
-        assert "mystery_key" in hits[0].message
-        assert hits[0].path.endswith("driver/pipeline.py")
+        assert any("max_iter" in v.message for v in k302)  # read in core/
 
     def test_knob_suppression_works_and_staleness_is_caught(self, tree_copy):
         _mutate(
@@ -236,7 +220,7 @@ class TestSeededMutations:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprint-schema golden test: the exact key sets, pinned
+# The derived fingerprint: the rule, over the runtime manifest
 
 
 class _StubStore:
@@ -249,65 +233,78 @@ class _StubStore:
         return ((48, 48), (48, 48))
 
 
-FINGERPRINT_KEYS = {
-    "n_fields", "field_shapes", "target_weight", "two_stage",
-    "dedup_radius", "image_margin", "halo_margin", "halo_refresh",
-    "photo", "parallel", "elbo_backend", "elbo_batch_size",
-    "kernel_target",
-}
-PARALLEL_FINGERPRINT_KEYS = {
-    "n_threads", "n_passes", "joint", "batch_size", "seed",
-    "elbo_batch_size",
-}
-JOINT_FINGERPRINT_KEYS = {"n_passes", "single", "patch_radius"}
-SINGLE_FINGERPRINT_KEYS = {
-    "max_iter", "grad_tol", "initial_radius", "method",
-    "variance_correction", "backend", "kernel_target",
-}
-PHOTO_FINGERPRINT_KEYS = {
-    "threshold_sigma", "min_separation", "concentration_threshold",
-    "aperture_radius", "measure_radius",
-}
+def _leaf_knobs(config=DriverConfig(), path=()):
+    """(attribute path from a ``DriverConfig``, owning class, field) for
+    every config knob holding a plain value; a dataclass-valued knob is
+    its leaves."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_knobs(value, path + (f.name,))
+        else:
+            yield path + (f.name,), type(config).__name__, f
 
 
-class TestFingerprintSchema:
-    """Any accidental addition/removal of a fingerprint field fails here
-    with a pointer at the provenance manifest — changing the schema is a
-    provenance decision, not a side effect."""
+def _changed(config, path, f):
+    """``config`` with the knob at ``path`` set to some other value."""
+    if len(path) > 1:
+        child = _changed(getattr(config, path[0]), path[1:], f)
+        return dataclasses.replace(config, **{path[0]: child})
+    value, kind = getattr(config, f.name), str(f.type)
+    if "bool" in kind:
+        other = not value
+    elif "int" in kind or "float" in kind:
+        other = (value or 0) + 1
+    else:
+        other = (value or "") + "x"
+    return dataclasses.replace(config, **{f.name: other})
 
-    def test_fingerprint_key_set_pinned(self):
+
+_LEAVES = list(_leaf_knobs())
+
+
+class TestDerivedFingerprint:
+    def test_every_config_class_is_reached(self):
+        assert {owner for _, owner, _ in _LEAVES} == set(KNOB_CONFIG_CLASSES)
+
+    @pytest.mark.parametrize(
+        "path,f", [(p, f) for p, _, f in _LEAVES],
+        ids=[".".join(p) for p, _, _ in _LEAVES])
+    def test_changes_fingerprint_iff_declared_fingerprinted(self, path, f):
+        base = DriverConfig()
+        moved = (_fingerprint(_StubStore(), _changed(base, path, f))
+                 != _fingerprint(_StubStore(), base))
+        assert moved == (provenance_of(f) == "fingerprinted"), MANIFEST_HINT
+
+    def test_inputs_are_fingerprinted(self):
         fp = _fingerprint(_StubStore(), DriverConfig())
-        assert set(fp) == FINGERPRINT_KEYS, MANIFEST_HINT
+        assert fp["n_fields"] == 2
+        assert fp["field_shapes"] == ((48, 48), (48, 48))
 
-    def test_parallel_fingerprint_key_set_pinned(self):
-        d = _parallel_fingerprint(ParallelRegionConfig())
-        assert set(d) == PARALLEL_FINGERPRINT_KEYS, MANIFEST_HINT
-        assert set(d["joint"]) == JOINT_FINGERPRINT_KEYS, MANIFEST_HINT
-        assert set(d["joint"]["single"]) == SINGLE_FINGERPRINT_KEYS, \
-            MANIFEST_HINT
 
-    def test_photo_fingerprint_key_set_pinned(self):
-        fp = _fingerprint(_StubStore(), DriverConfig())
-        assert set(fp["photo"]) == PHOTO_FINGERPRINT_KEYS, MANIFEST_HINT
-
-    def test_fingerprinted_declarations_match_schema(self):
-        """Exactly the declared-fingerprinted knobs appear in the schema:
-        the runtime mirror of the static KNOB301 check."""
-        fp = _fingerprint(_StubStore(), DriverConfig())
-        declared = {
-            f.name for f in dataclasses.fields(DriverConfig)
-            if provenance_of(f) == "fingerprinted"
-        }
-        assert declared == (FINGERPRINT_KEYS
-                            - {"n_fields", "field_shapes"}), MANIFEST_HINT
-        popped = {
-            f.name for f in dataclasses.fields(ParallelRegionConfig)
-            if provenance_of(f) != "fingerprinted"
-        }
-        assert popped == (set(f.name for f in
-                              dataclasses.fields(ParallelRegionConfig))
-                          - PARALLEL_FINGERPRINT_KEYS), MANIFEST_HINT
-        assert set(fp["parallel"]) == PARALLEL_FINGERPRINT_KEYS
+@pytest.mark.slow
+@pytest.mark.usefixtures("no_driver_leaks")
+def test_checkpoint_with_parent_commit_fingerprint_restarts(tmp_path):
+    """A checkpoint written before the fingerprint was derived carries keys
+    this commit no longer writes (the top-level copies of the backend and
+    kernel target).  It is incompatible: the run restarts from nothing and
+    lands on the golden catalog, never half-resumes."""
+    fields = _fields()
+    path = str(tmp_path / "ckpt.json")
+    config = dataclasses.replace(_golden_config(), checkpoint_path=path)
+    seeded = run_pipeline(
+        fields, dataclasses.replace(config, stop_after="seed"))
+    assert seeded.stopped_early
+    with open(path, encoding="utf-8") as fh:
+        ckpt = json.load(fh)
+    ckpt["fingerprint"].update(elbo_backend="fused", kernel_target="numpy")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(ckpt, fh)
+    result = run_pipeline(fields, config)
+    assert result.resumed_stages == []
+    assert catalog_content_hash(result.catalog) == GOLDEN_CATALOG_SHA256
+    # ...and the control: the untouched kind of checkpoint does resume.
+    assert run_pipeline(fields, config).resumed_stages != []
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +332,14 @@ FUZZ_MATRIX = {
         dataclasses.replace(cfg, executor=None),
         {"REPRO_DRIVER_EXECUTOR": "__EXECUTOR__"}),
     "DriverConfig.max_batch": _set(max_batch=5),
-    "DriverConfig.prefetch_lookahead": _set(prefetch_lookahead=1),
-    "DriverConfig.field_cache_capacity": _set(field_cache_capacity=1),
     "DriverConfig.dtree": _set(dtree=DtreeConfig(
         fanout=2, initial_fraction=0.6, drain_fraction=0.3, min_batch=2)),
-    "DriverConfig.race_detect": _set(race_detect=True),
-    "DriverConfig.verify_schedule": _set(verify_schedule=True),
-    "DriverConfig.numeric_check": _set(numeric_check=True),
     "DtreeConfig.fanout": _set(dtree=DtreeConfig(fanout=2)),
     "DtreeConfig.initial_fraction": _set(
         dtree=DtreeConfig(initial_fraction=0.6)),
     "DtreeConfig.drain_fraction": _set(
         dtree=DtreeConfig(drain_fraction=0.3)),
     "DtreeConfig.min_batch": _set(dtree=DtreeConfig(min_batch=3)),
-    "ParallelRegionConfig.coalesce_batches": _set_parallel(
-        coalesce_batches=False),
     "ParallelRegionConfig.race_detect": _set_parallel(race_detect=True),
     "ParallelRegionConfig.verify_schedule": _set_parallel(
         verify_schedule=True),
@@ -362,10 +352,7 @@ FUZZ_MATRIX = {
     "REPRO_RACE_DETECT": _set_env({"REPRO_RACE_DETECT": "1"}),
     "REPRO_VERIFY_SCHEDULE": _set_env({"REPRO_VERIFY_SCHEDULE": "1"}),
     "REPRO_NUMERIC_CHECK": _set_env({"REPRO_NUMERIC_CHECK": "1"}),
-    "REPRO_SWEEP_BUDGET": _set_env({"REPRO_SWEEP_BUDGET": "1024"}),
-    "REPRO_REPACK_THRESHOLD": _set_env({"REPRO_REPACK_THRESHOLD": "0.9"}),
     "REPRO_BENCH_SMOKE": _set_env({"REPRO_BENCH_SMOKE": "1"}),
-    "REPRO_PRINT_GOLDEN": _set_env({"REPRO_PRINT_GOLDEN": "1"}),
 }
 
 #: Non-fingerprinted knobs deliberately not fuzzed, each with its reason.
@@ -385,12 +372,6 @@ FUZZ_SKIPS = {
         "only consulted when checkpoint_path is set; mid-stage "
         "crash/resume equivalence is pinned by the fault-injection "
         "tests"),
-    "DriverConfig.fault_kill_task": (
-        "deliberately kills a node-worker mid-stage; recovery "
-        "equivalence is pinned by the fault-injection tests"),
-    "DriverConfig.fault_abort_after": (
-        "deliberately aborts the run partway, so its output is not "
-        "comparable to a full run by construction"),
 }
 
 
@@ -443,6 +424,7 @@ def _baseline_hash(executor):
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("no_driver_leaks")
 @pytest.mark.parametrize("executor", ["thread", "process"])
 class TestNeutralityFuzzer:
     """Every declared-not-fingerprinted knob, toggled, must leave the

