@@ -6,12 +6,11 @@ backends — the Taylor reference path and the fused analytic kernel —
 splits each evaluation's cost into its pixel term and its
 (pixel-count-independent) KL terms, sweeps the lockstep evaluation batch
 size (the paper's AVX-512 many-sources-at-once analogue; B in
-{1, 4, 16, 64, 128}) crossed with the kernel execution target
-(``numpy``/``array_api``/``numba``), reports the implied single-thread DP
-FLOP rate under the paper's accounting, records the numbers in
-``BENCH_elbo_backend.json`` (sections ``backend_comparison``,
-``batch_sweep``, and ``batch_plateau``, merged so the perf trajectory of
-the objective layer is tracked across PRs), and checks the ablation that
+{1, 4, 16, 64, 128}), reports the implied single-thread DP FLOP rate
+under the paper's accounting, records the numbers in
+``BENCH_elbo_backend.json`` (sections ``backend_comparison`` and
+``batch_sweep``, merged so the perf trajectory of the objective layer is
+tracked across PRs), and checks the ablation that
 the variance-correction (delta approximation) term is a material part of
 the objective.
 
@@ -360,67 +359,6 @@ def test_batch_sweep_records_json():
         assert sweep["batch16_speedup"] >= REQUIRED_BATCH_SPEEDUP
         # The plateau criterion: wider batches must not regress the rate.
         assert sweep["batch64_over_16"] >= REQUIRED_PLATEAU_RATIO
-
-
-def test_batch_plateau_by_target_records_json():
-    """The batch sweep crossed with the kernel execution target, recorded
-    as the ``batch_plateau`` section: per-target per-B visit rates plus
-    each target's B=64/B=16 ratio.  The numpy target is the production
-    path and the one the plateau criterion binds; alternative targets are
-    recorded for trajectory (array_api trades throughput for portability;
-    numba appears when its dependency is installed)."""
-    from repro.core.kernel import get_kernel_target
-
-    targets = ["numpy", "array_api"]
-    try:
-        get_kernel_target("numba")
-        targets.append("numba")
-    except ValueError:
-        pass
-
-    pairs = [sweep_context(seed) for seed in range(max(BATCH_SIZES))]
-    visits = pairs[0][0].n_active_pixels
-
-    handles = {}
-    for b in BATCH_SIZES:
-        ctxs = [c for c, _ in pairs[:b]]
-        frees = [f for _, f in pairs[:b]]
-        compiled = compile_elbo_batch(ctxs, backend="fused")
-        handles[b] = (ctxs, frees, compiled)
-    # One interleaved grid across target x B: both the per-target plateau
-    # ratios and the cross-target comparison are ratios, so every cell
-    # must sample the same machine epochs (see ``_timed_grid``).
-    secs = _timed_grid({
-        (target, b): (lambda h=handles[b], t=target: elbo_batch(
-            h[0], h[1], order=2, backend="fused", compiled=h[2],
-            kernel_target=t))
-        for target in targets
-        for b in BATCH_SIZES
-    }, min_seconds=0.2, repeats=4)
-
-    plateau = {"visits_per_lane": visits, "order": 2, "targets": {},
-               "plateau_ratio_b64_over_b16": {}}
-    for target in targets:
-        rates = {"B%d" % b: visit_rate(b * visits, secs[(target, b)])
-                 for b in BATCH_SIZES}
-        plateau["targets"][target] = rates
-        plateau["plateau_ratio_b64_over_b16"][target] = (
-            rates["B64"] / rates["B16"])
-
-    print_header("ELBO batch plateau: per-visit rate vs B x kernel target")
-    for target in targets:
-        rates = plateau["targets"][target]
-        print("%-10s %s  (B64/B16 %.2fx)" % (
-            target,
-            "  ".join("B%d %8.0f" % (b, rates["B%d" % b])
-                      for b in BATCH_SIZES),
-            plateau["plateau_ratio_b64_over_b16"][target]))
-    print("recorded to %s" % ("(smoke: not recorded)" if SMOKE else BENCH_JSON))
-
-    if not SMOKE:
-        _merge_into_json("batch_plateau", plateau)
-        assert (plateau["plateau_ratio_b64_over_b16"]["numpy"]
-                >= REQUIRED_PLATEAU_RATIO)
 
 
 def test_variance_correction_ablation(benchmark):

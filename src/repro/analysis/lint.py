@@ -110,8 +110,8 @@ _NUMERIC_MODULES = (
     "core/", "optim/", "partition/", "profiles/", "transforms/", "psf/",
     "autodiff/", "survey/", "gaussians.py", "driver/merge.py",
 )
-_LANE_STACKED_MODULES = ("core/kernel.py", "core/kernel_targets.py",
-                         "optim/lockstep.py", "optim/lbfgs.py")
+_LANE_STACKED_MODULES = ("core/kernel.py", "optim/lockstep.py",
+                         "optim/lbfgs.py")
 _FINGERPRINTED_MODULES = (
     "core/", "optim/", "parallel/", "partition/", "transforms/",
     "profiles/", "psf/", "autodiff/", "gaussians.py", "driver/",

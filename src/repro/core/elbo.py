@@ -411,12 +411,6 @@ class ElboBackend:
     #: Registry name (``"taylor"``, ``"fused"``, ...).
     name: str = "?"
 
-    #: Whether the backend's evaluate methods accept a ``kernel_target``
-    #: keyword (a pluggable execution strategy for its inner loops).  The
-    #: front ends only forward the keyword when this is set, and reject an
-    #: explicit target under a backend that leaves it False.
-    supports_kernel_targets: bool = False
-
     def evaluate(self, ctx: SourceContext, free: np.ndarray, order: int,
                  variance_correction: bool):
         """Return the ELBO at ``free`` as a Taylor scalar or an
@@ -514,25 +508,14 @@ def get_backend(name: str | None = None) -> ElboBackend:
 # The objective
 
 
-def _kernel_target_kwargs(bk: ElboBackend, kernel_target: str | None) -> dict:
-    """Forward ``kernel_target`` only to backends that advertise support.
-
-    The fused backend sets ``supports_kernel_targets`` and accepts the
-    keyword; the Taylor oracle has no execution-target concept, so an
-    *explicit* target there is a caller error, not something to ignore
-    (silently dropping it would let a mis-pinned config run the wrong
-    kernel).  ``None`` always passes: it means "whatever the environment
-    resolves", which every backend satisfies trivially.
-    """
-    if getattr(bk, "supports_kernel_targets", False):
-        return {"kernel_target": kernel_target}
+def _reject_kernel_target(kernel_target) -> None:
+    """``kernel_target`` may only be ``None``: there is one pixel kernel."""
     if kernel_target is not None:
         raise ValueError(
-            "ELBO backend %r does not support kernel execution targets; "
-            "kernel_target=%r can only be used with a backend that "
-            "advertises supports_kernel_targets" % (bk.name, kernel_target)
+            "kernel_target=%r: the kernel execution targets were removed "
+            "and there is one pixel kernel; leave kernel_target unset"
+            % (kernel_target,)
         )
-    return {}
 
 
 def elbo(
@@ -541,6 +524,7 @@ def elbo(
     order: int = 2,
     variance_correction: bool = True,
     backend: str | None = None,
+    # None only; kept because benchmarks/suite/layers.py passes it.
     kernel_target: str | None = None,
 ):
     """Evaluate the single-source ELBO at a free parameter vector.
@@ -556,10 +540,8 @@ def elbo(
         Evaluation backend name (``"taylor"`` or ``"fused"``); ``None``
         reads :data:`BACKEND_ENV_VAR`, defaulting to :data:`DEFAULT_BACKEND`.
     kernel_target:
-        Execution-target name for backends that support one (the fused
-        kernel's ``numpy``/``array_api``/``numba``); ``None`` follows the
-        target's own env-var/default chain.  Explicitly naming a target
-        under a backend without target support raises ``ValueError``.
+        Must be ``None``; any other value raises ``ValueError`` (the
+        execution targets were removed).
 
     Returns an object with ``.val``, ``.gradient(41)``, ``.hessian(41)``
     and ``.hess`` (``None`` at order 1).  This is the batch of one of
@@ -587,6 +569,7 @@ def elbo_batch(
     backend: str | None = None,
     compiled=None,
     active=None,
+    # None only; kept because benchmarks/suite/layers.py passes it.
     kernel_target: str | None = None,
 ) -> list:
     """Evaluate many single-source ELBOs in one batched backend call.
@@ -622,10 +605,10 @@ def elbo_batch(
             "active mask has %d entries for %d contexts"
             % (len(active), len(ctxs))
         )
+    _reject_kernel_target(kernel_target)
     bk = get_backend(backend)
     out = bk.evaluate_batch(ctxs, frees, order, variance_correction,
-                            compiled=compiled, active=active,
-                            **_kernel_target_kwargs(bk, kernel_target))
+                            compiled=compiled, active=active)
     chk = current_check()
     if chk is not None:
         for i, lane_out in enumerate(out):
@@ -655,7 +638,6 @@ def elbo_kl(
     free: np.ndarray,
     order: int = 2,
     backend: str | None = None,
-    kernel_target: str | None = None,
 ):
     """Evaluate only the KL terms of the single-source ELBO.
 
@@ -668,8 +650,7 @@ def elbo_kl(
     split.
     """
     bk = get_backend(backend)
-    out = bk.evaluate_kl(ctx, np.asarray(free, dtype=np.float64), order,
-                         **_kernel_target_kwargs(bk, kernel_target))
+    out = bk.evaluate_kl(ctx, np.asarray(free, dtype=np.float64), order)
     chk = current_check()
     if chk is not None:
         chk.check_eval(out, stage="kl")

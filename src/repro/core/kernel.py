@@ -75,19 +75,12 @@ Cyclades worker thread re-uses the same buffers across every iteration of
 every source it updates (see :mod:`repro.parallel.cyclades`); pools are
 bounded and released by the executor when an assignment completes.
 
-**Execution targets.**  The hot inner loop — the per-patch pixel term — is
-factored behind the small :class:`KernelTarget` interface (the closed-form
-KL term is pixel-count-independent and runs the same NumPy closed forms
-under every target).  The shipped default is
-:class:`NumpyKernelTarget` (this module's stacked NumPy sweeps, the
-bit-for-bit reference); :mod:`repro.core.kernel_targets` ships an
-array-API-generic target (CuPy/torch namespaces drop in) and a Numba-JIT
-target registered only when numba is importable.  Targets are selected per
-call, via :class:`repro.core.single.OptimizeConfig`, or via the registered
-``REPRO_KERNEL_TARGET`` environment variable, and the driver fingerprints
-the resolved name into checkpoints exactly like ``elbo_backend``
-(non-default targets promise only tolerance-level parity, pinned by the
-randomized harness, so resuming across targets is refused).
+**One implementation.**  The per-patch pixel term
+(:func:`_patch_pixel_term`) is written once, as the stacked NumPy sweeps
+above, and every evaluation runs it.  Its oracles live in the tests: the
+Taylor backend for the whole objective (``tests/test_elbo_backends.py``)
+and a direct per-pixel build of the galaxy Hessian rows for the
+Hermite-moment contraction (``tests/test_contracted_curvature.py``).
 
 Only affine WCS maps are supported (the survey's are); the workspace probes
 the map numerically rather than reaching into its attributes.
@@ -95,7 +88,6 @@ the map numerically rather than reaching into its attributes.
 
 from __future__ import annotations
 
-import importlib
 import os
 import threading
 import weakref
@@ -121,15 +113,11 @@ from repro.core.params import (
     _BIJ_SCALE,
 )
 from repro.core.priors import Priors
-from repro.envvars import env_raw
 from repro.transforms import LogitBox
 from repro.transforms.bijectors import softmax_fixed_last_d012_stacked
 
-__all__ = ["FusedBackend", "KernelTarget", "KlWorkspace",
-           "NumpyKernelTarget", "available_kernel_targets", "elbo_fused",
-           "elbo_fused_batch", "get_kernel_target", "register_kernel_target",
-           "release_scratch", "resolve_kernel_target_name",
-           "DEFAULT_KERNEL_TARGET", "KERNEL_TARGET_ENV_VAR"]
+__all__ = ["FusedBackend", "KlWorkspace", "elbo_fused", "elbo_fused_batch",
+           "release_scratch"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -717,10 +705,6 @@ class _FusedBatchWorkspace:
                     by_kl.setdefault(id(m.kl), (m.kl, []))[1].append(j)
                 self.groups.append(
                     (chunk, stacks, u_centers, list(by_kl.values())))
-
-    @property
-    def n_lanes(self) -> int:
-        return len(self.ctxs)
 
     def matches(self, ctxs: list) -> bool:
         """Whether this workspace was compiled for exactly these contexts
@@ -1451,116 +1435,10 @@ def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
 
 
 # ---------------------------------------------------------------------------
-# Execution targets
-
-class KernelTarget:
-    """One execution strategy for the fused kernel's hot inner loop.
-
-    The fused backend's compile-once workspaces, lane grouping, scratch
-    pool, chain-rule bookkeeping, and closed-form KL term
-    (:class:`KlWorkspace` — pixel-count-independent and tiny, so it runs
-    the same NumPy closed forms under every target) are
-    target-independent; what varies is *how* the per-patch pixel term is
-    executed.  A target supplies exactly that hook: :meth:`pixel_term` —
-    one patch slot's expected Poisson log-likelihood value / z-gradient /
-    z-Hessian over a lane group, given the slot's pixel-static stacks and
-    the group's :class:`_EvalChain`.
-
-    :class:`NumpyKernelTarget` is the default and the bit-for-bit
-    reference (lane-independent exactly); other targets
-    (:mod:`repro.core.kernel_targets`) promise tolerance-level parity
-    only, pinned by the randomized harness, and are therefore
-    checkpoint-fingerprinted so a resume never mixes targets.
-    """
-
-    name = "base"
-
-    def pixel_term(self, pws, chain):
-        raise NotImplementedError
-
-
-class NumpyKernelTarget(KernelTarget):
-    """The reference target: this module's stacked NumPy sweeps."""
-
-    name = "numpy"
-
-    def pixel_term(self, pws, chain):
-        # Late module-global lookup, so tests can monkeypatch
-        # _patch_pixel_term and instrumentation can wrap it.
-        return _patch_pixel_term(pws, chain)
-
-
-KERNEL_TARGET_ENV_VAR = "REPRO_KERNEL_TARGET"
-DEFAULT_KERNEL_TARGET = "numpy"
-
-#: Known target names mapped to the module whose import registers them
-#: (mirrors the elbo backend registry's lazy-import pattern).
-_KNOWN_KERNEL_TARGETS = {
-    "numpy": "repro.core.kernel",
-    "array_api": "repro.core.kernel_targets",
-    "numba": "repro.core.kernel_targets",
-}
-
-_KERNEL_TARGETS: dict[str, KernelTarget] = {}
-
-
-def register_kernel_target(target: KernelTarget) -> None:
-    """Register an execution target instance under its ``name``."""
-    _KERNEL_TARGETS[target.name] = target
-
-
-def available_kernel_targets() -> list[str]:
-    """Selectable target names (a name may still fail to load if its
-    optional dependency is absent — see :func:`get_kernel_target`)."""
-    return sorted(_KNOWN_KERNEL_TARGETS)
-
-
-def resolve_kernel_target_name(name: str | None = None) -> str:
-    """The effective target name: explicit argument, else the registered
-    ``REPRO_KERNEL_TARGET`` environment variable, else the default.
-
-    Validates against the known-name table *without importing* the
-    target's module, so the driver can pin and fingerprint a name cheaply
-    at config time.
-    """
-    if name is None:
-        name = env_raw(KERNEL_TARGET_ENV_VAR) or DEFAULT_KERNEL_TARGET
-    if name not in _KNOWN_KERNEL_TARGETS:
-        raise ValueError(
-            "unknown kernel target %r; available: %s"
-            % (name, ", ".join(available_kernel_targets()))
-        )
-    return name
-
-
-def get_kernel_target(name: str) -> KernelTarget:
-    """The registered target instance, importing its module on first use."""
-    target = _KERNEL_TARGETS.get(name)
-    if target is None:
-        if name not in _KNOWN_KERNEL_TARGETS:
-            raise ValueError(
-                "unknown kernel target %r; available: %s"
-                % (name, ", ".join(available_kernel_targets()))
-            )
-        importlib.import_module(_KNOWN_KERNEL_TARGETS[name])
-        target = _KERNEL_TARGETS.get(name)
-        if target is None:
-            raise ValueError(
-                "kernel target %r is known but unavailable on this host "
-                "(its optional dependency is not installed)" % (name,)
-            )
-    return target
-
-
-register_kernel_target(NumpyKernelTarget())
-
-
-# ---------------------------------------------------------------------------
 # The backend
 
 
-def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int,
-                    target: KernelTarget):
+def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int):
     """Pixel term over one lane group: per-lane value ``(G,)``, dense
     27-gradient ``(G, 27)``, and 27x27 Hessian (``None`` at order 1).
 
@@ -1574,7 +1452,7 @@ def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int,
     g27 = np.zeros((gsz, _N_ACTIVE))
     h27 = np.zeros((gsz, _N_ACTIVE, _N_ACTIVE)) if order >= 2 else None
     for pws in stacks:
-        pval, gz, hz = target.pixel_term(pws, chain)
+        pval, gz, hz = _patch_pixel_term(pws, chain)
         val += pval
         jac = chain.patch_jacobians(pws)
         jacT = jac.transpose(0, 2, 1)
@@ -1590,14 +1468,11 @@ def elbo_fused(
     free,
     order: int = 2,
     variance_correction: bool = True,
-    kernel_target: str | None = None,
 ) -> ElboEval:
     """Evaluate one source's full ELBO with the fused analytic kernel: the
-    lane-count-1 case of :func:`elbo_fused_batch` (see there for
-    ``kernel_target``)."""
+    lane-count-1 case of :func:`elbo_fused_batch`."""
     return elbo_fused_batch([ctx], [free], order=order,
-                            variance_correction=variance_correction,
-                            kernel_target=kernel_target)[0]
+                            variance_correction=variance_correction)[0]
 
 
 def elbo_fused_batch(
@@ -1607,7 +1482,6 @@ def elbo_fused_batch(
     variance_correction: bool = True,
     compiled: _FusedBatchWorkspace | None = None,
     active=None,
-    kernel_target: str | None = None,
 ) -> list:
     """Evaluate many sources' ELBOs in one stacked sweep.
 
@@ -1618,13 +1492,11 @@ def elbo_fused_batch(
     stacked pixel sweep (their lanes are baked into the stacks — that waste
     is what the batch-occupancy counters expose, and why callers repack
     once occupancy drops), but their results are skipped and returned as
-    ``None``.  ``kernel_target`` picks the execution target (explicit name,
-    else ``REPRO_KERNEL_TARGET``, else the NumPy reference).  Returns one
+    ``None``.  Returns one
     :class:`ElboEval` (or ``None``) per context, in order, each bit-for-bit
     equal to what a one-lane call returns for that context and free vector
     alone (lanes are independent).
     """
-    target = get_kernel_target(resolve_kernel_target_name(kernel_target))
     if compiled is None:
         compiled = _FusedBatchWorkspace(ctxs)
     elif not compiled.matches(ctxs):
@@ -1638,7 +1510,7 @@ def elbo_fused_batch(
                             for l in lanes])
         chain = _EvalChain(u_centers, frees_g, order, variance_correction)
         if stacks:
-            val, g27, h27 = _evaluate_lanes(stacks, chain, order, target)
+            val, g27, h27 = _evaluate_lanes(stacks, chain, order)
             # What the kernel really stacked (a batch call splits into one
             # sweep per shape group): observational, like the front end's
             # elbo_batch_* pair, and on the sweep's first context's bag.
@@ -1680,20 +1552,12 @@ class FusedBackend(ElboBackend):
     """Production backend: compile-once workspaces + closed-form blocks."""
 
     name = "fused"
-    #: The objective front end forwards ``kernel_target`` only to backends
-    #: that advertise support (the Taylor oracle has no target concept).
-    supports_kernel_targets = True
 
-    def evaluate(self, ctx, free, order, variance_correction,
-                 kernel_target=None):
+    def evaluate(self, ctx, free, order, variance_correction):
         return elbo_fused(ctx, free, order=order,
-                          variance_correction=variance_correction,
-                          kernel_target=kernel_target)
+                          variance_correction=variance_correction)
 
-    def evaluate_kl(self, ctx, free, order, kernel_target=None):
-        # The KL term is target-independent; the name is still validated so
-        # a mis-pinned target fails here as it would in a full evaluation.
-        get_kernel_target(resolve_kernel_target_name(kernel_target))
+    def evaluate_kl(self, ctx, free, order):
         val, grad, hess = _kl_workspace(ctx.priors).evaluate_stacked(
             np.asarray(free, dtype=np.float64)[None], order)
         return ElboEval(val[0], None if grad is None else grad[0],
@@ -1706,11 +1570,10 @@ class FusedBackend(ElboBackend):
         return _FusedBatchWorkspace(ctxs)
 
     def evaluate_batch(self, ctxs, frees, order, variance_correction,
-                       compiled=None, active=None, kernel_target=None):
+                       compiled=None, active=None):
         return elbo_fused_batch(ctxs, frees, order=order,
                                 variance_correction=variance_correction,
-                                compiled=compiled, active=active,
-                                kernel_target=kernel_target)
+                                compiled=compiled, active=active)
 
     def release_scratch(self):
         release_scratch()

@@ -64,11 +64,9 @@ class OptimizeConfig:
     #: that default in up front so checkpoints fingerprint the backend that
     #: actually ran.
     backend: str | None = knob(None, provenance="fingerprinted")
-    #: Fused-kernel execution target (``"numpy"``/``"array_api"``/
-    #: ``"numba"``); ``None`` follows ``REPRO_KERNEL_TARGET``, then the
-    #: NumPy reference.  Filled in by the driver alongside the backend
-    #: (non-reference targets are tolerance-parity, so the target that ran
-    #: is part of a checkpoint's fingerprint).
+    #: ``None`` only (anything else is a ``ValueError``: the execution
+    #: targets were removed).  Kept for its one outside reader,
+    #: benchmarks/suite/layers.py, which passes it to ``elbo``/``elbo_batch``.
     kernel_target: str | None = knob(None, provenance="fingerprinted")
 
 

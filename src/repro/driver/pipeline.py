@@ -95,8 +95,7 @@ import time
 from dataclasses import dataclass, replace
 
 from repro.core.catalog import Catalog
-from repro.core.elbo import get_backend, resolve_backend_name
-from repro.core.kernel import resolve_kernel_target_name
+from repro.core.elbo import _reject_kernel_target, resolve_backend_name
 from repro.core.priors import Priors, default_priors
 from repro.driver.checkpoint import (
     STAGES,
@@ -293,28 +292,17 @@ def _pin_config(config: DriverConfig) -> DriverConfig:
     """Fill every environment default into the nested config, once, and
     validate what was filled.
 
-    After this the optimizer's ``backend`` and ``kernel_target``, the
-    lockstep lane limit and the three analysis opt-ins hold the values
-    that will run, so the fingerprint (derived from the same config)
-    records them, and process node-workers inherit them through the
-    pickled config instead of re-reading their own environment.  A field
-    that is set wins over its variable; ``None`` asks the variable.  The
-    kernel target is validated *by name* — without importing the target's
-    module, so pinning never requires the optional dependency.
+    After this the optimizer's ``backend``, the lockstep lane limit and
+    the three analysis opt-ins hold the values that will run, so the
+    fingerprint (derived from the same config) records them, and process
+    node-workers inherit them through the pickled config instead of
+    re-reading their own environment.  A field that is set wins over its
+    variable; ``None`` asks the variable.
     """
     parallel = config.parallel
     single = parallel.joint.single
     backend = resolve_backend_name(single.backend)
-    target = single.kernel_target
-    if target is not None or getattr(
-        get_backend(backend), "supports_kernel_targets", False
-    ):
-        # The REPRO_KERNEL_TARGET default only applies to backends with an
-        # execution-target concept; pinning it onto the Taylor oracle would
-        # turn an environment default into a hard config error there.  An
-        # *explicit* target with such a backend stays pinned and is
-        # rejected loudly at evaluation time.
-        target = resolve_kernel_target_name(target)
+    _reject_kernel_target(single.kernel_target)
     batch_size = _unless_set(
         config.elbo_batch_size,
         _unless_set(parallel.elbo_batch_size, env_int(ELBO_BATCH_ENV_VAR)))
@@ -330,7 +318,7 @@ def _pin_config(config: DriverConfig) -> DriverConfig:
             parallel,
             elbo_batch_size=batch_size,
             joint=replace(parallel.joint, single=replace(
-                single, backend=backend, kernel_target=target)),
+                single, backend=backend)),
             race_detect=_unless_set(
                 parallel.race_detect, env_flag(RACE_DETECT_ENV_VAR)),
             verify_schedule=_unless_set(

@@ -112,14 +112,6 @@ _VARS = (
         resolves_to="ParallelRegionConfig.numeric_check",
     ),
     EnvVar(
-        "REPRO_KERNEL_TARGET", "str", "numpy",
-        "Fused-kernel execution target when no config pins one: `numpy` "
-        "(the bit-for-bit reference), `array_api` (namespace-generic "
-        "stacked sweeps), or `numba` (JIT loops; requires numba).",
-        provenance="fingerprinted",
-        resolves_to="OptimizeConfig.kernel_target",
-    ),
-    EnvVar(
         "REPRO_BENCH_SMOKE", "flag", "off",
         "Benchmark smoke mode: exercise every benchmark code path on CI "
         "hardware without trusting timings or rewriting committed JSON.",

@@ -83,7 +83,8 @@ def _weighted_moments(data: np.ndarray, xs, ys, cx, cy, w_sigma: float,
 
 def measure_shape(image: Image, sky_position: np.ndarray,
                   radius: float = 12.0) -> ShapeMeasurement:
-    """Measure a detection's morphology on one image."""
+    """Measure a detection's morphology on one image, from its unmasked
+    pixels only."""
     bounds = source_patch(image, sky_position, radius)
     if bounds is None:
         raise ValueError("source is off the image")
@@ -91,6 +92,11 @@ def measure_shape(image: Image, sky_position: np.ndarray,
     ys, xs = np.mgrid[y0:y1, x0:x1]
     px, py = image.meta.wcs.sky_to_pix(np.asarray(sky_position))
     data = image.pixels[y0:y1, x0:x1] - image.meta.sky_level
+    # A masked pixel weighs nothing: not in the data, the PSF reference or
+    # the profile fit (as in psf_flux).
+    good = (np.ones(data.shape, dtype=bool) if image.mask is None
+            else ~image.mask[y0:y1, x0:x1])
+    data = np.where(good, data, 0.0)
 
     psf_true = image.meta.psf.second_moment()
     w_sigma = float(np.sqrt(max(np.trace(psf_true) / 2.0, 0.25)))
@@ -98,7 +104,7 @@ def measure_shape(image: Image, sky_position: np.ndarray,
 
     # Measure the PSF model through the identical adaptive pipeline so any
     # residual estimator bias cancels in the comparison.
-    psf_img = image.meta.psf.density(xs - px, ys - py)
+    psf_img = np.where(good, image.meta.psf.density(xs - px, ys - py), 0.0)
     psf_m = _weighted_moments(psf_img, xs, ys, px, py, w_sigma)
 
     intrinsic = observed - psf_m
@@ -115,7 +121,7 @@ def measure_shape(image: Image, sky_position: np.ndarray,
     det_psf = max(np.linalg.det(psf_m), 1e-9)
     concentration = float((det_obs / det_psf) ** 0.25)
 
-    frac_dev = _profile_type(image, data, xs, ys, px, py,
+    frac_dev = _profile_type(image, data, good, xs, ys, px, py,
                              axis_ratio, angle, radius_px)
 
     return ShapeMeasurement(
@@ -129,10 +135,11 @@ def measure_shape(image: Image, sky_position: np.ndarray,
     )
 
 
-def _profile_type(image, data, xs, ys, px, py, axis_ratio, angle, radius_px):
+def _profile_type(image, data, good, xs, ys, px, py, axis_ratio, angle,
+                  radius_px):
     """Chi-square comparison of exponential vs de Vaucouleurs models with the
     measured ellipse, returning a hard 0/1 decision softened by the relative
-    fit quality (Photo's "fracDeV")."""
+    fit quality (Photo's "fracDeV"), over the ``good`` pixels only."""
     chis = []
     total = max(data.sum(), 1e-9)
     for frac_dev in (0.0, 1.0):
@@ -142,7 +149,8 @@ def _profile_type(image, data, xs, ys, px, py, axis_ratio, angle, radius_px):
                             radius=max(radius_px, 0.3))
         model = galaxy_density(shape, image.meta.psf, xs - px, ys - py) * total
         var = np.maximum(image.meta.sky_level + np.clip(data, 0, None), 1.0)
-        chis.append(float(((data - model) ** 2 / var).sum()))
+        chis.append(float(
+            np.where(good, (data - model) ** 2 / var, 0.0).sum()))
     chi_exp, chi_dev = chis
     # Softmax on chi-square difference: ~0 for clearly-exponential, ~1 for
     # clearly-de-Vaucouleurs, ~0.5 when indistinguishable.

@@ -62,7 +62,9 @@ class Image:
 
     ``mask`` flags defective pixels (cosmic-ray hits, saturation, bad
     columns): True = unusable.  Masked pixels carry no information about
-    the sky and are excluded from inference and photometry.
+    the sky and are excluded from inference and photometry, so they may
+    hold anything, NaN included; an unmasked pixel must be finite
+    (``ValueError`` otherwise).
     """
 
     pixels: np.ndarray
@@ -77,6 +79,16 @@ class Image:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.pixels.shape:
                 raise ValueError("mask shape must match pixels")
+        bad = ~np.isfinite(self.pixels)
+        if self.mask is not None:
+            bad &= ~self.mask
+        if bad.any():
+            rows, cols = np.nonzero(bad)
+            raise ValueError(
+                "image has %d non-finite unmasked pixel(s), first at "
+                "(row %d, col %d); mask them or repair the data"
+                % (len(rows), rows[0], cols[0])
+            )
 
     @property
     def height(self) -> int:

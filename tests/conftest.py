@@ -14,8 +14,8 @@ Test modules consume these through fixtures (pytest injects them by name),
 which sidesteps the two-``conftest.py``-modules import ambiguity that a
 plain ``from conftest import ...`` would hit in this layout.
 
-Also here: the driver and transport suites' leak fixture
-(``no_driver_leaks``).
+Also here: the leak fixture every test runs under (``no_driver_leaks``,
+autouse).
 """
 
 import dataclasses
@@ -230,9 +230,9 @@ def _listening_sockets():
     return listening & held
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def no_driver_leaks():
-    """After the test — however it ended — nothing of the driver is left
+    """After every test — however it ended — nothing of the driver is left
     running or lying around: no seat, pump, collector or PGAS socket-server
     thread (they are all named ``repro-*``), no child process (a test that
     owns a ``WorkerPool`` closes it first), no new spill directory, no new

@@ -66,10 +66,6 @@ from repro.survey import (
     save_field,
 )
 
-#: Every test here ends with no seat, pump or collector thread, no child
-#: process and no spill directory left behind (tests/conftest.py).
-pytestmark = pytest.mark.usefixtures("no_driver_leaks")
-
 COLORS = [1.0, 0.8, 0.3, 0.1]
 
 

@@ -32,11 +32,13 @@ from repro.core.elbo import (
     DEFAULT_BACKEND,
     ElboEval,
     SourceContext,
+    elbo_batch,
     elbo_kl,
 )
 from repro.core.params import FREE
 from repro.core.single import initial_params, to_catalog_entry
 from repro.driver import DriverConfig, run_pipeline
+from repro.driver.pipeline import _pin_config
 from repro.parallel import ParallelRegionConfig
 from repro.perf.counters import Counters
 from repro.survey import SyntheticSkyConfig, generate_survey_fields
@@ -176,11 +178,7 @@ class TestScratchReleasedOnFailure:
             self, monkeypatch, make_random_context, star_entry, method):
         from repro.core import kernel
 
-        # Pinned to the numpy execution target: the scratch pool and the
-        # patched-in failure are that target's own machinery, so the test
-        # must not follow a REPRO_KERNEL_TARGET override.
-        config = OptimizeConfig(max_iter=2, method=method, backend="fused",
-                                kernel_target="numpy")
+        config = OptimizeConfig(max_iter=2, method=method, backend="fused")
         ctx, _ = make_random_context("star", seed=6)
         optimize_source(ctx, star_entry, config)
         baseline_pool = getattr(kernel._TLS, "pool", None)
@@ -288,6 +286,59 @@ class TestBackendSelection:
         assert ctx.counters.get("lbfgs_iterations") > 0
         optimize_source(ctx, star_entry, OptimizeConfig(max_iter=5))
         assert ctx.counters.get("newton_solves") == 1.0
+
+    @pytest.mark.parametrize("backend", ["fused", "taylor"])
+    @pytest.mark.parametrize("target", ["numpy", "cuda", ""])
+    def test_kernel_target_other_than_none_is_rejected(
+            self, backend, target, make_random_context, star_entry):
+        # There is one pixel kernel; the parameter survives only as None.
+        ctx, free = make_random_context("star", seed=7)
+        with pytest.raises(ValueError, match="execution targets were removed"):
+            elbo(ctx, free, backend=backend, kernel_target=target)
+        with pytest.raises(ValueError, match="execution targets were removed"):
+            elbo_batch([ctx], [free], backend=backend, kernel_target=target)
+        config = OptimizeConfig(max_iter=2, backend=backend,
+                                kernel_target=target)
+        with pytest.raises(ValueError, match="execution targets were removed"):
+            optimize_source(ctx, star_entry, config)
+        driver = DriverConfig(parallel=ParallelRegionConfig(
+            joint=JointConfig(single=config)))
+        with pytest.raises(ValueError, match="execution targets were removed"):
+            _pin_config(driver)     # before any task runs
+        elbo(ctx, free, backend=backend, kernel_target=None)
+
+    @pytest.mark.parametrize("backend", ["fused", "taylor"])
+    def test_explicit_none_kernel_target_is_bit_for_bit(
+            self, backend, make_random_context):
+        # Callers that still pass the field through (kernel_target=None)
+        # get the default evaluation exactly, not to a tolerance.
+        ctx, free = make_random_context("galaxy", seed=23, perturb=0.05)
+        ref = elbo(ctx, free, order=2, backend=backend)
+        out = elbo(ctx, free, order=2, backend=backend, kernel_target=None)
+        (batched,) = elbo_batch([ctx], [free], order=2, backend=backend,
+                                kernel_target=None)
+        for got in (out, batched):
+            assert float(got.val) == float(ref.val)
+            np.testing.assert_array_equal(got.gradient(free.size),
+                                          ref.gradient(free.size))
+            np.testing.assert_array_equal(got.hessian(free.size),
+                                          ref.hessian(free.size))
+
+    def test_kernel_target_stays_unset_through_pin_and_fingerprint(self):
+        from repro.driver.pipeline import _FieldStore, _fingerprint
+
+        _, fields = generate_survey_fields(
+            1, field_shape_hw=(30, 30), overlap=6.0,
+            config=SyntheticSkyConfig(source_density=60.0),
+            rng=np.random.default_rng(3), bands=(2,))
+        config = _pin_config(DriverConfig(n_nodes=1))
+        assert config.parallel.joint.single.kernel_target is None
+        # The key stays in the fingerprint, so a checkpoint that recorded
+        # a target name mismatches and restarts.
+        single = _fingerprint(_FieldStore(fields), config)[
+            "parallel"]["joint"]["single"]
+        assert "kernel_target" in single
+        assert single["kernel_target"] is None
 
 
 class TestInitialParamsAngle:

@@ -305,11 +305,7 @@ class TestLockstepOptimizer:
         to baseline rather than strand stacked buffers."""
         from repro.core import kernel
 
-        # Pinned to the numpy execution target: the scratch pool and the
-        # patched-in failure are that target's own machinery, so the test
-        # must not follow a REPRO_KERNEL_TARGET override.
-        config = OptimizeConfig(max_iter=3, grad_tol=1e-4, backend="fused",
-                                kernel_target="numpy")
+        config = OptimizeConfig(max_iter=3, grad_tol=1e-4, backend="fused")
         ctxs, entries = _cases(make_random_context, UNIFORM)
         optimize_sources_batch(ctxs, entries, config)
         assert getattr(kernel._TLS, "pool", None)  # buffers pooled

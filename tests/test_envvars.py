@@ -36,7 +36,7 @@ class TestRegistry:
             "REPRO_ELBO_BACKEND", "REPRO_DRIVER_EXECUTOR",
             "REPRO_ELBO_BATCH", "REPRO_RACE_DETECT",
             "REPRO_VERIFY_SCHEDULE", "REPRO_NUMERIC_CHECK",
-            "REPRO_BENCH_SMOKE", "REPRO_KERNEL_TARGET",
+            "REPRO_BENCH_SMOKE",
         }
         assert expected <= set(ENV_REGISTRY)
 

@@ -18,8 +18,6 @@ from repro.pgas import (
 )
 from repro.sched import CentralQueue, Dtree, DtreeConfig
 
-pytestmark = pytest.mark.usefixtures("no_driver_leaks")
-
 
 class TestGlobalArray:
     def test_put_get_roundtrip(self):

@@ -26,6 +26,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.analysis.provenance import (
@@ -43,6 +44,7 @@ from repro.knobs import PROVENANCE_CLASSES, provenance_of
 from repro.parallel import ParallelRegionConfig
 from repro.photo.pipeline import PhotoConfig
 from repro.sched.dtree import DtreeConfig
+from repro.survey import SyntheticSkyConfig, generate_survey_fields
 
 from test_golden_pipeline import (
     GOLDEN_CATALOG_SHA256,
@@ -80,7 +82,7 @@ class TestCleanTree:
     def test_knob_budget(self):
         """The next knob is a conscious edit of this number, made after
         asking whether an existing knob or a constant would do."""
-        assert len(knob_inventory()) <= 55, MANIFEST_HINT
+        assert len(knob_inventory()) <= 54, MANIFEST_HINT
 
     def test_every_knob_declared(self):
         for k in knob_inventory():
@@ -283,7 +285,6 @@ class TestDerivedFingerprint:
 
 
 @pytest.mark.slow
-@pytest.mark.usefixtures("no_driver_leaks")
 def test_checkpoint_with_parent_commit_fingerprint_restarts(tmp_path):
     """A checkpoint written before the fingerprint was derived carries keys
     this commit no longer writes (the top-level copies of the backend and
@@ -305,6 +306,30 @@ def test_checkpoint_with_parent_commit_fingerprint_restarts(tmp_path):
     assert catalog_content_hash(result.catalog) == GOLDEN_CATALOG_SHA256
     # ...and the control: the untouched kind of checkpoint does resume.
     assert run_pipeline(fields, config).resumed_stages != []
+
+
+def test_checkpoint_with_pinned_kernel_target_restarts(tmp_path):
+    """A checkpoint written while the driver still pinned the kernel
+    target recorded ``kernel_target: "numpy"``; the field is ``None``
+    now, so such a checkpoint restarts instead of resuming."""
+    _, fields = generate_survey_fields(
+        1, field_shape_hw=(30, 30), overlap=6.0,
+        config=SyntheticSkyConfig(source_density=60.0),
+        rng=np.random.default_rng(3), bands=(2,))
+    path = str(tmp_path / "ckpt.json")
+    config = DriverConfig(n_nodes=1, checkpoint_path=path,
+                          stop_after="seed")
+    assert run_pipeline(fields, config).stopped_early
+    with open(path, encoding="utf-8") as fh:
+        ckpt = json.load(fh)
+    single = ckpt["fingerprint"]["parallel"]["joint"]["single"]
+    assert single["kernel_target"] is None
+    single["kernel_target"] = "numpy"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(ckpt, fh)
+    assert run_pipeline(fields, config).resumed_stages == []
+    # ...and the control: the checkpoint that run rewrote does resume.
+    assert run_pipeline(fields, config).resumed_stages == ["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +449,6 @@ def _baseline_hash(executor):
 
 
 @pytest.mark.slow
-@pytest.mark.usefixtures("no_driver_leaks")
 @pytest.mark.parametrize("executor", ["thread", "process"])
 class TestNeutralityFuzzer:
     """Every declared-not-fingerprinted knob, toggled, must leave the

@@ -19,8 +19,6 @@ from repro.pgas import (
     make_transport,
 )
 
-pytestmark = pytest.mark.usefixtures("no_driver_leaks")
-
 
 @pytest.fixture
 def server():
