@@ -7,6 +7,12 @@ Coupling between neighboring sources enters through *residual model images*:
 when source s is optimized, the expected contributions of every other source
 are part of its pixel backgrounds.
 
+Region setup renders every source's starting contribution and the frozen
+halo's from catalog values; under the driver those values are the
+stage-start snapshot, the same in every task of a stage that reads them.
+A :class:`ContributionStore` lets the tasks of one stage share those
+renders instead of repeating them.
+
 :class:`RegionOptimizer` owns that shared state.  Its
 ``update_sources_batch`` method is the unit of work executed serially here
 (one source at a time) and concurrently by the Cyclades executor
@@ -43,6 +49,7 @@ from repro.survey.image import Image
 from repro.survey.render import source_patch, source_radius
 
 __all__ = [
+    "ContributionStore",
     "JointConfig",
     "RegionOptimizer",
     "RegionResult",
@@ -132,6 +139,55 @@ def expected_contribution(
     )
 
 
+def _render(params: SourceParams, image: Image, bounds: tuple,
+            counters: Counters) -> np.ndarray:
+    counters.add("contribution_renders")
+    return expected_contribution(params, image, bounds)
+
+
+class ContributionStore:
+    """Read-only expected contributions, keyed by what they are rendered
+    from.
+
+    The key is the exact bytes of the source's canonical parameter vector,
+    a caller-chosen *stable* image key and the patch bounds.  A hit is
+    therefore what :func:`expected_contribution` returned on the same
+    inputs, and a model image built from hits has the bits of one built
+    from fresh renders.  Because the key is the values, a store stays
+    correct whichever catalog the parameters were read from; its lifetime
+    only bounds its memory.  The driver gives each pool seat one store per
+    stage bind (:class:`repro.driver.worker._WorkerState`); image keys there
+    are ``(field index, image position)`` in the seat's field store, which
+    survive the prefetcher evicting and reloading a field where ``id()``
+    would not.
+
+    Stored arrays are read-only: an in-place write would change every
+    later hit.  A store belongs to one seat, which builds one region at a
+    time, so it takes no lock.
+    """
+
+    def __init__(self):
+        self._renders: dict[tuple, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._renders)
+
+    def contribution(self, params: SourceParams, image: Image, image_key,
+                     bounds: tuple, counters: Counters) -> np.ndarray:
+        """The stored render of ``params`` on ``image`` over ``bounds``,
+        rendered (and counted in ``contribution_renders``) on a miss;
+        a hit counts in ``contribution_reuses``."""
+        key = (params.to_canonical().tobytes(), image_key, tuple(bounds))
+        c = self._renders.get(key)
+        if c is None:
+            c = _render(params, image, bounds, counters)
+            c.setflags(write=False)
+            self._renders[key] = c
+        else:
+            counters.add("contribution_reuses")
+        return c
+
+
 class RegionOptimizer:
     """Shared state for block coordinate ascent over one region's sources."""
 
@@ -143,13 +199,29 @@ class RegionOptimizer:
         config: JointConfig | None = None,
         counters: Counters | None = None,
         frozen_entries: list[CatalogEntry] | None = None,
+        contributions: ContributionStore | None = None,
+        image_keys: list | None = None,
     ):
         """``frozen_entries`` are catalog sources near (but outside) the
         region being optimized: their expected contributions are rendered
         into the model images as fixed background and never updated.
         Without them, a source near a region border slides toward its
         unmodeled neighbor's flux — the multi-region driver passes each
-        task's halo here."""
+        task's halo here.
+
+        The starting contributions of the sources and of the halo come
+        from ``contributions`` (rendered on a miss), with ``image_keys[i]``
+        the stable key of ``images[i]``.  A store shared across regions
+        needs keys; without one the optimizer uses a fresh store keyed by
+        image position."""
+        if contributions is None:
+            contributions = ContributionStore()
+            if image_keys is None:
+                image_keys = list(range(len(images)))
+        elif image_keys is None:
+            raise ValueError("a shared ContributionStore needs image_keys")
+        if len(image_keys) != len(images):
+            raise ValueError("need one image key per image")
         self.images = images
         self.priors = priors
         self.config = config or JointConfig()
@@ -183,7 +255,8 @@ class RegionOptimizer:
                 if b is None:
                     row.append(None)
                     continue
-                c = expected_contribution(self.params[s], im, b)
+                c = contributions.contribution(
+                    self.params[s], im, image_keys[i], b, self.counters)
                 x0, x1, y0, y1 = b
                 self.model[i][y0:y1, x0:x1] += c
                 row.append(c)
@@ -199,7 +272,8 @@ class RegionOptimizer:
                 if b is None:
                     continue
                 x0, x1, y0, y1 = b
-                self.model[i][y0:y1, x0:x1] += expected_contribution(p, im, b)
+                self.model[i][y0:y1, x0:x1] += contributions.contribution(
+                    p, im, image_keys[i], b, self.counters)
 
     @property
     def n_sources(self) -> int:
@@ -254,7 +328,7 @@ class RegionOptimizer:
     def _fold_back(self, s: int, result: SourceResult) -> None:
         """Publish one source's result: update its parameters and fold its
         new expected contribution into the model images (caller holds the
-        lock)."""
+        lock).  The new parameters were never rendered: no store."""
         self.params[s] = result.params
         self.results[s] = result
         for i, im in enumerate(self.images):
@@ -262,7 +336,7 @@ class RegionOptimizer:
             if b is None:
                 continue
             x0, x1, y0, y1 = b
-            new_c = expected_contribution(result.params, im, b)
+            new_c = _render(result.params, im, b, self.counters)
             self.model[i][y0:y1, x0:x1] += new_c - self._contrib[s][i]
             self._contrib[s][i] = new_c
 

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from repro.core.joint import ContributionStore
 from repro.core.priors import Priors
 from repro.driver.shards import ShardedCatalog
 from repro.parallel import ParallelRegionConfig, optimize_region_parallel
@@ -145,15 +146,20 @@ class _FieldStore:
             if any(_box_touches_region(b, region, margin) for (b, _, _) in m)
         ]
 
-    def images_for_region(self, region: Region, margin: float) -> list[Image]:
+    def region_images(self, region: Region,
+                      margin: float) -> tuple[list[Image], list[tuple]]:
+        """The images touching the region (with margin), and for each its
+        stable key ``(field index, position in the field)`` — the same
+        image whether or not its field was evicted and reloaded since."""
         self.ensure_metadata()
-        out: list[Image] = []
+        images: list[Image] = []
+        keys: list[tuple] = []
         for i in self.field_indices_for_region(region, margin):
-            out.extend(
-                im for im in self.field(i)
-                if _box_touches_region(im.sky_bounds(), region, margin)
-            )
-        return out
+            for j, im in enumerate(self.field(i)):
+                if _box_touches_region(im.sky_bounds(), region, margin):
+                    images.append(im)
+                    keys.append((i, j))
+        return images, keys
 
     def hint_fields(self, indices) -> None:
         if self._prefetcher is None:
@@ -195,6 +201,7 @@ def _execute_task(
     priors: Priors,
     config: TaskConfig,
     counters: Counters,
+    contributions: ContributionStore | None = None,
 ):
     """Run one task against the sharded catalog; returns the region result,
     or ``None`` when the task had nothing to optimize.
@@ -204,9 +211,12 @@ def _execute_task(
     ``working`` array.
     With ``halo_refresh`` the halo is instead re-read from ``working`` at
     every pass, and each pass's results are published immediately so
-    neighboring tasks see them.
+    neighboring tasks see them.  Region setup renders through the seat's
+    ``contributions`` store either way, since it is keyed by parameter
+    values; without one, each region renders into a store of its own.
     """
-    images = store.images_for_region(task.region, config.image_margin)
+    images, image_keys = store.region_images(task.region,
+                                             config.image_margin)
     entries = base.get_entries(task.source_indices)
     if not images or not entries:
         return None
@@ -219,6 +229,7 @@ def _execute_task(
             sub = replace(pconfig, n_passes=1, seed=pconfig.seed + 104729 * p)
             result = optimize_region_parallel(
                 images, current, priors, sub, counters, frozen_entries=halo,
+                contributions=contributions, image_keys=image_keys,
             )
             current = list(result.catalog)
             working.put_entries(task.source_indices, current)
@@ -226,6 +237,7 @@ def _execute_task(
     halo = base.get_entries(halo_idx)
     result = optimize_region_parallel(
         images, entries, priors, pconfig, counters, frozen_entries=halo,
+        contributions=contributions, image_keys=image_keys,
     )
     working.put_entries(task.source_indices, list(result.catalog))
     return result
@@ -274,10 +286,12 @@ class _WorkerState:
     Built by the seat from a ``("bind", ...)`` message
     (:mod:`repro.driver.pool`): the field store, the one-sided views onto
     the snapshot and working catalogs (whose pickled transports attached
-    a process seat to the parent's windows as socket clients), and the
-    shadow/recording instrumentation.  A seat
-    ``in_process`` is handed the driver's own store and catalogs instead,
-    and closes nothing.  ``epoch`` tags every record so the parent's
+    a process seat to the parent's windows as socket clients), the
+    shadow/recording instrumentation, and the stage's
+    :class:`~repro.core.joint.ContributionStore`: the snapshot renders
+    every task this seat runs in the stage shares, dropped with the bind.
+    A seat ``in_process`` is handed the driver's own store and catalogs
+    instead, and closes nothing.  ``epoch`` tags every record so the parent's
     collector can discard stragglers from an earlier bind.
     """
 
@@ -311,6 +325,7 @@ class _WorkerState:
             self.work_view, self.work_rec = working.recording_view(worker_id)
         self.prev_comm: dict = {}
         self.prev_prefetch: dict = {}
+        self.contributions = ContributionStore()
 
     def _maybe_die(self, task: Task) -> None:
         """Fault injection: hard-exit before reporting a task for which
@@ -343,7 +358,7 @@ class _WorkerState:
         t0 = time.perf_counter()
         result = _execute_task(
             task, halo_idx, self.base_view, self.work_view, self.store,
-            self.priors, config, counters,
+            self.priors, config, counters, self.contributions,
         )
         seconds = time.perf_counter() - t0
         self._maybe_die(task)

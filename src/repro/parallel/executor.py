@@ -18,6 +18,7 @@ from repro.analysis.numeric import NumericSanitizer, numeric_checking
 from repro.core.catalog import CatalogEntry
 from repro.core.elbo import release_scratch
 from repro.core.joint import (
+    ContributionStore,
     JointConfig,
     RegionOptimizer,
     RegionResult,
@@ -115,17 +116,20 @@ def optimize_region_parallel(
     config: ParallelRegionConfig | None = None,
     counters: Counters | None = None,
     frozen_entries: list[CatalogEntry] | None = None,
+    contributions: ContributionStore | None = None,
+    image_keys: list | None = None,
 ) -> RegionResult:
     """Jointly optimize a region's sources with Cyclades-scheduled threads.
 
     ``frozen_entries`` render as fixed background in the model images (see
     :class:`repro.core.joint.RegionOptimizer`); they take no part in the
-    conflict graph because they are never written.
+    conflict graph because they are never written.  ``contributions`` and
+    ``image_keys`` pass through to the optimizer's region setup.
     """
     if config is None:
         config = ParallelRegionConfig()
     opt = RegionOptimizer(images, entries, priors, config.joint, counters,
-                          frozen_entries)
+                          frozen_entries, contributions, image_keys)
 
     radii = conflict_radii(images, entries, config.joint)
     graph = build_conflict_graph(

@@ -24,6 +24,14 @@ one call runs as one pixel sweep per shape group; it counts those as
 ``elbo_sweep_calls`` / ``elbo_sweep_lanes``, and their ratio is the width
 the stacked NumPy sweeps actually ran at (about one on survey data, where
 patch shapes rarely coincide).
+
+**Region setup.**  ``contribution_renders`` counts the actual
+:func:`repro.core.joint.expected_contribution` calls (region setup misses
+and every fold-back of a source update), and ``contribution_reuses`` the
+setup renders a seat's :class:`repro.core.joint.ContributionStore` served
+instead.  Their sum is what region setup plus fold-back would render
+without a store; the counts are exact on one seat and depend on how tasks
+fall onto seats otherwise.
 """
 
 from __future__ import annotations

@@ -25,6 +25,11 @@ def coadd_images(images: list[Image]) -> Image:
     units of a reference exposure (the first), with an effective sky level
     and calibration, so downstream code treats a coadd exactly like a single
     very deep image.  The effective PSF is the weight-averaged mixture.
+
+    Masked input pixels take no part: each output pixel is weighted over
+    the exposures that have it unmasked (a masked pixel may hold anything,
+    NaN included), and is masked itself where every exposure masks it.
+    Pixels that no exposure masks coadd exactly as without masks.
     """
     if not images:
         raise ValueError("need at least one image to coadd")
@@ -44,9 +49,24 @@ def coadd_images(images: list[Image]) -> Image:
     ])
     weights = weights / weights.sum()
 
+    valid = mask = None
+    cover = 1.0
+    if any(im.mask is not None for im in images):
+        valid = np.stack([
+            ~im.mask if im.mask is not None else np.ones(shape, dtype=bool)
+            for im in images
+        ])
+        mask = ~valid.any(axis=0)
+        # Per-pixel weight left over the exposures that have the pixel;
+        # exactly 1.0 where all (or none) do.
+        cover = np.where(valid, weights[:, None, None], 0.0).sum(axis=0)
+        cover[valid.all(axis=0) | mask] = 1.0
+
     calibrated = np.zeros(shape)
-    for w, im in zip(weights, images):
-        calibrated += w * (im.pixels - im.meta.sky_level) / im.meta.calibration
+    for k, (w, im) in enumerate(zip(weights, images)):
+        term = ((w / cover) * (im.pixels - im.meta.sky_level)
+                / im.meta.calibration)
+        calibrated += term if valid is None else np.where(valid[k], term, 0.0)
 
     ref = images[0].meta
     n = len(images)
@@ -77,4 +97,4 @@ def coadd_images(images: list[Image]) -> Image:
         field_id=ref.field_id,
         epoch=-1,
     )
-    return Image(pixels=pixels, meta=meta)
+    return Image(pixels=pixels, meta=meta, mask=mask)

@@ -57,9 +57,20 @@ def save_field(path: str, images: list[Image]) -> int:
     return os.path.getsize(path)
 
 
+def _open_field(opener, path: str):
+    """``opener(path)``, with a file that is no readable archive (empty,
+    truncated, or not written by :func:`save_field`) reported as a
+    ``ValueError`` that names it."""
+    try:
+        return opener(path)
+    except (zipfile.BadZipFile, EOFError, ValueError) as err:
+        raise ValueError("field file %s is truncated or corrupt: %s"
+                         % (path, err)) from err
+
+
 def load_field(path: str) -> list[Image]:
     """Read a field file written by :func:`save_field`."""
-    with np.load(path) as data:
+    with _open_field(np.load, path) as data:
         n = int(data["n_images"])
         images = []
         for i in range(n):
@@ -111,7 +122,8 @@ def field_metadata(path: str) -> list[tuple]:
     loaded images.
     """
     out = []
-    with zipfile.ZipFile(path) as zf, np.load(path) as data:
+    with _open_field(zipfile.ZipFile, path) as zf, \
+            _open_field(np.load, path) as data:
         for i in range(int(data["n_images"])):
             h, w = _npy_member_shape(zf, "pixels_%d.npy" % i)
             wcs = AffineWCS(

@@ -788,7 +788,7 @@ def _two_task_scene(**overrides):
             dataclasses.replace(config, **overrides))
 
 
-def _run_two_task_stage(report=None, **overrides):
+def _run_two_task_stage(report=None, counters=None, **overrides):
     """The scene through the one stage loop, built by hand on in-process
     seats; returns ``(truth, working catalog)``."""
     truth, images, working, tasks, config = _two_task_scene(**overrides)
@@ -797,7 +797,7 @@ def _run_two_task_stage(report=None, **overrides):
     try:
         runner = StageRunner(
             _FieldStore([images]), working, default_priors(), config,
-            Counters(), pool, [images],
+            counters if counters is not None else Counters(), pool, [images],
         )
         runner.run(tasks, report if report is not None else DriverReport())
     finally:
@@ -842,6 +842,111 @@ class TestHaloRefresh:
             fields, _driver_config(path, halo_refresh=True)
         )
         assert result.resumed_stages == []
+
+
+def _never_reuse(monkeypatch):
+    """Make every seat's contribution store render on every lookup: the
+    region setup of a tree without the store."""
+    from repro.core import joint
+
+    def render(self, params, image, image_key, bounds, counters):
+        return joint._render(params, image, bounds, counters)
+
+    monkeypatch.setattr(joint.ContributionStore, "contribution", render)
+
+
+class TestContributionStore:
+    """Each seat renders a snapshot source once per stage bind, not once
+    per task (``repro.core.joint.ContributionStore``).  On one seat the
+    counts are exact; the catalog never depends on the store."""
+
+    #: ``tiny_survey`` on one seat: (contribution_renders,
+    #: contribution_reuses) through stage 0, and through both stages.
+    STAGE0 = (14.0, 12.0)
+    BOTH = (28.0, 19.0)
+
+    @staticmethod
+    def _counts(result):
+        return (result.counters.get("contribution_renders"),
+                result.counters.get("contribution_reuses"))
+
+    def test_counts_on_one_seat_are_pinned(self, tiny_survey):
+        _, fields = tiny_survey
+        config = _driver_config(n_nodes=1)
+        stage0 = run_pipeline(
+            fields, dataclasses.replace(config, stop_after="stage0"))
+        assert self._counts(stage0) == self.STAGE0
+        assert self._counts(run_pipeline(fields, config)) == self.BOTH
+
+    def test_one_store_per_stage_bind(self, tiny_survey, tmp_path,
+                                      monkeypatch):
+        """Nothing is reused across stages: a run that resumes stage 1 on
+        a cold seat counts what the straight-through run counts."""
+        from repro.driver import worker
+
+        stores = []
+
+        class Recorded(worker.ContributionStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        monkeypatch.setattr(worker, "ContributionStore", Recorded)
+        _, fields = tiny_survey
+        config = _driver_config(n_nodes=1, executor="thread")
+        straight = run_pipeline(fields, config)
+        assert len(stores) == 2
+        # Each stage's store holds that stage's distinct snapshot renders;
+        # the other 7 renders of each stage are fold-backs, never stored.
+        assert [len(s) for s in stores] == [7, 7]
+        path = str(tmp_path / "ckpt.json")
+        run_pipeline(fields, dataclasses.replace(
+            config, checkpoint_path=path, stop_after="stage0"))
+        resumed = run_pipeline(fields, dataclasses.replace(
+            config, checkpoint_path=path))
+        assert resumed.resumed_stages == ["seed", "stage0"]
+        assert self._counts(resumed) == self._counts(straight) == self.BOTH
+        assert _identical_catalogs(resumed.catalog, straight.catalog)
+
+    def test_warm_pool_starts_every_run_cold(self, tiny_survey):
+        _, fields = tiny_survey
+        config = _driver_config(n_nodes=1, executor="process")
+        pool = WorkerPool()
+        try:
+            first = run_pipeline(fields, config, pool=pool)
+            second = run_pipeline(fields, config, pool=pool)
+        finally:
+            pool.close()
+        assert self._counts(first) == self._counts(second) == self.BOTH
+        assert _identical_catalogs(first.catalog, second.catalog)
+
+    def test_catalog_does_not_depend_on_the_store(self, tiny_survey,
+                                                  monkeypatch):
+        _, fields = tiny_survey
+        # A patch reaches in-process seats only.
+        config = _driver_config(executor="thread")
+        stored = run_pipeline(fields, config)
+        assert stored.counters["contribution_reuses"] > 0
+        _never_reuse(monkeypatch)
+        rendered = run_pipeline(fields, config)
+        assert "contribution_reuses" not in rendered.counters
+        assert (rendered.counters["contribution_renders"]
+                == sum(self._counts(stored)))
+        assert _identical_catalogs(stored.catalog, rendered.catalog)
+        assert stored.stage_elbo == rendered.stage_elbo
+
+    def test_halo_refresh_is_bit_identical(self, monkeypatch):
+        """Under ``halo_refresh`` the halo comes from the mutable working
+        catalog; a store keyed by values still returns only what a render
+        of the same values would."""
+        counters = Counters()
+        _, stored = _run_two_task_stage(counters=counters, halo_refresh=True)
+        # Task 1's own source was task 0's halo, at the same values.
+        assert counters.get("contribution_reuses") == 1.0
+        _never_reuse(monkeypatch)
+        _, rendered = _run_two_task_stage(halo_refresh=True)
+        assert _identical_catalogs(stored.to_catalog(),
+                                   rendered.to_catalog())
 
 
 class TestPgasTransportResolution:
@@ -1036,6 +1141,35 @@ class TestEarlyPoolBoot:
         finally:
             pool.close()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5])
+    def test_truncated_field_file_is_named_before_any_task(
+            self, tiny_survey, tmp_path, monkeypatch, keep):
+        """An empty or truncated field file is a ``ValueError`` naming the
+        file, raised from the metadata pass: no task runs and no seat is
+        asked for."""
+        _, fields = tiny_survey
+        paths = []
+        for i, images in enumerate(fields):
+            paths.append(str(tmp_path / ("field%d.npz" % i)))
+            save_field(paths[-1], images)
+        with open(paths[-1], "r+b") as f:
+            f.truncate(int(os.path.getsize(paths[-1]) * keep))
+        started = []
+        monkeypatch.setattr("repro.driver.worker._execute_task",
+                            lambda task, *args: started.append(task))
+        with pytest.raises(ValueError, match="truncated or corrupt") as err:
+            run_pipeline(paths, _driver_config(executor="thread"))
+        assert paths[-1] in str(err.value)
+        assert started == []
+        pool = WorkerPool()
+        try:
+            with pytest.raises(ValueError, match="truncated or corrupt"):
+                run_pipeline(paths, _driver_config(executor="process"),
+                             pool=pool)
+            assert pool.spawned_total == 0
+        finally:
+            pool.close()
 
     def test_bad_arguments_are_rejected_before_any_seat_boots(self,
                                                               tiny_survey):

@@ -10,8 +10,13 @@ from repro.core import (
     optimize_region,
     posterior_summary,
 )
-from repro.core.joint import RegionOptimizer, expected_contribution
+from repro.core.joint import (
+    ContributionStore,
+    RegionOptimizer,
+    expected_contribution,
+)
 from repro.core.single import OptimizeConfig, initial_params
+from repro.perf.counters import Counters
 from repro.psf import default_psf
 from repro.survey import AffineWCS, ImageMeta, render_image
 
@@ -147,6 +152,84 @@ class TestRegionOptimizer:
             recon[y0:y1, x0:x1] += opt._contrib[s][0]
         np.testing.assert_allclose(opt.model[0], recon, rtol=1e-9)
         assert np.isfinite(before_total) and np.isfinite(after_total)
+
+
+class TestContributionStore:
+    """Region setup renders through a store keyed by the rendered values:
+    a warm store must give the bits a cold one does."""
+
+    def _scene(self):
+        truth, images = two_star_scene()
+        halo = [CatalogEntry([20.0, 24.0], False, 60.0, [1.0, 0.8, 0.3, 0.1])]
+        return truth, images, halo
+
+    def _build(self, store, counters=None):
+        truth, images, halo = self._scene()
+        keys = None if store is None else [("field", i) for i in range(3)]
+        return RegionOptimizer(images, truth, default_priors(), FAST,
+                               counters or Counters(), frozen_entries=halo,
+                               contributions=store, image_keys=keys)
+
+    def test_warm_store_builds_bit_identical_model_images(self):
+        cold = self._build(None)
+        store = ContributionStore()
+        first, counters = self._build(store), Counters()
+        warm = self._build(store, counters)
+        # Three sources (two own, one halo) on three images, all stored by
+        # the first build and all reused by the second.
+        assert len(store) == 9
+        assert counters.get("contribution_renders") == 0
+        assert counters.get("contribution_reuses") == 9
+        for opt in (first, warm):
+            for a, b in zip(opt.model, cold.model):
+                assert np.array_equal(a, b)
+            assert all(np.array_equal(x, y)
+                       for row, ref in zip(opt._contrib, cold._contrib)
+                       for x, y in zip(row, ref))
+
+    def test_key_is_the_values(self):
+        truth, images, _ = self._scene()
+        priors, counters = default_priors(), Counters()
+        store = ContributionStore()
+        p = initial_params(truth[0], priors)
+        b = (4, 20, 4, 20)
+        first = store.contribution(p, images[1], 1, b, counters)
+        assert store.contribution(initial_params(truth[0], priors),
+                                  images[1], 1, b, counters) is first
+        # Another image key, other bounds, other parameters: three renders.
+        store.contribution(p, images[1], 2, b, counters)
+        store.contribution(p, images[1], 1, (4, 20, 4, 21), counters)
+        q = initial_params(truth[1], priors)
+        store.contribution(q, images[1], 1, b, counters)
+        assert counters.get("contribution_renders") == 4
+        assert counters.get("contribution_reuses") == 1
+
+    def test_stored_contribution_is_read_only(self):
+        opt = self._build(ContributionStore())
+        with pytest.raises(ValueError):
+            opt._contrib[0][1][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            opt._contrib[0][1] += 1.0
+
+    def test_fold_back_renders_are_not_stored(self):
+        store = ContributionStore()
+        counters = Counters()
+        opt = self._build(store, counters)
+        opt.update_source(0)
+        assert len(store) == 9
+        assert counters.get("contribution_renders") == 9 + 3
+        # The folded-back contribution is the optimizer's own to replace.
+        assert opt._contrib[0][1].flags.writeable
+
+    def test_shared_store_needs_image_keys(self):
+        truth, images, _ = self._scene()
+        with pytest.raises(ValueError, match="image_keys"):
+            RegionOptimizer(images, truth, default_priors(), FAST,
+                            contributions=ContributionStore())
+        with pytest.raises(ValueError, match="one image key"):
+            RegionOptimizer(images, truth, default_priors(), FAST,
+                            contributions=ContributionStore(),
+                            image_keys=[0])
 
 
 class TestOptimizeRegion:

@@ -212,6 +212,30 @@ class TestIO:
             assert shape == (im.height, im.width)
             assert band == im.band
 
+    @pytest.mark.parametrize("keep", [0, 3, 0.5, -10])
+    def test_truncated_file_is_a_named_error(self, tmp_path, keep):
+        from repro.survey import field_metadata
+
+        path = str(tmp_path / "field.npz")
+        save_field(path, self._render_field((16, 16), (2,), masked=False))
+        with open(path, "rb") as f:
+            raw = f.read()
+        cut = int(len(raw) * keep) if isinstance(keep, float) else keep
+        with open(path, "wb") as f:
+            f.write(raw[:cut])
+        for read in (load_field, field_metadata):
+            with pytest.raises(ValueError,
+                               match="truncated or corrupt") as err:
+                read(path)
+            assert path in str(err.value)
+
+    def test_missing_file_is_still_file_not_found(self, tmp_path):
+        from repro.survey import field_metadata
+
+        for read in (load_field, field_metadata):
+            with pytest.raises(FileNotFoundError):
+                read(str(tmp_path / "nope.npz"))
+
     def _render_field(self, shape_hw, bands, masked, seed=7):
         rng = np.random.default_rng(seed)
         cat = Catalog([star([shape_hw[1] / 2.0, shape_hw[0] / 2.0])])
@@ -434,6 +458,68 @@ class TestCoadd:
             for im in images
         ]
         np.testing.assert_allclose(excess, np.mean(singles), rtol=0.1)
+
+    @staticmethod
+    def _unmasked_reference(images):
+        """The coadd's calibrated plane as written before it read masks."""
+        weights = np.array([
+            im.meta.calibration ** 2 / im.meta.sky_level for im in images])
+        weights = weights / weights.sum()
+        calibrated = np.zeros(images[0].pixels.shape)
+        for w, im in zip(weights, images):
+            calibrated += (w * (im.pixels - im.meta.sky_level)
+                           / im.meta.calibration)
+        ref = images[0].meta
+        n = len(images)
+        return calibrated * (ref.calibration * n) + ref.sky_level * n
+
+    def test_unmasked_inputs_coadd_as_before(self):
+        images = self._epochs(12, seed=3)
+        co = coadd_images(images)
+        assert np.array_equal(co.pixels, self._unmasked_reference(images))
+        assert co.mask is None
+
+    def test_masked_pixel_is_weighted_over_the_other_exposures(self):
+        images = self._epochs(2, seed=5)
+        hit = images[0].pixels.copy()
+        hit[4, 7] = 1e6
+        images[0] = Image(pixels=hit, meta=images[0].meta,
+                          mask=np.zeros(hit.shape, dtype=bool))
+        images[0].mask[4, 7] = True
+        co = coadd_images(images)
+        # The pixel comes from the one exposure that has it, in the
+        # coadd's units; every other pixel coadds as without the mask.
+        other = images[1]
+        ref = images[0].meta
+        expect = ((other.pixels[4, 7] - other.meta.sky_level)
+                  / other.meta.calibration * (2 * ref.calibration)
+                  + 2 * ref.sky_level)
+        assert co.pixels[4, 7] == pytest.approx(expect, rel=1e-12)
+        assert co.pixels[4, 7] < 1000.0
+        reference = self._unmasked_reference(
+            [Image(pixels=images[0].pixels, meta=ref), other])
+        keep = np.ones(hit.shape, dtype=bool)
+        keep[4, 7] = False
+        assert np.array_equal(co.pixels[keep], reference[keep])
+        assert co.mask is not None and not co.mask.any()
+
+    def test_masked_nan_coadds_and_a_pixel_masked_everywhere_is_masked(
+            self):
+        images = self._epochs(3, seed=9)
+        for k, im in enumerate(images):
+            pixels = im.pixels.copy()
+            mask = np.zeros(pixels.shape, dtype=bool)
+            pixels[2, 2] = np.nan          # masked in every exposure
+            mask[2, 2] = True
+            if k == 1:
+                pixels[5, 5] = np.nan      # masked in one exposure
+                mask[5, 5] = True
+            images[k] = Image(pixels=pixels, meta=im.meta, mask=mask)
+        co = coadd_images(images)
+        assert np.isfinite(co.pixels).all()
+        assert co.mask[2, 2] and co.mask.sum() == 1
+        assert co.pixels[2, 2] == co.meta.sky_level
+        assert abs(co.pixels[5, 5] - co.meta.sky_level) < 0.5 * co.meta.sky_level
 
     def test_band_mismatch_rejected(self):
         images = self._epochs(2)
