@@ -1,10 +1,9 @@
-"""Section V/VI-B: the vectorized ELBO kernel, per evaluation backend.
+"""Section V/VI-B: the vectorized ELBO kernel.
 
 The paper's unit of account is the active-pixel visit (32,317 FLOPs each).
-This benchmark measures our per-visit evaluation rate under both ELBO
-backends — the Taylor reference path and the fused analytic kernel —
-splits each evaluation's cost into its pixel term and its
-(pixel-count-independent) KL terms, sweeps the lockstep evaluation batch
+This benchmark measures our per-visit evaluation rate of the fused
+analytic kernel at orders 1 and 2, splits each evaluation's cost into its
+pixel term and its (pixel-count-independent) KL terms, sweeps the lockstep evaluation batch
 size (the paper's AVX-512 many-sources-at-once analogue; B in
 {1, 4, 16, 64, 128}), reports the implied single-thread DP FLOP rate
 under the paper's accounting, records the numbers in
@@ -15,7 +14,7 @@ the variance-correction (delta approximation) term is a material part of
 the objective.
 
 **Smoke mode** (``REPRO_BENCH_SMOKE=1``): a seconds-long wiring check run
-in CI — every backend/order/term combination is exercised end to end, but
+in CI — every order/term combination is exercised end to end, but
 timings are not trusted, the committed JSON is left untouched, and the
 machine-dependent speedup thresholds are skipped.
 """
@@ -55,14 +54,6 @@ BENCH_JSON = os.path.join(
 #: CI wiring check: run everything briefly, record nothing, assert no
 #: machine-dependent thresholds.
 SMOKE = env_flag("REPRO_BENCH_SMOKE")
-
-#: The fused backend must beat the Taylor reference by at least this factor
-#: on per-visit rate at order 2 (ISSUE 3 acceptance criterion).
-REQUIRED_SPEEDUP = 3.0
-
-#: ... and at order 1, where the Taylor-mode KL terms used to dominate a
-#: fused evaluation before they went closed-form (ISSUE 4 criterion).
-REQUIRED_SPEEDUP_ORDER1 = 5.0
 
 #: Batched evaluation must lift the per-visit rate at B=16 by at least this
 #: factor over the B=1 fused rate on the sweep context (ISSUE 5 criterion).
@@ -165,27 +156,17 @@ def _timed_grid(fns, min_seconds=0.25, min_iters=2, repeats=5):
     return best
 
 
-def _time_backend(ctx, free, backend, order, **kwargs):
-    return _timed(lambda: elbo(ctx, free, order=order, backend=backend),
-                  **kwargs)
-
-
-def _time_backend_kl(ctx, free, backend, order, **kwargs):
-    return _timed(lambda: elbo_kl(ctx, free, order=order, backend=backend),
-                  **kwargs)
-
-
 def test_elbo_kernel_rate(benchmark):
     ctx, free, counters = star_context()
-    elbo(ctx, free, order=2, backend="fused")  # warm-up compiles workspace
+    elbo(ctx, free, order=2)  # warm-up compiles workspace
     counters.reset()
 
-    result = benchmark(lambda: elbo(ctx, free, order=2, backend="fused"))
+    result = benchmark(lambda: elbo(ctx, free, order=2))
     assert result.val.shape == ()
 
     visits_per_eval = ctx.n_active_pixels
     if SMOKE:  # --benchmark-disable leaves no stats; take a quick timing
-        seconds = _timed(lambda: elbo(ctx, free, order=2, backend="fused"))
+        seconds = _timed(lambda: elbo(ctx, free, order=2))
     else:
         seconds = benchmark.stats["mean"]
     rate = visits_per_eval / seconds
@@ -200,64 +181,43 @@ def test_elbo_kernel_rate(benchmark):
 
 
 def test_backend_comparison_records_json():
-    """Measure both backends at both orders — full evaluations plus the
-    KL-only dispatch, so the record splits pixel-term from KL-term cost —
-    emit BENCH_elbo_backend.json, and enforce the fused-vs-taylor
-    per-visit-rate criteria (>=3x at order 2, >=5x at order 1)."""
+    """Measure the kernel at both orders — full evaluations plus the
+    KL-only call, so the record splits pixel-term from KL-term cost — and
+    emit the ``backend_comparison`` section of BENCH_elbo_backend.json.
+    (The section name and its ``backends`` key date from when a Taylor
+    backend was measured alongside; its last ratios are in
+    docs/performance.md.)"""
     ctx, free, _ = star_context()
     visits = ctx.n_active_pixels
 
-    record = {"visits_per_evaluation": visits, "backends": {}}
-    for backend in ("taylor", "fused"):
-        entry = {}
-        for order in (1, 2):
-            # Longer windows than the default: the order-1 speedup
-            # criterion sits within run-to-run noise of short timings.
-            sec = _time_backend(ctx, free, backend, order,
-                                min_seconds=0.8, min_iters=5)
-            kl_sec = _time_backend_kl(ctx, free, backend, order)
-            entry["order%d" % order] = {
-                "seconds_per_evaluation": sec,
-                # The KL terms cost the same whatever the pixel count; the
-                # remainder of a full evaluation is the pixel term.  Before
-                # ISSUE 4 the Taylor-mode KL dominated a *fused* order-1
-                # evaluation; this split keeps that regression visible.
-                "kl_seconds_per_evaluation": kl_sec,
-                "pixel_seconds_per_evaluation": max(sec - kl_sec, 0.0),
-                "kl_fraction": min(kl_sec / sec, 1.0),
-                "visit_rate_per_s": visit_rate(visits, sec),
-                "implied_gflops": visit_rate(visits, sec)
-                * FLOPS_PER_ACTIVE_PIXEL_VISIT * FLOP_OVERHEAD_FACTOR / 1e9,
-            }
-        record["backends"][backend] = entry
-
-    speedup = {
-        "order%d" % order: (
-            record["backends"]["fused"]["order%d" % order]["visit_rate_per_s"]
-            / record["backends"]["taylor"]["order%d" % order]["visit_rate_per_s"]
-        )
-        for order in (1, 2)
-    }
-    record["fused_speedup"] = speedup
+    entry = {}
+    for order in (1, 2):
+        sec = _timed(lambda: elbo(ctx, free, order=order),
+                     min_seconds=0.8, min_iters=5)
+        kl_sec = _timed(lambda: elbo_kl(ctx, free, order=order))
+        entry["order%d" % order] = {
+            "seconds_per_evaluation": sec,
+            # The KL terms cost the same whatever the pixel count; the
+            # remainder of a full evaluation is the pixel term.
+            "kl_seconds_per_evaluation": kl_sec,
+            "pixel_seconds_per_evaluation": max(sec - kl_sec, 0.0),
+            "kl_fraction": min(kl_sec / sec, 1.0),
+            "visit_rate_per_s": visit_rate(visits, sec),
+            "implied_gflops": visit_rate(visits, sec)
+            * FLOPS_PER_ACTIVE_PIXEL_VISIT * FLOP_OVERHEAD_FACTOR / 1e9,
+        }
+    record = {"visits_per_evaluation": visits, "backends": {"fused": entry}}
     if not SMOKE:  # a smoke run's timings would clobber real measurements
         _merge_into_json("backend_comparison", record)
 
-    print_header("ELBO backends: per-visit rate, taylor vs fused")
-    for backend in ("taylor", "fused"):
-        for order in (1, 2):
-            e = record["backends"][backend]["order%d" % order]
-            print("%-7s order %d: %8.0f visits/s  (%6.2f ms/eval, "
-                  "%4.1f%% KL)"
-                  % (backend, order, e["visit_rate_per_s"],
-                     1e3 * e["seconds_per_evaluation"],
-                     100.0 * e["kl_fraction"]))
-    print("fused speedup: %.1fx (order 2), %.1fx (order 1)"
-          % (speedup["order2"], speedup["order1"]))
+    print_header("ELBO kernel: per-visit rate by order")
+    for order in (1, 2):
+        e = entry["order%d" % order]
+        print("order %d: %8.0f visits/s  (%6.2f ms/eval, %4.1f%% KL)"
+              % (order, e["visit_rate_per_s"],
+                 1e3 * e["seconds_per_evaluation"],
+                 100.0 * e["kl_fraction"]))
     print("recorded to %s" % ("(smoke: not recorded)" if SMOKE else BENCH_JSON))
-
-    if not SMOKE:
-        assert speedup["order2"] >= REQUIRED_SPEEDUP
-        assert speedup["order1"] >= REQUIRED_SPEEDUP_ORDER1
 
 
 #: One prior configuration for every sweep lane, as in production — a
@@ -293,7 +253,7 @@ def sweep_context(seed: int):
 
 def test_batch_sweep_records_json():
     """Sweep the lockstep evaluation batch size (B in {1, 4, 16, 64, 128})
-    on the fused backend, record per-visit rates into the committed JSON,
+    on the fused kernel, record per-visit rates into the committed JSON,
     and enforce the batching criteria: the B=16 per-visit rate must be at
     least 1.5x the B=1 fused rate, and the B=64 rate must stay within a
     few percent of B=16 instead of regressing (the plateau the
@@ -310,14 +270,14 @@ def test_batch_sweep_records_json():
     for b in BATCH_SIZES:
         ctxs = [c for c, _ in pairs[:b]]
         frees = [f for _, f in pairs[:b]]
-        compiled = compile_elbo_batch(ctxs, backend="fused")
+        compiled = compile_elbo_batch(ctxs)
         handles[b] = (ctxs, frees, compiled)
     # Interleaved best-of-5 windows: the plateau criterion (B=64 vs B=16)
     # is a ratio, and measuring the two ends minutes apart would fold
     # machine-speed drift into it.
     secs = _timed_grid({
         b: (lambda h=handles[b]: elbo_batch(
-            h[0], h[1], order=2, backend="fused", compiled=h[2]))
+            h[0], h[1], order=2, compiled=h[2]))
         for b in BATCH_SIZES
     })
 
@@ -335,9 +295,8 @@ def test_batch_sweep_records_json():
     # The wiring check smoke mode also asserts: batched == scalar, exactly.
     ctx, free = pairs[0]
     batched = elbo_batch([c for c, _ in pairs[:4]],
-                         [f for _, f in pairs[:4]], order=2,
-                         backend="fused")[0]
-    scalar = elbo(ctx, free, order=2, backend="fused")
+                         [f for _, f in pairs[:4]], order=2)[0]
+    scalar = elbo(ctx, free, order=2)
     assert float(batched.val) == float(scalar.val)
     assert np.array_equal(batched.hessian(41), scalar.hessian(41))
 

@@ -3,8 +3,8 @@ cataloging the visible universe through Bayesian inference at petascale.
 
 Top-level convenience exports cover the primary user journey: generate or
 load survey imagery, run joint variational inference, and read out a
-catalog with calibrated posterior uncertainty.  Each subsystem (autodiff,
-optimization, scheduling, cluster simulation, baselines, ...) lives in its
+catalog with calibrated posterior uncertainty.  Each subsystem (the ELBO
+kernel, optimization, scheduling, cluster simulation, ...) lives in its
 own subpackage; see the package docstrings and DESIGN.md for the map from
 paper sections to modules.
 """

@@ -108,13 +108,13 @@ class LintViolation:
 _SCHEDULING_MODULES = ("parallel/", "sched/", "driver/", "partition/")
 _NUMERIC_MODULES = (
     "core/", "optim/", "partition/", "profiles/", "transforms/", "psf/",
-    "autodiff/", "survey/", "gaussians.py", "driver/merge.py",
+    "survey/", "gaussians.py", "driver/merge.py",
 )
 _LANE_STACKED_MODULES = ("core/kernel.py", "optim/lockstep.py",
                          "optim/lbfgs.py")
 _FINGERPRINTED_MODULES = (
     "core/", "optim/", "parallel/", "partition/", "transforms/",
-    "profiles/", "psf/", "autodiff/", "gaussians.py", "driver/",
+    "profiles/", "psf/", "gaussians.py", "driver/",
 )
 #: Modules whose floats are (transforms of) model parameters the optimizer
 #: steps in — the paths where an unguarded exp/log/divide turns one bad
@@ -122,7 +122,7 @@ _FINGERPRINTED_MODULES = (
 #: ``_NUMERIC_MODULES``: diagnostic/IO layers compute on bounded inputs,
 #: and scoping them in would only breed rote suppressions.
 _MODEL_PARAM_MODULES = (
-    "core/elbo.py", "core/elbo_taylor.py", "core/kernel.py",
+    "core/elbo.py", "core/kernel.py",
     "core/fluxes.py", "core/single.py", "transforms/", "optim/",
     "gaussians.py",
 )

@@ -183,10 +183,9 @@ class NumericSanitizer:
                    actor=()) -> None:
         """Check one ELBO evaluation result.
 
-        Duck-typed over both backend result shapes: the fused backend's
-        ``ElboEval`` and the taylor backend's ``Taylor`` scalar each expose
-        ``val`` / ``grad`` / ``hess`` (the latter two possibly None at lower
-        orders).
+        Duck-typed over the evaluation surface: an
+        :class:`~repro.core.kernel.ElboEval` exposes ``val`` / ``grad`` /
+        ``hess`` (the latter two possibly None at lower orders).
         """
         ctx = dict(source=source, lane=lane, actor=actor)
         val = getattr(out, "val", None)

@@ -18,16 +18,12 @@ from repro.core.params import (
 from repro.core.priors import Priors, default_priors, fit_priors
 from repro.core.catalog import CatalogEntry, Catalog
 from repro.core.elbo import (
-    ElboBackend,
     ElboEval,
     SourceContext,
-    available_backends,
     compile_elbo_batch,
     elbo,
     elbo_batch,
-    get_backend,
     make_context,
-    resolve_backend_name,
 )
 from repro.core.single import (
     OptimizeConfig,
@@ -50,16 +46,12 @@ __all__ = [
     "fit_priors",
     "CatalogEntry",
     "Catalog",
-    "ElboBackend",
     "ElboEval",
     "SourceContext",
-    "available_backends",
     "compile_elbo_batch",
     "elbo",
     "elbo_batch",
-    "get_backend",
     "make_context",
-    "resolve_backend_name",
     "OptimizeConfig",
     "SourceResult",
     "optimize_source",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import Taylor, texp, lift
 from repro.constants import (
     FLUX_RATIO_FLOOR,
     NUM_BANDS,
@@ -28,7 +27,7 @@ from repro.constants import (
     REFERENCE_BAND,
 )
 
-__all__ = ["COLOR_COEFFS", "flux_moments", "flux_from_colors", "colors_from_fluxes"]
+__all__ = ["COLOR_COEFFS", "flux_from_colors", "colors_from_fluxes"]
 
 
 def _build_color_coeffs() -> np.ndarray:
@@ -49,27 +48,6 @@ def _build_color_coeffs() -> np.ndarray:
 
 #: ``COLOR_COEFFS[b]`` is the coefficient vector w_b over the 4 colors.
 COLOR_COEFFS: np.ndarray = _build_color_coeffs()
-
-
-def flux_moments(r1, r2, c1: list, c2: list, band: int) -> tuple[Taylor, Taylor]:
-    """First and second moments of the band flux under q (Taylor path).
-
-    Parameters are Taylor scalars: ``r1``/``r2`` the mean/variance of the log
-    reference-band flux; ``c1``/``c2`` lists of per-color means/variances.
-
-    Returns ``(E[f_b], E[f_b^2])``.
-    """
-    coeff = COLOR_COEFFS[band]
-    m = lift(r1)
-    v = lift(r2)
-    for i in range(NUM_COLORS):
-        w = coeff[i]
-        if w != 0.0:
-            m = m + w * lift(c1[i])
-            v = v + (w * w) * lift(c2[i])
-    first = texp(m + 0.5 * v)  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
-    second = texp(2.0 * m + 2.0 * v)  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
-    return first, second
 
 
 def flux_from_colors(flux_ref: float, colors: np.ndarray) -> np.ndarray:

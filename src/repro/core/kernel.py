@@ -1,9 +1,11 @@
-"""The fused analytic ELBO backend: compile once, evaluate many.
+"""The fused analytic ELBO kernel: compile once, evaluate many.
 
-The Taylor reference path (:mod:`repro.core.elbo_taylor`) rebuilds a
-sparse-index expression tree — dozens of NumPy temporaries — on every Newton
-iteration of every source.  This module replaces it on the hot path with the
-reproduction's analogue of Celeste's hand-optimized derivative kernels:
+This is the one implementation of the objective's derivatives, the
+reproduction's analogue of Celeste's hand-optimized derivative kernels.  A
+mechanical alternative — one sparse-index Taylor expression tree, dozens of
+NumPy temporaries, rebuilt on every Newton iteration of every source — is
+kept in ``tests/taylor_oracle/`` as the reference this kernel is tested
+against; it is not a production path.
 
 **Compile once.**  The first evaluation of a :class:`SourceContext` compiles
 its pixel-static data into a :class:`_FusedWorkspace`: per-patch pixel grids
@@ -38,8 +40,8 @@ no expression-graph construction:
    z-gradient, and its 10x10 z-Hessian via a handful of matrix products.
 3. The z-space blocks chain to the 41 free parameters through closed-form
    bijector/WCS/flux-moment Jacobians and Hessians that are independent of
-   pixel count — the wide-parameter outer products the Taylor tree
-   materializes per pixel never exist here.
+   pixel count — the wide-parameter outer products an expression tree
+   would materialize per pixel never exist here.
 
 The pixel term touches only the first 27 free parameters (everything except
 the color-prior responsibilities ``k``), so the chain accumulates in a dense
@@ -52,10 +54,9 @@ once per prior configuration and evaluates the exact KL value, 41-gradient,
 and 41x41 Hessian from hand-derived formulas — Bernoulli type-KL,
 per-type Gaussian log-brightness KL, and the color GMM term with its
 variational categorical, chained through the logistic-bijector and
-fixed-last-softmax derivatives of :mod:`repro.transforms.bijectors`.  A
-fused evaluation therefore never enters Taylor mode; the Taylor expression
-(:func:`repro.core.elbo_taylor.kl_total`) remains the correctness oracle
-the randomized parity tests pin this kernel against.
+fixed-last-softmax derivatives of :mod:`repro.transforms.bijectors`.  The
+Taylor KL expression in ``tests/taylor_oracle/`` is the oracle the
+randomized parity tests pin this kernel against.
 
 **Batch evaluation.**  Every pixel-static array carries a leading *lane*
 axis, and :class:`_FusedBatchWorkspace` concatenates same-shaped contexts
@@ -78,9 +79,10 @@ bounded and released by the executor when an assignment completes.
 **One implementation.**  The per-patch pixel term
 (:func:`_patch_pixel_term`) is written once, as the stacked NumPy sweeps
 above, and every evaluation runs it.  Its oracles live in the tests: the
-Taylor backend for the whole objective (``tests/test_elbo_backends.py``)
-and a direct per-pixel build of the galaxy Hessian rows for the
-Hermite-moment contraction (``tests/test_contracted_curvature.py``).
+Taylor-mode ELBO for the whole objective (``tests/taylor_oracle/``, pinned
+by ``tests/test_elbo_backends.py``) and a direct per-pixel build of the
+galaxy Hessian rows for the Hermite-moment contraction
+(``tests/test_contracted_curvature.py``).
 
 Only affine WCS maps are supported (the survey's are); the workspace probes
 the map numerically rather than reaching into its attributes.
@@ -91,16 +93,11 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.constants import GALAXY, NUM_COLOR_COMPONENTS, NUM_COLORS, STAR
-from repro.core.elbo import (
-    ElboBackend,
-    ElboEval,
-    SourceContext,
-    register_backend,
-)
 from repro.core.fluxes import COLOR_COEFFS
 from repro.core.params import (
     FREE,
@@ -116,7 +113,10 @@ from repro.core.priors import Priors
 from repro.transforms import LogitBox
 from repro.transforms.bijectors import softmax_fixed_last_d012_stacked
 
-__all__ = ["FusedBackend", "KlWorkspace", "elbo_fused", "elbo_fused_batch",
+if TYPE_CHECKING:
+    from repro.core.elbo import SourceContext
+
+__all__ = ["ElboEval", "KlWorkspace", "elbo_fused_batch", "elbo_kl_fused",
            "release_scratch"]
 
 _TWO_PI = 2.0 * np.pi
@@ -338,10 +338,10 @@ class KlWorkspace:
     the canonical map (:meth:`LogitBox.forward_d012_vec`) and through
     :func:`softmax_fixed_last_d012_stacked` for the responsibilities; the whole
     evaluation is a few dozen operations on arrays no larger than the 8x2
-    mixture table, so it is pixel-count-independent and never enters Taylor
-    mode.  Everything prior-dependent (log prior odds, inverse variances,
-    mixture log-weights, per-component normalizer sums) is precomputed
-    here, once, and shared by every source evaluated under these priors.
+    mixture table, so it is pixel-count-independent.  Everything
+    prior-dependent (log prior odds, inverse variances, mixture
+    log-weights, per-component normalizer sums) is precomputed here, once,
+    and shared by every source evaluated under these priors.
     """
 
     __slots__ = ("logit_phi", "log_phi", "log_1mphi", "r_loc", "r_ivar",
@@ -356,7 +356,7 @@ class KlWorkspace:
         self.r_ivar = 1.0 / np.asarray(priors.r_var, dtype=float)
         self.log_r_var = np.log(np.asarray(priors.r_var, dtype=float))
         with np.errstate(divide="ignore"):  # zero mixture weights -> -inf,
-            # matching the Taylor expression exactly
+            # matching the reference expression exactly
             self.log_w = np.log(np.asarray(priors.k_weights, dtype=float))
         self.c_mean = np.asarray(priors.c_mean, dtype=float)
         self.c_ivar = 1.0 / np.asarray(priors.c_var, dtype=float)
@@ -622,9 +622,9 @@ class _FusedWorkspace:
 
 
 def _context_workspace(ctx: SourceContext) -> _FusedWorkspace:
-    ws = ctx.workspaces.get("fused")
+    ws = ctx.workspace
     if ws is None:
-        ws = ctx.workspaces["fused"] = _FusedWorkspace(ctx)
+        ws = ctx.workspace = _FusedWorkspace(ctx)
     return ws
 
 
@@ -1435,7 +1435,56 @@ def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
 
 
 # ---------------------------------------------------------------------------
-# The backend
+# Evaluation entry points (the front end, :mod:`repro.core.elbo`, calls these)
+
+
+class ElboEval:
+    """Dense evaluation result: the value and its derivatives over the free
+    vector.
+
+    ``val`` is a ``()``-shaped array; ``gradient(n)``/``hessian(n)`` return
+    dense derivative arrays over the free vector (zero-padded into wider
+    spaces), and ``hess`` is ``None`` in gradient-only mode — the surface
+    the optimizers consume.
+    """
+
+    __slots__ = ("val", "grad", "hess")
+
+    def __init__(self, val, grad=None, hess=None):
+        self.val = np.asarray(val, dtype=np.float64)
+        self.grad = grad
+        self.hess = hess
+
+    def gradient(self, n_params: int) -> np.ndarray:
+        out = np.zeros(n_params)
+        if self.grad is None:
+            return out
+        if n_params < len(self.grad):
+            raise ValueError(
+                "gradient has %d entries; asked for %d"
+                % (len(self.grad), n_params)
+            )
+        # Zero-pad into wider spaces (the stored block always starts at
+        # global index 0).
+        out[:len(self.grad)] = self.grad
+        return out
+
+    def hessian(self, n_params: int) -> np.ndarray:
+        out = np.zeros((n_params, n_params))
+        if self.hess is None:
+            return out
+        p = self.hess.shape[0]
+        if n_params < p:
+            raise ValueError(
+                "Hessian has shape %r; asked for %d"
+                % (self.hess.shape, n_params)
+            )
+        out[:p, :p] = self.hess
+        return out
+
+    def __repr__(self):
+        order = 0 if self.grad is None else (2 if self.hess is not None else 1)
+        return "ElboEval(val=%r, order=%d)" % (float(self.val), order)
 
 
 def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int):
@@ -1463,18 +1512,6 @@ def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int):
     return val, g27, h27
 
 
-def elbo_fused(
-    ctx: SourceContext,
-    free,
-    order: int = 2,
-    variance_correction: bool = True,
-) -> ElboEval:
-    """Evaluate one source's full ELBO with the fused analytic kernel: the
-    lane-count-1 case of :func:`elbo_fused_batch`."""
-    return elbo_fused_batch([ctx], [free], order=order,
-                            variance_correction=variance_correction)[0]
-
-
 def elbo_fused_batch(
     ctxs: list,
     frees: list,
@@ -1485,8 +1522,9 @@ def elbo_fused_batch(
 ) -> list:
     """Evaluate many sources' ELBOs in one stacked sweep.
 
-    ``compiled`` is a :class:`_FusedBatchWorkspace` from
-    :meth:`FusedBackend.compile_batch` (built on the fly when ``None``); it
+    ``compiled`` is a :class:`_FusedBatchWorkspace` (from
+    :func:`repro.core.elbo.compile_elbo_batch`; built on the fly when
+    ``None``); it
     must have been compiled for exactly these contexts.  ``active`` is an
     optional per-lane boolean mask: inactive lanes still ride through the
     stacked pixel sweep (their lanes are baked into the stacks — that waste
@@ -1548,35 +1586,10 @@ def elbo_fused_batch(
     return out
 
 
-class FusedBackend(ElboBackend):
-    """Production backend: compile-once workspaces + closed-form blocks."""
-
-    name = "fused"
-
-    def evaluate(self, ctx, free, order, variance_correction):
-        return elbo_fused(ctx, free, order=order,
-                          variance_correction=variance_correction)
-
-    def evaluate_kl(self, ctx, free, order):
-        val, grad, hess = _kl_workspace(ctx.priors).evaluate_stacked(
-            np.asarray(free, dtype=np.float64)[None], order)
-        return ElboEval(val[0], None if grad is None else grad[0],
-                        None if hess is None else hess[0])
-
-    def compile_batch(self, ctxs):
-        """Pack the contexts' compiled workspaces into lane-grouped
-        structure-of-arrays stacks (see :class:`_FusedBatchWorkspace` for
-        the no-padding stacking contract)."""
-        return _FusedBatchWorkspace(ctxs)
-
-    def evaluate_batch(self, ctxs, frees, order, variance_correction,
-                       compiled=None, active=None):
-        return elbo_fused_batch(ctxs, frees, order=order,
-                                variance_correction=variance_correction,
-                                compiled=compiled, active=active)
-
-    def release_scratch(self):
-        release_scratch()
-
-
-register_backend(FusedBackend())
+def elbo_kl_fused(ctx: SourceContext, free, order: int = 2) -> ElboEval:
+    """Only the (pixel-count-independent) KL terms of one source's ELBO,
+    from the compiled closed-form :class:`KlWorkspace`."""
+    val, grad, hess = _kl_workspace(ctx.priors).evaluate_stacked(
+        np.asarray(free, dtype=np.float64)[None], order)
+    return ElboEval(val[0], None if grad is None else grad[0],
+                    None if hess is None else hess[0])

@@ -8,8 +8,8 @@ and the per-type color-prior mixture responsibilities ``k`` (16).
 
 Newton's method steps in a 41-dimensional *free* vector related to the
 canonical vector by smooth bijections (simplexes lose one degree of freedom
-each).  The AD engine differentiates straight through the bijections, so no
-hand-written Jacobians are required.
+each).  The fused kernel (:mod:`repro.core.kernel`) chains its derivatives
+through the bijections' closed-form first and second derivatives.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autodiff import Taylor
 from repro.constants import (
     GALAXY,
     NUM_COLOR_COMPONENTS,
@@ -31,7 +30,6 @@ from repro.transforms import (
     LogitBox,
     softmax_fixed_last,
     softmax_fixed_last_inverse,
-    softmax_fixed_last_taylor,
 )
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "SourceParams",
     "free_to_canonical",
     "canonical_to_free",
-    "seed_params",
     "U_BOX_HALFWIDTH",
 ]
 
@@ -114,14 +111,6 @@ FREE = ParamLayout([
 
 assert CANONICAL.size == 44
 assert FREE.size == 41
-
-
-def _c1_index(color: int, ty: int) -> int:
-    return ty * NUM_COLORS + color
-
-
-def _k_index(comp: int, ty: int) -> int:
-    return ty * NUM_COLOR_COMPONENTS + comp
 
 
 @dataclass
@@ -236,68 +225,3 @@ def canonical_to_free(canonical: np.ndarray, u_center: np.ndarray) -> np.ndarray
     kf = np.stack([softmax_fixed_last_inverse(kc[t]) for t in range(NUM_TYPES)])
     out[FREE["k"]] = kf.ravel()
     return out
-
-
-class TaylorParams:
-    """Canonical parameters as Taylor values over the free-parameter indices.
-
-    Built by :func:`seed_params`; consumed by the ELBO.  Attributes mirror
-    :class:`SourceParams` but hold Taylor scalars (or lists thereof).
-    """
-
-    __slots__ = (
-        "prob_galaxy", "prob_star", "ux", "uy", "r1", "r2", "c1", "c2",
-        "e_dev", "e_axis", "e_angle", "e_scale", "kappa",
-    )
-
-    def __init__(self, prob_galaxy, ux, uy, r1, r2, c1, c2,
-                 e_dev, e_axis, e_angle, e_scale, kappa):
-        self.prob_galaxy = prob_galaxy
-        self.prob_star = 1.0 - prob_galaxy
-        self.ux, self.uy = ux, uy
-        self.r1, self.r2 = r1, r2          # lists [star, galaxy]
-        self.c1, self.c2 = c1, c2          # nested [type][color]
-        self.e_dev, self.e_axis = e_dev, e_axis
-        self.e_angle, self.e_scale = e_angle, e_scale
-        self.kappa = kappa                 # nested [type][component]
-
-
-def seed_params(free: np.ndarray, u_center: np.ndarray, order: int = 2) -> TaylorParams:
-    """Seed Taylor variables at the free indices and push them through the
-    bijections, yielding canonical parameters that carry derivatives with
-    respect to the free vector."""
-    free = np.asarray(free, dtype=float)
-    var = lambda i: Taylor.variable(free[i], i, order=order)  # noqa: E731
-
-    pg = _BIJ_PROB.forward_taylor(var(FREE["a"].start))
-    ub = LogitBox(-U_BOX_HALFWIDTH, U_BOX_HALFWIDTH)
-    u0, u1 = FREE.indices("u")
-    ux = ub.forward_taylor(var(u0)) + float(u_center[0])
-    uy = ub.forward_taylor(var(u1)) + float(u_center[1])
-
-    r1_idx = FREE.indices("r1")
-    r2_idx = FREE.indices("r2")
-    r1 = [var(r1_idx[t]) for t in range(NUM_TYPES)]
-    r2 = [_BIJ_R2.forward_taylor(var(r2_idx[t])) for t in range(NUM_TYPES)]
-
-    c1_idx = FREE.indices("c1")
-    c2_idx = FREE.indices("c2")
-    c1 = [[var(c1_idx[_c1_index(i, t)]) for i in range(NUM_COLORS)]
-          for t in range(NUM_TYPES)]
-    c2 = [[_BIJ_C2.forward_taylor(var(c2_idx[_c1_index(i, t)]))
-           for i in range(NUM_COLORS)] for t in range(NUM_TYPES)]
-
-    e_dev = _BIJ_DEV.forward_taylor(var(FREE["e_dev"].start))
-    e_axis = _BIJ_AXIS.forward_taylor(var(FREE["e_axis"].start))
-    e_angle = var(FREE["e_angle"].start)
-    e_scale = _BIJ_SCALE.forward_taylor(var(FREE["e_scale"].start))
-
-    k_idx = FREE.indices("k")
-    width = NUM_COLOR_COMPONENTS - 1
-    kappa = []
-    for t in range(NUM_TYPES):
-        frees = [var(k_idx[t * width + j]) for j in range(width)]
-        kappa.append(softmax_fixed_last_taylor(frees))
-
-    return TaylorParams(pg, ux, uy, r1, r2, c1, c2,
-                        e_dev, e_axis, e_angle, e_scale, kappa)

@@ -57,17 +57,13 @@ class OptimizeConfig:
     #: "newton" (paper) or "lbfgs" (baseline)
     method: str = knob("newton", provenance="fingerprinted")
     variance_correction: bool = knob(True, provenance="fingerprinted")
-    #: ELBO evaluation backend: ``"fused"`` (compile-once analytic kernel,
-    #: the production default) or ``"taylor"`` (the reference oracle);
-    #: ``None`` follows the ``REPRO_ELBO_BACKEND`` environment variable,
-    #: then :data:`repro.core.elbo.DEFAULT_BACKEND`.  The driver fills
-    #: that default in up front so checkpoints fingerprint the backend that
-    #: actually ran.
-    backend: str | None = knob(None, provenance="fingerprinted")
-    #: ``None`` only (anything else is a ``ValueError``: the execution
-    #: targets were removed).  Kept for its one outside reader,
-    #: benchmarks/suite/layers.py, which passes it to ``elbo``/``elbo_batch``.
-    kernel_target: str | None = knob(None, provenance="fingerprinted")
+
+    # Not fields, knobs or fingerprint keys: plain class constants, kept
+    # only for their one outside reader, benchmarks/suite/layers.py, which
+    # passes them to ``elbo``/``elbo_batch`` (where anything but ``None``
+    # is a ValueError — there is one ELBO kernel).
+    backend = None
+    kernel_target = None
 
 
 @dataclass
@@ -133,8 +129,8 @@ def optimize_sources_batch(
     The one optimization path (:func:`optimize_source` is its batch of
     one): each source runs its own solve (independent iterates, radii/line
     searches, and convergence), but every round's objective evaluations
-    are served by one :func:`repro.core.elbo.elbo_batch` call, so a backend
-    with a batched kernel sweeps all still-active sources' pixels at once —
+    are served by one :func:`repro.core.elbo.elbo_batch` call, so the
+    batched kernel sweeps all still-active sources' pixels at once —
     the paper's AVX-512 batching of evaluations across light sources.  Both
     methods have lockstep drivers: ``"newton"`` (the paper's trust region,
     order-2 evaluations) and ``"lbfgs"`` (the baseline, order-1 evaluations
@@ -142,8 +138,8 @@ def optimize_sources_batch(
 
     **Bit-for-bit contract.**  Each source's result — iterates,
     diagnostics, counter totals — is the same whatever else shares its
-    batch, because lanes of a lockstep driver never interact and every
-    backend's batched evaluation is lane-independent to the bit.  Batching
+    batch, because lanes of a lockstep driver never interact and the
+    kernel's batched evaluation is lane-independent to the bit.  Batching
     is an execution strategy, never an approximation; the Cyclades executor
     relies on this to keep catalogs identical at any lane limit.
 
@@ -184,7 +180,7 @@ def optimize_sources_batch(
     # shrinks to the active set whenever occupancy drops below the repack
     # threshold.
     state = {"lanes": list(range(len(ctxs))), "ctxs": list(ctxs)}
-    state["compiled"] = compile_elbo_batch(ctxs, backend=config.backend)
+    state["compiled"] = compile_elbo_batch(ctxs)
 
     def eval_batch(idx: list, xs: list) -> list:
         """Evaluate problems ``idx`` (ascending, a subset of the compiled
@@ -194,9 +190,7 @@ def optimize_sources_batch(
         if len(idx) < repack_threshold * len(state["lanes"]):
             state["lanes"] = list(idx)
             state["ctxs"] = [ctxs[i] for i in idx]
-            state["compiled"] = compile_elbo_batch(
-                state["ctxs"], backend=config.backend
-            )
+            state["compiled"] = compile_elbo_batch(state["ctxs"])
         lanes = state["lanes"]
         active = None
         if len(idx) < len(lanes):
@@ -207,10 +201,8 @@ def optimize_sources_batch(
             [last_free[i] for i in lanes],
             order=order,
             variance_correction=config.variance_correction,
-            backend=config.backend,
             compiled=state["compiled"],
             active=active,
-            kernel_target=config.kernel_target,
         )
         # Results come back in lane order with None for masked lanes, and
         # ``idx`` lists the active lanes in that same order.
@@ -224,7 +216,7 @@ def optimize_sources_batch(
     # next batch on this thread (a Cyclades assignment, a benchmark loop)
     # reuses it, and the executor releases it when the assignment ends.  An
     # evaluation that *raises* inside the solver gets no such downstream
-    # release on many call paths (direct single-source API, baselines), so
+    # release on some call paths (the direct single-source API), so
     # the except arm drops the pool rather than strand buffers on a thread
     # that may never evaluate again.
     try:

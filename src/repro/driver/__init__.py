@@ -26,7 +26,7 @@ catalogs.  Fields given as file paths are loaded by a prefetch thread keyed
 to the Dtree look-ahead (the paper's Burst Buffer pipeline), and the
 working catalog checkpoints as per-rank shard files.  This is the
 architectural spine future scaling work (elastic workers, task-granular
-checkpointing, multiple backends) plugs into.
+checkpointing) plugs into.
 """
 
 from repro.driver.checkpoint import (

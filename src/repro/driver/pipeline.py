@@ -31,18 +31,6 @@ task id, and every worker reads its sources and frozen halo from a
 stage-start snapshot of the catalog, so results never depend on the
 executor, the worker count, or task completion order.
 
-**ELBO backends.**  Every source optimization evaluates its objective
-through a pluggable backend (``OptimizeConfig.backend`` /
-``REPRO_ELBO_BACKEND``): the fused analytic kernel
-(:mod:`repro.core.kernel` — the production default, evaluating both the
-pixel term and the KL terms from compile-once closed-form formulas) or the
-Taylor reference path (the correctness oracle).  The driver fills the
-environment default into the per-task optimizer config once
-(:func:`_pin_config`), where it is fingerprinted, so resumed runs and
-process workers always evaluate with the same backend — a checkpoint
-written under one backend (including under the old ``taylor`` default)
-refuses to resume under another.
-
 **The sharded catalog.**  The working catalog lives in a
 :class:`~repro.driver.shards.ShardedCatalog` — light sources as 44-wide
 rows of a :class:`~repro.pgas.GlobalArray` block-partitioned across
@@ -95,7 +83,6 @@ import time
 from dataclasses import dataclass, replace
 
 from repro.core.catalog import Catalog
-from repro.core.elbo import _reject_kernel_target, resolve_backend_name
 from repro.core.priors import Priors, default_priors
 from repro.driver.checkpoint import (
     STAGES,
@@ -175,7 +162,7 @@ class DriverConfig:
     and fuzzer-pinned to be result-invariant
     (``tests/test_provenance.py``).  A behaviour has one name: what the
     optimizer or the Cyclades region reads lives on *its* config
-    (``parallel.joint.single.backend``, ``parallel.race_detect``, ...),
+    (``parallel.joint.single.max_iter``, ``parallel.race_detect``, ...),
     not on an alias here.
     """
 
@@ -292,17 +279,14 @@ def _pin_config(config: DriverConfig) -> DriverConfig:
     """Fill every environment default into the nested config, once, and
     validate what was filled.
 
-    After this the optimizer's ``backend``, the lockstep lane limit and
-    the three analysis opt-ins hold the values that will run, so the
-    fingerprint (derived from the same config) records them, and process
-    node-workers inherit them through the pickled config instead of
-    re-reading their own environment.  A field that is set wins over its
+    After this the lockstep lane limit and the three analysis opt-ins
+    hold the values that will run, so the fingerprint (derived from the
+    same config) records them, and process node-workers inherit them
+    through the pickled config instead of re-reading their own
+    environment.  A field that is set wins over its
     variable; ``None`` asks the variable.
     """
     parallel = config.parallel
-    single = parallel.joint.single
-    backend = resolve_backend_name(single.backend)
-    _reject_kernel_target(single.kernel_target)
     batch_size = _unless_set(
         config.elbo_batch_size,
         _unless_set(parallel.elbo_batch_size, env_int(ELBO_BATCH_ENV_VAR)))
@@ -317,8 +301,6 @@ def _pin_config(config: DriverConfig) -> DriverConfig:
         parallel=replace(
             parallel,
             elbo_batch_size=batch_size,
-            joint=replace(parallel.joint, single=replace(
-                single, backend=backend)),
             race_detect=_unless_set(
                 parallel.race_detect, env_flag(RACE_DETECT_ENV_VAR)),
             verify_schedule=_unless_set(
@@ -386,20 +368,20 @@ def seed_catalog_from_fields(
     the field WCS), so the per-field catalogs concatenate directly; the
     merge deduplicates sources detected by two overlapping fields.  Fields
     given as paths are loaded from disk one at a time — peak memory is one
-    field, not the survey.
+    field, not the survey.  A field with no images seeds nothing.
     """
     from repro.survey.io import load_field
 
-    per_field = [
-        run_photo(load_field(f) if isinstance(f, str) else f, config.photo)
-        for f in fields
-    ]
+    loaded = (load_field(f) if isinstance(f, str) else f for f in fields)
+    per_field = [run_photo(images, config.photo)
+                 for images in loaded if images]
     return merge_catalogs(per_field, config.dedup_radius)
 
 
 def _seed_catalog_from_store(store: _FieldStore, config: DriverConfig) -> Catalog:
-    per_field = [run_photo(store.field(i), config.photo)
-                 for i in range(store.n_fields)]
+    loaded = (store.field(i) for i in range(store.n_fields))
+    per_field = [run_photo(images, config.photo)
+                 for images in loaded if images]
     return merge_catalogs(per_field, config.dedup_radius)
 
 

@@ -61,12 +61,6 @@ class EnvVar:
 
 _VARS = (
     EnvVar(
-        "REPRO_ELBO_BACKEND", "str", "fused",
-        "ELBO backend when no config pins one: `fused` (production closed "
-        "forms) or `taylor` (the correctness oracle).",
-        provenance="fingerprinted", resolves_to="OptimizeConfig.backend",
-    ),
-    EnvVar(
         "REPRO_DRIVER_EXECUTOR", "str", "thread",
         "Node-worker executor when `DriverConfig.executor` is unset: "
         "`thread` or `process`.",

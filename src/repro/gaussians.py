@@ -1,29 +1,23 @@
 """Bivariate Gaussian utilities shared by the PSF, galaxy-profile, and ELBO code.
 
-Both plain-NumPy evaluation (used for rendering synthetic images and by the
-Photo baseline) and Taylor-mode evaluation (used inside the variational
-objective, where pixel offsets and covariance entries carry derivatives) are
-provided.  Covariances are handled as explicit ``(sxx, sxy, syy)`` triples so
-the 2x2 inverse/determinant algebra stays closed-form — this is what lets the
-Hessian of a galaxy-profile density stay a 6x6 block (position + shape) no
-matter how many parameters the full source has.
+Plain-NumPy evaluation, used for rendering synthetic images, by the Photo
+baseline and by the PSF/profile fits.  Covariances are handled as explicit
+``(sxx, sxy, syy)`` triples so the 2x2 inverse/determinant algebra stays
+closed-form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import Taylor, lift, texp, tsqrt
 from repro.constants import MOMENT_EIGENVALUE_FLOOR
 
 TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "gauss2d",
-    "gauss2d_taylor",
     "covariance_det",
     "rotation_covariance",
-    "rotation_covariance_taylor",
     "moments_to_ellipse",
 ]
 
@@ -38,35 +32,6 @@ def gauss2d(dx, dy, sxx: float, sxy: float, syy: float) -> np.ndarray:
     iyy = sxx / det
     q = ixx * dx * dx + 2.0 * ixy * dx * dy + iyy * dy * dy
     return np.exp(-0.5 * q) / (TWO_PI * np.sqrt(det))
-
-
-def gauss2d_taylor(dx, dy, sxx, sxy, syy) -> Taylor:
-    """Taylor-mode bivariate normal density.
-
-    ``dx``/``dy`` may be Taylor (position is a variational parameter) and the
-    covariance entries may be Taylor (galaxy shape parameters).  Constants are
-    lifted automatically.
-
-    The normalizer is folded into the exponent (``exp(-q/2 - log(2 pi
-    sqrt(det)))``) so the expensive wide-Hessian multiply of density by
-    normalizer never materializes — the log-normalizer is added where
-    arrays are still component-sized.
-    """
-    from repro.autodiff import tlog
-
-    dx, dy = lift(dx), lift(dy)
-    sxx, sxy, syy = lift(sxx), lift(sxy), lift(syy)
-    det = sxx * syy - sxy * sxy
-    inv_det = det.reciprocal() if not det.is_constant else lift(1.0 / det.val)
-    ixx = syy * inv_det
-    ixy = -1.0 * (sxy * inv_det)
-    iyy = sxx * inv_det
-    q = ixx * (dx * dx) + 2.0 * (ixy * (dx * dy)) + iyy * (dy * dy)
-    if det.is_constant:
-        log_norm = lift(np.log(TWO_PI) + 0.5 * np.log(det.val))
-    else:
-        log_norm = np.log(TWO_PI) + 0.5 * tlog(det)
-    return texp(-0.5 * q - log_norm)
 
 
 def covariance_det(sxx, sxy, syy):
@@ -86,21 +51,6 @@ def rotation_covariance(axis_ratio: float, angle: float, scale: float):
     sxx = c * c * major + s * s * minor
     syy = s * s * major + c * c * minor
     sxy = c * s * (major - minor)
-    return sxx, sxy, syy
-
-
-def rotation_covariance_taylor(axis_ratio, angle, scale):
-    """Taylor version of :func:`rotation_covariance` (shape parameters carry
-    derivatives)."""
-    from repro.autodiff import tcos, tsin, tsquare
-
-    axis_ratio, angle, scale = lift(axis_ratio), lift(angle), lift(scale)
-    c, s = tcos(angle), tsin(angle)
-    major = tsquare(scale)
-    minor = tsquare(scale * axis_ratio)
-    sxx = tsquare(c) * major + tsquare(s) * minor
-    syy = tsquare(s) * major + tsquare(c) * minor
-    sxy = (c * s) * (major - minor)
     return sxx, sxy, syy
 
 

@@ -20,8 +20,8 @@ of solves that happen to share evaluation sweeps — so each problem's
 iterates, accept/shrink decisions, iteration and evaluation counts, and
 convergence message are the same whatever else shares its batch, provided
 the batched callback returns bit-for-bit the values a one-problem call
-would (the ELBO backends guarantee this; see
-:meth:`repro.core.elbo.ElboBackend.evaluate_batch`).  Lockstep batching is
+would (the ELBO kernel guarantees this; see
+:func:`repro.core.elbo.elbo_batch`).  Lockstep batching is
 therefore an execution strategy, not a different algorithm: catalogs
 optimized at any lane limit are bit-for-bit identical
 (``tests/test_optim.py`` pins the state machine's results on fixed

@@ -8,7 +8,7 @@ all assigned to the same thread" (paper, Section IV-D).
 
 Keeping a whole connected component on one thread also pins its per-source
 objective evaluations to that thread, which is what makes the fused ELBO
-backend's *per-thread* workspace scratch effective: every Newton iteration
+kernel's *per-thread* workspace scratch effective: every Newton iteration
 of every source in a thread's assignment borrows the same buffers
 (:mod:`repro.core.kernel`), and the executor releases them when the
 assignment completes.

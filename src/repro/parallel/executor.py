@@ -362,7 +362,7 @@ def _run_assignment(opt: RegionOptimizer, assignment: list[int],
     by stacked evaluation sweeps.
 
     All of an assignment's sources run on one thread, so the fused ELBO
-    backend's thread-local scratch buffers are reused across every Newton
+    kernel's thread-local scratch buffers are reused across every Newton
     iteration of every source here; they are released when the assignment
     completes so idle pool threads hold no evaluation buffers.
     """

@@ -2,9 +2,8 @@
 
 A tiny registry of named counters incremented by the inference code:
 ``active_pixel_visits`` (the paper's FLOP-accounting unit), Newton
-iterations, objective evaluations (plus per-backend tallies and
-``kl_evaluations`` for KL-only calls, all counted by the backend-neutral
-front end so totals are identical whichever ELBO backend ran), RMA get/put
+iterations, objective evaluations (and ``kl_evaluations`` for KL-only
+calls, both counted by the objective front end), RMA get/put
 operations, and bytes loaded.  Thread-safe, since Cyclades runs source
 updates concurrently.
 
@@ -67,10 +66,9 @@ class Counters:
         """Increment several counters under one lock acquisition.
 
         The objective front end counts ``active_pixel_visits`` (the paper's
-        FLOP unit) and the evaluation tallies on every call, whichever ELBO
-        backend ran — batching them keeps the hot path to a single lock
-        round-trip and guarantees the counts can never be torn across
-        backends by a concurrent snapshot.
+        FLOP unit) and the evaluation tally on every call — batching them
+        keeps the hot path to a single lock round-trip and guarantees the
+        counts can never be torn by a concurrent snapshot.
         """
         with self._lock:
             for name, amount in amounts.items():

@@ -21,16 +21,13 @@ def flops_from_visits(active_pixel_visits: float) -> float:
     """Total DP FLOPs implied by a count of active pixel visits.
 
     A *visit* is one evaluation of one source's contribution to one active
-    pixel together with its derivatives.  The objective front end counts
-    visits identically whichever ELBO backend evaluated them (Taylor or
-    fused — see :mod:`repro.core.elbo`), so FLOP totals and rates stay
-    comparable across backends: a faster backend shows up as a higher
-    sustained rate over the *same* visit count, exactly how the paper
-    accounts its hand-optimized kernels.  The KL terms of the objective are
-    pixel-count-independent and contribute **zero** visits under every
-    backend — whether evaluated as a Taylor expression or by the fused
-    closed-form KL kernel — so fusing them (ISSUE 4) changes rates, never
-    visit counts.
+    pixel together with its derivatives.  The objective front end
+    (:mod:`repro.core.elbo`) counts visits independently of how the kernel
+    computes them, so FLOP totals stay comparable across kernel versions:
+    a faster kernel shows up as a higher sustained rate over the *same*
+    visit count, exactly how the paper accounts its hand-optimized
+    kernels.  The KL terms of the objective are pixel-count-independent
+    and contribute **zero** visits.
     """
     return active_pixel_visits * FLOPS_PER_ACTIVE_PIXEL_VISIT * FLOP_OVERHEAD_FACTOR
 
@@ -43,8 +40,8 @@ def flop_rate(active_pixel_visits: float, seconds: float) -> float:
 
 
 def visit_rate(active_pixel_visits: float, seconds: float) -> float:
-    """Active-pixel visits per second — the backend-neutral throughput unit
-    benchmarks record (``BENCH_elbo_backend.json``)."""
+    """Active-pixel visits per second — the throughput unit benchmarks
+    record (``BENCH_elbo_backend.json``)."""
     if seconds <= 0:
         raise ValueError("seconds must be positive")
     return active_pixel_visits / seconds

@@ -56,15 +56,6 @@ class AffineWCS:
         inv = np.linalg.inv(self.matrix)
         return (pix - self.pix_ref) @ inv.T + self.sky_ref
 
-    def sky_to_pix_taylor(self, sky_x, sky_y):
-        """Taylor-mode sky->pixel map (position parameters carry derivatives)."""
-        a = self.matrix
-        dx = sky_x - float(self.sky_ref[0])
-        dy = sky_y - float(self.sky_ref[1])
-        px = a[0, 0] * dx + a[0, 1] * dy + float(self.pix_ref[0])
-        py = a[1, 0] * dx + a[1, 1] * dy + float(self.pix_ref[1])
-        return px, py
-
     def pixel_area_sky(self) -> float:
         """Sky area of one pixel (used to keep flux normalization consistent
         between differently-scaled images)."""

@@ -3,8 +3,8 @@
 
 Celeste optimizes a transformed, unconstrained parameter vector so that
 Newton steps never leave the feasible region (probabilities in the simplex,
-variances positive, axis ratios in (0, 1)).  Because derivatives flow through
-the Taylor AD engine, the transforms need no hand-written Jacobians.
+variances positive, axis ratios in (0, 1)).  The fused ELBO kernel chains
+the transforms' closed-form first and second derivatives.
 """
 
 from repro.transforms.bijectors import (
@@ -12,7 +12,6 @@ from repro.transforms.bijectors import (
     LogitBox,
     softmax_fixed_last,
     softmax_fixed_last_inverse,
-    softmax_fixed_last_taylor,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "LogitBox",
     "softmax_fixed_last",
     "softmax_fixed_last_inverse",
-    "softmax_fixed_last_taylor",
 ]

@@ -1,19 +1,19 @@
 """Bijectors mapping free real parameters to constrained domains.
 
-Each bijector provides three views:
+Each bijector provides two views:
 
 - ``forward_np`` / ``inverse_np`` — plain float/ndarray math, used when
   initializing the optimizer from a catalog or reading results back out.
-- ``forward_taylor`` — the same map applied to Taylor values, used inside the
-  variational objective so that gradients/Hessians are taken with respect to
-  the *free* parameters (the vector Newton's method actually steps in).
+- ``forward_d012`` / ``forward_d012_vec`` — the forward map with its first
+  two derivatives in closed form, which the fused ELBO kernel chains so
+  that gradients/Hessians are taken with respect to the *free* parameters
+  (the vector Newton's method actually steps in).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import Taylor, lift, texp
 from repro.constants import EXP_ARG_LIMIT, UNIT_INTERVAL_EDGE
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "softmax_fixed_last_d012_stacked",
     "softmax_fixed_last_inverse",
     "softmax_fixed_last_stacked",
-    "softmax_fixed_last_taylor",
 ]
 
 #: Clip probabilities this far away from {0, 1} when inverting logistic maps,
@@ -40,9 +39,6 @@ class Identity:
 
     def inverse_np(self, y):
         return y
-
-    def forward_taylor(self, u):
-        return lift(u)
 
 
 class LogitBox:
@@ -66,16 +62,12 @@ class LogitBox:
         frac = np.clip(frac, _EDGE, 1.0 - _EDGE)
         return np.log(frac / (1.0 - frac))
 
-    def forward_taylor(self, u) -> Taylor:
-        u = lift(u)
-        return self.lo + (self.hi - self.lo) * (1.0 + texp(-1.0 * u)).reciprocal()
-
     def forward_d012(self, u: float) -> tuple[float, float, float]:
         """Value and first two derivatives of the forward map at ``u``.
 
-        The closed-form chain used by the fused ELBO backend
+        The closed-form chain used by the fused ELBO kernel
         (:mod:`repro.core.kernel`), which hand-derives every bijector
-        instead of differentiating through a Taylor graph:
+        instead of differentiating through an expression graph:
         ``y = lo + r s(u)`` with ``s`` the logistic gives
         ``y' = r s(1-s)`` and ``y'' = r s(1-s)(1-2s)``.
         """
@@ -119,8 +111,7 @@ def softmax_fixed_last_d012(
     ``(kappa (n,), jac (n, n-1), hess (n, n-1, n-1))`` with
     ``jac[d, j] = d kappa_d / d t_j`` and
     ``hess[d, j, l] = d^2 kappa_d / d t_j d t_l``.  Closed-form softmax
-    derivatives — the chain the fused KL kernel uses in place of the Taylor
-    graph of :func:`softmax_fixed_last_taylor`:
+    derivatives — the chain the fused KL kernel uses:
 
     ``d kappa_d / d t_j = kappa_d (delta_dj - kappa_j)`` and
     ``d^2 kappa_d / d t_j d t_l = kappa_d [(delta_dj - kappa_j)
@@ -175,25 +166,3 @@ def softmax_fixed_last_inverse(probs: np.ndarray) -> np.ndarray:
     probs = np.clip(np.asarray(probs, dtype=float), _EDGE, None)
     probs = probs / probs.sum()
     return np.log(probs[:-1] / probs[-1])
-
-
-def softmax_fixed_last_taylor(free: list) -> list:
-    """Taylor version of :func:`softmax_fixed_last`; takes/returns lists of
-    Taylor scalars."""
-    lifted = [lift(u) for u in free]
-    # Max-shift like the NumPy path.  The shift is a plain float constant at
-    # the evaluation point, so derivatives with respect to the free logits
-    # are untouched, while every exp argument is bounded above by zero —
-    # no overflow however large a logit gets.  When all logits are <= 0 the
-    # shift is zero and the expression reduces bit-for-bit to the unshifted
-    # form, so results in the ordinary regime are unchanged.
-    m = max(0.0, *(float(u.val) for u in lifted)) if lifted else 0.0
-    exps = [texp(u - m) for u in lifted]
-    pinned = float(np.exp(-m))
-    denom = lift(pinned)
-    for e in exps:
-        denom = denom + e
-    inv = denom.reciprocal()
-    probs = [e * inv for e in exps]
-    probs.append(pinned * inv)
-    return probs

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autodiff.taylor import Taylor, seed
+from taylor_oracle.taylor import Taylor, seed
 
 __all__ = [
     "finite_difference_gradient",

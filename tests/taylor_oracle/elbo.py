@@ -1,29 +1,28 @@
-"""The Taylor-mode reference ELBO backend.
+"""The Taylor-mode reference ELBO.
 
 The whole objective — Poisson pixel term plus KL terms — is built as one
-sparse-index Taylor expression (:mod:`repro.autodiff`) on every evaluation,
-so one call yields the value, gradient, and exact Hessian over the free
-parameters, vectorized across all active pixels.  Derivatives follow
-mechanically from the model with no hand-written formulas, which is what
-makes this path the correctness oracle: it is validated against central
-finite differences (:mod:`repro.autodiff.check`) in the test suite, and the
-fused backend (:mod:`repro.core.kernel`) is in turn validated against it.
+sparse-index Taylor expression (:mod:`taylor_oracle.taylor`) on every
+evaluation, so one call yields the value, gradient, and exact Hessian over
+the free parameters, vectorized across all active pixels.  Derivatives
+follow mechanically from the model with no hand-written formulas, which is
+what makes this path the correctness oracle: it is validated against
+central finite differences (:mod:`taylor_oracle.check`), and the fused
+kernel (:mod:`repro.core.kernel`) is in turn validated against it.
 
-The KL terms live here too (:func:`kl_total`): they are the reference
-expression for the fused backend's closed-form KL kernel
+The KL terms live here too (:func:`kl_total`, :func:`elbo_kl_taylor`):
+they are the reference expression for the fused closed-form KL kernel
 (:class:`repro.core.kernel.KlWorkspace`), exactly as the Taylor pixel term
-is the reference for the fused pixel kernel.  Both terms are dispatched per
-backend by the front end (:mod:`repro.core.elbo`).
+is the reference for the fused pixel kernel.
 
 The cost is per-iteration expression-graph construction: dozens of NumPy
-temporaries per evaluation, which the fused backend exists to avoid.
+temporaries per evaluation — 5.7x (order 1) to 16x (order 2) the fused
+kernel's time per active-pixel visit (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import Taylor, constant, expand_dims, lift, tlog, tsum
 from repro.constants import (
     GALAXY,
     NUM_COLOR_COMPONENTS,
@@ -31,18 +30,27 @@ from repro.constants import (
     NUM_TYPES,
     STAR,
 )
-from repro.core.elbo import (
-    ElboBackend,
-    PatchData,
-    SourceContext,
-    register_backend,
-)
-from repro.core.fluxes import flux_moments
-from repro.core.params import TaylorParams, seed_params
+from repro.core.elbo import PatchData, SourceContext
 from repro.core.priors import Priors
-from repro.gaussians import gauss2d_taylor, rotation_covariance_taylor
 
-__all__ = ["TaylorBackend", "elbo_taylor", "kl_total"]
+from taylor_oracle.model import (
+    TaylorParams,
+    flux_moments,
+    gauss2d_taylor,
+    rotation_covariance_taylor,
+    seed_params,
+    sky_to_pix_taylor,
+)
+from taylor_oracle.taylor import (
+    Taylor,
+    constant,
+    expand_dims,
+    lift,
+    tlog,
+    tsum,
+)
+
+__all__ = ["elbo_kl_taylor", "elbo_taylor", "kl_total"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -58,7 +66,7 @@ def _kl_bernoulli(params: TaylorParams, priors: Priors) -> Taylor:
     phi = priors.prob_galaxy
     return -1.0 * (
         pg * (tlog(pg) - float(np.log(phi)))
-        + ps * (tlog(ps) - float(np.log(1.0 - phi)))  # det: ignore[NUM201] -- phi is validated in (0, 1) by Priors.__post_init__
+        + ps * (tlog(ps) - float(np.log(1.0 - phi)))
     )
 
 
@@ -101,9 +109,9 @@ def _color_term(params: TaylorParams, priors: Priors, ty: int) -> Taylor:
 def kl_total(params: TaylorParams, priors: Priors) -> Taylor:
     """Sum of every KL term of the single-source ELBO (a Taylor scalar).
 
-    This is the reference expression the fused backend's closed-form KL
-    kernel is validated against (randomized value/gradient/Hessian parity
-    tests, both orders).
+    This is the reference expression the fused closed-form KL kernel is
+    validated against (randomized value/gradient/Hessian parity tests, both
+    orders).
     """
     total = _kl_bernoulli(params, priors)
     for ty, prob in ((STAR, params.prob_star), (GALAXY, params.prob_galaxy)):
@@ -161,7 +169,7 @@ def _pixel_term(patch: PatchData, params: TaylorParams, shape_cov,
     (ef_star, ef2_star), (ef_gal, ef2_gal) = flux_cache[b]
 
     # Pixel offsets from the (Taylor) source position, in image pixel coords.
-    ux_pix, uy_pix = patch.wcs.sky_to_pix_taylor(params.ux, params.uy)
+    ux_pix, uy_pix = sky_to_pix_taylor(patch.wcs, params.ux, params.uy)
     dx = constant(patch.px) - ux_pix
     dy = constant(patch.py) - uy_pix
 
@@ -215,18 +223,7 @@ def elbo_taylor(
     return total + kl_total(params, ctx.priors)
 
 
-class TaylorBackend(ElboBackend):
-    """Reference backend: one Taylor graph per evaluation, no workspace."""
-
-    name = "taylor"
-
-    def evaluate(self, ctx, free, order, variance_correction):
-        return elbo_taylor(ctx, free, order=order,
-                           variance_correction=variance_correction)
-
-    def evaluate_kl(self, ctx, free, order):
-        params = seed_params(free, ctx.u_center, order=order)
-        return kl_total(params, ctx.priors)
-
-
-register_backend(TaylorBackend())
+def elbo_kl_taylor(ctx: SourceContext, free, order: int = 2) -> Taylor:
+    """Only the KL terms of :func:`elbo_taylor` — the reference for
+    :func:`repro.core.elbo.elbo_kl`."""
+    return kl_total(seed_params(free, ctx.u_center, order=order), ctx.priors)

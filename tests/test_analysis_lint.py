@@ -466,7 +466,7 @@ class TestUnguardedLog:
             import numpy as np
             def f(phi):
                 return np.log(1.0 - phi)
-        """, rel="core/elbo_taylor.py")
+        """, rel="core/elbo.py")
         assert _rules(out) == ["NUM201"]
 
     def test_log_of_ratio_flagged(self):
@@ -474,7 +474,7 @@ class TestUnguardedLog:
             import numpy as np
             def f(a, b):
                 return np.log(a / b)
-        """, rel="core/elbo_taylor.py")
+        """, rel="core/elbo.py")
         assert _rules(out) == ["NUM201"]
 
     def test_guard_call_in_argument_clean(self):
@@ -483,7 +483,7 @@ class TestUnguardedLog:
             from repro.constants import UNIT_INTERVAL_EDGE
             def f(phi):
                 return np.log(np.maximum(1.0 - phi, UNIT_INTERVAL_EDGE))
-        """, rel="core/elbo_taylor.py")
+        """, rel="core/elbo.py")
         assert out == []
 
     def test_guarded_name_clean(self):
@@ -493,7 +493,7 @@ class TestUnguardedLog:
             def f(p, total):
                 frac = np.clip(p, UNIT_INTERVAL_EDGE, None)
                 return np.log(frac / total)
-        """, rel="core/elbo_taylor.py")
+        """, rel="core/elbo.py")
         assert out == []
 
     def test_plain_name_argument_clean(self):
@@ -503,7 +503,7 @@ class TestUnguardedLog:
             import numpy as np
             def f(x):
                 return np.log(x)
-        """, rel="core/elbo_taylor.py")
+        """, rel="core/elbo.py")
         assert out == []
 
 

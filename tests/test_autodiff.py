@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autodiff import (
+from taylor_oracle import (
     Taylor,
     check_gradient,
     check_hessian,

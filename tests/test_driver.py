@@ -480,6 +480,50 @@ class TestPipelineEndToEnd:
         if len(seed) > 1:
             assert seed.positions()[:, 0].max() > 24.0
 
+    @pytest.mark.parametrize("layout", ["middle", "leading", "trailing"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_empty_field_contributes_nothing(self, tiny_survey, executor,
+                                             layout):
+        """A field with no images seeds nothing and covers no sky: the
+        survey with it, in any position, has the catalog of the survey
+        without it, to the bit."""
+        _, (f0, f1) = tiny_survey
+        config = _driver_config(executor=executor)
+        ref = run_pipeline([f0, f1], config).catalog
+        assert len(ref) > 0
+        result = run_pipeline(_with_empty_field(f0, f1, layout), config)
+        assert _identical_catalogs(result.catalog, ref)
+        assert result.report.n_fields == 2
+
+    @pytest.mark.parametrize("layout", ["middle", "leading", "trailing"])
+    def test_seed_catalog_skips_empty_fields(self, tiny_survey, layout):
+        # The public Photo front end takes the same skip as the driver's
+        # seed stage.
+        _, (f0, f1) = tiny_survey
+        ref = seed_catalog_from_fields([f0, f1], DriverConfig())
+        assert len(ref) > 0
+        seed = seed_catalog_from_fields(_with_empty_field(f0, f1, layout),
+                                        DriverConfig())
+        assert _identical_catalogs(seed, ref)
+
+    def test_empty_field_resumes_from_checkpoint(self, tiny_survey,
+                                                 tmp_path):
+        """The seed stage's skip survives a restart: a run over a survey
+        with an empty field, killed after stage 0 and resumed, lands on
+        the uninterrupted catalog."""
+        _, (f0, f1) = tiny_survey
+        fields = [f0, [], f1]
+        config = _driver_config()
+        ref = run_pipeline(fields, config).catalog
+        path = str(tmp_path / "ckpt.json")
+        killed = dataclasses.replace(
+            config, checkpoint_path=path, stop_after="stage0")
+        assert run_pipeline(fields, killed).stopped_early
+        resumed = run_pipeline(
+            fields, dataclasses.replace(config, checkpoint_path=path))
+        assert "seed" in resumed.resumed_stages
+        assert _identical_catalogs(resumed.catalog, ref)
+
 
 class TestRowCodec:
     def test_roundtrip_exact(self):
@@ -573,6 +617,12 @@ class TestExecutorResolution:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             _resolve_executor(DriverConfig(executor="mpi"))
+
+
+def _with_empty_field(f0, f1, layout):
+    """The two-field survey ``[f0, f1]`` with an image-less field added."""
+    return {"middle": [f0, [], f1], "leading": [[], f0, f1],
+            "trailing": [f0, f1, []]}[layout]
 
 
 def _identical_catalogs(a, b):

@@ -4,7 +4,7 @@ and inference quality on synthetic data."""
 import numpy as np
 import pytest
 
-from repro.autodiff.check import finite_difference_gradient
+from taylor_oracle.check import finite_difference_gradient
 from repro.constants import GALAXY, STAR
 from repro.core import CatalogEntry, default_priors, elbo, make_context
 from repro.core.params import FREE, canonical_to_free

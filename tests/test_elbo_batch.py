@@ -8,7 +8,8 @@ Cyclades region, a multi-field driver run.  Padding a batch to a common
 shape cannot satisfy that (NumPy's pairwise-summation grouping depends on
 the reduced length), so the fused kernel groups lanes by shape instead;
 these tests pin the invariant with exact equality, and pin batched-vs-Taylor
-parity with the shared randomized harness from ``tests/conftest.py``.
+parity (the oracle in ``tests/taylor_oracle/``) with the shared randomized
+harness from ``tests/conftest.py``.
 """
 
 import numpy as np
@@ -40,6 +41,8 @@ from repro.survey import (
     generate_survey_fields,
     render_image,
 )
+
+from taylor_oracle.elbo import elbo_taylor
 
 
 def _batch(make_random_context, specs):
@@ -73,9 +76,9 @@ class TestBatchedEvaluationParity:
     def test_batched_bit_for_bit_equals_scalar(self, make_random_context,
                                                specs, order):
         ctxs, frees = _batch(make_random_context, specs)
-        outs = elbo_batch(ctxs, frees, order=order, backend="fused")
+        outs = elbo_batch(ctxs, frees, order=order)
         for ctx, free, out in zip(ctxs, frees, outs):
-            ref = elbo(ctx, free, order=order, backend="fused")
+            ref = elbo(ctx, free, order=order)
             assert float(out.val) == float(ref.val)
             np.testing.assert_array_equal(out.gradient(FREE.size),
                                           ref.gradient(FREE.size))
@@ -88,39 +91,37 @@ class TestBatchedEvaluationParity:
     @pytest.mark.parametrize("order", [1, 2])
     def test_batched_fused_matches_taylor_oracle(self, make_random_context,
                                                  assert_d012_close, order):
-        """Randomized batched-vs-Taylor parity: the Taylor backend's
-        trivial per-lane loop is the oracle the stacked kernel must
-        match at both orders."""
+        """Randomized batched-vs-Taylor parity: the oracle, evaluated lane
+        by lane, is what the stacked kernel must match at both orders."""
         ctxs, frees = _batch(make_random_context, RAGGED)
-        fused = elbo_batch(ctxs, frees, order=order, backend="fused")
-        taylor = elbo_batch(ctxs, frees, order=order, backend="taylor")
+        fused = elbo_batch(ctxs, frees, order=order)
+        taylor = [elbo_taylor(ctx, free, order=order)
+                  for ctx, free in zip(ctxs, frees)]
         for out, ref in zip(fused, taylor):
             assert_d012_close(out, ref, order, rtol=1e-9)
 
     def test_batch_of_one(self, make_random_context):
         ctx, free = make_random_context("galaxy", seed=8, perturb=0.1)
-        out = elbo_batch([ctx], [free], order=2, backend="fused")
-        ref = elbo(ctx, free, order=2, backend="fused")
+        out = elbo_batch([ctx], [free], order=2)
+        ref = elbo(ctx, free, order=2)
         assert float(out[0].val) == float(ref.val)
         np.testing.assert_array_equal(out[0].hessian(FREE.size),
                                       ref.hessian(FREE.size))
 
     def test_compiled_handle_reused_and_guarded(self, make_random_context):
         ctxs, frees = _batch(make_random_context, UNIFORM)
-        compiled = compile_elbo_batch(ctxs, backend="fused")
-        a = elbo_batch(ctxs, frees, compiled=compiled, backend="fused")
-        b = elbo_batch(ctxs, frees, compiled=compiled, backend="fused")
+        compiled = compile_elbo_batch(ctxs)
+        a = elbo_batch(ctxs, frees, compiled=compiled)
+        b = elbo_batch(ctxs, frees, compiled=compiled)
         assert float(a[0].val) == float(b[0].val)
         # Membership changed without recompiling: refuse, don't misevaluate.
         with pytest.raises(ValueError):
-            elbo_batch(ctxs[1:], frees[1:], compiled=compiled,
-                       backend="fused")
+            elbo_batch(ctxs[1:], frees[1:], compiled=compiled)
 
     def test_active_mask_skips_lanes_and_accounting(self, make_random_context):
         ctxs, frees = _batch(make_random_context, UNIFORM)
         active = [True, False, True, False, True]
-        outs = elbo_batch(ctxs, frees, order=2, backend="fused",
-                          active=active)
+        outs = elbo_batch(ctxs, frees, order=2, active=active)
         for flag, out in zip(active, outs):
             assert (out is not None) == flag
         # Inactive lanes are never accounted: no visits, no evaluations.
@@ -138,7 +139,7 @@ class TestBatchedEvaluationParity:
         # at a time however wide the call — and the counters must say so.
         def sweeps(specs):
             ctxs, frees = _batch(make_random_context, specs)
-            elbo_batch(ctxs, frees, order=2, backend="fused")
+            elbo_batch(ctxs, frees, order=2)
             snaps = [c.counters.snapshot() for c in ctxs]
             assert snaps[0]["elbo_batch_lanes"] == float(len(ctxs))
             return (sum(s.get("elbo_sweep_calls", 0.0) for s in snaps),
@@ -163,9 +164,9 @@ class TestBatchedEvaluationParity:
     def test_input_validation(self, make_random_context):
         ctxs, frees = _batch(make_random_context, UNIFORM[:2])
         with pytest.raises(ValueError):
-            elbo_batch(ctxs, frees[:1], backend="fused")
+            elbo_batch(ctxs, frees[:1])
         with pytest.raises(ValueError):
-            elbo_batch(ctxs, frees, active=[True], backend="fused")
+            elbo_batch(ctxs, frees, active=[True])
 
     def test_sweep_budget_never_changes_results(self, monkeypatch,
                                                 make_random_context):
@@ -185,8 +186,7 @@ class TestBatchedEvaluationParity:
                     patch.setattr(kernel, "_CACHE_BYTES", (0, 0))
                     patch.setattr(kernel, "_LANE_SWEEP_BUDGET", budget)
                 ctxs, frees = _batch(make_random_context, UNIFORM)
-                outs[budget] = elbo_batch(ctxs, frees, order=2,
-                                          backend="fused")
+                outs[budget] = elbo_batch(ctxs, frees, order=2)
         ref = outs[None]
         for budget in (1, 1000000000):
             for out, want in zip(outs[budget], ref):
@@ -197,7 +197,7 @@ class TestBatchedEvaluationParity:
                                               want.hessian(FREE.size))
 
     def test_empty_batch(self):
-        assert elbo_batch([], [], backend="fused") == []
+        assert elbo_batch([], []) == []
 
 
 class TestLockstepOptimizer:
@@ -215,7 +215,7 @@ class TestLockstepOptimizer:
         return ref, bat, bat_ctxs
 
     def test_bit_for_bit_equals_scalar_solves(self, make_random_context):
-        config = OptimizeConfig(max_iter=15, grad_tol=1e-4, backend="fused")
+        config = OptimizeConfig(max_iter=15, grad_tol=1e-4)
         ref, bat, _ = self._solve_both(make_random_context, RAGGED, config)
         for r, b in zip(ref, bat):
             np.testing.assert_array_equal(r.free, b.free)
@@ -227,7 +227,7 @@ class TestLockstepOptimizer:
 
     def test_repack_thresholds_do_not_change_results(self,
                                                      make_random_context):
-        config = OptimizeConfig(max_iter=20, grad_tol=1e-4, backend="fused")
+        config = OptimizeConfig(max_iter=20, grad_tol=1e-4)
         frees = {}
         for threshold in (0.0, 0.5, 1.0):
             ctxs, entries = _cases(make_random_context, UNIFORM)
@@ -245,7 +245,7 @@ class TestLockstepOptimizer:
                 np.testing.assert_array_equal(a, b)
 
     def test_counters_match_scalar_path(self, make_random_context):
-        config = OptimizeConfig(max_iter=10, grad_tol=1e-4, backend="fused")
+        config = OptimizeConfig(max_iter=10, grad_tol=1e-4)
         ref, bat, bat_ctxs = self._solve_both(
             make_random_context, UNIFORM, config)
         # Per-lane counter bags: visits/evaluations/iterations identical to
@@ -257,7 +257,7 @@ class TestLockstepOptimizer:
             r = rc.counters.snapshot()
             b = bc.counters.snapshot()
             for key in ("active_pixel_visits", "objective_evaluations",
-                        "objective_evaluations_fused", "newton_solves",
+                        "newton_solves",
                         "newton_iterations"):
                 assert r.get(key) == b.get(key), key
 
@@ -266,7 +266,7 @@ class TestLockstepOptimizer:
         # A sky-high tolerance converges every lane right after the shared
         # round-zero evaluation: one batch call, zero iterations, and the
         # lockstep loop must exit cleanly with nothing pending.
-        config = OptimizeConfig(max_iter=10, grad_tol=1e9, backend="fused")
+        config = OptimizeConfig(max_iter=10, grad_tol=1e9)
         ctxs, entries = _cases(make_random_context, UNIFORM)
         results = optimize_sources_batch(ctxs, entries, config)
         assert all(r.converged for r in results)
@@ -279,8 +279,7 @@ class TestLockstepOptimizer:
         """The L-BFGS baseline batches too (it used to fall back to the
         per-source loop): gradient-only lockstep rounds, bit-for-bit equal
         to the scalar solver lane by lane."""
-        config = OptimizeConfig(max_iter=25, grad_tol=1e-4, method="lbfgs",
-                                backend="fused")
+        config = OptimizeConfig(max_iter=25, grad_tol=1e-4, method="lbfgs")
         ctxs, entries = _cases(make_random_context, UNIFORM)
         results = optimize_sources_batch(ctxs, entries, config)
         # The batched path really ran, through the lbfgs counters.
@@ -305,7 +304,7 @@ class TestLockstepOptimizer:
         to baseline rather than strand stacked buffers."""
         from repro.core import kernel
 
-        config = OptimizeConfig(max_iter=3, grad_tol=1e-4, backend="fused")
+        config = OptimizeConfig(max_iter=3, grad_tol=1e-4)
         ctxs, entries = _cases(make_random_context, UNIFORM)
         optimize_sources_batch(ctxs, entries, config)
         assert getattr(kernel._TLS, "pool", None)  # buffers pooled
@@ -487,8 +486,7 @@ class TestExecutorBatching:
         images, entries = _region_scene()
         priors = default_priors()
         joint = JointConfig(
-            n_passes=1, single=OptimizeConfig(max_iter=6, grad_tol=2e-3,
-                                              backend="fused"),
+            n_passes=1, single=OptimizeConfig(max_iter=6, grad_tol=2e-3),
         )
 
         def run(batch):
@@ -522,7 +520,7 @@ class TestExecutorBatching:
             ParallelRegionConfig(
                 n_threads=2, n_passes=1, elbo_batch_size=elbo_batch_size,
                 joint=JointConfig(n_passes=1, single=OptimizeConfig(
-                    max_iter=6, grad_tol=2e-3, backend="fused"))),
+                    max_iter=6, grad_tol=2e-3))),
             counters=counters,
         )
         snap = counters.snapshot()
@@ -549,8 +547,7 @@ class TestExecutorBatching:
         images, entries = _region_scene(n=12, spacing=30.0)
         priors = default_priors()
         joint = JointConfig(
-            n_passes=1, single=OptimizeConfig(max_iter=6, grad_tol=2e-3,
-                                              backend="fused"),
+            n_passes=1, single=OptimizeConfig(max_iter=6, grad_tol=2e-3),
         )
 
         def run(coalesce):
@@ -615,8 +612,7 @@ def _driver_config(executor, batch, **kwargs):
             n_passes=1,
             joint=JointConfig(
                 n_passes=1,
-                single=OptimizeConfig(max_iter=8, grad_tol=2e-3,
-                                      backend="fused"),
+                single=OptimizeConfig(max_iter=8, grad_tol=2e-3),
             ),
         ),
         **kwargs,

@@ -33,7 +33,7 @@ class TestRegistry:
 
     def test_known_knobs_registered(self):
         expected = {
-            "REPRO_ELBO_BACKEND", "REPRO_DRIVER_EXECUTOR",
+            "REPRO_PGAS_TRANSPORT", "REPRO_DRIVER_EXECUTOR",
             "REPRO_ELBO_BATCH", "REPRO_RACE_DETECT",
             "REPRO_VERIFY_SCHEDULE", "REPRO_NUMERIC_CHECK",
             "REPRO_BENCH_SMOKE",
@@ -67,12 +67,12 @@ class TestRegistry:
 
 class TestTypedReads:
     def test_raw_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ELBO_BACKEND", raising=False)
-        assert env_raw("REPRO_ELBO_BACKEND") is None
+        monkeypatch.delenv("REPRO_DRIVER_EXECUTOR", raising=False)
+        assert env_raw("REPRO_DRIVER_EXECUTOR") is None
 
     def test_raw_returns_string(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ELBO_BACKEND", "taylor")
-        assert env_raw("REPRO_ELBO_BACKEND") == "taylor"
+        monkeypatch.setenv("REPRO_DRIVER_EXECUTOR", "process")
+        assert env_raw("REPRO_DRIVER_EXECUTOR") == "process"
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
     def test_flag_truthy_values(self, monkeypatch, value):

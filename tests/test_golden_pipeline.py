@@ -1,8 +1,8 @@
 """Golden end-to-end regression: a pinned catalog content hash.
 
 A tiny deterministic two-field synthetic survey runs through
-:func:`run_pipeline` under the production configuration (thread executor,
-fused backend) and the resulting catalog's *content hash* is pinned.  Every
+:func:`run_pipeline` under the production configuration (thread executor)
+and the resulting catalog's *content hash* is pinned.  Every
 layer of the system feeds this number — Photo seeding, partitioning, Dtree
 scheduling, Cyclades execution, the fused kernel, merging — so a refactor
 that silently shifts end-to-end results (rather than merely reorganizing
@@ -55,7 +55,7 @@ def _golden_fields():
 
 def _golden_config(elbo_batch_size=1):
     # Everything result-affecting is pinned explicitly so the golden run is
-    # identical under every CI matrix cell (executor/backend env vars are
+    # identical under every CI matrix cell (the executor env var is
     # overridden by the explicit config).
     return DriverConfig(
         n_nodes=2,
@@ -67,8 +67,7 @@ def _golden_config(elbo_batch_size=1):
             n_passes=1,
             joint=JointConfig(
                 n_passes=1,
-                single=OptimizeConfig(max_iter=12, grad_tol=1e-3,
-                                      backend="fused"),
+                single=OptimizeConfig(max_iter=12, grad_tol=1e-3),
             ),
         ),
     )

@@ -10,8 +10,9 @@ from repro.core.params import (
     SourceParams,
     canonical_to_free,
     free_to_canonical,
-    seed_params,
 )
+
+from taylor_oracle.model import seed_params
 
 
 def make_params(**overrides):

@@ -82,7 +82,7 @@ class TestCleanTree:
     def test_knob_budget(self):
         """The next knob is a conscious edit of this number, made after
         asking whether an existing knob or a constant would do."""
-        assert len(knob_inventory()) <= 54, MANIFEST_HINT
+        assert len(knob_inventory()) <= 51, MANIFEST_HINT
 
     def test_every_knob_declared(self):
         for k in knob_inventory():
@@ -285,11 +285,19 @@ class TestDerivedFingerprint:
 
 
 @pytest.mark.slow
-def test_checkpoint_with_parent_commit_fingerprint_restarts(tmp_path):
-    """A checkpoint written before the fingerprint was derived carries keys
-    this commit no longer writes (the top-level copies of the backend and
-    kernel target).  It is incompatible: the run restarts from nothing and
-    lands on the golden catalog, never half-resumes."""
+@pytest.mark.parametrize("block,legacy", [
+    ((), {"elbo_backend": "fused", "kernel_target": "numpy"}),
+    (("parallel", "joint", "single"),
+     {"backend": "fused", "kernel_target": None}),
+], ids=["top_level_copies", "optimizer_selectors"])
+def test_checkpoint_with_parent_commit_fingerprint_restarts(
+        tmp_path, block, legacy):
+    """Checkpoints written by earlier commits carry fingerprint keys this
+    commit no longer writes: the top-level copies of the backend and kernel
+    target (before the fingerprint was derived), or ``backend: "fused"``
+    and ``kernel_target: null`` in the optimizer block (before both stopped
+    being fields).  Each is incompatible: the run restarts from nothing
+    and lands on the golden catalog, never half-resumes."""
     fields = _fields()
     path = str(tmp_path / "ckpt.json")
     config = dataclasses.replace(_golden_config(), checkpoint_path=path)
@@ -298,7 +306,11 @@ def test_checkpoint_with_parent_commit_fingerprint_restarts(tmp_path):
     assert seeded.stopped_early
     with open(path, encoding="utf-8") as fh:
         ckpt = json.load(fh)
-    ckpt["fingerprint"].update(elbo_backend="fused", kernel_target="numpy")
+    target = ckpt["fingerprint"]
+    for key in block:
+        target = target[key]
+    assert not set(target) & set(legacy)
+    target.update(legacy)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ckpt, fh)
     result = run_pipeline(fields, config)
@@ -310,8 +322,9 @@ def test_checkpoint_with_parent_commit_fingerprint_restarts(tmp_path):
 
 def test_checkpoint_with_pinned_kernel_target_restarts(tmp_path):
     """A checkpoint written while the driver still pinned the kernel
-    target recorded ``kernel_target: "numpy"``; the field is ``None``
-    now, so such a checkpoint restarts instead of resuming."""
+    target recorded ``kernel_target: "numpy"`` next to ``backend:
+    "fused"``; neither key is written now, so such a checkpoint restarts
+    instead of resuming."""
     _, fields = generate_survey_fields(
         1, field_shape_hw=(30, 30), overlap=6.0,
         config=SyntheticSkyConfig(source_density=60.0),
@@ -323,8 +336,8 @@ def test_checkpoint_with_pinned_kernel_target_restarts(tmp_path):
     with open(path, encoding="utf-8") as fh:
         ckpt = json.load(fh)
     single = ckpt["fingerprint"]["parallel"]["joint"]["single"]
-    assert single["kernel_target"] is None
-    single["kernel_target"] = "numpy"
+    assert "kernel_target" not in single
+    single.update(backend="fused", kernel_target="numpy")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ckpt, fh)
     assert run_pipeline(fields, config).resumed_stages == []

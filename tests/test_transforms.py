@@ -4,15 +4,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.numeric import NumericSanitizer
-from repro.autodiff import seed
 from repro.transforms import (
     Identity,
     LogitBox,
     softmax_fixed_last,
     softmax_fixed_last_inverse,
-    softmax_fixed_last_taylor,
 )
 from repro.transforms.bijectors import _EDGE
+
+from taylor_oracle import seed
+from taylor_oracle.model import forward_taylor, softmax_fixed_last_taylor
 
 
 def _assert_sanitized(*arrays):
@@ -33,7 +34,7 @@ class TestIdentity:
     def test_taylor_passthrough(self):
         b = Identity()
         x, = seed([1.5])
-        assert b.forward_taylor(x) is x
+        assert forward_taylor(b, x) is x
 
 
 class TestLogitBox:
@@ -60,16 +61,16 @@ class TestLogitBox:
     def test_taylor_matches_numpy(self):
         b = LogitBox(0.1, 2.5)
         u, = seed([0.7])
-        t = b.forward_taylor(u)
+        t = forward_taylor(b, u)
         np.testing.assert_allclose(t.val, b.forward_np(0.7), rtol=1e-12)
 
     def test_taylor_gradient(self):
-        from repro.autodiff import check_gradient, check_hessian
+        from taylor_oracle import check_gradient, check_hessian
 
         b = LogitBox(0.0, 3.0)
 
         def fn(v):
-            return b.forward_taylor(v[0])
+            return forward_taylor(b, v[0])
 
         check_gradient(fn, np.array([0.4]))
         check_hessian(fn, np.array([0.4]))
@@ -113,7 +114,7 @@ class TestSoftmaxFixedLast:
         np.testing.assert_allclose(total.gradient(2), [0.0, 0.0], atol=1e-12)
 
     def test_taylor_gradient_matches_fd(self):
-        from repro.autodiff import check_gradient, check_hessian
+        from taylor_oracle import check_gradient, check_hessian
 
         def fn(v):
             probs = softmax_fixed_last_taylor(list(v))
