@@ -110,8 +110,7 @@ _NUMERIC_MODULES = (
     "core/", "optim/", "partition/", "profiles/", "transforms/", "psf/",
     "survey/", "gaussians.py", "driver/merge.py",
 )
-_LANE_STACKED_MODULES = ("core/kernel.py", "optim/lockstep.py",
-                         "optim/lbfgs.py")
+_LANE_STACKED_MODULES = ("core/kernel.py", "optim/lockstep.py")
 _FINGERPRINTED_MODULES = (
     "core/", "optim/", "parallel/", "partition/", "transforms/",
     "profiles/", "psf/", "gaussians.py", "driver/",

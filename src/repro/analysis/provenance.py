@@ -74,7 +74,6 @@ KNOB_CONFIG_CLASSES = (
     "JointConfig",
     "OptimizeConfig",
     "PhotoConfig",
-    "DtreeConfig",
 )
 
 #: Modules that *evaluate the model* — where a scheduling/observational

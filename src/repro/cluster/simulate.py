@@ -26,7 +26,7 @@ from repro.cluster.machine import MachineConfig
 from repro.cluster.workload import TaskPopulation, WorkloadConfig, sample_workload
 from repro.perf.flops import FlopReport
 from repro.sched.central import CentralQueue
-from repro.sched.dtree import Dtree, DtreeConfig
+from repro.sched.dtree import Dtree
 
 __all__ = [
     "ComponentBreakdown",
@@ -102,7 +102,7 @@ def simulate_run(
     n_procs = machine.n_processes
     n_tasks = workload.n_tasks
     if scheduler == "dtree":
-        sched = Dtree(n_procs, n_tasks, DtreeConfig())
+        sched = Dtree(n_procs, n_tasks)
         hop_cost = machine.scheduler_hop_latency
     elif scheduler == "central":
         sched = CentralQueue(n_procs, n_tasks)

@@ -28,11 +28,7 @@ from repro.core.params import (
 )
 from repro.core.priors import Priors
 from repro.knobs import knob
-from repro.optim import (
-    OptimResult,
-    lbfgs_minimize_batch,
-    newton_trust_region_batch,
-)
+from repro.optim import OptimResult, newton_trust_region_batch
 
 __all__ = [
     "OptimizeConfig",
@@ -53,17 +49,18 @@ class OptimizeConfig:
 
     max_iter: int = knob(50, provenance="fingerprinted")
     grad_tol: float = knob(1e-4, provenance="fingerprinted")
-    initial_radius: float = knob(1.0, provenance="fingerprinted")
-    #: "newton" (paper) or "lbfgs" (baseline)
-    method: str = knob("newton", provenance="fingerprinted")
-    variance_correction: bool = knob(True, provenance="fingerprinted")
 
-    # Not fields, knobs or fingerprint keys: plain class constants, kept
-    # only for their one outside reader, benchmarks/suite/layers.py, which
-    # passes them to ``elbo``/``elbo_batch`` (where anything but ``None``
-    # is a ValueError — there is one ELBO kernel).
+    # Not fields, knobs or fingerprint keys: plain class constants that
+    # benchmarks/suite/layers.py reads.  It passes the first two to
+    # ``elbo``/``elbo_batch`` (where anything but ``None`` is a ValueError
+    # — there is one ELBO kernel).  The last two are what
+    # ``optimize_sources_batch`` passes on, so the suite replays the values
+    # the solver runs with: the trust region's starting radius and the
+    # evaluations' variance correction.
     backend = None
     kernel_target = None
+    initial_radius = 1.0
+    variance_correction = True
 
 
 @dataclass
@@ -131,10 +128,10 @@ def optimize_sources_batch(
     searches, and convergence), but every round's objective evaluations
     are served by one :func:`repro.core.elbo.elbo_batch` call, so the
     batched kernel sweeps all still-active sources' pixels at once —
-    the paper's AVX-512 batching of evaluations across light sources.  Both
-    methods have lockstep drivers: ``"newton"`` (the paper's trust region,
-    order-2 evaluations) and ``"lbfgs"`` (the baseline, order-1 evaluations
-    via :func:`repro.optim.lbfgs_minimize_batch`).
+    the paper's AVX-512 batching of evaluations across light sources.  The
+    solver is the paper's: Newton's method in a trust region
+    (:func:`repro.optim.newton_trust_region_batch`) on order-2
+    evaluations.
 
     **Bit-for-bit contract.**  Each source's result — iterates,
     diagnostics, counter totals — is the same whatever else shares its
@@ -162,8 +159,6 @@ def optimize_sources_batch(
         raise ValueError(
             "got %d initializations for %d contexts" % (len(inits), len(ctxs))
         )
-    if config.method not in ("newton", "lbfgs"):
-        raise ValueError("unknown method %r" % (config.method,))
 
     params = [
         initial_params(init, ctx.priors)
@@ -175,16 +170,16 @@ def optimize_sources_batch(
         for p, ctx in zip(params, ctxs)
     ]
     last_free = list(free0s)
-    order = 2 if config.method == "newton" else 1
     # The compiled workspace covers the problems in ``state["lanes"]``; it
     # shrinks to the active set whenever occupancy drops below the repack
     # threshold.
     state = {"lanes": list(range(len(ctxs))), "ctxs": list(ctxs)}
     state["compiled"] = compile_elbo_batch(ctxs)
 
-    def eval_batch(idx: list, xs: list) -> list:
-        """Evaluate problems ``idx`` (ascending, a subset of the compiled
-        lanes) at ``xs``; masked lanes ride along at their last point."""
+    def fgh_batch(idx: list, xs: list) -> list:
+        """Negated value, gradient and Hessian of problems ``idx``
+        (ascending, a subset of the compiled lanes) at ``xs``; masked
+        lanes ride along at their last point."""
         for i, x in zip(idx, xs):
             last_free[i] = np.asarray(x, dtype=np.float64)
         if len(idx) < repack_threshold * len(state["lanes"]):
@@ -199,19 +194,21 @@ def optimize_sources_batch(
         outs = elbo_batch(
             state["ctxs"],
             [last_free[i] for i in lanes],
-            order=order,
+            order=2,
             variance_correction=config.variance_correction,
             compiled=state["compiled"],
             active=active,
         )
         # Results come back in lane order with None for masked lanes, and
         # ``idx`` lists the active lanes in that same order.
-        return [out for out in outs if out is not None]
+        return [
+            (-float(out.val), -out.gradient(FREE.size),
+             -out.hessian(FREE.size))
+            for out in outs if out is not None
+        ]
 
-    solves_counter = config.method + "_solves"
-    iters_counter = config.method + "_iterations"
     for ctx in ctxs:
-        ctx.counters.add(solves_counter, 1.0)
+        ctx.counters.add("newton_solves", 1.0)
     # On a clean solve the per-thread evaluation scratch stays pooled — the
     # next batch on this thread (a Cyclades assignment, a benchmark loop)
     # reuses it, and the executor releases it when the assignment ends.  An
@@ -220,39 +217,19 @@ def optimize_sources_batch(
     # the except arm drops the pool rather than strand buffers on a thread
     # that may never evaluate again.
     try:
-        if config.method == "newton":
-            def fgh_batch(idx: list, xs: list) -> list:
-                return [
-                    (-float(out.val), -out.gradient(FREE.size),
-                     -out.hessian(FREE.size))
-                    for out in eval_batch(idx, xs)
-                ]
-
-            results = newton_trust_region_batch(
-                fgh_batch, free0s,
-                grad_tol=config.grad_tol,
-                max_iter=config.max_iter,
-                initial_radius=config.initial_radius,
-            )
-        else:
-            def fg_batch(idx: list, xs: list) -> list:
-                return [
-                    (-float(out.val), -out.gradient(FREE.size))
-                    for out in eval_batch(idx, xs)
-                ]
-
-            results = lbfgs_minimize_batch(
-                fg_batch, free0s,
-                grad_tol=config.grad_tol,
-                max_iter=config.max_iter,
-            )
+        results = newton_trust_region_batch(
+            fgh_batch, free0s,
+            grad_tol=config.grad_tol,
+            max_iter=config.max_iter,
+            initial_radius=config.initial_radius,
+        )
     except BaseException:
         release_scratch()
         raise
 
     out = []
     for ctx, res in zip(ctxs, results):
-        ctx.counters.add(iters_counter, float(res.n_iterations))
+        ctx.counters.add("newton_iterations", float(res.n_iterations))
         canonical = free_to_canonical(res.x, ctx.u_center)
         out.append(SourceResult(
             params=SourceParams.from_canonical(canonical),

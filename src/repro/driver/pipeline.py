@@ -172,9 +172,6 @@ class DriverConfig:
     #: :data:`EXECUTOR_ENV_VAR`, defaulting to ``"thread"``.  Results are
     #: identical either way; only the memory/parallelism model changes.
     executor: str | None = knob(None, provenance="scheduling")
-    #: Start method for process node-workers ("spawn" works everywhere and
-    #: proves nothing leaks through fork; "fork" starts faster on Linux).
-    mp_start_method: str = knob("spawn", provenance="scheduling")
     #: PGAS transport backing the sharded catalog, one of
     #: :data:`repro.pgas.TRANSPORT_NAMES`.  ``None`` reads
     #: :data:`PGAS_TRANSPORT_ENV_VAR`, then defaults by executor:
@@ -193,16 +190,6 @@ class DriverConfig:
     target_weight: float = knob(40.0, provenance="fingerprinted")
     #: Run the shifted second-stage partition (paper Section IV-A).
     two_stage: bool = knob(True, provenance="fingerprinted")
-    #: Dedup radius (pixels) for cross-field seed merging and final merge.
-    dedup_radius: float = knob(2.0, provenance="fingerprinted")
-    #: Extra margin (pixels) when matching image footprints to task regions,
-    #: so patches of border sources still find their pixels.
-    image_margin: float = knob(16.0, provenance="fingerprinted")
-    #: Catalog sources within this many pixels outside a task's region are
-    #: rendered into its model images as a frozen halo — without it, a
-    #: source near a region border slides toward its unmodeled neighbor's
-    #: flux and the fit corrupts.  The margin box is closed on both sides.
-    halo_margin: float = knob(16.0, provenance="fingerprinted")
     #: Re-read the halo from the live working catalog at each optimization
     #: pass instead of the stage-start snapshot, so boundary sources see
     #: their neighbors' freshest parameters.  Costs reproducibility:
@@ -210,14 +197,10 @@ class DriverConfig:
     #: longer reproduces a run bit-for-bit (default keeps snapshot
     #: semantics).
     halo_refresh: bool = knob(False, provenance="fingerprinted")
-    #: Task ids granted per Dtree request.
-    max_batch: int = knob(2, provenance="scheduling")
     photo: PhotoConfig = knob(default_factory=PhotoConfig,
                               provenance="fingerprinted")
     parallel: ParallelRegionConfig = knob(
         default_factory=ParallelRegionConfig, provenance="fingerprinted")
-    dtree: DtreeConfig = knob(default_factory=DtreeConfig,
-                              provenance="scheduling")
     #: Lane limit of a lockstep ELBO evaluation batch; wins over
     #: ``parallel.elbo_batch_size``, then ``REPRO_ELBO_BATCH``
     #: (:func:`_pin_config`).  Residue: the one behaviour still settable
@@ -235,6 +218,30 @@ class DriverConfig:
     #: simulates a killed run for resume testing, and supports staged
     #: operation (e.g. seed on one machine, optimize on another).
     stop_after: str | None = knob(None, provenance="scheduling")
+
+    # Not fields, knobs or fingerprint keys: plain class constants.  Each
+    # has the one value every caller uses; the driver and
+    # benchmarks/suite/layers.py read them off a config, and tests reach
+    # them with ``monkeypatch.setattr(DriverConfig, ...)``.
+
+    #: Dedup radius (pixels) for cross-field seed merging and final merge.
+    dedup_radius = 2.0
+    #: Extra margin (pixels) when matching image footprints to task regions,
+    #: so patches of border sources still find their pixels.
+    image_margin = 16.0
+    #: Catalog sources within this many pixels outside a task's region are
+    #: rendered into its model images as a frozen halo — without it, a
+    #: source near a region border slides toward its unmodeled neighbor's
+    #: flux and the fit corrupts.  The margin box is closed on both sides.
+    halo_margin = 16.0
+    #: Start method for process node-workers: "spawn" works everywhere and
+    #: proves nothing leaks through fork.
+    mp_start_method = "spawn"
+    #: Task ids granted per Dtree request, and the Dtree's shape.  Both
+    #: only decide who computes what and when (the catalog is
+    #: completion-order independent).
+    max_batch = 2
+    dtree = DtreeConfig()
 
 
 def _resolve_executor(config: DriverConfig) -> str:

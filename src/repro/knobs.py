@@ -3,7 +3,7 @@
 Every result-relevant decision in this repo is a *knob* — a dataclass field
 of one of the driver-facing config classes (``DriverConfig``,
 ``ParallelRegionConfig``, ``JointConfig``, ``OptimizeConfig``,
-``PhotoConfig``, ``DtreeConfig``) or a registered ``REPRO_*`` environment
+``PhotoConfig``) or a registered ``REPRO_*`` environment
 variable.  The checkpoint/resume story hangs on every knob being correctly
 partitioned into *fingerprinted* vs *not*.  That partition is written
 down once, as a declaration carried by the knob itself, and the fingerprint
@@ -33,7 +33,7 @@ list to keep in step:
 
 ``scheduling``
     Worker layout and work-distribution knobs (node counts, executors,
-    batch grants, Dtree shape): results are independent
+    transports, checkpoint cadence): results are independent
     of completion order and memory model, so a run may legitimately
     resume under a different value.  Excluded from the fingerprint;
     fuzzer-pinned where a toggle keeps the run comparable.

@@ -13,7 +13,7 @@ from repro.optim.lockstep import (
     newton_trust_region,
     newton_trust_region_batch,
 )
-from repro.optim.lbfgs import lbfgs_minimize, lbfgs_minimize_batch
+from repro.optim.lbfgs import lbfgs_minimize
 from repro.optim.result import OptimResult
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "newton_trust_region",
     "newton_trust_region_batch",
     "lbfgs_minimize",
-    "lbfgs_minimize_batch",
     "OptimResult",
 ]

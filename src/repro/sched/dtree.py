@@ -20,26 +20,41 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from repro.knobs import knob
-
 __all__ = ["DtreeConfig", "Dtree"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DtreeConfig:
-    """Tuning knobs of the scheduler.
+    """The shape of the tree and of its grants.
 
-    All fields are ``scheduling`` knobs (:func:`repro.knobs.knob`): they
-    shape who computes what and when, never what is computed — results are
-    completion-order independent, so none enter the checkpoint fingerprint.
+    It shapes who computes what and when, never what is computed, and it
+    is no driver knob: the driver runs the one shape
+    ``DriverConfig.dtree``.  Every value a constructor accepts is one the
+    scheduler can run.
     """
 
-    fanout: int = knob(8, provenance="scheduling")
+    #: Children per internal node (at least 2, or the tree never narrows
+    #: to a root).
+    fanout: int = 8
     #: Fraction of all work distributed as the static first allotment.
-    initial_fraction: float = knob(0.25, provenance="scheduling")
+    initial_fraction: float = 0.25
     #: A node grants a child this fraction of its remaining pool per request.
-    drain_fraction: float = knob(0.5, provenance="scheduling")
-    min_batch: int = knob(1, provenance="scheduling")
+    drain_fraction: float = 0.5
+    #: Task ids granted by a request that names no ``max_batch``, and the
+    #: smallest refill a node asks of its parent.
+    min_batch: int = 1
+
+    def __post_init__(self):
+        for name, ok, want in (
+            ("fanout", self.fanout >= 2, ">= 2"),
+            ("initial_fraction", 0 <= self.initial_fraction <= 1,
+             "in [0, 1]"),
+            ("drain_fraction", 0 < self.drain_fraction <= 1, "in (0, 1]"),
+            ("min_batch", self.min_batch >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError("DtreeConfig.%s must be %s, got %r"
+                                 % (name, want, getattr(self, name)))
 
 
 class _Node:

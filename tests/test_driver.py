@@ -820,7 +820,7 @@ def _two_task_scene(**overrides):
     # (also mis-seeded) neighbor across the region boundary.
     seed = [entry(13.2, 16.6, 200.0), entry(18.8, 15.4, 200.0)]
     config = DriverConfig(
-        n_nodes=1, halo_margin=16.0,
+        n_nodes=1,
         parallel=ParallelRegionConfig(
             n_threads=1, n_passes=1,
             joint=JointConfig(
@@ -1460,7 +1460,8 @@ class TestPrefetchUnderStealing:
     so the look-ahead prefetcher keeps hitting even when the Dtree
     rebalances work between the hint and the execution."""
 
-    def test_hit_rate_stays_high_in_stealing_heavy_run(self, tmp_path):
+    def test_hit_rate_stays_high_in_stealing_heavy_run(self, tmp_path,
+                                                       monkeypatch):
         rng = np.random.default_rng(5)
         sky = SyntheticSkyConfig(
             source_density=50.0, min_separation=8.0, flux_floor=20.0
@@ -1476,14 +1477,10 @@ class TestPrefetchUnderStealing:
             paths.append(p)
         # Nothing is pre-distributed and requests drain single tasks, so
         # every batch is effectively stolen from the shared root.
-        config = _driver_config(
-            target_weight=30.0,
-            max_batch=1,
-            dtree=DtreeConfig(
-                initial_fraction=0.0, drain_fraction=0.05, min_batch=1
-            ),
-        )
-        result = run_pipeline(paths, config)
+        monkeypatch.setattr(DriverConfig, "max_batch", 1)
+        monkeypatch.setattr(DriverConfig, "dtree", DtreeConfig(
+            initial_fraction=0.0, drain_fraction=0.05, min_batch=1))
+        result = run_pipeline(paths, _driver_config(target_weight=30.0))
         report = result.report
         assert report.messages > report.n_tasks  # work really moved around
         hits, misses = report.prefetch_hits, report.prefetch_misses
@@ -1492,3 +1489,4 @@ class TestPrefetchUnderStealing:
         # touches; revalidated hints keep the hit rate high (measured 1.0
         # at this configuration — 0.5 leaves slack for scheduling jitter).
         assert hits / (hits + misses) >= 0.5
+

@@ -166,12 +166,11 @@ class TestKlParity:
 
 
 class TestScratchReleasedOnFailure:
-    @pytest.mark.parametrize("method", ["newton", "lbfgs"])
     def test_raising_evaluation_releases_thread_scratch(
-            self, monkeypatch, make_random_context, star_entry, method):
+            self, monkeypatch, make_random_context, star_entry):
         from repro.core import kernel
 
-        config = OptimizeConfig(max_iter=2, method=method)
+        config = OptimizeConfig(max_iter=2)
         ctx, _ = make_random_context("star", seed=6)
         optimize_source(ctx, star_entry, config)
         baseline_pool = getattr(kernel._TLS, "pool", None)
@@ -216,14 +215,12 @@ class TestAccountingAndWorkspace:
         assert batched == scalar
         assert scalar == [[float(ctx.n_active_pixels), 1.0] for ctx in ctxs]
 
-    def test_lbfgs_solves_counted(self, make_random_context, star_entry):
+    def test_newton_solves_counted(self, make_random_context, star_entry):
         ctx, _ = make_random_context("star", seed=4)
-        optimize_source(ctx, star_entry,
-                        OptimizeConfig(max_iter=5, method="lbfgs"))
-        assert ctx.counters.get("lbfgs_solves") == 1.0
-        assert ctx.counters.get("lbfgs_iterations") > 0
-        optimize_source(ctx, star_entry, OptimizeConfig(max_iter=5))
+        res = optimize_source(ctx, star_entry, OptimizeConfig(max_iter=5))
         assert ctx.counters.get("newton_solves") == 1.0
+        assert ctx.counters.get("newton_iterations") == res.optim.n_iterations
+        assert res.optim.n_iterations > 0
 
     def test_workspace_compiled_once_and_reused(self, make_random_context):
         ctx, free = make_random_context("star", seed=2)

@@ -274,29 +274,6 @@ class TestLockstepOptimizer:
         assert all(r.optim.n_evaluations == 1 for r in results)
         assert ctxs[0].counters.snapshot()["elbo_batch_calls"] == 1.0
 
-    def test_lbfgs_runs_lockstep_and_matches_scalar(self,
-                                                    make_random_context):
-        """The L-BFGS baseline batches too (it used to fall back to the
-        per-source loop): gradient-only lockstep rounds, bit-for-bit equal
-        to the scalar solver lane by lane."""
-        config = OptimizeConfig(max_iter=25, grad_tol=1e-4, method="lbfgs")
-        ctxs, entries = _cases(make_random_context, UNIFORM)
-        results = optimize_sources_batch(ctxs, entries, config)
-        # The batched path really ran, through the lbfgs counters.
-        snap = ctxs[0].counters.snapshot()
-        assert snap["elbo_batch_calls"] > 0
-        assert snap["lbfgs_solves"] == 1.0
-        assert "newton_solves" not in snap
-
-        ref_ctxs, ref_entries = _cases(make_random_context, UNIFORM)
-        for res, (ctx, e) in zip(results, zip(ref_ctxs, ref_entries)):
-            ref = optimize_source(ctx, e, config)
-            np.testing.assert_array_equal(res.free, ref.free)
-            assert res.elbo == ref.elbo
-            assert res.optim.n_iterations == ref.optim.n_iterations
-            assert res.optim.n_evaluations == ref.optim.n_evaluations
-            assert res.optim.message == ref.optim.message
-
     def test_raising_evaluation_releases_scratch_pool(self, monkeypatch,
                                                       make_random_context):
         """Extends the PR-4 regression to the batched path: an evaluation

@@ -384,6 +384,19 @@ class TestDtree:
             t.join()
         assert sorted(seen) == list(range(800))
 
+    @pytest.mark.parametrize("name,value", [
+        ("fanout", 1),               # each level as wide as the last: hang
+        ("fanout", 0),               # a zero range() step
+        ("initial_fraction", 1.5),   # allots ids past n_tasks
+        ("initial_fraction", -0.1),
+        ("drain_fraction", 0.0),
+        ("drain_fraction", 1.5),
+        ("min_batch", 0),            # request() grants nothing, forever
+    ])
+    def test_unrunnable_shape_is_a_named_error(self, name, value):
+        with pytest.raises(ValueError, match="DtreeConfig.%s" % name):
+            DtreeConfig(**{name: value})
+
 
 class TestCentralQueue:
     def test_all_tasks_once(self):

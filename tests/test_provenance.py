@@ -18,7 +18,9 @@ not move.  ``FUZZ_MATRIX`` maps each such knob to its toggle;
 ``FUZZ_SKIPS`` holds the documented exceptions (knobs whose toggle changes
 what "the same run" means, like ``stop_after``).  A completeness test
 keeps the union exact, so a new non-fingerprinted knob cannot land without
-either a fuzz variant or a written reason.
+either a fuzz variant or a written reason.  ``SCHEDULE_SHAPES`` does the
+same for the Dtree's shape and grant size, which are class constants of
+``DriverConfig`` rather than knobs.
 """
 
 import dataclasses
@@ -43,7 +45,7 @@ from repro.envvars import ENV_REGISTRY
 from repro.knobs import PROVENANCE_CLASSES, provenance_of
 from repro.parallel import ParallelRegionConfig
 from repro.photo.pipeline import PhotoConfig
-from repro.sched.dtree import DtreeConfig
+from repro.sched import Dtree, DtreeConfig
 from repro.survey import SyntheticSkyConfig, generate_survey_fields
 
 from test_golden_pipeline import (
@@ -61,7 +63,6 @@ _CONFIG_CLASSES = {
     "JointConfig": JointConfig,
     "OptimizeConfig": OptimizeConfig,
     "PhotoConfig": PhotoConfig,
-    "DtreeConfig": DtreeConfig,
 }
 
 MANIFEST_HINT = (
@@ -82,7 +83,7 @@ class TestCleanTree:
     def test_knob_budget(self):
         """The next knob is a conscious edit of this number, made after
         asking whether an existing knob or a constant would do."""
-        assert len(knob_inventory()) <= 51, MANIFEST_HINT
+        assert len(knob_inventory()) <= 38, MANIFEST_HINT
 
     def test_every_knob_declared(self):
         for k in knob_inventory():
@@ -289,15 +290,23 @@ class TestDerivedFingerprint:
     ((), {"elbo_backend": "fused", "kernel_target": "numpy"}),
     (("parallel", "joint", "single"),
      {"backend": "fused", "kernel_target": None}),
-], ids=["top_level_copies", "optimizer_selectors"])
+    ((), {"dedup_radius": 2.0, "image_margin": 16.0, "halo_margin": 16.0}),
+    (("parallel", "joint", "single"),
+     {"method": "newton", "initial_radius": 1.0,
+      "variance_correction": True}),
+], ids=["top_level_copies", "optimizer_selectors", "driver_constants",
+        "optimizer_constants"])
 def test_checkpoint_with_parent_commit_fingerprint_restarts(
         tmp_path, block, legacy):
     """Checkpoints written by earlier commits carry fingerprint keys this
     commit no longer writes: the top-level copies of the backend and kernel
-    target (before the fingerprint was derived), or ``backend: "fused"``
-    and ``kernel_target: null`` in the optimizer block (before both stopped
-    being fields).  Each is incompatible: the run restarts from nothing
-    and lands on the golden catalog, never half-resumes."""
+    target (before the fingerprint was derived), ``backend: "fused"`` and
+    ``kernel_target: null`` in the optimizer block (before both stopped
+    being fields), or the driver's merge and margin radii and the
+    optimizer's method, initial radius and variance correction (before
+    they became class constants).  Each is incompatible, even at the
+    values the constants hold: the run restarts from nothing and lands on
+    the golden catalog, never half-resumes."""
     fields = _fields()
     path = str(tmp_path / "ckpt.json")
     config = dataclasses.replace(_golden_config(), checkpoint_path=path)
@@ -318,6 +327,35 @@ def test_checkpoint_with_parent_commit_fingerprint_restarts(
     assert catalog_content_hash(result.catalog) == GOLDEN_CATALOG_SHA256
     # ...and the control: the untouched kind of checkpoint does resume.
     assert run_pipeline(fields, config).resumed_stages != []
+
+
+#: Knobs that became class constants or went away, with their old
+#: defaults: no config accepts them as an argument any more.
+_REMOVED_KNOBS = [
+    (DriverConfig, "dedup_radius", 2.0),
+    (DriverConfig, "image_margin", 16.0),
+    (DriverConfig, "halo_margin", 16.0),
+    (DriverConfig, "max_batch", 2),
+    (DriverConfig, "mp_start_method", "spawn"),
+    (DriverConfig, "dtree", DriverConfig.dtree),
+    (OptimizeConfig, "method", "newton"),
+    (OptimizeConfig, "initial_radius", 1.0),
+    (OptimizeConfig, "variance_correction", True),
+]
+
+
+@pytest.mark.parametrize("how", ["constructor", "replace"])
+@pytest.mark.parametrize(
+    "cls,name,value", _REMOVED_KNOBS,
+    ids=["%s.%s" % (cls.__name__, name) for cls, name, _ in _REMOVED_KNOBS])
+def test_removed_knob_is_rejected(cls, name, value, how):
+    """A stale caller that still sets a removed knob fails loudly, even
+    with the value the constant holds, instead of being ignored."""
+    with pytest.raises(TypeError, match=name):
+        if how == "constructor":
+            cls(**{name: value})
+        else:
+            dataclasses.replace(cls(), **{name: value})
 
 
 def test_checkpoint_with_pinned_kernel_target_restarts(tmp_path):
@@ -369,15 +407,6 @@ FUZZ_MATRIX = {
     "DriverConfig.executor": lambda cfg: (
         dataclasses.replace(cfg, executor=None),
         {"REPRO_DRIVER_EXECUTOR": "__EXECUTOR__"}),
-    "DriverConfig.max_batch": _set(max_batch=5),
-    "DriverConfig.dtree": _set(dtree=DtreeConfig(
-        fanout=2, initial_fraction=0.6, drain_fraction=0.3, min_batch=2)),
-    "DtreeConfig.fanout": _set(dtree=DtreeConfig(fanout=2)),
-    "DtreeConfig.initial_fraction": _set(
-        dtree=DtreeConfig(initial_fraction=0.6)),
-    "DtreeConfig.drain_fraction": _set(
-        dtree=DtreeConfig(drain_fraction=0.3)),
-    "DtreeConfig.min_batch": _set(dtree=DtreeConfig(min_batch=3)),
     "ParallelRegionConfig.race_detect": _set_parallel(race_detect=True),
     "ParallelRegionConfig.verify_schedule": _set_parallel(
         verify_schedule=True),
@@ -393,12 +422,22 @@ FUZZ_MATRIX = {
     "REPRO_BENCH_SMOKE": _set_env({"REPRO_BENCH_SMOKE": "1"}),
 }
 
+#: Schedule shapes the driver does not run by default: a name -> the class
+#: constants of ``DriverConfig`` patched to get there.  The Dtree's shape
+#: and grant size are constants, not knobs, so ``FUZZ_MATRIX`` cannot name
+#: them; ``TestNeutralityFuzzer`` runs these instead.
+SCHEDULE_SHAPES = {
+    "max_batch": {"max_batch": 5},
+    "dtree": {"dtree": DtreeConfig(fanout=2, initial_fraction=0.6,
+                                   drain_fraction=0.3, min_batch=2)},
+    "fanout": {"dtree": DtreeConfig(fanout=2)},
+    "initial_fraction": {"dtree": DtreeConfig(initial_fraction=0.6)},
+    "drain_fraction": {"dtree": DtreeConfig(drain_fraction=0.3)},
+    "min_batch": {"dtree": DtreeConfig(min_batch=3)},
+}
+
 #: Non-fingerprinted knobs deliberately not fuzzed, each with its reason.
 FUZZ_SKIPS = {
-    "DriverConfig.mp_start_method": (
-        "consulted only when spawning process workers; spawn is the "
-        "portable default and fork-vs-spawn startup is a platform "
-        "property, not a result knob"),
     "DriverConfig.checkpoint_path": (
         "changes on-disk persistence, not the returned catalog; "
         "kill/resume equivalence is pinned by the driver checkpoint "
@@ -493,3 +532,28 @@ class TestNeutralityFuzzer:
                  for k in knob_inventory()}.get(qual),
                 MANIFEST_HINT,
             ))
+
+    @pytest.mark.parametrize("shape", sorted(SCHEDULE_SHAPES))
+    def test_schedule_shape_is_result_invariant(self, executor, shape,
+                                                monkeypatch):
+        """Who computes what and when is all the Dtree's shape and grant
+        size decide, so patching those constants must not move the
+        catalog.  The stage loop reads both in the parent, so a patched
+        class constant reaches process seats' schedules too."""
+        grants = []
+
+        class RecordingDtree(Dtree):
+            def request(self, worker_id, max_batch=None):
+                grants.append((self.config, max_batch))
+                return super().request(worker_id, max_batch)
+
+        monkeypatch.setattr("repro.driver.stage.Dtree", RecordingDtree)
+        default = (DriverConfig.dtree, DriverConfig.max_batch)
+        for name, value in SCHEDULE_SHAPES[shape].items():
+            monkeypatch.setattr(DriverConfig, name, value)
+        patched = (DriverConfig.dtree, DriverConfig.max_batch)
+        assert patched != default
+        assert _run_hash(_fuzz_config(executor)) == GOLDEN_CATALOG_SHA256, (
+            "schedule shape %r changed the catalog content hash" % shape)
+        # ...and the run really was scheduled in the patched shape.
+        assert set(grants) == {patched}
