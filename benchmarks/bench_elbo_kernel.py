@@ -6,10 +6,14 @@ analytic kernel at orders 1 and 2, splits each evaluation's cost into its
 pixel term and its (pixel-count-independent) KL terms, sweeps the lockstep evaluation batch
 size (the paper's AVX-512 many-sources-at-once analogue; B in
 {1, 4, 16, 64, 128}), reports the implied single-thread DP FLOP rate
-under the paper's accounting, records the numbers in
-``BENCH_elbo_backend.json`` (sections ``backend_comparison`` and
-``batch_sweep``, merged so the perf trajectory of the objective layer is
-tracked across PRs), and checks the ablation that
+under the paper's accounting, measures what an evaluation costs whatever
+its pixel count (one pixel per patch against the full patch) and what a
+batch of distinct patch shapes — one stacked sweep per lane — still
+shares, records the numbers in ``BENCH_elbo_backend.json`` (sections
+``backend_comparison``, ``batch_sweep``, ``fixed_cost`` and
+``mixed_shape_batch``, merged beside a ``machine`` stamp so the perf
+trajectory of the objective layer is tracked across PRs), and checks the
+ablation that
 the variance-correction (delta approximation) term is a material part of
 the objective.
 
@@ -19,8 +23,10 @@ timings are not trusted, the committed JSON is left untouched, and the
 machine-dependent speedup thresholds are skipped.
 """
 
+import dataclasses
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -70,15 +76,29 @@ REQUIRED_PLATEAU_RATIO = 0.9
 BATCH_SIZES = (1, 4, 16, 64, 128)
 
 
+def _machine_stamp() -> dict:
+    """The host the recorded timings come from."""
+    model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return {"cpu_model": model, "nproc": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
 def _merge_into_json(section: str, payload) -> None:
     """Merge one section into the committed benchmark JSON, preserving the
-    other sections (the backend comparison and the batch sweep are separate
-    tests that share the file)."""
+    other sections (each is written by its own test), and refresh the
+    ``machine`` stamp beside them."""
     record = {}
     if os.path.exists(BENCH_JSON):
         with open(BENCH_JSON) as fh:
             record = json.load(fh)
     record[section] = payload
+    record["machine"] = _machine_stamp()
     with open(BENCH_JSON, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -228,12 +248,15 @@ def test_backend_comparison_records_json():
 SWEEP_PRIORS = default_priors()
 
 
-def sweep_context(seed: int):
+def sweep_context(seed: int, n_masked: int = 0, one_pixel: bool = False):
     """One lane of the batch sweep: a survey-typical *small* source — three
     visits of a 16x16 patch.  Small patches are where per-evaluation
     dispatch overhead dominates and batching pays; they are also the
     realistic regime (most catalog sources are near the detection limit
-    with patches a few PSF widths across)."""
+    with patches a few PSF widths across).  ``n_masked`` masks that many
+    corner pixels — a distinct patch shape at nearly the same cost;
+    ``one_pixel`` masks every pixel but the source's own, so an
+    evaluation costs only what does not scale with pixels."""
     truth = CatalogEntry([8.0, 7.0], False, 25.0 + seed,
                          [1.5, 1.1, 0.25, 0.05])
     rng = np.random.default_rng(seed)
@@ -243,6 +266,13 @@ def sweep_context(seed: int):
             sky_level=100.0, calibration=100.0), (16, 16), rng=rng)
         for b in (1, 2, 3)
     ]
+    if one_pixel or n_masked:
+        mask = np.zeros((16, 16), dtype=bool)
+        mask.flat[:n_masked] = True
+        if one_pixel:
+            mask[:] = True
+            mask[7, 8] = False
+        images = [dataclasses.replace(im, mask=mask) for im in images]
     ctx = make_context(images, truth.position, SWEEP_PRIORS,
                        counters=Counters())
     free = canonical_to_free(
@@ -318,6 +348,82 @@ def test_batch_sweep_records_json():
         assert sweep["batch16_speedup"] >= REQUIRED_BATCH_SPEEDUP
         # The plateau criterion: wider batches must not regress the rate.
         assert sweep["batch64_over_16"] >= REQUIRED_PLATEAU_RATIO
+
+
+def test_fixed_cost_records_json():
+    """The per-evaluation cost that does not scale with pixels: the same
+    three-visit source evaluated on its full 16x16 patches and on one
+    pixel per patch, at both orders.  What the one-pixel evaluation still
+    costs — chain rule, KL term, NumPy dispatch — is what batching lanes
+    into one call amortizes; its share of the full evaluation is the
+    recorded ``fixed_fraction``."""
+    full_ctx, free = sweep_context(0)
+    tiny_ctx, _ = sweep_context(0, one_pixel=True)
+    assert tiny_ctx.n_active_pixels == 3
+    secs = _timed_grid({
+        (name, order): (lambda c=ctx, o=order: elbo(c, free, order=o))
+        for name, ctx in (("full", full_ctx), ("one_pixel", tiny_ctx))
+        for order in (1, 2)
+    })
+    record = {"visits_per_evaluation": full_ctx.n_active_pixels}
+    for order in (1, 2):
+        full, tiny = secs["full", order], secs["one_pixel", order]
+        record["order%d" % order] = {
+            "seconds_per_evaluation": full,
+            "one_pixel_seconds_per_evaluation": tiny,
+            "fixed_fraction": tiny / full,
+        }
+    if not SMOKE:
+        _merge_into_json("fixed_cost", record)
+
+    print_header("ELBO kernel: per-evaluation fixed cost")
+    for order in (1, 2):
+        e = record["order%d" % order]
+        print("order %d: %.3f ms full, %.3f ms at one pixel per patch "
+              "(%.0f%% fixed)" % (order, 1e3 * e["seconds_per_evaluation"],
+                                  1e3 * e["one_pixel_seconds_per_evaluation"],
+                                  100.0 * e["fixed_fraction"]))
+    print("recorded to %s" % ("(smoke: not recorded)" if SMOKE else BENCH_JSON))
+
+
+#: Batch sizes of the mixed-shape row.
+MIXED_BATCH_SIZES = (1, 4, 16)
+
+
+def test_mixed_shape_batch_records_json():
+    """B lanes of B distinct patch shapes: the kernel stacks only equal
+    shapes, so this batch sweeps its pixels one lane at a time and what
+    B lanes still share is the call — the chain, the per-band chain rule
+    and the KL term.  Records milliseconds per lane at B in {1, 4, 16};
+    lanes stay bit-for-bit what they are alone."""
+    pairs = [sweep_context(seed, n_masked=seed)
+             for seed in range(max(MIXED_BATCH_SIZES))]
+    handles = {}
+    for b in MIXED_BATCH_SIZES:
+        ctxs = [c for c, _ in pairs[:b]]
+        handles[b] = (ctxs, [f for _, f in pairs[:b]],
+                      compile_elbo_batch(ctxs))
+    secs = _timed_grid({
+        b: (lambda h=handles[b]: elbo_batch(h[0], h[1], order=2,
+                                            compiled=h[2]))
+        for b in MIXED_BATCH_SIZES
+    })
+    ctxs, frees, compiled = handles[max(MIXED_BATCH_SIZES)]
+    assert len(compiled.groups) == len(ctxs)      # one sweep per lane
+    batched = elbo_batch(ctxs, frees, order=2, compiled=compiled)
+    for ctx, free, out in zip(ctxs, frees, batched):
+        assert np.array_equal(out.hessian(41),
+                              elbo(ctx, free, order=2).hessian(41))
+
+    record = {"order": 2, "ms_per_lane": {
+        "B%d" % b: 1e3 * secs[b] / b for b in MIXED_BATCH_SIZES}}
+    if not SMOKE:
+        _merge_into_json("mixed_shape_batch", record)
+
+    print_header("ELBO kernel: batch of distinct patch shapes")
+    for b in MIXED_BATCH_SIZES:
+        print("B=%-3d %.3f ms/lane" % (b, record["ms_per_lane"]["B%d" % b]))
+    print("recorded to %s" % ("(smoke: not recorded)" if SMOKE else BENCH_JSON))
 
 
 def test_variance_correction_ablation(benchmark):

@@ -38,10 +38,15 @@ no expression-graph construction:
    ``x E[log F] - E[F]`` (with the delta-approximation variance term)
    chains through per-pixel scalars, giving the patch value, its 10-vector
    z-gradient, and its 10x10 z-Hessian via a handful of matrix products.
-3. The z-space blocks chain to the 41 free parameters through closed-form
-   bijector/WCS/flux-moment Jacobians and Hessians that are independent of
-   pixel count — the wide-parameter outer products an expression tree
-   would materialize per pixel never exist here.
+3. A patch's z is linear in its *band's* z — the same vector with the
+   position in the sky frame and the amplitudes without calibration — so
+   each patch's ``(gz, hz)`` goes through a fixed 10x10 map (the WCS
+   matrix on the position rows, ``iota`` / ``iota^2`` on the amplitude
+   rows) and accumulates per band.  The band blocks then chain to the free
+   parameters through closed-form bijector/flux-moment Jacobians and
+   Hessians that are independent of pixel count, once per band rather
+   than once per patch — the wide-parameter outer products an expression
+   tree would materialize per pixel never exist here.
 
 The pixel term touches only the first 27 free parameters (everything except
 the color-prior responsibilities ``k``), so the chain accumulates in a dense
@@ -68,7 +73,11 @@ rather than padded (padding cannot be bit-exact: NumPy's pairwise-summation
 grouping depends on the reduced length), which makes every lane's result
 bit-for-bit independent of what shares its batch — the invariant the lockstep
 optimizer (:func:`repro.core.single.optimize_sources_batch`) and the
-driver's catalog-level parity tests rely on.
+driver's catalog-level parity tests rely on.  Shape grouping splits only
+the pixel sweep: the pixel-count-independent stages — the bijector and
+flux-moment chain (:class:`_EvalChain`), the chain rule (once per band) and
+the KL term (once per shared ``Priors``) — run once per batch call over all
+its lanes, however many shape groups the call sweeps.
 
 **Per-thread scratch.**  Large per-evaluation temporaries (feature stacks,
 chain-rule rows) are borrowed from a thread-local pool keyed by shape, so a
@@ -162,15 +171,18 @@ _PAIR_ROW = {pq: r for r, pq in enumerate(_PAIRS)}
 
 # KL-term index bookkeeping: the free indices of one type's blocks, in the
 # local order the KL kernel accumulates them ``[r1, r2, c1 x4, c2 x4, k x7]``.
-_IDX_R1 = FREE.indices("r1")
-_IDX_R2 = FREE.indices("r2")
+_IDX_R1 = np.asarray(FREE.indices("r1"))
+_IDX_R2 = np.asarray(FREE.indices("r2"))
 _IDX_C1 = np.asarray(FREE.indices("c1")).reshape(2, NUM_COLORS)
 _IDX_C2 = np.asarray(FREE.indices("c2")).reshape(2, NUM_COLORS)
 _IDX_K = np.asarray(FREE.indices("k")).reshape(2, NUM_COLOR_COMPONENTS - 1)
-_KL_TYPE_IDX = tuple(
+_KL_TYPE_IDX = np.array([
     np.concatenate(([_IDX_R1[ty], _IDX_R2[ty]], _IDX_C1[ty], _IDX_C2[ty],
                     _IDX_K[ty]))
-    for ty in (STAR, GALAXY))
+    for ty in (STAR, GALAXY)])
+#: Broadcast ``(T, 17, 17)`` index pair of both types' KL Hessian blocks.
+_KL_TYPE_ROWS = _KL_TYPE_IDX[:, :, None]
+_KL_TYPE_COLS = _KL_TYPE_IDX[:, None, :]
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 #: Diagonal index vectors for the stacked KL Hessian's separable color
@@ -357,89 +369,96 @@ class KlWorkspace:
         self.log_r_var = np.log(np.asarray(priors.r_var, dtype=float))
         with np.errstate(divide="ignore"):  # zero mixture weights -> -inf,
             # matching the reference expression exactly
-            self.log_w = np.log(np.asarray(priors.k_weights, dtype=float))
-        self.c_mean = np.asarray(priors.c_mean, dtype=float)
-        self.c_ivar = 1.0 / np.asarray(priors.c_var, dtype=float)
-        #: Constant part of E_d: ``-0.5 sum_i (log 2pi + log v0_id)``, (D, T).
-        self.e_const = -0.5 * (_LOG_2PI + np.log(
-            np.asarray(priors.c_var, dtype=float))).sum(axis=0)
+            log_w = np.log(np.asarray(priors.k_weights, dtype=float))
+        # The color tables are stored type-major, (T, C, D) and (T, D), to
+        # line up with the KL kernel's (lane, type, ...) stacking.
+        c_var = np.asarray(priors.c_var, dtype=float)
+        self.log_w = np.ascontiguousarray(log_w.T)
+        self.c_mean = np.ascontiguousarray(
+            np.asarray(priors.c_mean, dtype=float).transpose(2, 0, 1))
+        self.c_ivar = np.ascontiguousarray((1.0 / c_var).transpose(2, 0, 1))
+        #: Constant part of E_d: ``-0.5 sum_i (log 2pi + log v0_id)``, (T, D).
+        self.e_const = np.ascontiguousarray(
+            (-0.5 * (_LOG_2PI + np.log(c_var)).sum(axis=0)).T)
 
-    def _type_term_stacked(self, frees: np.ndarray, ty: int, order: int):
-        """One type's ``KL_bright + color`` term over its own 17 free
-        indices ``[r1, r2, c1 x4, c2 x4, k x7]`` (before the type-probability
-        weighting), lane-stacked: ``frees`` is ``(G, 41)`` and the returned
-        ``(indices, value, gradient, hessian)`` carry a leading lane axis.
-        Every operation is lane-independent — elementwise ufuncs, reductions
-        over non-lane axes, and stacked ``matmul`` (which dispatches the
-        identical per-lane product) — so lane ``i`` is bit-for-bit what a
+    def _type_terms_stacked(self, frees: np.ndarray, order: int):
+        """Both types' ``KL_bright + color`` terms over their own 17 free
+        indices ``[r1, r2, c1 x4, c2 x4, k x7]`` (:data:`_KL_TYPE_IDX`,
+        before the type-probability weighting), stacked over lanes and a
+        ``(STAR, GALAXY)`` type axis: ``frees`` is ``(G, 41)`` and the
+        returned ``(value, gradient, hessian)`` are ``(G, 2)``, ``(G, 2,
+        17)`` and ``(G, 2, 17, 17)``.  Every operation is independent
+        across lanes and types — elementwise ufuncs, reductions over
+        non-lane axes, and stacked ``matmul`` (which dispatches the
+        identical per-matrix product) — so lane ``i`` is bit-for-bit what a
         one-lane call on ``frees[i]`` returns, which the lane-independence
         tests pin."""
-        ic1 = _IDX_C1[ty]
-        ic2 = _IDX_C2[ty]
-        idx = _KL_TYPE_IDX[ty]
         gsz = frees.shape[0]
 
         # Gaussian log-brightness KL.
-        m = frees[:, _IDX_R1[ty]]
-        v, v1, v2 = _BIJ_R2.forward_d012_vec(frees[:, _IDX_R2[ty]])
-        diff = m - self.r_loc[ty]
-        iv0 = self.r_ivar[ty]
-        gb = -0.5 * ((v + diff * diff) * iv0 - 1.0 + self.log_r_var[ty]
+        m = frees[:, _IDX_R1]                                # (G, T)
+        v, v1, v2 = _BIJ_R2.forward_d012_vec(frees[:, _IDX_R2])
+        diff = m - self.r_loc
+        iv0 = self.r_ivar
+        gb = -0.5 * ((v + diff * diff) * iv0 - 1.0 + self.log_r_var
                      - np.log(v))
 
         # Color GMM term: expected component log-densities and their
         # (separable) color derivatives.
-        c1 = frees[:, ic1]                                   # (G, C)
-        c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, ic2])
-        dif = c1[:, :, None] - self.c_mean[None, :, :, ty]   # (G, C, D)
-        iv = self.c_ivar[:, :, ty]
-        e = self.e_const[None, :, ty] - 0.5 * (
-            (c2v[:, :, None] + dif * dif) * iv[None]).sum(axis=1)
+        c1 = frees[:, _IDX_C1]                               # (G, T, C)
+        c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, _IDX_C2])
+        dif = c1[..., None] - self.c_mean[None]              # (G, T, C, D)
+        iv = self.c_ivar                                     # (T, C, D)
+        e = self.e_const[None] - 0.5 * (
+            (c2v[..., None] + dif * dif) * iv[None]).sum(axis=2)
         de_c1 = -dif * iv[None]                              # dE_d/dc1_i
         de_c2 = -0.5 * iv                                    # dE_d/dc2_i
 
         kappa, kjac, kh2 = softmax_fixed_last_d012_stacked(
-            frees[:, _IDX_K[ty]])
-        r = e + self.log_w[None, :, ty] - np.log(kappa)      # (G, D)
-        val = (gb + np.matmul(kappa[:, None, :], r[:, :, None])[:, 0, 0]
-               + 0.5 * np.sum(np.log(c2v) + _LOG_2PI + 1.0, axis=1))
+            frees[:, _IDX_K].reshape(2 * gsz, -1))
+        kappa = kappa.reshape(gsz, 2, -1)                    # (G, T, D)
+        kjac = kjac.reshape(gsz, 2, *kjac.shape[1:])
+        r = e + self.log_w[None] - np.log(kappa)             # (G, T, D)
+        val = (gb + np.matmul(kappa[..., None, :], r[..., None])[..., 0, 0]
+               + 0.5 * np.sum(np.log(c2v) + _LOG_2PI + 1.0, axis=-1))
         if order < 1:
-            return idx, val, None, None
+            return val, None, None
 
         dv = 0.5 / v - 0.5 * iv0                             # d gb / d v
-        gc2 = (np.matmul(de_c2[None], kappa[:, :, None])[:, :, 0]
+        gc2 = (np.matmul(de_c2[None], kappa[..., None])[..., 0]
                + 0.5 / c2v)                                  # d/d c2
         s = r - 1.0                                          # d/d kappa_d
-        g = np.empty((gsz, idx.size))
-        g[:, 0] = -diff * iv0
-        g[:, 1] = dv * v1
-        g[:, 2:6] = np.matmul(de_c1, kappa[:, :, None])[:, :, 0]
-        g[:, 6:10] = gc2 * c2d1
-        g[:, 10:] = np.matmul(kjac.transpose(0, 2, 1), s[:, :, None])[:, :, 0]
+        g = np.empty((gsz, 2, _KL_TYPE_IDX.shape[1]))
+        g[..., 0] = -diff * iv0
+        g[..., 1] = dv * v1
+        g[..., 2:6] = np.matmul(de_c1, kappa[..., None])[..., 0]
+        g[..., 6:10] = gc2 * c2d1
+        g[..., 10:] = np.matmul(kjac.swapaxes(-1, -2), s[..., None])[..., 0]
         if order < 2:
-            return idx, val, g, None
+            return val, g, None
 
-        h = np.zeros((gsz, idx.size, idx.size))
-        h[:, 0, 0] = -iv0
-        h[:, 1, 1] = -0.5 / (v * v) * v1 * v1 + dv * v2
-        h[:, _DIAG_C1, _DIAG_C1] = np.matmul(
-            (-iv)[None], kappa[:, :, None])[:, :, 0]
-        h[:, _DIAG_C2, _DIAG_C2] = (-0.5 / (c2v * c2v) * c2d1 * c2d1
-                                    + gc2 * c2d2)
+        h = np.zeros((gsz, 2, g.shape[2], g.shape[2]))
+        h[..., 0, 0] = -iv0
+        h[..., 1, 1] = -0.5 / (v * v) * v1 * v1 + dv * v2
+        h[..., _DIAG_C1, _DIAG_C1] = np.matmul(
+            (-iv)[None], kappa[..., None])[..., 0]
+        h[..., _DIAG_C2, _DIAG_C2] = (-0.5 / (c2v * c2v) * c2d1 * c2d1
+                                      + gc2 * c2d2)
         # Responsibility x color coupling, through the softmax Jacobian.
-        c1k = np.matmul(de_c1, kjac)                         # (G, 4, 7)
-        c2k = np.matmul(de_c2[None], kjac) * c2d1[:, :, None]
-        h[:, 2:6, 10:] = c1k
-        h[:, 10:, 2:6] = c1k.transpose(0, 2, 1)
-        h[:, 6:10, 10:] = c2k
-        h[:, 10:, 6:10] = c2k.transpose(0, 2, 1)
+        c1k = np.matmul(de_c1, kjac)                         # (G, T, 4, 7)
+        c2k = np.matmul(de_c2[None], kjac) * c2d1[..., None]
+        h[..., 2:6, 10:] = c1k
+        h[..., 10:, 2:6] = c1k.swapaxes(-1, -2)
+        h[..., 6:10, 10:] = c2k
+        h[..., 10:, 6:10] = c2k.swapaxes(-1, -2)
         # Responsibility block: kappa-space curvature diag(-1/kappa) plus
         # the softmax's own second derivatives.
-        h[:, 10:, 10:] = (np.einsum("gd,gdjl->gjl", s, kh2)
-                          - np.matmul(
-                              (kjac / kappa[:, :, None]).transpose(0, 2, 1),
-                              kjac))
-        return idx, val, g, h
+        kh2 = kh2.reshape(gsz, 2, *kh2.shape[1:])
+        h[..., 10:, 10:] = (np.einsum("gtd,gtdjl->gtjl", s, kh2)
+                            - np.matmul(
+                                (kjac / kappa[..., None]).swapaxes(-1, -2),
+                                kjac))
+        return val, g, h
 
     def evaluate_stacked(self, frees: np.ndarray, order: int):
         """KL value / 41-gradient / 41x41-Hessian for ``(G, 41)`` stacked
@@ -450,8 +469,8 @@ class KlWorkspace:
 
         Lane ``i`` of every output is bit-for-bit what a one-lane call on
         ``frees[i]`` returns (the lane-independence argument in
-        :meth:`_type_term_stacked`), so the KL term's many-small-ops
-        dispatch cost is amortized across a whole lane group without
+        :meth:`_type_terms_stacked`), so the KL term's many-small-ops
+        dispatch cost is amortized across a whole call's lanes without
         results depending on how lanes were grouped."""
         frees = np.asarray(frees, dtype=np.float64)
         gsz = frees.shape[0]
@@ -472,21 +491,25 @@ class KlWorkspace:
             hess[:, _IDX_A, _IDX_A] = (-(1.0 / pg + 1.0 / ps) * pg1 * pg1
                                        + db * pg2)
 
-        for ty, p, pa1, pa2 in ((STAR, ps, -pg1, -pg2),
-                                (GALAXY, pg, pg1, pg2)):
-            idx, tval, tgrad, thess = self._type_term_stacked(
-                frees, ty, order)
-            val += p * tval
-            if order >= 1:
-                grad[:, idx] += p[:, None] * tgrad
-                grad[:, _IDX_A] += pa1 * tval
-            if order >= 2:
-                hess[:, idx[:, None], idx[None, :]] += (
-                    p[:, None, None] * thess)
-                cross = pa1[:, None] * tgrad
-                hess[:, _IDX_A, idx] += cross
-                hess[:, idx, _IDX_A] += cross
-                hess[:, _IDX_A, _IDX_A] += pa2 * tval
+        tval, tgrad, thess = self._type_terms_stacked(frees, order)
+        p = np.stack([ps, pg], axis=1)                       # (G, T)
+        pa1 = np.stack([-pg1, pg1], axis=1)
+        # The two types' index blocks are disjoint; they meet only at the
+        # type logit, where star accumulates before galaxy.
+        val += p[:, STAR] * tval[:, STAR]
+        val += p[:, GALAXY] * tval[:, GALAXY]
+        if order >= 1:
+            grad[:, _KL_TYPE_IDX] += p[:, :, None] * tgrad
+            grad[:, _IDX_A] += pa1[:, STAR] * tval[:, STAR]
+            grad[:, _IDX_A] += pa1[:, GALAXY] * tval[:, GALAXY]
+        if order >= 2:
+            hess[:, _KL_TYPE_ROWS, _KL_TYPE_COLS] += (
+                p[:, :, None, None] * thess)
+            cross = pa1[:, :, None] * tgrad
+            hess[:, _IDX_A, _KL_TYPE_IDX] += cross
+            hess[:, _KL_TYPE_IDX, _IDX_A] += cross
+            hess[:, _IDX_A, _IDX_A] += -pg2 * tval[:, STAR]
+            hess[:, _IDX_A, _IDX_A] += pg2 * tval[:, GALAXY]
         return val, grad, hess
 
 
@@ -546,17 +569,17 @@ class _PatchWorkspace:
     """Everything pixel-static about one patch slot, precomputed.
 
     Arrays are lane-stacked (leading axis ``G``); ``bands``/``iota``/
-    ``wa``/``wt`` hold one entry per lane because those feed the per-lane
-    chain-rule stage, not the stacked pixel sweep.  A per-context workspace
-    is the ``G = 1`` case; :meth:`_concat` builds a batch lane group from
+    ``wa``/``wt``/``zmap`` hold one entry per lane because those feed
+    per-lane scalars and the band-space map, not the stacked pixel sweep.
+    A per-context workspace is the ``G = 1`` case; :meth:`_concat` builds a batch lane group from
     same-shaped patch slots without copying any per-context compile work."""
 
     __slots__ = ("bands", "iota", "counts", "bg", "n_pixels",
                  "s_alpha", "s_ixx", "s_ixy", "s_iyy", "s_px", "s_py",
-                 "dev", "exp", "wa", "wt")
+                 "dev", "exp", "wa", "wt", "zmap")
 
     _STACKED = ("counts", "bg", "s_alpha", "s_ixx", "s_ixy", "s_iyy",
-                "s_px", "s_py", "iota", "wa", "wt")
+                "s_px", "s_py", "iota", "wa", "wt", "zmap")
 
     def __init__(self, patch):
         self.bands = (patch.band,)
@@ -585,6 +608,17 @@ class _PatchWorkspace:
         ey = np.asarray(patch.wcs.sky_to_pix(np.array([0.0, 1.0])), dtype=float)
         self.wa = np.column_stack([ex - t, ey - t])[None]   # (1, 2, 2)
         self.wt = t[None]
+
+        # The patch's z is linear in its band's z (see _EvalChain): pixel
+        # position is the WCS image of the sky position, and the amplitudes
+        # carry the calibration (second moments its square).  This fixed
+        # map, dz_patch / dz_band, chains a patch's pixel-term blocks into
+        # band space before any free-parameter Jacobian is touched.
+        iota = float(patch.calibration)
+        zmap = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, iota, iota,
+                        iota * iota, iota * iota, 1.0])
+        zmap[:2, :2] = self.wa[0]
+        self.zmap = zmap[None]
 
     @property
     def shape_key(self) -> tuple:
@@ -634,7 +668,9 @@ class _FusedBatchWorkspace:
     Lanes are grouped by :attr:`_FusedWorkspace.signature` and each group's
     per-context workspaces are concatenated along the lane axis into
     structure-of-arrays stacks, so the pixel-term sweep for a group is one
-    set of NumPy calls covering all its lanes.
+    set of NumPy calls covering all its lanes.  Only the pixel sweep is
+    split this way; what the call-level chain needs (box centers, bands,
+    per-band lanes, ``Priors`` groups) is resolved here over all lanes.
 
     **No padding, by design.**  A lane's result must be bit-for-bit
     independent of what shares its batch, and a masked/padded tail cannot
@@ -663,21 +699,41 @@ class _FusedBatchWorkspace:
     every grouping bit-identical.
     """
 
-    __slots__ = ("ctxs", "groups")
+    __slots__ = ("ctxs", "groups", "u_centers", "bands", "band_lanes",
+                 "kl_groups")
 
     def __init__(self, ctxs: list):
         self.ctxs = list(ctxs)
+        members = [_context_workspace(ctx) for ctx in self.ctxs]
+        #: The call-level chain's fixed inputs, resolved once here rather
+        #: than per evaluation: the ``(N, 2)`` box centers, the sorted
+        #: bands any lane observes, the lanes observing each of them (for
+        #: the per-band chain-rule pass), and the lanes grouped by shared
+        #: :class:`KlWorkspace` (one stacked KL evaluation each).
+        self.u_centers = np.array(
+            [np.asarray(ctx.u_center, dtype=float) for ctx in self.ctxs]
+        ).reshape(len(self.ctxs), 2)
+        lane_bands = [{p.bands[0] for p in m.patches} for m in members]
+        self.bands = tuple(sorted(set().union(*lane_bands)))
+        self.band_lanes = [
+            np.array([l for l, bs in enumerate(lane_bands) if b in bs],
+                     dtype=np.intp)
+            for b in self.bands]
+        by_kl: dict[int, tuple] = {}
+        for l, m in enumerate(members):
+            by_kl.setdefault(id(m.kl), (m.kl, []))[1].append(l)
+        self.kl_groups = [(kl, np.array(ls, dtype=np.intp))
+                          for kl, ls in by_kl.values()]
+
         by_sig: dict[tuple, list[int]] = {}
-        for i, ctx in enumerate(self.ctxs):
-            by_sig.setdefault(_context_workspace(ctx).signature, []).append(i)
-        #: ``(lane_indices, patch_stacks, u_centers, kl_groups)`` per sweep;
-        #: a singleton sweep reuses the context's own (lane count 1)
-        #: workspace arrays.  ``u_centers`` is the sweep's ``(G, 2)`` stack
-        #: of box centers and ``kl_groups`` its lanes (as positions in
-        #: ``lane_indices``) grouped by shared :class:`KlWorkspace` —
-        #: both fixed per context, so resolved here rather than per
-        #: evaluation.
+        for l, m in enumerate(members):
+            by_sig.setdefault(m.signature, []).append(l)
+        #: ``(lanes, patch_stacks, band_cols)`` per sweep: the sweep's lane
+        #: indices into the call, its stacked patch slots (a singleton
+        #: sweep reuses the context's own lane-count-1 workspace arrays),
+        #: and per slot each lane's band as a position in :attr:`bands`.
         self.groups = []
+        col = {b: i for i, b in enumerate(self.bands)}
         for sig, lanes in by_sig.items():
             per_lane = sum((k + jd + je) * m for k, jd, je, m in sig)  # det: ignore[DET103] -- integer size signature; exact in any order
             cap = _lane_sweep_cap(per_lane) if per_lane else len(lanes)
@@ -688,23 +744,18 @@ class _FusedBatchWorkspace:
             size = -(-len(lanes) // n_sweeps)
             for start in range(0, len(lanes), size):
                 chunk = lanes[start:start + size]
-                members = [_context_workspace(self.ctxs[l]) for l in chunk]
+                group = [members[l] for l in chunk]
                 if len(chunk) == 1:
-                    stacks = members[0].patches
+                    stacks = group[0].patches
                 else:
                     stacks = [
-                        _PatchWorkspace._concat([m.patches[p]
-                                                 for m in members])
+                        _PatchWorkspace._concat([m.patches[p] for m in group])
                         for p in range(len(sig))
                     ]
-                u_centers = np.array([
-                    np.asarray(self.ctxs[l].u_center, dtype=float)
-                    for l in chunk])
-                by_kl: dict[int, tuple] = {}
-                for j, m in enumerate(members):
-                    by_kl.setdefault(id(m.kl), (m.kl, []))[1].append(j)
+                cols = [np.array([col[b] for b in pws.bands], dtype=np.intp)
+                        for pws in stacks]
                 self.groups.append(
-                    (chunk, stacks, u_centers, list(by_kl.values())))
+                    (np.array(chunk, dtype=np.intp), stacks, cols))
 
     def matches(self, ctxs: list) -> bool:
         """Whether this workspace was compiled for exactly these contexts
@@ -928,93 +979,89 @@ def _group_curvature(keep, wts: np.ndarray) -> np.ndarray:
 # Pixel-independent chain-rule pieces (shared across patches / bands)
 
 
-class _FluxChain:
-    """Log-normal band-flux moments and their closed-form derivatives over
-    one type's 10 flux parameters ``[r1, r2, c1_0..3, c2_0..3]``.
-
-    ``E[f] = exp(L1)`` with ``L1 = m + v/2`` and ``E[f^2] = exp(L2)`` with
-    ``L2 = 2m + 2v``; ``m`` is linear in (r1, c1) and ``v`` is a sum of
-    per-parameter bijector images, so ``dL`` is a vector and ``d2L`` a
-    diagonal.
-
-    Lane-stacked: ``frees`` is ``(G, 41)`` and every moment/derivative
-    carries a leading lane axis (the constant sparsity pattern ``dm``
-    stays a plain 10-vector and broadcasts).  Each lane's arithmetic is
-    the elementwise image of the scalar formulas, so a 1-lane chain is
-    bit-for-bit the scalar chain."""
-
-    __slots__ = ("ef", "dl1", "ddl1", "ef2", "dl2", "ddl2")
-
-    def __init__(self, frees: np.ndarray, ty: int, band: int,
-                 variance_correction: bool):
-        idx = _FLUX_IDX[ty]
-        coeff = COLOR_COEFFS[band]
-        gsz = frees.shape[0]
-        m = frees[:, idx[0]].copy()
-        dm = np.zeros(10)
-        dm[0] = 1.0
-        v = np.zeros(gsz)
-        dv = np.zeros((gsz, 10))
-        ddv = np.zeros((gsz, 10))
-        r2v, r2d1, r2d2 = _BIJ_R2.forward_d012_vec(frees[:, idx[1]])
-        v += r2v
-        dv[:, 1] = r2d1
-        ddv[:, 1] = r2d2
-        for i in range(NUM_COLORS):
-            w = coeff[i]
-            m += w * frees[:, idx[2 + i]]
-            dm[2 + i] = w
-            c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, idx[6 + i]])
-            v += w * w * c2v
-            dv[:, 6 + i] = w * w * c2d1
-            ddv[:, 6 + i] = w * w * c2d2
-        self.ef = np.exp(m + 0.5 * v)  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
-        self.dl1 = dm + 0.5 * dv
-        self.ddl1 = 0.5 * ddv
-        if variance_correction:
-            self.ef2 = np.exp(2.0 * m + 2.0 * v)  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
-            self.dl2 = 2.0 * dm + 2.0 * dv
-            self.ddl2 = 2.0 * ddv
-        else:
-            self.ef2 = None
-
-
 _DIAG10 = np.arange(10)
 
 
-class _AmpChain:
-    """One z amplitude without the per-patch calibration factor:
-    ``prob(type) * moment`` with gradient/Hessian over the 11 amplitude
-    indices (type logit + flux block).
+def _amp_chains(frees: np.ndarray, pg, pg1, pg2, bands: tuple, order: int,
+                variance_correction: bool):
+    """The z amplitudes of every band without the per-patch calibration
+    factor, ``prob(type) * moment``, with gradient/Hessian over the 11
+    amplitude indices (type logit + the type's flux block, :data:`_AMP_IDX`).
 
-    Lane-stacked: ``val`` is ``(G,)``, ``grad`` ``(G, 11)``, ``hess``
-    ``(G, 11, 11)``.  The flux block of the Hessian adds the ``ddl``
-    diagonal as a full zero-filled array (not a per-lane ``np.diag``
-    scatter): the scalar formula's ``np.outer(dl, dl) + np.diag(ddl)``
-    adds an explicit ``+0.0`` to every off-diagonal entry, and the
-    stacked path must replicate that add bit-for-bit (``-0.0 + 0.0``
-    is ``+0.0``)."""
+    Stacked over lanes, amplitude kind and band: ``frees`` is ``(N, 41)``
+    and the returned ``(value, gradient, hessian)`` are ``(N, K, B)``,
+    ``(N, K, B, 11)`` and ``(N, K, B, 11, 11)`` (Hessian ``None`` below
+    order 2), with ``K`` running over ``(A_star, A_gal, B_star, B_gal)`` —
+    the first-moment amplitudes, then the second-moment ones, which exist
+    only under the variance correction.
 
-    __slots__ = ("val", "grad", "hess")
+    The moments are log-normal: ``E[f] = exp(L1)`` with ``L1 = m + v/2``
+    and ``E[f^2] = exp(L2)`` with ``L2 = 2m + 2v``, over one type's 10 flux
+    parameters ``[r1, r2, c1_0..3, c2_0..3]``; ``m`` is linear in (r1, c1)
+    and ``v`` is a sum of per-parameter bijector images, so ``dL`` is a
+    vector and ``d2L`` a diagonal.  Every entry is the elementwise image of
+    the one-band, one-type formulas (the same operations in the same
+    order), so a lane's bits depend on neither the other lanes nor the
+    other bands.  The flux block of the Hessian adds the ``ddL`` diagonal
+    as a full zero-filled array, so every off-diagonal entry gets the same
+    explicit ``+ 0.0`` (``-0.0 + 0.0`` is ``+0.0``) whatever the stack."""
+    gsz = frees.shape[0]
+    coeff = COLOR_COEFFS[list(bands)]                    # (B, C)
+    shape = (gsz, 2, len(bands))                         # (lane, type, band)
+    m = np.empty(shape)
+    m[...] = frees[:, _IDX_R1][:, :, None]
+    dm = np.zeros((len(bands), 10))
+    dm[:, 0] = 1.0
+    v = np.zeros(shape)
+    dv = np.zeros(shape + (10,))
+    ddv = np.zeros(shape + (10,))
+    r2v, r2d1, r2d2 = _BIJ_R2.forward_d012_vec(frees[:, _IDX_R2])
+    v += r2v[:, :, None]
+    dv[..., 1] = r2d1[:, :, None]
+    ddv[..., 1] = r2d2[:, :, None]
+    c1 = frees[:, _IDX_C1]                               # (N, T, C)
+    c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, _IDX_C2])
+    for i in range(NUM_COLORS):
+        w = coeff[:, i]
+        ww = w * w
+        m += w * c1[:, :, i, None]
+        dm[:, 2 + i] = w
+        v += ww * c2v[:, :, i, None]
+        dv[..., 6 + i] = ww * c2d1[:, :, i, None]
+        ddv[..., 6 + i] = ww * c2d2[:, :, i, None]
+    moments = [np.exp(m + 0.5 * v)]  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
+    dl = [dm + 0.5 * dv]
+    ddl = [0.5 * ddv]
+    if variance_correction:
+        moments.append(np.exp(2.0 * m + 2.0 * v))  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
+        dl.append(2.0 * dm + 2.0 * dv)
+        ddl.append(2.0 * ddv)
+    # (N, kind, T, B): the kind-major flattening of (kind, T) is K.
+    moment = np.stack(moments, axis=1)
+    dl = np.stack(dl, axis=1)
+    ddl = np.stack(ddl, axis=1)
+    shape_k = (gsz, 2 * len(moments), len(bands))
+    p = np.stack([1.0 - pg, pg], axis=1)[:, None, :, None]
+    p1 = np.stack([-pg1, pg1], axis=1)[:, None, :, None]
 
-    def __init__(self, p, p1, p2, moment, dl, ddl, order: int):
-        gsz = moment.shape[0]
-        self.val = p * moment
-        self.grad = np.empty((gsz, 11))
-        self.grad[:, 0] = p1 * moment
-        self.grad[:, 1:] = self.val[:, None] * dl
-        self.hess = None
-        if order >= 2:
-            h = np.empty((gsz, 11, 11))
-            h[:, 0, 0] = p2 * moment
-            cross = (p1 * moment)[:, None] * dl
-            h[:, 0, 1:] = cross
-            h[:, 1:, 0] = cross
-            dd = np.zeros((gsz, 10, 10))
-            dd[:, _DIAG10, _DIAG10] = ddl
-            h[:, 1:, 1:] = self.val[:, None, None] * (
-                dl[:, :, None] * dl[:, None, :] + dd)
-            self.hess = h
+    val = p * moment
+    grad = np.empty(val.shape + (11,))
+    grad[..., 0] = p1 * moment
+    grad[..., 1:] = val[..., None] * dl
+    hess = None
+    if order >= 2:
+        p2 = np.stack([-pg2, pg2], axis=1)[:, None, :, None]
+        hess = np.empty(val.shape + (11, 11))
+        hess[..., 0, 0] = p2 * moment
+        cross = (p1 * moment)[..., None] * dl
+        hess[..., 0, 1:] = cross
+        hess[..., 1:, 0] = cross
+        dd = np.zeros(val.shape + (10, 10))
+        dd[..., _DIAG10, _DIAG10] = ddl
+        hess[..., 1:, 1:] = val[..., None, None] * (
+            dl[..., :, None] * dl[..., None, :] + dd)
+        hess = hess.reshape(shape_k + (11, 11))
+    return val.reshape(shape_k), grad.reshape(shape_k + (11,)), hess
 
 
 def _shape_chain(frees, order: int):
@@ -1107,156 +1154,123 @@ def _shape_chain(frees, order: int):
     return vals, jac, hess
 
 
-#: Broadcast index pairs for the shape 3x3 Jacobian block of the (10, 27)
-#: patch Jacobian, lane-stacked: ``jac[:, _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS]``.
+#: Broadcast index pairs of the dense 27-space blocks the chain rule fills,
+#: lane-stacked (``jac[:, _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS]`` is the shape
+#: 3x3 block of the (10, 27) Jacobian, ``h[:, rows, cols]`` a Hessian block),
+#: built once here rather than per evaluation.
 _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS = np.ix_([2, 3, 4], _SHAPE_IDX)
+_SHAPE_IX = np.ix_(_SHAPE_IDX, _SHAPE_IDX)
 _AMP_COLS = (np.asarray(_AMP_IDX[STAR]), np.asarray(_AMP_IDX[GALAXY]))
+_AMP_IX = (np.ix_(_AMP_IDX[STAR], _AMP_IDX[STAR]),
+           np.ix_(_AMP_IDX[GALAXY], _AMP_IDX[GALAXY]))
 
 
 class _EvalChain:
-    """Every pixel-independent piece of one lane group's evaluation:
+    """Every pixel-independent piece of one batch call's evaluation:
     bijector images of the free vectors with their first two derivatives,
-    the shape-covariance chain, and per-band amplitude chains (built lazily
-    per band) — all lane-stacked, ``frees`` being ``(G, 41)``.
+    the shape-covariance chain, and per-band amplitude chains — all
+    lane-stacked over the call's ``N`` lanes, ``frees`` being ``(N, 41)``.
 
-    This stage used to loop per lane; it is now one stack of elementwise
-    sweeps, which is what lifted the batch plateau (at B=64 the per-lane
-    Python chain loop cost as much as the stacked pixel sweeps it fed).
-    Ufunc loops are length-invariant elementwise, so each lane's bits are
-    unchanged — the scalar path simply runs this chain at ``G = 1``."""
+    It is built once per call, whatever the number of shape-group sweeps:
+    each sweep gathers its lanes' rows (positions, shape values, ``e_dev``
+    and the band amplitudes ``amps``).  The sweeps hand back per-patch
+    blocks mapped into *band* space — the 10-vector ``z_band = (ux, uy,
+    sxx, sxy, syy, A_star, A_gal, B_star, B_gal, e_dev)`` with position in
+    the sky frame and the amplitudes without calibration — summed per
+    (lane, band), and :meth:`chain_rule` takes them to the 27 free
+    parameters in one Jacobian and one curvature pass per band.
 
-    def __init__(self, u_centers: np.ndarray, frees: np.ndarray, order: int,
-                 variance_correction: bool):
+    Ufunc loops are length-invariant elementwise, stacked ``matmul``
+    dispatches the identical per-lane product, and every gather/scatter
+    touches only the lane's own rows, so each lane's bits do not depend on
+    what else the call carries — a single evaluation runs this chain at
+    ``N = 1``."""
+
+    def __init__(self, u_centers: np.ndarray, frees: np.ndarray,
+                 bands: tuple, order: int, variance_correction: bool):
         self.order = order
         self.vc = variance_correction
-        self.frees = frees
-        self.n_lanes = frees.shape[0]
-        self._lanes = np.arange(self.n_lanes)
+        self.n_lanes = n = frees.shape[0]
 
         pg, pg1, pg2 = _BIJ_PROB.forward_d012_vec(frees[:, _IDX_A])
-        self.pg, self.pg1, self.pg2 = pg, pg1, pg2
-        self.ps, self.ps1, self.ps2 = 1.0 - pg, -pg1, -pg2
-
         u0v, u0d1, u0d2 = _BIJ_U.forward_d012_vec(frees[:, _IDX_U[0]])
         u1v, u1d1, u1d2 = _BIJ_U.forward_d012_vec(frees[:, _IDX_U[1]])
         self.ux = u_centers[:, 0] + u0v
         self.uy = u_centers[:, 1] + u1v
-        self.ud1 = (u0d1, u1d1)
         self.ud2 = (u0d2, u1d2)
 
-        self.dev, self.dev1, self.dev2 = _BIJ_DEV.forward_d012_vec(
+        self.dev, dev1, self.dev2 = _BIJ_DEV.forward_d012_vec(
             frees[:, _IDX_DEV])
-        self.shape_vals, self.shape_jac, self.shape_hess = _shape_chain(
+        self.shape_vals, shape_jac, self.shape_hess = _shape_chain(
             frees, order
         )
-        self._bands: dict[int, tuple] = {}
-        self._slots: dict[tuple, tuple] = {}
 
-    def band_chains(self, band: int):
-        """``(A_star, A_gal, B_star, B_gal)`` lane-stacked amplitude chains
-        for one band (B entries are None without the variance correction)."""
-        out = self._bands.get(band)
-        if out is None:
-            fs = _FluxChain(self.frees, STAR, band, self.vc)
-            fg = _FluxChain(self.frees, GALAXY, band, self.vc)
-            a_s = _AmpChain(self.ps, self.ps1, self.ps2,
-                            fs.ef, fs.dl1, fs.ddl1, self.order)
-            a_g = _AmpChain(self.pg, self.pg1, self.pg2,
-                            fg.ef, fg.dl1, fg.ddl1, self.order)
-            b_s = b_g = None
-            if self.vc:
-                b_s = _AmpChain(self.ps, self.ps1, self.ps2,
-                                fs.ef2, fs.dl2, fs.ddl2, self.order)
-                b_g = _AmpChain(self.pg, self.pg1, self.pg2,
-                                fg.ef2, fg.dl2, fg.ddl2, self.order)
-            out = self._bands[band] = (a_s, a_g, b_s, b_g)
-        return out
+        #: Band amplitudes without calibration, ``(A_star, A_gal, B_star,
+        #: B_gal)`` (B only under the variance correction): their values as
+        #: a ``(K, n_bands, N)`` table the sweeps gather from, and their
+        #: derivatives, ``(N, K, n_bands, 11[, 11])``, for the chain rule.
+        amps, self.amp_grad, self.amp_hess = _amp_chains(
+            frees, pg, pg1, pg2, bands, order, variance_correction)
+        self.amps = amps.transpose(1, 2, 0)
 
-    def slot_amps(self, bands: tuple):
-        """Amplitude chains for one patch slot's per-lane band tuple.
+        #: The band-independent rows of dz_band/dfree, ``(N, 10, 27)``;
+        #: the amplitude rows 5-8 are filled per band by :meth:`chain_rule`.
+        jac = self.jac = np.zeros((n, 10, _N_ACTIVE))
+        jac[:, 0, _IDX_U[0]] = u0d1
+        jac[:, 1, _IDX_U[1]] = u1d1
+        jac[:, _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS] = shape_jac
+        jac[:, 9, _IDX_DEV] = dev1
 
-        The common case — every lane of the slot observed the same band —
-        returns that band's stacked chains directly.  A mixed-band slot
-        gathers each lane's rows out of its own band's stacked chains
-        (a pure copy, so still bit-exact per lane)."""
-        out = self._slots.get(bands)
-        if out is not None:
-            return out
-        first = bands[0]
-        if all(b == first for b in bands):
-            out = self.band_chains(first)
-        else:
-            per_band = {b: self.band_chains(b) for b in dict.fromkeys(bands)}
-            slots = []
-            for slot in range(4):
-                rows = [per_band[b][slot] for b in bands]
-                if rows[0] is None:
-                    slots.append(None)
-                    continue
-                a = object.__new__(_AmpChain)
-                a.val = np.array([r.val[l] for l, r in enumerate(rows)])
-                a.grad = np.array([r.grad[l] for l, r in enumerate(rows)])
-                a.hess = (np.array([r.hess[l] for l, r in enumerate(rows)])
-                          if self.order >= 2 else None)
-                slots.append(a)
-            out = tuple(slots)
-        self._slots[bands] = out
-        return out
+    def rows(self, lanes: np.ndarray) -> tuple:
+        """One sweep's gathered ``(ux, uy, sxx, sxy, syy, e_dev)`` rows."""
+        s1, s2, s3 = self.shape_vals
+        return (self.ux[lanes], self.uy[lanes], s1[lanes], s2[lanes],
+                s3[lanes], self.dev[lanes])
 
-    def patch_jacobians(self, pws: _PatchWorkspace) -> np.ndarray:
-        """dz/dfree for one patch slot, lane-stacked: ``(G, 10, 27)``."""
-        a_s, a_g, b_s, b_g = self.slot_amps(pws.bands)
-        jac = np.zeros((self.n_lanes, 10, _N_ACTIVE))
-        jac[:, 0, _IDX_U[0]] = pws.wa[:, 0, 0] * self.ud1[0]
-        jac[:, 0, _IDX_U[1]] = pws.wa[:, 0, 1] * self.ud1[1]
-        jac[:, 1, _IDX_U[0]] = pws.wa[:, 1, 0] * self.ud1[0]
-        jac[:, 1, _IDX_U[1]] = pws.wa[:, 1, 1] * self.ud1[1]
-        jac[:, _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS] = self.shape_jac
-        jac[:, 5, _AMP_COLS[STAR]] = pws.iota[:, None] * a_s.grad
-        jac[:, 6, _AMP_COLS[GALAXY]] = pws.iota[:, None] * a_g.grad
-        if self.vc:
-            iota2 = pws.iota * pws.iota
-            jac[:, 7, _AMP_COLS[STAR]] = iota2[:, None] * b_s.grad
-            jac[:, 8, _AMP_COLS[GALAXY]] = iota2[:, None] * b_g.grad
-        jac[:, 9, _IDX_DEV] = self.dev1
-        return jac
+    def chain_rule(self, gzb: np.ndarray, hzb, band_lanes: list):
+        """Chain the per-(lane, band) z-space blocks ``gzb`` ``(N, n_bands,
+        10)`` and ``hzb`` ``(N, n_bands, 10, 10)`` (``None`` at order 1) to
+        the dense 27-space: ``(g27 (N, 27), h27 (N, 27, 27) or None)``.
 
-    def add_z_curvature(self, h27: np.ndarray, pws: _PatchWorkspace,
-                        gz: np.ndarray) -> None:
-        """Accumulate ``sum_m gz[:, m] * d2 z_m / dfree2`` into the stacked
-        ``(G, 27, 27)`` Hessian (the chain rule's second term; z components
-        are nonlinear in free).  Statement order matches the old per-lane
-        path exactly — the star and galaxy amplitude blocks overlap at the
-        type logit, so their accumulation order is part of the bit
-        contract."""
-        a_s, a_g, b_s, b_g = self.slot_amps(pws.bands)
-        # Position: upx/upy are affine in the bijector images of u.
-        for j in (0, 1):
-            ui = _IDX_U[j]
-            h27[:, ui, ui] += (
-                gz[:, 0] * pws.wa[:, 0, j] + gz[:, 1] * pws.wa[:, 1, j]
-            ) * self.ud2[j]
-        # Shape covariance entries.  The scalar path skipped lanes whose
-        # gz entry is exactly zero; replicate the skip (and the resulting
-        # absence of a ``+= 0.0`` on those lanes) with a nonzero gather —
-        # ``np.nonzero`` and ``!= 0.0`` agree on -0.0 and NaN.
-        for m in range(3):
-            gm = gz[:, 2 + m]
-            nz = np.nonzero(gm)[0]
-            if nz.size:
-                h27[np.ix_(nz, _SHAPE_IDX, _SHAPE_IDX)] += (
-                    gm[nz, None, None] * self.shape_hess[nz, m])
-        # Amplitudes.
-        star_ix = np.ix_(self._lanes, _AMP_IDX[STAR], _AMP_IDX[STAR])
-        gal_ix = np.ix_(self._lanes, _AMP_IDX[GALAXY], _AMP_IDX[GALAXY])
-        h27[star_ix] += (gz[:, 5] * pws.iota)[:, None, None] * a_s.hess
-        h27[gal_ix] += (gz[:, 6] * pws.iota)[:, None, None] * a_g.hess
-        if self.vc:
-            iota2 = pws.iota * pws.iota
-            h27[star_ix] += (gz[:, 7] * iota2)[:, None, None] * b_s.hess
-            h27[gal_ix] += (gz[:, 8] * iota2)[:, None, None] * b_g.hess
-        # Mixing fraction.
-        h27[:, _IDX_DEV, _IDX_DEV] += gz[:, 9] * self.dev2
+        ``band_lanes[i]`` lists the lanes to chain through band ``i`` —
+        the lanes that observe it (and are active); a lane's bands run in
+        ascending order whatever shares its call.  Per band this is one
+        Jacobian contraction over those lanes and, at order 2, one pass of
+        the chain rule's second term ``sum_m gz_m d2 z_m / dfree2`` (z is
+        nonlinear in free).  The star and galaxy amplitude blocks overlap
+        at the type logit, so their accumulation order is fixed."""
+        n = self.n_lanes
+        g27 = np.zeros((n, _N_ACTIVE))
+        h27 = np.zeros((n, _N_ACTIVE, _N_ACTIVE)) if self.order >= 2 else None
+        for col, lanes in enumerate(band_lanes):
+            if not lanes.size:
+                continue
+            # Amplitude k is z row 5 + k, over the star (k even) or galaxy
+            # (k odd) amplitude indices.
+            n_amps = self.amps.shape[0]
+            jac = self.jac[lanes]
+            for k in range(n_amps):
+                jac[:, 5 + k, _AMP_COLS[k % 2]] = self.amp_grad[lanes, k, col]
+            jac_t = jac.transpose(0, 2, 1)
+            gz = gzb[lanes, col]
+            g27[lanes] += np.matmul(jac_t, gz[:, :, None])[:, :, 0]
+            if h27 is None:
+                continue
+            h = np.matmul(jac_t, np.matmul(hzb[lanes, col], jac))
+            for j in (0, 1):
+                ui = _IDX_U[j]
+                h[:, ui, ui] += gz[:, j] * self.ud2[j][lanes]
+            shape_hess = self.shape_hess[lanes]
+            for m in range(3):
+                h[:, _SHAPE_IX[0], _SHAPE_IX[1]] += (
+                    gz[:, 2 + m, None, None] * shape_hess[:, m])
+            for k in range(n_amps):
+                rows, cols = _AMP_IX[k % 2]
+                h[:, rows, cols] += (gz[:, 5 + k, None, None]
+                                     * self.amp_hess[lanes, k, col])
+            h[:, _IDX_DEV, _IDX_DEV] += gz[:, 9] * self.dev2[lanes]
+            h27[lanes] += h
+        return g27, h27
 
 
 # ---------------------------------------------------------------------------
@@ -1271,31 +1285,28 @@ def _mv(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(a, w[:, :, None])[:, :, 0]
 
 
-def _patch_pixel_term(pws: _PatchWorkspace, chain: _EvalChain):
+def _patch_pixel_term(pws: _PatchWorkspace, rows: tuple, amps: np.ndarray,
+                      order: int, vc: bool):
     """Value ``(G,)``, z-gradient ``(G, 10)``, and z-Hessian ``(G, 10, 10)``
     of one patch slot's expected Poisson log-likelihood across a lane group
-    (Hessian ``None`` at order 1).  ``chain`` is the group's lane-stacked
-    :class:`_EvalChain`; all lanes share this patch slot's array shapes, so
-    the whole term is a single stacked sweep."""
-    order, vc = chain.order, chain.vc
-    gsz = chain.n_lanes
+    (Hessian ``None`` at order 1).  ``rows`` are the sweep's lane rows of
+    the call's :class:`_EvalChain` (:meth:`_EvalChain.rows`) and ``amps``
+    the ``(4, G)`` uncalibrated amplitudes of each lane's band in this
+    slot; all lanes share this patch slot's array shapes, so the whole term
+    is a single stacked sweep."""
+    ux, uy, s1, s2, s3, dev = rows
+    gsz = ux.shape[0]
     m = pws.n_pixels
 
-    # Per-lane chain inputs for this slot.  upx/upy mirror the old scalar
-    # patch_geometry: left-associated multiply-adds through this lane's
-    # affine WCS coefficients.
-    upx = pws.wa[:, 0, 0] * chain.ux + pws.wa[:, 0, 1] * chain.uy \
-        + pws.wt[:, 0]
-    upy = pws.wa[:, 1, 0] * chain.ux + pws.wa[:, 1, 1] * chain.uy \
-        + pws.wt[:, 1]
-    s1, s2, s3 = chain.shape_vals
-    a_s, a_g, b_s, b_g = chain.slot_amps(pws.bands)
-    amp_s = pws.iota * a_s.val
-    amp_g = pws.iota * a_g.val
+    # Per-lane inputs for this slot.  upx/upy are left-associated
+    # multiply-adds through this lane's affine WCS coefficients.
+    upx = pws.wa[:, 0, 0] * ux + pws.wa[:, 0, 1] * uy + pws.wt[:, 0]
+    upy = pws.wa[:, 1, 0] * ux + pws.wa[:, 1, 1] * uy + pws.wt[:, 1]
+    amp_s = pws.iota * amps[0]
+    amp_g = pws.iota * amps[1]
     if vc:
-        amp2_s = pws.iota * pws.iota * b_s.val
-        amp2_g = pws.iota * pws.iota * b_g.val
-    dev = chain.dev
+        amp2_s = pws.iota * pws.iota * amps[2]
+        amp2_g = pws.iota * pws.iota * amps[3]
 
     gs, dgs, hgs = _star_features(pws, upx, upy, order)
     gd, dgd, kd = _group_features(pws.dev, upx, upy, s1, s2, s3, order, "d")
@@ -1487,28 +1498,44 @@ class ElboEval:
         return "ElboEval(val=%r, order=%d)" % (float(self.val), order)
 
 
-def _evaluate_lanes(stacks: list, chain: _EvalChain, order: int):
-    """Pixel term over one lane group: per-lane value ``(G,)``, dense
-    27-gradient ``(G, 27)``, and 27x27 Hessian (``None`` at order 1).
+def _evaluate_lanes(compiled: _FusedBatchWorkspace, chain: _EvalChain,
+                    active: np.ndarray):
+    """Pixel term over a whole batch call: per-lane value ``(N,)``, dense
+    27-gradient ``(N, 27)``, and 27x27 Hessian (``None`` at order 1).
 
-    Both stages are lane-stacked: the per-pixel sweep runs once per patch
-    slot for all lanes, and the pixel-count-independent chain-rule stage
-    contracts the whole group's ``(G, 10, 27)`` Jacobian stack in one
-    ``matmul`` (which dispatches the identical per-lane GEMV/GEMM the old
-    per-lane loop issued, so bits are unchanged)."""
-    gsz = chain.n_lanes
-    val = np.zeros(gsz)
-    g27 = np.zeros((gsz, _N_ACTIVE))
-    h27 = np.zeros((gsz, _N_ACTIVE, _N_ACTIVE)) if order >= 2 else None
-    for pws in stacks:
-        pval, gz, hz = _patch_pixel_term(pws, chain)
-        val += pval
-        jac = chain.patch_jacobians(pws)
-        jacT = jac.transpose(0, 2, 1)
-        g27 += np.matmul(jacT, gz[:, :, None])[:, :, 0]
-        if order >= 2:
-            h27 += np.matmul(jacT, np.matmul(hz, jac))
-            chain.add_z_curvature(h27, pws, gz)
+    The per-pixel sweep runs once per patch slot of each shape group, over
+    that group's lanes.  Each patch's ``(gz, hz)`` is mapped into band
+    space through the patch's fixed ``zmap`` and summed per (lane, band);
+    the pixel-count-independent chain rule then runs once per band over
+    the call's active lanes
+    (:meth:`_EvalChain.chain_rule`) rather than once per patch."""
+    order, vc = chain.order, chain.vc
+    n = chain.n_lanes
+    n_bands = len(compiled.bands)
+    val = np.zeros(n)
+    gzb = np.zeros((n, n_bands, 10))
+    hzb = np.zeros((n, n_bands, 10, 10)) if order >= 2 else None
+    for lanes, stacks, cols in compiled.groups:
+        if not stacks:
+            continue
+        rows = chain.rows(lanes)
+        for pws, col in zip(stacks, cols):
+            pval, gz, hz = _patch_pixel_term(
+                pws, rows, chain.amps[:, col, lanes], order, vc)
+            val[lanes] += pval
+            gzb[lanes, col] += np.matmul(gz[:, None, :], pws.zmap)[:, 0]
+            if hz is not None:
+                hzb[lanes, col] += np.matmul(pws.zmap.transpose(0, 2, 1),
+                                             np.matmul(hz, pws.zmap))
+        # What the kernel really stacked (a batch call splits into one
+        # sweep per shape group): observational, like the front end's
+        # elbo_batch_* pair, and on the sweep's first context's bag.
+        compiled.ctxs[lanes[0]].counters.add_many({
+            "elbo_sweep_calls": 1.0,
+            "elbo_sweep_lanes": float(len(lanes)),
+        })
+    band_lanes = [ls[active[ls]] for ls in compiled.band_lanes]
+    g27, h27 = chain.chain_rule(gzb, hzb, band_lanes)
     return val, g27, h27
 
 
@@ -1524,16 +1551,19 @@ def elbo_fused_batch(
 
     ``compiled`` is a :class:`_FusedBatchWorkspace` (from
     :func:`repro.core.elbo.compile_elbo_batch`; built on the fly when
-    ``None``); it
-    must have been compiled for exactly these contexts.  ``active`` is an
-    optional per-lane boolean mask: inactive lanes still ride through the
-    stacked pixel sweep (their lanes are baked into the stacks — that waste
-    is what the batch-occupancy counters expose, and why callers repack
-    once occupancy drops), but their results are skipped and returned as
-    ``None``.  Returns one
-    :class:`ElboEval` (or ``None``) per context, in order, each bit-for-bit
-    equal to what a one-lane call returns for that context and free vector
-    alone (lanes are independent).
+    ``None``); it must have been compiled for exactly these contexts.
+    ``active`` is an optional per-lane boolean mask: an inactive lane
+    still rides through its group's stacked pixel sweep (its lane is baked
+    into the stacks — that waste is what the batch-occupancy counters
+    expose, and why callers repack once occupancy drops), but its chain
+    rule, KL term and result are skipped (``None``).
+    Returns one :class:`ElboEval` (or ``None``) per context, in order, each
+    bit-for-bit equal to what a one-lane call returns for that context and
+    free vector alone (lanes are independent).
+
+    The pixel-count-independent stages run once per call: one
+    :class:`_EvalChain` over all lanes, one chain-rule pass per band, and
+    one stacked :meth:`KlWorkspace.evaluate_stacked` per shared ``Priors``.
     """
     if compiled is None:
         compiled = _FusedBatchWorkspace(ctxs)
@@ -1543,46 +1573,32 @@ def elbo_fused_batch(
             "recompile with compile_batch after changing batch membership"
         )
     out: list = [None] * len(ctxs)
-    for lanes, stacks, u_centers, kl_groups in compiled.groups:
-        frees_g = np.array([np.asarray(frees[l], dtype=np.float64)
-                            for l in lanes])
-        chain = _EvalChain(u_centers, frees_g, order, variance_correction)
-        if stacks:
-            val, g27, h27 = _evaluate_lanes(stacks, chain, order)
-            # What the kernel really stacked (a batch call splits into one
-            # sweep per shape group): observational, like the front end's
-            # elbo_batch_* pair, and on the sweep's first context's bag.
-            ctxs[lanes[0]].counters.add_many({
-                "elbo_sweep_calls": 1.0,
-                "elbo_sweep_lanes": float(len(lanes)),
-            })
-        else:
-            gsz = len(lanes)
-            val = np.zeros(gsz)
-            g27 = np.zeros((gsz, _N_ACTIVE))
-            h27 = (np.zeros((gsz, _N_ACTIVE, _N_ACTIVE))
-                   if order >= 2 else None)
-        # KL terms, stacked per shared prior workspace: lanes under one
-        # Priors (the production case — a survey uses one) evaluate their
-        # KL values/gradients/Hessians in one lane-stacked sweep,
-        # amortizing the many-small-ops dispatch cost the same way the
-        # pixel sweep amortizes per-patch dispatch.  The pixel term's dense
-        # 27-block is then added into the full free space.
-        for klws, js in kl_groups:
-            if active is not None:
-                js = [j for j in js if active[lanes[j]]]
-                if not js:
-                    continue
-            kvals, grads, hesses = klws.evaluate_stacked(frees_g[js], order)
-            kvals += val[js]
-            if order >= 1:
-                grads[:, :_N_ACTIVE] += g27[js]
-            if order >= 2:
-                hesses[:, :_N_ACTIVE, :_N_ACTIVE] += h27[js]
-            for i, j in enumerate(js):
-                out[lanes[j]] = ElboEval(
-                    kvals[i], None if grads is None else grads[i],
-                    None if hesses is None else hesses[i])
+    if not ctxs:
+        return out
+    frees_all = np.array([np.asarray(f, dtype=np.float64) for f in frees])
+    act = (np.ones(len(ctxs), dtype=bool) if active is None
+           else np.asarray(active, dtype=bool))
+    chain = _EvalChain(compiled.u_centers, frees_all, compiled.bands, order,
+                       variance_correction)
+    val, g27, h27 = _evaluate_lanes(compiled, chain, act)
+    # KL terms, stacked per shared prior workspace: lanes under one Priors
+    # (the production case — a survey uses one) evaluate their KL
+    # values/gradients/Hessians in one lane-stacked sweep.  The pixel
+    # term's dense 27-block is then added into the full free space.
+    for klws, lanes in compiled.kl_groups:
+        lanes = lanes[act[lanes]]
+        if not lanes.size:
+            continue
+        kvals, grads, hesses = klws.evaluate_stacked(frees_all[lanes], order)
+        kvals += val[lanes]
+        if order >= 1:
+            grads[:, :_N_ACTIVE] += g27[lanes]
+        if order >= 2:
+            hesses[:, :_N_ACTIVE, :_N_ACTIVE] += h27[lanes]
+        for i, l in enumerate(lanes):
+            out[l] = ElboEval(
+                kvals[i], None if grads is None else grads[i],
+                None if hesses is None else hesses[i])
     return out
 
 

@@ -142,8 +142,9 @@ def optimize_sources_batch(
 
     **Masking and repacking.**  Converged sources drop out of the active
     set.  A dropped lane is initially only *masked*: the compiled batch
-    workspace still carries it (stacked arrays bake lanes in), so its
-    pixels ride along unaccounted — visible as occupancy < 1 in the
+    workspace still carries it, and the kernel skips its chain rule and
+    KL term but not its pixels (stacked arrays bake lanes in) — that
+    waste rides along unaccounted, visible as occupancy < 1 in the
     ``elbo_batch_lanes`` counters.  Once the active set falls below
     ``repack_threshold`` of the compiled lanes, the batch is repacked:
     the workspace recompiles for the survivors and the waste is reclaimed.

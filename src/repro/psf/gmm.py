@@ -38,8 +38,29 @@ class MixturePSF:
         c = np.asarray(self.covs, dtype=float)
         if w.ndim != 1 or m.shape != (w.size, 2) or c.shape != (w.size, 2, 2):
             raise ValueError("inconsistent PSF component shapes")
-        if np.any(w < 0):
-            raise ValueError("PSF weights must be non-negative")
+        # The kernel inverts every covariance from (sxx, sxy, syy), reading
+        # only cov[0, 1]; reject here, naming the component, what it would
+        # otherwise turn into NaN weights or a failure far downstream.
+        for k in range(w.size):
+            if not (np.isfinite(w[k]) and w[k] >= 0.0):
+                raise ValueError("PSF component %d: weight %r must be finite "
+                                 "and non-negative" % (k, float(w[k])))
+            if not np.all(np.isfinite(m[k])):
+                raise ValueError("PSF component %d: mean %r is not finite"
+                                 % (k, m[k].tolist()))
+            sxx, sxy, syx, syy = c[k].ravel()
+            if not np.all(np.isfinite(c[k])):
+                raise ValueError("PSF component %d: covariance %r is not "
+                                 "finite" % (k, c[k].tolist()))
+            if sxy != syx:
+                raise ValueError("PSF component %d: covariance %r is not "
+                                 "symmetric" % (k, c[k].tolist()))
+            if not (sxx > 0.0 and sxx * syy - sxy * sxy > 0.0):
+                raise ValueError("PSF component %d: covariance %r is not "
+                                 "positive definite" % (k, c[k].tolist()))
+        if not w.sum() > 0.0:
+            raise ValueError("PSF weights sum to zero: every one of the %d "
+                             "components has weight 0" % w.size)
         object.__setattr__(self, "weights", w / w.sum())
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)

@@ -79,11 +79,15 @@ def load_field(path: str) -> list[Image]:
                 sky_ref=data["wcs_sky_ref_%d" % i],
                 pix_ref=data["wcs_pix_ref_%d" % i],
             )
-            psf = MixturePSF(
-                weights=data["psf_weights_%d" % i],
-                means=data["psf_means_%d" % i],
-                covs=data["psf_covs_%d" % i],
-            )
+            try:
+                psf = MixturePSF(
+                    weights=data["psf_weights_%d" % i],
+                    means=data["psf_means_%d" % i],
+                    covs=data["psf_covs_%d" % i],
+                )
+            except ValueError as err:
+                raise ValueError("field file %s, image %d: %s"
+                                 % (path, i, err)) from err
             meta = ImageMeta(
                 band=int(data["band_%d" % i]),
                 wcs=wcs,

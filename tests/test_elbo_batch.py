@@ -199,6 +199,82 @@ class TestBatchedEvaluationParity:
     def test_empty_batch(self):
         assert elbo_batch([], []) == []
 
+    def test_all_inactive_batch(self, make_random_context):
+        ctxs, frees = _batch(make_random_context, RAGGED)
+        outs = elbo_batch(ctxs, frees, order=2, active=[False] * len(ctxs))
+        assert outs == [None] * len(ctxs)
+        for ctx in ctxs:
+            assert "objective_evaluations" not in ctx.counters.snapshot()
+
+
+def _shared_chain_batch(make_random_context, perturbed_priors):
+    """RAGGED on one shared Priors, with two lanes moved to a second one,
+    plus two lanes that stack together through different bands
+    (mixed-band slots; one lane repeats a band, and band 4 is its alone)."""
+    first, second = default_priors(), perturbed_priors(3)
+    specs = RAGGED + [dict(entry="galaxy", seed=6, bands=(0, 4, 4),
+                           perturb=0.1),
+                      dict(entry="star", seed=7, bands=(3, 0, 2),
+                           perturb=0.1)]
+    pairs = [make_random_context(**spec, priors=second if i in (1, 4)
+                                 else first)
+             for i, spec in enumerate(specs)]
+    return [c for c, _ in pairs], [f for _, f in pairs], (first, second)
+
+
+class TestSharedChain:
+    """The pixel-count-independent stages — the chain, the per-band chain
+    rule and the KL term — run once per batch call, not once per sweep,
+    and a lane's bits still depend on nothing else in the call."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_lanes_independent_across_sweep_groups(
+            self, make_random_context, perturbed_priors, order):
+        ctxs, frees, _ = _shared_chain_batch(make_random_context,
+                                             perturbed_priors)
+        active = [True, True, False, True, True, True, False, True]
+        outs = elbo_batch(ctxs, frees, order=order, active=active)
+        for ctx, free, flag, out in zip(ctxs, frees, active, outs):
+            if not flag:
+                assert out is None
+                continue
+            ref = elbo(ctx, free, order=order)
+            assert float(out.val) == float(ref.val)
+            np.testing.assert_array_equal(out.gradient(FREE.size),
+                                          ref.gradient(FREE.size))
+            if order >= 2:
+                np.testing.assert_array_equal(out.hessian(FREE.size),
+                                              ref.hessian(FREE.size))
+
+    def test_one_chain_and_one_kl_stack_per_priors(
+            self, monkeypatch, make_random_context, perturbed_priors):
+        from repro.core import kernel
+
+        ctxs, frees, priors = _shared_chain_batch(make_random_context,
+                                                  perturbed_priors)
+        chains, kl_stacks = [], []
+        chain_init = kernel._EvalChain.__init__
+        kl_eval = kernel.KlWorkspace.evaluate_stacked
+
+        def counting_init(self, u_centers, frees, *args, **kwargs):
+            chains.append(frees.shape[0])
+            chain_init(self, u_centers, frees, *args, **kwargs)
+
+        def counting_kl(self, frees, order):
+            kl_stacks.append(frees.shape[0])
+            return kl_eval(self, frees, order)
+
+        monkeypatch.setattr(kernel._EvalChain, "__init__", counting_init)
+        monkeypatch.setattr(kernel.KlWorkspace, "evaluate_stacked",
+                            counting_kl)
+        elbo_batch(ctxs, frees, order=2)
+        sweeps = sum(c.counters.snapshot().get("elbo_sweep_calls", 0.0)
+                     for c in ctxs)
+        assert sweeps > 1                   # several shape groups...
+        assert chains == [len(ctxs)]        # ...one chain over all lanes
+        assert sorted(kl_stacks) == [2, len(ctxs) - 2]
+        assert len(priors) == len(kl_stacks)
+
 
 class TestLockstepOptimizer:
     """Lane independence of optimize_sources_batch: k lanes against k

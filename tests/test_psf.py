@@ -23,6 +23,35 @@ class TestMixturePSF:
         with pytest.raises(ValueError):
             MixturePSF(np.array([1.0, -0.1]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
 
+    @pytest.mark.parametrize("weights, match", [
+        ([0.0, 0.0], "sum to zero"),
+        ([1.0, np.nan], "component 1: weight"),
+        ([np.inf, 1.0], "component 0: weight"),
+    ])
+    def test_unusable_weights_rejected(self, weights, match):
+        # All-zero weights used to normalize to NaN without a word.
+        with pytest.raises(ValueError, match=match):
+            MixturePSF(np.array(weights), np.zeros((2, 2)),
+                       np.stack([np.eye(2)] * 2))
+
+    def test_non_finite_mean_rejected(self):
+        means = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="component 1: mean"):
+            MixturePSF(np.ones(2), means, np.stack([np.eye(2)] * 2))
+
+    @pytest.mark.parametrize("cov, match", [
+        # The kernel reads only cov[0, 1]: an asymmetric matrix is ambiguous.
+        ([[2.0, 0.5], [0.0, 2.0]], "not symmetric"),
+        ([[1.0, 1.0], [1.0, 1.0]], "not positive definite"),   # singular
+        ([[-1.0, 0.0], [0.0, -1.0]], "not positive definite"),
+        ([[1.0, 0.0], [0.0, np.inf]], "not finite"),
+    ])
+    def test_unusable_covariance_rejected(self, cov, match):
+        covs = np.stack([np.eye(2), np.array(cov)])
+        with pytest.raises(ValueError, match="component 1: covariance") as err:
+            MixturePSF(np.ones(2), np.zeros((2, 2)), covs)
+        assert match in str(err.value)
+
     def test_density_integrates_to_one(self):
         psf = default_psf(fwhm=3.0)
         xs = np.linspace(-25, 25, 251)

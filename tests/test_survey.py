@@ -230,6 +230,21 @@ class TestIO:
                 read(path)
             assert path in str(err.value)
 
+    def test_unusable_psf_is_an_error_naming_the_file(self, tmp_path):
+        images = self._render_field((16, 16), (2,), masked=False)
+        psf = images[0].meta.psf
+        # A singular covariance, as a file written elsewhere could carry it
+        # (the constructor itself now refuses one).
+        covs = psf.covs.copy()
+        covs[0] = [[1.0, 1.0], [1.0, 1.0]]
+        object.__setattr__(psf, "covs", covs)
+        path = str(tmp_path / "field.npz")
+        save_field(path, images)
+        with pytest.raises(ValueError, match="not positive definite") as err:
+            load_field(path)
+        assert path in str(err.value)
+        assert "component 0" in str(err.value)
+
     def test_missing_file_is_still_file_not_found(self, tmp_path):
         from repro.survey import field_metadata
 
