@@ -24,12 +24,18 @@ no expression-graph construction:
    space — pixel-frame position ``(upx, upy)`` and the galaxy shape
    covariance entries ``(sxx, sxy, syy)`` — are polynomials in the
    whitened offsets ``l = C^{-1} d`` times the density itself.  All
-   components evaluate in one batched ``(K, M)`` sweep and contract
-   immediately to per-pixel feature rows (value and 5 gradient rows).
-   The 15 packed Hessian rows of a galaxy group are only ever needed
-   summed over pixels against two weight vectors, so they are never built
-   per pixel: they are contracted from Hermite moments
-   (:func:`_group_curvature`).
+   components of a patch — star, dev and exp — evaluate in one batched
+   ``(K + Jd + Je, M)`` mixture pass that forms the six degree-<=2
+   monomials ``lx^a ly^b g`` (:func:`_mixture`), and one per-lane GEMM of
+   per-component coefficients over (monomial, component) turns them into
+   every per-pixel feature row the term reads (:func:`_feature_rows`):
+   the star's value, gradient and position Hessian, the mixed galaxy
+   profile and its gradient, and their ``e_dev`` derivatives — the mixing
+   fraction, ``var`` and the inverse covariances live in the
+   coefficients.  The 15 packed Hessian rows of the galaxy profile are
+   only ever needed summed over pixels against two weight vectors, so they
+   are never built per pixel: they are contracted from Hermite moments of
+   the same monomials, dev and exp in one call (:func:`_galaxy_curvature`).
 2. The expected rate ``E[F]`` and second moment are *bilinear* in those
    per-pixel features and a 10-dimensional per-patch intermediate vector
    ``z = (upx, upy, sxx, sxy, syy, A_star, A_gal, B_star, B_gal,
@@ -37,7 +43,12 @@ no expression-graph construction:
    and the log-normal flux moments.  The expected Poisson log-likelihood
    ``x E[log F] - E[F]`` (with the delta-approximation variance term)
    chains through per-pixel scalars, giving the patch value, its 10-vector
-   z-gradient, and its 10x10 z-Hessian via a handful of matrix products.
+   z-gradient, and its 10x10 z-Hessian from pixel sums: the feature rows
+   against a few weight columns, weighted Gram matrices of the leading
+   rows, and the galaxy curvature.  A fixed scatter of amplitude-scaled
+   entries of those sums (:class:`_Assembly`) fills the z-gradient and the
+   z-Hessian's curvature part; its outer-product part is three small
+   matmuls.
 3. A patch's z is linear in its *band's* z — the same vector with the
    position in the sky frame and the amplitudes without calibration — so
    each patch's ``(gz, hz)`` goes through a fixed 10x10 map (the WCS
@@ -79,19 +90,22 @@ flux-moment chain (:class:`_EvalChain`), the chain rule (once per band) and
 the KL term (once per shared ``Priors``) — run once per batch call over all
 its lanes, however many shape groups the call sweeps.
 
-**Per-thread scratch.**  Large per-evaluation temporaries (feature stacks,
-chain-rule rows) are borrowed from a thread-local pool keyed by shape, so a
-Cyclades worker thread re-uses the same buffers across every iteration of
-every source it updates (see :mod:`repro.parallel.cyclades`); pools are
-bounded and released by the executor when an assignment completes.
+**Per-thread scratch.**  A patch's pixel-sized temporaries — the mixture
+pass's offsets and monomials, the feature rows, and the moment pass's
+fixed block of degree-3 and degree-4 monomials — live in a few grow-only
+buffers per thread (:func:`_scratch`), never keyed by shape, so a
+Cyclades worker thread re-uses the same memory across every iteration of
+every source it updates (see :mod:`repro.parallel.cyclades`); the
+executor releases them when an assignment completes.
 
 **One implementation.**  The per-patch pixel term
 (:func:`_patch_pixel_term`) is written once, as the stacked NumPy sweeps
 above, and every evaluation runs it.  Its oracles live in the tests: the
 Taylor-mode ELBO for the whole objective (``tests/taylor_oracle/``, pinned
-by ``tests/test_elbo_backends.py``) and a direct per-pixel build of the
-galaxy Hessian rows for the Hermite-moment contraction
-(``tests/test_contracted_curvature.py``).
+by ``tests/test_elbo_backends.py``), and per-component, per-pixel builds
+of the feature rows, the galaxy Hessian rows and the entry-by-entry
+z-Hessian (``tests/pixel_oracle.py``, pinned by
+``tests/test_feature_rows.py`` and ``tests/test_contracted_curvature.py``).
 
 Only affine WCS maps are supported (the survey's are); the workspace probes
 the map numerically rather than reaching into its attributes.
@@ -99,6 +113,7 @@ the map numerically rather than reaching into its attributes.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 import weakref
@@ -197,7 +212,6 @@ _DIAG_C2 = np.arange(6, 10)
 
 
 _TLS = threading.local()
-_POOL_CAP = 512
 
 #: Fallback max ``(lane, component, pixel)`` elements per stacked batch
 #: sweep, used only when the host's cache sizes cannot be read.  The
@@ -209,14 +223,14 @@ _POOL_CAP = 512
 _LANE_SWEEP_BUDGET = 450_000
 
 #: Live float64 temporaries per ``(lane, component, pixel)`` element in the
-#: widest (order-2) stacked sweep, counted from :func:`_group_features`: the
-#: galaxy group in flight holds six named arrays (offsets, whitened offsets,
-#: the density and its var-scaled copy) and at most two expression
-#: temporaries; the group swept before it keeps only the three its moment
-#: pass reads, the star group none.  Charging every group the in-flight
-#: eight errs toward smaller, cache-friendlier sweeps.  The moment pass's
-#: monomial scratch is one fixed block per thread (:data:`_MOMENT_BLOCK`):
-#: it does not grow with the sweep and is not counted.
+#: widest (order-2) stacked sweep, counted from :func:`_mixture` and
+#: :func:`_galaxy_curvature`: every component of the patch is in flight at
+#: once, and from the monomials on the sweep touches eight arrays of that
+#: size — ``lx``, ``ly`` and the six monomials — while the mixture pass
+#: before them touches five (the two offsets, ``lx``, ``ly`` and ``g``, the
+#: temporary of every step).  The moment pass's degree-3 and degree-4
+#: monomials live in one fixed block per thread (:data:`_MOMENT_BLOCK`): it
+#: does not grow with the sweep and is not counted.
 _SWEEP_TEMPS = 8
 
 #: Lazily-detected ``(l2_bytes, last_level_bytes)`` — ``None`` before the
@@ -297,24 +311,29 @@ def _lane_sweep_cap(per_lane: int) -> int:
     return min(1024, max(1, max(l2, llc // 8) // working))
 
 
-def _buf(name: str, shape: tuple) -> np.ndarray:
-    """Borrow a reusable array from the calling thread's pool.
+def _scratch(name: str, size: int) -> np.ndarray:
+    """Borrow ``size`` float64 elements of the calling thread's buffer
+    ``name``.
 
-    Keys include the shape: a Newton solve re-evaluates the same context
-    with identical shapes, so after the first iteration every borrow hits.
-    The pool is dropped wholesale if it ever accumulates too many distinct
-    shapes (many differently-sized sources on one long-lived thread).
+    One buffer per name, grown to the longest request so far and never
+    keyed by shape, so a thread holds a few of them however many patch
+    shapes it evaluates.  The per-patch temporaries live here because a
+    fresh allocation of their size (above the allocator's mmap threshold
+    for a few hundred pixels) would page-fault its memory in on every
+    evaluation.  The buffers are anonymous memory maps rather than heap
+    blocks: a replaced or released buffer goes straight back to the OS,
+    and freeing one cannot raise the allocator's adaptive mmap threshold,
+    which would leave later large temporaries on a heap that keeps them
+    resident.
     """
     pool = getattr(_TLS, "pool", None)
     if pool is None:
         pool = _TLS.pool = {}
-    if len(pool) > _POOL_CAP:
-        pool.clear()
-    key = (name, shape)
-    arr = pool.get(key)
-    if arr is None:
-        arr = pool[key] = np.empty(shape)
-    return arr
+    arr = pool.get(name)
+    if arr is None or arr.size < size:
+        arr = pool[name] = np.frombuffer(
+            mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64)
+    return arr[:size]
 
 
 def release_scratch() -> None:
@@ -537,34 +556,6 @@ def _kl_workspace(priors: Priors) -> KlWorkspace:
     return ws
 
 
-class _GroupWorkspace:
-    """Pixel-static arrays of one galaxy profile group (dev or exp) of one
-    patch: component weights/variances, PSF covariance parts, and the pixel
-    grid offset by every component mean.
-
-    Every array carries a leading *lane* axis: a per-context workspace holds
-    lane count 1, and a batch workspace concatenates same-shaped lanes along
-    it, so one evaluation sweep covers ``G`` sources at once."""
-
-    __slots__ = ("w2pi", "var", "pxx", "pxy", "pyy", "px", "py")
-
-    def __init__(self, arrays, px, py):
-        w, var, mux, muy, pxx, pxy, pyy = arrays
-        self.w2pi = (w / _TWO_PI)[None]          # (1, J, 1)
-        self.var = var[None]
-        self.pxx, self.pxy, self.pyy = pxx[None], pxy[None], pyy[None]
-        self.px = (px[None, :] - mux)[None]      # (1, J, M)
-        self.py = (py[None, :] - muy)[None]
-
-    @classmethod
-    def _concat(cls, groups):
-        out = object.__new__(cls)
-        for name in cls.__slots__:
-            setattr(out, name, np.concatenate(
-                [getattr(g, name) for g in groups], axis=0))
-        return out
-
-
 class _PatchWorkspace:
     """Everything pixel-static about one patch slot, precomputed.
 
@@ -574,12 +565,13 @@ class _PatchWorkspace:
     A per-context workspace is the ``G = 1`` case; :meth:`_concat` builds a batch lane group from
     same-shaped patch slots without copying any per-context compile work."""
 
-    __slots__ = ("bands", "iota", "counts", "bg", "n_pixels",
-                 "s_alpha", "s_ixx", "s_ixy", "s_iyy", "s_px", "s_py",
-                 "dev", "exp", "wa", "wt", "zmap")
+    __slots__ = ("bands", "iota", "counts", "bg", "n_pixels", "n_star",
+                 "n_dev", "w2pi", "var", "pxx", "pxy", "pyy", "px", "py",
+                 "fac", "base0", "mix0", "vpow", "wa", "wt", "zmap")
 
-    _STACKED = ("counts", "bg", "s_alpha", "s_ixx", "s_ixy", "s_iyy",
-                "s_px", "s_py", "iota", "wa", "wt", "zmap")
+    _STACKED = ("counts", "bg", "w2pi", "var", "pxx", "pxy", "pyy", "px",
+                "py", "fac", "base0", "mix0", "vpow", "iota", "wa", "wt",
+                "zmap")
 
     def __init__(self, patch):
         self.bands = (patch.band,)
@@ -588,18 +580,44 @@ class _PatchWorkspace:
         self.bg = np.asarray(patch.background, dtype=np.float64)[None]
         self.n_pixels = patch.n_pixels
 
-        # Star: PSF covariances are constant, so invert and normalize once.
+        # One component axis for the whole patch: the star's PSF components,
+        # then the dev and exp galaxy x PSF products.  A component's
+        # covariance is ``var * S + P`` for the galaxy shape S, and the
+        # star's ``var`` is 0, so every component evaluates alike.
         w, mux, muy, sxx, sxy, syy = patch.star_arrays
-        det = sxx * syy - sxy * sxy
-        self.s_alpha = (w / (_TWO_PI * np.sqrt(det)))[None]   # (1, K, 1)
-        self.s_ixx = (syy / det)[None]
-        self.s_ixy = (-sxy / det)[None]
-        self.s_iyy = (sxx / det)[None]
-        self.s_px = (patch.px[None, :] - mux)[None]           # (1, K, M)
-        self.s_py = (patch.py[None, :] - muy)[None]
-
-        self.dev = _GroupWorkspace(patch.gal_arrays["dev"], patch.px, patch.py)
-        self.exp = _GroupWorkspace(patch.gal_arrays["exp"], patch.px, patch.py)
+        dev, exp = patch.gal_arrays["dev"], patch.gal_arrays["exp"]
+        self.n_star, self.n_dev = len(w), len(dev[0])
+        cols = [np.concatenate(c)[None] for c in zip(
+            (w, np.zeros_like(w), mux, muy, sxx, sxy, syy), dev, exp)]
+        ww, var, mux, muy, self.pxx, self.pxy, self.pyy = cols
+        self.w2pi = ww / _TWO_PI                              # (1, C, 1)
+        self.var = var
+        self.px = patch.px[None, None, :] - mux               # (1, C, M)
+        self.py = patch.py[None, None, :] - muy
+        # The pixel-static parts of the feature-row coefficients
+        # (_feature_rows): per component, the six base rows over the six
+        # monomials — monomials 0-2 as they are, 3-5 times the component's
+        # factor ``fac`` (1 on the star's position Hessian, ``var / 2, var,
+        # var / 2`` on a galaxy's shape gradient, as shape enters C through
+        # ``var``); their ``-fac * I`` entries on monomial 0 are filled per
+        # evaluation.  ``mix0`` holds the fixed row-group weights (the
+        # ``e_dev`` ones are filled per evaluation), ``vpow`` the galaxy
+        # components' ``var^0..2`` for the Hermite basis.
+        n_comp, ns, nd = var.shape[1], self.n_star, self.n_dev
+        fac = np.ones((1, 3, n_comp))
+        fac[0, :, ns:] = np.array([[0.5], [1.0], [0.5]]) * var[0, ns:, 0]
+        self.fac = fac
+        base0 = np.zeros((1, 6, 6, n_comp))
+        diag = np.arange(6)
+        base0[0, diag, diag] = np.concatenate([np.ones((3, n_comp)), fac[0]])
+        self.base0 = base0
+        mix0 = np.zeros((1, 3, n_comp))
+        mix0[0, 0, :ns] = 1.0
+        mix0[0, 2, ns:ns + nd] = 1.0
+        mix0[0, 2, ns + nd:] = -1.0
+        self.mix0 = mix0
+        vg = var[0, ns:, 0]
+        self.vpow = np.stack([np.ones_like(vg), vg, vg * vg])[None]
 
         # Affine WCS coefficients, probed through the public map so any
         # affine WCS implementation works: pix = wa @ sky + wt.
@@ -624,19 +642,18 @@ class _PatchWorkspace:
     def shape_key(self) -> tuple:
         """Array shapes that must match for lanes to stack: star component
         count, galaxy component counts per group, and pixel count."""
-        return (self.s_px.shape[1], self.dev.px.shape[1],
-                self.exp.px.shape[1], self.n_pixels)
+        return (self.n_star, self.n_dev,
+                self.px.shape[1] - self.n_star - self.n_dev, self.n_pixels)
 
     @classmethod
     def _concat(cls, slots):
         out = object.__new__(cls)
         out.bands = tuple(b for s in slots for b in s.bands)
         out.n_pixels = slots[0].n_pixels
+        out.n_star, out.n_dev = slots[0].n_star, slots[0].n_dev
         for name in cls._STACKED:
             setattr(out, name, np.concatenate(
                 [getattr(s, name) for s in slots], axis=0))
-        out.dev = _GroupWorkspace._concat([s.dev for s in slots])
-        out.exp = _GroupWorkspace._concat([s.exp for s in slots])
         return out
 
 
@@ -780,33 +797,113 @@ class _FusedBatchWorkspace:
 #   d^2 g / du dC_m = (dl/dC_m + l D_m) g       with dl/dC_m = -I E_m l
 #   d^2 g / dC dC   = (dD/dC + D D^T) g         via dI/dC_m = -I E_m I
 #
-# Galaxy groups see the shape covariance through C = var * S + C_psf, so
+# Galaxy components see the shape covariance through C = var * S + C_psf, so
 # every shape derivative scales by var (and var^2 at second order).
+#
+# So every per-pixel row the pixel term reads is, component by component, a
+# combination of the six degree-<=2 monomials ``lx^a ly^b g`` whose
+# coefficients are per-component scalars (1, var, ixx, ixy, iyy) times the
+# component's share of the row: 1 for a star row, ``e_dev`` / ``1 - e_dev``
+# for the mixed galaxy profile ``gg``, ``+1`` / ``-1`` for its ``e_dev``
+# derivative ``dlg``.  The monomials are formed once per patch and one GEMM
+# per lane over (component, monomial) yields all the rows
+# (:func:`_feature_rows`).
+
+#: Feature rows, in the order :func:`_feature_rows` returns them: the star
+#: value ``gs`` and position gradient ``dgs`` (2), the mixed galaxy profile
+#: ``gg`` and its gradient ``dgg`` over ``[upx, upy, sxx, sxy, syy]`` (5),
+#: ``dlg = d gg / d e_dev``, then the rows only the z-Hessian reads: the
+#: star position Hessian ``hgs`` (``xx, xy, yy``) and ``dldg``, the spatial
+#: gradient of ``dlg`` (5).  The first :data:`_N_GRAM` rows are those the
+#: z-gradient and the outer-product terms are built from.
+_F_GS, _F_DGS, _F_GG, _F_DGG, _F_DLG, _F_HGS, _F_DLDG = 0, 1, 3, 4, 9, 10, 13
+_N_GRAM = 10
+#: Per feature row: its row group (0: star components with weight 1; 1:
+#: galaxy components weighted ``e_dev`` / ``1 - e_dev``; 2: the same
+#: weighted ``+1`` / ``-1``) and its base row ``k`` — monomial ``k``, less
+#: ``I g`` for ``k >= 3`` (a position-Hessian or shape-gradient row, scaled
+#: by the component's factor in :attr:`_PatchWorkspace.base0`).
+_ROW_GROUP = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 0, 0, 0, 2, 2, 2, 2, 2])
+_ROW_BASE = np.array([0, 1, 2, 0, 1, 2, 3, 4, 5, 0, 3, 4, 5, 1, 2, 3, 4, 5])
 
 
-def _star_features(pws: _PatchWorkspace, upx: np.ndarray, upy: np.ndarray,
-                   order: int):
-    """Star mixture value / position-gradient / position-Hessian features,
-    contracted over PSF components for every lane: ``(G, M)``, ``(G, 2, M)``,
-    ``(G, 3, M)``.  ``upx``/``upy`` are per-lane pixel-frame positions."""
-    ixx, ixy, iyy = pws.s_ixx, pws.s_ixy, pws.s_iyy
-    dx = pws.s_px - upx[:, None, None]
-    dy = pws.s_py - upy[:, None, None]
-    lx = ixx * dx + ixy * dy
-    ly = ixy * dx + iyy * dy
-    g = pws.s_alpha * np.exp(-0.5 * (lx * dx + ly * dy))
-    gsz, m = g.shape[0], g.shape[2]
-    val = g.sum(axis=1)
-    grad = _buf("s_grad", (gsz, 2, m))
-    np.sum(lx * g, axis=1, out=grad[:, 0])
-    np.sum(ly * g, axis=1, out=grad[:, 1])
-    if order < 2:
-        return val, grad, None
-    hess = _buf("s_hess", (gsz, 3, m))
-    np.sum((lx * lx - ixx) * g, axis=1, out=hess[:, 0])
-    np.sum((lx * ly - ixy) * g, axis=1, out=hess[:, 1])
-    np.sum((ly * ly - iyy) * g, axis=1, out=hess[:, 2])
-    return val, grad, hess
+def _mixture(pws: _PatchWorkspace, upx: np.ndarray, upy: np.ndarray,
+             s1: np.ndarray, s2: np.ndarray, s3: np.ndarray):
+    """One pass over every component of a patch slot (star, dev and exp
+    alike), for per-lane positions and shape values: the inverse
+    covariances ``inv`` ``(G, 3, C)`` (``ixx, ixy, iyy``), the whitened
+    offsets ``lx``, ``ly`` ``(G, C, M)`` and the six monomials
+    ``lx^a ly^b g``, ``a + b <= 2``, as ``(G, 6, C, M)`` in
+    :data:`_MONOMIALS` order (monomial-major, so that each multiply below
+    writes one contiguous block per lane).  The pixel-sized arrays live in
+    the calling thread's scratch, valid until its next call."""
+    var = pws.var
+    cxx = var * s1[:, None, None] + pws.pxx
+    cxy = var * s2[:, None, None] + pws.pxy
+    cyy = var * s3[:, None, None] + pws.pyy
+    det = cxx * cyy - cxy * cxy
+    ixx = cyy / det
+    ixy = -cxy / det
+    iyy = cxx / det
+    alpha = pws.w2pi / np.sqrt(det)
+
+    gsz, c, m = pws.px.shape
+    n = gsz * c * m
+    work = _scratch("mixture", 10 * n)
+    dx, dy, lx, ly = (work[i * n:(i + 1) * n].reshape(gsz, c, m)
+                      for i in range(4))
+    mono = work[4 * n:].reshape(gsz, 6, c, m)
+    g = mono[:, 0]                      # also the temporary until the exp
+    np.subtract(pws.px, upx[:, None, None], out=dx)
+    np.subtract(pws.py, upy[:, None, None], out=dy)
+    np.multiply(ixx, dx, out=lx)
+    lx += np.multiply(ixy, dy, out=g)
+    np.multiply(ixy, dx, out=ly)
+    ly += np.multiply(iyy, dy, out=g)
+    np.multiply(lx, dx, out=g)
+    g += np.multiply(ly, dy, out=dy)
+    # -q / 2 <= 0 for a positive-definite covariance; the clip only
+    # absorbs rounding.
+    arg = np.minimum(np.multiply(g, -0.5, out=dx), 0.0, out=dx)
+    np.exp(arg, out=g)
+    g *= alpha
+    np.multiply(lx, g, out=mono[:, 1])
+    np.multiply(ly, g, out=mono[:, 2])
+    np.multiply(lx, mono[:, 1], out=mono[:, 3])
+    np.multiply(ly, mono[:, 1], out=mono[:, 4])
+    np.multiply(ly, mono[:, 2], out=mono[:, 5])
+    inv = np.concatenate([ixx, ixy, iyy], axis=2).transpose(0, 2, 1)
+    return inv, lx, ly, mono
+
+
+def _row_mix(pws: _PatchWorkspace, dev: np.ndarray) -> np.ndarray:
+    """Per-lane component weights of the three row groups, ``(G, 3, C)``."""
+    mix = pws.mix0.copy()
+    ns, nd = pws.n_star, pws.n_dev
+    mix[:, 1, ns:ns + nd] = dev[:, None]
+    mix[:, 1, ns + nd:] = (1.0 - dev)[:, None]
+    return mix
+
+
+def _feature_rows(pws: _PatchWorkspace, inv: np.ndarray, mix: np.ndarray,
+                  mono: np.ndarray, n_rows: int) -> np.ndarray:
+    """The first ``n_rows`` feature rows (:data:`_F_GS` ...) per pixel,
+    ``(G, n_rows, M)``: one per-lane GEMM of the ``(n_rows, 6 C)``
+    coefficients over (monomial, component) against the monomials of
+    :func:`_mixture`.  The mixing
+    weights ``mix`` (:func:`_row_mix`), ``var`` and ``I`` live in the
+    coefficients, so no mixing pass over pixels remains.  The rows live
+    in the calling thread's scratch, valid until its next call."""
+    gsz, _, c, m = mono.shape
+    base = pws.base0.copy()
+    np.multiply(pws.fac, inv, out=base[:, 3:, 0])
+    np.negative(base[:, 3:, 0], out=base[:, 3:, 0])
+    coef = (mix[:, _ROW_GROUP[:n_rows], None]
+            * base[:, _ROW_BASE[:n_rows]])
+    return np.matmul(coef.reshape(gsz, n_rows, 6 * c),
+                     mono.reshape(gsz, 6 * c, m),
+                     out=_scratch("features", gsz * n_rows * m).reshape(
+                         gsz, n_rows, m))
 
 
 # Contract-first Hessian rows.  Every second derivative of a component in
@@ -820,20 +917,16 @@ def _star_features(pws: _PatchWorkspace, upx: np.ndarray, upy: np.ndarray,
 # polynomial in (ixx, ixy, iyy, var) — 12 distinct polynomials feed the 15
 # rows (rows (sxx, syy) and (sxy, sxy) are both H_xxyy).
 
-#: Pixels per moment block.  Fixed, so the monomial scratch is one
-#: ``(17, J, block)`` buffer per thread whatever the patch shape, and short
-#: enough that the multiply chain's operands stay cache-resident.
+#: Pixels per moment block.  Fixed, so the scratch of the degree-3 and
+#: degree-4 monomials is one ``(9, J, block)`` buffer per thread whatever
+#: the patch shape, and short enough that the multiply chain's operands
+#: stay cache-resident.
 _MOMENT_BLOCK = 512
 
 #: The 15 monomials ``lx^a ly^b`` with ``a + b <= 4``, by degree.
 _MONOMIALS = [(n - b, b) for n in range(5) for b in range(n + 1)]
-#: ``(k, parent, axis)``: monomial ``k`` is monomial ``parent`` times
-#: ``lx`` (axis 0) or ``ly`` (axis 1).
-_MONO_STEPS = [
-    (k, _MONOMIALS.index((a - 1, b) if a else (a, b - 1)), 0 if a else 1)
-    for k, (a, b) in enumerate(_MONOMIALS) if k]
 #: Exponents of ``(ixx, ixy, iyy)`` in the coefficient basis, in the order
-#: :func:`_group_features` fills it.
+#: :func:`_galaxy_curvature` fills it.
 _IMONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0),
                (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 #: Each spatial variable as a u-derivative: axes, factor, power of var.
@@ -878,101 +971,62 @@ def _hermite_table() -> np.ndarray:
 _HERMITE_TABLE = _hermite_table()
 
 
-def _group_features(gws: _GroupWorkspace, upx: np.ndarray, upy: np.ndarray,
-                    s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
-                    order: int, tag: str):
-    """One galaxy group's spatial features, contracted over components for
-    every lane: value ``(G, M)`` and gradient ``(G, 5, M)`` over
-    ``[upx, upy, sxx, sxy, syy]``.  The third return is ``None`` at order
-    1 and otherwise what :func:`_group_curvature` needs to contract the
-    packed Hessian rows over pixels — the per-pixel ``(G, 15, M)`` block
-    itself is never built.  Position and shape inputs are per-lane
-    arrays."""
-    var = gws.var
-    e1 = s1[:, None, None]
-    e2 = s2[:, None, None]
-    e3 = s3[:, None, None]
-    cxx = var * e1 + gws.pxx
-    cxy = var * e2 + gws.pxy
-    cyy = var * e3 + gws.pyy
-    det = cxx * cyy - cxy * cxy
-    ixx = cyy / det
-    ixy = -cxy / det
-    iyy = cxx / det
-    alpha = gws.w2pi / np.sqrt(det)
-
-    dx = gws.px - upx[:, None, None]
-    dy = gws.py - upy[:, None, None]
-    lx = ixx * dx + ixy * dy
-    ly = ixy * dx + iyy * dy
-    g = alpha * np.exp(-0.5 * (lx * dx + ly * dy))
-    gsz, j, m = g.shape
-
-    val = g.sum(axis=1)
-    vg = var * g
-    grad = _buf(tag + "_grad", (gsz, 5, m))
-    np.sum(lx * g, axis=1, out=grad[:, 0])
-    np.sum(ly * g, axis=1, out=grad[:, 1])
-    np.sum((0.5 * (lx * lx - ixx)) * vg, axis=1, out=grad[:, 2])
-    np.sum((lx * ly - ixy) * vg, axis=1, out=grad[:, 3])
-    np.sum((0.5 * (ly * ly - iyy)) * vg, axis=1, out=grad[:, 4])
-    if order < 2:
-        return val, grad, None
-
-    # Per-component coefficient basis of the Hermite table: the ten
-    # monomials of (ixx, ixy, iyy) up to degree 2, times var^0..2.
-    imon = np.empty((gsz, 10, j))
-    imon[:, 0] = 1.0
-    imon[:, 1] = ixx[:, :, 0]
-    imon[:, 2] = ixy[:, :, 0]
-    imon[:, 3] = iyy[:, :, 0]
-    np.multiply(imon[:, 1:4], imon[:, 1:2], out=imon[:, 4:7])
-    np.multiply(imon[:, 2:4], imon[:, 2:3], out=imon[:, 7:9])
-    np.multiply(imon[:, 3], imon[:, 3], out=imon[:, 9])
-    vpow = np.ones((gsz, 3, j))
-    vpow[:, 1] = var[:, :, 0]
-    np.multiply(vpow[:, 1], vpow[:, 1], out=vpow[:, 2])
-    basis = (vpow[:, :, None] * imon[:, None]).reshape(gsz, 30, j)
-    return val, grad, (lx, ly, g, basis)
-
-
-def _group_curvature(keep, wts: np.ndarray) -> np.ndarray:
-    """One galaxy group's packed Hessian rows (:data:`_PAIRS` order)
-    contracted over pixels against ``C`` weight columns: ``keep`` from
-    :func:`_group_features`, ``wts`` ``(G, M, C)``, result ``(G, 15, C)``
-    — what ``_mv`` of the per-pixel ``(G, 15, M)`` block against each
-    column would give, without building the block.
+def _galaxy_curvature(pws: _PatchWorkspace, inv: np.ndarray,
+                      mix: np.ndarray, lx: np.ndarray, ly: np.ndarray,
+                      mono: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """The mixed galaxy profile's packed Hessian rows (:data:`_PAIRS`
+    order) contracted over pixels against ``C`` weight columns: ``wts``
+    ``(G, M, C)``, result ``(G, 15, C)`` — what contracting the per-pixel
+    rows ``e_dev * H_dev + (1 - e_dev) * H_exp`` against each column would
+    give, without building them.  The other inputs are those of
+    :func:`_feature_rows`.
 
     Contract before expanding: every row is ``H(l) g`` for a Hermite
     polynomial ``H`` of degree <= 4 (see :data:`_HERMITE_TABLE`), so the
-    only per-pixel work is the 15 monomials ``lx^a ly^b g`` (three copies
-    and 14 multiplies into scratch) and one GEMM per pixel block against
-    the weights.  The ``(15, J, C)`` moments then meet the per-component
-    coefficients in two small matmuls.  Pixel blocks have a fixed length
-    and each lane is contracted alone, so the scratch is one fixed block
-    per thread (never a buffer per patch shape) and a lane's block
-    boundaries — hence its summation order and its bits — do not depend
-    on what shares its stack."""
-    lx, ly, g, basis = keep
-    gsz, j, m = g.shape
-    c = wts.shape[2]
-    scratch = _buf("mono", (17 * j * _MOMENT_BLOCK,))
-    mom = np.zeros((gsz, 15 * j, c))
+    moments ``sum_m lx^a ly^b g w`` are all the pixels contribute.  The
+    six of degree <= 2 come from :func:`_mixture`'s monomials in one GEMM;
+    the nine of degree 3 and 4 are formed a block of pixels at a time
+    (four multiplies into scratch) and contracted with one GEMM per block.
+    The ``(15, J, C)`` moments then meet the per-component coefficients —
+    ``(ixx, ixy, iyy)`` monomials times ``var^0..2`` times the component's
+    ``e_dev`` / ``1 - e_dev`` weight, so dev and exp contract together —
+    in two small matmuls.  Pixel blocks have a fixed length and each lane
+    is contracted alone, so the scratch is one fixed block per thread
+    (never a buffer per patch shape) and a lane's block boundaries — hence
+    its summation order and its bits — do not depend on what shares its
+    stack."""
+    gsz, _, c, m = mono.shape
+    ns = pws.n_star
+    j = c - ns
+    ncol = wts.shape[2]
+    mom = np.zeros((gsz, 15, j, ncol))
+    low = np.matmul(mono.reshape(gsz, 6 * c, m), wts)
+    mom[:, :6] = low.reshape(gsz, 6, c, ncol)[:, :, ns:]
+    scratch = _scratch("moments", 9 * j * _MOMENT_BLOCK)
     for lane in range(gsz):
+        high = mom[lane, 6:].reshape(9 * j, ncol)
         for lo in range(0, m, _MOMENT_BLOCK):
             hi = min(lo + _MOMENT_BLOCK, m)
-            # Rows 0-14 are the monomials, 15-16 contiguous copies of the
-            # block's lx / ly (every multiply then runs as one flat loop).
-            blk = scratch[:17 * j * (hi - lo)].reshape(17, j, hi - lo)
-            blk[0] = g[lane, :, lo:hi]
-            blk[15] = lx[lane, :, lo:hi]
-            blk[16] = ly[lane, :, lo:hi]
-            for k, parent, axis in _MONO_STEPS:
-                np.multiply(blk[parent], blk[15 + axis], out=blk[k])
-            mom[lane] += np.matmul(blk[:15].reshape(15 * j, hi - lo),
-                                   wts[lane, lo:hi])
-    q = np.matmul(basis[:, None], mom.reshape(gsz, 15, j, c))
-    return np.matmul(_HERMITE_TABLE, q.reshape(gsz, 450, c))
+            blk = scratch[:9 * j * (hi - lo)].reshape(9, j, hi - lo)
+            sq = mono[lane, 3:, ns:, lo:hi]      # lx^2 g, lx ly g, ly^2 g
+            bx = lx[lane, ns:, lo:hi]
+            by = ly[lane, ns:, lo:hi]
+            np.multiply(sq, bx, out=blk[:3])
+            np.multiply(sq[2], by, out=blk[3])
+            np.multiply(blk[:4], bx, out=blk[4:8])
+            np.multiply(blk[3], by, out=blk[8])
+            high += np.matmul(blk.reshape(9 * j, hi - lo), wts[lane, lo:hi])
+
+    imon = np.empty((gsz, 10, j))
+    imon[:, 0] = 1.0
+    imon[:, 1:4] = inv[:, :, ns:]
+    np.multiply(imon[:, 1:4], imon[:, 1:2], out=imon[:, 4:7])
+    np.multiply(imon[:, 2:4], imon[:, 2:3], out=imon[:, 7:9])
+    np.multiply(imon[:, 3], imon[:, 3], out=imon[:, 9])
+    vw = pws.vpow * mix[:, 1:2, ns:]
+    basis = (vw[:, :, None] * imon[:, None]).reshape(gsz, 30, j)
+    q = np.matmul(basis[:, None], mom)
+    return np.matmul(_HERMITE_TABLE, q.reshape(gsz, 450, ncol))
 
 
 # ---------------------------------------------------------------------------
@@ -1275,14 +1329,128 @@ class _EvalChain:
 
 # ---------------------------------------------------------------------------
 # The per-patch pixel term in z space, lane-stacked
+#
+# With the feature rows F of a patch, the expected rate is bilinear in the
+# per-lane amplitudes and F: ``e = A_s gs + A_g gg`` and, under the variance
+# correction, ``e2 = B_s gs^2 + B_g gg^2``.  So per pixel ``de/dz = A F``
+# and ``de2/dz = gs (B_s F) + gg (B_g F)`` for sparse 10 x 10 maps
+# :data:`_DESIGN` whose entries are amplitudes, and every z-space block of
+# the term is one of three things: pixel sums of feature rows against the
+# scalar weights ``phi`` (``F @ W``), weighted Gram matrices of the first
+# :data:`_N_GRAM` rows (``F diag(w) F^T``) met by those maps, or the
+# galaxy curvature (:func:`_galaxy_curvature`).  The z-gradient and the
+# curvature part of the z-Hessian are then a fixed scatter of amplitude-
+# scaled entries of those sums (:func:`_assembly`).
+
+#: Amplitude kinds a design or assembly entry is scaled by, in the order of
+#: the per-lane ``kinds`` vector: 1, ``A_star``, ``A_gal``, ``B_star``,
+#: ``B_gal`` (the calibrated first- and second-moment amplitudes).
+_K1, _KAS, _KAG, _KBS, _KBG = range(5)
+
+#: ``(p, u, row, kind, factor)``: entry ``(p, row)`` of the per-pixel map
+#: ``u`` — 0: ``de/dz = A F``; 1: ``B_s`` and 2: ``B_g`` of
+#: ``de2/dz = gs (B_s F) + gg (B_g F)`` — is ``factor * kind``.  Rows index
+#: the first :data:`_N_GRAM` feature rows, ``p`` the z-vector
+#: ``(upx, upy, sxx, sxy, syy, A_star, A_gal, B_star, B_gal, e_dev)``.
+_DESIGN = (
+    [(p, 0, _F_DGS + p, _KAS, 1.0) for p in (0, 1)]
+    + [(p, 0, _F_DGG + p, _KAG, 1.0) for p in range(5)]
+    + [(5, 0, _F_GS, _K1, 1.0), (6, 0, _F_GG, _K1, 1.0),
+       (9, 0, _F_DLG, _KAG, 1.0)]
+    + [(p, 1, _F_DGS + p, _KBS, 2.0) for p in (0, 1)]
+    + [(7, 1, _F_GS, _K1, 1.0)]
+    + [(p, 2, _F_DGG + p, _KBG, 2.0) for p in range(5)]
+    + [(8, 2, _F_GG, _K1, 1.0), (9, 2, _F_DLG, _KBG, 2.0)])
 
 
-def _mv(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-lane matrix-vector contraction over pixels:
-    ``(G, R, M) x (G, M) -> (G, R)``.  ``matmul`` over a lane stack
-    dispatches the identical per-lane GEMV, so results are bit-for-bit
-    independent of how many lanes share the call."""
-    return np.matmul(a, w[:, :, None])[:, :, 0]
+class _Assembly:
+    """The fixed scatter that turns one patch's pixel sums into its
+    z-gradient and the non-outer-product part of its z-Hessian.
+
+    The per-lane source vector is the concatenation of ``F @ W`` (``(rows,
+    n_w)``: feature rows against the weight columns ``phi_e`` and, under
+    the variance correction, ``phi_e2 gg`` and ``phi_e2 gs``), at order 2
+    the galaxy curvature ``(15, n_cur)`` against the first ``n_cur`` of
+    those columns and, under the variance correction, the ``phi_e2``-
+    weighted Gram matrix of the first :data:`_N_GRAM` rows.  Entry ``i``
+    contributes ``source[src[i]] * kinds[kind[i]]`` times ``scatter[i]``, a
+    row of constant factors over the outputs ``(gz (10), hz (10 x 10))``
+    (off-diagonal z-Hessian entries are written to both triangles); the
+    outer-product part of the z-Hessian is added by the caller, from the
+    ``design_*`` arrays: :data:`_DESIGN` as index arrays for one fancy
+    assignment."""
+
+    def __init__(self, order: int, vc: bool):
+        self.n_rows = 18 if order >= 2 else _N_GRAM
+        self.n_w = n_w = 3 if vc else 1
+        n_cur = 2 if vc else 1
+        # Weight column of F @ W each design map's gradient part reads.
+        col_of_map = (0, 2, 1)
+        off_cur = self.n_rows * n_w
+        off_gram = off_cur + 15 * n_cur
+
+        def fw(row, col):
+            return row * n_w + col
+
+        def cur(row, col):
+            return off_cur + row * n_cur + col
+
+        def gram(i, j):
+            return off_gram + _N_GRAM * i + j
+
+        terms = []       # (outputs, source, kind, factor)
+
+        def hz(p, q, source, kind, factor=1.0):
+            outs = {10 + 10 * p + q, 10 + 10 * q + p}
+            terms.append((sorted(outs), source, kind, factor))
+
+        design = [t for t in _DESIGN if vc or t[1] == 0]
+        # z-gradient: sum_m phi_e de/dz + phi_e2 de2/dz.
+        for p, u, row, kind, factor in design:
+            terms.append(([p], fw(row, col_of_map[u]), kind, factor))
+        if order >= 2:
+            # Curvature of e (and e2) in z: the galaxy profile's packed
+            # Hessian rows, the star's position Hessian, and the terms
+            # bilinear in an amplitude and a feature row.
+            for (p, q), r in _PAIR_ROW.items():
+                hz(p, q, cur(r, 0), _KAG)
+                if vc:
+                    hz(p, q, cur(r, 1), _KBG, 2.0)
+                    hz(p, q, gram(_F_DGG + p, _F_DGG + q), _KBG, 2.0)
+            for i, (p, q) in enumerate(((0, 0), (0, 1), (1, 1))):
+                hz(p, q, fw(_F_HGS + i, 0), _KAS)
+                if vc:
+                    hz(p, q, fw(_F_HGS + i, 2), _KBS, 2.0)
+                    hz(p, q, gram(_F_DGS + p, _F_DGS + q), _KBS, 2.0)
+            for p in (0, 1):
+                hz(p, 5, fw(_F_DGS + p, 0), _K1)
+            for p in range(5):
+                hz(p, 6, fw(_F_DGG + p, 0), _K1)
+                hz(p, 9, fw(_F_DLDG + p, 0), _KAG)
+            hz(6, 9, fw(_F_DLG, 0), _K1)
+            if vc:
+                for p in (0, 1):
+                    hz(p, 7, fw(_F_DGS + p, 2), _K1, 2.0)
+                for p in range(5):
+                    hz(p, 8, fw(_F_DGG + p, 1), _K1, 2.0)
+                    hz(p, 9, gram(_F_DGG + p, _F_DLG), _KBG, 2.0)
+                    hz(p, 9, fw(_F_DLDG + p, 1), _KBG, 2.0)
+                hz(8, 9, fw(_F_DLG, 1), _K1, 2.0)
+                hz(9, 9, gram(_F_DLG, _F_DLG), _KBG, 2.0)
+        self.src = np.array([t[1] for t in terms], dtype=np.intp)
+        self.kind = np.array([t[2] for t in terms], dtype=np.intp)
+        self.scatter = np.zeros((len(terms), 110 if order >= 2 else 10))
+        for i, (outs, _, _, factor) in enumerate(terms):
+            self.scatter[i, outs] = factor
+        d = np.array(design)
+        self.design_index = tuple(d[:, :3].astype(np.intp).T)
+        self.design_kind = d[:, 3].astype(np.intp)
+        self.design_factor = d[:, 4]
+        self.n_maps = 3 if vc else 1
+
+
+_ASSEMBLY = {(order, vc): _Assembly(order, vc)
+             for order in (1, 2) for vc in (False, True)}
 
 
 def _patch_pixel_term(pws: _PatchWorkspace, rows: tuple, amps: np.ndarray,
@@ -1293,155 +1461,102 @@ def _patch_pixel_term(pws: _PatchWorkspace, rows: tuple, amps: np.ndarray,
     the call's :class:`_EvalChain` (:meth:`_EvalChain.rows`) and ``amps``
     the ``(4, G)`` uncalibrated amplitudes of each lane's band in this
     slot; all lanes share this patch slot's array shapes, so the whole term
-    is a single stacked sweep."""
+    is a single stacked sweep: one mixture pass, one feature GEMM, the
+    pixel sums, and one assembly (:class:`_Assembly`)."""
     ux, uy, s1, s2, s3, dev = rows
     gsz = ux.shape[0]
     m = pws.n_pixels
+    asm = _ASSEMBLY[(2 if order >= 2 else 1, vc)]
 
     # Per-lane inputs for this slot.  upx/upy are left-associated
     # multiply-adds through this lane's affine WCS coefficients.
     upx = pws.wa[:, 0, 0] * ux + pws.wa[:, 0, 1] * uy + pws.wt[:, 0]
     upy = pws.wa[:, 1, 0] * ux + pws.wa[:, 1, 1] * uy + pws.wt[:, 1]
-    amp_s = pws.iota * amps[0]
-    amp_g = pws.iota * amps[1]
+    kinds = np.empty((gsz, 5 if vc else 3))
+    kinds[:, _K1] = 1.0
+    np.multiply(pws.iota, amps[0], out=kinds[:, _KAS])
+    np.multiply(pws.iota, amps[1], out=kinds[:, _KAG])
     if vc:
-        amp2_s = pws.iota * pws.iota * amps[2]
-        amp2_g = pws.iota * pws.iota * amps[3]
+        np.multiply((pws.iota * pws.iota)[:, None], amps[2:4].T,
+                    out=kinds[:, _KBS:])
 
-    gs, dgs, hgs = _star_features(pws, upx, upy, order)
-    gd, dgd, kd = _group_features(pws.dev, upx, upy, s1, s2, s3, order, "d")
-    ge, dge, ke = _group_features(pws.exp, upx, upy, s1, s2, s3, order, "e")
-
-    devc = dev[:, None]                 # broadcast over (G, M)
-    dev5 = dev[:, None, None]           # broadcast over (G, 5, M)
-    ampsc = amp_s[:, None]
-    ampgc = amp_g[:, None]
-    gg = devc * gd + (1.0 - devc) * ge
-    dgg = _buf("gg_grad", (gsz, 5, m))
-    np.multiply(dgd, dev5, out=dgg)
-    dgg += (1.0 - dev5) * dge
-    dlg = gd - ge                       # d gg / d e_dev, per pixel (G, M)
-    dldg = dgd - dge                    # its spatial gradient (G, 5, M)
+    inv, lx, ly, mono = _mixture(pws, upx, upy, s1, s2, s3)
+    mix = _row_mix(pws, dev)
+    feats = _feature_rows(pws, inv, mix, mono, asm.n_rows)
+    gs = feats[:, _F_GS]
+    gg = feats[:, _F_GG]
 
     x = pws.counts
-    e = ampsc * gs + ampgc * gg
+    e = kinds[:, _KAS, None] * gs + kinds[:, _KAG, None] * gg
     f = pws.bg + e
     fi = 1.0 / f
     logf = np.log(f)
-
-    de = _buf("de", (gsz, 10, m))
-    de[:, 0] = ampsc * dgs[:, 0] + ampgc * dgg[:, 0]
-    de[:, 1] = ampsc * dgs[:, 1] + ampgc * dgg[:, 1]
-    de[:, 2:5] = amp_g[:, None, None] * dgg[:, 2:5]
-    de[:, 5] = gs
-    de[:, 6] = gg
-    de[:, 7] = 0.0
-    de[:, 8] = 0.0
-    de[:, 9] = ampgc * dlg
-
+    # Weight columns of the pixel sums F @ W: phi_e (the e-derivative of
+    # the per-pixel log-likelihood) and, with the variance correction,
+    # phi_e2 (its e2-derivative) times gg and gs.
+    w = np.empty((gsz, asm.n_w, m))
     if vc:
-        amp2sc = amp2_s[:, None]
-        amp2gc = amp2_g[:, None]
         gs2 = gs * gs
         gg2 = gg * gg
-        e2 = amp2sc * gs2 + amp2gc * gg2
-        v = e2 - e * e
+        v = kinds[:, _KBS, None] * gs2 + kinds[:, _KBG, None] * gg2 - e * e
         fi2 = fi * fi
         val = np.sum(x * (logf - 0.5 * v * fi2) - f, axis=-1)
-        phi_e = x * fi * (1.0 + (e + v * fi) * fi) - 1.0
+        np.multiply(x * fi, 1.0 + (e + v * fi) * fi, out=w[:, 0])
+        w[:, 0] -= 1.0
         phi_e2 = -0.5 * x * fi2
-
-        de2 = _buf("de2", (gsz, 10, m))
-        de2[:, 0] = 2.0 * (amp2sc * gs * dgs[:, 0] + amp2gc * gg * dgg[:, 0])
-        de2[:, 1] = 2.0 * (amp2sc * gs * dgs[:, 1] + amp2gc * gg * dgg[:, 1])
-        de2[:, 2:5] = (2.0 * amp2_g)[:, None, None] * (
-            gg[:, None, :] * dgg[:, 2:5])
-        de2[:, 5] = 0.0
-        de2[:, 6] = 0.0
-        de2[:, 7] = gs2
-        de2[:, 8] = gg2
-        de2[:, 9] = (2.0 * amp2_g)[:, None] * (gg * dlg)
-
-        gz = _mv(de, phi_e) + _mv(de2, phi_e2)
+        np.multiply(phi_e2, gg, out=w[:, 1])
+        np.multiply(phi_e2, gs, out=w[:, 2])
     else:
         val = np.sum(x * logf - f, axis=-1)
-        phi_e = x * fi - 1.0
-        gz = _mv(de, phi_e)
+        np.multiply(x, fi, out=w[:, 0])
+        w[:, 0] -= 1.0
+    wt = w.transpose(0, 2, 1)
+    sources = [np.matmul(feats, wt).reshape(gsz, -1)]
 
+    if order >= 2:
+        sources.append(_galaxy_curvature(
+            pws, inv, mix, lx, ly, mono, wt[:, :, :2]).reshape(gsz, -1))
+        # Weighted Gram matrices of the leading feature rows: the outer-
+        # product terms de^T diag(phi_ee) de (+ the e2 crosses), and the
+        # phi_e2 one the assembly reads.
+        if vc:
+            fi3x = x * fi2 * fi
+            u = np.empty((gsz, 4, m))
+            np.multiply(fi3x, -(4.0 * e + 3.0 * v * fi), out=u[:, 0])
+            np.multiply(fi3x, gs, out=u[:, 1])
+            np.multiply(fi3x, gg, out=u[:, 2])
+            u[:, 3] = phi_e2
+        else:
+            u = (-x * fi * fi)[:, None]
+        lead = feats[:, :_N_GRAM]
+        gram = np.matmul(
+            (u[:, :, None] * lead[:, None]).reshape(gsz, -1, m),
+            lead.transpose(0, 2, 1))
+        if vc:
+            sources.append(gram[:, 3 * _N_GRAM:].reshape(gsz, -1))
+    src = sources[0] if len(sources) == 1 else np.concatenate(sources, axis=1)
+    lin = np.matmul((src[:, asm.src] * kinds[:, asm.kind])[:, None],
+                    asm.scatter)[:, 0]
+    gz = lin[:, :10]
     if order < 2:
         return val, gz, None
 
-    # -- z-Hessian: outer-product terms ------------------------------------
-    deT = de.transpose(0, 2, 1)
+    # Outer products: with the design maps D_u, the per-pixel
+    # de diag(phi_ee) de^T + cross + cross^T, cross = de diag(phi_ee2)
+    # de2^T, is A P0 A^T + A Y^T + Y A^T for the Gram matrices P_u and
+    # Y = B_s P1 + B_g P2 — written V A^T + A V^T, V = A P0 / 2 + Y.
+    d = np.zeros((gsz, 10, asm.n_maps, _N_GRAM))
+    d[(slice(None),) + asm.design_index] = (kinds[:, asm.design_kind]
+                                            * asm.design_factor)
+    a = d[:, :, 0]
+    half = np.matmul(a, gram[:, :_N_GRAM])
+    half *= 0.5
     if vc:
-        phi_ee = -(x * fi * fi * fi) * (4.0 * e + 3.0 * v * fi)
-        phi_ee2 = x * fi * fi * fi
-        hz = np.matmul(de * phi_ee[:, None, :], deT)
-        cross = np.matmul(de * phi_ee2[:, None, :], de2.transpose(0, 2, 1))
-        hz += cross
-        hz += cross.transpose(0, 2, 1)
-    else:
-        hz = np.matmul(de * (-x * fi * fi)[:, None, :], deT)
-
-    # -- z-Hessian: curvature of e (and e2) in z ---------------------------
-    # Upper-triangular accumulator, symmetrized at the end.
-    t = np.zeros((gsz, 10, 10))
-    ch = _mv(hgs, phi_e)                # (G, 3): star [xx, xy, yy]
-    # Packed galaxy pairs (G, 15, C), pixel-contracted against phi_e and
-    # (with the variance correction) phi_e2 * gg in one pass per group.
-    wts = np.stack([phi_e, phi_e2 * gg] if vc else [phi_e], axis=-1)
-    cgw = dev5 * _group_curvature(kd, wts) \
-        + (1.0 - dev5) * _group_curvature(ke, wts)
-    cg = cgw[:, :, 0]
-    t[:, 0, 0] = amp_s * ch[:, 0] + amp_g * cg[:, 0]
-    t[:, 0, 1] = amp_s * ch[:, 1] + amp_g * cg[:, 1]
-    t[:, 1, 1] = amp_s * ch[:, 2] + amp_g * cg[:, 5]
-    for (p, q), row in _PAIR_ROW.items():
-        if q >= 2:                      # pairs touching shape entries
-            t[:, p, q] += amp_g * cg[:, row]
-    # e is bilinear in (amplitudes, features):
-    sg = _mv(dgs, phi_e)                # (G, 2)
-    t[:, 0, 5] = sg[:, 0]
-    t[:, 1, 5] = sg[:, 1]
-    gp = _mv(dgg, phi_e)                # (G, 5)
-    dl = _mv(dldg, phi_e)
-    for p in range(5):
-        t[:, p, 6] = gp[:, p]
-        t[:, p, 9] = amp_g * dl[:, p]
-    t[:, 6, 9] = np.sum(dlg * phi_e, axis=-1)
-
-    if vc:
-        cs2 = _mv(hgs, phi_e2 * gs)
-        cg2 = cgw[:, :, 1]
-        m1 = np.matmul(dgs * phi_e2[:, None, :],
-                       dgs.transpose(0, 2, 1))    # (G, 2, 2)
-        m2 = np.matmul(dgg * phi_e2[:, None, :],
-                       dgg.transpose(0, 2, 1))    # (G, 5, 5)
-        t[:, 0, 0] += 2.0 * (amp2_s * (m1[:, 0, 0] + cs2[:, 0])
-                             + amp2_g * (m2[:, 0, 0] + cg2[:, 0]))
-        t[:, 0, 1] += 2.0 * (amp2_s * (m1[:, 0, 1] + cs2[:, 1])
-                             + amp2_g * (m2[:, 0, 1] + cg2[:, 1]))
-        t[:, 1, 1] += 2.0 * (amp2_s * (m1[:, 1, 1] + cs2[:, 2])
-                             + amp2_g * (m2[:, 1, 1] + cg2[:, 5]))
-        for (p, q), row in _PAIR_ROW.items():
-            if q >= 2:
-                t[:, p, q] += 2.0 * amp2_g * (m2[:, p, q] + cg2[:, row])
-        # Crosses with the second-moment amplitudes and the mixing fraction.
-        sv = _mv(gs[:, None, :] * dgs, phi_e2)    # (G, 2)
-        t[:, 0, 7] = 2.0 * sv[:, 0]
-        t[:, 1, 7] = 2.0 * sv[:, 1]
-        gv = _mv(gg[:, None, :] * dgg, phi_e2)    # (G, 5)
-        mixv = _mv(dlg[:, None, :] * dgg + gg[:, None, :] * dldg, phi_e2)
-        for p in range(5):
-            t[:, p, 8] = 2.0 * gv[:, p]
-            t[:, p, 9] += 2.0 * amp2_g * mixv[:, p]
-        t[:, 8, 9] = 2.0 * np.sum(phi_e2 * (gg * dlg), axis=-1)
-        t[:, 9, 9] += 2.0 * amp2_g * np.sum(phi_e2 * (dlg * dlg), axis=-1)
-
-    hz += t
-    hz += t.transpose(0, 2, 1)
-    diag = np.arange(10)
-    hz[:, diag, diag] -= t[:, diag, diag]
+        half += np.matmul(d[:, :, 1:].reshape(gsz, 10, 2 * _N_GRAM),
+                          gram[:, _N_GRAM:3 * _N_GRAM])
+    hz = np.matmul(half, a.transpose(0, 2, 1))
+    hz += hz.transpose(0, 2, 1)
+    hz += lin[:, 10:].reshape(gsz, 10, 10)
     return val, gz, hz
 
 

@@ -50,10 +50,13 @@ class ImageMeta:
     epoch: int = 0
 
     def __post_init__(self):
-        if self.sky_level <= 0:
-            raise ValueError("sky_level must be positive")
-        if self.calibration <= 0:
-            raise ValueError("calibration must be positive")
+        # NaN and inf fail ``<= 0`` silently and poison every rate built
+        # from them, so the check is positive *and* finite.
+        for name in ("sky_level", "calibration"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and positive, got %r"
+                                 % (name, value))
 
 
 @dataclass

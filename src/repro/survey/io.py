@@ -8,6 +8,7 @@ simulator's byte counts correspond to real file sizes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
@@ -68,38 +69,47 @@ def _open_field(opener, path: str):
                          % (path, err)) from err
 
 
+@contextlib.contextmanager
+def _image_errors(path: str, index: int):
+    """Name the file and image in a ``ValueError`` from the constructors
+    (a singular or non-finite WCS, an unusable PSF, a non-finite or
+    non-positive sky level or calibration, unmasked non-finite pixels)."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError("field file %s, image %d: %s"
+                         % (path, index, err)) from err
+
+
 def load_field(path: str) -> list[Image]:
     """Read a field file written by :func:`save_field`."""
     with _open_field(np.load, path) as data:
         n = int(data["n_images"])
         images = []
         for i in range(n):
-            wcs = AffineWCS(
-                matrix=data["wcs_matrix_%d" % i],
-                sky_ref=data["wcs_sky_ref_%d" % i],
-                pix_ref=data["wcs_pix_ref_%d" % i],
-            )
-            try:
+            with _image_errors(path, i):
+                wcs = AffineWCS(
+                    matrix=data["wcs_matrix_%d" % i],
+                    sky_ref=data["wcs_sky_ref_%d" % i],
+                    pix_ref=data["wcs_pix_ref_%d" % i],
+                )
                 psf = MixturePSF(
                     weights=data["psf_weights_%d" % i],
                     means=data["psf_means_%d" % i],
                     covs=data["psf_covs_%d" % i],
                 )
-            except ValueError as err:
-                raise ValueError("field file %s, image %d: %s"
-                                 % (path, i, err)) from err
-            meta = ImageMeta(
-                band=int(data["band_%d" % i]),
-                wcs=wcs,
-                psf=psf,
-                sky_level=float(data["sky_level_%d" % i]),
-                calibration=float(data["calibration_%d" % i]),
-                field_id=tuple(int(x) for x in data["field_id_%d" % i]),
-                epoch=int(data["epoch_%d" % i]),
-            )
-            mask = data["mask_%d" % i] if "mask_%d" % i in data else None
-            images.append(Image(pixels=data["pixels_%d" % i], meta=meta,
-                                mask=mask))
+                meta = ImageMeta(
+                    band=int(data["band_%d" % i]),
+                    wcs=wcs,
+                    psf=psf,
+                    sky_level=float(data["sky_level_%d" % i]),
+                    calibration=float(data["calibration_%d" % i]),
+                    field_id=tuple(int(x) for x in data["field_id_%d" % i]),
+                    epoch=int(data["epoch_%d" % i]),
+                )
+                mask = data["mask_%d" % i] if "mask_%d" % i in data else None
+                images.append(Image(pixels=data["pixels_%d" % i], meta=meta,
+                                    mask=mask))
     return images
 
 
@@ -130,11 +140,12 @@ def field_metadata(path: str) -> list[tuple]:
             _open_field(np.load, path) as data:
         for i in range(int(data["n_images"])):
             h, w = _npy_member_shape(zf, "pixels_%d.npy" % i)
-            wcs = AffineWCS(
-                matrix=data["wcs_matrix_%d" % i],
-                sky_ref=data["wcs_sky_ref_%d" % i],
-                pix_ref=data["wcs_pix_ref_%d" % i],
-            )
+            with _image_errors(path, i):
+                wcs = AffineWCS(
+                    matrix=data["wcs_matrix_%d" % i],
+                    sky_ref=data["wcs_sky_ref_%d" % i],
+                    pix_ref=data["wcs_pix_ref_%d" % i],
+                )
             corners = np.array([
                 [0.0, 0.0], [w, 0.0], [0.0, h], [w, h],
             ]) - 0.5

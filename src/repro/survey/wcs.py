@@ -33,11 +33,17 @@ class AffineWCS:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float).reshape(2, 2)
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise ValueError("WCS matrix must be invertible")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "sky_ref", np.asarray(self.sky_ref, dtype=float).reshape(2))
         object.__setattr__(self, "pix_ref", np.asarray(self.pix_ref, dtype=float).reshape(2))
+        # A NaN or inf entry passes the determinant test (NaN compares
+        # false) and sends every mapped position to NaN.
+        for name in ("matrix", "sky_ref", "pix_ref"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("WCS %s must be finite, got %r"
+                                 % (name, getattr(self, name).tolist()))
+        if abs(np.linalg.det(m)) < 1e-12:
+            raise ValueError("WCS matrix must be invertible")
 
     @staticmethod
     def translation(offset_x: float, offset_y: float) -> "AffineWCS":

@@ -234,6 +234,18 @@ class TestSurveyFields:
         b1 = fields[1][0].sky_bounds()
         assert b1[0] < b0[1]
 
+    @pytest.mark.parametrize("name,bad", [
+        ("calibration", np.nan), ("sky_level", np.inf),
+        ("calibration", np.inf)])
+    def test_non_finite_image_metadata_is_refused(self, tiny_survey, name,
+                                                  bad):
+        # Such a field used to run: run_pipeline returned half the sources
+        # with NaN stage ELBOs and nothing raised.
+        _, fields = tiny_survey
+        image = fields[1][0]
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(image.meta, **{name: bad})
+
     def test_truth_inside_survey(self, tiny_survey):
         truth, fields = tiny_survey
         bounds = survey_bounds(fields)

@@ -69,6 +69,17 @@ class TestWCS:
         with pytest.raises(ValueError):
             AffineWCS(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("name,entry", [
+        ("matrix", (0, 0)), ("matrix", (1, 0)), ("sky_ref", (1,)),
+        ("pix_ref", (0,))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, name, entry, bad):
+        parts = {"matrix": np.eye(2), "sky_ref": np.zeros(2),
+                 "pix_ref": np.zeros(2)}
+        parts[name][entry] = bad
+        with pytest.raises(ValueError, match="WCS %s must be finite" % name):
+            AffineWCS(**parts)
+
 
 class TestImage:
     def test_bounds_and_containment(self):
@@ -83,6 +94,15 @@ class TestImage:
         with pytest.raises(ValueError):
             ImageMeta(band=0, wcs=AffineWCS.translation(0, 0),
                       psf=default_psf(), sky_level=-1.0, calibration=100.0)
+
+    @pytest.mark.parametrize("name", ["sky_level", "calibration"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_or_non_positive_meta_rejected(self, name, bad):
+        values = {"sky_level": 100.0, "calibration": 100.0, name: bad}
+        with pytest.raises(ValueError,
+                           match="%s must be finite and positive" % name):
+            ImageMeta(band=0, wcs=AffineWCS.translation(0, 0),
+                      psf=default_psf(), **values)
 
 
 class TestRendering:
@@ -244,6 +264,34 @@ class TestIO:
             load_field(path)
         assert path in str(err.value)
         assert "component 0" in str(err.value)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("calibration_0", np.nan, "calibration must be finite"),
+        ("sky_level_0", np.inf, "sky_level must be finite"),
+        ("wcs_matrix_0", np.full((2, 2), np.nan), "WCS matrix must be finite"),
+        ("wcs_pix_ref_0", np.array([0.0, np.inf]),
+         "WCS pix_ref must be finite"),
+    ])
+    def test_unusable_metadata_is_an_error_naming_the_file(
+            self, tmp_path, key, value, message):
+        from repro.survey import field_metadata
+
+        path = str(tmp_path / "field.npz")
+        save_field(path, self._render_field((16, 16), (2,), masked=False))
+        # Rewrite one stored value, as a file written elsewhere could carry
+        # it (the constructors refuse it in memory).
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[key] = np.asarray(value, dtype=float)
+        np.savez(path, **arrays)
+        readers = [load_field]
+        if key.startswith("wcs_"):
+            readers.append(field_metadata)
+        for read in readers:
+            with pytest.raises(ValueError, match=message) as err:
+                read(path)
+            assert path in str(err.value)
+            assert "image 0" in str(err.value)
 
     def test_missing_file_is_still_file_not_found(self, tmp_path):
         from repro.survey import field_metadata
