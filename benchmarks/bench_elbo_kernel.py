@@ -185,7 +185,7 @@ def test_elbo_kernel_rate(benchmark):
     assert result.val.shape == ()
 
     visits_per_eval = ctx.n_active_pixels
-    if SMOKE:  # --benchmark-disable leaves no stats; take a quick timing
+    if benchmark.stats is None:  # --benchmark-disable: time it here
         seconds = _timed(lambda: elbo(ctx, free, order=2))
     else:
         seconds = benchmark.stats["mean"]
@@ -373,6 +373,8 @@ def test_fixed_cost_records_json():
             "one_pixel_seconds_per_evaluation": tiny,
             "fixed_fraction": tiny / full,
         }
+    split = _one_pixel_split(tiny_ctx, free)
+    record["order2"]["one_pixel_split_ms"] = split
     if not SMOKE:
         _merge_into_json("fixed_cost", record)
 
@@ -383,7 +385,48 @@ def test_fixed_cost_records_json():
               "(%.0f%% fixed)" % (order, 1e3 * e["seconds_per_evaluation"],
                                   1e3 * e["one_pixel_seconds_per_evaluation"],
                                   100.0 * e["fixed_fraction"]))
+    print("order 2 at one pixel per patch, ms: "
+          + ", ".join("%s %.3f" % kv for kv in split.items()))
     print("recorded to %s" % ("(smoke: not recorded)" if SMOKE else BENCH_JSON))
+
+
+def _one_pixel_split(ctx, free) -> dict:
+    """Where a one-lane order-2 evaluation of ``ctx`` goes, in ms: the
+    chain (the bijector pass and the amplitude and shape chains), the KL
+    stack, the chain rule, the pixel term of all patches (the per-call
+    prologue, the per-patch pixel passes and the assembly), and the rest
+    of the evaluation (its total less those four: band-space
+    accumulation, workspace lookup, the front end).  Each part is timed
+    alone on the kernel's own inputs, interleaved with the whole."""
+    from repro.core import kernel
+
+    compiled = compile_elbo_batch([ctx])
+    lay = compiled.layout
+    frees = np.asarray(free, dtype=float)[None]
+    boxed = kernel._bijector_pass(frees)
+    chain = kernel._EvalChain(lay.u_centers, frees, boxed, lay.bands, 2,
+                              True)
+    kl = lay.kl_groups[0][0]
+    inputs = [((chain.u[g.lane], chain.shape[g.lane], chain.dev[g.lane]),
+               chain.amps[:, g.col, g.lane], g) for g in lay.pair_groups]
+    n_q = lay.lb_lane.shape[0]
+    gzq, hzq = np.ones((n_q, 10)), np.ones((n_q, 10, 10))
+    secs = _timed_grid({
+        "total": lambda: elbo(ctx, free, order=2),
+        "chain": lambda: kernel._EvalChain(
+            lay.u_centers, frees, kernel._bijector_pass(frees), lay.bands,
+            2, True),
+        "kl": lambda: kl.evaluate_stacked(frees, 2, boxed),
+        "chain_rule": lambda: chain.chain_rule(gzq, hzq, lay),
+        "pixel_term": lambda: [
+            kernel._pixel_terms(g.stack, rows, amps, g.slots, 2, True)
+            for rows, amps, g in inputs],
+    })
+    split = {k: 1e3 * v for k, v in secs.items()}
+    split["rest"] = split["total"] - sum(
+        v for k, v in split.items() if k != "total")
+    split["patches"] = len(ctx.patches)
+    return split
 
 
 #: Batch sizes of the mixed-shape row.

@@ -85,10 +85,22 @@ grouping depends on the reduced length), which makes every lane's result
 bit-for-bit independent of what shares its batch — the invariant the lockstep
 optimizer (:func:`repro.core.single.optimize_sources_batch`) and the
 driver's catalog-level parity tests rely on.  Shape grouping splits only
-the pixel sweep: the pixel-count-independent stages — the bijector and
-flux-moment chain (:class:`_EvalChain`), the chain rule (once per band) and
-the KL term (once per shared ``Priors``) — run once per batch call over all
-its lanes, however many shape groups the call sweeps.
+the pixel passes.  Everything that does not scale with pixels runs once
+per batch call over all its lanes, however many sweeps and patches the
+call has: one elementwise pass maps every LogitBox coordinate of the
+call's free matrix (:func:`_bijector_pass`), and the bijector and
+flux-moment chain (:class:`_EvalChain`) and the KL term (once per shared
+``Priors``) both read it; one *prologue* (:func:`_prologue`) forms each
+(lane, patch) pair's small inputs — pixel-frame position, amplitude
+kinds, inverse covariances, feature and curvature coefficients — stacked
+over every pair of one component count (a wide batch in cache-sized
+chunks of whole sweeps), and one assembly
+(:func:`_assemble`) turns every pair's pixel sums into z-space blocks;
+the pairs' blocks are mapped into band space and summed per (lane,
+band) in slot order, and the chain rule runs once over the call's (lane,
+band) pairs through index maps built at import time.  The layout of a
+call (:class:`_Layout`) is resolved once per batch, and cached on the
+context for a one-lane call.
 
 **Per-thread scratch.**  A patch's pixel-sized temporaries — the mixture
 pass's offsets and monomials, the feature rows, and the moment pass's
@@ -98,9 +110,10 @@ Cyclades worker thread re-uses the same memory across every iteration of
 every source it updates (see :mod:`repro.parallel.cyclades`); the
 executor releases them when an assignment completes.
 
-**One implementation.**  The per-patch pixel term
-(:func:`_patch_pixel_term`) is written once, as the stacked NumPy sweeps
-above, and every evaluation runs it.  Its oracles live in the tests: the
+**One implementation.**  The pixel term (:func:`_pixel_terms`: the
+per-call prologue, the per-patch pixel passes of :func:`_patch_pixel_term`
+and the assembly) is written once, as the stacked NumPy sweeps above, and
+every evaluation runs it.  Its oracles live in the tests: the
 Taylor-mode ELBO for the whole objective (``tests/taylor_oracle/``, pinned
 by ``tests/test_elbo_backends.py``), and per-component, per-pixel builds
 of the feature rows, the galaxy Hessian rows and the entry-by-entry
@@ -135,7 +148,10 @@ from repro.core.params import (
 )
 from repro.core.priors import Priors
 from repro.transforms import LogitBox
-from repro.transforms.bijectors import softmax_fixed_last_d012_stacked
+from repro.transforms.bijectors import (
+    logit_box_d012,
+    softmax_fixed_last_d012_stacked,
+)
 
 if TYPE_CHECKING:
     from repro.core.elbo import SourceContext
@@ -179,6 +195,34 @@ _AMP_IDX = ([_IDX_A] + _FLUX_IDX[STAR], [_IDX_A] + _FLUX_IDX[GALAXY])
 
 _BIJ_U = LogitBox(-U_BOX_HALFWIDTH, U_BOX_HALFWIDTH)
 
+#: Every :class:`LogitBox` coordinate of the free vector, ascending, with
+#: its box — every bijector of :mod:`repro.core.params` but the
+#: responsibilities' softmax.  :func:`_bijector_pass` maps them all at
+#: once through per-coordinate ``lo`` / ``span`` vectors; ``_BOX[i]`` is
+#: free index ``i``'s column in that pass.
+_BOXES = ([(_IDX_A, _BIJ_PROB)] + [(i, _BIJ_U) for i in _IDX_U]
+          + [(i, _BIJ_R2) for i in FREE.indices("r2")]
+          + [(i, _BIJ_C2) for i in FREE.indices("c2")]
+          + [(_IDX_DEV, _BIJ_DEV), (_SHAPE_IDX[0], _BIJ_AXIS),
+             (_SHAPE_IDX[2], _BIJ_SCALE)])
+_BOX_IDX = np.array([i for i, _ in _BOXES], dtype=np.intp)
+_BOX_LO = np.array([b.lo for _, b in _BOXES])
+_BOX_SPAN = np.array([b.hi - b.lo for _, b in _BOXES])
+_BOX = {i: col for col, (i, _) in enumerate(_BOXES)}
+_BX_U = slice(_BOX[_IDX_U[0]], _BOX[_IDX_U[1]] + 1)
+_BX_R2 = slice(_BOX[FREE["r2"].start], _BOX[FREE["r2"].stop - 1] + 1)
+_BX_C2 = slice(_BOX[FREE["c2"].start], _BOX[FREE["c2"].stop - 1] + 1)
+
+
+def _bijector_pass(frees: np.ndarray) -> tuple:
+    """Every LogitBox coordinate of the ``(N, 41)`` free matrix through its
+    box in one elementwise pass: ``(value, d1, d2)``, each ``(N, 16)`` in
+    :data:`_BOXES` order.  A batch call runs it once and the chain, the
+    amplitude and shape chains and the KL stack all read from it; each
+    element gets the arithmetic its own :class:`LogitBox` gives it."""
+    return logit_box_d012(frees[:, _BOX_IDX], _BOX_LO, _BOX_SPAN)
+
+
 #: Packed upper-triangle pair order of the 5 spatial variables
 #: ``[upx, upy, sxx, sxy, syy]`` used for feature-Hessian rows.
 _PAIRS = [(p, q) for p in range(5) for q in range(p, 5)]
@@ -187,24 +231,40 @@ _PAIR_ROW = {pq: r for r, pq in enumerate(_PAIRS)}
 # KL-term index bookkeeping: the free indices of one type's blocks, in the
 # local order the KL kernel accumulates them ``[r1, r2, c1 x4, c2 x4, k x7]``.
 _IDX_R1 = np.asarray(FREE.indices("r1"))
-_IDX_R2 = np.asarray(FREE.indices("r2"))
 _IDX_C1 = np.asarray(FREE.indices("c1")).reshape(2, NUM_COLORS)
-_IDX_C2 = np.asarray(FREE.indices("c2")).reshape(2, NUM_COLORS)
 _IDX_K = np.asarray(FREE.indices("k")).reshape(2, NUM_COLOR_COMPONENTS - 1)
 _KL_TYPE_IDX = np.array([
-    np.concatenate(([_IDX_R1[ty], _IDX_R2[ty]], _IDX_C1[ty], _IDX_C2[ty],
+    np.concatenate(([_IDX_R1[ty], FREE.indices("r2")[ty]], _IDX_C1[ty],
+                    np.asarray(FREE.indices("c2")).reshape(2, -1)[ty],
                     _IDX_K[ty]))
     for ty in (STAR, GALAXY)])
-#: Broadcast ``(T, 17, 17)`` index pair of both types' KL Hessian blocks.
-_KL_TYPE_ROWS = _KL_TYPE_IDX[:, :, None]
-_KL_TYPE_COLS = _KL_TYPE_IDX[:, None, :]
+_N_KL = _KL_TYPE_IDX.shape[1]
+#: Flat ``(41 * 41)`` positions the KL Hessian's type terms land on, in
+#: the order :meth:`KlWorkspace.evaluate_stacked` concatenates them: both
+#: types' ``(17, 17)`` blocks, then the type-logit row and column.
+_KL_HESS_FLAT = np.concatenate([
+    (_KL_TYPE_IDX[:, :, None] * FREE.size + _KL_TYPE_IDX[:, None, :]).ravel(),
+    _IDX_A * FREE.size + _KL_TYPE_IDX.ravel(),
+    _KL_TYPE_IDX.ravel() * FREE.size + _IDX_A])
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: Diagonal index vectors for the stacked KL Hessian's separable color
-#: blocks (``h[:, _DIAG_C1, _DIAG_C1]`` is the lane-stacked image of
-#: ``np.fill_diagonal(h[2:6, 2:6], ...)``).
-_DIAG_C1 = np.arange(2, 6)
-_DIAG_C2 = np.arange(6, 10)
+#: ``(STAR, GALAXY)`` signs and offsets of the type probabilities: ``p =
+#: pg * _TYPE_SIGN + _TYPE_BASE`` is ``(1 - pg, pg)`` exactly (subtraction
+#: is the addition of a negation), and its derivatives are ``pg' *
+#: _TYPE_SIGN``.
+_TYPE_SIGN = np.array([-1.0, 1.0])
+_TYPE_BASE = np.array([1.0, 0.0])
+
+
+def _type_weights(pg: np.ndarray) -> np.ndarray:
+    """``(G, 2)`` type probabilities ``(1 - pg, pg)``."""
+    p = pg[:, None] * _TYPE_SIGN
+    p += _TYPE_BASE
+    return p
+
+#: Flat ``(17 * 17)`` positions of the type-term Hessian's diagonal
+#: entries: the ``r1``, ``r2``, ``c1`` and ``c2`` diagonals, in that order.
+_KL_DIAG_FLAT = np.arange(10) * (_N_KL + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +371,19 @@ def _lane_sweep_cap(per_lane: int) -> int:
     return min(1024, max(1, max(l2, llc // 8) // working))
 
 
+def _prologue_cap() -> int:
+    """Max (pair, component) elements per prologue stack
+    (:class:`_Layout`).  The prologue's widest array, the order-2 feature
+    coefficients, holds ``18 * 6`` doubles per pair and component; the
+    cap keeps it within half the L2 cache (the fallback budget's bytes
+    when the probe fails), so a wide batch — 64 lanes of three patches is
+    192 pairs — forms its prologue a few sweeps at a time instead of in
+    one array that spills the cache.  Result-invariant: the prologue is
+    elementwise per pair."""
+    l2, _ = _cache_bytes()
+    return max(1, (l2 or 8 * _LANE_SWEEP_BUDGET) // (2 * 8 * 18 * 6))
+
+
 def _scratch(name: str, size: int) -> np.ndarray:
     """Borrow ``size`` float64 elements of the calling thread's buffer
     ``name``.
@@ -366,7 +439,7 @@ class KlWorkspace:
       softmax Jacobian/Hessian.
 
     Free-parameter derivatives chain through the same logistic bijectors as
-    the canonical map (:meth:`LogitBox.forward_d012_vec`) and through
+    the canonical map (:func:`_bijector_pass`) and through
     :func:`softmax_fixed_last_d012_stacked` for the responsibilities; the whole
     evaluation is a few dozen operations on arrays no larger than the 8x2
     mixture table, so it is pixel-count-independent.  Everything
@@ -376,7 +449,8 @@ class KlWorkspace:
     """
 
     __slots__ = ("logit_phi", "log_phi", "log_1mphi", "r_loc", "r_ivar",
-                 "log_r_var", "log_w", "c_mean", "c_ivar", "e_const")
+                 "half_r_ivar", "log_r_var", "log_w", "c_mean", "c_ivar",
+                 "neg_c_ivar", "de_c2", "e_const")
 
     def __init__(self, priors: Priors):
         phi = float(priors.prob_galaxy)
@@ -385,6 +459,7 @@ class KlWorkspace:
         self.logit_phi = self.log_phi - self.log_1mphi
         self.r_loc = np.asarray(priors.r_loc, dtype=float)
         self.r_ivar = 1.0 / np.asarray(priors.r_var, dtype=float)
+        self.half_r_ivar = 0.5 * self.r_ivar
         self.log_r_var = np.log(np.asarray(priors.r_var, dtype=float))
         with np.errstate(divide="ignore"):  # zero mixture weights -> -inf,
             # matching the reference expression exactly
@@ -396,27 +471,32 @@ class KlWorkspace:
         self.c_mean = np.ascontiguousarray(
             np.asarray(priors.c_mean, dtype=float).transpose(2, 0, 1))
         self.c_ivar = np.ascontiguousarray((1.0 / c_var).transpose(2, 0, 1))
+        self.neg_c_ivar = -self.c_ivar
+        #: dE_d / dc2_i, constant: ``-c_ivar / 2``.
+        self.de_c2 = -0.5 * self.c_ivar
         #: Constant part of E_d: ``-0.5 sum_i (log 2pi + log v0_id)``, (T, D).
         self.e_const = np.ascontiguousarray(
             (-0.5 * (_LOG_2PI + np.log(c_var)).sum(axis=0)).T)
 
-    def _type_terms_stacked(self, frees: np.ndarray, order: int):
+    def _type_terms_stacked(self, frees: np.ndarray, boxed: tuple,
+                            order: int):
         """Both types' ``KL_bright + color`` terms over their own 17 free
         indices ``[r1, r2, c1 x4, c2 x4, k x7]`` (:data:`_KL_TYPE_IDX`,
         before the type-probability weighting), stacked over lanes and a
-        ``(STAR, GALAXY)`` type axis: ``frees`` is ``(G, 41)`` and the
-        returned ``(value, gradient, hessian)`` are ``(G, 2)``, ``(G, 2,
-        17)`` and ``(G, 2, 17, 17)``.  Every operation is independent
-        across lanes and types — elementwise ufuncs, reductions over
-        non-lane axes, and stacked ``matmul`` (which dispatches the
-        identical per-matrix product) — so lane ``i`` is bit-for-bit what a
-        one-lane call on ``frees[i]`` returns, which the lane-independence
-        tests pin."""
+        ``(STAR, GALAXY)`` type axis: ``frees`` is ``(G, 41)``, ``boxed``
+        its :func:`_bijector_pass`, and the returned ``(value, gradient,
+        hessian)`` are ``(G, 2)``, ``(G, 2, 17)`` and ``(G, 2, 17, 17)``.
+        Every operation is independent across lanes and types —
+        elementwise ufuncs, reductions over non-lane axes, and stacked
+        ``matmul`` (which dispatches the identical per-matrix product) — so
+        lane ``i`` is bit-for-bit what a one-lane call on ``frees[i]``
+        returns, which the lane-independence tests pin."""
         gsz = frees.shape[0]
+        bv, b1, b2 = boxed
 
         # Gaussian log-brightness KL.
         m = frees[:, _IDX_R1]                                # (G, T)
-        v, v1, v2 = _BIJ_R2.forward_d012_vec(frees[:, _IDX_R2])
+        v, v1, v2 = bv[:, _BX_R2], b1[:, _BX_R2], b2[:, _BX_R2]
         diff = m - self.r_loc
         iv0 = self.r_ivar
         gb = -0.5 * ((v + diff * diff) * iv0 - 1.0 + self.log_r_var
@@ -425,29 +505,30 @@ class KlWorkspace:
         # Color GMM term: expected component log-densities and their
         # (separable) color derivatives.
         c1 = frees[:, _IDX_C1]                               # (G, T, C)
-        c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, _IDX_C2])
-        dif = c1[..., None] - self.c_mean[None]              # (G, T, C, D)
+        c2v = bv[:, _BX_C2].reshape(gsz, 2, NUM_COLORS)
+        dif = c1[..., None] - self.c_mean                    # (G, T, C, D)
         iv = self.c_ivar                                     # (T, C, D)
-        e = self.e_const[None] - 0.5 * (
-            (c2v[..., None] + dif * dif) * iv[None]).sum(axis=2)
-        de_c1 = -dif * iv[None]                              # dE_d/dc1_i
-        de_c2 = -0.5 * iv                                    # dE_d/dc2_i
+        e = self.e_const - 0.5 * (
+            (c2v[..., None] + dif * dif) * iv).sum(axis=2)
+        de_c1 = -dif * iv                                    # dE_d/dc1_i
+        de_c2 = self.de_c2                                   # dE_d/dc2_i
 
         kappa, kjac, kh2 = softmax_fixed_last_d012_stacked(
             frees[:, _IDX_K].reshape(2 * gsz, -1))
         kappa = kappa.reshape(gsz, 2, -1)                    # (G, T, D)
         kjac = kjac.reshape(gsz, 2, *kjac.shape[1:])
-        r = e + self.log_w[None] - np.log(kappa)             # (G, T, D)
+        r = e + self.log_w - np.log(kappa)                   # (G, T, D)
         val = (gb + np.matmul(kappa[..., None, :], r[..., None])[..., 0, 0]
                + 0.5 * np.sum(np.log(c2v) + _LOG_2PI + 1.0, axis=-1))
         if order < 1:
             return val, None, None
 
-        dv = 0.5 / v - 0.5 * iv0                             # d gb / d v
-        gc2 = (np.matmul(de_c2[None], kappa[..., None])[..., 0]
+        c2d1 = b1[:, _BX_C2].reshape(gsz, 2, NUM_COLORS)
+        dv = 0.5 / v - self.half_r_ivar                      # d gb / d v
+        gc2 = (np.matmul(de_c2, kappa[..., None])[..., 0]
                + 0.5 / c2v)                                  # d/d c2
         s = r - 1.0                                          # d/d kappa_d
-        g = np.empty((gsz, 2, _KL_TYPE_IDX.shape[1]))
+        g = np.empty((gsz, 2, _N_KL))
         g[..., 0] = -diff * iv0
         g[..., 1] = dv * v1
         g[..., 2:6] = np.matmul(de_c1, kappa[..., None])[..., 0]
@@ -456,16 +537,17 @@ class KlWorkspace:
         if order < 2:
             return val, g, None
 
-        h = np.zeros((gsz, 2, g.shape[2], g.shape[2]))
-        h[..., 0, 0] = -iv0
-        h[..., 1, 1] = -0.5 / (v * v) * v1 * v1 + dv * v2
-        h[..., _DIAG_C1, _DIAG_C1] = np.matmul(
-            (-iv)[None], kappa[..., None])[..., 0]
-        h[..., _DIAG_C2, _DIAG_C2] = (-0.5 / (c2v * c2v) * c2d1 * c2d1
-                                      + gc2 * c2d2)
+        c2d2 = b2[:, _BX_C2].reshape(gsz, 2, NUM_COLORS)
+        h = np.zeros((gsz, 2, _N_KL, _N_KL))
+        diag = np.empty((gsz, 2, 10))
+        diag[..., 0] = -iv0
+        diag[..., 1] = -0.5 / (v * v) * v1 * v1 + dv * v2
+        diag[..., 2:6] = np.matmul(self.neg_c_ivar, kappa[..., None])[..., 0]
+        diag[..., 6:10] = -0.5 / (c2v * c2v) * c2d1 * c2d1 + gc2 * c2d2
+        h.reshape(gsz, 2, -1)[..., _KL_DIAG_FLAT] = diag
         # Responsibility x color coupling, through the softmax Jacobian.
         c1k = np.matmul(de_c1, kjac)                         # (G, T, 4, 7)
-        c2k = np.matmul(de_c2[None], kjac) * c2d1[..., None]
+        c2k = np.matmul(de_c2, kjac) * c2d1[..., None]
         h[..., 2:6, 10:] = c1k
         h[..., 10:, 2:6] = c1k.swapaxes(-1, -2)
         h[..., 6:10, 10:] = c2k
@@ -479,12 +561,15 @@ class KlWorkspace:
                                 kjac))
         return val, g, h
 
-    def evaluate_stacked(self, frees: np.ndarray, order: int):
+    def evaluate_stacked(self, frees: np.ndarray, order: int,
+                         boxed: tuple | None = None):
         """KL value / 41-gradient / 41x41-Hessian for ``(G, 41)`` stacked
         free vectors: ``(value (G,), gradient (G, 41), hessian (G, 41,
         41))`` with the derivative slots ``None`` beyond ``order``; the
         returned arrays are freshly allocated (the fused objective
-        accumulates the pixel term into them in place).
+        accumulates the pixel term into them in place).  ``boxed`` is the
+        rows' :func:`_bijector_pass` when the caller has it (a fused call
+        shares its one pass); alone, the KL stack runs its own.
 
         Lane ``i`` of every output is bit-for-bit what a one-lane call on
         ``frees[i]`` returns (the lane-independence argument in
@@ -492,12 +577,15 @@ class KlWorkspace:
         dispatch cost is amortized across a whole call's lanes without
         results depending on how lanes were grouped."""
         frees = np.asarray(frees, dtype=np.float64)
+        if boxed is None:
+            boxed = _bijector_pass(frees)
         gsz = frees.shape[0]
         grad = np.zeros((gsz, FREE.size)) if order >= 1 else None
         hess = (np.zeros((gsz, FREE.size, FREE.size))
                 if order >= 2 else None)
 
-        pg, pg1, pg2 = _BIJ_PROB.forward_d012_vec(frees[:, _IDX_A])
+        a = _BOX[_IDX_A]
+        pg, pg1, pg2 = boxed[0][:, a], boxed[1][:, a], boxed[2][:, a]
         ps = 1.0 - pg
         log_pg = np.log(pg)
         log_ps = np.log(ps)
@@ -510,9 +598,9 @@ class KlWorkspace:
             hess[:, _IDX_A, _IDX_A] = (-(1.0 / pg + 1.0 / ps) * pg1 * pg1
                                        + db * pg2)
 
-        tval, tgrad, thess = self._type_terms_stacked(frees, order)
-        p = np.stack([ps, pg], axis=1)                       # (G, T)
-        pa1 = np.stack([-pg1, pg1], axis=1)
+        tval, tgrad, thess = self._type_terms_stacked(frees, boxed, order)
+        p = _type_weights(pg)                                # (G, T)
+        pa1 = pg1[:, None] * _TYPE_SIGN
         # The two types' index blocks are disjoint; they meet only at the
         # type logit, where star accumulates before galaxy.
         val += p[:, STAR] * tval[:, STAR]
@@ -522,11 +610,10 @@ class KlWorkspace:
             grad[:, _IDX_A] += pa1[:, STAR] * tval[:, STAR]
             grad[:, _IDX_A] += pa1[:, GALAXY] * tval[:, GALAXY]
         if order >= 2:
-            hess[:, _KL_TYPE_ROWS, _KL_TYPE_COLS] += (
-                p[:, :, None, None] * thess)
-            cross = pa1[:, :, None] * tgrad
-            hess[:, _IDX_A, _KL_TYPE_IDX] += cross
-            hess[:, _KL_TYPE_IDX, _IDX_A] += cross
+            cross = (pa1[:, :, None] * tgrad).reshape(gsz, -1)
+            hess.reshape(gsz, -1)[:, _KL_HESS_FLAT] += np.concatenate(
+                [(p[:, :, None, None] * thess).reshape(gsz, -1), cross,
+                 cross], axis=1)
             hess[:, _IDX_A, _IDX_A] += -pg2 * tval[:, STAR]
             hess[:, _IDX_A, _IDX_A] += pg2 * tval[:, GALAXY]
         return val, grad, hess
@@ -556,26 +643,67 @@ def _kl_workspace(priors: Priors) -> KlWorkspace:
     return ws
 
 
-class _PatchWorkspace:
+class _PairStack:
+    """The per-component statics of (lane, patch) pairs, stacked on a
+    leading pair axis: what a patch contributes to its evaluation apart
+    from its pixels.  The per-call prologue (:func:`_prologue`) reads a
+    whole call's pairs of one component count at once from here, so each
+    patch's small work runs once per call rather than once per patch.
+
+    ``w2pi`` / ``var`` ``(P, C, 1)`` and ``pcov`` ``(P, C, 3)`` (the PSF
+    covariance ``pxx, pxy, pyy``) describe the components; ``fac``,
+    ``base0``, ``mix0`` and ``vpow`` are the pixel-static parts of the
+    feature and curvature coefficients (see :class:`_PatchWorkspace`);
+    ``iota`` / ``iotas`` ``(P, 4)`` the calibration and its powers per
+    amplitude kind, ``wa`` / ``wt`` the affine WCS and ``zmap`` the
+    patch-to-band map."""
+
+    __slots__ = ("n_star", "n_dev", "w2pi", "var", "pcov", "fac", "base0",
+                 "mix0", "vpow", "iota", "iotas", "wa", "wt", "zmap")
+
+    _STACKED = ("w2pi", "var", "pcov", "fac", "base0", "mix0", "vpow",
+                "iota", "iotas", "wa", "wt", "zmap")
+
+    @property
+    def comp_key(self) -> tuple:
+        """Component counts (star, dev, exp): pairs with equal keys share
+        one prologue stack."""
+        return (self.n_star, self.n_dev,
+                self.var.shape[1] - self.n_star - self.n_dev)
+
+    @staticmethod
+    def concat(parts: list) -> "_PairStack":
+        """The pairs of ``parts`` (same component key), in order."""
+        if len(parts) == 1:
+            return parts[0]
+        out = object.__new__(_PairStack)
+        out.n_star, out.n_dev = parts[0].n_star, parts[0].n_dev
+        for name in _PairStack._STACKED:
+            setattr(out, name, np.concatenate(
+                [getattr(s, name) for s in parts], axis=0))
+        return out
+
+
+class _PatchWorkspace(_PairStack):
     """Everything pixel-static about one patch slot, precomputed.
 
-    Arrays are lane-stacked (leading axis ``G``); ``bands``/``iota``/
-    ``wa``/``wt``/``zmap`` hold one entry per lane because those feed
-    per-lane scalars and the band-space map, not the stacked pixel sweep.
-    A per-context workspace is the ``G = 1`` case; :meth:`_concat` builds a batch lane group from
-    same-shaped patch slots without copying any per-context compile work."""
+    Arrays are lane-stacked (leading axis ``G``): the pixel arrays
+    (``counts``, ``bg``, and the component-offset grids ``grid``)
+    the per-patch pixel pass reads, and — as a :class:`_PairStack` of its
+    ``G`` (lane, slot) pairs — the statics the per-call prologue reads.  A
+    per-context workspace is the ``G = 1`` case; :meth:`_concat` builds a
+    batch lane group from same-shaped patch slots without copying any
+    per-context compile work."""
 
-    __slots__ = ("bands", "iota", "counts", "bg", "n_pixels", "n_star",
-                 "n_dev", "w2pi", "var", "pxx", "pxy", "pyy", "px", "py",
-                 "fac", "base0", "mix0", "vpow", "wa", "wt", "zmap")
+    __slots__ = ("bands", "counts", "bg", "n_pixels", "grid")
 
-    _STACKED = ("counts", "bg", "w2pi", "var", "pxx", "pxy", "pyy", "px",
-                "py", "fac", "base0", "mix0", "vpow", "iota", "wa", "wt",
-                "zmap")
+    _STACKED = _PairStack._STACKED + ("counts", "bg", "grid")
 
     def __init__(self, patch):
         self.bands = (patch.band,)
-        self.iota = np.array([float(patch.calibration)])
+        iota = float(patch.calibration)
+        self.iota = np.array([iota])
+        self.iotas = np.array([[iota, iota, iota * iota, iota * iota]])
         self.counts = np.asarray(patch.counts, dtype=np.float64)[None]
         self.bg = np.asarray(patch.background, dtype=np.float64)[None]
         self.n_pixels = patch.n_pixels
@@ -589,20 +717,22 @@ class _PatchWorkspace:
         self.n_star, self.n_dev = len(w), len(dev[0])
         cols = [np.concatenate(c)[None] for c in zip(
             (w, np.zeros_like(w), mux, muy, sxx, sxy, syy), dev, exp)]
-        ww, var, mux, muy, self.pxx, self.pxy, self.pyy = cols
+        ww, var, mux, muy, pxx, pxy, pyy = cols
         self.w2pi = ww / _TWO_PI                              # (1, C, 1)
         self.var = var
-        self.px = patch.px[None, None, :] - mux               # (1, C, M)
-        self.py = patch.py[None, None, :] - muy
+        self.pcov = np.concatenate([pxx, pxy, pyy], axis=2)   # (1, C, 3)
+        #: Pixel offsets from each component mean, ``(1, 2, C, M)``.
+        self.grid = np.stack([patch.px[None, :] - mux[0],
+                             patch.py[None, :] - muy[0]])[None]
         # The pixel-static parts of the feature-row coefficients
-        # (_feature_rows): per component, the six base rows over the six
-        # monomials — monomials 0-2 as they are, 3-5 times the component's
-        # factor ``fac`` (1 on the star's position Hessian, ``var / 2, var,
-        # var / 2`` on a galaxy's shape gradient, as shape enters C through
-        # ``var``); their ``-fac * I`` entries on monomial 0 are filled per
-        # evaluation.  ``mix0`` holds the fixed row-group weights (the
-        # ``e_dev`` ones are filled per evaluation), ``vpow`` the galaxy
-        # components' ``var^0..2`` for the Hermite basis.
+        # (_feature_coefficients): per component, the six base rows over
+        # the six monomials — monomials 0-2 as they are, 3-5 times the
+        # component's factor ``fac`` (1 on the star's position Hessian,
+        # ``var / 2, var, var / 2`` on a galaxy's shape gradient, as shape
+        # enters C through ``var``); their ``-fac * I`` entries on monomial
+        # 0 are filled per evaluation.  ``mix0`` holds the fixed row-group
+        # weights (the ``e_dev`` ones are filled per evaluation), ``vpow``
+        # the galaxy components' ``var^0..2`` for the Hermite basis.
         n_comp, ns, nd = var.shape[1], self.n_star, self.n_dev
         fac = np.ones((1, 3, n_comp))
         fac[0, :, ns:] = np.array([[0.5], [1.0], [0.5]]) * var[0, ns:, 0]
@@ -632,7 +762,6 @@ class _PatchWorkspace:
         # carry the calibration (second moments its square).  This fixed
         # map, dz_patch / dz_band, chains a patch's pixel-term blocks into
         # band space before any free-parameter Jacobian is touched.
-        iota = float(patch.calibration)
         zmap = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, iota, iota,
                         iota * iota, iota * iota, 1.0])
         zmap[:2, :2] = self.wa[0]
@@ -642,8 +771,7 @@ class _PatchWorkspace:
     def shape_key(self) -> tuple:
         """Array shapes that must match for lanes to stack: star component
         count, galaxy component counts per group, and pixel count."""
-        return (self.n_star, self.n_dev,
-                self.px.shape[1] - self.n_star - self.n_dev, self.n_pixels)
+        return self.comp_key + (self.n_pixels,)
 
     @classmethod
     def _concat(cls, slots):
@@ -658,18 +786,37 @@ class _PatchWorkspace:
 
 
 class _FusedWorkspace:
-    __slots__ = ("patches", "kl")
+    """One context's compiled workspace: its patch slots, its prologue
+    stacks (its patches grouped by :attr:`_PairStack.comp_key`, in slot
+    order), its shared :class:`KlWorkspace`, and — built on the first
+    one-lane call and kept — its one-lane :class:`_Layout`.  It holds no
+    reference to the context, so caching it there makes no cycle."""
+
+    __slots__ = ("patches", "kl", "u_center", "stacks", "_alone")
 
     def __init__(self, ctx: SourceContext):
         self.patches = [_PatchWorkspace(p) for p in ctx.patches]
         # Shared across every context evaluated under the same priors.
         self.kl = _kl_workspace(ctx.priors)
+        self.u_center = np.asarray(ctx.u_center, dtype=float)
+        by_key: dict[tuple, list] = {}
+        for pws in self.patches:
+            by_key.setdefault(pws.comp_key, []).append(pws)
+        self.stacks = {key: _PairStack.concat(parts)
+                       for key, parts in by_key.items()}
+        self._alone = None
 
     @property
     def signature(self) -> tuple:
         """Stacking compatibility: contexts with equal signatures can share
         one lane group (patch-by-patch equal array shapes)."""
         return tuple(p.shape_key for p in self.patches)
+
+    def alone(self) -> "_Layout":
+        """The layout of a call that evaluates this context alone."""
+        if self._alone is None:
+            self._alone = _Layout([self])
+        return self._alone
 
 
 def _context_workspace(ctx: SourceContext) -> _FusedWorkspace:
@@ -679,6 +826,173 @@ def _context_workspace(ctx: SourceContext) -> _FusedWorkspace:
     return ws
 
 
+class _Ranks:
+    """Rank columns of a list of index lists (:func:`_ranks`): column
+    ``r`` holds every list's ``r``-th entry, or the pad index where a list
+    is shorter; ``padded`` says whether any column uses it."""
+
+    __slots__ = ("cols", "padded")
+
+
+def _ranks(lists: list, pad: int) -> _Ranks:
+    width = max((len(x) for x in lists), default=0)
+    table = np.full((len(lists), width), pad, dtype=np.intp)
+    for i, x in enumerate(lists):
+        table[i, :len(x)] = x
+    out = _Ranks()
+    out.cols = [np.ascontiguousarray(table[:, r]) for r in range(width)]
+    out.padded = bool((table == pad).any())
+    return out
+
+
+def _ordered_sum(blocks: list, ranks: _Ranks, n: int) -> np.ndarray:
+    """Row ``i`` of the result is ``0 + rows[ranks[0][i]] +
+    rows[ranks[1][i]] + ...``, added in rank order — the sequence of
+    in-place ``+=`` onto zeros a per-item loop would run — for ``rows``
+    the concatenated ``blocks``.  Where a list is shorter its pad index
+    reads one extra zero row: an accumulator that starts at ``+0.0`` is
+    never ``-0.0``, so adding ``+0.0`` to it is exact."""
+    tail = blocks[0].shape[1:]
+    if ranks.padded:
+        blocks = blocks + [np.zeros((1,) + tail)]
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if not ranks.cols:
+        return np.zeros((n,) + tail)
+    out = rows.take(ranks.cols[0], axis=0)
+    out += 0.0                          # the first add, onto zeros
+    for idx in ranks.cols[1:]:
+        out += rows.take(idx, axis=0)
+    return out
+
+
+class _Group:
+    """One prologue stack of a call: every (lane, patch) pair of one
+    component key, lane-major within each sweep, with each pair's lane and
+    band column, and each patch slot's pixel workspace with its rows."""
+
+    __slots__ = ("stack", "lane", "col", "slots")
+
+
+class _Layout:
+    """Where everything of a batch call lives: the index structure that
+    the per-call prologue, the per-patch pixel passes, the band-space
+    accumulation and the chain rule read, resolved once per batch (and
+    cached on the context for a one-lane call).
+
+    - ``sweeps``: ``(lanes, patch stacks)`` per stacked pixel sweep.
+    - ``pair_groups``: one :class:`_Group` per component key and prologue
+      chunk — consecutive whole sweeps, as many as fit the cache budget
+      of :func:`_prologue_cap` (every call of a few lanes is one chunk).
+      A sweep of ``G`` lanes whose slots of that key number ``S`` owns
+      ``G * S`` consecutive rows, lane-major, so slot ``r``'s lanes are
+      the strided rows ``base + r :: S`` — a view, never a gather.
+    - ``lb_lane`` / ``lb_col``: every observed (lane, band) pair,
+      band-major, the order the chain rule adds bands into a lane.
+    - ``pair_rank`` / ``lane_rank`` / ``lb_rank``: :func:`_ranks` that
+      sum patches into their (lane, band) pair and values into their lane
+      in slot order, and bands into their lane in band order — the order
+      a per-patch, per-band loop would add them.
+    """
+
+    __slots__ = ("u_centers", "bands", "kl_groups", "sweeps", "pair_groups",
+                 "lb_lane", "lb_col", "pair_rank", "lane_rank", "lb_rank")
+
+    def __init__(self, members: list):
+        n = len(members)
+        #: The ``(N, 2)`` box centers, the sorted bands any lane observes,
+        #: and the lanes grouped by shared :class:`KlWorkspace` (one
+        #: stacked KL evaluation each).
+        self.u_centers = np.array([m.u_center for m in members]).reshape(n, 2)
+        lane_bands = [{p.bands[0] for p in m.patches} for m in members]
+        self.bands = tuple(sorted(set().union(*lane_bands)))
+        col = {b: i for i, b in enumerate(self.bands)}
+        by_kl: dict[int, tuple] = {}
+        for l, m in enumerate(members):
+            by_kl.setdefault(id(m.kl), (m.kl, []))[1].append(l)
+        self.kl_groups = [(kl, np.array(ls, dtype=np.intp))
+                          for kl, ls in by_kl.values()]
+
+        by_sig: dict[tuple, list[int]] = {}
+        for l, m in enumerate(members):
+            by_sig.setdefault(m.signature, []).append(l)
+        self.sweeps = []
+        for sig, lanes in by_sig.items():
+            per_lane = sum((k + jd + je) * m for k, jd, je, m in sig)  # det: ignore[DET103] -- integer size signature; exact in any order
+            cap = _lane_sweep_cap(per_lane) if per_lane else len(lanes)
+            # Balance the split: 64 lanes at cap 19 sweep as 16/16/16/16,
+            # not 19/19/19/7 — a ragged tail sweep pays the same dispatch
+            # overhead as a full one over a fraction of the lanes.
+            n_sweeps = -(-len(lanes) // cap) if lanes else 1
+            size = -(-len(lanes) // n_sweeps)
+            for start in range(0, len(lanes), size):
+                chunk = lanes[start:start + size]
+                if len(chunk) == 1:
+                    stacks = members[chunk[0]].patches
+                else:
+                    stacks = [_PatchWorkspace._concat(
+                        [members[l].patches[p] for l in chunk])
+                        for p in range(len(sig))]
+                self.sweeps.append((np.array(chunk, dtype=np.intp), stacks))
+
+        groups: dict[tuple, dict] = {}
+        row_of = {}                       # (lane, slot) -> (group, row)
+        cap, chunk, chunk_size = _prologue_cap(), 0, 0
+        for lanes, stacks in self.sweeps:
+            size = len(lanes) * int(np.sum(
+                [pws.var.shape[1] for pws in stacks], axis=None,
+                dtype=np.intp))
+            if chunk_size and chunk_size + size > cap:
+                chunk, chunk_size = chunk + 1, 0
+            chunk_size += size
+            keys = [pws.comp_key for pws in stacks]
+            for key in dict.fromkeys(keys):
+                slots = [p for p, k in enumerate(keys) if k == key]
+                g = groups.setdefault((chunk, key), {
+                    "parts": [], "lane": [], "col": [], "slots": [], "n": 0})
+                base, n_s, n_l = g["n"], len(slots), len(lanes)
+                for r, p in enumerate(slots):
+                    g["slots"].append(
+                        (stacks[p], slice(base + r, base + n_l * n_s, n_s)))
+                for k, l in enumerate(lanes):
+                    g["parts"].append(members[l].stacks[key])
+                    for r, p in enumerate(slots):
+                        g["lane"].append(l)
+                        g["col"].append(col[members[l].patches[p].bands[0]])
+                        row_of[(l, p)] = ((chunk, key), base + k * n_s + r)
+                g["n"] += n_l * n_s
+        self.pair_groups = []
+        offset = {}
+        n_pairs = 0
+        for name, g in groups.items():
+            grp = _Group()
+            grp.stack = _PairStack.concat(g["parts"])
+            grp.lane = np.array(g["lane"], dtype=np.intp)
+            grp.col = np.array(g["col"], dtype=np.intp)
+            grp.slots = g["slots"]
+            self.pair_groups.append(grp)
+            offset[name] = n_pairs
+            n_pairs += g["n"]
+
+        lb = [(c, l) for c, b in enumerate(self.bands) for l in range(n)
+              if b in lane_bands[l]]
+        self.lb_lane = np.array([l for _, l in lb], dtype=np.intp)
+        self.lb_col = np.array([c for c, _ in lb], dtype=np.intp)
+        q_of = {pair: q for q, pair in enumerate(lb)}
+        per_q = [[] for _ in lb]
+        per_lane = [[] for _ in range(n)]
+        lane_q = [[] for _ in range(n)]
+        for l, m in enumerate(members):
+            for p, pws in enumerate(m.patches):
+                name, row = row_of[(l, p)]
+                per_q[q_of[(col[pws.bands[0]], l)]].append(offset[name] + row)
+                per_lane[l].append(offset[name] + row)
+        for q, (_, l) in enumerate(lb):
+            lane_q[l].append(q)
+        self.pair_rank = _ranks(per_q, n_pairs)
+        self.lane_rank = _ranks(per_lane, n_pairs)
+        self.lb_rank = _ranks(lane_q, len(lb))
+
+
 class _FusedBatchWorkspace:
     """Compile-once lane packing for a fixed batch of contexts.
 
@@ -686,8 +1000,9 @@ class _FusedBatchWorkspace:
     per-context workspaces are concatenated along the lane axis into
     structure-of-arrays stacks, so the pixel-term sweep for a group is one
     set of NumPy calls covering all its lanes.  Only the pixel sweep is
-    split this way; what the call-level chain needs (box centers, bands,
-    per-band lanes, ``Priors`` groups) is resolved here over all lanes.
+    split this way; everything else — the per-call prologue over every
+    (lane, patch) pair, the band-space accumulation, the chain and the KL
+    term — runs once over the call (:class:`_Layout`).
 
     **No padding, by design.**  A lane's result must be bit-for-bit
     independent of what shares its batch, and a masked/padded tail cannot
@@ -716,63 +1031,18 @@ class _FusedBatchWorkspace:
     every grouping bit-identical.
     """
 
-    __slots__ = ("ctxs", "groups", "u_centers", "bands", "band_lanes",
-                 "kl_groups")
+    __slots__ = ("ctxs", "layout")
 
     def __init__(self, ctxs: list):
         self.ctxs = list(ctxs)
         members = [_context_workspace(ctx) for ctx in self.ctxs]
-        #: The call-level chain's fixed inputs, resolved once here rather
-        #: than per evaluation: the ``(N, 2)`` box centers, the sorted
-        #: bands any lane observes, the lanes observing each of them (for
-        #: the per-band chain-rule pass), and the lanes grouped by shared
-        #: :class:`KlWorkspace` (one stacked KL evaluation each).
-        self.u_centers = np.array(
-            [np.asarray(ctx.u_center, dtype=float) for ctx in self.ctxs]
-        ).reshape(len(self.ctxs), 2)
-        lane_bands = [{p.bands[0] for p in m.patches} for m in members]
-        self.bands = tuple(sorted(set().union(*lane_bands)))
-        self.band_lanes = [
-            np.array([l for l, bs in enumerate(lane_bands) if b in bs],
-                     dtype=np.intp)
-            for b in self.bands]
-        by_kl: dict[int, tuple] = {}
-        for l, m in enumerate(members):
-            by_kl.setdefault(id(m.kl), (m.kl, []))[1].append(l)
-        self.kl_groups = [(kl, np.array(ls, dtype=np.intp))
-                          for kl, ls in by_kl.values()]
+        self.layout = (members[0].alone() if len(members) == 1
+                       else _Layout(members))
 
-        by_sig: dict[tuple, list[int]] = {}
-        for l, m in enumerate(members):
-            by_sig.setdefault(m.signature, []).append(l)
-        #: ``(lanes, patch_stacks, band_cols)`` per sweep: the sweep's lane
-        #: indices into the call, its stacked patch slots (a singleton
-        #: sweep reuses the context's own lane-count-1 workspace arrays),
-        #: and per slot each lane's band as a position in :attr:`bands`.
-        self.groups = []
-        col = {b: i for i, b in enumerate(self.bands)}
-        for sig, lanes in by_sig.items():
-            per_lane = sum((k + jd + je) * m for k, jd, je, m in sig)  # det: ignore[DET103] -- integer size signature; exact in any order
-            cap = _lane_sweep_cap(per_lane) if per_lane else len(lanes)
-            # Balance the split: 64 lanes at cap 19 sweep as 16/16/16/16,
-            # not 19/19/19/7 — a ragged tail sweep pays the same dispatch
-            # overhead as a full one over a fraction of the lanes.
-            n_sweeps = -(-len(lanes) // cap) if lanes else 1
-            size = -(-len(lanes) // n_sweeps)
-            for start in range(0, len(lanes), size):
-                chunk = lanes[start:start + size]
-                group = [members[l] for l in chunk]
-                if len(chunk) == 1:
-                    stacks = group[0].patches
-                else:
-                    stacks = [
-                        _PatchWorkspace._concat([m.patches[p] for m in group])
-                        for p in range(len(sig))
-                    ]
-                cols = [np.array([col[b] for b in pws.bands], dtype=np.intp)
-                        for pws in stacks]
-                self.groups.append(
-                    (np.array(chunk, dtype=np.intp), stacks, cols))
+    @property
+    def groups(self) -> list:
+        """The stacked pixel sweeps, ``(lanes, patch stacks)`` each."""
+        return self.layout.sweeps
 
     def matches(self, ctxs: list) -> bool:
         """Whether this workspace was compiled for exactly these contexts
@@ -827,79 +1097,86 @@ _ROW_GROUP = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 0, 0, 0, 2, 2, 2, 2, 2])
 _ROW_BASE = np.array([0, 1, 2, 0, 1, 2, 3, 4, 5, 0, 3, 4, 5, 1, 2, 3, 4, 5])
 
 
-def _mixture(pws: _PatchWorkspace, upx: np.ndarray, upy: np.ndarray,
-             s1: np.ndarray, s2: np.ndarray, s3: np.ndarray):
-    """One pass over every component of a patch slot (star, dev and exp
-    alike), for per-lane positions and shape values: the inverse
-    covariances ``inv`` ``(G, 3, C)`` (``ixx, ixy, iyy``), the whitened
-    offsets ``lx``, ``ly`` ``(G, C, M)`` and the six monomials
-    ``lx^a ly^b g``, ``a + b <= 2``, as ``(G, 6, C, M)`` in
-    :data:`_MONOMIALS` order (monomial-major, so that each multiply below
-    writes one contiguous block per lane).  The pixel-sized arrays live in
-    the calling thread's scratch, valid until its next call."""
-    var = pws.var
-    cxx = var * s1[:, None, None] + pws.pxx
-    cxy = var * s2[:, None, None] + pws.pxy
-    cyy = var * s3[:, None, None] + pws.pyy
-    det = cxx * cyy - cxy * cxy
-    ixx = cyy / det
-    ixy = -cxy / det
-    iyy = cxx / det
-    alpha = pws.w2pi / np.sqrt(det)
+def _covariances(st: _PairStack, shape: np.ndarray):
+    """Per-pair component inverse covariances ``icov`` ``(P, C, 3)``
+    (``ixx, ixy, iyy``) and normalizers ``alpha`` ``(P, C, 1)`` for the
+    pairs' galaxy shapes ``shape`` ``(P, 3)`` (``sxx, sxy, syy``): a
+    component's covariance is ``var * S + P``.  Pixel-independent, so the
+    prologue forms it for a whole call's pairs at once."""
+    cov = st.var * shape[:, None, :] + st.pcov
+    det = cov[..., 0] * cov[..., 2] - cov[..., 1] * cov[..., 1]
+    icov = cov[..., ::-1] / det[..., None]
+    np.negative(icov[..., 1], out=icov[..., 1])
+    return icov, st.w2pi / np.sqrt(det)[..., None]
 
-    gsz, c, m = pws.px.shape
+
+def _mixture(pws: _PatchWorkspace, up: np.ndarray, icov: np.ndarray,
+             alpha: np.ndarray):
+    """One pass over every component of a patch slot (star, dev and exp
+    alike), for per-lane pixel-frame positions ``up`` ``(G, 2)`` and the
+    slot's rows of :func:`_covariances`: the whitened offsets ``lx``,
+    ``ly`` ``(G, C, M)`` and the six monomials ``lx^a ly^b g``, ``a + b
+    <= 2``, as ``(G, 6, C, M)`` in :data:`_MONOMIALS` order
+    (monomial-major, so that each multiply below writes one contiguous
+    block per lane).  The arrays live in the calling thread's scratch,
+    valid until its next call."""
+    inv = icov.transpose(0, 2, 1)[..., None]      # (G, 3, C, 1)
+    gsz, _, c, m = pws.grid.shape
     n = gsz * c * m
     work = _scratch("mixture", 10 * n)
-    dx, dy, lx, ly = (work[i * n:(i + 1) * n].reshape(gsz, c, m)
-                      for i in range(4))
+    dxy, lxy = work[:4 * n].reshape(2, gsz, 2, c, m)
     mono = work[4 * n:].reshape(gsz, 6, c, m)
     g = mono[:, 0]                      # also the temporary until the exp
-    np.subtract(pws.px, upx[:, None, None], out=dx)
-    np.subtract(pws.py, upy[:, None, None], out=dy)
-    np.multiply(ixx, dx, out=lx)
-    lx += np.multiply(ixy, dy, out=g)
-    np.multiply(ixy, dx, out=ly)
-    ly += np.multiply(iyy, dy, out=g)
-    np.multiply(lx, dx, out=g)
-    g += np.multiply(ly, dy, out=dy)
+    np.subtract(pws.grid, up[:, :, None, None], out=dxy)
+    # (lx, ly) = (ixx, ixy) dx + (ixy, iyy) dy, then q = lx dx + ly dy.
+    np.multiply(inv[:, 0:2], dxy[:, 0:1], out=lxy)
+    lxy += np.multiply(inv[:, 1:3], dxy[:, 1:2], out=mono[:, 1:3])
+    np.multiply(lxy, dxy, out=dxy)
+    np.add(dxy[:, 0], dxy[:, 1], out=g)
     # -q / 2 <= 0 for a positive-definite covariance; the clip only
     # absorbs rounding.
-    arg = np.minimum(np.multiply(g, -0.5, out=dx), 0.0, out=dx)
+    arg = np.minimum(np.multiply(g, -0.5, out=dxy[:, 0]), 0.0,
+                     out=dxy[:, 0])
     np.exp(arg, out=g)
     g *= alpha
-    np.multiply(lx, g, out=mono[:, 1])
-    np.multiply(ly, g, out=mono[:, 2])
-    np.multiply(lx, mono[:, 1], out=mono[:, 3])
-    np.multiply(ly, mono[:, 1], out=mono[:, 4])
+    np.multiply(lxy, g[:, None], out=mono[:, 1:3])
+    np.multiply(lxy, mono[:, 1:2], out=mono[:, 3:5])
+    lx, ly = lxy[:, 0], lxy[:, 1]
     np.multiply(ly, mono[:, 2], out=mono[:, 5])
-    inv = np.concatenate([ixx, ixy, iyy], axis=2).transpose(0, 2, 1)
-    return inv, lx, ly, mono
+    return lx, ly, mono
 
 
-def _row_mix(pws: _PatchWorkspace, dev: np.ndarray) -> np.ndarray:
-    """Per-lane component weights of the three row groups, ``(G, 3, C)``."""
-    mix = pws.mix0.copy()
-    ns, nd = pws.n_star, pws.n_dev
+def _row_mix(st: _PairStack, dev: np.ndarray) -> np.ndarray:
+    """Per-pair component weights of the three row groups, ``(P, 3, C)``."""
+    mix = st.mix0.copy()
+    ns, nd = st.n_star, st.n_dev
     mix[:, 1, ns:ns + nd] = dev[:, None]
     mix[:, 1, ns + nd:] = (1.0 - dev)[:, None]
     return mix
 
 
-def _feature_rows(pws: _PatchWorkspace, inv: np.ndarray, mix: np.ndarray,
-                  mono: np.ndarray, n_rows: int) -> np.ndarray:
-    """The first ``n_rows`` feature rows (:data:`_F_GS` ...) per pixel,
-    ``(G, n_rows, M)``: one per-lane GEMM of the ``(n_rows, 6 C)``
-    coefficients over (monomial, component) against the monomials of
-    :func:`_mixture`.  The mixing
-    weights ``mix`` (:func:`_row_mix`), ``var`` and ``I`` live in the
-    coefficients, so no mixing pass over pixels remains.  The rows live
-    in the calling thread's scratch, valid until its next call."""
-    gsz, _, c, m = mono.shape
-    base = pws.base0.copy()
-    np.multiply(pws.fac, inv, out=base[:, 3:, 0])
+def _feature_coefficients(st: _PairStack, icov: np.ndarray,
+                          mix: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-pair coefficients of the first ``n_rows`` feature rows over
+    (monomial, component), ``(P, n_rows, 6, C)``: the row-group weights
+    ``mix`` (:func:`_row_mix`) times the base rows, whose ``-fac * I``
+    entries on monomial 0 come from the inverse covariances."""
+    base = st.base0.copy()
+    np.multiply(st.fac, icov.transpose(0, 2, 1), out=base[:, 3:, 0])
     np.negative(base[:, 3:, 0], out=base[:, 3:, 0])
-    coef = (mix[:, _ROW_GROUP[:n_rows], None]
-            * base[:, _ROW_BASE[:n_rows]])
+    return mix[:, _ROW_GROUP[:n_rows], None] * base[:, _ROW_BASE[:n_rows]]
+
+
+def _feature_rows(coef: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    """The feature rows (:data:`_F_GS` ...) per pixel, ``(G, n_rows,
+    M)``: one per-lane GEMM of the slot's ``(n_rows, 6 C)`` coefficients
+    (:func:`_feature_coefficients`) over (monomial, component) against the
+    monomials of :func:`_mixture`.  The mixing weights, ``var`` and ``I``
+    live in the coefficients, so no mixing pass over pixels remains.  The
+    rows live in the calling thread's scratch, valid until its next
+    call."""
+    gsz, n_rows, _, c = coef.shape
+    m = mono.shape[3]
     return np.matmul(coef.reshape(gsz, n_rows, 6 * c),
                      mono.reshape(gsz, 6 * c, m),
                      out=_scratch("features", gsz * n_rows * m).reshape(
@@ -971,35 +1248,29 @@ def _hermite_table() -> np.ndarray:
 _HERMITE_TABLE = _hermite_table()
 
 
-def _galaxy_curvature(pws: _PatchWorkspace, inv: np.ndarray,
-                      mix: np.ndarray, lx: np.ndarray, ly: np.ndarray,
-                      mono: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """The mixed galaxy profile's packed Hessian rows (:data:`_PAIRS`
-    order) contracted over pixels against ``C`` weight columns: ``wts``
-    ``(G, M, C)``, result ``(G, 15, C)`` — what contracting the per-pixel
-    rows ``e_dev * H_dev + (1 - e_dev) * H_exp`` against each column would
-    give, without building them.  The other inputs are those of
-    :func:`_feature_rows`.
+def _galaxy_moments(pws: _PatchWorkspace, lx: np.ndarray, ly: np.ndarray,
+                    mono: np.ndarray, wts: np.ndarray,
+                    mom: np.ndarray) -> None:
+    """The galaxy components' Hermite moments ``sum_m lx^a ly^b g w`` of
+    one patch slot against ``C`` weight columns ``wts`` ``(G, M, C)``,
+    added into ``mom`` ``(G, 15, J, C)`` (zeros on entry) in
+    :data:`_MONOMIALS` order; the other inputs are :func:`_mixture`'s.
 
-    Contract before expanding: every row is ``H(l) g`` for a Hermite
-    polynomial ``H`` of degree <= 4 (see :data:`_HERMITE_TABLE`), so the
-    moments ``sum_m lx^a ly^b g w`` are all the pixels contribute.  The
-    six of degree <= 2 come from :func:`_mixture`'s monomials in one GEMM;
-    the nine of degree 3 and 4 are formed a block of pixels at a time
-    (four multiplies into scratch) and contracted with one GEMM per block.
-    The ``(15, J, C)`` moments then meet the per-component coefficients —
-    ``(ixx, ixy, iyy)`` monomials times ``var^0..2`` times the component's
-    ``e_dev`` / ``1 - e_dev`` weight, so dev and exp contract together —
-    in two small matmuls.  Pixel blocks have a fixed length and each lane
-    is contracted alone, so the scratch is one fixed block per thread
-    (never a buffer per patch shape) and a lane's block boundaries — hence
-    its summation order and its bits — do not depend on what shares its
-    stack."""
+    Contract before expanding: every packed Hessian row of the mixed
+    galaxy profile is ``H(l) g`` for a Hermite polynomial ``H`` of degree
+    <= 4 (see :data:`_HERMITE_TABLE`), so these moments are all the pixels
+    contribute (:func:`_galaxy_curvature` does the rest).  The six of
+    degree <= 2 come from :func:`_mixture`'s monomials in one GEMM; the
+    nine of degree 3 and 4 are formed a block of pixels at a time (four
+    multiplies into scratch) and contracted with one GEMM per block.
+    Pixel blocks have a fixed length and each lane is contracted alone,
+    so the scratch is one fixed block per thread (never a buffer per
+    patch shape) and a lane's block boundaries — hence its summation
+    order and its bits — do not depend on what shares its stack."""
     gsz, _, c, m = mono.shape
     ns = pws.n_star
     j = c - ns
     ncol = wts.shape[2]
-    mom = np.zeros((gsz, 15, j, ncol))
     low = np.matmul(mono.reshape(gsz, 6 * c, m), wts)
     mom[:, :6] = low.reshape(gsz, 6, c, ncol)[:, :, ns:]
     scratch = _scratch("moments", 9 * j * _MOMENT_BLOCK)
@@ -1017,86 +1288,120 @@ def _galaxy_curvature(pws: _PatchWorkspace, inv: np.ndarray,
             np.multiply(blk[3], by, out=blk[8])
             high += np.matmul(blk.reshape(9 * j, hi - lo), wts[lane, lo:hi])
 
-    imon = np.empty((gsz, 10, j))
+
+def _curvature_basis(st: _PairStack, icov: np.ndarray,
+                     mix: np.ndarray) -> np.ndarray:
+    """Per-pair coefficient basis of the galaxy curvature, ``(P, 30,
+    J)``: per galaxy component, the ``(ixx, ixy, iyy)`` monomials of
+    :data:`_IMONOMIALS` times ``var^0..2`` times the component's ``e_dev``
+    / ``1 - e_dev`` weight, so dev and exp contract together."""
+    p, c, _ = icov.shape
+    ns = st.n_star
+    j = c - ns
+    imon = np.empty((p, 10, j))
     imon[:, 0] = 1.0
-    imon[:, 1:4] = inv[:, :, ns:]
+    imon[:, 1:4] = icov.transpose(0, 2, 1)[:, :, ns:]
     np.multiply(imon[:, 1:4], imon[:, 1:2], out=imon[:, 4:7])
     np.multiply(imon[:, 2:4], imon[:, 2:3], out=imon[:, 7:9])
     np.multiply(imon[:, 3], imon[:, 3], out=imon[:, 9])
-    vw = pws.vpow * mix[:, 1:2, ns:]
-    basis = (vw[:, :, None] * imon[:, None]).reshape(gsz, 30, j)
+    vw = st.vpow * mix[:, 1:2, ns:]
+    return (vw[:, :, None] * imon[:, None]).reshape(p, 30, j)
+
+
+def _galaxy_curvature(basis: np.ndarray, mom: np.ndarray) -> np.ndarray:
+    """The mixed galaxy profile's packed Hessian rows (:data:`_PAIRS`
+    order) contracted over pixels against the moments' weight columns,
+    ``(P, 15, C)`` — what contracting the per-pixel rows ``e_dev * H_dev
+    + (1 - e_dev) * H_exp`` against each column would give, without
+    building them: the ``(15, J, C)`` moments of :func:`_galaxy_moments`
+    meet the coefficient basis (:func:`_curvature_basis`) and the Hermite
+    table in two small matmuls."""
     q = np.matmul(basis[:, None], mom)
-    return np.matmul(_HERMITE_TABLE, q.reshape(gsz, 450, ncol))
+    return np.matmul(_HERMITE_TABLE, q.reshape(q.shape[0], 450, -1))
 
 
 # ---------------------------------------------------------------------------
 # Pixel-independent chain-rule pieces (shared across patches / bands)
 
 
-_DIAG10 = np.arange(10)
+#: Per-band amplitude-chain constants, keyed by the call's sorted bands:
+#: the color coefficients ``(B, C)``, their squares, and ``dm`` ``(B,
+#: 10)``, the log-flux mean's derivative over ``[r1, r2, c1 x4, c2 x4]``.
+_AMP_TABLES: dict[tuple, tuple] = {}
 
 
-def _amp_chains(frees: np.ndarray, pg, pg1, pg2, bands: tuple, order: int,
+def _amp_tables(bands: tuple) -> tuple:
+    hit = _AMP_TABLES.get(bands)
+    if hit is None:
+        coeff = COLOR_COEFFS[list(bands)]
+        dm = np.zeros((len(bands), 10))
+        dm[:, 0] = 1.0
+        dm[:, 2:2 + NUM_COLORS] = coeff
+        hit = _AMP_TABLES[bands] = (coeff, coeff * coeff, dm)
+    return hit
+
+
+def _amp_chains(frees: np.ndarray, boxed: tuple, bands: tuple, order: int,
                 variance_correction: bool):
     """The z amplitudes of every band without the per-patch calibration
     factor, ``prob(type) * moment``, with gradient/Hessian over the 11
     amplitude indices (type logit + the type's flux block, :data:`_AMP_IDX`).
 
     Stacked over lanes, amplitude kind and band: ``frees`` is ``(N, 41)``
-    and the returned ``(value, gradient, hessian)`` are ``(N, K, B)``,
-    ``(N, K, B, 11)`` and ``(N, K, B, 11, 11)`` (Hessian ``None`` below
-    order 2), with ``K`` running over ``(A_star, A_gal, B_star, B_gal)`` —
-    the first-moment amplitudes, then the second-moment ones, which exist
-    only under the variance correction.
+    (``boxed`` its :func:`_bijector_pass`) and the returned ``(value,
+    gradient, hessian)`` are ``(N, K, B)``, ``(N, K, B, 11)`` and ``(N, K,
+    B, 11, 11)`` (Hessian ``None`` below order 2), with ``K`` running over
+    ``(A_star, A_gal, B_star, B_gal)`` — the first-moment amplitudes, then
+    the second-moment ones, which exist only under the variance
+    correction.
 
     The moments are log-normal: ``E[f] = exp(L1)`` with ``L1 = m + v/2``
     and ``E[f^2] = exp(L2)`` with ``L2 = 2m + 2v``, over one type's 10 flux
     parameters ``[r1, r2, c1_0..3, c2_0..3]``; ``m`` is linear in (r1, c1)
     and ``v`` is a sum of per-parameter bijector images, so ``dL`` is a
     vector and ``d2L`` a diagonal.  Every entry is the elementwise image of
-    the one-band, one-type formulas (the same operations in the same
-    order), so a lane's bits depend on neither the other lanes nor the
-    other bands.  The flux block of the Hessian adds the ``ddL`` diagonal
-    as a full zero-filled array, so every off-diagonal entry gets the same
-    explicit ``+ 0.0`` (``-0.0 + 0.0`` is ``+0.0``) whatever the stack."""
+    the one-band, one-type formulas (``m`` and ``v`` add their color terms
+    in color order), so a lane's bits depend on neither the other lanes
+    nor the other bands.  The flux block of the Hessian adds the ``ddL``
+    diagonal as a full zero-filled array, so every off-diagonal entry gets
+    the same explicit ``+ 0.0`` (``-0.0 + 0.0`` is ``+0.0``) whatever the
+    stack."""
+    coeff, ww, dm = _amp_tables(bands)
+    bv, b1, b2 = boxed
     gsz = frees.shape[0]
-    coeff = COLOR_COEFFS[list(bands)]                    # (B, C)
     shape = (gsz, 2, len(bands))                         # (lane, type, band)
-    m = np.empty(shape)
-    m[...] = frees[:, _IDX_R1][:, :, None]
-    dm = np.zeros((len(bands), 10))
-    dm[:, 0] = 1.0
-    v = np.zeros(shape)
+    a = _BOX[_IDX_A]
+    pg, pg1, pg2 = bv[:, a], b1[:, a], b2[:, a]
+    c2 = (gsz, 2, 1, NUM_COLORS)
+    wc = coeff * frees[:, _IDX_C1][:, :, None, :]        # (N, T, B, C)
+    wv = ww * bv[:, _BX_C2].reshape(c2)
+    m = frees[:, _IDX_R1][:, :, None] + wc[..., 0]
+    # v starts from r2 > 0, which is 0.0 + r2 exactly.
+    v = bv[:, _BX_R2][:, :, None] + wv[..., 0]
+    for i in range(1, NUM_COLORS):
+        m += wc[..., i]
+        v += wv[..., i]
     dv = np.zeros(shape + (10,))
     ddv = np.zeros(shape + (10,))
-    r2v, r2d1, r2d2 = _BIJ_R2.forward_d012_vec(frees[:, _IDX_R2])
-    v += r2v[:, :, None]
-    dv[..., 1] = r2d1[:, :, None]
-    ddv[..., 1] = r2d2[:, :, None]
-    c1 = frees[:, _IDX_C1]                               # (N, T, C)
-    c2v, c2d1, c2d2 = _BIJ_C2.forward_d012_vec(frees[:, _IDX_C2])
-    for i in range(NUM_COLORS):
-        w = coeff[:, i]
-        ww = w * w
-        m += w * c1[:, :, i, None]
-        dm[:, 2 + i] = w
-        v += ww * c2v[:, :, i, None]
-        dv[..., 6 + i] = ww * c2d1[:, :, i, None]
-        ddv[..., 6 + i] = ww * c2d2[:, :, i, None]
-    moments = [np.exp(m + 0.5 * v)]  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
-    dl = [dm + 0.5 * dv]
-    ddl = [0.5 * ddv]
-    if variance_correction:
-        moments.append(np.exp(2.0 * m + 2.0 * v))  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
-        dl.append(2.0 * dm + 2.0 * dv)
-        ddl.append(2.0 * ddv)
+    dv[..., 1] = b1[:, _BX_R2][:, :, None]
+    ddv[..., 1] = b2[:, _BX_R2][:, :, None]
+    dv[..., 6:] = ww * b1[:, _BX_C2].reshape(c2)
+    ddv[..., 6:] = ww * b2[:, _BX_C2].reshape(c2)
+    n_mom = 2 if variance_correction else 1
     # (N, kind, T, B): the kind-major flattening of (kind, T) is K.
-    moment = np.stack(moments, axis=1)
-    dl = np.stack(dl, axis=1)
-    ddl = np.stack(ddl, axis=1)
-    shape_k = (gsz, 2 * len(moments), len(bands))
-    p = np.stack([1.0 - pg, pg], axis=1)[:, None, :, None]
-    p1 = np.stack([-pg1, pg1], axis=1)[:, None, :, None]
+    moment = np.empty((gsz, n_mom) + shape[1:])
+    dl = np.empty((gsz, n_mom) + shape[1:] + (10,))
+    ddl = np.empty_like(dl)
+    np.exp(m + 0.5 * v, out=moment[:, 0])  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
+    dl[:, 0] = dm + 0.5 * dv
+    np.multiply(0.5, ddv, out=ddl[:, 0])
+    if variance_correction:
+        np.exp(2.0 * m + 2.0 * v, out=moment[:, 1])  # det: ignore[NUM200] -- log-flux moment is unbounded by design; the runtime NumericSanitizer watches this path
+        dl[:, 1] = 2.0 * dm + 2.0 * dv
+        np.multiply(2.0, ddv, out=ddl[:, 1])
+    shape_k = (gsz, 2 * n_mom, len(bands))
+    p = _type_weights(pg)[:, None, :, None]
+    p1 = (pg1[:, None] * _TYPE_SIGN)[:, None, :, None]
 
     val = p * moment
     grad = np.empty(val.shape + (11,))
@@ -1104,135 +1409,223 @@ def _amp_chains(frees: np.ndarray, pg, pg1, pg2, bands: tuple, order: int,
     grad[..., 1:] = val[..., None] * dl
     hess = None
     if order >= 2:
-        p2 = np.stack([-pg2, pg2], axis=1)[:, None, :, None]
+        p2 = (pg2[:, None] * _TYPE_SIGN)[:, None, :, None]
         hess = np.empty(val.shape + (11, 11))
         hess[..., 0, 0] = p2 * moment
-        cross = (p1 * moment)[..., None] * dl
+        cross = grad[..., :1] * dl                       # (p1 * moment) dl
         hess[..., 0, 1:] = cross
         hess[..., 1:, 0] = cross
         dd = np.zeros(val.shape + (10, 10))
-        dd[..., _DIAG10, _DIAG10] = ddl
+        dd.reshape(val.shape + (100,))[..., ::11] = ddl  # the diagonal
         hess[..., 1:, 1:] = val[..., None, None] * (
             dl[..., :, None] * dl[..., None, :] + dd)
         hess = hess.reshape(shape_k + (11, 11))
     return val.reshape(shape_k), grad.reshape(shape_k + (11,)), hess
 
 
-def _shape_chain(frees, order: int):
+#: The shape chain's entries as products of a left factor (a multiple of
+#: ``c^2, s^2, cos 2phi, sin 2phi``: column ``_SHAPE_LEFT[i]`` of those
+#: four times ``_SHAPE_LEFT_COEF[i]``) and a right one (a base quantity or
+#: a difference of two, :data:`_SHAPE_RIGHT`), each entry one product or
+#: the sum of two, in the order the scalar formulas add them.
+_SHAPE_LEFT = [1, 3, 0, 3, 2, 3, 2, 2, 3, 3]
+_SHAPE_LEFT_COEF = np.array([1.0, 1.0, 1.0, -0.5, 1.0, 0.5, 2.0, -1.0, -2.0,
+                             -1.0])
+# Base quantities: M, m, M_s, M_ss, m_a, m_s, m_aa, m_ss, m_as.
+_SM_BIG, _SM_SML, _SM_BS, _SM_BSS, _SM_A, _SM_S, _SM_AA, _SM_SS, _SM_AS = \
+    range(9)
+#: Right factors: the nine base quantities, then m - M, M - m, M_s - m_s,
+#: m_s - M_s, M_ss - m_ss.
+_SHAPE_DIFF = ([_SM_SML, _SM_BIG, _SM_BS, _SM_S, _SM_BSS],
+               [_SM_BIG, _SM_SML, _SM_S, _SM_BS, _SM_SS])
+_R_SMB, _R_BMS, _R_BSMS, _R_SMBS, _R_BSSMSS = range(9, 14)
+# Left factors: s^2, sin 2phi, c^2, -sin 2phi / 2, cos 2phi, sin 2phi / 2,
+# 2 cos 2phi, -cos 2phi, -2 sin 2phi, -sin 2phi.
+(_L_S2, _L_S2P, _L_C2, _L_MHS2P, _L_C2P, _L_HS2P, _L_2C2P, _L_MC2P,
+ _L_M2S2P, _L_MS2P) = range(10)
+#: ``(vals (3), jac (3x3), hess (3x3x3, upper triangle of each block))``
+#: entries, each a list of ``(left, right)`` products to add.
+_SHAPE_TERMS = (
+    # vals: sxx, sxy, syy.
+    [(_L_C2, _SM_BIG), (_L_S2, _SM_SML)], [(_L_HS2P, _R_BMS)],
+    [(_L_S2, _SM_BIG), (_L_C2, _SM_SML)],
+    # jac rows sxx, sxy, syy over [axis, angle, scale].
+    [(_L_S2, _SM_A)], [(_L_S2P, _R_SMB)],
+    [(_L_C2, _SM_BS), (_L_S2, _SM_S)],
+    [(_L_MHS2P, _SM_A)], [(_L_C2P, _R_BMS)], [(_L_HS2P, _R_BSMS)],
+    [(_L_C2, _SM_A)], [(_L_S2P, _R_BMS)],
+    [(_L_S2, _SM_BS), (_L_C2, _SM_S)],
+    # hess, sxx block: 00 01 02 11 12 22.
+    [(_L_S2, _SM_AA)], [(_L_S2P, _SM_A)], [(_L_S2, _SM_AS)],
+    [(_L_2C2P, _R_SMB)], [(_L_S2P, _R_SMBS)],
+    [(_L_C2, _SM_BSS), (_L_S2, _SM_SS)],
+    # sxy block.
+    [(_L_MHS2P, _SM_AA)], [(_L_MC2P, _SM_A)], [(_L_MHS2P, _SM_AS)],
+    [(_L_M2S2P, _R_BMS)], [(_L_C2P, _R_BSMS)], [(_L_HS2P, _R_BSSMSS)],
+    # syy block.
+    [(_L_C2, _SM_AA)], [(_L_MS2P, _SM_A)], [(_L_C2, _SM_AS)],
+    [(_L_2C2P, _R_BMS)], [(_L_S2P, _R_BSMS)],
+    [(_L_S2, _SM_BSS), (_L_C2, _SM_SS)],
+)
+
+
+def _shape_tables():
+    """Index arrays of :data:`_SHAPE_TERMS`: the products' left and right
+    factors, which entries add a second product, and the gather that
+    spreads the 18 distinct Hessian entries over the symmetric ``(3, 3,
+    3)`` Hessian."""
+    left, right, second = [], [], []
+    for terms in _SHAPE_TERMS:
+        left.append(terms[0][0])
+        right.append(terms[0][1])
+    for i, terms in enumerate(_SHAPE_TERMS):
+        if len(terms) == 2:
+            second.append((i, len(left)))
+            left.append(terms[1][0])
+            right.append(terms[1][1])
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    gather = [12 + 6 * blk + pairs.index((min(a, b), max(a, b)))
+              for blk in range(3) for a in range(3) for b in range(3)]
+    return (np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+            np.array([i for i, _ in second], dtype=np.intp),
+            np.array([j for _, j in second], dtype=np.intp),
+            np.array(gather, dtype=np.intp))
+
+
+(_SHAPE_L, _SHAPE_R, _SHAPE_SUM_AT, _SHAPE_SUM_FROM,
+ _SHAPE_GATHER) = _shape_tables()
+
+
+def _shape_chain(boxed: tuple, phi: np.ndarray, order: int):
     """Galaxy shape covariance ``(sxx, sxy, syy)`` and its derivatives over
     the free shape parameters ``[axis, angle, scale]``, lane-stacked:
-    ``vals`` is a triple of ``(G,)`` arrays, ``jac`` is ``(G, 3, 3)`` and
-    ``hess`` ``(G, 3, 3, 3)``.
+    ``vals`` is ``(G, 3)``, ``jac`` ``(G, 3, 3)`` and ``hess`` ``(G, 3, 3,
+    3)``; ``boxed`` is the free vectors' :func:`_bijector_pass` and
+    ``phi`` their position angles.
 
     With ``M = scale^2`` and ``m = (scale*axis)^2`` (major/minor variances)
     and position angle ``phi``: ``sxx = c^2 M + s^2 m``,
     ``sxy = sin(2 phi)(M - m)/2``, ``syy = s^2 M + c^2 m``; the axis/scale
     dependence chains through the LogitBox bijectors.  Every entry is the
-    elementwise image of the scalar formula (symmetric entries share one
-    computed array — identical expressions give identical bits)."""
-    av, a1, a2 = _BIJ_AXIS.forward_d012_vec(frees[:, _SHAPE_IDX[0]])
-    phi = frees[:, _SHAPE_IDX[1]]
-    sv, sd1, sd2 = _BIJ_SCALE.forward_d012_vec(frees[:, _SHAPE_IDX[2]])
+    elementwise image of the scalar formula — a product of a trigonometric
+    factor and a base quantity, or the sum of two (:data:`_SHAPE_TERMS`)
+    — formed for all entries at once, and symmetric entries are one
+    computed value."""
+    ia, isc = _BOX[_SHAPE_IDX[0]], _BOX[_SHAPE_IDX[2]]
+    av, a1, a2 = boxed[0][:, ia], boxed[1][:, ia], boxed[2][:, ia]
+    sv, sd1, sd2 = boxed[0][:, isc], boxed[1][:, isc], boxed[2][:, isc]
+    gsz = phi.shape[0]
 
-    c, s = np.cos(phi), np.sin(phi)
-    c2p, s2p = np.cos(2.0 * phi), np.sin(2.0 * phi)
-    c2, s2 = c * c, s * s
+    trig = np.empty((gsz, 4))            # c^2, s^2, cos 2phi, sin 2phi
+    np.cos(phi, out=trig[:, 0])
+    np.sin(phi, out=trig[:, 1])
+    np.multiply(trig[:, :2], trig[:, :2], out=trig[:, :2])
+    phi2 = 2.0 * phi
+    np.cos(phi2, out=trig[:, 2])
+    np.sin(phi2, out=trig[:, 3])
 
-    big = sv * sv                       # major-axis variance M
-    sml = big * av * av                 # minor-axis variance m
-    big_s = 2.0 * sv * sd1
-    big_ss = 2.0 * (sd1 * sd1 + sv * sd2)
-    sml_a = 2.0 * big * av * a1
-    sml_s = big_s * av * av
-    sml_aa = 2.0 * big * (a1 * a1 + av * a2)
-    sml_ss = big_ss * av * av
-    sml_as = 4.0 * sv * sd1 * av * a1
+    base = np.empty((gsz, 14))
+    big = np.multiply(sv, sv, out=base[:, _SM_BIG])
+    sml = np.multiply(big * av, av, out=base[:, _SM_SML])
+    big_s = np.multiply(2.0 * sv, sd1, out=base[:, _SM_BS])
+    big_ss = np.multiply(2.0, sd1 * sd1 + sv * sd2, out=base[:, _SM_BSS])
+    np.multiply(2.0 * big * av, a1, out=base[:, _SM_A])
+    np.multiply(big_s * av, av, out=base[:, _SM_S])
+    np.multiply(2.0 * big, a1 * a1 + av * a2, out=base[:, _SM_AA])
+    np.multiply(big_ss * av, av, out=base[:, _SM_SS])
+    np.multiply(4.0 * sv * sd1 * av, a1, out=base[:, _SM_AS])
+    np.subtract(base[:, _SHAPE_DIFF[0]], base[:, _SHAPE_DIFF[1]],
+                out=base[:, 9:])
 
-    vals = (c2 * big + s2 * sml,
-            0.5 * s2p * (big - sml),
-            s2 * big + c2 * sml)
-    gsz = frees.shape[0]
-    jac = np.empty((gsz, 3, 3))
-    jac[:, 0, 0] = s2 * sml_a
-    jac[:, 0, 1] = s2p * (sml - big)
-    jac[:, 0, 2] = c2 * big_s + s2 * sml_s
-    jac[:, 1, 0] = -0.5 * s2p * sml_a
-    jac[:, 1, 1] = c2p * (big - sml)
-    jac[:, 1, 2] = 0.5 * s2p * (big_s - sml_s)
-    jac[:, 2, 0] = c2 * sml_a
-    jac[:, 2, 1] = s2p * (big - sml)
-    jac[:, 2, 2] = s2 * big_s + c2 * sml_s
+    left = trig[:, _SHAPE_LEFT] * _SHAPE_LEFT_COEF
+    prod = left[:, _SHAPE_L] * base[:, _SHAPE_R]
+    entry = prod[:, :len(_SHAPE_TERMS)]
+    entry[:, _SHAPE_SUM_AT] += prod[:, _SHAPE_SUM_FROM]
+    vals = entry[:, :3]
+    jac = entry[:, 3:12].reshape(gsz, 3, 3)
     if order < 2:
         return vals, jac, None
-
-    hess = np.empty((gsz, 3, 3, 3))
-    # sxx block.
-    e01 = s2p * sml_a
-    e02 = s2 * sml_as
-    e12 = s2p * (sml_s - big_s)
-    hess[:, 0, 0, 0] = s2 * sml_aa
-    hess[:, 0, 0, 1] = e01
-    hess[:, 0, 0, 2] = e02
-    hess[:, 0, 1, 0] = e01
-    hess[:, 0, 1, 1] = 2.0 * c2p * (sml - big)
-    hess[:, 0, 1, 2] = e12
-    hess[:, 0, 2, 0] = e02
-    hess[:, 0, 2, 1] = e12
-    hess[:, 0, 2, 2] = c2 * big_ss + s2 * sml_ss
-    # sxy block.
-    e01 = -c2p * sml_a
-    e02 = -0.5 * s2p * sml_as
-    e12 = c2p * (big_s - sml_s)
-    hess[:, 1, 0, 0] = -0.5 * s2p * sml_aa
-    hess[:, 1, 0, 1] = e01
-    hess[:, 1, 0, 2] = e02
-    hess[:, 1, 1, 0] = e01
-    hess[:, 1, 1, 1] = -2.0 * s2p * (big - sml)
-    hess[:, 1, 1, 2] = e12
-    hess[:, 1, 2, 0] = e02
-    hess[:, 1, 2, 1] = e12
-    hess[:, 1, 2, 2] = 0.5 * s2p * (big_ss - sml_ss)
-    # syy block.
-    e01 = -s2p * sml_a
-    e02 = c2 * sml_as
-    e12 = s2p * (big_s - sml_s)
-    hess[:, 2, 0, 0] = c2 * sml_aa
-    hess[:, 2, 0, 1] = e01
-    hess[:, 2, 0, 2] = e02
-    hess[:, 2, 1, 0] = e01
-    hess[:, 2, 1, 1] = 2.0 * c2p * (big - sml)
-    hess[:, 2, 1, 2] = e12
-    hess[:, 2, 2, 0] = e02
-    hess[:, 2, 2, 1] = e12
-    hess[:, 2, 2, 2] = s2 * big_ss + c2 * sml_ss
-    return vals, jac, hess
+    return vals, jac, entry[:, _SHAPE_GATHER].reshape(gsz, 3, 3, 3)
 
 
-#: Broadcast index pairs of the dense 27-space blocks the chain rule fills,
-#: lane-stacked (``jac[:, _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS]`` is the shape
-#: 3x3 block of the (10, 27) Jacobian, ``h[:, rows, cols]`` a Hessian block),
-#: built once here rather than per evaluation.
-_JAC_SHAPE_ROWS, _JAC_SHAPE_COLS = np.ix_([2, 3, 4], _SHAPE_IDX)
-_SHAPE_IX = np.ix_(_SHAPE_IDX, _SHAPE_IDX)
-_AMP_COLS = (np.asarray(_AMP_IDX[STAR]), np.asarray(_AMP_IDX[GALAXY]))
-_AMP_IX = (np.ix_(_AMP_IDX[STAR], _AMP_IDX[STAR]),
-           np.ix_(_AMP_IDX[GALAXY], _AMP_IDX[GALAXY]))
+def _flat27(rows, cols) -> np.ndarray:
+    """Flat positions of ``(rows x cols)`` in a row-major 27-wide block."""
+    return (np.asarray(rows)[:, None] * _N_ACTIVE
+            + np.asarray(cols)[None, :]).ravel()
+
+
+#: Flat positions in the ``(10, 27)`` dz_band/dfree Jacobian: the
+#: band-independent entries (``u`` rows 0-1, the shape block, ``e_dev``),
+#: in the order :class:`_EvalChain` concatenates them, and per amplitude
+#: kind ``k`` its row ``5 + k`` over the star (``k`` even) or galaxy
+#: (``k`` odd) amplitude indices.
+_JAC_FIXED = np.concatenate([[_IDX_U[0], _N_ACTIVE + _IDX_U[1]],
+                             _flat27([2, 3, 4], _SHAPE_IDX),
+                             [9 * _N_ACTIVE + _IDX_DEV]])
+_JAC_AMP = np.concatenate([_flat27([5 + k], _AMP_IDX[k % 2])
+                           for k in range(4)])
+
+
+def _second_order_terms(n_amps: int) -> tuple:
+    """The chain rule's second term ``sum_m gz_m d2 z_m / dfree2`` as a
+    fixed scatter, for ``n_amps`` amplitude kinds: ``(n_rounds, lane_z,
+    lane_pos, amp_pos)``.  A (lane, band) pair's terms are ``gz[lane_z] *
+    d2`` over its lane's second derivatives ``d2`` (``u`` (2), the shape
+    Hessian (27), ``e_dev`` (1)) and ``gz[5 + k] * H_k`` over each
+    amplitude kind's 11x11 block; ``lane_pos`` / ``amp_pos`` place them
+    in a ``(n_rounds, 27 * 27)`` stack of rounds that is added to the
+    Hessian one round at a time.  An entry several terms touch gets them
+    in order, one per round: the shape block its three covariance
+    entries, an amplitude block its first- then second-moment kind, and
+    the type logit, where star and galaxy blocks meet, all kinds in kind
+    order.  (An entry a round misses gets ``+ 0.0``, which only turns a
+    ``-0.0`` into ``+0.0``; the pair's Hessian is then added to a zero
+    accumulator, which does the same.)"""
+    size = _N_ACTIVE * _N_ACTIVE
+    lane_z, lane_pos, amp_pos = [], [], []
+    for j in (0, 1):
+        lane_z.append(j)
+        lane_pos.append(_IDX_U[j] * (_N_ACTIVE + 1))
+    for m in range(3):
+        for a in range(3):
+            for b in range(3):
+                lane_z.append(2 + m)
+                lane_pos.append(m * size + _SHAPE_IDX[a] * _N_ACTIVE
+                                + _SHAPE_IDX[b])
+    lane_z.append(9)
+    lane_pos.append(_IDX_DEV * (_N_ACTIVE + 1))
+    for k in range(n_amps):
+        idx = _AMP_IDX[k % 2]
+        for a in range(11):
+            for b in range(11):
+                rnd = k if a == b == 0 else k // 2
+                amp_pos.append(rnd * size + idx[a] * _N_ACTIVE + idx[b])
+    pos = lane_pos + amp_pos
+    assert len(set(pos)) == len(pos)
+    n_rounds = max(pos) // size + 1
+    return (n_rounds, np.array(lane_z, dtype=np.intp),
+            np.array(lane_pos, dtype=np.intp),
+            np.array(amp_pos, dtype=np.intp))
+
+
+_SECOND_ORDER = {k: _second_order_terms(k) for k in (2, 4)}
 
 
 class _EvalChain:
     """Every pixel-independent piece of one batch call's evaluation:
-    bijector images of the free vectors with their first two derivatives,
-    the shape-covariance chain, and per-band amplitude chains — all
+    bijector images of the free vectors with their first two derivatives
+    (one :func:`_bijector_pass`, which the KL stack reads too), the
+    shape-covariance chain, and per-band amplitude chains — all
     lane-stacked over the call's ``N`` lanes, ``frees`` being ``(N, 41)``.
 
-    It is built once per call, whatever the number of shape-group sweeps:
-    each sweep gathers its lanes' rows (positions, shape values, ``e_dev``
-    and the band amplitudes ``amps``).  The sweeps hand back per-patch
-    blocks mapped into *band* space — the 10-vector ``z_band = (ux, uy,
-    sxx, sxy, syy, A_star, A_gal, B_star, B_gal, e_dev)`` with position in
-    the sky frame and the amplitudes without calibration — summed per
-    (lane, band), and :meth:`chain_rule` takes them to the 27 free
-    parameters in one Jacobian and one curvature pass per band.
+    The prologue gathers each (lane, patch) pair's rows from it
+    (positions ``u``, shape values, ``e_dev`` and the band amplitudes
+    ``amps``).  The pixel term hands back per-patch blocks mapped into
+    *band* space — the 10-vector ``z_band = (ux, uy, sxx, sxy, syy,
+    A_star, A_gal, B_star, B_gal, e_dev)`` with position in the sky frame
+    and the amplitudes without calibration — summed per (lane, band), and
+    :meth:`chain_rule` takes them to the 27 free parameters in one
+    Jacobian and one curvature pass over every (lane, band) pair.
 
     Ufunc loops are length-invariant elementwise, stacked ``matmul``
     dispatches the identical per-lane product, and every gather/scatter
@@ -1241,90 +1634,76 @@ class _EvalChain:
     ``N = 1``."""
 
     def __init__(self, u_centers: np.ndarray, frees: np.ndarray,
-                 bands: tuple, order: int, variance_correction: bool):
+                 boxed: tuple, bands: tuple, order: int,
+                 variance_correction: bool):
         self.order = order
         self.vc = variance_correction
         self.n_lanes = n = frees.shape[0]
+        bv, b1, b2 = boxed
 
-        pg, pg1, pg2 = _BIJ_PROB.forward_d012_vec(frees[:, _IDX_A])
-        u0v, u0d1, u0d2 = _BIJ_U.forward_d012_vec(frees[:, _IDX_U[0]])
-        u1v, u1d1, u1d2 = _BIJ_U.forward_d012_vec(frees[:, _IDX_U[1]])
-        self.ux = u_centers[:, 0] + u0v
-        self.uy = u_centers[:, 1] + u1v
-        self.ud2 = (u0d2, u1d2)
-
-        self.dev, dev1, self.dev2 = _BIJ_DEV.forward_d012_vec(
-            frees[:, _IDX_DEV])
-        self.shape_vals, shape_jac, self.shape_hess = _shape_chain(
-            frees, order
-        )
+        self.u = u_centers + bv[:, _BX_U]
+        self.dev = bv[:, _BOX[_IDX_DEV]]
+        self.shape, shape_jac, shape_hess = _shape_chain(
+            boxed, frees[:, _SHAPE_IDX[1]], order)
 
         #: Band amplitudes without calibration, ``(A_star, A_gal, B_star,
         #: B_gal)`` (B only under the variance correction): their values as
-        #: a ``(K, n_bands, N)`` table the sweeps gather from, and their
+        #: a ``(K, n_bands, N)`` table the prologue gathers from, and their
         #: derivatives, ``(N, K, n_bands, 11[, 11])``, for the chain rule.
         amps, self.amp_grad, self.amp_hess = _amp_chains(
-            frees, pg, pg1, pg2, bands, order, variance_correction)
+            frees, boxed, bands, order, variance_correction)
         self.amps = amps.transpose(1, 2, 0)
 
         #: The band-independent rows of dz_band/dfree, ``(N, 10, 27)``;
-        #: the amplitude rows 5-8 are filled per band by :meth:`chain_rule`.
+        #: the amplitude rows 5-8 are filled per (lane, band) pair by
+        #: :meth:`chain_rule`.
         jac = self.jac = np.zeros((n, 10, _N_ACTIVE))
-        jac[:, 0, _IDX_U[0]] = u0d1
-        jac[:, 1, _IDX_U[1]] = u1d1
-        jac[:, _JAC_SHAPE_ROWS, _JAC_SHAPE_COLS] = shape_jac
-        jac[:, 9, _IDX_DEV] = dev1
+        jac.reshape(n, -1)[:, _JAC_FIXED] = np.concatenate(
+            [b1[:, _BX_U], shape_jac.reshape(n, 9),
+             b1[:, _BOX[_IDX_DEV], None]], axis=1)
+        #: Each lane's band-independent second derivatives, ``(N, 30)``:
+        #: ``u``, the shape Hessian and ``e_dev``
+        #: (:func:`_second_order_terms`).
+        self.d2 = None if order < 2 else np.concatenate(
+            [b2[:, _BX_U], shape_hess.reshape(n, 27),
+             b2[:, _BOX[_IDX_DEV], None]], axis=1)
 
-    def rows(self, lanes: np.ndarray) -> tuple:
-        """One sweep's gathered ``(ux, uy, sxx, sxy, syy, e_dev)`` rows."""
-        s1, s2, s3 = self.shape_vals
-        return (self.ux[lanes], self.uy[lanes], s1[lanes], s2[lanes],
-                s3[lanes], self.dev[lanes])
+    def chain_rule(self, gzq: np.ndarray, hzq, lay: "_Layout"):
+        """Chain the per-(lane, band) z-space blocks ``gzq`` ``(Q, 10)``
+        and ``hzq`` ``(Q, 10, 10)`` (``None`` at order 1), one per pair of
+        ``lay.lb_lane`` / ``lay.lb_col``, to the dense 27-space: ``(g27
+        (N, 27), h27 (N, 27, 27) or None)``.
 
-    def chain_rule(self, gzb: np.ndarray, hzb, band_lanes: list):
-        """Chain the per-(lane, band) z-space blocks ``gzb`` ``(N, n_bands,
-        10)`` and ``hzb`` ``(N, n_bands, 10, 10)`` (``None`` at order 1) to
-        the dense 27-space: ``(g27 (N, 27), h27 (N, 27, 27) or None)``.
-
-        ``band_lanes[i]`` lists the lanes to chain through band ``i`` —
-        the lanes that observe it (and are active); a lane's bands run in
-        ascending order whatever shares its call.  Per band this is one
-        Jacobian contraction over those lanes and, at order 2, one pass of
-        the chain rule's second term ``sum_m gz_m d2 z_m / dfree2`` (z is
-        nonlinear in free).  The star and galaxy amplitude blocks overlap
-        at the type logit, so their accumulation order is fixed."""
-        n = self.n_lanes
-        g27 = np.zeros((n, _N_ACTIVE))
-        h27 = np.zeros((n, _N_ACTIVE, _N_ACTIVE)) if self.order >= 2 else None
-        for col, lanes in enumerate(band_lanes):
-            if not lanes.size:
-                continue
-            # Amplitude k is z row 5 + k, over the star (k even) or galaxy
-            # (k odd) amplitude indices.
-            n_amps = self.amps.shape[0]
-            jac = self.jac[lanes]
-            for k in range(n_amps):
-                jac[:, 5 + k, _AMP_COLS[k % 2]] = self.amp_grad[lanes, k, col]
-            jac_t = jac.transpose(0, 2, 1)
-            gz = gzb[lanes, col]
-            g27[lanes] += np.matmul(jac_t, gz[:, :, None])[:, :, 0]
-            if h27 is None:
-                continue
-            h = np.matmul(jac_t, np.matmul(hzb[lanes, col], jac))
-            for j in (0, 1):
-                ui = _IDX_U[j]
-                h[:, ui, ui] += gz[:, j] * self.ud2[j][lanes]
-            shape_hess = self.shape_hess[lanes]
-            for m in range(3):
-                h[:, _SHAPE_IX[0], _SHAPE_IX[1]] += (
-                    gz[:, 2 + m, None, None] * shape_hess[:, m])
-            for k in range(n_amps):
-                rows, cols = _AMP_IX[k % 2]
-                h[:, rows, cols] += (gz[:, 5 + k, None, None]
-                                     * self.amp_hess[lanes, k, col])
-            h[:, _IDX_DEV, _IDX_DEV] += gz[:, 9] * self.dev2[lanes]
-            h27[lanes] += h
-        return g27, h27
+        One Jacobian contraction over every pair and, at order 2, one
+        pass of the chain rule's second term ``sum_m gz_m d2 z_m /
+        dfree2`` (z is nonlinear in free) as a fixed scatter
+        (:data:`_SECOND_ORDER`).  A lane's bands then add into it in
+        ascending order, whatever shares its call."""
+        lane, col = lay.lb_lane, lay.lb_col
+        n_q = lane.shape[0]
+        n_amps = self.amps.shape[0]
+        jac = self.jac[lane]
+        jac.reshape(n_q, 10 * _N_ACTIVE)[:, _JAC_AMP[:11 * n_amps]] = (
+            self.amp_grad[lane, :, col].reshape(n_q, 11 * n_amps))
+        jac_t = jac.transpose(0, 2, 1)
+        g = np.matmul(jac_t, gzq[:, :, None])[:, :, 0]
+        g27 = _ordered_sum([g], lay.lb_rank, self.n_lanes)
+        if hzq is None:
+            return g27, None
+        h = np.matmul(jac_t, np.matmul(hzq, jac))
+        n_rounds, lane_z, lane_pos, amp_pos = _SECOND_ORDER[n_amps]
+        size = _N_ACTIVE * _N_ACTIVE
+        rounds = np.zeros((n_q, n_rounds, size))
+        flat = rounds.reshape(n_q, n_rounds * size)
+        flat[:, lane_pos] = gzq[:, lane_z] * self.d2[lane]
+        flat[:, amp_pos] = (
+            gzq[:, 5:5 + n_amps, None]
+            * self.amp_hess[lane, :, col].reshape(n_q, n_amps, 121)
+        ).reshape(n_q, 121 * n_amps)
+        hf = h.reshape(n_q, size)
+        for r in range(n_rounds):
+            hf += rounds[:, r]
+        return g27, _ordered_sum([h], lay.lb_rank, self.n_lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -1453,111 +1832,167 @@ _ASSEMBLY = {(order, vc): _Assembly(order, vc)
              for order in (1, 2) for vc in (False, True)}
 
 
-def _patch_pixel_term(pws: _PatchWorkspace, rows: tuple, amps: np.ndarray,
-                      order: int, vc: bool):
-    """Value ``(G,)``, z-gradient ``(G, 10)``, and z-Hessian ``(G, 10, 10)``
-    of one patch slot's expected Poisson log-likelihood across a lane group
-    (Hessian ``None`` at order 1).  ``rows`` are the sweep's lane rows of
-    the call's :class:`_EvalChain` (:meth:`_EvalChain.rows`) and ``amps``
-    the ``(4, G)`` uncalibrated amplitudes of each lane's band in this
-    slot; all lanes share this patch slot's array shapes, so the whole term
-    is a single stacked sweep: one mixture pass, one feature GEMM, the
-    pixel sums, and one assembly (:class:`_Assembly`)."""
-    ux, uy, s1, s2, s3, dev = rows
-    gsz = ux.shape[0]
-    m = pws.n_pixels
+class _Prologue:
+    """The per-call prologue of the pixel term over a stack of (lane,
+    patch) pairs — everything that does not touch pixels, with fixed
+    shapes per pair — and the buffers the per-patch pixel passes write
+    their pixel sums into (:func:`_prologue`)."""
+
+    __slots__ = ("up", "icov", "alpha", "mix", "coef", "kinds", "val",
+                 "fw", "mom", "gram")
+
+
+def _prologue(st: _PairStack, rows: tuple, amps: np.ndarray, order: int,
+              vc: bool) -> _Prologue:
+    """Stacked over every pair of ``st``: pixel-frame positions (the
+    pair's affine WCS applied left-associated, as multiply-adds), the
+    amplitude kinds ``(1, A_star, A_gal[, B_star, B_gal])`` with the
+    pair's calibration, the inverse covariances and normalizers, the row
+    mix and the feature coefficients.  ``rows`` holds each pair's sky
+    position ``(P, 2)``, shape ``(P, 3)`` and ``e_dev`` ``(P,)``, and
+    ``amps`` its band's ``(4, P)`` uncalibrated amplitudes (the first two
+    without the variance correction)."""
+    u, shape, dev = rows
     asm = _ASSEMBLY[(2 if order >= 2 else 1, vc)]
-
-    # Per-lane inputs for this slot.  upx/upy are left-associated
-    # multiply-adds through this lane's affine WCS coefficients.
-    upx = pws.wa[:, 0, 0] * ux + pws.wa[:, 0, 1] * uy + pws.wt[:, 0]
-    upy = pws.wa[:, 1, 0] * ux + pws.wa[:, 1, 1] * uy + pws.wt[:, 1]
-    kinds = np.empty((gsz, 5 if vc else 3))
+    n_pairs = u.shape[0]
+    pro = _Prologue()
+    up = st.wa * u[:, None, :]
+    pro.up = up[..., 0] + up[..., 1] + st.wt
+    pro.kinds = kinds = np.empty((n_pairs, 5 if vc else 3))
     kinds[:, _K1] = 1.0
-    np.multiply(pws.iota, amps[0], out=kinds[:, _KAS])
-    np.multiply(pws.iota, amps[1], out=kinds[:, _KAG])
-    if vc:
-        np.multiply((pws.iota * pws.iota)[:, None], amps[2:4].T,
-                    out=kinds[:, _KBS:])
+    n_amps = kinds.shape[1] - 1
+    np.multiply(st.iotas[:, :n_amps], amps[:n_amps].T, out=kinds[:, 1:])
+    pro.icov, pro.alpha = _covariances(st, shape)
+    pro.mix = _row_mix(st, dev)
+    pro.coef = _feature_coefficients(st, pro.icov, pro.mix, asm.n_rows)
+    pro.val = np.empty(n_pairs)
+    pro.fw = np.empty((n_pairs, asm.n_rows, asm.n_w))
+    if order >= 2:
+        n_gal = st.var.shape[1] - st.n_star
+        pro.mom = np.zeros((n_pairs, 15, n_gal, 2 if vc else 1))
+        pro.gram = np.empty((n_pairs, (4 if vc else 1) * _N_GRAM, _N_GRAM))
+    return pro
 
-    inv, lx, ly, mono = _mixture(pws, upx, upy, s1, s2, s3)
-    mix = _row_mix(pws, dev)
-    feats = _feature_rows(pws, inv, mix, mono, asm.n_rows)
-    gs = feats[:, _F_GS]
-    gg = feats[:, _F_GG]
+
+def _patch_pixel_term(pws: _PatchWorkspace, pro: _Prologue, rows: slice,
+                      order: int, vc: bool) -> None:
+    """The pixel passes of one patch slot across a lane group: the
+    slot's pairs are ``rows`` of the call's prologue ``pro``, and all its
+    lanes share the slot's array shapes, so this is a single stacked
+    sweep — one mixture pass, one feature GEMM and the pixel sums.  It
+    writes the pairs' values, the feature rows against the weight columns
+    (``F @ W``), the galaxy moments and the weighted Gram matrices into
+    ``pro``; :func:`_assemble` turns them into z-space blocks."""
+    lx, ly, mono = _mixture(pws, pro.up[rows], pro.icov[rows],
+                            pro.alpha[rows])
+    feats = _feature_rows(pro.coef[rows], mono)
+    kinds = pro.kinds[rows, :, None]
+    gsg = feats[:, _F_GS:_F_GG + 1:_F_GG - _F_GS]          # (gs, gg)
+    gs, gg = gsg[:, 0], gsg[:, 1]
+    gsz, m = gs.shape
 
     x = pws.counts
-    e = kinds[:, _KAS, None] * gs + kinds[:, _KAG, None] * gg
+    ag = kinds[:, _KAS:_KAG + 1] * gsg
+    e = np.add(ag[:, 0], ag[:, 1], out=ag[:, 0])
     f = pws.bg + e
     fi = 1.0 / f
     logf = np.log(f)
     # Weight columns of the pixel sums F @ W: phi_e (the e-derivative of
     # the per-pixel log-likelihood) and, with the variance correction,
     # phi_e2 (its e2-derivative) times gg and gs.
-    w = np.empty((gsz, asm.n_w, m))
+    w = np.empty((gsz, 3 if vc else 1, m))
     if vc:
-        gs2 = gs * gs
-        gg2 = gg * gg
-        v = kinds[:, _KBS, None] * gs2 + kinds[:, _KBG, None] * gg2 - e * e
+        bg2 = kinds[:, _KBS:_KBG + 1] * (gsg * gsg)
+        v = np.add(bg2[:, 0], bg2[:, 1], out=bg2[:, 0])
+        v -= e * e
         fi2 = fi * fi
-        val = np.sum(x * (logf - 0.5 * v * fi2) - f, axis=-1)
+        np.add.reduce(x * (logf - 0.5 * v * fi2) - f, axis=-1,
+                      out=pro.val[rows])
         np.multiply(x * fi, 1.0 + (e + v * fi) * fi, out=w[:, 0])
         w[:, 0] -= 1.0
         phi_e2 = -0.5 * x * fi2
-        np.multiply(phi_e2, gg, out=w[:, 1])
-        np.multiply(phi_e2, gs, out=w[:, 2])
+        np.multiply(phi_e2[:, None], gsg[:, ::-1], out=w[:, 1:])
     else:
-        val = np.sum(x * logf - f, axis=-1)
+        np.add.reduce(x * logf - f, axis=-1, out=pro.val[rows])
         np.multiply(x, fi, out=w[:, 0])
         w[:, 0] -= 1.0
     wt = w.transpose(0, 2, 1)
-    sources = [np.matmul(feats, wt).reshape(gsz, -1)]
+    np.matmul(feats, wt, out=pro.fw[rows])
+    if order < 2:
+        return
 
+    _galaxy_moments(pws, lx, ly, mono, wt[:, :, :2], pro.mom[rows])
+    # Weighted Gram matrices of the leading feature rows: the outer-
+    # product terms de^T diag(phi_ee) de (+ the e2 crosses), and the
+    # phi_e2 one the assembly reads.
+    if vc:
+        fi3x = x * fi2 * fi
+        u = np.empty((gsz, 4, m))
+        np.multiply(fi3x, -(4.0 * e + 3.0 * v * fi), out=u[:, 0])
+        np.multiply(fi3x[:, None], gsg, out=u[:, 1:3])
+        u[:, 3] = phi_e2
+    else:
+        u = (-x * fi * fi)[:, None]
+    lead = feats[:, :_N_GRAM]
+    np.matmul((u[:, :, None] * lead[:, None]).reshape(gsz, -1, m),
+              lead.transpose(0, 2, 1), out=pro.gram[rows])
+
+
+def _assemble(st: _PairStack, pro: _Prologue, order: int, vc: bool):
+    """Value ``(P,)``, z-gradient ``(P, 10)`` and z-Hessian ``(P, 10,
+    10)`` (``None`` at order 1) of every pair, from the pixel sums the
+    per-patch passes left in ``pro``: the galaxy curvature's coefficient
+    contraction, the fixed scatter (:class:`_Assembly`) and the outer
+    products, once over the whole stack."""
+    asm = _ASSEMBLY[(2 if order >= 2 else 1, vc)]
+    n_pairs = pro.val.shape[0]
+    sources = [pro.fw.reshape(n_pairs, -1)]
     if order >= 2:
-        sources.append(_galaxy_curvature(
-            pws, inv, mix, lx, ly, mono, wt[:, :, :2]).reshape(gsz, -1))
-        # Weighted Gram matrices of the leading feature rows: the outer-
-        # product terms de^T diag(phi_ee) de (+ the e2 crosses), and the
-        # phi_e2 one the assembly reads.
+        basis = _curvature_basis(st, pro.icov, pro.mix)
+        sources.append(_galaxy_curvature(basis, pro.mom).reshape(n_pairs, -1))
         if vc:
-            fi3x = x * fi2 * fi
-            u = np.empty((gsz, 4, m))
-            np.multiply(fi3x, -(4.0 * e + 3.0 * v * fi), out=u[:, 0])
-            np.multiply(fi3x, gs, out=u[:, 1])
-            np.multiply(fi3x, gg, out=u[:, 2])
-            u[:, 3] = phi_e2
-        else:
-            u = (-x * fi * fi)[:, None]
-        lead = feats[:, :_N_GRAM]
-        gram = np.matmul(
-            (u[:, :, None] * lead[:, None]).reshape(gsz, -1, m),
-            lead.transpose(0, 2, 1))
-        if vc:
-            sources.append(gram[:, 3 * _N_GRAM:].reshape(gsz, -1))
+            sources.append(pro.gram[:, 3 * _N_GRAM:].reshape(n_pairs, -1))
     src = sources[0] if len(sources) == 1 else np.concatenate(sources, axis=1)
+    kinds = pro.kinds
     lin = np.matmul((src[:, asm.src] * kinds[:, asm.kind])[:, None],
                     asm.scatter)[:, 0]
     gz = lin[:, :10]
     if order < 2:
-        return val, gz, None
+        return pro.val, gz, None
 
     # Outer products: with the design maps D_u, the per-pixel
     # de diag(phi_ee) de^T + cross + cross^T, cross = de diag(phi_ee2)
     # de2^T, is A P0 A^T + A Y^T + Y A^T for the Gram matrices P_u and
     # Y = B_s P1 + B_g P2 — written V A^T + A V^T, V = A P0 / 2 + Y.
-    d = np.zeros((gsz, 10, asm.n_maps, _N_GRAM))
+    gram = pro.gram
+    d = np.zeros((n_pairs, 10, asm.n_maps, _N_GRAM))
     d[(slice(None),) + asm.design_index] = (kinds[:, asm.design_kind]
                                             * asm.design_factor)
     a = d[:, :, 0]
     half = np.matmul(a, gram[:, :_N_GRAM])
     half *= 0.5
     if vc:
-        half += np.matmul(d[:, :, 1:].reshape(gsz, 10, 2 * _N_GRAM),
+        half += np.matmul(d[:, :, 1:].reshape(n_pairs, 10, 2 * _N_GRAM),
                           gram[:, _N_GRAM:3 * _N_GRAM])
     hz = np.matmul(half, a.transpose(0, 2, 1))
     hz += hz.transpose(0, 2, 1)
-    hz += lin[:, 10:].reshape(gsz, 10, 10)
-    return val, gz, hz
+    hz += lin[:, 10:].reshape(n_pairs, 10, 10)
+    return pro.val, gz, hz
+
+
+def _pixel_terms(st: _PairStack, rows: tuple, amps: np.ndarray,
+                 slots: list, order: int, vc: bool):
+    """Value ``(P,)``, z-gradient ``(P, 10)`` and z-Hessian ``(P, 10,
+    10)`` (``None`` at order 1) of each (lane, patch) pair's expected
+    Poisson log-likelihood, for the pairs of ``st`` (``rows`` and ``amps``
+    as in :func:`_prologue`).  ``slots`` lists each patch slot's pixel
+    workspace with its pairs' rows.  The prologue and the assembly run
+    once over the whole stack; only the pixel passes and their GEMMs run
+    per patch slot."""
+    pro = _prologue(st, rows, amps, order, vc)
+    for pws, sl in slots:
+        _patch_pixel_term(pws, pro, sl, order, vc)
+    return _assemble(st, pro, order, vc)
 
 
 # ---------------------------------------------------------------------------
@@ -1613,35 +2048,35 @@ class ElboEval:
         return "ElboEval(val=%r, order=%d)" % (float(self.val), order)
 
 
-def _evaluate_lanes(compiled: _FusedBatchWorkspace, chain: _EvalChain,
-                    active: np.ndarray):
+def _evaluate_lanes(compiled: _FusedBatchWorkspace, chain: _EvalChain):
     """Pixel term over a whole batch call: per-lane value ``(N,)``, dense
     27-gradient ``(N, 27)``, and 27x27 Hessian (``None`` at order 1).
 
-    The per-pixel sweep runs once per patch slot of each shape group, over
-    that group's lanes.  Each patch's ``(gz, hz)`` is mapped into band
-    space through the patch's fixed ``zmap`` and summed per (lane, band);
-    the pixel-count-independent chain rule then runs once per band over
-    the call's active lanes
-    (:meth:`_EvalChain.chain_rule`) rather than once per patch."""
+    The prologue runs once per component key over every (lane, patch)
+    pair of the call (of a cache-sized chunk of its sweeps, in a wide
+    batch: :func:`_prologue_cap`), and the per-pixel sweep once per patch
+    slot of each shape group, over that group's lanes.  Every pair's
+    ``(gz, hz)`` is
+    mapped into band space through its patch's fixed ``zmap`` and summed
+    per (lane, band) in slot order; the pixel-count-independent chain
+    rule then runs once over the call's (lane, band) pairs
+    (:meth:`_EvalChain.chain_rule`)."""
     order, vc = chain.order, chain.vc
+    lay = compiled.layout
     n = chain.n_lanes
-    n_bands = len(compiled.bands)
-    val = np.zeros(n)
-    gzb = np.zeros((n, n_bands, 10))
-    hzb = np.zeros((n, n_bands, 10, 10)) if order >= 2 else None
-    for lanes, stacks, cols in compiled.groups:
-        if not stacks:
-            continue
-        rows = chain.rows(lanes)
-        for pws, col in zip(stacks, cols):
-            pval, gz, hz = _patch_pixel_term(
-                pws, rows, chain.amps[:, col, lanes], order, vc)
-            val[lanes] += pval
-            gzb[lanes, col] += np.matmul(gz[:, None, :], pws.zmap)[:, 0]
-            if hz is not None:
-                hzb[lanes, col] += np.matmul(pws.zmap.transpose(0, 2, 1),
-                                             np.matmul(hz, pws.zmap))
+    vals, gzs, hzs = [], [], []
+    for grp in lay.pair_groups:
+        lane = grp.lane
+        val, gz, hz = _pixel_terms(
+            grp.stack, (chain.u[lane], chain.shape[lane], chain.dev[lane]),
+            chain.amps[:, grp.col, lane], grp.slots, order, vc)
+        zmap = grp.stack.zmap
+        vals.append(val)
+        gzs.append(np.matmul(gz[:, None, :], zmap)[:, 0])
+        if hz is not None:
+            hzs.append(np.matmul(zmap.transpose(0, 2, 1),
+                                 np.matmul(hz, zmap)))
+    for lanes, _ in lay.sweeps:
         # What the kernel really stacked (a batch call splits into one
         # sweep per shape group): observational, like the front end's
         # elbo_batch_* pair, and on the sweep's first context's bag.
@@ -1649,8 +2084,14 @@ def _evaluate_lanes(compiled: _FusedBatchWorkspace, chain: _EvalChain,
             "elbo_sweep_calls": 1.0,
             "elbo_sweep_lanes": float(len(lanes)),
         })
-    band_lanes = [ls[active[ls]] for ls in compiled.band_lanes]
-    g27, h27 = chain.chain_rule(gzb, hzb, band_lanes)
+    n_q = lay.lb_lane.shape[0]
+    if not vals:
+        return (np.zeros(n), np.zeros((n, _N_ACTIVE)),
+                np.zeros((n, _N_ACTIVE, _N_ACTIVE)) if order >= 2 else None)
+    val = _ordered_sum(vals, lay.lane_rank, n)
+    gzq = _ordered_sum(gzs, lay.pair_rank, n_q)
+    hzq = _ordered_sum(hzs, lay.pair_rank, n_q) if hzs else None
+    g27, h27 = chain.chain_rule(gzq, hzq, lay)
     return val, g27, h27
 
 
@@ -1668,17 +2109,20 @@ def elbo_fused_batch(
     :func:`repro.core.elbo.compile_elbo_batch`; built on the fly when
     ``None``); it must have been compiled for exactly these contexts.
     ``active`` is an optional per-lane boolean mask: an inactive lane
-    still rides through its group's stacked pixel sweep (its lane is baked
-    into the stacks — that waste is what the batch-occupancy counters
-    expose, and why callers repack once occupancy drops), but its chain
-    rule, KL term and result are skipped (``None``).
+    still rides through its group's stacked pixel sweep and the chain
+    (its lane is baked into the stacks — that waste is what the
+    batch-occupancy counters expose, and why callers repack once
+    occupancy drops), but its KL term and result are skipped (``None``).
     Returns one :class:`ElboEval` (or ``None``) per context, in order, each
     bit-for-bit equal to what a one-lane call returns for that context and
     free vector alone (lanes are independent).
 
     The pixel-count-independent stages run once per call: one
-    :class:`_EvalChain` over all lanes, one chain-rule pass per band, and
-    one stacked :meth:`KlWorkspace.evaluate_stacked` per shared ``Priors``.
+    :func:`_bijector_pass` over every lane, one :class:`_EvalChain`, one
+    prologue per component key (and cache-sized chunk of sweeps), one
+    chain-rule pass over the (lane, band) pairs, and one stacked
+    :meth:`KlWorkspace.evaluate_stacked` per shared ``Priors``, reading
+    the same bijector pass.
     """
     if compiled is None:
         compiled = _FusedBatchWorkspace(ctxs)
@@ -1690,21 +2134,28 @@ def elbo_fused_batch(
     out: list = [None] * len(ctxs)
     if not ctxs:
         return out
+    lay = compiled.layout
     frees_all = np.array([np.asarray(f, dtype=np.float64) for f in frees])
     act = (np.ones(len(ctxs), dtype=bool) if active is None
            else np.asarray(active, dtype=bool))
-    chain = _EvalChain(compiled.u_centers, frees_all, compiled.bands, order,
+    boxed = _bijector_pass(frees_all)
+    chain = _EvalChain(lay.u_centers, frees_all, boxed, lay.bands, order,
                        variance_correction)
-    val, g27, h27 = _evaluate_lanes(compiled, chain, act)
+    val, g27, h27 = _evaluate_lanes(compiled, chain)
     # KL terms, stacked per shared prior workspace: lanes under one Priors
     # (the production case — a survey uses one) evaluate their KL
     # values/gradients/Hessians in one lane-stacked sweep.  The pixel
     # term's dense 27-block is then added into the full free space.
-    for klws, lanes in compiled.kl_groups:
+    for klws, lanes in lay.kl_groups:
         lanes = lanes[act[lanes]]
         if not lanes.size:
             continue
-        kvals, grads, hesses = klws.evaluate_stacked(frees_all[lanes], order)
+        if lanes.size == len(ctxs):
+            kvals, grads, hesses = klws.evaluate_stacked(frees_all, order,
+                                                         boxed)
+        else:
+            kvals, grads, hesses = klws.evaluate_stacked(
+                frees_all[lanes], order, tuple(b[lanes] for b in boxed))
         kvals += val[lanes]
         if order >= 1:
             grads[:, :_N_ACTIVE] += g27[lanes]

@@ -12,6 +12,8 @@ Each bijector provides two views:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.constants import EXP_ARG_LIMIT, UNIT_INTERVAL_EDGE
@@ -19,6 +21,7 @@ from repro.constants import EXP_ARG_LIMIT, UNIT_INTERVAL_EDGE
 __all__ = [
     "Identity",
     "LogitBox",
+    "logit_box_d012",
     "softmax_fixed_last",
     "softmax_fixed_last_d012",
     "softmax_fixed_last_d012_stacked",
@@ -75,20 +78,27 @@ class LogitBox:
         return float(v), float(d1), float(d2)
 
     def forward_d012_vec(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`forward_d012` over an array of free values.
-
-        Used by the fused KL kernel, which pushes a whole color block
-        (means/variances of every color of one type) through the bijector
-        in one shot.
-        """
-        u = np.maximum(np.asarray(u, dtype=float), -EXP_ARG_LIMIT)
-        s = 1.0 / (1.0 + np.exp(-u))
-        r = self.hi - self.lo
-        d1 = r * s * (1.0 - s)
-        return self.lo + r * s, d1, d1 * (1.0 - 2.0 * s)
+        """Vectorized :meth:`forward_d012` over an array of free values."""
+        return logit_box_d012(u, self.lo, self.hi - self.lo)
 
     def __repr__(self):
         return "LogitBox(%g, %g)" % (self.lo, self.hi)
+
+
+def logit_box_d012(u, lo, span) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value and first two derivatives of ``lo + span * logistic(u)``,
+    elementwise, for ``lo`` and ``span`` that broadcast against ``u``.
+
+    With per-element ``lo`` / ``span`` vectors this pushes many boxes
+    through one pass: the fused kernel maps every :class:`LogitBox`
+    coordinate of a stacked free matrix at once.  Each element gets the
+    arithmetic :meth:`LogitBox.forward_d012_vec` gives it (which is this
+    function with scalar bounds), so the two agree bit for bit.
+    """
+    u = np.maximum(np.asarray(u, dtype=float), -EXP_ARG_LIMIT)
+    s = 1.0 / (1.0 + np.exp(-u))
+    d1 = span * s * (1.0 - s)
+    return lo + span * s, d1, d1 * (1.0 - 2.0 * s)
 
 
 def softmax_fixed_last(free: np.ndarray) -> np.ndarray:
@@ -141,6 +151,18 @@ def softmax_fixed_last_stacked(free: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _softmax_deltas(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker deltas of an ``n``-point fixed-last softmax: ``(n, n-1)``
+    (the pinned logit has no column) and ``(n-1, n-1)``, read-only."""
+    delta = np.zeros((n, n - 1))
+    delta[:n - 1, :] = np.eye(n - 1)
+    eye = np.eye(n - 1)
+    delta.flags.writeable = False
+    eye.flags.writeable = False
+    return delta, eye
+
+
 def softmax_fixed_last_d012_stacked(
     free: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,11 +172,10 @@ def softmax_fixed_last_d012_stacked(
     kappa = softmax_fixed_last_stacked(free)
     n = kappa.shape[1]
     kj = kappa[:, :-1]
-    delta = np.zeros((n, n - 1))
-    delta[:n - 1, :] = np.eye(n - 1)
-    u = delta[None] - kj[:, None, :]
+    delta, eye = _softmax_deltas(n)
+    u = delta - kj[:, None, :]
     jac = kappa[:, :, None] * u
-    v = np.eye(n - 1)[None] - kj[:, None, :]
+    v = eye - kj[:, None, :]
     hess = (kappa[:, :, None, None]
             * (u[:, :, :, None] * u[:, :, None, :]
                - kj[:, None, :, None] * v[:, None, :, :]))

@@ -70,6 +70,7 @@ def _random_context(
     perturb: float = 0.0,
     psf_width: float = 3.0,
     with_entry: bool = False,
+    psf=None,
 ):
     """Build a seeded ``(SourceContext, free_vector)`` pair.
 
@@ -96,6 +97,10 @@ def _random_context(
     with_entry:
         Also return the (re-centered) catalog entry, for tests that feed
         the context into a full optimization.
+    psf:
+        A :class:`~repro.psf.MixturePSF` for every visit, or a list of one
+        per visit (default: ``default_psf(psf_width)``) — another
+        component count gives the kernel another prologue stack.
     """
     if isinstance(entry, str):
         entry = _ENTRIES[entry]
@@ -107,9 +112,12 @@ def _random_context(
         priors = default_priors()
     rng = np.random.default_rng(seed)
     images = []
-    for band in bands:
+    if psf is None:
+        psf = default_psf(psf_width)
+    psfs = psf if isinstance(psf, list) else [psf] * len(bands)
+    for band, band_psf in zip(bands, psfs):
         meta = ImageMeta(band=band, wcs=WCS_LIST[band % len(WCS_LIST)],
-                         psf=default_psf(psf_width), sky_level=100.0,
+                         psf=band_psf, sky_level=100.0,
                          calibration=100.0)
         im = render_image([entry], meta, patch_shape, rng=rng)
         if mask:

@@ -103,8 +103,9 @@ def _group(pws, group):
     ns, nd = pws.n_star, pws.n_dev
     sl = {"star": slice(0, ns), "dev": slice(ns, ns + nd),
           "exp": slice(ns + nd, None)}[group]
-    return tuple(getattr(pws, name)[:, sl] for name in
-                 ("w2pi", "var", "pxx", "pxy", "pyy", "px", "py"))
+    pxx, pxy, pyy = (pws.pcov[:, sl, i:i + 1] for i in range(3))
+    return (pws.w2pi[:, sl], pws.var[:, sl], pxx, pxy, pyy,
+            pws.grid[:, 0, sl], pws.grid[:, 1, sl])
 
 
 def _components(pws, group, upx, upy, s1, s2, s3):

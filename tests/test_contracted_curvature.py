@@ -15,7 +15,10 @@ import pytest
 from pixel_oracle import lane_args, mixed_hessian_rows, random_patch
 from repro.core.kernel import (
     _MOMENT_BLOCK,
+    _covariances,
+    _curvature_basis,
     _galaxy_curvature,
+    _galaxy_moments,
     _mixture,
     _row_mix,
 )
@@ -23,9 +26,13 @@ from repro.core.kernel import (
 
 def _contracted(pws, args, wts):
     upx, upy, s1, s2, s3, dev = args
-    inv, lx, ly, mono = _mixture(pws, upx, upy, s1, s2, s3)
-    return _galaxy_curvature(pws, inv, _row_mix(pws, dev), lx, ly, mono,
-                             wts)
+    icov, alpha = _covariances(pws, np.stack([s1, s2, s3], axis=1))
+    lx, ly, mono = _mixture(pws, np.stack([upx, upy], axis=1), icov, alpha)
+    n_gal = icov.shape[1] - pws.n_star
+    mom = np.zeros((len(dev), 15, n_gal, wts.shape[2]))
+    _galaxy_moments(pws, lx, ly, mono, wts, mom)
+    return _galaxy_curvature(
+        _curvature_basis(pws, icov, _row_mix(pws, dev)), mom)
 
 
 class TestContractedCurvature:

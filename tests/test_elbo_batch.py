@@ -34,6 +34,7 @@ from repro.parallel.conflict import build_conflict_graph
 from repro.parallel.executor import _batchable_runs
 from repro.perf.counters import batch_occupancy
 from repro.psf import default_psf
+from repro.psf.gmm import MixturePSF
 from repro.survey import (
     AffineWCS,
     ImageMeta,
@@ -260,9 +261,9 @@ class TestSharedChain:
             chains.append(frees.shape[0])
             chain_init(self, u_centers, frees, *args, **kwargs)
 
-        def counting_kl(self, frees, order):
+        def counting_kl(self, frees, order, *args):
             kl_stacks.append(frees.shape[0])
-            return kl_eval(self, frees, order)
+            return kl_eval(self, frees, order, *args)
 
         monkeypatch.setattr(kernel._EvalChain, "__init__", counting_init)
         monkeypatch.setattr(kernel.KlWorkspace, "evaluate_stacked",
@@ -274,6 +275,196 @@ class TestSharedChain:
         assert chains == [len(ctxs)]        # ...one chain over all lanes
         assert sorted(kl_stacks) == [2, len(ctxs) - 2]
         assert len(priors) == len(kl_stacks)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_bijector_pass_per_call(self, monkeypatch, make_random_context,
+                                        perturbed_priors, order):
+        """Every LogitBox coordinate of a call goes through one pass, shared
+        by the chain and the KL stack, whatever the lane, patch and band
+        counts and the active mask; no per-block bijector call remains."""
+        from repro.core import kernel
+        from repro.transforms import LogitBox
+
+        ctxs, frees, _ = _shared_chain_batch(make_random_context,
+                                             perturbed_priors)
+        passes, per_block = [], []
+        real_pass = kernel._bijector_pass
+        real_vec = LogitBox.forward_d012_vec
+
+        def counting_pass(f):
+            passes.append(f.shape[0])
+            return real_pass(f)
+
+        def counting_vec(self, u):
+            per_block.append(1)
+            return real_vec(self, u)
+
+        monkeypatch.setattr(kernel, "_bijector_pass", counting_pass)
+        monkeypatch.setattr(LogitBox, "forward_d012_vec", counting_vec)
+        for lanes, active in ((slice(None), None), (slice(0, 1), None),
+                              (slice(3, 6), None),
+                              (slice(None), [i % 3 != 1
+                                             for i in range(len(ctxs))])):
+            passes.clear()
+            elbo_batch(ctxs[lanes], frees[lanes], order=order, active=active)
+            assert passes == [len(ctxs[lanes])]
+        assert per_block == []
+
+    def test_one_prologue_per_call_not_per_patch(
+            self, monkeypatch, make_random_context, perturbed_priors):
+        """The pixel term's pixel-independent work runs once per call over
+        every (lane, patch) pair — a wide call in cache-sized chunks of
+        whole sweeps — and only the pixel passes run per patch."""
+        from repro.core import kernel
+
+        ctxs, frees, _ = _shared_chain_batch(make_random_context,
+                                             perturbed_priors)
+        prologues, pixel_passes = [], []
+        real_prologue = kernel._prologue
+        real_pass = kernel._patch_pixel_term
+
+        def counting_prologue(st, rows, amps, order, vc):
+            prologues.append(rows[0].shape[0])
+            return real_prologue(st, rows, amps, order, vc)
+
+        def counting_pass(pws, pro, rows, order, vc):
+            pixel_passes.append(pws.counts.shape[0])
+            return real_pass(pws, pro, rows, order, vc)
+
+        monkeypatch.setattr(kernel, "_prologue", counting_prologue)
+        monkeypatch.setattr(kernel, "_patch_pixel_term", counting_pass)
+        compiled = compile_elbo_batch(ctxs)
+        elbo_batch(ctxs, frees, order=2, compiled=compiled)
+        n_pairs = sum(len(c.patches) for c in ctxs)
+        groups = compiled.layout.pair_groups
+        assert prologues == [len(g.lane) for g in groups]
+        assert sum(prologues) == n_pairs
+        assert len(prologues) <= len(compiled.groups)   # sweeps
+        # One pixel pass per patch slot of each sweep, covering every pair.
+        assert len(pixel_passes) == sum(
+            len(stacks) for _, stacks in compiled.groups)
+        assert sum(pixel_passes) == n_pairs > len(prologues)
+        # A one-lane call (one PSF shape): one prologue over its patches.
+        for ctx, free in zip(ctxs, frees):
+            prologues.clear()
+            elbo(ctx, free, order=2)
+            assert prologues == [len(ctx.patches)]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_elbo_kl_is_the_fused_calls_kl(self, monkeypatch,
+                                           make_random_context,
+                                           perturbed_priors, order):
+        """``elbo_kl`` alone gives the bits of the KL contribution inside a
+        fused call, which reads the call's shared bijector pass."""
+        from repro.core import kernel
+        from repro.core.elbo import elbo_kl
+
+        ctxs, frees, _ = _shared_chain_batch(make_random_context,
+                                             perturbed_priors)
+        active = [i % 4 != 2 for i in range(len(ctxs))]
+        stacks = []
+        real = kernel.KlWorkspace.evaluate_stacked
+
+        def capturing(self, f, order, boxed=None):
+            out = real(self, f, order, boxed)
+            # The fused call adds the pixel term into these in place.
+            stacks.append((boxed is not None,
+                           [None if a is None else a.copy() for a in out]))
+            return out
+
+        monkeypatch.setattr(kernel.KlWorkspace, "evaluate_stacked",
+                            capturing)
+        elbo_batch(ctxs, frees, order=order, active=active)
+        fused = list(stacks)
+        groups = compile_elbo_batch(ctxs).layout.kl_groups
+        assert len(fused) == len(groups)
+        for (_, lanes), (shared, (val, grad, hess)) in zip(groups, fused):
+            assert shared
+            for i, lane in enumerate(l for l in lanes if active[l]):
+                alone = elbo_kl(ctxs[lane], frees[lane], order=order)
+                assert np.asarray(alone.val).tobytes() == val[i].tobytes()
+                for a, b in ((alone.grad, grad), (alone.hess, hess)):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.tobytes() == b[i].tobytes()
+
+
+def _wide_psf():
+    """A three-component PSF: another component count than the default
+    double Gaussian, so its patches take another prologue stack."""
+    return MixturePSF(weights=np.array([0.7, 0.2, 0.1]),
+                      means=np.zeros((3, 2)),
+                      covs=np.stack([s * np.eye(2) for s in (1.6, 4.0, 9.0)]))
+
+
+def _prologue_batch(make_random_context, perturbed_priors):
+    """Lanes with 1, 2 and 3 patches over different band sets, on two
+    ``Priors``, two of them stacking in one sweep, and patches of two PSF
+    component counts — one lane mixing both — so the call's prologue runs
+    over two stacks and a lane's patches span them."""
+    first, second = default_priors(), perturbed_priors(5)
+    wide = _wide_psf()
+    specs = [
+        dict(entry="star", seed=20, bands=(2,)),
+        dict(entry="galaxy", seed=21, bands=(1, 3)),
+        dict(entry="galaxy", seed=22, bands=(0, 2, 2)),
+        dict(entry="star", seed=23, bands=(4, 1, 0), patch_shape=(16, 16)),
+        dict(entry="galaxy", seed=24, bands=(3, 3), psf=wide),
+        dict(entry="star", seed=25, bands=(2, 0, 2),
+             psf=[wide, default_psf(3.0), wide]),
+        dict(entry="galaxy", seed=26, bands=(1, 3)),
+        dict(entry="galaxy", seed=27, bands=(0,), mask=True),
+    ]
+    pairs = [make_random_context(**spec, perturb=0.2,
+                                 priors=second if i in (1, 5) else first)
+             for i, spec in enumerate(specs)]
+    return [c for c, _ in pairs], [f for _, f in pairs]
+
+
+class TestStackedPrologue:
+    """The per-call prologue stacks every (lane, patch) pair of a call,
+    and a lane's bits still depend on nothing else in the call."""
+
+    def test_batch_exercises_the_stacking(self, make_random_context,
+                                          perturbed_priors):
+        ctxs, _ = _prologue_batch(make_random_context, perturbed_priors)
+        lay = compile_elbo_batch(ctxs).layout
+        assert len(lay.pair_groups) == 2
+        assert len(lay.kl_groups) == 2
+        assert max(len(lanes) for lanes, _ in lay.sweeps) == 2
+        assert sorted({len(c.patches) for c in ctxs}) == [1, 2, 3]
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("vc", [True, False])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_lane_in_call_equals_lane_alone(self, monkeypatch,
+                                            make_random_context,
+                                            perturbed_priors, order, vc,
+                                            chunked):
+        """``chunked`` caps the prologue stacks at one sweep each, the way
+        a call too wide for the cache splits them."""
+        from repro.core import kernel
+
+        if chunked:
+            monkeypatch.setattr(kernel, "_prologue_cap", lambda: 1)
+        ctxs, frees = _prologue_batch(make_random_context, perturbed_priors)
+        if chunked:
+            assert len(compile_elbo_batch(ctxs).layout.pair_groups) > 2
+        active = [True, True, True, False, True, True, True, False]
+        outs = elbo_batch(ctxs, frees, order=order, variance_correction=vc,
+                          active=active)
+        for ctx, free, flag, out in zip(ctxs, frees, active, outs):
+            if not flag:
+                assert out is None
+                continue
+            ref = elbo(ctx, free, order=order, variance_correction=vc)
+            assert np.asarray(out.val).tobytes() == \
+                np.asarray(ref.val).tobytes()
+            assert out.grad.tobytes() == ref.grad.tobytes()
+            if order >= 2:
+                assert out.hess.tobytes() == ref.hess.tobytes()
+            else:
+                assert out.hess is None and ref.hess is None
 
 
 class TestLockstepOptimizer:

@@ -5,8 +5,10 @@ pixel term reads — the star's value, gradient and position Hessian, the
 mixed galaxy profile ``gg`` and its gradient, ``dlg = d gg / d e_dev`` and
 its gradient — from one GEMM of per-lane coefficients against the
 degree-<=2 monomials of :func:`repro.core.kernel._mixture`, and
-:func:`repro.core.kernel._patch_pixel_term` assembles the z-gradient and
-z-Hessian from pixel sums through a fixed scatter.  ``pixel_oracle``
+:func:`repro.core.kernel._pixel_terms` assembles the z-gradient and
+z-Hessian from pixel sums through a fixed scatter (the per-call prologue
+and assembly of :func:`repro.core.kernel._pixel_terms`, here over one
+patch slot).  ``pixel_oracle``
 computes the same rows component by component and accumulates the
 z-Hessian entry by entry, which makes it the independent check of both.
 """
@@ -24,9 +26,11 @@ from repro.core.kernel import (
     _F_GS,
     _F_HGS,
     _MOMENT_BLOCK,
+    _covariances,
+    _feature_coefficients,
     _feature_rows,
     _mixture,
-    _patch_pixel_term,
+    _pixel_terms,
     _row_mix,
 )
 
@@ -41,9 +45,20 @@ _N_PIX = [1, 7, _MOMENT_BLOCK - 1, _MOMENT_BLOCK, _MOMENT_BLOCK + 1, 1541]
 
 def _kernel_rows(pws, args, n_rows=18):
     upx, upy, s1, s2, s3, dev = args
-    inv, _, _, mono = _mixture(pws, upx, upy, s1, s2, s3)
+    icov, alpha = _covariances(pws, np.stack([s1, s2, s3], axis=1))
+    _, _, mono = _mixture(pws, np.stack([upx, upy], axis=1), icov, alpha)
+    coef = _feature_coefficients(pws, icov, _row_mix(pws, dev), n_rows)
     # The rows live in the thread's scratch until the next call: copy.
-    return _feature_rows(pws, inv, _row_mix(pws, dev), mono, n_rows).copy()
+    return _feature_rows(coef, mono).copy()
+
+
+def _slot_pixel_term(pws, args, amps, order, vc):
+    """The pixel term of one patch slot's lanes: the slot is its own
+    prologue stack (one pair per lane), with an identity WCS."""
+    upx, upy, s1, s2, s3, dev = args
+    rows = (np.stack([upx, upy], axis=1), np.stack([s1, s2, s3], axis=1),
+            dev)
+    return _pixel_terms(pws, rows, amps, [(pws, slice(None))], order, vc)
 
 
 def _amps(rng, n_lanes):
@@ -90,7 +105,7 @@ class TestPixelTermAssembly:
         rng = np.random.default_rng(31 * n_pix + 2 * order + vc)
         pws, _, args = random_patch(rng, 3, n_pix, near_singular=True)
         amps = _amps(rng, 3)
-        val, gz, hz = _patch_pixel_term(pws, args, amps, order, vc)
+        val, gz, hz = _slot_pixel_term(pws, args, amps, order, vc)
         want_val, want_gz, want_hz = pixel_term(pws, args, amps, order, vc)
         np.testing.assert_allclose(val, want_val, rtol=1e-12)
         for got, want in ((gz, want_gz), (hz, want_hz)):
@@ -109,9 +124,9 @@ class TestPixelTermAssembly:
         rng = np.random.default_rng(13)
         pws, _, args = random_patch(rng, 2, 40)
         amps = _amps(rng, 2)
-        val0 = _patch_pixel_term(pws, args, amps, 0, vc)[0]
+        val0 = _slot_pixel_term(pws, args, amps, 0, vc)[0]
         np.testing.assert_array_equal(
-            val0, _patch_pixel_term(pws, args, amps, 1, vc)[0])
+            val0, _slot_pixel_term(pws, args, amps, 1, vc)[0])
 
     @pytest.mark.parametrize("vc", [False, True])
     @pytest.mark.parametrize("order", [1, 2])
@@ -120,9 +135,9 @@ class TestPixelTermAssembly:
         pws, slots, args = random_patch(rng, 3, 2 * _MOMENT_BLOCK + 3,
                                         near_singular=True)
         amps = _amps(rng, 3)
-        stacked = _patch_pixel_term(pws, args, amps, order, vc)
+        stacked = _slot_pixel_term(pws, args, amps, order, vc)
         for i, slot in enumerate(slots):
-            alone = _patch_pixel_term(slot, lane_args(args, i),
+            alone = _slot_pixel_term(slot, lane_args(args, i),
                                       amps[:, i:i + 1], order, vc)
             for a, s in zip(alone, stacked):
                 if s is None:
