@@ -147,7 +147,8 @@ def _timed(fn, min_seconds=0.4, min_iters=3, repeats=1):
     return min(window() for _ in range(max(repeats, 1)))
 
 
-def _timed_grid(fns, min_seconds=0.25, min_iters=2, repeats=5):
+def _timed_grid(fns, min_seconds=0.25, min_iters=2, repeats=5,
+                windows=None):
     """Best-window seconds per call for several measurands at once,
     *interleaved*: each round times one window of every entry before any
     entry gets its next window.  On a shared machine the effective speed
@@ -155,7 +156,8 @@ def _timed_grid(fns, min_seconds=0.25, min_iters=2, repeats=5):
     alike instead of biasing whichever key happened to be on the clock,
     which matters when the recorded quantity is a *ratio* of two entries
     (the B=64/B=16 plateau criterion).  Per key the fastest window wins,
-    as in ``_timed``."""
+    as in ``_timed``; a ``windows`` dict, if given, also receives every
+    window's seconds per call, per key."""
     if SMOKE:
         min_seconds, min_iters, repeats = 0.01, 1, 1
     for fn in fns.values():
@@ -173,6 +175,8 @@ def _timed_grid(fns, min_seconds=0.25, min_iters=2, repeats=5):
                     break
             sec = elapsed / n
             best[key] = min(best.get(key, sec), sec)
+            if windows is not None:
+                windows.setdefault(key, []).append(sec)
     return best
 
 
@@ -356,15 +360,25 @@ def test_fixed_cost_records_json():
     pixel per patch, at both orders.  What the one-pixel evaluation still
     costs — chain rule, KL term, NumPy dispatch — is what batching lanes
     into one call amortizes; its share of the full evaluation is the
-    recorded ``fixed_fraction``."""
+    recorded ``fixed_fraction``.
+
+    The one-pixel order-2 evaluation is timed once, in the same
+    interleaved grid as the parts of its split, so the split's total and
+    the fixed fraction read one number; the median and spread of its
+    windows are recorded next to the best, so load that lasted the whole
+    grid shows."""
     full_ctx, free = sweep_context(0)
     tiny_ctx, _ = sweep_context(0, one_pixel=True)
     assert tiny_ctx.n_active_pixels == 3
-    secs = _timed_grid({
+    fns = {
         (name, order): (lambda c=ctx, o=order: elbo(c, free, order=o))
         for name, ctx in (("full", full_ctx), ("one_pixel", tiny_ctx))
         for order in (1, 2)
-    })
+    }
+    parts = _one_pixel_split_parts(tiny_ctx, free)
+    fns.update((("split", k), fn) for k, fn in parts.items())
+    windows = {}
+    secs = _timed_grid(fns, windows=windows)
     record = {"visits_per_evaluation": full_ctx.n_active_pixels}
     for order in (1, 2):
         full, tiny = secs["full", order], secs["one_pixel", order]
@@ -373,7 +387,17 @@ def test_fixed_cost_records_json():
             "one_pixel_seconds_per_evaluation": tiny,
             "fixed_fraction": tiny / full,
         }
-    split = _one_pixel_split(tiny_ctx, free)
+    one_pixel = 1e3 * np.asarray(windows["one_pixel", 2])
+    record["order2"]["one_pixel_windows_ms"] = {
+        "best": float(one_pixel.min()),
+        "median": float(np.median(one_pixel)),
+        "spread": float(one_pixel.max() - one_pixel.min()),
+        "n_windows": int(one_pixel.size),
+    }
+    split = {"total": 1e3 * secs["one_pixel", 2]}
+    split.update((k, 1e3 * secs["split", k]) for k in parts)
+    split["rest"] = split["total"] - sum(split[k] for k in parts)
+    split["patches"] = len(tiny_ctx.patches)
     record["order2"]["one_pixel_split_ms"] = split
     if not SMOKE:
         _merge_into_json("fixed_cost", record)
@@ -385,19 +409,23 @@ def test_fixed_cost_records_json():
               "(%.0f%% fixed)" % (order, 1e3 * e["seconds_per_evaluation"],
                                   1e3 * e["one_pixel_seconds_per_evaluation"],
                                   100.0 * e["fixed_fraction"]))
+    w = record["order2"]["one_pixel_windows_ms"]
+    print("order 2 at one pixel per patch over %d windows, ms: best %.3f, "
+          "median %.3f, spread %.3f" % (w["n_windows"], w["best"],
+                                        w["median"], w["spread"]))
     print("order 2 at one pixel per patch, ms: "
           + ", ".join("%s %.3f" % kv for kv in split.items()))
     print("recorded to %s" % ("(smoke: not recorded)" if SMOKE else BENCH_JSON))
 
 
-def _one_pixel_split(ctx, free) -> dict:
-    """Where a one-lane order-2 evaluation of ``ctx`` goes, in ms: the
-    chain (the bijector pass and the amplitude and shape chains), the KL
-    stack, the chain rule, the pixel term of all patches (the per-call
-    prologue, the per-patch pixel passes and the assembly), and the rest
-    of the evaluation (its total less those four: band-space
-    accumulation, workspace lookup, the front end).  Each part is timed
-    alone on the kernel's own inputs, interleaved with the whole."""
+def _one_pixel_split_parts(ctx, free) -> dict:
+    """The parts of a one-lane order-2 evaluation of ``ctx``, each a
+    callable on the kernel's own inputs: the chain (the bijector pass and
+    the amplitude and shape chains), the KL stack, the chain rule, and the
+    pixel term of all patches (the per-call prologue, the per-patch pixel
+    passes and the assembly).  The rest of the evaluation is its total
+    less these four (band-space accumulation, workspace lookup, the front
+    end)."""
     from repro.core import kernel
 
     compiled = compile_elbo_batch([ctx])
@@ -411,8 +439,7 @@ def _one_pixel_split(ctx, free) -> dict:
                chain.amps[:, g.col, g.lane], g) for g in lay.pair_groups]
     n_q = lay.lb_lane.shape[0]
     gzq, hzq = np.ones((n_q, 10)), np.ones((n_q, 10, 10))
-    secs = _timed_grid({
-        "total": lambda: elbo(ctx, free, order=2),
+    return {
         "chain": lambda: kernel._EvalChain(
             lay.u_centers, frees, kernel._bijector_pass(frees), lay.bands,
             2, True),
@@ -421,12 +448,7 @@ def _one_pixel_split(ctx, free) -> dict:
         "pixel_term": lambda: [
             kernel._pixel_terms(g.stack, rows, amps, g.slots, 2, True)
             for rows, amps, g in inputs],
-    })
-    split = {k: 1e3 * v for k, v in secs.items()}
-    split["rest"] = split["total"] - sum(
-        v for k, v in split.items() if k != "total")
-    split["patches"] = len(ctx.patches)
-    return split
+    }
 
 
 #: Batch sizes of the mixed-shape row.

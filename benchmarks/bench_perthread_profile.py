@@ -15,7 +15,6 @@ from repro.core import CatalogEntry, default_priors, elbo, make_context
 from repro.core.params import FREE, canonical_to_free
 from repro.core.single import initial_params
 from repro.optim import solve_trust_region
-from repro.perf import RuntimeBreakdown
 from repro.psf import default_psf
 from repro.survey import AffineWCS, ImageMeta, render_image
 
@@ -39,22 +38,31 @@ def test_perthread_breakdown(benchmark):
     elbo(ctx, free, order=2)  # warm-up
 
     def run_instrumented():
-        breakdown = RuntimeBreakdown()
+        seconds = dict.fromkeys((
+            "objective kernel (vectorized)",
+            "trust region (eigendecomposition)",
+            "orchestration (python)",
+        ), 0.0)
         x = free.copy()
         for _ in range(8):
-            with breakdown.region("objective kernel (vectorized)"):
-                out = elbo(ctx, x, order=2)
-                g = out.gradient(FREE.size)
-                h = out.hessian(FREE.size)
-            with breakdown.region("trust region (eigendecomposition)"):
-                step, _ = solve_trust_region(-g, -h, radius=0.5)
-            with breakdown.region("orchestration (python)"):
-                x = x + 0.5 * step
-                time.sleep(0)  # yield point, mirrors runtime bookkeeping
-        return breakdown
+            t0 = time.perf_counter()
+            out = elbo(ctx, x, order=2)
+            g = out.gradient(FREE.size)
+            h = out.hessian(FREE.size)
+            t1 = time.perf_counter()
+            step, _ = solve_trust_region(-g, -h, radius=0.5)
+            t2 = time.perf_counter()
+            x = x + 0.5 * step
+            time.sleep(0)  # yield point, mirrors runtime bookkeeping
+            t3 = time.perf_counter()
+            seconds["objective kernel (vectorized)"] += t1 - t0
+            seconds["trust region (eigendecomposition)"] += t2 - t1
+            seconds["orchestration (python)"] += t3 - t2
+        return seconds
 
-    breakdown = benchmark.pedantic(run_instrumented, rounds=1, iterations=1)
-    fractions = breakdown.fractions()
+    seconds = benchmark.pedantic(run_instrumented, rounds=1, iterations=1)
+    total = sum(seconds.values())
+    fractions = {name: secs / total for name, secs in seconds.items()}
 
     print_header("Per-thread runtime breakdown (one worker, 8 Newton steps)")
     for name, frac in sorted(fractions.items(), key=lambda kv: -kv[1]):

@@ -16,7 +16,6 @@ from repro.core import (
     OptimizeConfig,
     Priors,
     default_priors,
-    fit_priors,
     make_context,
     optimize_region,
     optimize_source,
@@ -32,7 +31,6 @@ __all__ = [
     "OptimizeConfig",
     "Priors",
     "default_priors",
-    "fit_priors",
     "make_context",
     "optimize_region",
     "optimize_source",

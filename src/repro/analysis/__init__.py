@@ -35,7 +35,7 @@ of being rediscovered one regression at a time:
 ``race``
     A shadow-transport race detector (:mod:`repro.analysis.race`): an
     opt-in wrapper (``REPRO_RACE_DETECT=1``) that tags every one-sided
-    ``get``/``put``/``accumulate`` and every Cyclades patch write with its
+    ``get``/``put`` and every Cyclades patch write with its
     (window, extent, actor, logical epoch) and reports write/write or
     read/write overlap between concurrently scheduled work.
 

@@ -13,7 +13,7 @@ The pieces, in the style of
 :class:`repro.pgas.transport.RecordingTransport`:
 
 :class:`ShadowTransport`
-    Wraps any transport; every ``get``/``put``/``accumulate`` is forwarded
+    Wraps any transport; every ``get``/``put`` is forwarded
     unchanged and also recorded as a :class:`ShadowAccess` tagged with the
     wrapper's current (actor, epoch) — set per task via :meth:`set_task`.
 
@@ -54,7 +54,7 @@ class ShadowAccess:
     """
 
     window: tuple  # e.g. ("cat-work", rank) or ("model", image_index)
-    op: str  # "get" | "put" | "accumulate"
+    op: str  # "get" | "put"
     x0: int
     x1: int
     y0: int
@@ -65,7 +65,7 @@ class ShadowAccess:
 
     @property
     def is_write(self) -> bool:
-        return self.op in ("put", "accumulate")
+        return self.op == "put"
 
     def overlaps(self, other: "ShadowAccess") -> bool:
         return (self.x0 < other.x1 and other.x0 < self.x1
@@ -114,15 +114,6 @@ def _conflict(a: ShadowAccess, b: ShadowAccess) -> RaceReport | None:
     if a.actor == b.actor or a.epoch != b.epoch or a.window != b.window:
         return None
     if not (a.is_write or b.is_write):
-        return None
-    if a.op == "accumulate" and b.op == "accumulate":
-        # The window store serializes accumulate per rank as an atomic
-        # read-modify-write (in process and, through the socket server,
-        # across processes), so concurrent accumulates never lose
-        # updates — the one overlapping access pattern MPI-3 defines as
-        # correct without external synchronization.  The detector treats
-        # them as benign, like the hardware does; a get or put overlapping
-        # an accumulate is still reported.
         return None
     if not a.overlaps(b):
         return None
@@ -273,8 +264,3 @@ class ShadowTransport:
         values = np.asarray(values, dtype=float)
         self._shadow("put", rank, start, values.size)
         self.inner.put(rank, start, values)
-
-    def accumulate(self, rank: int, start: int, values) -> None:
-        values = np.asarray(values, dtype=float)
-        self._shadow("accumulate", rank, start, values.size)
-        self.inner.accumulate(rank, start, values)

@@ -81,10 +81,6 @@ class MachineConfig:
     def n_threads(self) -> int:
         return self.n_processes * self.threads_per_process
 
-    @property
-    def n_cores(self) -> int:
-        return self.n_nodes * 68
-
     def visits_per_second_per_process(self) -> float:
         """Sustained visit throughput of one process while running a task.
 

@@ -80,20 +80,9 @@ EXP_ARG_LIMIT: float = 709.0
 #: Floor for catalog fluxes entering a log during seeding (Photo detections
 #: are positive; the floor only matters for degenerate synthetic inputs).
 SEED_FLUX_FLOOR: float = 1e-6
-#: Floor for fluxes entering the color-prior GMM fit's log-ratio features.
-COLOR_FIT_FLUX_FLOOR: float = 1e-9
 #: Floor applied to fluxes before forming colors ``log(f[b+1]/f[b])``;
 #: bitwise inert for any physically plausible positive flux.
 FLUX_RATIO_FLOOR: float = 1e-12
-#: Variance floor when seeding the color-prior GMM fit (degenerate catalogs
-#: would otherwise initialize a component's Gaussian as a delta).
-COLOR_FIT_VAR_FLOOR: float = 1e-3
-#: Variance floor inside the GMM M-step (tighter than the init floor: EM may
-#: legitimately shrink a well-populated component below it).
-COLOR_FIT_EM_VAR_FLOOR: float = 1e-4
-#: Floor on per-component responsibility mass in the GMM E-step (an empty
-#: component would divide by zero in the M-step).
-GMM_RESPONSIBILITY_FLOOR: float = 1e-9
 #: Gradient components below this are "numerically orthogonal" to the bottom
 #: eigenspace in the trust-region hard case (More-Sorensen safeguard).
 HARD_CASE_GRAD_TOL: float = 1e-12
@@ -116,6 +105,3 @@ PROFILE_RADIUS_FLOOR: float = 1e-12
 #: Floor on warm-start NNLS amplitudes for the profile mixture fit (zero
 #: amplitudes would start the log-parameterized refinement at -inf).
 NNLS_AMPLITUDE_FLOOR: float = 1e-6
-#: Floor on per-cluster responsibility mass in the PSF EM M-step (an empty
-#: cluster would divide by zero updating its mean and covariance).
-EM_CLUSTER_MASS_FLOOR: float = 1e-12

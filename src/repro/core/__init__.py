@@ -15,7 +15,7 @@ from repro.core.params import (
     canonical_to_free,
     free_to_canonical,
 )
-from repro.core.priors import Priors, default_priors, fit_priors
+from repro.core.priors import Priors, default_priors
 from repro.core.catalog import CatalogEntry, Catalog
 from repro.core.elbo import (
     ElboEval,
@@ -43,7 +43,6 @@ __all__ = [
     "free_to_canonical",
     "Priors",
     "default_priors",
-    "fit_priors",
     "CatalogEntry",
     "Catalog",
     "ElboEval",

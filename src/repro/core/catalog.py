@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from repro.constants import GALAXY, NUM_COLORS, REFERENCE_BAND, STAR
+from repro.constants import NUM_COLORS
 from repro.core.fluxes import flux_from_colors
 
 __all__ = ["CatalogEntry", "Catalog"]
@@ -63,17 +62,9 @@ class CatalogEntry:
         if self.flux_r <= 0:
             raise ValueError("flux_r must be positive")
 
-    @property
-    def source_type(self) -> int:
-        return GALAXY if self.is_galaxy else STAR
-
     def band_fluxes(self) -> np.ndarray:
         """Fluxes in all five bands, in nanomaggies."""
         return flux_from_colors(self.flux_r, self.colors)
-
-    def magnitude_r(self) -> float:
-        """Reference-band magnitude (arbitrary zero point of 22.5, as SDSS)."""
-        return 22.5 - 2.5 * np.log10(self.flux_r)
 
 
 @dataclass
@@ -100,23 +91,5 @@ class Catalog:
             return np.zeros((0, 2))
         return np.stack([e.position for e in self.entries])
 
-    def stars(self) -> "Catalog":
-        return Catalog([e for e in self.entries if not e.is_galaxy])
-
     def galaxies(self) -> "Catalog":
         return Catalog([e for e in self.entries if e.is_galaxy])
-
-    def within(self, x_min: float, x_max: float, y_min: float, y_max: float) -> "Catalog":
-        """Entries whose positions fall in the half-open box."""
-        return Catalog([
-            e for e in self.entries
-            if x_min <= e.position[0] < x_max and y_min <= e.position[1] < y_max
-        ])
-
-    def brightness_ranked(self) -> "Catalog":
-        """Entries sorted brightest-first in the reference band."""
-        return Catalog(sorted(self.entries, key=lambda e: -e.flux_r))
-
-    def total_flux(self, band: int = REFERENCE_BAND) -> float:
-        # fsum is exact, so the total is independent of entry order.
-        return math.fsum(e.band_fluxes()[band] for e in self.entries)

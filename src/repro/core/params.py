@@ -23,7 +23,6 @@ from repro.constants import (
     NUM_COLOR_COMPONENTS,
     NUM_COLORS,
     NUM_TYPES,
-    STAR,
     TYPE_MASS_FLOOR,
 )
 from repro.transforms import (
@@ -174,13 +173,6 @@ class SourceParams:
         m = self.r1[ty] + float(coeff @ self.c1[:, ty])
         v = self.r2[ty] + float((coeff ** 2) @ self.c2[:, ty])
         return float(np.exp(m + 0.5 * v))
-
-    def expected_fluxes(self, band: int) -> float:
-        """Type-marginal expected band flux."""
-        pg = self.prob_galaxy
-        return (1.0 - pg) * self.expected_flux(STAR, band) + pg * self.expected_flux(
-            GALAXY, band
-        )
 
 
 def free_to_canonical(free: np.ndarray, u_center: np.ndarray) -> np.ndarray:

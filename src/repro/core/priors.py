@@ -4,9 +4,8 @@ The model places a Bernoulli prior on source type (parameter Phi), a
 log-normal prior on reference-band brightness per type (Upsilon), and a
 Gaussian-mixture prior on the 4-vector of colors per type (Xi, with
 ``NUM_COLOR_COMPONENTS`` diagonal components).  These hyperparameters are
-"learned from preexisting astronomical catalogs" (paper, Section III):
-:func:`fit_priors` estimates them from any catalog by maximum likelihood
-(EM for the color mixture).
+"learned from preexisting astronomical catalogs" (paper, Section III);
+every run uses the fixed :func:`default_priors`.
 """
 
 from __future__ import annotations
@@ -16,18 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import (
-    COLOR_FIT_EM_VAR_FLOOR,
-    COLOR_FIT_FLUX_FLOOR,
-    COLOR_FIT_VAR_FLOOR,
     GALAXY,
-    GMM_RESPONSIBILITY_FLOOR,
     NUM_COLOR_COMPONENTS,
     NUM_COLORS,
     NUM_TYPES,
     STAR,
 )
 
-__all__ = ["Priors", "default_priors", "fit_priors"]
+__all__ = ["Priors", "default_priors"]
 
 
 @dataclass(frozen=True)
@@ -111,95 +106,6 @@ def default_priors() -> Priors:
         prob_galaxy=0.5,
         r_loc=np.array([0.6, 1.0]),   # log nmgy: ~1.8 / ~2.7 nmgy typical
         r_var=np.array([1.4, 1.2]),
-        k_weights=k_w,
-        c_mean=c_mean,
-        c_var=c_var,
-    )
-
-
-def _fit_color_mixture(
-    colors: np.ndarray, n_components: int, n_iter: int = 80, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal-covariance EM for the color prior of one source type.
-
-    Returns ``(weights (D,), means (NUM_COLORS, D), variances (NUM_COLORS, D))``.
-    """
-    rng = np.random.default_rng(seed)
-    n, dim = colors.shape
-    if n < n_components:
-        # Degenerate catalog: replicate the empirical moments.
-        mu = np.tile(colors.mean(axis=0)[:, None], (1, n_components))
-        var = np.tile(
-            np.maximum(colors.var(axis=0), COLOR_FIT_VAR_FLOOR)[:, None],
-            (1, n_components),
-        )
-        return np.full(n_components, 1.0 / n_components), mu, var
-
-    picks = rng.choice(n, size=n_components, replace=False)
-    means = colors[picks].T.copy()                      # (dim, D)
-    var0 = np.maximum(colors.var(axis=0), COLOR_FIT_VAR_FLOOR)
-    variances = np.tile(var0[:, None], (1, n_components))
-    weights = np.full(n_components, 1.0 / n_components)
-
-    for _ in range(n_iter):
-        log_r = np.zeros((n, n_components))
-        for d in range(n_components):
-            diff2 = (colors - means[:, d]) ** 2
-            log_r[:, d] = (
-                np.log(weights[d])
-                - 0.5 * (diff2 / variances[:, d]).sum(axis=1)
-                - 0.5 * np.log(2 * np.pi * variances[:, d]).sum()
-            )
-        m = log_r.max(axis=1, keepdims=True)
-        r = np.exp(log_r - m)
-        r /= r.sum(axis=1, keepdims=True)
-        nk = np.maximum(r.sum(axis=0), GMM_RESPONSIBILITY_FLOOR)
-        weights = nk / nk.sum()
-        for d in range(n_components):
-            means[:, d] = (r[:, d][:, None] * colors).sum(axis=0) / nk[d]
-            diff2 = (colors - means[:, d]) ** 2
-            variances[:, d] = np.maximum(
-                (r[:, d][:, None] * diff2).sum(axis=0) / nk[d],
-                COLOR_FIT_EM_VAR_FLOOR,
-            )
-    return weights, means, variances
-
-
-def fit_priors(catalog, n_components: int = NUM_COLOR_COMPONENTS) -> Priors:
-    """Estimate Phi, Upsilon, Xi from an existing catalog.
-
-    ``catalog`` is an iterable of :class:`repro.core.catalog.CatalogEntry`.
-    """
-    entries = list(catalog)
-    if len(entries) < 4:
-        raise ValueError("need at least 4 catalog entries to fit priors")
-    is_gal = np.array([e.is_galaxy for e in entries], dtype=bool)
-    log_flux = np.log(
-        np.maximum([e.flux_r for e in entries], COLOR_FIT_FLUX_FLOOR)
-    )
-    colors = np.array([e.colors for e in entries], dtype=float)
-
-    frac = float(np.clip(is_gal.mean(), 0.02, 0.98))
-    r_loc = np.empty(NUM_TYPES)
-    r_var = np.empty(NUM_TYPES)
-    k_w = np.empty((NUM_COLOR_COMPONENTS, NUM_TYPES))
-    c_mean = np.empty((NUM_COLORS, NUM_COLOR_COMPONENTS, NUM_TYPES))
-    c_var = np.empty_like(c_mean)
-
-    for ty, mask in ((STAR, ~is_gal), (GALAXY, is_gal)):
-        sub_flux = log_flux[mask] if mask.any() else log_flux
-        sub_col = colors[mask] if mask.any() else colors
-        r_loc[ty] = sub_flux.mean()
-        r_var[ty] = max(float(sub_flux.var()), 1e-2)
-        w, mu, var = _fit_color_mixture(sub_col, n_components, seed=ty)
-        k_w[:, ty] = w
-        c_mean[:, :, ty] = mu
-        c_var[:, :, ty] = var
-
-    return Priors(
-        prob_galaxy=frac,
-        r_loc=r_loc,
-        r_var=r_var,
         k_weights=k_w,
         c_mean=c_mean,
         c_var=c_var,

@@ -16,7 +16,6 @@ TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "gauss2d",
-    "covariance_det",
     "rotation_covariance",
     "moments_to_ellipse",
 ]
@@ -32,10 +31,6 @@ def gauss2d(dx, dy, sxx: float, sxy: float, syy: float) -> np.ndarray:
     iyy = sxx / det
     q = ixx * dx * dx + 2.0 * ixy * dx * dy + iyy * dy * dy
     return np.exp(-0.5 * q) / (TWO_PI * np.sqrt(det))
-
-
-def covariance_det(sxx, sxy, syy):
-    return sxx * syy - sxy * sxy
 
 
 def rotation_covariance(axis_ratio: float, angle: float, scale: float):

@@ -39,7 +39,3 @@ class OptimResult:
     n_evaluations: int
     converged: bool
     message: str = ""
-
-    @property
-    def grad_norm(self) -> float:
-        return float(np.linalg.norm(self.grad, ord=np.inf))

@@ -1,4 +1,4 @@
-"""Performance measurement: counters, FLOP accounting, and reports.
+"""Performance measurement: counters, FLOP accounting, and the driver report.
 
 Reproduces the paper's measurement methodology (Section VI-B): FLOPs are
 derived from *active pixel visits* — each visit performs 32,317 DP FLOPs (an
@@ -13,7 +13,6 @@ from repro.perf.counters import (
     counting,
 )
 from repro.perf.flops import flops_from_visits, flop_rate, FlopReport
-from repro.perf.report import thread_runtime_breakdown, RuntimeBreakdown
 from repro.perf.driver import DriverReport
 
 __all__ = [
@@ -24,7 +23,5 @@ __all__ = [
     "flops_from_visits",
     "flop_rate",
     "FlopReport",
-    "thread_runtime_breakdown",
-    "RuntimeBreakdown",
     "DriverReport",
 ]

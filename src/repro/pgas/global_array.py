@@ -72,16 +72,6 @@ class GlobalArray:
         rank, start = self._locate(row)
         self.transport.put(rank, start, values)
 
-    def get_rows(self, rows) -> np.ndarray:
-        return np.stack([self.get_row(int(r)) for r in rows]) if len(rows) else (
-            np.zeros((0, self.row_width))
-        )
-
-    def put_rows(self, rows, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        for r, v in zip(rows, values):
-            self.put_row(int(r), v)
-
     def to_dense(self) -> np.ndarray:
         """Gather the whole array with one bulk get per rank (gather
         points only: snapshots, checkpointing, output writing)."""

@@ -7,7 +7,7 @@ of a remote rank's window.  There is one window store,
 wire face on it: :class:`SocketTransport` serves a ``LocalTransport``'s
 windows over TCP, so *process* node-workers do true one-sided access to the
 partitioned catalog without pickling it through queues.
-:class:`RecordingTransport` wraps either and accumulates the operation
+:class:`RecordingTransport` wraps either and tallies the operation
 counts / byte volumes / latency model that the cluster simulator charges
 for "other" time.
 
@@ -53,7 +53,7 @@ class WindowRangeError(IndexError):
 class LocalTransport:
     """In-process transport, and the one window store: every rank's window
     is a NumPy array behind its own lock, so puts never tear concurrent
-    gets and accumulate is an atomic read-modify-write."""
+    gets."""
 
     def __init__(self):
         self._windows: dict[int, np.ndarray] = {}
@@ -80,11 +80,6 @@ class LocalTransport:
         with self._locks[rank]:
             self._range("put", rank, start, len(values))[:] = values
 
-    def accumulate(self, rank: int, start: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        with self._locks[rank]:
-            self._range("accumulate", rank, start, len(values))[:] += values
-
 
 @dataclass
 class RMAStats:
@@ -97,7 +92,6 @@ class RMAStats:
 
     n_get: int = 0
     n_put: int = 0
-    n_accumulate: int = 0
     bytes_get: int = 0
     bytes_put: int = 0
     remote_fraction_ops: int = 0
@@ -106,7 +100,7 @@ class RMAStats:
 
     @property
     def n_ops(self) -> int:
-        return self.n_get + self.n_put + self.n_accumulate
+        return self.n_get + self.n_put
 
     @property
     def total_bytes(self) -> int:
@@ -146,28 +140,21 @@ class RecordingTransport:
                 self.stats.remote_fraction_ops += 1
         self.inner.put(rank, start, values)
 
-    def accumulate(self, rank: int, start: int, values) -> None:
-        values = np.asarray(values, dtype=float)
-        with self._lock:
-            self.stats.n_accumulate += 1
-            self.stats.bytes_put += values.size * 8
-        self.inner.accumulate(rank, start, values)
-
 
 # ---------------------------------------------------------------------------
 # Socket transport: one-sided RMA over TCP
 
 
 #: Request frame header: op, rank, start, count, seq — followed by
-#: ``count * 8`` float64 payload bytes for put/accumulate, or ``count``
+#: ``count * 8`` float64 payload bytes for put, or ``count``
 #: raw token bytes for hello.
 _REQ = struct.Struct("!BIQQQ")
 #: Reply frame header: status (0 ok / 1 error), seq, count — followed by
 #: ``count * 8`` float64 bytes (get) or ``count`` UTF-8 bytes (error).
 _REP = struct.Struct("!BQQ")
 
-_OP_GET, _OP_PUT, _OP_ACCUMULATE, _OP_HELLO = 1, 2, 3, 4
-_OP_NAMES = {_OP_GET: "get", _OP_PUT: "put", _OP_ACCUMULATE: "accumulate"}
+_OP_GET, _OP_PUT, _OP_HELLO = 1, 2, 3
+_OP_NAMES = {_OP_GET: "get", _OP_PUT: "put"}
 
 #: Distinguishes client identities minted by this process (combined with
 #: the pid to form the retransmit-dedup token).
@@ -187,17 +174,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 class _SocketServer:
     """The wire face of a :class:`SocketTransport`: serves framed
-    get/put/accumulate requests against the owner's window store (a
+    get/put requests against the owner's window store (a
     :class:`LocalTransport`, whose per-rank locks are the serialization
     point) on background threads named ``repro-pgas-*``.
 
-    **Exactly-once accumulate under retransmission.**  Clients number their
+    **Exactly-once put under retransmission.**  Clients number their
     requests (per-client monotonic ``seq``) and identify themselves with a
     token (``hello``).  The server remembers, per token, the last applied
     sequence number and its reply; a retransmitted request (same token,
     ``seq`` not newer) is answered from that memory *without re-applying* —
-    so a client may retransmit after a lost message or a reconnect and a
-    non-idempotent accumulate is still applied exactly once.
+    so a client may retransmit after a lost message or a reconnect, and a
+    stale retransmitted put never overwrites a newer put from the same
+    client.
     """
 
     def __init__(self, host: str, store: LocalTransport):
@@ -248,7 +236,7 @@ class _SocketServer:
                     return
                 op, rank, start, count, seq = _REQ.unpack(header)
                 payload = b""
-                if op in (_OP_PUT, _OP_ACCUMULATE):
+                if op == _OP_PUT:
                     payload = _recv_exact(conn, count * 8)
                 elif op == _OP_HELLO:
                     payload = _recv_exact(conn, count)
@@ -290,12 +278,9 @@ class _SocketServer:
                 data = self._store.get(rank, start, count)
                 return _REP.pack(0, seq, len(data)) + data.tobytes()
             values = np.frombuffer(payload, dtype=np.float64)
-            if op == _OP_PUT:
-                self._store.put(rank, start, values)
-            elif op == _OP_ACCUMULATE:
-                self._store.accumulate(rank, start, values)
-            else:
+            if op != _OP_PUT:
                 raise ValueError("unknown socket RMA op %d" % op)
+            self._store.put(rank, start, values)
             return _REP.pack(0, seq, 0)
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             msg = ("%s: %s" % (type(exc).__name__, exc)).encode(
@@ -337,7 +322,7 @@ class SocketTransport:
     """TCP transport: the windows live in the owning process — a
     :class:`LocalTransport` the owner reads and writes directly — and a
     background server gives every process that unpickles the transport
-    one-sided get/put/accumulate against them through framed binary
+    one-sided get/put against them through framed binary
     requests.
 
     Needs only a route to the owner, not a shared kernel; the default
@@ -349,12 +334,12 @@ class SocketTransport:
     time).
 
     Semantics are strictly stronger than hardware RMA: every operation is
-    applied under the store's per-rank lock, so gets never see torn puts
-    and accumulate is an atomic read-modify-write.  Lost or duplicated
-    messages are survived by the protocol: requests carry a per-client
-    sequence number, the client retransmits (reconnecting if need be) when
-    a reply does not arrive in ``timeout`` seconds, and the server
-    deduplicates retransmissions so even accumulate applies exactly once
+    applied under the store's per-rank lock, so gets never see torn puts.
+    Lost or duplicated messages are survived by the protocol: requests
+    carry a per-client sequence number, the client retransmits
+    (reconnecting if need be) when a reply does not arrive in ``timeout``
+    seconds, and the server deduplicates retransmissions so each put
+    applies exactly once and a stale one never lands over a newer one
     (see :class:`_SocketServer`).
 
     The owner must call :meth:`unlink` when done (the server threads and
@@ -406,14 +391,6 @@ class SocketTransport:
             return
         values = np.asarray(values, dtype=float)
         self._request(_OP_PUT, rank, start, len(values), values.tobytes())
-
-    def accumulate(self, rank: int, start: int, values: np.ndarray) -> None:
-        if self._store is not None:
-            self._store.accumulate(rank, start, values)
-            return
-        values = np.asarray(values, dtype=float)
-        self._request(_OP_ACCUMULATE, rank, start, len(values),
-                      values.tobytes())
 
     # -- client plumbing ---------------------------------------------------
 

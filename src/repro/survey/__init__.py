@@ -4,7 +4,7 @@ The paper processes 55 TB of real SDSS imaging.  This package provides the
 equivalent code path on synthetic data: a survey layout of stripes, runs and
 fields (with overlapping coverage, per-field PSF/sky/calibration), a renderer
 that draws Poisson pixels from the generative model, Stripe-82-style repeated
-imaging, on-disk field files, and coadds for ground-truth estimation.
+imaging, and on-disk field files.
 """
 
 from repro.survey.wcs import AffineWCS
@@ -29,7 +29,6 @@ from repro.survey.io import (
     field_file_size,
     FieldPrefetcher,
 )
-from repro.survey.coadd import coadd_images
 
 __all__ = [
     "AffineWCS",
@@ -53,5 +52,4 @@ __all__ = [
     "field_metadata",
     "field_file_size",
     "FieldPrefetcher",
-    "coadd_images",
 ]

@@ -61,12 +61,6 @@ def source_patch(image: Image, sky_position: np.ndarray, radius: float):
     return (x0, x1, y0, y1)
 
 
-def _patch_grids(bounds):
-    x0, x1, y0, y1 = bounds
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    return xs.astype(float), ys.astype(float)
-
-
 def add_source_rate(rate: np.ndarray, image_meta: ImageMeta, shape_hw: tuple,
                     entry: CatalogEntry, radius: float | None = None) -> None:
     """Accumulate one source's expected photon contribution into ``rate``."""

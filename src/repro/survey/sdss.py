@@ -155,8 +155,9 @@ def stripe82(
 ) -> SurveyLayout:
     """A Stripe-82-style survey: the same sky imaged ``n_epochs`` times.
 
-    The real Stripe 82 has ~80 epochs; 20 is enough to make the coadd's
-    signal-to-noise dominate single-epoch imaging while keeping tests fast.
+    The real Stripe 82 has ~80 epochs; 20 is enough to make the stacked
+    epochs' signal-to-noise dominate single-epoch imaging while keeping
+    tests fast.
     """
     if config is None:
         config = SurveyConfig(n_runs=1, fields_per_run=2)

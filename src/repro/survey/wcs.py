@@ -61,8 +61,3 @@ class AffineWCS:
         pix = np.asarray(pix, dtype=float)
         inv = np.linalg.inv(self.matrix)
         return (pix - self.pix_ref) @ inv.T + self.sky_ref
-
-    def pixel_area_sky(self) -> float:
-        """Sky area of one pixel (used to keep flux normalization consistent
-        between differently-scaled images)."""
-        return 1.0 / abs(np.linalg.det(self.matrix))

@@ -4,8 +4,9 @@ Each bijector provides two views:
 
 - ``forward_np`` / ``inverse_np`` — plain float/ndarray math, used when
   initializing the optimizer from a catalog or reading results back out.
-- ``forward_d012`` / ``forward_d012_vec`` — the forward map with its first
-  two derivatives in closed form, which the fused ELBO kernel chains so
+- ``forward_d012_vec`` — the forward map with its first two derivatives
+  in closed form.  The fused ELBO kernel chains these (through
+  :func:`logit_box_d012` and :func:`softmax_fixed_last_d012_stacked`) so
   that gradients/Hessians are taken with respect to the *free* parameters
   (the vector Newton's method actually steps in).
 """
@@ -23,7 +24,6 @@ __all__ = [
     "LogitBox",
     "logit_box_d012",
     "softmax_fixed_last",
-    "softmax_fixed_last_d012",
     "softmax_fixed_last_d012_stacked",
     "softmax_fixed_last_inverse",
     "softmax_fixed_last_stacked",
@@ -65,20 +65,10 @@ class LogitBox:
         frac = np.clip(frac, _EDGE, 1.0 - _EDGE)
         return np.log(frac / (1.0 - frac))
 
-    def forward_d012(self, u: float) -> tuple[float, float, float]:
-        """Value and first two derivatives of the forward map at ``u``.
-
-        The closed-form chain used by the fused ELBO kernel
-        (:mod:`repro.core.kernel`), which hand-derives every bijector
-        instead of differentiating through an expression graph:
-        ``y = lo + r s(u)`` with ``s`` the logistic gives
-        ``y' = r s(1-s)`` and ``y'' = r s(1-s)(1-2s)``.
-        """
-        v, d1, d2 = self.forward_d012_vec(float(u))
-        return float(v), float(d1), float(d2)
-
     def forward_d012_vec(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`forward_d012` over an array of free values."""
+        """Value and first two derivatives of the forward map, elementwise
+        over an array of free values: ``y = lo + r s(u)`` with ``s`` the
+        logistic gives ``y' = r s(1-s)`` and ``y'' = r s(1-s)(1-2s)``."""
         return logit_box_d012(u, self.lo, self.hi - self.lo)
 
     def __repr__(self):
@@ -110,27 +100,6 @@ def softmax_fixed_last(free: np.ndarray) -> np.ndarray:
     logits = logits - logits.max()
     e = np.exp(logits)
     return e / e.sum()
-
-
-def softmax_fixed_last_d012(
-    free: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, Jacobian, and Hessian of :func:`softmax_fixed_last`.
-
-    For ``n-1`` free logits ``t`` (last logit pinned to zero) returns
-    ``(kappa (n,), jac (n, n-1), hess (n, n-1, n-1))`` with
-    ``jac[d, j] = d kappa_d / d t_j`` and
-    ``hess[d, j, l] = d^2 kappa_d / d t_j d t_l``.  Closed-form softmax
-    derivatives — the chain the fused KL kernel uses:
-
-    ``d kappa_d / d t_j = kappa_d (delta_dj - kappa_j)`` and
-    ``d^2 kappa_d / d t_j d t_l = kappa_d [(delta_dj - kappa_j)
-    (delta_dl - kappa_l) - kappa_j (delta_jl - kappa_l)]`` (the pinned
-    logit simply has no column).
-    """
-    kappa, jac, hess = softmax_fixed_last_d012_stacked(
-        np.asarray(free, dtype=float)[None])
-    return kappa[0], jac[0], hess[0]
 
 
 def softmax_fixed_last_stacked(free: np.ndarray) -> np.ndarray:
@@ -166,9 +135,16 @@ def _softmax_deltas(n: int) -> tuple[np.ndarray, np.ndarray]:
 def softmax_fixed_last_d012_stacked(
     free: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lane-stacked :func:`softmax_fixed_last_d012` (which is its one-lane
-    case): ``(G, n-1)`` free logits to ``(kappa (G, n), jac (G, n, n-1),
-    hess (G, n, n-1, n-1))``, every lane independent of the others."""
+    """Value, Jacobian, and Hessian of :func:`softmax_fixed_last_stacked`:
+    ``(G, n-1)`` free logits ``t`` to ``(kappa (G, n), jac (G, n, n-1),
+    hess (G, n, n-1, n-1))``, every lane independent of the others.
+
+    Closed-form softmax derivatives — the chain the fused KL kernel uses:
+    ``d kappa_d / d t_j = kappa_d (delta_dj - kappa_j)`` and
+    ``d^2 kappa_d / d t_j d t_l = kappa_d [(delta_dj - kappa_j)
+    (delta_dl - kappa_l) - kappa_j (delta_jl - kappa_l)]`` (the pinned
+    logit simply has no column).
+    """
     kappa = softmax_fixed_last_stacked(free)
     n = kappa.shape[1]
     kj = kappa[:, :-1]

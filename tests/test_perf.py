@@ -1,7 +1,6 @@
-"""Tests for counters, runtime breakdowns, and FLOP reports."""
+"""Tests for counters and FLOP reports."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -9,9 +8,7 @@ import pytest
 from repro.perf import (
     Counters,
     GLOBAL_COUNTERS,
-    RuntimeBreakdown,
     counting,
-    thread_runtime_breakdown,
 )
 
 
@@ -54,31 +51,6 @@ class TestCounters:
             local.add("ctx_test", 5.0)
         assert GLOBAL_COUNTERS.get("ctx_test") == 5.0
         GLOBAL_COUNTERS.reset("ctx_test")
-
-
-class TestRuntimeBreakdown:
-    def test_region_timing(self):
-        b = RuntimeBreakdown()
-        with b.region("work"):
-            time.sleep(0.01)
-        assert b.seconds["work"] >= 0.009
-
-    def test_fractions_sum_to_one(self):
-        b = RuntimeBreakdown()
-        b.add("a", 3.0)
-        b.add("b", 1.0)
-        f = b.fractions()
-        np.testing.assert_allclose(sum(f.values()), 1.0)
-        np.testing.assert_allclose(f["a"], 0.75)
-
-    def test_empty_fractions(self):
-        assert RuntimeBreakdown().fractions() == {}
-
-    def test_merge_and_aggregate(self):
-        b1 = RuntimeBreakdown({"a": 1.0})
-        b2 = RuntimeBreakdown({"a": 2.0, "b": 1.0})
-        agg = thread_runtime_breakdown([b1, b2])
-        assert agg.seconds == {"a": 3.0, "b": 1.0}
 
 
 class TestElboCounters:

@@ -66,24 +66,6 @@ class TestGlobalArray:
         assert rec.stats.remote_fraction_ops == 1
         assert rec.stats.modeled_seconds > 0
 
-    def test_recording_transport_accumulate_stats(self):
-        rec = RecordingTransport(LocalTransport(), local_rank=0)
-        rec.allocate(0, 4)
-        rec.allocate(1, 4)
-        rec.put(0, 0, np.ones(4))
-        rec.accumulate(0, 0, np.ones(4))
-        rec.accumulate(1, 0, np.ones(2))  # remote rank
-        assert rec.stats.n_accumulate == 2
-        assert rec.stats.n_put == 1
-        # Accumulates count toward written bytes alongside puts...
-        assert rec.stats.bytes_put == (4 + 4 + 2) * 8
-        # ...but not toward the remote-op fraction: accumulate is modeled
-        # as a fetch-and-op executed at the target, not a round trip.
-        assert rec.stats.remote_fraction_ops == 0
-        # And the values really accumulated.
-        np.testing.assert_array_equal(rec.get(0, 0, 4), 2.0 * np.ones(4))
-        np.testing.assert_array_equal(rec.inner.get(1, 0, 2), np.ones(2))
-
     def test_concurrent_put_get(self):
         ga = GlobalArray(n_rows=40, row_width=4, n_ranks=4)
         errors = []
@@ -478,56 +460,6 @@ def test_property_dtree_delivery_exactly_once(
         active = still
     delivered = [t for batch in per_worker for t in batch]
     assert sorted(delivered) == list(range(n_tasks))
-
-
-class TestAccumulateAlwaysLocked:
-    """Regression for the cross-process accumulate race: accumulate is an
-    atomic read-modify-write on every transport, whoever calls it."""
-
-    def test_cross_process_accumulate_sums_exactly(self):
-        # The actual reported bug shape: two spawn processes accumulating
-        # into overlapping extents of one window.
-        t = SocketTransport()
-        t.allocate(0, 4)
-        try:
-            ctx = multiprocessing.get_context("spawn")
-            procs = [
-                ctx.Process(target=_child_accumulate, args=(t, 60))
-                for _ in range(2)
-            ]
-            for p in procs:
-                p.start()
-            for p in procs:
-                p.join(timeout=120)
-                assert p.exitcode == 0
-            np.testing.assert_array_equal(t.get(0, 0, 4), 120.0)
-        finally:
-            t.unlink()
-
-    def test_accumulate_accumulate_is_benign_to_the_race_detector(self):
-        """Satellite of the same fix: with accumulate serialized by every
-        transport (MPI-3's one legal unsynchronized overlap), the shadow
-        detector must not flag accumulate/accumulate overlap — while still
-        flagging put or get against an accumulate."""
-        from repro.analysis.race import RaceDetector, ShadowTransport
-
-        det = RaceDetector()
-        inner = LocalTransport()
-        inner.allocate(0, 8)
-        shadow = ShadowTransport(inner, det, "w")
-        shadow.set_task(("task", 0), ("stage", 0))
-        shadow.accumulate(0, 0, np.ones(4))
-        shadow.set_task(("task", 1), ("stage", 0))
-        shadow.accumulate(0, 2, np.ones(4))  # overlaps task 0's extent
-        assert det.n_reports == 0
-        shadow.put(0, 1, np.ones(2))  # put over an accumulate: still a race
-        assert det.n_reports == 1
-
-
-def _child_accumulate(transport, reps):
-    for _ in range(reps):
-        transport.accumulate(0, 0, np.ones(4))
-    transport.close()
 
 
 class TestDtreeReclaimAndVersion:

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.constants import GALAXY, NUM_BANDS, NUM_COLORS, REFERENCE_BAND, STAR
-from repro.core.catalog import CatalogEntry
+from repro.constants import NUM_BANDS, NUM_COLORS, REFERENCE_BAND
 from repro.core.fluxes import COLOR_COEFFS, colors_from_fluxes, flux_from_colors
-from repro.core.priors import Priors, default_priors, fit_priors
+from repro.core.priors import Priors, default_priors
 
 from taylor_oracle import seed, Taylor
 from taylor_oracle.model import flux_moments
@@ -100,51 +99,3 @@ class TestPriors:
         p = default_priors()
         with pytest.raises(ValueError):
             Priors(1.5, p.r_loc, p.r_var, p.k_weights, p.c_mean, p.c_var)
-
-
-class TestFitPriors:
-    def _synthetic_catalog(self, n=400, seed=0):
-        rng = np.random.default_rng(seed)
-        entries = []
-        for _ in range(n):
-            is_gal = rng.random() < 0.6
-            flux = float(np.exp(rng.normal(1.5 if is_gal else 0.8, 0.7)))
-            base = np.array([1.0, 0.6, 0.4, 0.25]) if is_gal else np.array(
-                [1.4, 0.9, 0.3, 0.15]
-            )
-            colors = rng.normal(base, 0.2)
-            entries.append(CatalogEntry(
-                position=rng.uniform(0, 100, 2),
-                is_galaxy=is_gal,
-                flux_r=max(flux, 0.05),
-                colors=colors,
-            ))
-        return entries
-
-    def test_recovers_galaxy_fraction(self):
-        cat = self._synthetic_catalog()
-        p = fit_priors(cat)
-        frac = np.mean([e.is_galaxy for e in cat])
-        np.testing.assert_allclose(p.prob_galaxy, frac, atol=0.02)
-
-    def test_recovers_brightness_moments(self):
-        cat = self._synthetic_catalog(n=800)
-        p = fit_priors(cat)
-        gal_logf = np.log([e.flux_r for e in cat if e.is_galaxy])
-        np.testing.assert_allclose(p.r_loc[GALAXY], gal_logf.mean(), atol=1e-9)
-        np.testing.assert_allclose(p.r_var[GALAXY], gal_logf.var(), rtol=0.01)
-
-    def test_color_mixture_covers_locus(self):
-        cat = self._synthetic_catalog(n=800)
-        p = fit_priors(cat)
-        star_colors = np.array([e.colors for e in cat if not e.is_galaxy])
-        mix_mean = p.c_mean[:, :, STAR] @ p.k_weights[:, STAR]
-        np.testing.assert_allclose(mix_mean, star_colors.mean(axis=0), atol=0.1)
-
-    def test_requires_enough_entries(self):
-        with pytest.raises(ValueError):
-            fit_priors(self._synthetic_catalog(n=2))
-
-    def test_fitted_priors_are_valid(self):
-        p = fit_priors(self._synthetic_catalog(n=100))
-        assert isinstance(p, Priors)  # __post_init__ validation ran

@@ -13,8 +13,8 @@ commit's fingerprint keys restarts instead of resuming.
 
 Dynamic: the neutrality fuzzer.  Every knob declared *not* fingerprinted
 (neutral / observational / scheduling) is toggled against a tier-1-scale
-golden pipeline run under both executors, and the catalog content hash must
-not move.  ``FUZZ_MATRIX`` maps each such knob to its toggle;
+golden pipeline run under both executors, and the catalog's unrounded
+digest (every field's float64 bytes) must not move.  ``FUZZ_MATRIX`` maps each such knob to its toggle;
 ``FUZZ_SKIPS`` holds the documented exceptions (knobs whose toggle changes
 what "the same run" means, like ``stop_after``).  A completeness test
 keeps the union exact, so a new non-fingerprinted knob cannot land without
@@ -52,6 +52,7 @@ from test_golden_pipeline import (
     GOLDEN_CATALOG_SHA256,
     _golden_config,
     _golden_fields,
+    catalog_bits_digest,
     catalog_content_hash,
 )
 
@@ -481,6 +482,7 @@ def _fuzz_config(executor):
 
 
 _FIELDS_CACHE = {}
+#: executor -> the catalog of the unperturbed fuzz run.
 _BASELINE = {}
 
 
@@ -491,20 +493,27 @@ def _fields():
 
 
 def _run_hash(config):
-    return catalog_content_hash(run_pipeline(_fields(), config).catalog)
+    """The run's unrounded digest: a same-run comparison is exact."""
+    return catalog_bits_digest(run_pipeline(_fields(), config).catalog)
+
+
+def _baseline_catalog(executor):
+    if executor not in _BASELINE:
+        _BASELINE[executor] = run_pipeline(
+            _fields(), _fuzz_config(executor)).catalog
+    return _BASELINE[executor]
 
 
 def _baseline_hash(executor):
-    if executor not in _BASELINE:
-        _BASELINE[executor] = _run_hash(_fuzz_config(executor))
-    return _BASELINE[executor]
+    return catalog_bits_digest(_baseline_catalog(executor))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("executor", ["thread", "process"])
 class TestNeutralityFuzzer:
     """Every declared-not-fingerprinted knob, toggled, must leave the
-    tier-1-scale catalog hash bit-identical — under both executors."""
+    tier-1-scale catalog bit-identical (the unrounded digest) — under both
+    executors."""
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
@@ -513,9 +522,11 @@ class TestNeutralityFuzzer:
 
     def test_baseline_is_the_golden_pin(self, executor):
         """Anchors the fuzzer absolutely: both executors reproduce the
-        golden catalog pin, so hash-invariance below is invariance of the
-        real result, not of some drifted baseline."""
-        assert _baseline_hash(executor) == GOLDEN_CATALOG_SHA256
+        golden catalog pin (rounded, the cross-commit check), so the
+        bit-invariance below is invariance of the real result, not of some
+        drifted baseline."""
+        assert (catalog_content_hash(_baseline_catalog(executor))
+                == GOLDEN_CATALOG_SHA256)
 
     @pytest.mark.parametrize("qual", sorted(FUZZ_MATRIX))
     def test_knob_toggle_is_result_invariant(self, executor, qual,
@@ -525,7 +536,7 @@ class TestNeutralityFuzzer:
             monkeypatch.setenv(
                 name, value.replace("__EXECUTOR__", executor))
         assert _run_hash(config) == _baseline_hash(executor), (
-            "toggling %s changed the catalog content hash: the knob is "
+            "toggling %s changed the catalog's bits: the knob is "
             "declared '%s' but is result-affecting; %s" % (
                 qual,
                 {k.qualname: k.provenance
@@ -540,6 +551,7 @@ class TestNeutralityFuzzer:
         size decide, so patching those constants must not move the
         catalog.  The stage loop reads both in the parent, so a patched
         class constant reaches process seats' schedules too."""
+        baseline = _baseline_hash(executor)  # in the default shape
         grants = []
 
         class RecordingDtree(Dtree):
@@ -553,7 +565,7 @@ class TestNeutralityFuzzer:
             monkeypatch.setattr(DriverConfig, name, value)
         patched = (DriverConfig.dtree, DriverConfig.max_batch)
         assert patched != default
-        assert _run_hash(_fuzz_config(executor)) == GOLDEN_CATALOG_SHA256, (
-            "schedule shape %r changed the catalog content hash" % shape)
+        assert _run_hash(_fuzz_config(executor)) == baseline, (
+            "schedule shape %r changed the catalog's bits" % shape)
         # ...and the run really was scheduled in the patched shape.
         assert set(grants) == {patched}

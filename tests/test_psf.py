@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.psf import MixturePSF, default_psf, fit_psf
+from repro.psf import MixturePSF, default_psf
 
 
 class TestMixturePSF:
@@ -81,57 +81,3 @@ class TestMixturePSF:
         assert len(comps) == 2
         total_w = sum(w for w, _, _ in comps)
         np.testing.assert_allclose(total_w, 1.0)
-
-
-class TestFitPSF:
-    def _render_stamp(self, psf, size=25):
-        c = size // 2
-        ys, xs = np.mgrid[0:size, 0:size]
-        return psf.density(xs - c, ys - c)
-
-    def test_recovers_single_gaussian(self):
-        truth = default_psf(fwhm=3.0, wing_fraction=0.0)
-        stamp = self._render_stamp(truth)
-        fit = fit_psf(stamp, n_components=1)
-        np.testing.assert_allclose(fit.fwhm(), truth.fwhm(), rtol=0.05)
-        np.testing.assert_allclose(fit.means[0], [0.0, 0.0], atol=0.05)
-
-    def test_recovers_double_gaussian_moments(self):
-        truth = default_psf(fwhm=3.2, wing_fraction=0.2)
-        stamp = self._render_stamp(truth, size=41)
-        fit = fit_psf(stamp, n_components=2)
-        np.testing.assert_allclose(
-            fit.second_moment(), truth.second_moment(), rtol=0.15, atol=0.05
-        )
-
-    def test_fit_density_close_to_truth(self):
-        truth = default_psf(fwhm=3.0, wing_fraction=0.15)
-        stamp = self._render_stamp(truth, size=31)
-        fit = fit_psf(stamp, n_components=2)
-        xs = np.linspace(-6, 6, 25)
-        dx, dy = np.meshgrid(xs, xs)
-        d_true = truth.density(dx, dy)
-        d_fit = fit.density(dx, dy)
-        rel_err = np.abs(d_fit - d_true).max() / d_true.max()
-        assert rel_err < 0.05
-
-    def test_rejects_empty_stamp(self):
-        with pytest.raises(ValueError):
-            fit_psf(np.zeros((11, 11)))
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            fit_psf(np.ones(10))
-
-    def test_noisy_stamp_core_is_stable(self):
-        # Moment-based width is wing-noise sensitive, so assert on the core
-        # density (what photometry actually uses) rather than the FWHM.
-        rng = np.random.default_rng(7)
-        truth = default_psf(fwhm=3.0)
-        stamp = self._render_stamp(truth, size=31)
-        noisy = stamp + rng.normal(0, stamp.max() * 0.005, stamp.shape)
-        fit = fit_psf(noisy, n_components=2)
-        xs = np.linspace(-4, 4, 17)
-        dx, dy = np.meshgrid(xs, xs)
-        err = np.abs(fit.density(dx, dy) - truth.density(dx, dy)).max()
-        assert err < 0.1 * truth.density(0.0, 0.0)

@@ -39,7 +39,6 @@ def _access(op="put", actor=("task", 0), epoch=("stage", 0),
 class TestShadowAccess:
     def test_is_write(self):
         assert _access(op="put").is_write
-        assert _access(op="accumulate").is_write
         assert not _access(op="get").is_write
 
     def test_overlaps_half_open(self):
@@ -177,7 +176,7 @@ class TestShadowTransport:
         inner, _, shadow = self._wrapped()
         shadow.put(0, 2, [1.0, 2.0])
         np.testing.assert_array_equal(shadow.get(0, 2, 2), [1.0, 2.0])
-        shadow.accumulate(0, 2, [1.0, 1.0])
+        shadow.put(0, 2, [2.0, 3.0])
         np.testing.assert_array_equal(inner.get(0, 2, 2), [2.0, 3.0])
 
     def test_accesses_land_in_sink_with_task_identity(self):
@@ -185,13 +184,13 @@ class TestShadowTransport:
         shadow.set_task(actor=("task", 7), epoch=("stage", 1))
         shadow.put(0, 2, [1.0, 2.0])
         shadow.get(0, 4, 3)
-        shadow.accumulate(0, 0, [1.0])
+        shadow.put(0, 0, [1.0])
         (key,) = det._accesses
         assert key == (("stage", 1), ("cat-work", 0))
         ops = [(a.op, a.x0, a.x1, a.actor) for a in det._accesses[key]]
         assert ops == [("put", 2, 4, ("task", 7)),
                        ("get", 4, 7, ("task", 7)),
-                       ("accumulate", 0, 1, ("task", 7))]
+                       ("put", 0, 1, ("task", 7))]
 
     def test_two_wrapped_views_race_through_shared_sink(self):
         inner = LocalTransport()

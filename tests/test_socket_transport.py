@@ -1,10 +1,12 @@
 """Tests for the TCP socket PGAS transport (:mod:`repro.pgas.transport`):
-wire roundtrips, exactly-once accumulate under dropped/duplicated frames,
+wire roundtrips, exactly-once put under dropped/duplicated frames and
+stale retransmissions,
 pickling into client copies, server error propagation, lifecycle, the
 out-of-window error of the window store both transports share, and the
 transport registry."""
 
 import pickle
+import socket
 import threading
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.pgas import (
     WindowRangeError,
     make_transport,
 )
+from repro.pgas.transport import _OP_HELLO, _OP_PUT, _REP, _REQ, _recv_exact
 
 
 @pytest.fixture
@@ -37,15 +40,13 @@ class TestSocketTransport:
     def test_owner_roundtrip_is_direct(self, server):
         server.put(0, 3, np.array([1.0, 2.0, 3.0]))
         assert server.get(0, 3, 3).tolist() == [1.0, 2.0, 3.0]
-        server.accumulate(0, 3, np.array([0.5, 0.5, 0.5]))
-        assert server.get(0, 3, 3).tolist() == [1.5, 2.5, 3.5]
 
     def test_client_roundtrip_over_the_wire(self, server):
         client = _client(server)
         try:
             client.put(1, 0, np.arange(4.0))
             assert client.get(1, 0, 4).tolist() == [0.0, 1.0, 2.0, 3.0]
-            client.accumulate(1, 1, np.array([10.0]))
+            client.put(1, 1, np.array([11.0]))
             # The owner sees the client's writes (one shared window).
             assert server.get(1, 0, 4).tolist() == [0.0, 11.0, 2.0, 3.0]
         finally:
@@ -60,15 +61,16 @@ class TestSocketTransport:
             a.close()
             b.close()
 
-    def test_concurrent_client_accumulate_sums_exactly(self, server):
-        """Overlapping accumulates from many client threads are atomic
-        read-modify-writes on the server: nothing is lost."""
+    def test_concurrent_client_puts_all_land(self, server):
+        """Puts from many client threads, each to its own slice, all land
+        intact on the server: no frame is lost or torn."""
         n_threads, reps = 4, 50
         clients = [_client(server) for _ in range(n_threads)]
 
         def worker(c):
-            for _ in range(reps):
-                c.accumulate(0, 0, np.ones(8))
+            k = clients.index(c)
+            for r in range(reps):
+                c.put(0, 4 * k, np.full(4, 100.0 * k + r))
 
         threads = [threading.Thread(target=worker, args=(c,))
                    for c in clients]
@@ -78,7 +80,8 @@ class TestSocketTransport:
             t.join()
         for c in clients:
             c.close()
-        assert server.get(0, 0, 8).tolist() == [n_threads * reps] * 8
+        assert server.get(0, 0, 16).tolist() == [
+            100.0 * k + reps - 1 for k in range(n_threads) for _ in range(4)]
 
     def test_dropped_frame_retransmitted(self, server):
         client = _client(server)
@@ -99,28 +102,54 @@ class TestSocketTransport:
         finally:
             client.close()
 
-    def test_duplicated_accumulate_applied_exactly_once(self, server):
+    def test_duplicated_put_applied_exactly_once(self, server):
         """The regression the replay cache exists for: a duplicated (or
-        retransmitted) accumulate frame must not double-apply."""
+        retransmitted) put frame reaches the window store once."""
+        applied = _count_store_puts(server)
         client = _client(server)
         client.fault_hook = lambda frame: "duplicate"
         try:
-            client.accumulate(0, 0, np.array([1.0, 1.0]))
-            client.accumulate(0, 0, np.array([1.0, 1.0]))
-            assert server.get(0, 0, 2).tolist() == [2.0, 2.0]
+            client.put(0, 0, np.array([1.0, 1.0]))
+            client.put(0, 0, np.array([2.0, 2.0]))
+            # One connection is served in order: once this get returns,
+            # the server has seen every duplicate sent before it.
+            assert client.get(0, 0, 2).tolist() == [2.0, 2.0]
+            assert applied == [(0, 0), (0, 0)]
         finally:
             client.close()
 
-    def test_dropped_then_duplicated_accumulate_exactly_once(self, server):
+    def test_dropped_then_duplicated_put_exactly_once(self, server):
+        applied = _count_store_puts(server)
         client = _client(server)
         client._timeout = 0.3
         actions = iter(["drop", "duplicate"])
         client.fault_hook = lambda frame: next(actions, None)
         try:
-            client.accumulate(0, 4, np.array([3.0]))
-            assert server.get(0, 4, 1).tolist() == [3.0]
+            client.put(0, 4, np.array([3.0]))
+            assert client.get(0, 4, 1).tolist() == [3.0]
+            assert applied == [(0, 4)]
         finally:
             client.close()
+
+    def test_stale_put_never_overwrites_a_newer_one(self, server):
+        """On the wire, one token sends put seq 2 and then a stale
+        retransmitted put seq 1 to the same range: the range keeps seq 2's
+        values, and the stale frame still gets an ack."""
+        def put_frame(seq, values):
+            values = np.asarray(values, dtype=np.float64)
+            return (_REQ.pack(_OP_PUT, 0, 2, len(values), seq)
+                    + values.tobytes())
+
+        token = b"stale-put-test"
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(_REQ.pack(_OP_HELLO, 0, 0, len(token), 0) + token)
+            assert _REP.unpack(_recv_exact(sock, _REP.size))[0] == 0
+            for seq, values in ((2, [20.0, 21.0]), (1, [10.0, 11.0])):
+                sock.sendall(put_frame(seq, values))
+                status, rseq, rcount = _REP.unpack(
+                    _recv_exact(sock, _REP.size))
+                assert (status, rseq, rcount) == (0, seq, 0)
+        assert server.get(0, 2, 2).tolist() == [20.0, 21.0]
 
     def test_reconnect_after_connection_drop(self, server):
         client = _client(server)
@@ -180,6 +209,21 @@ class TestSocketTransport:
             t.unlink()
 
 
+def _count_store_puts(owner):
+    """Record ``(rank, start)`` of every put that reaches ``owner``'s
+    window store, whoever sent it."""
+    store = owner._store
+    applied = []
+    inner_put = store.put
+
+    def put(rank, start, values):
+        applied.append((rank, start))
+        inner_put(rank, start, values)
+
+    store.put = put
+    return applied
+
+
 def _do(transport, op, rank, start, count):
     if op == "get":
         return transport.get(rank, start, count)
@@ -187,7 +231,7 @@ def _do(transport, op, rank, start, count):
 
 
 #: (op, start, count) against a 4-element window.
-_OUT_OF_WINDOW = [("get", 2, 10), ("put", 2, 10), ("accumulate", 3, 2),
+_OUT_OF_WINDOW = [("get", 2, 10), ("put", 2, 10), ("put", 3, 2),
                   ("get", 5, 0), ("put", 0, 5)]
 
 

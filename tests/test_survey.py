@@ -1,5 +1,5 @@
 """Tests for the synthetic survey substrate (WCS, images, rendering, layout,
-I/O, coadds)."""
+I/O)."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.survey import (
     SurveyConfig,
     SyntheticSkyConfig,
     build_survey,
-    coadd_images,
     expected_image,
     field_file_size,
     generate_catalog,
@@ -486,111 +485,3 @@ class TestFieldPrefetcher:
                 pf.get(missing)
         finally:
             pf.close()
-
-
-class TestCoadd:
-    def _epochs(self, n=10, seed=0):
-        rng = np.random.default_rng(seed)
-        truth = [star([15.0, 15.0], flux=5.0)]
-        images = []
-        for e in range(n):
-            meta = ImageMeta(
-                band=2, wcs=AffineWCS.translation(0, 0),
-                psf=default_psf(3.0 * np.exp(rng.normal(0, 0.1))),
-                sky_level=100.0 * np.exp(rng.normal(0, 0.1)),
-                calibration=100.0 * np.exp(rng.normal(0, 0.1)),
-                epoch=e,
-            )
-            images.append(render_image(truth, meta, (30, 30), rng=rng))
-        return images
-
-    def test_coadd_improves_snr(self):
-        images = self._epochs(16)
-        co = coadd_images(images)
-        # Relative background noise should drop roughly as 1/sqrt(n).
-        single_noise = np.std(images[0].pixels[:5] - images[0].meta.sky_level) \
-            / images[0].meta.calibration
-        co_noise = np.std(co.pixels[:5] - co.meta.sky_level) / co.meta.calibration
-        assert co_noise < single_noise / 2.0
-
-    def test_coadd_preserves_calibrated_flux(self):
-        images = self._epochs(12, seed=7)
-        co = coadd_images(images)
-        excess = (co.pixels - co.meta.sky_level).sum() / co.meta.calibration
-        singles = [
-            (im.pixels - im.meta.sky_level).sum() / im.meta.calibration
-            for im in images
-        ]
-        np.testing.assert_allclose(excess, np.mean(singles), rtol=0.1)
-
-    @staticmethod
-    def _unmasked_reference(images):
-        """The coadd's calibrated plane as written before it read masks."""
-        weights = np.array([
-            im.meta.calibration ** 2 / im.meta.sky_level for im in images])
-        weights = weights / weights.sum()
-        calibrated = np.zeros(images[0].pixels.shape)
-        for w, im in zip(weights, images):
-            calibrated += (w * (im.pixels - im.meta.sky_level)
-                           / im.meta.calibration)
-        ref = images[0].meta
-        n = len(images)
-        return calibrated * (ref.calibration * n) + ref.sky_level * n
-
-    def test_unmasked_inputs_coadd_as_before(self):
-        images = self._epochs(12, seed=3)
-        co = coadd_images(images)
-        assert np.array_equal(co.pixels, self._unmasked_reference(images))
-        assert co.mask is None
-
-    def test_masked_pixel_is_weighted_over_the_other_exposures(self):
-        images = self._epochs(2, seed=5)
-        hit = images[0].pixels.copy()
-        hit[4, 7] = 1e6
-        images[0] = Image(pixels=hit, meta=images[0].meta,
-                          mask=np.zeros(hit.shape, dtype=bool))
-        images[0].mask[4, 7] = True
-        co = coadd_images(images)
-        # The pixel comes from the one exposure that has it, in the
-        # coadd's units; every other pixel coadds as without the mask.
-        other = images[1]
-        ref = images[0].meta
-        expect = ((other.pixels[4, 7] - other.meta.sky_level)
-                  / other.meta.calibration * (2 * ref.calibration)
-                  + 2 * ref.sky_level)
-        assert co.pixels[4, 7] == pytest.approx(expect, rel=1e-12)
-        assert co.pixels[4, 7] < 1000.0
-        reference = self._unmasked_reference(
-            [Image(pixels=images[0].pixels, meta=ref), other])
-        keep = np.ones(hit.shape, dtype=bool)
-        keep[4, 7] = False
-        assert np.array_equal(co.pixels[keep], reference[keep])
-        assert co.mask is not None and not co.mask.any()
-
-    def test_masked_nan_coadds_and_a_pixel_masked_everywhere_is_masked(
-            self):
-        images = self._epochs(3, seed=9)
-        for k, im in enumerate(images):
-            pixels = im.pixels.copy()
-            mask = np.zeros(pixels.shape, dtype=bool)
-            pixels[2, 2] = np.nan          # masked in every exposure
-            mask[2, 2] = True
-            if k == 1:
-                pixels[5, 5] = np.nan      # masked in one exposure
-                mask[5, 5] = True
-            images[k] = Image(pixels=pixels, meta=im.meta, mask=mask)
-        co = coadd_images(images)
-        assert np.isfinite(co.pixels).all()
-        assert co.mask[2, 2] and co.mask.sum() == 1
-        assert co.pixels[2, 2] == co.meta.sky_level
-        assert abs(co.pixels[5, 5] - co.meta.sky_level) < 0.5 * co.meta.sky_level
-
-    def test_band_mismatch_rejected(self):
-        images = self._epochs(2)
-        object.__setattr__(images[0].meta, "band", 1)
-        with pytest.raises(ValueError):
-            coadd_images(images)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coadd_images([])
