@@ -13,12 +13,13 @@ stage-start snapshot, the same in every task of a stage that reads them.
 A :class:`ContributionStore` lets the tasks of one stage share those
 renders instead of repeating them.
 
-:class:`RegionOptimizer` owns that shared state.  Its
-``update_sources_batch`` method is the unit of work executed serially here
-(one source at a time) and concurrently by the Cyclades executor
-(:mod:`repro.parallel`) — conflict-free, because Cyclades never schedules
-two overlapping sources at once, and non-overlapping sources touch disjoint
-patch pixels.
+:class:`RegionOptimizer` owns that shared state.  :func:`update_sources`,
+over ``(optimizer, source)`` pairs, is the unit of work executed serially
+here (one source at a time) and concurrently by the Cyclades executor
+(:mod:`repro.parallel`), whose batches may mix the regions of several
+tasks — conflict-free, because Cyclades never schedules two overlapping
+sources at once, non-overlapping sources touch disjoint patch pixels, and
+each region has model images of its own.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "RegionResult",
     "optimize_region",
     "patch_radius_for",
+    "update_sources",
 ]
 
 
@@ -341,31 +343,9 @@ class RegionOptimizer:
             self._contrib[s][i] = new_c
 
     def update_sources_batch(self, sources: list[int]) -> list[SourceResult]:
-        """Optimize several *non-overlapping* sources in one lockstep batch
-        and fold their new expected contributions back into the model
-        images.
-
-        This is the unit of work distributed by Cyclades (each thread's
-        conflict-free assignment is cut into runs of at most
-        ``elbo_batch_size`` sources); it is safe to run concurrently for
-        sources whose patches do not overlap.  All the sources' contexts
-        are built against the current residual backgrounds up front,
-        optimized with :func:`repro.core.single.optimize_sources_batch`,
-        and folded back.  Because the executor only batches sources from
-        one conflict-free assignment, their patches are pixel-disjoint —
-        each source's backgrounds are identical whether its neighbors in
-        the batch were updated before or after it, so this is bit-for-bit
-        equivalent to updating the sources one at a time, in order.
-        """
-        with numeric_source(sources):
-            ctxs = [self._make_context(s) for s in sources]
-            results = optimize_sources_batch(
-                ctxs, [self.params[s] for s in sources], self.config.single
-            )
-        with self._lock:
-            for s, result in zip(sources, results):
-                self._fold_back(s, result)
-        return results
+        """Optimize several *non-overlapping* sources of this region in one
+        lockstep batch: the one-optimizer case of :func:`update_sources`."""
+        return update_sources([(self, s) for s in sources])
 
     def catalog(self) -> Catalog:
         """Point-estimate catalog from the current variational parameters."""
@@ -379,6 +359,37 @@ class RegionOptimizer:
         if chk is not None:
             chk.check_accumulation(total, parts)
         return total
+
+
+def update_sources(pairs: list[tuple[RegionOptimizer, int]]
+                   ) -> list[SourceResult]:
+    """Optimize ``(optimizer, source)`` pairs in one lockstep batch and fold
+    each new expected contribution back into its optimizer's model images.
+
+    This is the unit of work the Cyclades executor distributes: each
+    thread's conflict-free assignment — across every region of a lockstep —
+    is cut into runs of at most ``elbo_batch_size`` pairs.  No two pairs of
+    one region may overlap; pairs of different regions never do, since
+    each region has model images of its own.  Every context is built
+    against the current residual backgrounds up front, all are optimized
+    with :func:`repro.core.single.optimize_sources_batch`, and each result
+    is folded back under its optimizer's lock.  Because the sources'
+    patches are pixel-disjoint, each source's backgrounds are identical
+    whether its neighbors in the batch were updated before or after it, so
+    this is bit-for-bit equivalent to updating them one at a time, in
+    order.  Safe to run concurrently for pairs that do not overlap.  The
+    regions of one batch share one :class:`JointConfig`; the first pair's
+    optimizer config is the one read.
+    """
+    with numeric_source([s for _, s in pairs]):
+        ctxs = [opt._make_context(s) for opt, s in pairs]
+        results = optimize_sources_batch(
+            ctxs, [opt.params[s] for opt, s in pairs],
+            pairs[0][0].config.single)
+    for (opt, s), result in zip(pairs, results):
+        with opt._lock:
+            opt._fold_back(s, result)
+    return results
 
 
 def optimize_region(

@@ -8,8 +8,8 @@ kept in ``tests/taylor_oracle/`` as the reference this kernel is tested
 against; it is not a production path.
 
 **Compile once.**  The first evaluation of a :class:`SourceContext` compiles
-its pixel-static data into a :class:`_FusedWorkspace`: per-patch pixel grids
-offset by every PSF / galaxy-profile component mean, pre-inverted (constant)
+its pixel-static data into a :class:`_FusedWorkspace`: per-patch pixel
+coordinates and every PSF / galaxy-profile component mean, pre-inverted (constant)
 PSF covariances with their normalizers, the affine WCS coefficients, and
 float views of counts and backgrounds.  The workspace is cached on the
 context and reused by every later evaluation (a Newton solve evaluates the
@@ -688,16 +688,16 @@ class _PatchWorkspace(_PairStack):
     """Everything pixel-static about one patch slot, precomputed.
 
     Arrays are lane-stacked (leading axis ``G``): the pixel arrays
-    (``counts``, ``bg``, and the component-offset grids ``grid``)
-    the per-patch pixel pass reads, and — as a :class:`_PairStack` of its
+    (``counts``, ``bg``, the pixel coordinates ``pix`` and the component
+    means ``mu``) the per-patch pixel pass reads, and — as a :class:`_PairStack` of its
     ``G`` (lane, slot) pairs — the statics the per-call prologue reads.  A
     per-context workspace is the ``G = 1`` case; :meth:`_concat` builds a
     batch lane group from same-shaped patch slots without copying any
     per-context compile work."""
 
-    __slots__ = ("bands", "counts", "bg", "n_pixels", "grid")
+    __slots__ = ("bands", "counts", "bg", "n_pixels", "pix", "mu")
 
-    _STACKED = _PairStack._STACKED + ("counts", "bg", "grid")
+    _STACKED = _PairStack._STACKED + ("counts", "bg", "pix", "mu")
 
     def __init__(self, patch):
         self.bands = (patch.band,)
@@ -721,9 +721,14 @@ class _PatchWorkspace(_PairStack):
         self.w2pi = ww / _TWO_PI                              # (1, C, 1)
         self.var = var
         self.pcov = np.concatenate([pxx, pxy, pyy], axis=2)   # (1, C, 3)
-        #: Pixel offsets from each component mean, ``(1, 2, C, M)``.
-        self.grid = np.stack([patch.px[None, :] - mux[0],
-                             patch.py[None, :] - muy[0]])[None]
+        #: Pixel coordinates ``(1, 2, 1, M)`` and component means
+        #: ``(1, 2, C, 1)``: their difference is the pixel offsets from
+        #: each component mean, formed per evaluation in scratch
+        #: (:func:`_mixture`) — a lockstep call holds many contexts'
+        #: workspaces at once, and ``C`` times the pixels would dominate
+        #: them.
+        self.pix = np.stack([patch.px, patch.py])[None, :, None, :]
+        self.mu = np.stack([mux[0], muy[0]])[None]
         # The pixel-static parts of the feature-row coefficients
         # (_feature_coefficients): per component, the six base rows over
         # the six monomials — monomials 0-2 as they are, 3-5 times the
@@ -1121,13 +1126,14 @@ def _mixture(pws: _PatchWorkspace, up: np.ndarray, icov: np.ndarray,
     block per lane).  The arrays live in the calling thread's scratch,
     valid until its next call."""
     inv = icov.transpose(0, 2, 1)[..., None]      # (G, 3, C, 1)
-    gsz, _, c, m = pws.grid.shape
+    gsz, c, m = pws.pix.shape[0], pws.mu.shape[2], pws.pix.shape[3]
     n = gsz * c * m
     work = _scratch("mixture", 10 * n)
     dxy, lxy = work[:4 * n].reshape(2, gsz, 2, c, m)
     mono = work[4 * n:].reshape(gsz, 6, c, m)
     g = mono[:, 0]                      # also the temporary until the exp
-    np.subtract(pws.grid, up[:, :, None, None], out=dxy)
+    np.subtract(pws.pix, pws.mu, out=dxy)
+    np.subtract(dxy, up[:, :, None, None], out=dxy)
     # (lx, ly) = (ixx, ixy) dx + (ixy, iyy) dy, then q = lx dx + ly dy.
     np.multiply(inv[:, 0:2], dxy[:, 0:1], out=lxy)
     lxy += np.multiply(inv[:, 1:3], dxy[:, 1:2], out=mono[:, 1:3])

@@ -127,8 +127,8 @@ __all__ = [
 EXECUTOR_ENV_VAR = "REPRO_DRIVER_EXECUTOR"
 
 #: Environment variable consulted when neither ``DriverConfig`` nor the
-#: parallel config sets a lockstep ELBO batch size — lets CI force every
-#: source optimization through the batched evaluation path.
+#: parallel config sets a lockstep ELBO batch size — lets CI run a whole
+#: suite at a lane limit other than the default.
 ELBO_BATCH_ENV_VAR = "REPRO_ELBO_BATCH"
 
 #: Environment variables consulted when the ``ParallelRegionConfig`` field
@@ -203,14 +203,15 @@ class DriverConfig:
         default_factory=ParallelRegionConfig, provenance="fingerprinted")
     #: Lane limit of a lockstep ELBO evaluation batch; wins over
     #: ``parallel.elbo_batch_size``, then ``REPRO_ELBO_BATCH``
-    #: (:func:`_pin_config`).  Residue: the one behaviour still settable
-    #: under two config names, because ``benchmarks/suite`` spells it both
-    #: ways (``workloads.py::_config``, ``layers.py``); a later
-    #: ``benchmark`` PR that may edit the suite collects this alias.
-    #: Catalogs are bit-for-bit identical whatever the value — an
-    #: invariant the test suite enforces rather than assumes, which is why
-    #: the knob is fingerprinted like a result-affecting one.
-    elbo_batch_size: int | None = knob(None, provenance="fingerprinted")
+    #: (:func:`_pin_config`); ``None`` everywhere is
+    #: :data:`repro.parallel.executor.DEFAULT_LANE_LIMIT` (16).  Residue:
+    #: the one behaviour still settable under two config names, because
+    #: ``benchmarks/suite`` spells it both ways (``workloads.py::_config``,
+    #: ``layers.py``); a later ``benchmark`` PR that may edit the suite
+    #: collects this alias.  Catalogs are bit-for-bit identical whatever
+    #: the value — an invariant the neutrality fuzzer pins — so it is
+    #: ``neutral`` and no part of a checkpoint's fingerprint.
+    elbo_batch_size: int | None = knob(None, provenance="neutral")
     #: JSON checkpoint file; ``None`` disables checkpointing.  The working
     #: catalog checkpoints as ``n_nodes`` per-rank shard files.
     checkpoint_path: str | None = knob(None, provenance="scheduling")
@@ -237,10 +238,12 @@ class DriverConfig:
     #: Start method for process node-workers: "spawn" works everywhere and
     #: proves nothing leaks through fork.
     mp_start_method = "spawn"
-    #: Task ids granted per Dtree request, and the Dtree's shape.  Both
-    #: only decide who computes what and when (the catalog is
-    #: completion-order independent).
-    max_batch = 2
+    #: Task ids granted per Dtree request at most, and the Dtree's shape.
+    #: Both only decide who computes what and when (the catalog is
+    #: completion-order independent).  A seat runs each grant as one
+    #: lockstep, so a grant is also how many tasks' lanes can share an
+    #: ELBO call; 16 matches the default lane limit.
+    max_batch = 16
     dtree = DtreeConfig()
 
 

@@ -1,6 +1,6 @@
 """An elastic, persistent pool of node-worker seats.
 
-A *seat* is one node-worker: a bind / task / release loop
+A *seat* is one node-worker: a bind / grant / release loop
 (:func:`_pool_worker_main`) fed by a FIFO task queue and reporting on one
 shared result queue, driven the same way by the one stage loop
 (:mod:`repro.driver.stage`) whatever it runs on.  What it runs on is
@@ -29,11 +29,14 @@ working, fault_dir)``
     ``DriverConfig``: a seat imports :mod:`repro.driver.worker` and
     nothing of the driver side.
 
-``("task", task, halo_indices, field_hint)``
-    Execute one task against the bound state; report a
-    :class:`~repro.driver.worker.TaskDone`.  FIFO ordering per seat makes
-    bind acknowledgements unnecessary: a task enqueued after a bind runs
-    under that bind.
+``("grant", items, field_hint)``
+    Execute one Dtree grant against the bound state: ``items`` is a list
+    of ``(task, halo_indices)`` pairs, run as one lockstep (their ELBO
+    calls carry lanes of every task; with ``halo_refresh`` the tasks run
+    one after another, in grant order), then reported with one
+    :class:`~repro.driver.worker.TaskDone` per task, in grant order.
+    FIFO ordering per seat makes bind acknowledgements unnecessary: a
+    grant enqueued after a bind runs under that bind.
 
 ``("release",)``
     Drop the bound state (close field prefetchers, detach catalog
@@ -47,13 +50,17 @@ What a seat puts on the result queue:
 :class:`~repro.driver.worker.TaskDone`
     One per task.  ``epoch``, ``worker`` and ``task_id`` say whose it is;
     ``executed`` is False when the task had nothing to optimize, else its
-    sources were fit to a total ``elbo`` in ``seconds``.  ``counters`` is
-    the task's own :class:`~repro.perf.counters.Counters` snapshot;
+    sources were fit to a total ``elbo``.  ``seconds`` is the grant's
+    wall clock split evenly across its tasks.  ``counters`` is the task's
+    own :class:`~repro.perf.counters.Counters` snapshot (a batched call's
+    shape counters land on the bag of its first lane's task);
     ``comm`` the seat's RMA totals and ``prefetch`` its field store's
     prefetcher totals since its previous record (empty when the store is
     the driver's, which accounts for it itself).  ``race_reports`` and
-    ``numeric_reports`` are the region's findings, ``accesses`` the
-    seat's drained :class:`~repro.analysis.race.AccessLog`.
+    ``numeric_reports`` are the grant's findings, ``accesses`` the
+    seat's drained :class:`~repro.analysis.race.AccessLog`; all three
+    ride on the first record of a grant.  A seat that dies mid-report
+    has reported a prefix of its grant; the rest is re-dispatched.
     ``first_bind_at`` is the wall-clock stamp of a spawned seat's first
     completed bind, on its first record only
     (``DriverReport.spawn_bind_seconds``).
@@ -113,9 +120,9 @@ def _pool_worker_main(seat: int, task_q, result_q,
                 if state is not None:
                     state.close()
                     state = None
-            elif kind == "task":
-                _, task, halo_idx, hint = item
-                state.execute(task, halo_idx, hint, result_q,
+            elif kind == "grant":
+                _, items, hint = item
+                state.execute(items, hint, result_q,
                               None if stamp_shipped else first_bind_at)
                 stamp_shipped = True
     except BaseException:  # noqa: BLE001 - forwarded to the parent

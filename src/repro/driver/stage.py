@@ -299,7 +299,7 @@ class StageRunner:
         dtree = Dtree(n, len(tasks), config.dtree)
         pending = [0] * n
         conds = [threading.Condition() for _ in range(n)]
-        #: Per-seat map of task_id -> (task, halo_idx, hint) shipped but
+        #: Per-seat map of task_id -> ((task, halo_idx), hint) shipped but
         #: not yet reported done — what a dead seat's recovery re-dispatches.
         inflight: list[dict] = [{} for _ in range(n)]
         dead = [False] * n
@@ -320,11 +320,20 @@ class StageRunner:
                     pending[w] = 0
                     conds[w].notify_all()
 
-        def dispatch(s: int, task: Task, halo_idx, hint) -> None:
+        def item_for(tid: int) -> tuple:
+            task = tasks[tid]
+            return task, _halo_indices(
+                positions, set(task.source_indices), task.region,
+                config.halo_margin)
+
+        def dispatch(s: int, items: list[tuple], hint) -> None:
+            """Ship ``(task, halo indices)`` items to seat ``s`` as one
+            grant message; each task stays in flight until reported."""
             with conds[s]:
-                pending[s] += 1
-                inflight[s][task.task_id] = (task, halo_idx, hint)
-            self.pool.send(s, ("task", task, halo_idx, hint))
+                pending[s] += len(items)
+                for item in items:
+                    inflight[s][item[0].task_id] = (item, hint)
+            self.pool.send(s, ("grant", items, hint))
 
         def survivors_or_respawn(exclude: int | None = None) -> list[int]:
             """Live, usable seats — respawning dead ones (and re-binding
@@ -373,8 +382,14 @@ class StageRunner:
                     "take over its %d in-flight tasks" % (w, len(items))
                 ))
                 return
-            for i, (tid, item) in enumerate(items):
-                dispatch(survivors[i % len(survivors)], *item)
+            regrants: dict[int, tuple[list, list]] = {}
+            for i, (item, hint) in enumerate(v for _, v in items):
+                grant, fields = regrants.setdefault(
+                    survivors[i % len(survivors)], ([], []))
+                grant.append(item)
+                fields.extend(f for f in hint if f not in fields)
+            for s, (grant, fields) in regrants.items():
+                dispatch(s, grant, fields)
 
         def drain_stranded() -> None:
             """Every pump exited and nothing is in flight, yet tasks
@@ -396,15 +411,9 @@ class StageRunner:
                     return
                 hint = self._lookahead_hint(
                     dtree, survivors[0], batch, tasks)
-                for tid in batch:
-                    task = tasks[tid]
-                    halo_idx = _halo_indices(
-                        positions, set(task.source_indices),
-                        task.region, config.halo_margin,
-                    )
-                    dispatch(survivors[i % len(survivors)],
-                             task, halo_idx, hint)
-                    i += 1
+                dispatch(survivors[i % len(survivors)],
+                         [item_for(tid) for tid in batch], hint)
+                i += 1
 
         def collect() -> None:
             total = len(tasks)
@@ -486,26 +495,10 @@ class StageRunner:
                     sched_s[w] += time.perf_counter() - t0
                     if not batch:
                         return
-                    hinted_version = dtree.version
-                    hint = self._lookahead_hint(dtree, w, batch, tasks)
-                    for pos, tid in enumerate(batch):
-                        if failed.is_set() or dead[w]:
-                            return
-                        if dtree.version != hinted_version:
-                            # The schedule moved under us since the hint
-                            # (a sibling's grant drained pools we peeked):
-                            # re-peek at dispatch so the shipped hint
-                            # tracks the fields this worker will actually
-                            # need, not the pre-stealing guess.
-                            hinted_version = dtree.version
-                            hint = self._lookahead_hint(
-                                dtree, w, batch[pos:], tasks)
-                        task = tasks[tid]
-                        halo_idx = _halo_indices(
-                            positions, set(task.source_indices),
-                            task.region, config.halo_margin,
-                        )
-                        dispatch(w, task, halo_idx, hint)
+                    if failed.is_set() or dead[w]:
+                        return
+                    dispatch(w, [item_for(tid) for tid in batch],
+                             self._lookahead_hint(dtree, w, batch, tasks))
                     # Request the next batch only after this one completed,
                     # so the Dtree's dynamic load balancing still sees
                     # completion times.

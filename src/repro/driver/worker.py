@@ -1,7 +1,7 @@
-"""The worker side of the driver: what one task execution needs.
+"""The worker side of the driver: what executing a Dtree grant needs.
 
-The seat body lives here — field access (:class:`_FieldStore`), task
-execution (:func:`_execute_task`), the per-stage state a seat binds
+The seat body lives here — field access (:class:`_FieldStore`), grant
+execution (:func:`_execute_grant`), the per-stage state a seat binds
 (:class:`_WorkerState`) and the record it reports each task with
 (:class:`TaskDone`) — apart from the driver side: the stage loop in
 :mod:`repro.driver.stage` and config resolution, seeding and the entry
@@ -25,7 +25,8 @@ from typing import NamedTuple
 from repro.core.joint import ContributionStore
 from repro.core.priors import Priors
 from repro.driver.shards import ShardedCatalog
-from repro.parallel import ParallelRegionConfig, optimize_region_parallel
+from repro.parallel import ParallelRegionConfig
+from repro.parallel.executor import RegionJob, optimize_regions_lockstep
 from repro.partition import Region, Task
 from repro.perf.counters import Counters
 from repro.survey.image import Image
@@ -183,64 +184,78 @@ class _FieldStore:
 # Task execution
 
 
-def _task_seed_config(config: TaskConfig, task: Task) -> ParallelRegionConfig:
+def _task_seed(config: ParallelRegionConfig, task: Task) -> int:
     # Per-task deterministic seed: results must not depend on which worker
-    # runs the task or in what order tasks complete.
-    return replace(
-        config.parallel,
-        seed=config.parallel.seed + 7919 * task.task_id + task.stage,
-    )
+    # runs the task, in what order tasks complete, or what shares its grant.
+    return config.seed + 7919 * task.task_id + task.stage
 
 
-def _execute_task(
-    task: Task,
-    halo_idx: list[int],
+def _execute_grant(
+    tasks: list[Task],
+    halos: list[list[int]],
+    counters: list[Counters],
     base: ShardedCatalog,
     working: ShardedCatalog,
     store: _FieldStore,
     priors: Priors,
     config: TaskConfig,
-    counters: Counters,
     contributions: ContributionStore | None = None,
-):
-    """Run one task against the sharded catalog; returns the region result,
-    or ``None`` when the task had nothing to optimize.
+    enter_task=None,
+) -> list:
+    """Run one Dtree grant against the sharded catalog as one lockstep;
+    returns one region result per task, ``None`` for a task that had
+    nothing to optimize.
 
-    Reads own sources and halo rows one-sidedly from the stage-start
-    snapshot (``base``), optimizes, puts result rows into the live
-    ``working`` array.
-    With ``halo_refresh`` the halo is instead re-read from ``working`` at
-    every pass, and each pass's results are published immediately so
-    neighboring tasks see them.  Region setup renders through the seat's
-    ``contributions`` store either way, since it is keyed by parameter
-    values; without one, each region renders into a store of its own.
+    Each task keeps its own region setup, its own task-seeded Cyclades
+    schedule, its own counter bag (``counters[i]``) and its own result;
+    :func:`repro.parallel.executor.optimize_regions_lockstep` joins their
+    rounds, so one ELBO call carries lanes of several tasks.  Tasks read
+    own sources and halo rows one-sidedly from the stage-start snapshot
+    (``base``) and put result rows into the live ``working`` array, so no
+    task of a grant sees another's results.  With ``halo_refresh`` the
+    halo is instead re-read from ``working`` at every pass and each pass's
+    results are published at once, so the grant's tasks read each other's
+    rows: they run one after another, in grant order (groups of one).
+    Region setup renders through the seat's ``contributions`` store either
+    way, since it is keyed by parameter values; without one, each region
+    renders into a store of its own.  ``enter_task(task)`` runs before
+    each task's catalog accesses (the seat's shadow attribution).
     """
-    images, image_keys = store.region_images(task.region,
-                                             config.image_margin)
-    entries = base.get_entries(task.source_indices)
-    if not images or not entries:
-        return None
-    pconfig = _task_seed_config(config, task)
+    enter = enter_task or (lambda task: None)
+    pconfig = config.parallel
+    jobs: list = []
+    for task, c in zip(tasks, counters):
+        images, image_keys = store.region_images(task.region,
+                                                 config.image_margin)
+        enter(task)
+        entries = base.get_entries(task.source_indices)
+        jobs.append(
+            RegionJob(images, entries, None, image_keys, c,
+                      _task_seed(pconfig, task))
+            if images and entries else None)
+    live = [i for i, job in enumerate(jobs) if job is not None]
+    results: list = [None] * len(tasks)
     if config.halo_refresh:
-        result = None
-        current = entries
-        for p in range(pconfig.n_passes):
-            halo = working.get_entries(halo_idx)
-            sub = replace(pconfig, n_passes=1, seed=pconfig.seed + 104729 * p)
-            result = optimize_region_parallel(
-                images, current, priors, sub, counters, frozen_entries=halo,
-                contributions=contributions, image_keys=image_keys,
-            )
-            current = list(result.catalog)
-            working.put_entries(task.source_indices, current)
-        return result
-    halo = base.get_entries(halo_idx)
-    result = optimize_region_parallel(
-        images, entries, priors, pconfig, counters, frozen_entries=halo,
-        contributions=contributions, image_keys=image_keys,
-    )
-    working.put_entries(task.source_indices, list(result.catalog))
-    return result
+        groups, halo_from = [[i] for i in live], working
+        passes = [replace(pconfig, n_passes=1)] * pconfig.n_passes
+    else:
+        groups, halo_from, passes = [live] if live else [], base, [pconfig]
+    for group in groups:
+        for p, pass_config in enumerate(passes):
+            for i in group:
+                enter(tasks[i])
+                jobs[i] = jobs[i]._replace(
+                    frozen_entries=halo_from.get_entries(halos[i]),
+                    seed=_task_seed(pconfig, tasks[i]) + 104729 * p)
+            out = optimize_regions_lockstep(
+                [jobs[i] for i in group], priors, pass_config, contributions)
+            for i, result in zip(group, out):
+                results[i] = result
+                jobs[i] = jobs[i]._replace(entries=list(result.catalog))
+                enter(tasks[i])
+                working.put_entries(tasks[i].source_indices,
+                                    jobs[i].entries)
+    return results
 
 
 def _comm_totals(*recorders) -> dict:
@@ -327,12 +342,15 @@ class _WorkerState:
         self.prev_prefetch: dict = {}
         self.contributions = ContributionStore()
 
-    def _maybe_die(self, task: Task) -> None:
+    def _maybe_die(self, task: Task, result_q) -> None:
         """Fault injection: hard-exit before reporting a task for which
         the run's scratch directory holds a ``kill.<task id>`` token.  Only
         a test plants one (through a ``WorkerPool.field_source`` of its
         own); unlinking it is the consumption, so the retry on a surviving
-        worker completes."""
+        worker completes.  The records already put are flushed first: a
+        process that exits while its queue's feeder thread is mid-write
+        leaves the queue's shared write lock held, and every other seat's
+        next report would block on it forever."""
         if self.fault_dir is None:
             return
         try:
@@ -340,49 +358,61 @@ class _WorkerState:
                                    "kill.%d" % int(task.task_id)))
         except FileNotFoundError:
             return
+        result_q.close()
+        result_q.join_thread()
         os._exit(17)
 
-    def execute(self, task: Task, halo_idx: list[int], hint: list[int],
-                result_q, first_bind_at: float | None = None) -> None:
-        """Run one task and report it with a :class:`TaskDone`."""
-        config = self.config
-        self.store.hint_fields(hint)
-        counters = Counters()
+    def _enter_task(self, task: Task) -> None:
+        """Attribute the catalog accesses that follow to ``task``.
+
+        Concurrently scheduled tasks of one stage share a logical epoch:
+        any same-epoch catalog overlap between tasks is a race."""
         if self.base_shadow is not None:
-            # Concurrently scheduled tasks of one stage share a logical
-            # epoch: any same-epoch catalog overlap between tasks is a race.
-            actor = ("task", task.task_id)
-            epoch = ("stage", task.stage)
+            actor, epoch = ("task", task.task_id), ("stage", task.stage)
             self.base_shadow.set_task(actor, epoch)
             self.work_shadow.set_task(actor, epoch)
+
+    def execute(self, items: list[tuple], hint: list[int], result_q,
+                first_bind_at: float | None = None) -> None:
+        """Run one grant — ``items`` holds ``(task, halo indices)`` pairs —
+        as one lockstep, then report a :class:`TaskDone` per task, in
+        grant order.  Each record's ``seconds`` is the grant's wall clock
+        split evenly; the seat's RMA, prefetch and access-log deltas ride
+        on the first record."""
+        self.store.hint_fields(hint)
+        tasks = [task for task, _ in items]
+        counters = [Counters() for _ in items]
         t0 = time.perf_counter()
-        result = _execute_task(
-            task, halo_idx, self.base_view, self.work_view, self.store,
-            self.priors, config, counters, self.contributions,
+        results = _execute_grant(
+            tasks, [halo for _, halo in items], counters, self.base_view,
+            self.work_view, self.store, self.priors, self.config,
+            self.contributions, self._enter_task,
         )
-        seconds = time.perf_counter() - t0
-        self._maybe_die(task)
-        comm = _comm_totals(self.base_rec, self.work_rec)
-        prefetch = {} if self.in_process else self.store.prefetch_stats()
-        result_q.put(TaskDone(
-            epoch=self.epoch,
-            worker=self.worker_id,
-            task_id=task.task_id,
-            executed=result is not None,
-            elbo=result.elbo_total if result is not None else 0.0,
-            seconds=seconds,
-            counters=counters.snapshot(),
-            comm=_dict_delta(comm, self.prev_comm),
-            prefetch=_dict_delta(prefetch, self.prev_prefetch),
-            race_reports=(list(result.race_reports)
-                          if result is not None else []),
-            accesses=(self.access_log.drain()
-                      if self.access_log is not None else []),
-            numeric_reports=(list(result.numeric_reports)
-                             if result is not None else []),
-            first_bind_at=first_bind_at,
-        ))
-        self.prev_comm, self.prev_prefetch = comm, prefetch
+        seconds = (time.perf_counter() - t0) / len(items)
+        for task, result, c in zip(tasks, results, counters):
+            self._maybe_die(task, result_q)
+            comm = _comm_totals(self.base_rec, self.work_rec)
+            prefetch = {} if self.in_process else self.store.prefetch_stats()
+            result_q.put(TaskDone(
+                epoch=self.epoch,
+                worker=self.worker_id,
+                task_id=task.task_id,
+                executed=result is not None,
+                elbo=result.elbo_total if result is not None else 0.0,
+                seconds=seconds,
+                counters=c.snapshot(),
+                comm=_dict_delta(comm, self.prev_comm),
+                prefetch=_dict_delta(prefetch, self.prev_prefetch),
+                race_reports=(list(result.race_reports)
+                              if result is not None else []),
+                accesses=(self.access_log.drain()
+                          if self.access_log is not None else []),
+                numeric_reports=(list(result.numeric_reports)
+                                 if result is not None else []),
+                first_bind_at=first_bind_at,
+            ))
+            self.prev_comm, self.prev_prefetch = comm, prefetch
+            first_bind_at = None
 
     def close(self) -> None:
         if self.in_process:

@@ -75,10 +75,11 @@ _VARS = (
         provenance="scheduling", resolves_to="DriverConfig.pgas_transport",
     ),
     EnvVar(
-        "REPRO_ELBO_BATCH", "int", "unset (one lane)",
+        "REPRO_ELBO_BATCH", "int", "unset (16 lanes)",
         "Lane limit of a lockstep evaluation batch when no config sets one "
-        "(every source optimization runs the one batched path at any limit).",
-        provenance="fingerprinted",
+        "(every source optimization runs the one batched path at any "
+        "limit, and catalogs are bit-identical across limits).",
+        provenance="neutral",
         resolves_to="DriverConfig.elbo_batch_size",
     ),
     EnvVar(

@@ -40,7 +40,7 @@ import numpy as np
 from repro.analysis.numeric import current_check
 from repro.constants import TRUST_REGION_MIN_RADIUS
 from repro.optim.result import OptimResult
-from repro.optim.trust_region import solve_trust_region
+from repro.optim.trust_region import _solve_trust_region, _symmetric_eigh
 
 __all__ = ["newton_trust_region", "newton_trust_region_batch"]
 
@@ -48,8 +48,8 @@ __all__ = ["newton_trust_region", "newton_trust_region_batch"]
 class _LaneState:
     """One problem's Newton trust-region state between lockstep rounds."""
 
-    __slots__ = ("index", "x", "f", "g", "h", "radius", "it", "n_eval",
-                 "step", "predicted", "x_try", "result")
+    __slots__ = ("index", "x", "f", "g", "h", "eig", "radius", "it",
+                 "n_eval", "step", "predicted", "x_try", "result")
 
     def __init__(self, index: int, x0: np.ndarray, initial_radius: float):
         self.index = index
@@ -57,6 +57,9 @@ class _LaneState:
         self.f = None
         self.g = None
         self.h = None
+        #: ``h``'s eigendecomposition, kept until ``h`` changes: a
+        #: rejected step solves again with the same Hessian.
+        self.eig = None
         self.radius = float(initial_radius)
         self.it = 0
         self.n_eval = 0
@@ -117,7 +120,9 @@ def newton_trust_region_batch(
             if s.radius < min_radius:
                 s.finish(False, "trust region collapsed")
                 return False
-            step, predicted = solve_trust_region(s.g, s.h, s.radius)
+            if s.eig is None:
+                s.eig = _symmetric_eigh(s.h)
+            step, predicted = _solve_trust_region(s.g, s.h, s.radius, s.eig)
             if predicted <= 0.0 or not np.all(np.isfinite(step)):
                 s.radius *= 0.25
                 s.it += 1
@@ -151,6 +156,7 @@ def newton_trust_region_batch(
                 rho = (s.f - f_new) / s.predicted
                 if rho >= eta_accept:
                     s.x, s.f, s.g, s.h = s.x_try, f_new, g_new, h_new
+                    s.eig = None
                     if (rho >= eta_expand
                             and np.linalg.norm(s.step) >= 0.9 * s.radius):
                         s.radius = min(s.radius * 2.0, max_radius)

@@ -5,12 +5,19 @@ each Cyclades batch runs its thread assignments concurrently (the heavy
 NumPy kernels release the GIL), with a barrier between batches.  Because
 batches are conflict-free, the result is equivalent to some serial block
 coordinate ascent order — which is tested, not assumed.
+
+Several regions can run as one lockstep
+(:func:`optimize_regions_lockstep`, what a pool seat does with a Dtree
+grant): their rounds are joined thread by thread, so one batched ELBO call
+carries lanes of every region.  One region alone
+(:func:`optimize_region_parallel`) is its one-job case.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +30,7 @@ from repro.core.joint import (
     RegionOptimizer,
     RegionResult,
     patch_radius_for,
+    update_sources,
 )
 from repro.core.priors import Priors
 from repro.knobs import knob
@@ -78,13 +86,13 @@ class ParallelRegionConfig:
     #: Lane limit of a lockstep ELBO evaluation batch: each thread's
     #: conflict-free assignment is cut into chunks of at most this many
     #: sources and each chunk is optimized through
-    #: :meth:`repro.core.joint.RegionOptimizer.update_sources_batch`, so
-    #: one stacked kernel sweep serves every still-active source in the
-    #: chunk.  ``None``/``1`` is lane limit 1 through the same path.
-    #: Results are bit-for-bit identical at any limit (batching is an
-    #: execution strategy — tested, not assumed); the driver fills it
-    #: from ``DriverConfig.elbo_batch_size`` / ``REPRO_ELBO_BATCH``.
-    elbo_batch_size: int | None = knob(None, provenance="fingerprinted")
+    #: :func:`repro.core.joint.update_sources`, so one batched call serves
+    #: every still-active source in the chunk.  ``None`` is
+    #: :data:`DEFAULT_LANE_LIMIT`.  Results are bit-for-bit identical at
+    #: any limit (batching is an execution strategy — tested, not
+    #: assumed), hence ``neutral``; the driver fills it from
+    #: ``DriverConfig.elbo_batch_size`` / ``REPRO_ELBO_BATCH``.
+    elbo_batch_size: int | None = knob(None, provenance="neutral")
     #: Record every scheduled source's patch-pixel write extents into a
     #: shadow race detector (:mod:`repro.analysis.race`) and return any
     #: same-batch cross-thread overlaps in ``RegionResult.race_reports``;
@@ -109,6 +117,59 @@ class ParallelRegionConfig:
     numeric_check: bool | None = knob(None, provenance="observational")
 
 
+#: Lane limit of a lockstep ELBO call when neither ``elbo_batch_size``
+#: spelling nor ``REPRO_ELBO_BATCH`` sets one: the plateau of the kernel
+#: bench's ``batch_sweep`` (``BENCH_elbo_backend.json``).
+DEFAULT_LANE_LIMIT = 16
+
+
+class RegionJob(NamedTuple):
+    """One task's region in a lockstep over several regions.
+
+    Everything the region's optimizer and schedule own: its images (and
+    their stable keys for a shared contribution store), its sources and
+    frozen halo, its counter bag, and the seed of its Cyclades RNG."""
+
+    images: list
+    entries: list
+    frozen_entries: list | None
+    image_keys: list | None
+    counters: Counters | None
+    seed: int
+
+
+class _Region:
+    """A region's optimizer, conflict graph and schedule RNG."""
+
+    __slots__ = ("opt", "graph", "rng")
+
+    def __init__(self, job: RegionJob, priors: Priors,
+                 config: ParallelRegionConfig,
+                 contributions: ContributionStore | None):
+        self.opt = RegionOptimizer(
+            job.images, job.entries, priors, config.joint, job.counters,
+            job.frozen_entries, contributions, job.image_keys)
+        radii = conflict_radii(job.images, job.entries, config.joint)
+        self.graph = build_conflict_graph(
+            np.stack([e.position for e in job.entries]) if job.entries
+            else np.zeros((0, 2)),
+            radii,
+        )
+        self.rng = np.random.default_rng(job.seed)
+
+
+class _RegionsGraph:
+    """The conflict relation over ``(region, source)`` keys: sources of
+    different regions never conflict (they write different model images),
+    and within a region it is that region's graph."""
+
+    def __init__(self, regions: list[_Region]):
+        self._graphs = [r.graph for r in regions]
+
+    def conflicts(self, a: tuple, b: tuple) -> bool:
+        return a[0] == b[0] and self._graphs[a[0]].conflicts(a[1], b[1])
+
+
 def optimize_region_parallel(
     images: list[Image],
     entries: list[CatalogEntry],
@@ -119,7 +180,8 @@ def optimize_region_parallel(
     contributions: ContributionStore | None = None,
     image_keys: list | None = None,
 ) -> RegionResult:
-    """Jointly optimize a region's sources with Cyclades-scheduled threads.
+    """Jointly optimize a region's sources with Cyclades-scheduled threads:
+    the one-region case of :func:`optimize_regions_lockstep`.
 
     ``frozen_entries`` render as fixed background in the model images (see
     :class:`repro.core.joint.RegionOptimizer`); they take no part in the
@@ -128,93 +190,142 @@ def optimize_region_parallel(
     """
     if config is None:
         config = ParallelRegionConfig()
-    opt = RegionOptimizer(images, entries, priors, config.joint, counters,
-                          frozen_entries, contributions, image_keys)
+    job = RegionJob(images, entries, frozen_entries, image_keys, counters,
+                    config.seed)
+    return optimize_regions_lockstep([job], priors, config, contributions)[0]
 
-    radii = conflict_radii(images, entries, config.joint)
-    graph = build_conflict_graph(
-        np.stack([e.position for e in entries]) if entries else np.zeros((0, 2)),
-        radii,
-    )
-    rng = np.random.default_rng(config.seed)
 
-    detector = _patch_boxes = None
+def optimize_regions_lockstep(
+    jobs: list[RegionJob],
+    priors: Priors,
+    config: ParallelRegionConfig,
+    contributions: ContributionStore | None = None,
+) -> list[RegionResult]:
+    """Optimize several independent regions as one lockstep; one
+    :class:`RegionResult` per job, in order.
+
+    Each region keeps its own setup, its own Cyclades schedule (drawn from
+    its job's ``seed``; ``config.seed`` is not read) and its own result.
+    Round ``r`` of the lockstep joins every region's round ``r``, thread by
+    thread, so one thread's assignment holds ``(region, source)`` keys of
+    every region and :func:`_batchable_runs` fills its ELBO calls with
+    lanes from all of them.  Sources of different regions never conflict,
+    and each region's conflicting sources keep their order, so every
+    region's result is bit-for-bit what it gets alone.
+
+    The schedule verifier and the race detector see the merged schedule
+    that actually runs, with patch boxes keyed by ``(region, image)``.
+    Their findings ride on the first result.
+    """
+    regions = [_Region(job, priors, config, contributions) for job in jobs]
+    graph = _RegionsGraph(regions)
+
+    detector = boxes = None
     if config.race_detect or config.verify_schedule:
-        _patch_boxes = _source_patch_boxes(opt)
+        boxes = _source_patch_boxes(regions)
     if config.race_detect:
         from repro.analysis.race import RaceDetector
 
         detector = RaceDetector()
     sanitizer = NumericSanitizer() if config.numeric_check else None
-    lane_limit = max(1, config.elbo_batch_size or 1)
+    lane_limit = config.elbo_batch_size or DEFAULT_LANE_LIMIT
 
     with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
         for pass_idx in range(config.n_passes):
-            batches = cyclades_batches(
-                graph, config.n_threads, config.batch_size, rng=rng
-            )
-            if lane_limit > 1:
-                batches = _coalesce_batches(batches, graph, config.n_threads)
+            rounds = _merged_rounds(regions, config, lane_limit)
             if config.verify_schedule:
-                _verify_pass(_patch_boxes, batches)
-            for batch_idx, batch in enumerate(batches):
+                _verify_pass(boxes, rounds)
+            for batch_idx, assignments in enumerate(rounds):
                 if detector is not None:
-                    _shadow_batch_writes(detector, _patch_boxes, batch,
+                    _shadow_batch_writes(detector, boxes, assignments,
                                          ("pass", pass_idx,
                                           "batch", batch_idx))
                 futures = [
-                    pool.submit(_run_assignment, opt, assignment,
+                    pool.submit(_run_assignment, regions, assignment,
                                 lane_limit, graph,
                                 sanitizer, ("cyclades-thread", t))
-                    for t, assignment in enumerate(batch.thread_assignments)
+                    for t, assignment in enumerate(assignments)
                     if assignment
                 ]
                 for f in futures:
                     f.result()  # barrier; re-raise worker exceptions
 
-    with numeric_checking(sanitizer, ("region-total", 0)):
-        elbo_total = opt.total_elbo()
-    return RegionResult(  # det: ignore[KNOB302] -- observational findings ride the result container; they never feed evaluation
-        catalog=opt.catalog(),
-        results=list(opt.results),
-        elbo_total=elbo_total,
-        race_reports=list(detector.reports) if detector is not None else [],
-        numeric_reports=sanitizer.reports if sanitizer is not None else [],
-    )
+    results = []
+    for k, region in enumerate(regions):
+        opt = region.opt
+        with numeric_checking(sanitizer, ("region-total", k)):
+            elbo_total = opt.total_elbo()
+        first = k == 0
+        results.append(RegionResult(  # det: ignore[KNOB302] -- observational findings ride the result container; they never feed evaluation
+            catalog=opt.catalog(),
+            results=list(opt.results),
+            elbo_total=elbo_total,
+            race_reports=(list(detector.reports)
+                          if detector is not None and first else []),
+            numeric_reports=(sanitizer.reports
+                             if sanitizer is not None and first else []),
+        ))
+    return results
 
 
-def _source_patch_boxes(opt: RegionOptimizer) -> list[list]:
-    """Per-source :class:`~repro.analysis.schedule.PatchBox` lists from the
-    optimizer's *actual* (cropped, integer) patch bounds — the exact pixel
-    extents ``update_source`` writes, fixed for the whole region run."""
+def _merged_rounds(regions: list[_Region], config: ParallelRegionConfig,
+                   lane_limit: int) -> list[list[list[tuple]]]:
+    """One pass of every region's Cyclades schedule, joined by round and
+    thread: ``rounds[r][t]`` is thread ``t``'s ``(region, source)`` keys
+    of round ``r``, region by region.  Each region draws its own batches
+    from its own RNG, coalesced (:func:`_coalesce_batches`) above lane
+    limit one."""
+    per_region = []
+    for region in regions:
+        batches = cyclades_batches(region.graph, config.n_threads,
+                                   config.batch_size, rng=region.rng)
+        if lane_limit > 1:
+            batches = _coalesce_batches(batches, region.graph,
+                                        config.n_threads)
+        per_region.append(batches)
+    n_rounds = max((len(b) for b in per_region), default=0)
+    return [
+        [
+            [(k, s)
+             for k, batches in enumerate(per_region) if r < len(batches)
+             for s in batches[r].thread_assignments[t]]
+            for t in range(config.n_threads)
+        ]
+        for r in range(n_rounds)
+    ]
+
+
+def _source_patch_boxes(regions: list[_Region]) -> dict:
+    """:class:`~repro.analysis.schedule.PatchBox` lists keyed by
+    ``(region, source)``, from each optimizer's *actual* (cropped, integer)
+    patch bounds — the exact pixel extents a source update writes, fixed
+    for the whole run.  A box's image is ``(region, image index)``: image
+    indices of different regions name different model images."""
     from repro.analysis.schedule import PatchBox
 
-    boxes: list[list] = []
-    for s in range(opt.n_sources):
-        row = []
-        for i, b in enumerate(opt.patch_bounds(s)):
-            if b is None:
-                continue
-            x0, x1, y0, y1 = b
-            row.append(PatchBox(image=i, x0=x0, x1=x1, y0=y0, y1=y1))
-        boxes.append(row)
+    boxes: dict = {}
+    for k, region in enumerate(regions):
+        opt = region.opt
+        for s in range(opt.n_sources):
+            boxes[(k, s)] = [
+                PatchBox(image=(k, i), x0=b[0], x1=b[1], y0=b[2], y1=b[3])
+                for i, b in enumerate(opt.patch_bounds(s)) if b is not None
+            ]
     return boxes
 
 
-def _verify_pass(boxes: list[list], batches) -> None:
-    """Statically prove a pass's batches safe before running any of them."""
+def _verify_pass(boxes: dict, rounds) -> None:
+    """Statically prove a pass's rounds safe before running any of them."""
     from repro.analysis.schedule import ScheduleError, verify_batches
 
-    violations = verify_batches(
-        boxes, [b.thread_assignments for b in batches]
-    )
+    violations = verify_batches(boxes, rounds)
     if violations:
         raise ScheduleError(violations)
 
 
-def _shadow_batch_writes(detector, boxes: list[list], batch,
+def _shadow_batch_writes(detector, boxes: dict, assignments,
                          epoch: tuple) -> None:
-    """Record one batch's scheduled write extents into the race detector.
+    """Record one round's scheduled write extents into the race detector.
 
     Write sets are static (patch bounds never move during a region run), so
     they are recorded up front — detection covers the schedule itself and
@@ -222,16 +333,16 @@ def _shadow_batch_writes(detector, boxes: list[list], batch,
     """
     from repro.analysis.race import ShadowAccess
 
-    for t, assignment in enumerate(batch.thread_assignments):
-        for s in assignment:
-            for box in boxes[s]:
+    for t, assignment in enumerate(assignments):
+        for key in assignment:
+            for box in boxes[key]:
                 detector.record(ShadowAccess(
                     window=("model", box.image), op="put",
                     x0=box.x0, x1=box.x1, y0=box.y0, y1=box.y1,
                     actor=("cyclades-thread", t), epoch=epoch,
-                    tag=("source", s),
+                    tag=("source", key[1]),
                 ))
-    # A finished batch's accesses can never race later ones (the batch
+    # A finished round's accesses can never race later ones (the round
     # barrier is a synchronization point): free them.
     detector.seal_before(epoch)
 
@@ -350,16 +461,16 @@ def _coalesce_batches(batches: list, graph, n_threads: int) -> list:
     return out
 
 
-def _run_assignment(opt: RegionOptimizer, assignment: list[int],
+def _run_assignment(regions: list[_Region], assignment: list[tuple],
                     lane_limit: int, graph, sanitizer=None,
                     actor: tuple = ("cyclades-thread", 0)) -> None:
-    """One thread's Cyclades assignment.
+    """One thread's assignment of ``(region, source)`` keys in one round.
 
     The assignment is cut into conflict-free runs of at most ``lane_limit``
     sources (:func:`_batchable_runs`) and each run is optimized as one
-    lockstep batch (:meth:`RegionOptimizer.update_sources_batch`) —
+    lockstep batch (:func:`repro.core.joint.update_sources`) —
     bit-for-bit equivalent to updating the sources one by one, just served
-    by stacked evaluation sweeps.
+    by batched evaluations.
 
     All of an assignment's sources run on one thread, so the fused ELBO
     kernel's thread-local scratch buffers are reused across every Newton
@@ -369,6 +480,6 @@ def _run_assignment(opt: RegionOptimizer, assignment: list[int],
     try:
         with numeric_checking(sanitizer, actor):
             for run in _batchable_runs(assignment, graph, lane_limit):
-                opt.update_sources_batch(run)
+                update_sources([(regions[k].opt, s) for k, s in run])
     finally:
         release_scratch()

@@ -163,11 +163,13 @@ class Dtree:
         # Refill proportionally to the requesting subtree's share of the
         # parent's leaves, damped by the drain fraction — so no subtree can
         # hoard the pool while siblings idle, and batches shrink
-        # geometrically as the run drains (Dtree's end-game behavior).
+        # geometrically as the run drains (Dtree's end-game behavior).  The
+        # request's own size caps what it is served, never what it pulls
+        # down: a large ``max_batch`` must not drain a parent its siblings
+        # still need.
         share = node.n_leaves / max(parent.n_leaves, 1)
         refill_want = max(
             int(parent.remaining() * share * self.config.drain_fraction),
-            want,
             self.config.min_batch,
         )
         refill = self._grant_from(parent, refill_want)

@@ -104,8 +104,9 @@ def _group(pws, group):
     sl = {"star": slice(0, ns), "dev": slice(ns, ns + nd),
           "exp": slice(ns + nd, None)}[group]
     pxx, pxy, pyy = (pws.pcov[:, sl, i:i + 1] for i in range(3))
+    grid = pws.pix - pws.mu
     return (pws.w2pi[:, sl], pws.var[:, sl], pxx, pxy, pyy,
-            pws.grid[:, 0, sl], pws.grid[:, 1, sl])
+            grid[:, 0, sl], grid[:, 1, sl])
 
 
 def _components(pws, group, upx, upy, s1, s2, s3):

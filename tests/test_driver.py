@@ -1218,8 +1218,8 @@ class TestEarlyPoolBoot:
         with open(paths[-1], "r+b") as f:
             f.truncate(int(os.path.getsize(paths[-1]) * keep))
         started = []
-        monkeypatch.setattr("repro.driver.worker._execute_task",
-                            lambda task, *args: started.append(task))
+        monkeypatch.setattr("repro.driver.worker._execute_grant",
+                            lambda tasks, *args: started.extend(tasks))
         with pytest.raises(ValueError, match="truncated or corrupt") as err:
             run_pipeline(paths, _driver_config(executor="thread"))
         assert paths[-1] in str(err.value)
@@ -1302,13 +1302,15 @@ class TestSeatFailure:
         bad = stage0[0].task_id
         started = []
 
-        def execute(task, *args):
-            started.append(task.task_id)
-            if task.task_id == bad:
-                raise ValueError("injected task failure")
-            time.sleep(0.02)
+        def execute(grant, *args):
+            for task in grant:
+                started.append(task.task_id)
+                if task.task_id == bad:
+                    raise ValueError("injected task failure")
+                time.sleep(0.02)
+            return [None] * len(grant)
 
-        monkeypatch.setattr("repro.driver.worker._execute_task", execute)
+        monkeypatch.setattr("repro.driver.worker._execute_grant", execute)
         with pytest.raises(RuntimeError, match=r"node-worker \d+ failed") \
                 as err:
             run_pipeline(fields, config)
@@ -1330,7 +1332,7 @@ class TestDoneRecord:
             7, 0, _FieldStore([images]), None, default_priors(),
             _task_config(config), working, working, in_process=True)
         results = queue.Queue()
-        state.execute(tasks[0], [1], [], results, first_bind_at=12.5)
+        state.execute([(tasks[0], [1])], [], results, first_bind_at=12.5)
         record = results.get_nowait()
         assert isinstance(record, TaskDone)
         assert (record.epoch, record.worker, record.task_id) == (7, 0, 0)
@@ -1354,7 +1356,7 @@ from repro.core.priors import default_priors
 from repro.core.joint import JointConfig
 from repro.core.single import OptimizeConfig
 from repro.driver.shards import ShardedCatalog
-from repro.driver.worker import TaskConfig, _FieldStore, _execute_task
+from repro.driver.worker import TaskConfig, _FieldStore, _execute_grant
 from repro.parallel import ParallelRegionConfig
 from repro.partition import Region, Task
 from repro.perf.counters import Counters
@@ -1372,8 +1374,8 @@ config = TaskConfig(
         n_passes=1, single=OptimizeConfig(max_iter=2))),
     image_margin=16.0, halo_refresh=False)
 task = Task(0, 0, Region(0.0, 32.0, 0.0, 32.0), [0, 1], entries)
-result = _execute_task(task, [], catalog, catalog, _FieldStore([[image]]),
-                       default_priors(), config, Counters())
+(result,) = _execute_grant([task], [[]], [Counters()], catalog, catalog,
+                           _FieldStore([[image]]), default_priors(), config)
 assert result is not None
 print(json.dumps(sorted(sys.modules)))
 """

@@ -44,6 +44,7 @@ from repro.survey import (
 )
 
 from taylor_oracle.elbo import elbo_taylor
+from test_golden_pipeline import catalog_bits_digest
 
 
 def _batch(make_random_context, specs):
@@ -750,16 +751,13 @@ class TestExecutorBatching:
             np.testing.assert_array_equal(a.colors, b.colors)
         assert ref.elbo_total == out.elbo_total
 
-    @pytest.mark.parametrize("elbo_batch_size", [None, 1])
-    def test_lane_limit_one_runs_the_one_path(self, elbo_batch_size):
-        """``None`` and ``1`` both mean lane limit 1 through the same
-        batched path: every evaluation is a one-lane batch call, and no
-        lane is ever swept masked."""
+    @staticmethod
+    def _region_counters(elbo_batch_size):
         from repro.perf import Counters
 
         images, entries = _region_scene()
         counters = Counters()
-        optimize_region_parallel(
+        result = optimize_region_parallel(
             images, entries, default_priors(),
             ParallelRegionConfig(
                 n_threads=2, n_passes=1, elbo_batch_size=elbo_batch_size,
@@ -767,11 +765,32 @@ class TestExecutorBatching:
                     max_iter=6, grad_tol=2e-3))),
             counters=counters,
         )
-        snap = counters.snapshot()
+        return result, counters.snapshot()
+
+    @pytest.mark.parametrize("elbo_batch_size", [1])
+    def test_lane_limit_one_runs_the_one_path(self, elbo_batch_size):
+        """Lane limit 1 runs the same batched path: every evaluation is a
+        one-lane batch call, and no lane is ever swept masked."""
+        _, snap = self._region_counters(elbo_batch_size)
         assert snap["objective_evaluations"] > 0
         assert snap["elbo_batch_calls"] == snap["objective_evaluations"]
         assert snap["elbo_batch_lanes"] == snap["elbo_batch_calls"]
         assert batch_occupancy(snap) == 1.0
+
+    def test_unset_lane_limit_is_sixteen(self):
+        """``None`` is lane limit 16 (``DEFAULT_LANE_LIMIT``): the same
+        calls, lanes and bits as an explicit 16, and fewer calls than at
+        lane limit 1."""
+        from repro.parallel.executor import DEFAULT_LANE_LIMIT
+
+        assert DEFAULT_LANE_LIMIT == 16
+        unset, unset_snap = self._region_counters(None)
+        sixteen, sixteen_snap = self._region_counters(16)
+        _, one_snap = self._region_counters(1)
+        assert unset_snap == sixteen_snap
+        assert catalog_bits_digest(unset.catalog) == catalog_bits_digest(
+            sixteen.catalog)
+        assert unset_snap["elbo_batch_calls"] < one_snap["elbo_batch_calls"]
 
     def test_cross_assignment_coalescing_bit_for_bit_and_fuller(
             self, monkeypatch):
@@ -893,7 +912,7 @@ class TestDriverBatching:
         assert (0 < result.counters["elbo_batch_calls"]
                 < result.counters["objective_evaluations"])
 
-    def test_batch_size_is_pinned_and_fingerprinted(self, monkeypatch):
+    def test_batch_size_is_pinned(self, monkeypatch):
         monkeypatch.delenv(ELBO_BATCH_ENV_VAR, raising=False)
         config = _pin_config(_driver_config("thread", 8))
         assert config.parallel.elbo_batch_size == 8
@@ -904,12 +923,11 @@ class TestDriverBatching:
         with pytest.raises(ValueError):
             _pin_config(_driver_config("thread", 0))
 
-    def test_checkpoint_refuses_resume_across_batch_size(self, batch_survey,
-                                                         tmp_path):
-        """elbo_batch_size is result-neutral by invariant, but it is
-        fingerprinted (the issue's contract): a checkpoint written under
-        one evaluation layout refuses resume under another rather than
-        silently mixing layouts across a resume boundary."""
+    def test_checkpoint_resumes_across_batch_size(self, batch_survey,
+                                                  tmp_path):
+        """elbo_batch_size is ``neutral``: no part of the fingerprint, so
+        a checkpoint written under one lane limit resumes under another,
+        and the resumed catalog has the bits of an uninterrupted run."""
         import dataclasses
 
         _, fields = batch_survey
@@ -919,10 +937,9 @@ class TestDriverBatching:
             checkpoint_path=path, stop_after="stage0"))
         assert first.stopped_early
 
-        same = run_pipeline(fields, dataclasses.replace(
-            _driver_config("thread", 8), checkpoint_path=path))
-        assert "stage0" in same.resumed_stages
-
         other = run_pipeline(fields, dataclasses.replace(
             _driver_config("thread", 4), checkpoint_path=path))
-        assert other.resumed_stages == []
+        assert "stage0" in other.resumed_stages
+        whole = run_pipeline(fields, _driver_config("thread", 1))
+        assert (catalog_bits_digest(other.catalog)
+                == catalog_bits_digest(whole.catalog))

@@ -122,6 +122,33 @@ class TestNewtonTrustRegion:
         assert res.n_iterations == 2
 
 
+class TestEigendecompositionReuse:
+    def test_a_repeated_hessian_is_decomposed_once(self, monkeypatch):
+        """A rejected step (or a step predicting no decrease) solves the
+        subproblem again with the same Hessian: the lane reuses its
+        eigendecomposition, so ``eigh`` runs once per distinct Hessian,
+        not once per subproblem."""
+        from repro.optim import lockstep
+
+        solved, decomposed = [], []
+        solve, eigh = lockstep._solve_trust_region, np.linalg.eigh
+
+        def counting_solve(g, h, radius, eig, *args):
+            solved.append(h.tobytes())
+            return solve(g, h, radius, eig, *args)
+
+        def counting_eigh(a, *args, **kwargs):
+            decomposed.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(lockstep, "_solve_trust_region", counting_solve)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        res = newton_trust_region(rosenbrock_fgh, np.array([-1.2, 1.0]))
+        assert res.converged
+        distinct = 1 + sum(a != b for a, b in zip(solved, solved[1:]))
+        assert len(decomposed) == distinct < len(solved)
+
+
 class TestLBFGS:
     def test_quadratic(self):
         H = np.diag([1.0, 4.0, 9.0])

@@ -295,17 +295,20 @@ class TestDerivedFingerprint:
     (("parallel", "joint", "single"),
      {"method": "newton", "initial_radius": 1.0,
       "variance_correction": True}),
+    ((), {"elbo_batch_size": 1}),
+    (("parallel",), {"elbo_batch_size": 1}),
 ], ids=["top_level_copies", "optimizer_selectors", "driver_constants",
-        "optimizer_constants"])
+        "optimizer_constants", "driver_lane_limit", "parallel_lane_limit"])
 def test_checkpoint_with_parent_commit_fingerprint_restarts(
         tmp_path, block, legacy):
     """Checkpoints written by earlier commits carry fingerprint keys this
     commit no longer writes: the top-level copies of the backend and kernel
     target (before the fingerprint was derived), ``backend: "fused"`` and
     ``kernel_target: null`` in the optimizer block (before both stopped
-    being fields), or the driver's merge and margin radii and the
+    being fields), the driver's merge and margin radii and the
     optimizer's method, initial radius and variance correction (before
-    they became class constants).  Each is incompatible, even at the
+    they became class constants), or either spelling of the lane limit
+    (before it became ``neutral``).  Each is incompatible, even at the
     values the constants hold: the run restarts from nothing and lands on
     the golden catalog, never half-resumes."""
     fields = _fields()
@@ -330,13 +333,46 @@ def test_checkpoint_with_parent_commit_fingerprint_restarts(
     assert run_pipeline(fields, config).resumed_stages != []
 
 
+@pytest.mark.slow
+def test_parent_checkpoint_killed_mid_stage_never_half_applies(tmp_path):
+    """A run killed mid-stage under a fingerprint that still carried both
+    lane-limit keys (what the parent commit wrote) left a checkpoint and a
+    task journal behind.  The next run restarts from nothing, replays no
+    journaled task, and lands on an uninterrupted run's bits."""
+    from test_fault_injection import _abort_after
+
+    fields = _fields()
+    path = str(tmp_path / "ckpt.json")
+    config = dataclasses.replace(_golden_config(), checkpoint_path=path)
+    with pytest.raises(RuntimeError, match="fault injection"), \
+            _abort_after(1):
+        run_pipeline(fields, config)
+    assert any(".tasks." in f for f in os.listdir(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        ckpt = json.load(fh)
+    assert ckpt["completed"] == ["seed"]
+    fingerprint = ckpt["fingerprint"]
+    assert "elbo_batch_size" not in fingerprint
+    fingerprint["elbo_batch_size"] = 1
+    fingerprint["parallel"]["elbo_batch_size"] = 1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(ckpt, fh)
+    result = run_pipeline(fields, config)
+    assert result.resumed_stages == []
+    assert not [rec for rec in result.report.recoveries
+                if rec["kind"] == "task_replay"]
+    assert (catalog_bits_digest(result.catalog)
+            == catalog_bits_digest(
+                run_pipeline(fields, _golden_config()).catalog))
+
+
 #: Knobs that became class constants or went away, with their old
 #: defaults: no config accepts them as an argument any more.
 _REMOVED_KNOBS = [
     (DriverConfig, "dedup_radius", 2.0),
     (DriverConfig, "image_margin", 16.0),
     (DriverConfig, "halo_margin", 16.0),
-    (DriverConfig, "max_batch", 2),
+    (DriverConfig, "max_batch", 16),
     (DriverConfig, "mp_start_method", "spawn"),
     (DriverConfig, "dtree", DriverConfig.dtree),
     (OptimizeConfig, "method", "newton"),
@@ -421,6 +457,11 @@ FUZZ_MATRIX = {
     "REPRO_VERIFY_SCHEDULE": _set_env({"REPRO_VERIFY_SCHEDULE": "1"}),
     "REPRO_NUMERIC_CHECK": _set_env({"REPRO_NUMERIC_CHECK": "1"}),
     "REPRO_BENCH_SMOKE": _set_env({"REPRO_BENCH_SMOKE": "1"}),
+    # The lane limit, unset in the baseline (16 lanes), against one lane
+    # through each of its three spellings.
+    "DriverConfig.elbo_batch_size": _set(elbo_batch_size=1),
+    "ParallelRegionConfig.elbo_batch_size": _set_parallel(elbo_batch_size=1),
+    "REPRO_ELBO_BATCH": _set_env({"REPRO_ELBO_BATCH": "1"}),
 }
 
 #: Schedule shapes the driver does not run by default: a name -> the class
@@ -477,8 +518,9 @@ class TestFuzzMatrixComplete:
 
 
 def _fuzz_config(executor):
+    """The golden run at the default lane limit (``None``, 16 lanes)."""
     return dataclasses.replace(
-        _golden_config(elbo_batch_size=8), executor=executor)
+        _golden_config(elbo_batch_size=None), executor=executor)
 
 
 _FIELDS_CACHE = {}
