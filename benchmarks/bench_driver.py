@@ -67,9 +67,11 @@ def test_driver_throughput(benchmark, rng):
         print("  " + line)
     print("  recovery              %8.0f%%" % (100 * match.completeness))
 
+    # A grant's tasks run as one lockstep: each outcome's seconds is its
+    # grant's wall clock split evenly across the grant's tasks.
     per_task = [o.seconds for o in result.outcomes]
     if per_task:
-        print("  task seconds          min %.2f / median %.2f / max %.2f" % (
+        print("  grant s / task        min %.2f / median %.2f / max %.2f" % (
             min(per_task), float(np.median(per_task)), max(per_task)))
 
     assert report.n_tasks > 0

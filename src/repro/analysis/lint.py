@@ -485,13 +485,11 @@ _ACQUIRE_RELEASE = {
     # borrow per-thread scratch that must be returned via release_scratch
     # in a finally (idle pool threads must not pin evaluation buffers).
     "update_source": {"release_scratch"},
-    "update_sources_batch": {"release_scratch"},
     "update_sources": {"release_scratch"},
 }
 #: acquirers that only matter when driven repeatedly (a loop is what
 #: accumulates scratch worth releasing).
-_LOOP_ONLY_ACQUIRERS = {"update_source", "update_sources_batch",
-                        "update_sources"}
+_LOOP_ONLY_ACQUIRERS = {"update_source", "update_sources"}
 
 
 def _calls_release(body: list[ast.stmt], releases: set[str]) -> bool:

@@ -314,8 +314,8 @@ class RegionOptimizer:
     def update_source(self, s: int) -> SourceResult:
         """Optimize one source against the current residual backgrounds and
         fold its new expected contribution back into the model images: the
-        batch of one of :meth:`update_sources_batch`."""
-        return self.update_sources_batch([s])[0]
+        batch of one of :func:`update_sources`."""
+        return update_sources([(self, s)])[0]
 
     def _make_context(self, s: int):
         return make_context(
@@ -341,11 +341,6 @@ class RegionOptimizer:
             new_c = _render(result.params, im, b, self.counters)
             self.model[i][y0:y1, x0:x1] += new_c - self._contrib[s][i]
             self._contrib[s][i] = new_c
-
-    def update_sources_batch(self, sources: list[int]) -> list[SourceResult]:
-        """Optimize several *non-overlapping* sources of this region in one
-        lockstep batch: the one-optimizer case of :func:`update_sources`."""
-        return update_sources([(self, s) for s in sources])
 
     def catalog(self) -> Catalog:
         """Point-estimate catalog from the current variational parameters."""

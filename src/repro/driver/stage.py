@@ -47,6 +47,8 @@ class TaskOutcome:
     worker: int
     n_sources: int
     elbo: float
+    #: The task's grant's wall clock divided evenly across the grant's
+    #: tasks, which run interleaved in one lockstep.
     seconds: float
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from repro.analysis.numeric import current_check
 from repro.constants import TRUST_REGION_MIN_RADIUS
 from repro.optim.result import OptimResult
-from repro.optim.trust_region import _solve_trust_region, _symmetric_eigh
+from repro.optim.trust_region import solve_trust_region
 
 __all__ = ["newton_trust_region", "newton_trust_region_batch"]
 
@@ -121,8 +121,9 @@ def newton_trust_region_batch(
                 s.finish(False, "trust region collapsed")
                 return False
             if s.eig is None:
-                s.eig = _symmetric_eigh(s.h)
-            step, predicted = _solve_trust_region(s.g, s.h, s.radius, s.eig)
+                s.eig = np.linalg.eigh(0.5 * (s.h + s.h.T))
+            step, predicted = solve_trust_region(s.g, s.h, s.radius,
+                                                 eig=s.eig)
             if predicted <= 0.0 or not np.all(np.isfinite(step)):
                 s.radius *= 0.25
                 s.it += 1

@@ -26,34 +26,27 @@ def solve_trust_region(
     radius: float,
     tol: float = 1e-10,
     max_iter: int = 120,
+    *,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve the trust-region subproblem.
 
+    ``eig`` is ``np.linalg.eigh`` of ``hess``'s symmetric part, or ``None``
+    to compute it here: all of the work that depends on ``hess`` alone, so
+    a caller solving again with the same Hessian (a rejected step) can pass
+    it back instead of paying for it twice.
+
     Returns ``(step, predicted_decrease)`` with ``predicted_decrease >= 0``.
     """
-    return _solve_trust_region(grad, hess, radius, None, tol, max_iter)
-
-
-def _symmetric_eigh(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of ``hess``'s symmetric
-    part: all of the subproblem's work that depends on ``hess`` alone, so
-    a caller solving again with the same Hessian (a rejected step) can
-    pass it back instead of paying for it twice."""
-    hess = np.asarray(hess, dtype=float)
-    return np.linalg.eigh(0.5 * (hess + hess.T))
-
-
-def _solve_trust_region(grad, hess, radius, eig, tol=1e-10, max_iter=120):
-    """:func:`solve_trust_region`, given ``eig`` — what
-    :func:`_symmetric_eigh` returns for ``hess`` — or ``None`` to compute
-    it here."""
     grad = np.asarray(grad, dtype=float)
     hess = np.asarray(hess, dtype=float)
     n = grad.size
     if radius <= 0:
         raise ValueError("trust radius must be positive")
 
-    evals, evecs = _symmetric_eigh(hess) if eig is None else eig
+    if eig is None:
+        eig = np.linalg.eigh(0.5 * (hess + hess.T))
+    evals, evecs = eig
     g_tilde = evecs.T @ grad
     lam_min = float(evals[0])
 

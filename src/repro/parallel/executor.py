@@ -217,6 +217,10 @@ def optimize_regions_lockstep(
     that actually runs, with patch boxes keyed by ``(region, image)``.
     Their findings ride on the first result.
     """
+    if config.elbo_batch_size is not None and config.elbo_batch_size < 1:
+        raise ValueError("elbo_batch_size must be a positive integer, got %r"
+                         % (config.elbo_batch_size,))
+    lane_limit = config.elbo_batch_size or DEFAULT_LANE_LIMIT
     regions = [_Region(job, priors, config, contributions) for job in jobs]
     graph = _RegionsGraph(regions)
 
@@ -228,7 +232,6 @@ def optimize_regions_lockstep(
 
         detector = RaceDetector()
     sanitizer = NumericSanitizer() if config.numeric_check else None
-    lane_limit = config.elbo_batch_size or DEFAULT_LANE_LIMIT
 
     with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
         for pass_idx in range(config.n_passes):

@@ -143,7 +143,6 @@ class Dtree:
         self._stats_lock = threading.Lock()
         self.messages = 0
         self.hops = 0
-        self._version = 0
 
     # -- scheduling ---------------------------------------------------------------
 
@@ -204,11 +203,6 @@ class Dtree:
         out: list[int] = []
         for lo, hi in ranges:
             out.extend(range(lo, hi))
-        if out:
-            # Every pool mutation happens inside some worker's request (or
-            # a reclaim), so bumping here is enough for peek invalidation.
-            with self._stats_lock:
-                self._version += 1
         return out
 
     def reclaim(self, worker_id: int) -> int:
@@ -234,7 +228,6 @@ class Dtree:
             with self._stats_lock:
                 self.messages += 1
                 self.hops += self.height
-                self._version += 1
         return moved
 
     def peek(self, worker_id: int, n: int) -> list[int]:
@@ -260,16 +253,6 @@ class Dtree:
         return out
 
     # -- introspection ---------------------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every grant and reclaim.  A worker
-        that recorded the version when it peeked can tell at dispatch time
-        whether the schedule may have shifted under it (work stealing) and
-        cheaply re-peek — the staleness check the field prefetcher keys on.
-        """
-        with self._stats_lock:
-            return self._version
 
     @property
     def stats(self) -> dict:

@@ -290,9 +290,10 @@ class TestAcquireRelease:
         # The executor's loop shape: runs of an assignment through the
         # batched unit of work (update_source is its batch of one).
         out = _lint("""
-            def drive(opt, runs):
+            from repro.core.joint import update_sources
+            def drive(runs):
                 for run in runs:
-                    opt.update_sources_batch(run)
+                    update_sources(run)
         """)
         assert _rules(out) == ["DET106"]
 

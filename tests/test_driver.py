@@ -1311,6 +1311,9 @@ class TestSeatFailure:
             return [None] * len(grant)
 
         monkeypatch.setattr("repro.driver.worker._execute_grant", execute)
+        # Grants of two keep the bound below well under stage 0's size, so
+        # a driver that kept dispatching after the failure would exceed it.
+        monkeypatch.setattr(DriverConfig, "max_batch", 2)
         with pytest.raises(RuntimeError, match=r"node-worker \d+ failed") \
                 as err:
             run_pipeline(fields, config)
@@ -1318,7 +1321,7 @@ class TestSeatFailure:
         assert "Traceback" in message and "injected task failure" in message
         assert "process node-worker" not in message
         after = started[started.index(bad) + 1:]
-        assert len(after) <= config.n_nodes * config.max_batch
+        assert len(after) <= config.n_nodes * DriverConfig.max_batch
 
 
 class TestDoneRecord:

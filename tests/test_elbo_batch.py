@@ -777,6 +777,11 @@ class TestExecutorBatching:
         assert snap["elbo_batch_lanes"] == snap["elbo_batch_calls"]
         assert batch_occupancy(snap) == 1.0
 
+    @pytest.mark.parametrize("elbo_batch_size", [0, -1])
+    def test_lane_limit_below_one_is_refused(self, elbo_batch_size):
+        with pytest.raises(ValueError, match="elbo_batch_size"):
+            self._region_counters(elbo_batch_size)
+
     def test_unset_lane_limit_is_sixteen(self):
         """``None`` is lane limit 16 (``DEFAULT_LANE_LIMIT``): the same
         calls, lanes and bits as an explicit 16, and fewer calls than at

@@ -131,17 +131,17 @@ class TestEigendecompositionReuse:
         from repro.optim import lockstep
 
         solved, decomposed = [], []
-        solve, eigh = lockstep._solve_trust_region, np.linalg.eigh
+        solve, eigh = lockstep.solve_trust_region, np.linalg.eigh
 
-        def counting_solve(g, h, radius, eig, *args):
+        def counting_solve(g, h, radius, *args, **kwargs):
             solved.append(h.tobytes())
-            return solve(g, h, radius, eig, *args)
+            return solve(g, h, radius, *args, **kwargs)
 
         def counting_eigh(a, *args, **kwargs):
             decomposed.append(a)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(lockstep, "_solve_trust_region", counting_solve)
+        monkeypatch.setattr(lockstep, "solve_trust_region", counting_solve)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         res = newton_trust_region(rosenbrock_fgh, np.array([-1.2, 1.0]))
         assert res.converged
