@@ -37,12 +37,12 @@ lives in ``tests/taylor_oracle/``.
 
 **Batch evaluation.**  Evaluation is *batched* throughout
 (:func:`compile_elbo_batch` / :func:`elbo_batch`): many sources' contexts
-evaluated in one sweep, the paper's AVX-512 many-sources-at-once analogue,
+evaluated in one call, the paper's AVX-512 many-sources-at-once analogue,
 with :func:`elbo` the batch of one.  The contract is strict — every lane's
 result must be **bit-for-bit identical** to a one-lane call's, so batching
 is always an execution strategy and never an approximation.  The kernel
-packs same-shaped contexts into lane-stacked structure-of-arrays
-workspaces.  The lockstep optimizer
+stacks the call's pixel-independent work over all its lanes and (lane,
+patch) pairs, and runs one pixel pass per pair.  The lockstep optimizer
 (:func:`repro.core.single.optimize_sources_batch`) drives this surface with
 per-lane active masks and repacking.
 
@@ -345,10 +345,10 @@ def compile_elbo_batch(ctxs: list, backend: str | None = None):
     Pass the result to :func:`elbo_batch` as ``compiled`` while the batch
     membership is unchanged; recompile after dropping lanes (the lockstep
     optimizer does this when occupancy falls below its repack threshold).
-    ``backend`` must be ``None``.  The handle packs the contexts' compiled
-    workspaces into lane-grouped structure-of-arrays stacks (see
+    ``backend`` must be ``None``.  The handle lays the contexts' compiled
+    workspaces out for one call (see
     :class:`repro.core.kernel._FusedBatchWorkspace` for the no-padding
-    stacking contract).
+    contract).
     """
     _reject_selectors(backend=backend)
     return _FusedBatchWorkspace(list(ctxs))
@@ -381,9 +381,6 @@ def elbo_batch(
     context's counter bag — in practice a whole region shares one bag —
     making occupancy (and therefore the wasted work of inactive lanes)
     visible in perf reports (:func:`repro.perf.counters.batch_occupancy`).
-    The kernel adds ``elbo_sweep_calls`` / ``elbo_sweep_lanes``: how many
-    stacked pixel sweeps the call split into, and how many lanes those
-    carried.
     """
     if len(frees) != len(ctxs):
         raise ValueError(

@@ -26,7 +26,7 @@ no expression-graph construction:
    whitened offsets ``l = C^{-1} d`` times the density itself.  All
    components of a patch — star, dev and exp — evaluate in one batched
    ``(K + Jd + Je, M)`` mixture pass that forms the six degree-<=2
-   monomials ``lx^a ly^b g`` (:func:`_mixture`), and one per-lane GEMM of
+   monomials ``lx^a ly^b g`` (:func:`_mixture`), and one per-pair GEMM of
    per-component coefficients over (monomial, component) turns them into
    every per-pixel feature row the term reads (:func:`_feature_rows`):
    the star's value, gradient and position Hessian, the mixed galaxy
@@ -74,33 +74,33 @@ fixed-last-softmax derivatives of :mod:`repro.transforms.bijectors`.  The
 Taylor KL expression in ``tests/taylor_oracle/`` is the oracle the
 randomized parity tests pin this kernel against.
 
-**Batch evaluation.**  Every pixel-static array carries a leading *lane*
-axis, and :class:`_FusedBatchWorkspace` concatenates same-shaped contexts
-along it, so one stacked NumPy sweep evaluates a whole batch of sources —
-the reproduction's analogue of the paper's AVX-512 batching of objective
-evaluations across light sources.  A single-source evaluation is the
-lane-count-1 case of the same code, and lanes are grouped by shape
-rather than padded (padding cannot be bit-exact: NumPy's pairwise-summation
-grouping depends on the reduced length), which makes every lane's result
-bit-for-bit independent of what shares its batch — the invariant the lockstep
-optimizer (:func:`repro.core.single.optimize_sources_batch`) and the
-driver's catalog-level parity tests rely on.  Shape grouping splits only
-the pixel passes.  Everything that does not scale with pixels runs once
-per batch call over all its lanes, however many sweeps and patches the
-call has: one elementwise pass maps every LogitBox coordinate of the
-call's free matrix (:func:`_bijector_pass`), and the bijector and
-flux-moment chain (:class:`_EvalChain`) and the KL term (once per shared
-``Priors``) both read it; one *prologue* (:func:`_prologue`) forms each
-(lane, patch) pair's small inputs — pixel-frame position, amplitude
-kinds, inverse covariances, feature and curvature coefficients — stacked
-over every pair of one component count (a wide batch in cache-sized
-chunks of whole sweeps), and one assembly
-(:func:`_assemble`) turns every pair's pixel sums into z-space blocks;
-the pairs' blocks are mapped into band space and summed per (lane,
-band) in slot order, and the chain rule runs once over the call's (lane,
-band) pairs through index maps built at import time.  The layout of a
-call (:class:`_Layout`) is resolved once per batch, and cached on the
-context for a one-lane call.
+**Batch evaluation.**  :class:`_FusedBatchWorkspace` lays out a batch
+of contexts for one call — the reproduction's analogue of the paper's
+AVX-512 batching of objective evaluations across light sources, and a
+single-source evaluation is the one-lane case of the same code.  What a
+call shares across its lanes is everything that does not scale with
+pixels: one elementwise pass maps every LogitBox coordinate of the call's
+free matrix (:func:`_bijector_pass`), and the bijector and flux-moment
+chain (:class:`_EvalChain`) and the KL term (once per shared ``Priors``)
+both read it; one *prologue* (:func:`_prologue`) forms each (lane, patch)
+pair's small inputs — pixel-frame position, amplitude kinds, inverse
+covariances, feature and curvature coefficients — stacked over every pair
+of one component count, and one assembly (:func:`_assemble`) turns every
+pair's pixel sums into z-space blocks; the pairs' blocks are mapped into
+band space and summed per (lane, band) in slot order, and the chain rule
+runs once over the call's (lane, band) pairs through index maps built at
+import time.  The pixels themselves run one pass per (lane, patch) pair
+(:func:`_patch_pixel_term`): patches of equal shape rarely coincide on
+survey data, so stacking them into one sweep bought nothing.  Every
+stacked primitive is lane-independent (elementwise ufuncs, reductions
+over non-pair axes, and ``matmul`` over pair stacks, which dispatches the
+identical per-pair product), and nothing is padded (NumPy's pairwise
+summation groups by the reduced length), so every lane's result is
+bit-for-bit independent of what shares its call — the invariant the
+lockstep optimizer (:func:`repro.core.single.optimize_sources_batch`) and
+the driver's catalog-level parity tests rely on.  The layout of a call
+(:class:`_Layout`) is resolved once per batch, and cached on the context
+for a one-lane call.
 
 **Per-thread scratch.**  A patch's pixel-sized temporaries — the mixture
 pass's offsets and monomials, the feature rows, and the moment pass's
@@ -111,9 +111,9 @@ every source it updates (see :mod:`repro.parallel.cyclades`); the
 executor releases them when an assignment completes.
 
 **One implementation.**  The pixel term (:func:`_pixel_terms`: the
-per-call prologue, the per-patch pixel passes of :func:`_patch_pixel_term`
-and the assembly) is written once, as the stacked NumPy sweeps above, and
-every evaluation runs it.  Its oracles live in the tests: the
+per-call prologue, the per-pair pixel passes of :func:`_patch_pixel_term`
+and the assembly) is written once, as the NumPy passes above, and every
+evaluation runs it.  Its oracles live in the tests: the
 Taylor-mode ELBO for the whole objective (``tests/taylor_oracle/``, pinned
 by ``tests/test_elbo_backends.py``), and per-component, per-pixel builds
 of the feature rows, the galaxy Hessian rows and the entry-by-entry
@@ -127,7 +127,6 @@ the map numerically rather than reaching into its attributes.
 from __future__ import annotations
 
 import mmap
-import os
 import threading
 import weakref
 from typing import TYPE_CHECKING
@@ -272,116 +271,6 @@ _KL_DIAG_FLAT = np.arange(10) * (_N_KL + 1)
 
 
 _TLS = threading.local()
-
-#: Fallback max ``(lane, component, pixel)`` elements per stacked batch
-#: sweep, used only when the host's cache sizes cannot be read.  The
-#: historical hand-tuned value: roughly one ~3.5 MB float64 temporary,
-#: sized (empirically, via the bench_elbo_kernel batch sweep) so the
-#: handful of live per-sweep temporaries stay cache-resident.  Batch groups larger than the derived
-#: lane cap split into several sweeps (see :class:`_FusedBatchWorkspace`
-#: and :func:`_lane_sweep_cap`).
-_LANE_SWEEP_BUDGET = 450_000
-
-#: Live float64 temporaries per ``(lane, component, pixel)`` element in the
-#: widest (order-2) stacked sweep, counted from :func:`_mixture` and
-#: :func:`_galaxy_curvature`: every component of the patch is in flight at
-#: once, and from the monomials on the sweep touches eight arrays of that
-#: size — ``lx``, ``ly`` and the six monomials — while the mixture pass
-#: before them touches five (the two offsets, ``lx``, ``ly`` and ``g``, the
-#: temporary of every step).  The moment pass's degree-3 and degree-4
-#: monomials live in one fixed block per thread (:data:`_MOMENT_BLOCK`): it
-#: does not grow with the sweep and is not counted.
-_SWEEP_TEMPS = 8
-
-#: Lazily-detected ``(l2_bytes, last_level_bytes)`` — ``None`` before the
-#: first probe, ``(0, 0)`` when the sysfs probe failed.
-_CACHE_BYTES: tuple | None = None
-
-
-def _detect_cache_bytes() -> tuple:
-    """Probe ``(L2, last-level)`` cache sizes in bytes from sysfs.
-
-    Returns ``(0, 0)`` when the hierarchy cannot be read (non-Linux, or a
-    stripped container); callers fall back to the hand-tuned
-    :data:`_LANE_SWEEP_BUDGET`.
-    """
-    base = "/sys/devices/system/cpu/cpu0/cache"
-    sizes: dict[int, int] = {}
-    try:
-        for entry in sorted(os.listdir(base)):
-            if not entry.startswith("index"):
-                continue
-            with open(os.path.join(base, entry, "level")) as f:
-                level = int(f.read())
-            with open(os.path.join(base, entry, "size")) as f:
-                text = f.read().strip()
-            if text.endswith("K"):
-                nbytes = int(text[:-1]) * 1024
-            elif text.endswith("M"):
-                nbytes = int(text[:-1]) * 1024 * 1024
-            else:
-                nbytes = int(text)
-            # Unified/data caches win over same-level instruction caches
-            # (L1i precedes L1d alphabetically either way; only L2+ is used).
-            sizes[level] = max(nbytes, sizes.get(level, 0))
-    except (OSError, ValueError):
-        return (0, 0)
-    if not sizes:
-        return (0, 0)
-    last = sizes[max(sizes)]
-    return (sizes.get(2, last), last)
-
-
-def _cache_bytes() -> tuple:
-    global _CACHE_BYTES
-    if _CACHE_BYTES is None:
-        _CACHE_BYTES = _detect_cache_bytes()
-    return _CACHE_BYTES
-
-
-def _lane_sweep_cap(per_lane: int) -> int:
-    """Max lanes per stacked sweep for a shape group whose per-lane
-    ``(component, pixel)`` element count is ``per_lane``.
-
-    The cache-blocking knob behind the batch throughput curve: too few
-    lanes per sweep pays NumPy dispatch overhead per lane, too many spills
-    the sweep's live temporaries out of cache and throughput *regresses*
-    (the old global 450k-element budget was tuned for one machine and one
-    patch shape, which is exactly why B=64 plateaued below B=16).  The
-    heuristic sizes each group's sweep from the *measured* hierarchy:
-    ``max(L2, LLC/8)`` bytes — a single sweep may own L2 outright but
-    only a slice of the (shared, partitioned) last-level cache — divided
-    by the sweep working set (``8 * _SWEEP_TEMPS * per_lane`` bytes per
-    lane).  Groups small enough to be L2-resident get a wide cap, big
-    five-band groups a narrow one.  The LLC/8 share matched the measured
-    throughput optimum on both a desktop-class and a large-LLC
-    virtualized host (the bench batch sweep regresses within noise by
-    cap 2x in either direction).  The hand-tuned fallback budget applies
-    when cache probing fails.
-
-    Result-invariant by construction: lanes are independent, so any
-    split of a group into sweeps is bit-identical (pinned by the budget
-    sweep in ``tests/test_elbo_batch.py``) — which is why the cap is
-    *not* checkpoint-fingerprinted.
-    """
-    l2, llc = _cache_bytes()
-    if not llc:
-        return max(1, _LANE_SWEEP_BUDGET // per_lane)
-    working = 8 * _SWEEP_TEMPS * per_lane
-    return min(1024, max(1, max(l2, llc // 8) // working))
-
-
-def _prologue_cap() -> int:
-    """Max (pair, component) elements per prologue stack
-    (:class:`_Layout`).  The prologue's widest array, the order-2 feature
-    coefficients, holds ``18 * 6`` doubles per pair and component; the
-    cap keeps it within half the L2 cache (the fallback budget's bytes
-    when the probe fails), so a wide batch — 64 lanes of three patches is
-    192 pairs — forms its prologue a few sweeps at a time instead of in
-    one array that spills the cache.  Result-invariant: the prologue is
-    elementwise per pair."""
-    l2, _ = _cache_bytes()
-    return max(1, (l2 or 8 * _LANE_SWEEP_BUDGET) // (2 * 8 * 18 * 6))
 
 
 def _scratch(name: str, size: int) -> np.ndarray:
@@ -687,25 +576,20 @@ class _PairStack:
 class _PatchWorkspace(_PairStack):
     """Everything pixel-static about one patch slot, precomputed.
 
-    Arrays are lane-stacked (leading axis ``G``): the pixel arrays
-    (``counts``, ``bg``, the pixel coordinates ``pix`` and the component
-    means ``mu``) the per-patch pixel pass reads, and — as a :class:`_PairStack` of its
-    ``G`` (lane, slot) pairs — the statics the per-call prologue reads.  A
-    per-context workspace is the ``G = 1`` case; :meth:`_concat` builds a
-    batch lane group from same-shaped patch slots without copying any
-    per-context compile work."""
+    The pixel arrays (``counts``, ``bg``, the pixel coordinates ``pix``
+    and the component means ``mu``) are what the slot's pixel pass reads;
+    as a one-pair :class:`_PairStack` (leading axis 1) the slot also holds
+    the statics the per-call prologue reads."""
 
-    __slots__ = ("bands", "counts", "bg", "n_pixels", "pix", "mu")
-
-    _STACKED = _PairStack._STACKED + ("counts", "bg", "pix", "mu")
+    __slots__ = ("band", "counts", "bg", "n_pixels", "pix", "mu")
 
     def __init__(self, patch):
-        self.bands = (patch.band,)
+        self.band = patch.band
         iota = float(patch.calibration)
         self.iota = np.array([iota])
         self.iotas = np.array([[iota, iota, iota * iota, iota * iota]])
-        self.counts = np.asarray(patch.counts, dtype=np.float64)[None]
-        self.bg = np.asarray(patch.background, dtype=np.float64)[None]
+        self.counts = np.asarray(patch.counts, dtype=np.float64)
+        self.bg = np.asarray(patch.background, dtype=np.float64)
         self.n_pixels = patch.n_pixels
 
         # One component axis for the whole patch: the star's PSF components,
@@ -721,14 +605,13 @@ class _PatchWorkspace(_PairStack):
         self.w2pi = ww / _TWO_PI                              # (1, C, 1)
         self.var = var
         self.pcov = np.concatenate([pxx, pxy, pyy], axis=2)   # (1, C, 3)
-        #: Pixel coordinates ``(1, 2, 1, M)`` and component means
-        #: ``(1, 2, C, 1)``: their difference is the pixel offsets from
-        #: each component mean, formed per evaluation in scratch
-        #: (:func:`_mixture`) — a lockstep call holds many contexts'
-        #: workspaces at once, and ``C`` times the pixels would dominate
-        #: them.
-        self.pix = np.stack([patch.px, patch.py])[None, :, None, :]
-        self.mu = np.stack([mux[0], muy[0]])[None]
+        #: Pixel coordinates ``(2, 1, M)`` and component means ``(2, C,
+        #: 1)``: their difference is the pixel offsets from each component
+        #: mean, formed per evaluation in scratch (:func:`_mixture`) — a
+        #: lockstep call holds many contexts' workspaces at once, and ``C``
+        #: times the pixels would dominate them.
+        self.pix = np.stack([patch.px, patch.py])[:, None, :]
+        self.mu = np.stack([mux[0], muy[0]])
         # The pixel-static parts of the feature-row coefficients
         # (_feature_coefficients): per component, the six base rows over
         # the six monomials — monomials 0-2 as they are, 3-5 times the
@@ -772,23 +655,6 @@ class _PatchWorkspace(_PairStack):
         zmap[:2, :2] = self.wa[0]
         self.zmap = zmap[None]
 
-    @property
-    def shape_key(self) -> tuple:
-        """Array shapes that must match for lanes to stack: star component
-        count, galaxy component counts per group, and pixel count."""
-        return self.comp_key + (self.n_pixels,)
-
-    @classmethod
-    def _concat(cls, slots):
-        out = object.__new__(cls)
-        out.bands = tuple(b for s in slots for b in s.bands)
-        out.n_pixels = slots[0].n_pixels
-        out.n_star, out.n_dev = slots[0].n_star, slots[0].n_dev
-        for name in cls._STACKED:
-            setattr(out, name, np.concatenate(
-                [getattr(s, name) for s in slots], axis=0))
-        return out
-
 
 class _FusedWorkspace:
     """One context's compiled workspace: its patch slots, its prologue
@@ -810,12 +676,6 @@ class _FusedWorkspace:
         self.stacks = {key: _PairStack.concat(parts)
                        for key, parts in by_key.items()}
         self._alone = None
-
-    @property
-    def signature(self) -> tuple:
-        """Stacking compatibility: contexts with equal signatures can share
-        one lane group (patch-by-patch equal array shapes)."""
-        return tuple(p.shape_key for p in self.patches)
 
     def alone(self) -> "_Layout":
         """The layout of a call that evaluates this context alone."""
@@ -872,25 +732,19 @@ def _ordered_sum(blocks: list, ranks: _Ranks, n: int) -> np.ndarray:
 
 class _Group:
     """One prologue stack of a call: every (lane, patch) pair of one
-    component key, lane-major within each sweep, with each pair's lane and
-    band column, and each patch slot's pixel workspace with its rows."""
+    component key, lane-major, with each pair's lane, band column and
+    patch slot (whose pixel workspace its pixel pass reads)."""
 
     __slots__ = ("stack", "lane", "col", "slots")
 
 
 class _Layout:
     """Where everything of a batch call lives: the index structure that
-    the per-call prologue, the per-patch pixel passes, the band-space
+    the per-call prologue, the per-pair pixel passes, the band-space
     accumulation and the chain rule read, resolved once per batch (and
     cached on the context for a one-lane call).
 
-    - ``sweeps``: ``(lanes, patch stacks)`` per stacked pixel sweep.
-    - ``pair_groups``: one :class:`_Group` per component key and prologue
-      chunk — consecutive whole sweeps, as many as fit the cache budget
-      of :func:`_prologue_cap` (every call of a few lanes is one chunk).
-      A sweep of ``G`` lanes whose slots of that key number ``S`` owns
-      ``G * S`` consecutive rows, lane-major, so slot ``r``'s lanes are
-      the strided rows ``base + r :: S`` — a view, never a gather.
+    - ``pair_groups``: one :class:`_Group` per component key.
     - ``lb_lane`` / ``lb_col``: every observed (lane, band) pair,
       band-major, the order the chain rule adds bands into a lane.
     - ``pair_rank`` / ``lane_rank`` / ``lb_rank``: :func:`_ranks` that
@@ -899,7 +753,7 @@ class _Layout:
       a per-patch, per-band loop would add them.
     """
 
-    __slots__ = ("u_centers", "bands", "kl_groups", "sweeps", "pair_groups",
+    __slots__ = ("u_centers", "bands", "kl_groups", "pair_groups",
                  "lb_lane", "lb_col", "pair_rank", "lane_rank", "lb_rank")
 
     def __init__(self, members: list):
@@ -908,7 +762,7 @@ class _Layout:
         #: and the lanes grouped by shared :class:`KlWorkspace` (one
         #: stacked KL evaluation each).
         self.u_centers = np.array([m.u_center for m in members]).reshape(n, 2)
-        lane_bands = [{p.bands[0] for p in m.patches} for m in members]
+        lane_bands = [{p.band for p in m.patches} for m in members]
         self.bands = tuple(sorted(set().union(*lane_bands)))
         col = {b: i for i, b in enumerate(self.bands)}
         by_kl: dict[int, tuple] = {}
@@ -917,66 +771,34 @@ class _Layout:
         self.kl_groups = [(kl, np.array(ls, dtype=np.intp))
                           for kl, ls in by_kl.values()]
 
-        by_sig: dict[tuple, list[int]] = {}
-        for l, m in enumerate(members):
-            by_sig.setdefault(m.signature, []).append(l)
-        self.sweeps = []
-        for sig, lanes in by_sig.items():
-            per_lane = sum((k + jd + je) * m for k, jd, je, m in sig)  # det: ignore[DET103] -- integer size signature; exact in any order
-            cap = _lane_sweep_cap(per_lane) if per_lane else len(lanes)
-            # Balance the split: 64 lanes at cap 19 sweep as 16/16/16/16,
-            # not 19/19/19/7 — a ragged tail sweep pays the same dispatch
-            # overhead as a full one over a fraction of the lanes.
-            n_sweeps = -(-len(lanes) // cap) if lanes else 1
-            size = -(-len(lanes) // n_sweeps)
-            for start in range(0, len(lanes), size):
-                chunk = lanes[start:start + size]
-                if len(chunk) == 1:
-                    stacks = members[chunk[0]].patches
-                else:
-                    stacks = [_PatchWorkspace._concat(
-                        [members[l].patches[p] for l in chunk])
-                        for p in range(len(sig))]
-                self.sweeps.append((np.array(chunk, dtype=np.intp), stacks))
-
+        # A lane's pairs of one key are consecutive rows of its group, in
+        # slot order: the rows of the lane's own stack of that key.
         groups: dict[tuple, dict] = {}
-        row_of = {}                       # (lane, slot) -> (group, row)
-        cap, chunk, chunk_size = _prologue_cap(), 0, 0
-        for lanes, stacks in self.sweeps:
-            size = len(lanes) * int(np.sum(
-                [pws.var.shape[1] for pws in stacks], axis=None,
-                dtype=np.intp))
-            if chunk_size and chunk_size + size > cap:
-                chunk, chunk_size = chunk + 1, 0
-            chunk_size += size
-            keys = [pws.comp_key for pws in stacks]
-            for key in dict.fromkeys(keys):
-                slots = [p for p, k in enumerate(keys) if k == key]
-                g = groups.setdefault((chunk, key), {
-                    "parts": [], "lane": [], "col": [], "slots": [], "n": 0})
-                base, n_s, n_l = g["n"], len(slots), len(lanes)
-                for r, p in enumerate(slots):
-                    g["slots"].append(
-                        (stacks[p], slice(base + r, base + n_l * n_s, n_s)))
-                for k, l in enumerate(lanes):
-                    g["parts"].append(members[l].stacks[key])
-                    for r, p in enumerate(slots):
-                        g["lane"].append(l)
-                        g["col"].append(col[members[l].patches[p].bands[0]])
-                        row_of[(l, p)] = ((chunk, key), base + k * n_s + r)
-                g["n"] += n_l * n_s
+        row_of = []                       # per lane: (key, row) per slot
+        for l, m in enumerate(members):
+            for key, stack in m.stacks.items():
+                groups.setdefault(key, {"parts": [], "lane": [], "col": [],
+                                        "slots": []})["parts"].append(stack)
+            rows = []
+            for pws in m.patches:
+                g = groups[pws.comp_key]
+                rows.append((pws.comp_key, len(g["slots"])))
+                g["slots"].append(pws)
+                g["lane"].append(l)
+                g["col"].append(col[pws.band])
+            row_of.append(rows)
         self.pair_groups = []
         offset = {}
         n_pairs = 0
-        for name, g in groups.items():
+        for key, g in groups.items():
             grp = _Group()
             grp.stack = _PairStack.concat(g["parts"])
             grp.lane = np.array(g["lane"], dtype=np.intp)
             grp.col = np.array(g["col"], dtype=np.intp)
             grp.slots = g["slots"]
             self.pair_groups.append(grp)
-            offset[name] = n_pairs
-            n_pairs += g["n"]
+            offset[key] = n_pairs
+            n_pairs += len(g["slots"])
 
         lb = [(c, l) for c, b in enumerate(self.bands) for l in range(n)
               if b in lane_bands[l]]
@@ -987,10 +809,9 @@ class _Layout:
         per_lane = [[] for _ in range(n)]
         lane_q = [[] for _ in range(n)]
         for l, m in enumerate(members):
-            for p, pws in enumerate(m.patches):
-                name, row = row_of[(l, p)]
-                per_q[q_of[(col[pws.bands[0]], l)]].append(offset[name] + row)
-                per_lane[l].append(offset[name] + row)
+            for pws, (key, row) in zip(m.patches, row_of[l]):
+                per_q[q_of[(col[pws.band], l)]].append(offset[key] + row)
+                per_lane[l].append(offset[key] + row)
         for q, (_, l) in enumerate(lb):
             lane_q[l].append(q)
         self.pair_rank = _ranks(per_q, n_pairs)
@@ -999,41 +820,21 @@ class _Layout:
 
 
 class _FusedBatchWorkspace:
-    """Compile-once lane packing for a fixed batch of contexts.
-
-    Lanes are grouped by :attr:`_FusedWorkspace.signature` and each group's
-    per-context workspaces are concatenated along the lane axis into
-    structure-of-arrays stacks, so the pixel-term sweep for a group is one
-    set of NumPy calls covering all its lanes.  Only the pixel sweep is
-    split this way; everything else — the per-call prologue over every
-    (lane, patch) pair, the band-space accumulation, the chain and the KL
-    term — runs once over the call (:class:`_Layout`).
+    """Compile-once layout of a fixed batch of contexts: their compiled
+    workspaces and the call's :class:`_Layout` — the per-call prologue
+    over every (lane, patch) pair, one pixel pass per pair, the
+    band-space accumulation, the chain and the KL term.
 
     **No padding, by design.**  A lane's result must be bit-for-bit
     independent of what shares its batch, and a masked/padded tail cannot
     be: NumPy reductions use pairwise summation whose grouping depends on
     the reduced length, so summing a zero-padded row changes the result's
-    last bits.  Shape-grouping gives the same SIMD-width win as the paper's
-    AVX-512 source batching while keeping every lane's reduction lengths
-    exactly what a one-lane call uses — a heterogeneous batch simply
-    evaluates as
-    several stacked groups (degenerating to ``G = 1`` lanes in the worst
-    case), never as one padded block.  Within a group, every stacked
-    primitive used by the kernel is lane-independent (elementwise ufuncs;
-    ``sum`` over the component/pixel axes; ``matmul`` over lane stacks,
-    which dispatches the identical per-lane GEMM), which the exact-equality
-    tests pin.
-
-    **Cache-bounded sweeps.**  A stacked sweep materializes
-    ``(G, components, pixels)`` temporaries; letting ``G`` grow unbounded
-    trades the dispatch-overhead win for cache thrash (a 64-lane stack of
-    30x30 five-band contexts is slower than one lane at a time).  Groups
-    are therefore
-    split so each sweep's working set stays cache-resident, with the lane
-    cap autotuned per shape group from the measured cache hierarchy
-    (:func:`_lane_sweep_cap`) — small sources batch wide, big sources
-    batch narrow.  Splitting is result-invisible: lane-independence makes
-    every grouping bit-identical.
+    last bits.  Each pair's pixel pass reduces over exactly its own
+    pixels, as a one-lane call does, and every stacked primitive of the
+    prologue, the assembly and the chain is lane-independent (elementwise
+    ufuncs; reductions over non-pair axes; ``matmul`` over pair stacks,
+    which dispatches the identical per-pair GEMM), which the
+    exact-equality tests pin.
     """
 
     __slots__ = ("ctxs", "layout")
@@ -1043,11 +844,6 @@ class _FusedBatchWorkspace:
         members = [_context_workspace(ctx) for ctx in self.ctxs]
         self.layout = (members[0].alone() if len(members) == 1
                        else _Layout(members))
-
-    @property
-    def groups(self) -> list:
-        """The stacked pixel sweeps, ``(lanes, patch stacks)`` each."""
-        return self.layout.sweeps
 
     def matches(self, ctxs: list) -> bool:
         """Whether this workspace was compiled for exactly these contexts
@@ -1080,8 +876,8 @@ class _FusedBatchWorkspace:
 # coefficients are per-component scalars (1, var, ixx, ixy, iyy) times the
 # component's share of the row: 1 for a star row, ``e_dev`` / ``1 - e_dev``
 # for the mixed galaxy profile ``gg``, ``+1`` / ``-1`` for its ``e_dev``
-# derivative ``dlg``.  The monomials are formed once per patch and one GEMM
-# per lane over (component, monomial) yields all the rows
+# derivative ``dlg``.  The monomials are formed once per pair and one GEMM
+# over (component, monomial) yields all the rows
 # (:func:`_feature_rows`).
 
 #: Feature rows, in the order :func:`_feature_rows` returns them: the star
@@ -1118,37 +914,35 @@ def _covariances(st: _PairStack, shape: np.ndarray):
 def _mixture(pws: _PatchWorkspace, up: np.ndarray, icov: np.ndarray,
              alpha: np.ndarray):
     """One pass over every component of a patch slot (star, dev and exp
-    alike), for per-lane pixel-frame positions ``up`` ``(G, 2)`` and the
-    slot's rows of :func:`_covariances`: the whitened offsets ``lx``,
-    ``ly`` ``(G, C, M)`` and the six monomials ``lx^a ly^b g``, ``a + b
-    <= 2``, as ``(G, 6, C, M)`` in :data:`_MONOMIALS` order
-    (monomial-major, so that each multiply below writes one contiguous
-    block per lane).  The arrays live in the calling thread's scratch,
-    valid until its next call."""
-    inv = icov.transpose(0, 2, 1)[..., None]      # (G, 3, C, 1)
-    gsz, c, m = pws.pix.shape[0], pws.mu.shape[2], pws.pix.shape[3]
-    n = gsz * c * m
+    alike), for one pair's pixel-frame position ``up`` ``(2,)`` and its
+    row of :func:`_covariances`: the whitened offsets ``lx``, ``ly`` ``(C,
+    M)`` and the six monomials ``lx^a ly^b g``, ``a + b <= 2``, as ``(6,
+    C, M)`` in :data:`_MONOMIALS` order (monomial-major, so that each
+    multiply below writes one contiguous block).  The arrays live in the
+    calling thread's scratch, valid until its next call."""
+    inv = icov.T[..., None]                       # (3, C, 1)
+    c, m = pws.mu.shape[1], pws.pix.shape[2]
+    n = c * m
     work = _scratch("mixture", 10 * n)
-    dxy, lxy = work[:4 * n].reshape(2, gsz, 2, c, m)
-    mono = work[4 * n:].reshape(gsz, 6, c, m)
-    g = mono[:, 0]                      # also the temporary until the exp
+    dxy, lxy = work[:4 * n].reshape(2, 2, c, m)
+    mono = work[4 * n:].reshape(6, c, m)
+    g = mono[0]                         # also the temporary until the exp
     np.subtract(pws.pix, pws.mu, out=dxy)
-    np.subtract(dxy, up[:, :, None, None], out=dxy)
+    np.subtract(dxy, up[:, None, None], out=dxy)
     # (lx, ly) = (ixx, ixy) dx + (ixy, iyy) dy, then q = lx dx + ly dy.
-    np.multiply(inv[:, 0:2], dxy[:, 0:1], out=lxy)
-    lxy += np.multiply(inv[:, 1:3], dxy[:, 1:2], out=mono[:, 1:3])
+    np.multiply(inv[0:2], dxy[0:1], out=lxy)
+    lxy += np.multiply(inv[1:3], dxy[1:2], out=mono[1:3])
     np.multiply(lxy, dxy, out=dxy)
-    np.add(dxy[:, 0], dxy[:, 1], out=g)
+    np.add(dxy[0], dxy[1], out=g)
     # -q / 2 <= 0 for a positive-definite covariance; the clip only
     # absorbs rounding.
-    arg = np.minimum(np.multiply(g, -0.5, out=dxy[:, 0]), 0.0,
-                     out=dxy[:, 0])
+    arg = np.minimum(np.multiply(g, -0.5, out=dxy[0]), 0.0, out=dxy[0])
     np.exp(arg, out=g)
     g *= alpha
-    np.multiply(lxy, g[:, None], out=mono[:, 1:3])
-    np.multiply(lxy, mono[:, 1:2], out=mono[:, 3:5])
-    lx, ly = lxy[:, 0], lxy[:, 1]
-    np.multiply(ly, mono[:, 2], out=mono[:, 5])
+    np.multiply(lxy, g, out=mono[1:3])
+    np.multiply(lxy, mono[1], out=mono[3:5])
+    lx, ly = lxy
+    np.multiply(ly, mono[2], out=mono[5])
     return lx, ly, mono
 
 
@@ -1174,19 +968,17 @@ def _feature_coefficients(st: _PairStack, icov: np.ndarray,
 
 
 def _feature_rows(coef: np.ndarray, mono: np.ndarray) -> np.ndarray:
-    """The feature rows (:data:`_F_GS` ...) per pixel, ``(G, n_rows,
-    M)``: one per-lane GEMM of the slot's ``(n_rows, 6 C)`` coefficients
+    """The feature rows (:data:`_F_GS` ...) per pixel, ``(n_rows, M)``:
+    one GEMM of a pair's ``(n_rows, 6 C)`` coefficients
     (:func:`_feature_coefficients`) over (monomial, component) against the
     monomials of :func:`_mixture`.  The mixing weights, ``var`` and ``I``
     live in the coefficients, so no mixing pass over pixels remains.  The
     rows live in the calling thread's scratch, valid until its next
     call."""
-    gsz, n_rows, _, c = coef.shape
-    m = mono.shape[3]
-    return np.matmul(coef.reshape(gsz, n_rows, 6 * c),
-                     mono.reshape(gsz, 6 * c, m),
-                     out=_scratch("features", gsz * n_rows * m).reshape(
-                         gsz, n_rows, m))
+    n_rows, _, c = coef.shape
+    m = mono.shape[2]
+    return np.matmul(coef.reshape(n_rows, 6 * c), mono.reshape(6 * c, m),
+                     out=_scratch("features", n_rows * m).reshape(n_rows, m))
 
 
 # Contract-first Hessian rows.  Every second derivative of a component in
@@ -1258,9 +1050,9 @@ def _galaxy_moments(pws: _PatchWorkspace, lx: np.ndarray, ly: np.ndarray,
                     mono: np.ndarray, wts: np.ndarray,
                     mom: np.ndarray) -> None:
     """The galaxy components' Hermite moments ``sum_m lx^a ly^b g w`` of
-    one patch slot against ``C`` weight columns ``wts`` ``(G, M, C)``,
-    added into ``mom`` ``(G, 15, J, C)`` (zeros on entry) in
-    :data:`_MONOMIALS` order; the other inputs are :func:`_mixture`'s.
+    one pair against ``C`` weight columns ``wts`` ``(M, C)``, added into
+    ``mom`` ``(15, J, C)`` (zeros on entry) in :data:`_MONOMIALS` order;
+    the other inputs are :func:`_mixture`'s.
 
     Contract before expanding: every packed Hessian row of the mixed
     galaxy profile is ``H(l) g`` for a Hermite polynomial ``H`` of degree
@@ -1269,30 +1061,27 @@ def _galaxy_moments(pws: _PatchWorkspace, lx: np.ndarray, ly: np.ndarray,
     degree <= 2 come from :func:`_mixture`'s monomials in one GEMM; the
     nine of degree 3 and 4 are formed a block of pixels at a time (four
     multiplies into scratch) and contracted with one GEMM per block.
-    Pixel blocks have a fixed length and each lane is contracted alone,
-    so the scratch is one fixed block per thread (never a buffer per
-    patch shape) and a lane's block boundaries — hence its summation
-    order and its bits — do not depend on what shares its stack."""
-    gsz, _, c, m = mono.shape
+    Pixel blocks have a fixed length, so the scratch is one fixed block
+    per thread, never a buffer per patch shape."""
+    _, c, m = mono.shape
     ns = pws.n_star
     j = c - ns
-    ncol = wts.shape[2]
-    low = np.matmul(mono.reshape(gsz, 6 * c, m), wts)
-    mom[:, :6] = low.reshape(gsz, 6, c, ncol)[:, :, ns:]
+    ncol = wts.shape[1]
+    low = np.matmul(mono.reshape(6 * c, m), wts)
+    mom[:6] = low.reshape(6, c, ncol)[:, ns:]
+    high = mom[6:].reshape(9 * j, ncol)
     scratch = _scratch("moments", 9 * j * _MOMENT_BLOCK)
-    for lane in range(gsz):
-        high = mom[lane, 6:].reshape(9 * j, ncol)
-        for lo in range(0, m, _MOMENT_BLOCK):
-            hi = min(lo + _MOMENT_BLOCK, m)
-            blk = scratch[:9 * j * (hi - lo)].reshape(9, j, hi - lo)
-            sq = mono[lane, 3:, ns:, lo:hi]      # lx^2 g, lx ly g, ly^2 g
-            bx = lx[lane, ns:, lo:hi]
-            by = ly[lane, ns:, lo:hi]
-            np.multiply(sq, bx, out=blk[:3])
-            np.multiply(sq[2], by, out=blk[3])
-            np.multiply(blk[:4], bx, out=blk[4:8])
-            np.multiply(blk[3], by, out=blk[8])
-            high += np.matmul(blk.reshape(9 * j, hi - lo), wts[lane, lo:hi])
+    for lo in range(0, m, _MOMENT_BLOCK):
+        hi = min(lo + _MOMENT_BLOCK, m)
+        blk = scratch[:9 * j * (hi - lo)].reshape(9, j, hi - lo)
+        sq = mono[3:, ns:, lo:hi]          # lx^2 g, lx ly g, ly^2 g
+        bx = lx[ns:, lo:hi]
+        by = ly[ns:, lo:hi]
+        np.multiply(sq, bx, out=blk[:3])
+        np.multiply(sq[2], by, out=blk[3])
+        np.multiply(blk[:4], bx, out=blk[4:8])
+        np.multiply(blk[3], by, out=blk[8])
+        high += np.matmul(blk.reshape(9 * j, hi - lo), wts[lo:hi])
 
 
 def _curvature_basis(st: _PairStack, icov: np.ndarray,
@@ -1713,7 +1502,7 @@ class _EvalChain:
 
 
 # ---------------------------------------------------------------------------
-# The per-patch pixel term in z space, lane-stacked
+# The per-patch pixel term in z space
 #
 # With the feature rows F of a patch, the expected rate is bilinear in the
 # per-lane amplitudes and F: ``e = A_s gs + A_g gg`` and, under the variance
@@ -1752,7 +1541,7 @@ class _Assembly:
     """The fixed scatter that turns one patch's pixel sums into its
     z-gradient and the non-outer-product part of its z-Hessian.
 
-    The per-lane source vector is the concatenation of ``F @ W`` (``(rows,
+    The per-pair source vector is the concatenation of ``F @ W`` (``(rows,
     n_w)``: feature rows against the weight columns ``phi_e`` and, under
     the variance correction, ``phi_e2 gg`` and ``phi_e2 gs``), at order 2
     the galaxy curvature ``(15, n_cur)`` against the first ``n_cur`` of
@@ -1880,68 +1669,62 @@ def _prologue(st: _PairStack, rows: tuple, amps: np.ndarray, order: int,
     return pro
 
 
-def _patch_pixel_term(pws: _PatchWorkspace, pro: _Prologue, rows: slice,
+def _patch_pixel_term(pws: _PatchWorkspace, pro: _Prologue, i: int,
                       order: int, vc: bool) -> None:
-    """The pixel passes of one patch slot across a lane group: the
-    slot's pairs are ``rows`` of the call's prologue ``pro``, and all its
-    lanes share the slot's array shapes, so this is a single stacked
-    sweep — one mixture pass, one feature GEMM and the pixel sums.  It
-    writes the pairs' values, the feature rows against the weight columns
-    (``F @ W``), the galaxy moments and the weighted Gram matrices into
-    ``pro``; :func:`_assemble` turns them into z-space blocks."""
-    lx, ly, mono = _mixture(pws, pro.up[rows], pro.icov[rows],
-                            pro.alpha[rows])
-    feats = _feature_rows(pro.coef[rows], mono)
-    kinds = pro.kinds[rows, :, None]
-    gsg = feats[:, _F_GS:_F_GG + 1:_F_GG - _F_GS]          # (gs, gg)
-    gs, gg = gsg[:, 0], gsg[:, 1]
-    gsz, m = gs.shape
+    """The pixel passes of pair ``i`` of the call's prologue ``pro``, over
+    its patch slot ``pws``: one mixture pass, one feature GEMM and the
+    pixel sums.  It writes the pair's value, its feature rows against the
+    weight columns (``F @ W``), its galaxy moments and its weighted Gram
+    matrices into ``pro``; :func:`_assemble` turns them into z-space
+    blocks."""
+    lx, ly, mono = _mixture(pws, pro.up[i], pro.icov[i], pro.alpha[i])
+    feats = _feature_rows(pro.coef[i], mono)
+    kinds = pro.kinds[i, :, None]
+    gsg = feats[_F_GS:_F_GG + 1:_F_GG - _F_GS]          # (gs, gg)
+    m = gsg.shape[1]
 
     x = pws.counts
-    ag = kinds[:, _KAS:_KAG + 1] * gsg
-    e = np.add(ag[:, 0], ag[:, 1], out=ag[:, 0])
+    ag = kinds[_KAS:_KAG + 1] * gsg
+    e = np.add(ag[0], ag[1], out=ag[0])
     f = pws.bg + e
     fi = 1.0 / f
     logf = np.log(f)
     # Weight columns of the pixel sums F @ W: phi_e (the e-derivative of
     # the per-pixel log-likelihood) and, with the variance correction,
     # phi_e2 (its e2-derivative) times gg and gs.
-    w = np.empty((gsz, 3 if vc else 1, m))
+    w = np.empty((3 if vc else 1, m))
     if vc:
-        bg2 = kinds[:, _KBS:_KBG + 1] * (gsg * gsg)
-        v = np.add(bg2[:, 0], bg2[:, 1], out=bg2[:, 0])
+        bg2 = kinds[_KBS:_KBG + 1] * (gsg * gsg)
+        v = np.add(bg2[0], bg2[1], out=bg2[0])
         v -= e * e
         fi2 = fi * fi
-        np.add.reduce(x * (logf - 0.5 * v * fi2) - f, axis=-1,
-                      out=pro.val[rows])
-        np.multiply(x * fi, 1.0 + (e + v * fi) * fi, out=w[:, 0])
-        w[:, 0] -= 1.0
+        pro.val[i] = np.add.reduce(x * (logf - 0.5 * v * fi2) - f)
+        np.multiply(x * fi, 1.0 + (e + v * fi) * fi, out=w[0])
+        w[0] -= 1.0
         phi_e2 = -0.5 * x * fi2
-        np.multiply(phi_e2[:, None], gsg[:, ::-1], out=w[:, 1:])
+        np.multiply(phi_e2, gsg[::-1], out=w[1:])
     else:
-        np.add.reduce(x * logf - f, axis=-1, out=pro.val[rows])
-        np.multiply(x, fi, out=w[:, 0])
-        w[:, 0] -= 1.0
-    wt = w.transpose(0, 2, 1)
-    np.matmul(feats, wt, out=pro.fw[rows])
+        pro.val[i] = np.add.reduce(x * logf - f)
+        np.multiply(x, fi, out=w[0])
+        w[0] -= 1.0
+    np.matmul(feats, w.T, out=pro.fw[i])
     if order < 2:
         return
 
-    _galaxy_moments(pws, lx, ly, mono, wt[:, :, :2], pro.mom[rows])
+    _galaxy_moments(pws, lx, ly, mono, w[:2].T, pro.mom[i])
     # Weighted Gram matrices of the leading feature rows: the outer-
     # product terms de^T diag(phi_ee) de (+ the e2 crosses), and the
     # phi_e2 one the assembly reads.
     if vc:
         fi3x = x * fi2 * fi
-        u = np.empty((gsz, 4, m))
-        np.multiply(fi3x, -(4.0 * e + 3.0 * v * fi), out=u[:, 0])
-        np.multiply(fi3x[:, None], gsg, out=u[:, 1:3])
-        u[:, 3] = phi_e2
+        u = np.empty((4, m))
+        np.multiply(fi3x, -(4.0 * e + 3.0 * v * fi), out=u[0])
+        np.multiply(fi3x, gsg, out=u[1:3])
+        u[3] = phi_e2
     else:
-        u = (-x * fi * fi)[:, None]
-    lead = feats[:, :_N_GRAM]
-    np.matmul((u[:, :, None] * lead[:, None]).reshape(gsz, -1, m),
-              lead.transpose(0, 2, 1), out=pro.gram[rows])
+        u = (-x * fi * fi)[None]
+    lead = feats[:_N_GRAM]
+    np.matmul((u[:, None] * lead).reshape(-1, m), lead.T, out=pro.gram[i])
 
 
 def _assemble(st: _PairStack, pro: _Prologue, order: int, vc: bool):
@@ -1992,12 +1775,12 @@ def _pixel_terms(st: _PairStack, rows: tuple, amps: np.ndarray,
     10)`` (``None`` at order 1) of each (lane, patch) pair's expected
     Poisson log-likelihood, for the pairs of ``st`` (``rows`` and ``amps``
     as in :func:`_prologue`).  ``slots`` lists each patch slot's pixel
-    workspace with its pairs' rows.  The prologue and the assembly run
-    once over the whole stack; only the pixel passes and their GEMMs run
-    per patch slot."""
+    workspace, one per pair.  The prologue and the assembly run once over
+    the whole stack; only the pixel passes and their GEMMs run per
+    pair."""
     pro = _prologue(st, rows, amps, order, vc)
-    for pws, sl in slots:
-        _patch_pixel_term(pws, pro, sl, order, vc)
+    for i, pws in enumerate(slots):
+        _patch_pixel_term(pws, pro, i, order, vc)
     return _assemble(st, pro, order, vc)
 
 
@@ -2054,21 +1837,17 @@ class ElboEval:
         return "ElboEval(val=%r, order=%d)" % (float(self.val), order)
 
 
-def _evaluate_lanes(compiled: _FusedBatchWorkspace, chain: _EvalChain):
+def _evaluate_lanes(lay: _Layout, chain: _EvalChain):
     """Pixel term over a whole batch call: per-lane value ``(N,)``, dense
     27-gradient ``(N, 27)``, and 27x27 Hessian (``None`` at order 1).
 
     The prologue runs once per component key over every (lane, patch)
-    pair of the call (of a cache-sized chunk of its sweeps, in a wide
-    batch: :func:`_prologue_cap`), and the per-pixel sweep once per patch
-    slot of each shape group, over that group's lanes.  Every pair's
-    ``(gz, hz)`` is
-    mapped into band space through its patch's fixed ``zmap`` and summed
-    per (lane, band) in slot order; the pixel-count-independent chain
-    rule then runs once over the call's (lane, band) pairs
-    (:meth:`_EvalChain.chain_rule`)."""
+    pair of the call, and the pixel passes once per pair.  Every pair's
+    ``(gz, hz)`` is mapped into band space through its patch's fixed
+    ``zmap`` and summed per (lane, band) in slot order; the
+    pixel-count-independent chain rule then runs once over the call's
+    (lane, band) pairs (:meth:`_EvalChain.chain_rule`)."""
     order, vc = chain.order, chain.vc
-    lay = compiled.layout
     n = chain.n_lanes
     vals, gzs, hzs = [], [], []
     for grp in lay.pair_groups:
@@ -2082,14 +1861,6 @@ def _evaluate_lanes(compiled: _FusedBatchWorkspace, chain: _EvalChain):
         if hz is not None:
             hzs.append(np.matmul(zmap.transpose(0, 2, 1),
                                  np.matmul(hz, zmap)))
-    for lanes, _ in lay.sweeps:
-        # What the kernel really stacked (a batch call splits into one
-        # sweep per shape group): observational, like the front end's
-        # elbo_batch_* pair, and on the sweep's first context's bag.
-        compiled.ctxs[lanes[0]].counters.add_many({
-            "elbo_sweep_calls": 1.0,
-            "elbo_sweep_lanes": float(len(lanes)),
-        })
     n_q = lay.lb_lane.shape[0]
     if not vals:
         return (np.zeros(n), np.zeros((n, _N_ACTIVE)),
@@ -2109,24 +1880,24 @@ def elbo_fused_batch(
     compiled: _FusedBatchWorkspace | None = None,
     active=None,
 ) -> list:
-    """Evaluate many sources' ELBOs in one stacked sweep.
+    """Evaluate many sources' ELBOs in one call.
 
     ``compiled`` is a :class:`_FusedBatchWorkspace` (from
     :func:`repro.core.elbo.compile_elbo_batch`; built on the fly when
     ``None``); it must have been compiled for exactly these contexts.
     ``active`` is an optional per-lane boolean mask: an inactive lane
-    still rides through its group's stacked pixel sweep and the chain
-    (its lane is baked into the stacks — that waste is what the
-    batch-occupancy counters expose, and why callers repack once
-    occupancy drops), but its KL term and result are skipped (``None``).
+    still rides through its pixel passes and the chain (its lane is baked
+    into the layout — that waste is what the batch-occupancy counters
+    expose, and why callers repack once occupancy drops), but its KL term
+    and result are skipped (``None``).
     Returns one :class:`ElboEval` (or ``None``) per context, in order, each
     bit-for-bit equal to what a one-lane call returns for that context and
     free vector alone (lanes are independent).
 
     The pixel-count-independent stages run once per call: one
     :func:`_bijector_pass` over every lane, one :class:`_EvalChain`, one
-    prologue per component key (and cache-sized chunk of sweeps), one
-    chain-rule pass over the (lane, band) pairs, and one stacked
+    prologue per component key, one chain-rule pass over the (lane, band)
+    pairs, and one stacked
     :meth:`KlWorkspace.evaluate_stacked` per shared ``Priors``, reading
     the same bijector pass.
     """
@@ -2147,10 +1918,10 @@ def elbo_fused_batch(
     boxed = _bijector_pass(frees_all)
     chain = _EvalChain(lay.u_centers, frees_all, boxed, lay.bands, order,
                        variance_correction)
-    val, g27, h27 = _evaluate_lanes(compiled, chain)
+    val, g27, h27 = _evaluate_lanes(lay, chain)
     # KL terms, stacked per shared prior workspace: lanes under one Priors
     # (the production case — a survey uses one) evaluate their KL
-    # values/gradients/Hessians in one lane-stacked sweep.  The pixel
+    # values/gradients/Hessians in one lane-stacked pass.  The pixel
     # term's dense 27-block is then added into the full free space.
     for klws, lanes in lay.kl_groups:
         lanes = lanes[act[lanes]]

@@ -127,8 +127,8 @@ def optimize_sources_batch(
     one): each source runs its own solve (independent iterates, radii/line
     searches, and convergence), but every round's objective evaluations
     are served by one :func:`repro.core.elbo.elbo_batch` call, so the
-    batched kernel sweeps all still-active sources' pixels at once —
-    the paper's AVX-512 batching of evaluations across light sources.  The
+    batched kernel evaluates all still-active sources together — the
+    paper's AVX-512 batching of evaluations across light sources.  The
     solver is the paper's: Newton's method in a trust region
     (:func:`repro.optim.newton_trust_region_batch`) on order-2
     evaluations.

@@ -16,7 +16,7 @@ one batched callback.  It is the only Newton state machine in the tree;
 :func:`newton_trust_region` is its batch of one.
 
 **Exactness contract.**  Problems do not interact — a batch is just a set
-of solves that happen to share evaluation sweeps — so each problem's
+of solves that happen to share evaluation calls — so each problem's
 iterates, accept/shrink decisions, iteration and evaluation counts, and
 convergence message are the same whatever else shares its batch, provided
 the batched callback returns bit-for-bit the values a one-problem call
@@ -91,7 +91,7 @@ def newton_trust_region_batch(
     fgh_batch:
         Callable ``fgh_batch(indices, xs) -> [(value, gradient, hessian),
         ...]`` evaluating problem ``indices[k]`` at ``xs[k]`` for every k,
-        in one batched sweep.  ``indices`` is the ascending list of
+        in one batched call.  ``indices`` is the ascending list of
         still-active problems, so implementations can repack per-batch
         state as lanes drop out.
     x0s:

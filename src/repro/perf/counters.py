@@ -17,12 +17,10 @@ into the fraction of swept lanes that were live — 1.0 means no waste,
 and a low value means the repack threshold is letting dead lanes ride
 too long.
 
-**Lanes per sweep.**  ``elbo_batch_lanes / elbo_batch_calls`` is the width
-of a *call*.  The fused kernel stacks only lanes of equal patch shape, so
-one call runs as one pixel sweep per shape group; it counts those as
-``elbo_sweep_calls`` / ``elbo_sweep_lanes``, and their ratio is the width
-the stacked NumPy sweeps actually ran at (about one on survey data, where
-patch shapes rarely coincide).
+``elbo_batch_lanes / elbo_batch_calls`` is the width of a *call*: what
+its lanes share (the chain, the prologue over every (lane, patch) pair,
+the chain rule and the KL stack) runs once per call, and the pixels one
+pass per pair.
 
 **Region setup.**  ``contribution_renders`` counts the actual
 :func:`repro.core.joint.expected_contribution` calls (region setup misses

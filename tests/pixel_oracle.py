@@ -10,15 +10,17 @@ dev and exp groups, the 15 packed Hessian rows, and the entry-by-entry
 z-Hessian accumulation) — so they are the independent checks that algebra
 is held to.  Do not rewrite them in terms of the kernel's contractions.
 
-``random_patch`` builds lane-stacked patch slots (star, dev and exp
-components on one pixel raster) for the tests to drive both through.
+``random_patch`` builds patch slots (star, dev and exp components on one
+pixel raster) and the prologue stack of their pairs for the tests to drive
+both through.  The oracles take one slot and its lane's inputs at a time,
+and keep a leading lane axis of length one.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.kernel import _PAIRS, _PatchWorkspace
+from repro.core.kernel import _PAIRS, _PairStack, _PatchWorkspace
 from repro.survey import AffineWCS
 
 #: Component counts of the random patches: star (PSF), exp.  The dev count
@@ -66,14 +68,14 @@ def _random_slot(rng, n_pix, side, n_dev, needle):
 
 def random_patch(rng, n_lanes, n_pix, n_dev=14, near_singular=False):
     """``n_lanes`` same-shaped patch slots on a raster of ``n_pix`` pixels,
-    stacked as the kernel stacks a sweep, with per-lane spatial inputs.
+    one (lane, patch) pair each, with per-lane spatial inputs.
 
-    Returns ``(stacked, slots, args)``: the stacked workspace, the
-    one-lane workspaces it was built from, and ``(upx, upy, s1, s2, s3,
-    dev)`` — pixel-frame positions, galaxy shape covariance entries and the
-    dev fraction, one entry per lane.  ``near_singular`` makes lane 0's
-    first star and first dev component needles and its shape nearly
-    singular."""
+    Returns ``(stack, slots, args)``: the pairs' prologue stack (a
+    :class:`_PairStack`), the patch slots whose pixel passes read them,
+    and ``(upx, upy, s1, s2, s3, dev)`` — pixel-frame positions, galaxy
+    shape covariance entries and the dev fraction, one entry per lane.
+    ``near_singular`` makes lane 0's first star and first dev component
+    needles and its shape nearly singular."""
     side = int(np.ceil(np.sqrt(n_pix)))
     slots = [_random_slot(rng, n_pix, side, n_dev, near_singular and i == 0)
              for i in range(n_lanes)]
@@ -84,8 +86,7 @@ def random_patch(rng, n_lanes, n_pix, n_dev=14, near_singular=False):
     dev = rng.uniform(0.05, 0.95, n_lanes)
     if near_singular:
         s1[0], s2[0], s3[0] = 1.0, 0.9999, 1.0
-    stacked = slots[0] if n_lanes == 1 else _PatchWorkspace._concat(slots)
-    return stacked, slots, (upx, upy, s1, s2, s3, dev)
+    return _PairStack.concat(slots), slots, (upx, upy, s1, s2, s3, dev)
 
 
 def lane_args(args, lane):
@@ -99,12 +100,13 @@ def lane_args(args, lane):
 
 def _group(pws, group):
     """One component group's arrays, sliced out of the slot's merged
-    component axis: ``(w2pi, var, pxx, pxy, pyy, px, py)``."""
+    component axis, with a lane axis of one: ``(w2pi, var, pxx, pxy, pyy,
+    px, py)``."""
     ns, nd = pws.n_star, pws.n_dev
     sl = {"star": slice(0, ns), "dev": slice(ns, ns + nd),
           "exp": slice(ns + nd, None)}[group]
     pxx, pxy, pyy = (pws.pcov[:, sl, i:i + 1] for i in range(3))
-    grid = pws.pix - pws.mu
+    grid = (pws.pix - pws.mu)[None]
     return (pws.w2pi[:, sl], pws.var[:, sl], pxx, pxy, pyy,
             grid[:, 0, sl], grid[:, 1, sl])
 

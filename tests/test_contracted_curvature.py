@@ -24,15 +24,26 @@ from repro.core.kernel import (
 )
 
 
-def _contracted(pws, args, wts):
+def _contracted(stack, slots, args, wts):
+    """Every pair's contracted curvature, ``(P, 15, C)``: the moments one
+    pixel pass per pair, the coefficient contraction over the stack."""
     upx, upy, s1, s2, s3, dev = args
-    icov, alpha = _covariances(pws, np.stack([s1, s2, s3], axis=1))
-    lx, ly, mono = _mixture(pws, np.stack([upx, upy], axis=1), icov, alpha)
-    n_gal = icov.shape[1] - pws.n_star
+    up = np.stack([upx, upy], axis=1)
+    icov, alpha = _covariances(stack, np.stack([s1, s2, s3], axis=1))
+    n_gal = icov.shape[1] - stack.n_star
     mom = np.zeros((len(dev), 15, n_gal, wts.shape[2]))
-    _galaxy_moments(pws, lx, ly, mono, wts, mom)
+    for i, slot in enumerate(slots):
+        lx, ly, mono = _mixture(slot, up[i], icov[i], alpha[i])
+        _galaxy_moments(slot, lx, ly, mono, wts[i], mom[i])
     return _galaxy_curvature(
-        _curvature_basis(pws, icov, _row_mix(pws, dev)), mom)
+        _curvature_basis(stack, icov, _row_mix(stack, dev)), mom)
+
+
+def _oracle_rows(slots, args):
+    """The oracle's mixed Hessian rows and yardstick, slot by slot."""
+    rows = [mixed_hessian_rows(slot, *lane_args(args, i))
+            for i, slot in enumerate(slots)]
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
 
 
 class TestContractedCurvature:
@@ -45,19 +56,19 @@ class TestContractedCurvature:
                                        _MOMENT_BLOCK, _MOMENT_BLOCK + 1,
                                        3 * _MOMENT_BLOCK + 5])
     @pytest.mark.parametrize("n_comp", [8, 14])
-    @pytest.mark.parametrize("n_lanes", [1, 3])
-    def test_matches_contracted_per_pixel_rows(self, n_lanes, n_comp, n_pix,
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    def test_matches_contracted_per_pixel_rows(self, n_pairs, n_comp, n_pix,
                                                near_singular):
-        rng = np.random.default_rng(1000 * n_lanes + 10 * n_comp + n_pix)
-        pws, _, args = random_patch(rng, n_lanes, n_pix, n_dev=n_comp,
-                                    near_singular=near_singular)
-        wts = rng.standard_normal((n_lanes, n_pix, 2))   # both signs
-        rows, row_scale = mixed_hessian_rows(pws, *args)
+        rng = np.random.default_rng(1000 * n_pairs + 10 * n_comp + n_pix)
+        stack, slots, args = random_patch(rng, n_pairs, n_pix, n_dev=n_comp,
+                                          near_singular=near_singular)
+        wts = rng.standard_normal((n_pairs, n_pix, 2))   # both signs
+        rows, row_scale = _oracle_rows(slots, args)
         # "Relative" is to the sum of absolute per-pixel contributions —
         # the yardstick a reordered floating-point sum is held to.
         for cols in (wts, wts[:, :, :1]):   # with / without the variance
-            out = _contracted(pws, args, cols)          # correction column
-            assert out.shape == (n_lanes, 15, cols.shape[2])
+            out = _contracted(stack, slots, args, cols)  # correction column
+            assert out.shape == (n_pairs, 15, cols.shape[2])
             scale = np.matmul(row_scale, np.abs(cols))
             assert np.all(np.abs(out - np.matmul(rows, cols))
                           <= 1e-11 * scale)
@@ -65,21 +76,23 @@ class TestContractedCurvature:
     @pytest.mark.parametrize("dev", [0.0, 1.0])
     def test_dev_fraction_selects_one_group(self, dev):
         rng = np.random.default_rng(17)
-        pws, _, args = random_patch(rng, 2, _MOMENT_BLOCK + 9)
+        stack, slots, args = random_patch(rng, 2, _MOMENT_BLOCK + 9)
         args = args[:5] + (np.full(2, dev),)
         wts = rng.standard_normal((2, _MOMENT_BLOCK + 9, 2))
-        rows, row_scale = mixed_hessian_rows(pws, *args)
-        out = _contracted(pws, args, wts)
+        rows, row_scale = _oracle_rows(slots, args)
+        out = _contracted(stack, slots, args, wts)
         assert np.all(np.abs(out - np.matmul(rows, wts))
                       <= 1e-11 * np.matmul(row_scale, np.abs(wts)))
 
     def test_lane_alone_equals_lane_in_stack(self):
+        """A pair's curvature does not depend on the other pairs of its
+        prologue stack."""
         rng = np.random.default_rng(5)
         n_pix = 2 * _MOMENT_BLOCK + 3
-        pws, slots, args = random_patch(rng, 3, n_pix, near_singular=True)
+        stack, slots, args = random_patch(rng, 3, n_pix, near_singular=True)
         wts = rng.standard_normal((3, n_pix, 2))
-        stacked = _contracted(pws, args, wts)
+        stacked = _contracted(stack, slots, args, wts)
         for i, slot in enumerate(slots):
             np.testing.assert_array_equal(
-                _contracted(slot, lane_args(args, i), wts[i:i + 1])[0],
-                stacked[i])
+                _contracted(slot, [slot], lane_args(args, i),
+                            wts[i:i + 1])[0], stacked[i])

@@ -6,7 +6,8 @@ independence**: k lanes in one call are bit-for-bit identical to k one-lane
 calls at every level — a single evaluation, a whole Newton solve, a
 Cyclades region, a multi-field driver run.  Padding a batch to a common
 shape cannot satisfy that (NumPy's pairwise-summation grouping depends on
-the reduced length), so the fused kernel groups lanes by shape instead;
+the reduced length), so the fused kernel runs one pixel pass per (lane,
+patch) pair and stacks only the per-pair work that has fixed shapes;
 these tests pin the invariant with exact equality, and pin batched-vs-Taylor
 parity (the oracle in ``tests/taylor_oracle/``) with the shared randomized
 harness from ``tests/conftest.py``.
@@ -53,9 +54,9 @@ def _batch(make_random_context, specs):
     return [c for c, _ in pairs], [f for _, f in pairs]
 
 
-#: A deliberately ragged batch: same-shaped star/galaxy lanes that stack,
-#: plus a smaller patch, a different visit count, and masked pixels — four
-#: distinct shape groups in one batch.
+#: A deliberately ragged batch: same-shaped star/galaxy lanes, plus a
+#: smaller patch, a different visit count, and masked pixels — four
+#: distinct patch shapes in one batch.
 RAGGED = [
     dict(entry="star", seed=0, perturb=0.1),
     dict(entry="galaxy", seed=1, perturb=0.1),
@@ -134,24 +135,6 @@ class TestBatchedEvaluationParity:
         assert snap["elbo_batch_lanes_active"] == 3.0
         assert batch_occupancy(snap) == pytest.approx(0.6)
 
-    def test_sweep_counters_report_what_the_kernel_stacked(
-            self, make_random_context):
-        # elbo_batch_lanes counts lanes per *call*; the kernel only stacks
-        # lanes of equal patch shape, so differently-shaped lanes sweep one
-        # at a time however wide the call — and the counters must say so.
-        def sweeps(specs):
-            ctxs, frees = _batch(make_random_context, specs)
-            elbo_batch(ctxs, frees, order=2)
-            snaps = [c.counters.snapshot() for c in ctxs]
-            assert snaps[0]["elbo_batch_lanes"] == float(len(ctxs))
-            return (sum(s.get("elbo_sweep_calls", 0.0) for s in snaps),
-                    sum(s.get("elbo_sweep_lanes", 0.0) for s in snaps))
-
-        shapes = [(16, 16), (18, 16), (20, 22)]
-        assert sweeps([dict(entry="galaxy", seed=i, patch_shape=shape)
-                       for i, shape in enumerate(shapes)]) == (3.0, 3.0)
-        assert sweeps(UNIFORM) == (1.0, float(len(UNIFORM)))
-
     def test_batch_occupancy_zero_batches(self):
         # A run where no batched evaluation ever happened wasted no lanes:
         # occupancy is defined as 1.0, not a division by zero.
@@ -170,33 +153,30 @@ class TestBatchedEvaluationParity:
         with pytest.raises(ValueError):
             elbo_batch(ctxs, frees, active=[True])
 
-    def test_sweep_budget_never_changes_results(self, monkeypatch,
-                                                make_random_context):
-        """Cache blocking is an execution strategy: forcing one-lane
-        chunks, the autotuned cap, and effectively-unchunked sweeps must
-        all produce bit-identical evaluations (chunking only slices the
-        lane axis; per-lane reduction trees never see the chunk
-        boundary)."""
+    def test_mixture_scratch_holds_one_patch(self, make_random_context):
+        """Every (lane, patch) pair runs its own pixel pass, so a wide call
+        of same-shaped lanes grows the thread's mixture scratch to one
+        patch's ``10 * C * M`` elements, not to the lanes' total."""
         from repro.core import kernel
 
-        outs = {}
-        for budget in (1, None, 1000000000):
-            with monkeypatch.context() as patch:
-                if budget is not None:
-                    # An unreadable cache hierarchy falls back to the
-                    # element budget: the two inputs of _lane_sweep_cap.
-                    patch.setattr(kernel, "_CACHE_BYTES", (0, 0))
-                    patch.setattr(kernel, "_LANE_SWEEP_BUDGET", budget)
-                ctxs, frees = _batch(make_random_context, UNIFORM)
-                outs[budget] = elbo_batch(ctxs, frees, order=2)
-        ref = outs[None]
-        for budget in (1, 1000000000):
-            for out, want in zip(outs[budget], ref):
-                assert float(out.val) == float(want.val)
-                np.testing.assert_array_equal(out.gradient(FREE.size),
-                                              want.gradient(FREE.size))
-                np.testing.assert_array_equal(out.hessian(FREE.size),
-                                              want.hessian(FREE.size))
+        kernel.release_scratch()
+        ctxs, frees = _batch(make_random_context, UNIFORM)
+        elbo_batch(ctxs, frees, order=2)
+        one_patch = max(10 * pws.var.shape[1] * pws.n_pixels
+                        for ctx in ctxs for pws in ctx.workspace.patches)
+        assert kernel._TLS.pool["mixture"].size == one_patch
+        kernel.release_scratch()
+
+    def test_layout_reads_the_contexts_own_pixels(self,
+                                                  make_random_context):
+        """A batch layout copies no pixel array: each pair's pixel pass
+        reads its context's own compiled patch slot."""
+        ctxs, _ = _batch(make_random_context, RAGGED)
+        lay = compile_elbo_batch(ctxs).layout
+        slots = [pws for g in lay.pair_groups for pws in g.slots]
+        own = [pws for ctx in ctxs for pws in ctx.workspace.patches]
+        assert len(slots) == len(own)
+        assert {id(s) for s in slots} == {id(p) for p in own}
 
     def test_empty_batch(self):
         assert elbo_batch([], []) == []
@@ -226,8 +206,8 @@ def _shared_chain_batch(make_random_context, perturbed_priors):
 
 class TestSharedChain:
     """The pixel-count-independent stages — the chain, the per-band chain
-    rule and the KL term — run once per batch call, not once per sweep,
-    and a lane's bits still depend on nothing else in the call."""
+    rule and the KL term — run once per batch call, not once per lane or
+    patch, and a lane's bits still depend on nothing else in the call."""
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_lanes_independent_across_sweep_groups(
@@ -270,10 +250,7 @@ class TestSharedChain:
         monkeypatch.setattr(kernel.KlWorkspace, "evaluate_stacked",
                             counting_kl)
         elbo_batch(ctxs, frees, order=2)
-        sweeps = sum(c.counters.snapshot().get("elbo_sweep_calls", 0.0)
-                     for c in ctxs)
-        assert sweeps > 1                   # several shape groups...
-        assert chains == [len(ctxs)]        # ...one chain over all lanes
+        assert chains == [len(ctxs)]        # one chain over all lanes
         assert sorted(kl_stacks) == [2, len(ctxs) - 2]
         assert len(priors) == len(kl_stacks)
 
@@ -314,8 +291,8 @@ class TestSharedChain:
     def test_one_prologue_per_call_not_per_patch(
             self, monkeypatch, make_random_context, perturbed_priors):
         """The pixel term's pixel-independent work runs once per call over
-        every (lane, patch) pair — a wide call in cache-sized chunks of
-        whole sweeps — and only the pixel passes run per patch."""
+        every (lane, patch) pair of a component key, and only the pixel
+        passes run per pair."""
         from repro.core import kernel
 
         ctxs, frees, _ = _shared_chain_batch(make_random_context,
@@ -328,9 +305,9 @@ class TestSharedChain:
             prologues.append(rows[0].shape[0])
             return real_prologue(st, rows, amps, order, vc)
 
-        def counting_pass(pws, pro, rows, order, vc):
-            pixel_passes.append(pws.counts.shape[0])
-            return real_pass(pws, pro, rows, order, vc)
+        def counting_pass(pws, pro, i, order, vc):
+            pixel_passes.append(pws.n_pixels)
+            return real_pass(pws, pro, i, order, vc)
 
         monkeypatch.setattr(kernel, "_prologue", counting_prologue)
         monkeypatch.setattr(kernel, "_patch_pixel_term", counting_pass)
@@ -339,12 +316,11 @@ class TestSharedChain:
         n_pairs = sum(len(c.patches) for c in ctxs)
         groups = compiled.layout.pair_groups
         assert prologues == [len(g.lane) for g in groups]
-        assert sum(prologues) == n_pairs
-        assert len(prologues) <= len(compiled.groups)   # sweeps
-        # One pixel pass per patch slot of each sweep, covering every pair.
-        assert len(pixel_passes) == sum(
-            len(stacks) for _, stacks in compiled.groups)
-        assert sum(pixel_passes) == n_pairs > len(prologues)
+        assert sum(prologues) == n_pairs > len(prologues)
+        # One pixel pass per (lane, patch) pair, in the groups' row order.
+        assert pixel_passes == [pws.n_pixels for g in groups
+                                for pws in g.slots]
+        assert len(pixel_passes) == n_pairs
         # A one-lane call (one PSF shape): one prologue over its patches.
         for ctx, free in zip(ctxs, frees):
             prologues.clear()
@@ -400,7 +376,7 @@ def _wide_psf():
 
 def _prologue_batch(make_random_context, perturbed_priors):
     """Lanes with 1, 2 and 3 patches over different band sets, on two
-    ``Priors``, two of them stacking in one sweep, and patches of two PSF
+    ``Priors``, two of them of one patch shape, and patches of two PSF
     component counts — one lane mixing both — so the call's prologue runs
     over two stacks and a lane's patches span them."""
     first, second = default_priors(), perturbed_priors(5)
@@ -432,26 +408,19 @@ class TestStackedPrologue:
         lay = compile_elbo_batch(ctxs).layout
         assert len(lay.pair_groups) == 2
         assert len(lay.kl_groups) == 2
-        assert max(len(lanes) for lanes, _ in lay.sweeps) == 2
         assert sorted({len(c.patches) for c in ctxs}) == [1, 2, 3]
 
-    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("vc", [True, False])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_lane_in_call_equals_lane_alone(self, monkeypatch,
-                                            make_random_context,
+    def test_lane_in_call_equals_lane_alone(self, make_random_context,
                                             perturbed_priors, order, vc,
-                                            chunked):
-        """``chunked`` caps the prologue stacks at one sweep each, the way
-        a call too wide for the cache splits them."""
-        from repro.core import kernel
-
-        if chunked:
-            monkeypatch.setattr(kernel, "_prologue_cap", lambda: 1)
+                                            masked):
+        """``masked`` leaves two lanes inactive: they still ride through
+        the prologue and their pixel passes, and change no other lane."""
         ctxs, frees = _prologue_batch(make_random_context, perturbed_priors)
-        if chunked:
-            assert len(compile_elbo_batch(ctxs).layout.pair_groups) > 2
-        active = [True, True, True, False, True, True, True, False]
+        active = ([True, True, True, False, True, True, True, False]
+                  if masked else [True] * len(ctxs))
         outs = elbo_batch(ctxs, frees, order=order, variance_correction=vc,
                           active=active)
         for ctx, free, flag, out in zip(ctxs, frees, active, outs):

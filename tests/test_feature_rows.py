@@ -4,13 +4,13 @@
 pixel term reads — the star's value, gradient and position Hessian, the
 mixed galaxy profile ``gg`` and its gradient, ``dlg = d gg / d e_dev`` and
 its gradient — from one GEMM of per-lane coefficients against the
-degree-<=2 monomials of :func:`repro.core.kernel._mixture`, and
-:func:`repro.core.kernel._pixel_terms` assembles the z-gradient and
-z-Hessian from pixel sums through a fixed scatter (the per-call prologue
-and assembly of :func:`repro.core.kernel._pixel_terms`, here over one
-patch slot).  ``pixel_oracle``
-computes the same rows component by component and accumulates the
-z-Hessian entry by entry, which makes it the independent check of both.
+degree-<=2 monomials of :func:`repro.core.kernel._mixture`, one pixel
+pass per (lane, patch) pair, and :func:`repro.core.kernel._pixel_terms`
+assembles the z-gradient and z-Hessian from pixel sums through a fixed
+scatter (the per-call prologue and assembly, here over the pairs of one
+or three patch slots).  ``pixel_oracle`` computes the same rows component
+by component and accumulates the z-Hessian entry by entry, which makes it
+the independent check of both.
 """
 
 import numpy as np
@@ -43,22 +43,26 @@ _ROWS = {"gs": (_F_GS, None), "dgs": (_F_DGS, 2), "hgs": (_F_HGS, 3),
 _N_PIX = [1, 7, _MOMENT_BLOCK - 1, _MOMENT_BLOCK, _MOMENT_BLOCK + 1, 1541]
 
 
-def _kernel_rows(pws, args, n_rows=18):
+def _kernel_rows(stack, slots, args, n_rows=18):
+    """Every pair's feature rows, ``(P, n_rows, M)``: the coefficients from
+    the pairs' prologue stack, one mixture pass and GEMM per pair."""
     upx, upy, s1, s2, s3, dev = args
-    icov, alpha = _covariances(pws, np.stack([s1, s2, s3], axis=1))
-    _, _, mono = _mixture(pws, np.stack([upx, upy], axis=1), icov, alpha)
-    coef = _feature_coefficients(pws, icov, _row_mix(pws, dev), n_rows)
+    up = np.stack([upx, upy], axis=1)
+    icov, alpha = _covariances(stack, np.stack([s1, s2, s3], axis=1))
+    coef = _feature_coefficients(stack, icov, _row_mix(stack, dev), n_rows)
     # The rows live in the thread's scratch until the next call: copy.
-    return _feature_rows(coef, mono).copy()
+    return np.stack([
+        _feature_rows(coef[i], _mixture(slot, up[i], icov[i], alpha[i])[2])
+        .copy() for i, slot in enumerate(slots)])
 
 
-def _slot_pixel_term(pws, args, amps, order, vc):
-    """The pixel term of one patch slot's lanes: the slot is its own
-    prologue stack (one pair per lane), with an identity WCS."""
+def _slot_pixel_term(stack, slots, args, amps, order, vc):
+    """The pixel term of the slots' pairs (one per lane) over their
+    prologue stack, with an identity WCS."""
     upx, upy, s1, s2, s3, dev = args
     rows = (np.stack([upx, upy], axis=1), np.stack([s1, s2, s3], axis=1),
             dev)
-    return _pixel_terms(pws, rows, amps, [(pws, slice(None))], order, vc)
+    return _pixel_terms(stack, rows, amps, slots, order, vc)
 
 
 def _amps(rng, n_lanes):
@@ -71,29 +75,37 @@ class TestFeatureRows:
 
     @pytest.mark.parametrize("near_singular", [False, True])
     @pytest.mark.parametrize("n_pix", _N_PIX)
-    @pytest.mark.parametrize("n_lanes", [1, 3])
-    def test_rows_match_per_pixel_oracle(self, n_lanes, n_pix,
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    def test_rows_match_per_pixel_oracle(self, n_pairs, n_pix,
                                          near_singular):
-        rng = np.random.default_rng(100 * n_lanes + n_pix)
-        pws, _, args = random_patch(rng, n_lanes, n_pix,
-                                    near_singular=near_singular)
-        got = _kernel_rows(pws, args)
-        assert got.shape == (n_lanes, 18, n_pix)
+        """Each pair's pixel pass reads its own rows of a prologue stack of
+        ``n_pairs`` pairs."""
+        rng = np.random.default_rng(100 * n_pairs + n_pix)
+        stack, slots, args = random_patch(rng, n_pairs, n_pix,
+                                          near_singular=near_singular)
+        got = _kernel_rows(stack, slots, args)
+        assert got.shape == (n_pairs, 18, n_pix)
         # Each row against the sum of its absolute per-component
         # contributions, the yardstick a reordered sum is held to.
-        for name, (want, scale) in feature_rows(pws, *args).items():
-            start, n = _ROWS[name]
-            rows = got[:, start] if n is None else got[:, start:start + n]
-            assert np.all(np.abs(rows - want) <= 1e-11 * scale), name
+        for i, slot in enumerate(slots):
+            oracle = feature_rows(slot, *lane_args(args, i))
+            for name, (want, scale) in oracle.items():
+                start, n = _ROWS[name]
+                sel = start if n is None else slice(start, start + n)
+                rows = got[i:i + 1, sel]
+                assert np.all(np.abs(rows - want) <= 1e-11 * scale), name
 
     def test_lane_alone_equals_lane_in_stack(self):
+        """A pair's rows do not depend on the other pairs of its prologue
+        stack."""
         rng = np.random.default_rng(7)
-        pws, slots, args = random_patch(rng, 3, 2 * _MOMENT_BLOCK + 3,
-                                        near_singular=True)
-        stacked = _kernel_rows(pws, args)
+        stack, slots, args = random_patch(rng, 3, 2 * _MOMENT_BLOCK + 3,
+                                          near_singular=True)
+        stacked = _kernel_rows(stack, slots, args)
         for i, slot in enumerate(slots):
             np.testing.assert_array_equal(
-                _kernel_rows(slot, lane_args(args, i))[0], stacked[i])
+                _kernel_rows(slot, [slot], lane_args(args, i))[0],
+                stacked[i])
 
 
 class TestPixelTermAssembly:
@@ -103,10 +115,14 @@ class TestPixelTermAssembly:
     @pytest.mark.parametrize("n_pix", [1, _MOMENT_BLOCK + 1])
     def test_matches_entrywise_oracle(self, n_pix, order, vc):
         rng = np.random.default_rng(31 * n_pix + 2 * order + vc)
-        pws, _, args = random_patch(rng, 3, n_pix, near_singular=True)
+        stack, slots, args = random_patch(rng, 3, n_pix, near_singular=True)
         amps = _amps(rng, 3)
-        val, gz, hz = _slot_pixel_term(pws, args, amps, order, vc)
-        want_val, want_gz, want_hz = pixel_term(pws, args, amps, order, vc)
+        val, gz, hz = _slot_pixel_term(stack, slots, args, amps, order, vc)
+        want = [pixel_term(slot, lane_args(args, i), amps[:, i:i + 1],
+                           order, vc) for i, slot in enumerate(slots)]
+        want_val, want_gz, want_hz = (
+            None if parts[0] is None else np.concatenate(parts)
+            for parts in zip(*want))
         np.testing.assert_allclose(val, want_val, rtol=1e-12)
         for got, want in ((gz, want_gz), (hz, want_hz)):
             if want is None:
@@ -122,22 +138,22 @@ class TestPixelTermAssembly:
     @pytest.mark.parametrize("vc", [False, True])
     def test_value_only_order_gives_the_order_one_value(self, vc):
         rng = np.random.default_rng(13)
-        pws, _, args = random_patch(rng, 2, 40)
+        stack, slots, args = random_patch(rng, 2, 40)
         amps = _amps(rng, 2)
-        val0 = _slot_pixel_term(pws, args, amps, 0, vc)[0]
+        val0 = _slot_pixel_term(stack, slots, args, amps, 0, vc)[0]
         np.testing.assert_array_equal(
-            val0, _slot_pixel_term(pws, args, amps, 1, vc)[0])
+            val0, _slot_pixel_term(stack, slots, args, amps, 1, vc)[0])
 
     @pytest.mark.parametrize("vc", [False, True])
     @pytest.mark.parametrize("order", [1, 2])
     def test_lane_alone_equals_lane_in_stack(self, order, vc):
         rng = np.random.default_rng(11)
-        pws, slots, args = random_patch(rng, 3, 2 * _MOMENT_BLOCK + 3,
-                                        near_singular=True)
+        stack, slots, args = random_patch(rng, 3, 2 * _MOMENT_BLOCK + 3,
+                                          near_singular=True)
         amps = _amps(rng, 3)
-        stacked = _slot_pixel_term(pws, args, amps, order, vc)
+        stacked = _slot_pixel_term(stack, slots, args, amps, order, vc)
         for i, slot in enumerate(slots):
-            alone = _slot_pixel_term(slot, lane_args(args, i),
+            alone = _slot_pixel_term(slot, [slot], lane_args(args, i),
                                       amps[:, i:i + 1], order, vc)
             for a, s in zip(alone, stacked):
                 if s is None:

@@ -328,3 +328,22 @@ def test_input_pathology_gives_the_right_catalog(pathology, leg, tmp_path):
     assert len(catalog) == expect_n
     bits = catalog_bits_digest(catalog)
     assert _PATHOLOGY_BITS.setdefault(pathology, bits) == bits
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "photo/detect.py drops peaks within 2 px of any image border: with "
+    "field 0 fully masked, the truth at x = 40.9 lies 1.4 px inside field "
+    "1 (which spans x in [39.5, 87.5]) and no other field sees it, so it "
+    "gets no entry, while the truth at x = 43.3 and the 5 beyond field 0 "
+    "do"))
+def test_fully_masked_field_finds_what_the_other_field_sees():
+    """With field 0 fully masked (thread seats), every true source that
+    field 1 covers is found — the overlap's too, which only field 1 still
+    sees."""
+    truth, fields = _golden_fields()
+    fields = PATHOLOGIES["fully_masked_field"][0](fields)
+    catalog = run_pipeline(fields, _golden_config()).catalog
+    found = {id(t) for t, _ in match_catalogs(truth, catalog).pairs}
+    seen = [t for t in truth if not _outside(fields[1], t.position)]
+    assert [tuple(map(float, t.position)) for t in seen
+            if id(t) not in found] == []
