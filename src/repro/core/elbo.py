@@ -43,15 +43,14 @@ result must be **bit-for-bit identical** to a one-lane call's, so batching
 is always an execution strategy and never an approximation.  The kernel
 stacks the call's pixel-independent work over all its lanes and (lane,
 patch) pairs, and runs one pixel pass per pair.  The lockstep optimizer
-(:func:`repro.core.single.optimize_sources_batch`) drives this surface with
-per-lane active masks and repacking.
+(:class:`repro.core.single.SourceLockstep`) drives this surface with
+exactly the sources in flight each round.
 
 This front end does the accounting: it increments ``active_pixel_visits``
 (the paper's FLOP-accounting unit) and ``objective_evaluations`` once per
-active lane.  KL terms are pixel-count-independent, so they never
-contribute visits.  Every call also adds batch-shape counters
-(``elbo_batch_lanes`` / ``elbo_batch_lanes_active``) that make batch
-occupancy — wasted masked-lane work — visible
+lane.  KL terms are pixel-count-independent, so they never contribute
+visits.  Every call also adds batch-shape counters (``elbo_batch_calls`` /
+``elbo_batch_lanes``) that make lanes per call visible
 (:func:`repro.perf.counters.batch_occupancy`).
 
 Every evaluation returns an :class:`~repro.core.kernel.ElboEval`: ``.val``
@@ -343,8 +342,8 @@ def compile_elbo_batch(ctxs: list, backend: str | None = None):
     """Compile a reusable batch-evaluation handle for ``ctxs``.
 
     Pass the result to :func:`elbo_batch` as ``compiled`` while the batch
-    membership is unchanged; recompile after dropping lanes (the lockstep
-    optimizer does this when occupancy falls below its repack threshold).
+    membership is unchanged; recompile after it changes (the lockstep
+    optimizer does, whenever a source joins or leaves).
     ``backend`` must be ``None``.  The handle lays the contexts' compiled
     workspaces out for one call (see
     :class:`repro.core.kernel._FusedBatchWorkspace` for the no-padding
@@ -361,7 +360,6 @@ def elbo_batch(
     variance_correction: bool = True,
     backend: str | None = None,
     compiled=None,
-    active=None,
     kernel_target: str | None = None,
 ) -> list:
     """Evaluate many single-source ELBOs in one batched kernel call.
@@ -371,40 +369,28 @@ def elbo_batch(
     one-lane call returns for that context.  ``backend`` and
     ``kernel_target`` must be ``None``.
 
-    Every active lane counts ``ctx.n_active_pixels`` active-pixel visits —
-    the paper's FLOP unit — and one objective evaluation.  ``active``
-    masks lanes out of the result (``None`` entries): a masked lane's
-    pixels may still be swept when the compiled stacks bake the lane in,
-    but it is never *accounted*, so FLOP totals are identical at any lane
-    limit.  Batch-shape accounting (``elbo_batch_calls`` /
-    ``elbo_batch_lanes`` / ``elbo_batch_lanes_active``) lands on the first
-    context's counter bag — in practice a whole region shares one bag —
-    making occupancy (and therefore the wasted work of inactive lanes)
-    visible in perf reports (:func:`repro.perf.counters.batch_occupancy`).
+    Every lane counts ``ctx.n_active_pixels`` active-pixel visits — the
+    paper's FLOP unit — and one objective evaluation, so FLOP totals are
+    identical at any lane limit.  Batch-shape accounting
+    (``elbo_batch_calls`` / ``elbo_batch_lanes`` /
+    ``elbo_batch_lanes_active``, the last two equal: a call evaluates
+    every lane it holds) lands on the first context's counter bag, making
+    lanes per call visible in perf reports
+    (:func:`repro.perf.counters.batch_occupancy`).
     """
     if len(frees) != len(ctxs):
         raise ValueError(
             "got %d free vectors for %d contexts" % (len(frees), len(ctxs))
         )
-    if active is not None and len(active) != len(ctxs):
-        raise ValueError(
-            "active mask has %d entries for %d contexts"
-            % (len(active), len(ctxs))
-        )
     _reject_selectors(backend=backend, kernel_target=kernel_target)
     out = elbo_fused_batch(ctxs, frees, order=order,
                            variance_correction=variance_correction,
-                           compiled=compiled, active=active)
+                           compiled=compiled)
     chk = current_check()
     if chk is not None:
         for i, lane_out in enumerate(out):
-            if lane_out is not None:
-                chk.check_eval(lane_out, stage="elbo", lane=i)
-    n_active = 0
-    for i, ctx in enumerate(ctxs):
-        if active is not None and not active[i]:
-            continue
-        n_active += 1
+            chk.check_eval(lane_out, stage="elbo", lane=i)
+    for ctx in ctxs:
         ctx.counters.add_many({
             "active_pixel_visits": float(ctx.n_active_pixels),
             "objective_evaluations": 1.0,
@@ -413,7 +399,7 @@ def elbo_batch(
         ctxs[0].counters.add_many({
             "elbo_batch_calls": 1.0,
             "elbo_batch_lanes": float(len(ctxs)),
-            "elbo_batch_lanes_active": float(n_active),
+            "elbo_batch_lanes_active": float(len(ctxs)),
         })
     return out
 

@@ -13,19 +13,21 @@ stage-start snapshot, the same in every task of a stage that reads them.
 A :class:`ContributionStore` lets the tasks of one stage share those
 renders instead of repeating them.
 
-:class:`RegionOptimizer` owns that shared state.  :func:`update_sources`,
-over ``(optimizer, source)`` pairs, is the unit of work executed serially
-here (one source at a time) and concurrently by the Cyclades executor
-(:mod:`repro.parallel`), whose batches may mix the regions of several
-tasks — conflict-free, because Cyclades never schedules two overlapping
-sources at once, non-overlapping sources touch disjoint patch pixels, and
-each region has model images of its own.
+:class:`RegionOptimizer` owns that shared state.  A source update is
+the unit of work: build its context against the current residual
+backgrounds (:meth:`RegionOptimizer.source_context`), optimize, fold the
+result back (:meth:`RegionOptimizer.fold_back`).  It runs serially here
+(:meth:`RegionOptimizer.update_source`) and in a seat's rolling lockstep
+under the Cyclades executor (:mod:`repro.parallel`), whose ELBO calls
+may mix the sources of several regions — safe, because a source starts
+only after every overlapping source before it in its region's schedule
+has folded back, non-overlapping sources touch disjoint patch pixels,
+and each region has model images of its own.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ from repro.core.single import (
     OptimizeConfig,
     SourceResult,
     initial_params,
-    optimize_sources_batch,
+    optimize_source,
     to_catalog_entry,
 )
 from repro.knobs import knob
@@ -56,7 +58,6 @@ __all__ = [
     "RegionResult",
     "optimize_region",
     "patch_radius_for",
-    "update_sources",
 ]
 
 
@@ -228,7 +229,6 @@ class RegionOptimizer:
         self.priors = priors
         self.config = config or JointConfig()
         self.counters = counters if counters is not None else GLOBAL_COUNTERS
-        self._lock = threading.Lock()
 
         #: Current variational parameters per source.
         self.params: list[SourceParams] = [
@@ -313,11 +313,16 @@ class RegionOptimizer:
 
     def update_source(self, s: int) -> SourceResult:
         """Optimize one source against the current residual backgrounds and
-        fold its new expected contribution back into the model images: the
-        batch of one of :func:`update_sources`."""
-        return update_sources([(self, s)])[0]
+        fold its new expected contribution back into the model images."""
+        with numeric_source(s):
+            result = optimize_source(self.source_context(s), self.params[s],
+                                     self.config.single)
+        self.fold_back(s, result)
+        return result
 
-    def _make_context(self, s: int):
+    def source_context(self, s: int):
+        """Source ``s``'s ELBO context against the current residual
+        backgrounds."""
         return make_context(
             self.images,
             self.params[s].u,
@@ -327,10 +332,10 @@ class RegionOptimizer:
             bounds_list=self._bounds[s],
         )
 
-    def _fold_back(self, s: int, result: SourceResult) -> None:
+    def fold_back(self, s: int, result: SourceResult) -> None:
         """Publish one source's result: update its parameters and fold its
-        new expected contribution into the model images (caller holds the
-        lock).  The new parameters were never rendered: no store."""
+        new expected contribution into the model images.  The new
+        parameters were never rendered: no store."""
         self.params[s] = result.params
         self.results[s] = result
         for i, im in enumerate(self.images):
@@ -354,37 +359,6 @@ class RegionOptimizer:
         if chk is not None:
             chk.check_accumulation(total, parts)
         return total
-
-
-def update_sources(pairs: list[tuple[RegionOptimizer, int]]
-                   ) -> list[SourceResult]:
-    """Optimize ``(optimizer, source)`` pairs in one lockstep batch and fold
-    each new expected contribution back into its optimizer's model images.
-
-    This is the unit of work the Cyclades executor distributes: each
-    thread's conflict-free assignment — across every region of a lockstep —
-    is cut into runs of at most ``elbo_batch_size`` pairs.  No two pairs of
-    one region may overlap; pairs of different regions never do, since
-    each region has model images of its own.  Every context is built
-    against the current residual backgrounds up front, all are optimized
-    with :func:`repro.core.single.optimize_sources_batch`, and each result
-    is folded back under its optimizer's lock.  Because the sources'
-    patches are pixel-disjoint, each source's backgrounds are identical
-    whether its neighbors in the batch were updated before or after it, so
-    this is bit-for-bit equivalent to updating them one at a time, in
-    order.  Safe to run concurrently for pairs that do not overlap.  The
-    regions of one batch share one :class:`JointConfig`; the first pair's
-    optimizer config is the one read.
-    """
-    with numeric_source([s for _, s in pairs]):
-        ctxs = [opt._make_context(s) for opt, s in pairs]
-        results = optimize_sources_batch(
-            ctxs, [opt.params[s] for opt, s in pairs],
-            pairs[0][0].config.single)
-    for (opt, s), result in zip(pairs, results):
-        with opt._lock:
-            opt._fold_back(s, result)
-    return results
 
 
 def optimize_region(

@@ -1878,19 +1878,13 @@ def elbo_fused_batch(
     order: int = 2,
     variance_correction: bool = True,
     compiled: _FusedBatchWorkspace | None = None,
-    active=None,
 ) -> list:
     """Evaluate many sources' ELBOs in one call.
 
     ``compiled`` is a :class:`_FusedBatchWorkspace` (from
     :func:`repro.core.elbo.compile_elbo_batch`; built on the fly when
     ``None``); it must have been compiled for exactly these contexts.
-    ``active`` is an optional per-lane boolean mask: an inactive lane
-    still rides through its pixel passes and the chain (its lane is baked
-    into the layout — that waste is what the batch-occupancy counters
-    expose, and why callers repack once occupancy drops), but its KL term
-    and result are skipped (``None``).
-    Returns one :class:`ElboEval` (or ``None``) per context, in order, each
+    Returns one :class:`ElboEval` per context, in order, each
     bit-for-bit equal to what a one-lane call returns for that context and
     free vector alone (lanes are independent).
 
@@ -1913,8 +1907,6 @@ def elbo_fused_batch(
         return out
     lay = compiled.layout
     frees_all = np.array([np.asarray(f, dtype=np.float64) for f in frees])
-    act = (np.ones(len(ctxs), dtype=bool) if active is None
-           else np.asarray(active, dtype=bool))
     boxed = _bijector_pass(frees_all)
     chain = _EvalChain(lay.u_centers, frees_all, boxed, lay.bands, order,
                        variance_correction)
@@ -1924,9 +1916,6 @@ def elbo_fused_batch(
     # values/gradients/Hessians in one lane-stacked pass.  The pixel
     # term's dense 27-block is then added into the full free space.
     for klws, lanes in lay.kl_groups:
-        lanes = lanes[act[lanes]]
-        if not lanes.size:
-            continue
         if lanes.size == len(ctxs):
             kvals, grads, hesses = klws.evaluate_stacked(frees_all, order,
                                                          boxed)

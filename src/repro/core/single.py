@@ -28,10 +28,11 @@ from repro.core.params import (
 )
 from repro.core.priors import Priors
 from repro.knobs import knob
-from repro.optim import OptimResult, newton_trust_region_batch
+from repro.optim import NewtonLockstep, OptimResult
 
 __all__ = [
     "OptimizeConfig",
+    "SourceLockstep",
     "SourceResult",
     "initial_params",
     "optimize_source",
@@ -115,129 +116,124 @@ def optimize_source(
     return optimize_sources_batch([ctx], [init], config)[0]
 
 
+class SourceLockstep:
+    """A rolling lockstep of single-source solves: the one optimization
+    engine (:func:`optimize_sources_batch` admits a batch and runs it to
+    the end; a pool seat keeps one open across all the tasks it holds).
+
+    Each source runs its own solve — independent iterates, radius and
+    convergence — on Newton's method in a trust region
+    (:class:`repro.optim.NewtonLockstep`) over order-2 evaluations, and
+    every round's evaluations are served by one
+    :func:`repro.core.elbo.elbo_batch` call over exactly the sources in
+    flight: the paper's AVX-512 batching of evaluations across light
+    sources.  Sources join between rounds (:meth:`admit`) and leave in the
+    round they finish (:meth:`step`).
+
+    **Bit-for-bit contract.**  Each source's result — iterates,
+    diagnostics, counter totals — is the same whatever else shares its
+    rounds and whenever it was admitted, because lanes of a lockstep never
+    interact and the kernel's batched evaluation is lane-independent to
+    the bit.  Batching is an execution strategy, never an approximation;
+    the Cyclades executor relies on this to keep catalogs identical at any
+    lane limit.
+    """
+
+    def __init__(self, config: OptimizeConfig | None = None):
+        self.config = config or OptimizeConfig()
+        #: The last call's compiled batch, reused while membership holds.
+        self._compiled = None
+        self._engine = NewtonLockstep(
+            self._evaluate,
+            grad_tol=self.config.grad_tol,
+            max_iter=self.config.max_iter,
+            initial_radius=self.config.initial_radius,
+        )
+
+    def __len__(self) -> int:
+        return len(self._engine)
+
+    @property
+    def tags(self) -> list:
+        """The tags of the sources in flight, in the next call's lane
+        order."""
+        return [tag for _, tag in self._engine.problems]
+
+    def admit(self, ctx: SourceContext, init, tag=None) -> None:
+        """Start a solve of ``ctx`` from ``init`` (a
+        :class:`SourceParams` or a :class:`CatalogEntry`); ``tag`` comes
+        back with its result."""
+        params = (initial_params(init, ctx.priors)
+                  if isinstance(init, CatalogEntry) else init)
+        ctx.counters.add("newton_solves", 1.0)
+        self._engine.admit(
+            (ctx, tag), canonical_to_free(params.to_canonical(), ctx.u_center))
+
+    def step(self) -> list[tuple]:
+        """One round; ``(tag, SourceResult)`` for each source that
+        finished in it.
+
+        On a clean round the thread's evaluation scratch stays pooled for
+        the next (the caller releases it when it is done evaluating).  An
+        evaluation that *raises* abandons the round, and the thread may
+        never evaluate again, so the scratch is dropped then."""
+        try:
+            finished = self._engine.step()
+        except BaseException:
+            self._compiled = None
+            release_scratch()
+            raise
+        if not self._engine:
+            self._compiled = None
+        out = []
+        for (ctx, tag), res in finished:
+            ctx.counters.add("newton_iterations", float(res.n_iterations))
+            out.append((tag, SourceResult(
+                params=SourceParams.from_canonical(
+                    free_to_canonical(res.x, ctx.u_center)),
+                free=res.x,
+                elbo=-res.fun,
+                optim=res,
+            )))
+        return out
+
+    def _evaluate(self, problems: list, xs: list) -> list:
+        """Negated value, gradient and Hessian of every source in flight."""
+        ctxs = [ctx for ctx, _ in problems]
+        if self._compiled is None or not self._compiled.matches(ctxs):
+            self._compiled = compile_elbo_batch(ctxs)
+        outs = elbo_batch(
+            ctxs, xs, order=2,
+            variance_correction=self.config.variance_correction,
+            compiled=self._compiled,
+        )
+        return [
+            (-float(out.val), -out.gradient(FREE.size),
+             -out.hessian(FREE.size))
+            for out in outs
+        ]
+
+
 def optimize_sources_batch(
     ctxs: list[SourceContext],
     inits: list,
     config: OptimizeConfig | None = None,
-    repack_threshold: float = 0.5,
 ) -> list[SourceResult]:
-    """Optimize many independent sources with lockstep batched evaluations.
-
-    The one optimization path (:func:`optimize_source` is its batch of
-    one): each source runs its own solve (independent iterates, radii/line
-    searches, and convergence), but every round's objective evaluations
-    are served by one :func:`repro.core.elbo.elbo_batch` call, so the
-    batched kernel evaluates all still-active sources together — the
-    paper's AVX-512 batching of evaluations across light sources.  The
-    solver is the paper's: Newton's method in a trust region
-    (:func:`repro.optim.newton_trust_region_batch`) on order-2
-    evaluations.
-
-    **Bit-for-bit contract.**  Each source's result — iterates,
-    diagnostics, counter totals — is the same whatever else shares its
-    batch, because lanes of a lockstep driver never interact and the
-    kernel's batched evaluation is lane-independent to the bit.  Batching
-    is an execution strategy, never an approximation; the Cyclades executor
-    relies on this to keep catalogs identical at any lane limit.
-
-    **Masking and repacking.**  Converged sources drop out of the active
-    set.  A dropped lane is initially only *masked*: the compiled batch
-    workspace still carries it, and the kernel skips its chain rule and
-    KL term but not its pixels (stacked arrays bake lanes in) — that
-    waste rides along unaccounted, visible as occupancy < 1 in the
-    ``elbo_batch_lanes`` counters.  Once the active set falls below
-    ``repack_threshold`` of the compiled lanes, the batch is repacked:
-    the workspace recompiles for the survivors and the waste is reclaimed.
-    The threshold is result-invariant occupancy tuning — any value yields
-    the same catalog, only different wasted-lane counts — which is why it
-    is no part of a checkpoint's fingerprint.
-    """
-    if config is None:
-        config = OptimizeConfig()
-    if not ctxs:
-        return []
+    """Optimize many independent sources in one lockstep: a
+    :class:`SourceLockstep` that admits them all and runs to the end
+    (:func:`optimize_source` is its batch of one).  Results are in
+    ``ctxs`` order."""
     if len(inits) != len(ctxs):
         raise ValueError(
             "got %d initializations for %d contexts" % (len(inits), len(ctxs))
         )
-
-    params = [
-        initial_params(init, ctx.priors)
-        if isinstance(init, CatalogEntry) else init
-        for ctx, init in zip(ctxs, inits)
-    ]
-    free0s = [
-        canonical_to_free(p.to_canonical(), ctx.u_center)
-        for p, ctx in zip(params, ctxs)
-    ]
-    last_free = list(free0s)
-    # The compiled workspace covers the problems in ``state["lanes"]``; it
-    # shrinks to the active set whenever occupancy drops below the repack
-    # threshold.
-    state = {"lanes": list(range(len(ctxs))), "ctxs": list(ctxs)}
-    state["compiled"] = compile_elbo_batch(ctxs)
-
-    def fgh_batch(idx: list, xs: list) -> list:
-        """Negated value, gradient and Hessian of problems ``idx``
-        (ascending, a subset of the compiled lanes) at ``xs``; masked
-        lanes ride along at their last point."""
-        for i, x in zip(idx, xs):
-            last_free[i] = np.asarray(x, dtype=np.float64)
-        if len(idx) < repack_threshold * len(state["lanes"]):
-            state["lanes"] = list(idx)
-            state["ctxs"] = [ctxs[i] for i in idx]
-            state["compiled"] = compile_elbo_batch(state["ctxs"])
-        lanes = state["lanes"]
-        active = None
-        if len(idx) < len(lanes):
-            members = set(idx)
-            active = [i in members for i in lanes]
-        outs = elbo_batch(
-            state["ctxs"],
-            [last_free[i] for i in lanes],
-            order=2,
-            variance_correction=config.variance_correction,
-            compiled=state["compiled"],
-            active=active,
-        )
-        # Results come back in lane order with None for masked lanes, and
-        # ``idx`` lists the active lanes in that same order.
-        return [
-            (-float(out.val), -out.gradient(FREE.size),
-             -out.hessian(FREE.size))
-            for out in outs if out is not None
-        ]
-
-    for ctx in ctxs:
-        ctx.counters.add("newton_solves", 1.0)
-    # On a clean solve the per-thread evaluation scratch stays pooled — the
-    # next batch on this thread (a Cyclades assignment, a benchmark loop)
-    # reuses it, and the executor releases it when the assignment ends.  An
-    # evaluation that *raises* inside the solver gets no such downstream
-    # release on some call paths (the direct single-source API), so
-    # the except arm drops the pool rather than strand buffers on a thread
-    # that may never evaluate again.
-    try:
-        results = newton_trust_region_batch(
-            fgh_batch, free0s,
-            grad_tol=config.grad_tol,
-            max_iter=config.max_iter,
-            initial_radius=config.initial_radius,
-        )
-    except BaseException:
-        release_scratch()
-        raise
-
-    out = []
-    for ctx, res in zip(ctxs, results):
-        ctx.counters.add("newton_iterations", float(res.n_iterations))
-        canonical = free_to_canonical(res.x, ctx.u_center)
-        out.append(SourceResult(
-            params=SourceParams.from_canonical(canonical),
-            free=res.x,
-            elbo=-res.fun,
-            optim=res,
-        ))
+    lockstep = SourceLockstep(config)
+    for i, (ctx, init) in enumerate(zip(ctxs, inits)):
+        lockstep.admit(ctx, init, i)
+    out: list = [None] * len(ctxs)
+    while lockstep:
+        for i, result in lockstep.step():
+            out[i] = result
     return out
 
 

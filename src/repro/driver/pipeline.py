@@ -240,9 +240,10 @@ class DriverConfig:
     mp_start_method = "spawn"
     #: Task ids granted per Dtree request at most, and the Dtree's shape.
     #: Both only decide who computes what and when (the catalog is
-    #: completion-order independent).  A seat runs each grant as one
-    #: lockstep, so a grant is also how many tasks' lanes can share an
-    #: ELBO call; 16 matches the default lane limit.
+    #: completion-order independent).  A seat asks for a grant whenever
+    #: its tasks in flight hold fewer sources than the lane limit, and
+    #: runs every task it holds in one lockstep; 16 matches the default
+    #: lane limit.
     max_batch = 16
     dtree = DtreeConfig()
 

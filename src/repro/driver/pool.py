@@ -30,13 +30,15 @@ working, fault_dir)``
     nothing of the driver side.
 
 ``("grant", items, field_hint)``
-    Execute one Dtree grant against the bound state: ``items`` is a list
-    of ``(task, halo_indices)`` pairs, run as one lockstep (their ELBO
-    calls carry lanes of every task; with ``halo_refresh`` the tasks run
-    one after another, in grant order), then reported with one
-    :class:`~repro.driver.worker.TaskDone` per task, in grant order.
-    FIFO ordering per seat makes bind acknowledgements unnecessary: a
-    grant enqueued after a bind runs under that bind.
+    One Dtree grant for the bound state: ``items`` is a list of
+    ``(task, halo_indices)`` pairs.  The seat takes it at its next round
+    boundary, without waiting for the tasks it already holds, and runs
+    every task it holds in its one lockstep (their ELBO calls carry lanes
+    of every task; with ``halo_refresh`` the tasks run one after another,
+    in arrival order).  Each task is reported with a
+    :class:`~repro.driver.worker.TaskDone` as soon as its last source
+    folds back.  FIFO ordering per seat makes bind acknowledgements
+    unnecessary: a grant enqueued after a bind runs under that bind.
 
 ``("release",)``
     Drop the bound state (close field prefetchers, detach catalog
@@ -50,17 +52,20 @@ What a seat puts on the result queue:
 :class:`~repro.driver.worker.TaskDone`
     One per task.  ``epoch``, ``worker`` and ``task_id`` say whose it is;
     ``executed`` is False when the task had nothing to optimize, else its
-    sources were fit to a total ``elbo``.  ``seconds`` is the grant's
-    wall clock split evenly across its tasks.  ``counters`` is the task's
-    own :class:`~repro.perf.counters.Counters` snapshot (a batched call's
+    sources were fit to a total ``elbo``.  ``seconds`` is the task's own
+    span, from the start of its region setup to its last fold-back;
+    ``busy`` is the seat's working time since its previous record (what
+    ``DriverReport.task_seconds`` sums: spans of tasks sharing a lockstep
+    overlap).  ``counters`` is the task's own
+    :class:`~repro.perf.counters.Counters` snapshot (a batched call's
     shape counters land on the bag of its first lane's task);
     ``comm`` the seat's RMA totals and ``prefetch`` its field store's
     prefetcher totals since its previous record (empty when the store is
-    the driver's, which accounts for it itself).  ``race_reports`` and
-    ``numeric_reports`` are the grant's findings, ``accesses`` the
-    seat's drained :class:`~repro.analysis.race.AccessLog`; all three
-    ride on the first record of a grant.  A seat that dies mid-report
-    has reported a prefix of its grant; the rest is re-dispatched.
+    the driver's, which accounts for it itself).  ``race_reports`` are
+    the task's findings, ``numeric_reports`` the seat lockstep's so far,
+    ``accesses`` the seat's :class:`~repro.analysis.race.AccessLog`
+    drained since its previous record.  A seat that dies has every task
+    it had not reported re-dispatched.
     ``first_bind_at`` is the wall-clock stamp of a spawned seat's first
     completed bind, on its first record only
     (``DriverReport.spawn_bind_seconds``).
@@ -95,7 +100,10 @@ _SHUTDOWN_TIMEOUT_S = 30.0
 
 def _pool_worker_main(seat: int, task_q, result_q,
                       in_process: bool = False) -> None:
-    """Body of one pool seat: a bind/execute/release loop."""
+    """Body of one pool seat: a bind/grant/release loop around the seat's
+    one lockstep.  While the seat holds tasks it takes messages without
+    blocking, at round boundaries, and runs a round whenever none is
+    waiting; idle, it blocks on its queue."""
     state = None
     #: The bind in force or being attempted — what an error is filed under.
     epoch = None
@@ -105,7 +113,14 @@ def _pool_worker_main(seat: int, task_q, result_q,
     stamp_shipped = in_process
     try:
         while True:
-            item = task_q.get()
+            if state is not None and state.busy:
+                try:
+                    item = task_q.get_nowait()
+                except queue.Empty:
+                    state.step(result_q)
+                    continue
+            else:
+                item = task_q.get()
             if item is None:
                 return
             kind = item[0]
@@ -122,8 +137,8 @@ def _pool_worker_main(seat: int, task_q, result_q,
                     state = None
             elif kind == "grant":
                 _, items, hint = item
-                state.execute(items, hint, result_q,
-                              None if stamp_shipped else first_bind_at)
+                state.take(items, hint,
+                           None if stamp_shipped else first_bind_at)
                 stamp_shipped = True
     except BaseException:  # noqa: BLE001 - forwarded to the parent
         result_q.put(("error", seat, epoch, traceback.format_exc()))

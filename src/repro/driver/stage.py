@@ -21,6 +21,7 @@ from repro.driver.checkpoint import (
 from repro.driver.pool import WorkerPool
 from repro.driver.shards import ShardedCatalog
 from repro.driver.worker import TaskConfig, TaskDone, _dict_delta, _FieldStore
+from repro.parallel.executor import DEFAULT_LANE_LIMIT
 from repro.partition import Region, Task
 from repro.perf.counters import Counters
 from repro.perf.driver import DriverReport
@@ -47,8 +48,9 @@ class TaskOutcome:
     worker: int
     n_sources: int
     elbo: float
-    #: The task's grant's wall clock divided evenly across the grant's
-    #: tasks, which run interleaved in one lockstep.
+    #: The task's own span on its seat: from the start of its region
+    #: setup to its last source's fold-back.  Tasks sharing a seat's
+    #: lockstep overlap, so spans do not sum to the seat's time.
     seconds: float
 
 
@@ -299,7 +301,10 @@ class StageRunner:
             bind(w)
 
         dtree = Dtree(n, len(tasks), config.dtree)
-        pending = [0] * n
+        lane_limit = config.parallel.elbo_batch_size or DEFAULT_LANE_LIMIT
+        #: Per seat, the sources of its tasks in flight: the seat asks for
+        #: more work while these are below the lane limit.
+        load = [0] * n
         conds = [threading.Condition() for _ in range(n)]
         #: Per-seat map of task_id -> ((task, halo_idx), hint) shipped but
         #: not yet reported done — what a dead seat's recovery re-dispatches.
@@ -319,7 +324,6 @@ class StageRunner:
             failed.set()
             for w in range(n):
                 with conds[w]:
-                    pending[w] = 0
                     conds[w].notify_all()
 
         def item_for(tid: int) -> tuple:
@@ -332,9 +336,9 @@ class StageRunner:
             """Ship ``(task, halo indices)`` items to seat ``s`` as one
             grant message; each task stays in flight until reported."""
             with conds[s]:
-                pending[s] += len(items)
                 for item in items:
                     inflight[s][item[0].task_id] = (item, hint)
+                    load[s] += item[0].n_sources
             self.pool.send(s, ("grant", items, hint))
 
         def survivors_or_respawn(exclude: int | None = None) -> list[int]:
@@ -368,7 +372,7 @@ class StageRunner:
             with conds[w]:
                 items = list(inflight[w].items())
                 inflight[w].clear()
-                pending[w] = 0
+                load[w] = 0
                 conds[w].notify_all()
             dtree.reclaim(w)
             report.recoveries.append({
@@ -424,11 +428,11 @@ class StageRunner:
                     msg = self.pool.result_q.get(timeout=0.2)
                 except queue_mod.Empty:
                     for w in range(n):
-                        if (not dead[w] and pending[w] > 0
+                        if (not dead[w] and inflight[w]
                                 and not self.pool.alive(w)):
                             recover(w)
                     if (not failed.is_set() and active_pumps[0] == 0
-                            and sum(pending) == 0):
+                            and not any(inflight)):
                         drain_stranded()
                     continue
                 if not isinstance(msg, TaskDone):
@@ -455,8 +459,8 @@ class StageRunner:
                 first = msg.task_id not in done_tids
                 done_tids.add(msg.task_id)
                 with conds[w]:
-                    inflight[w].pop(msg.task_id, None)
-                    pending[w] = max(0, pending[w] - 1)
+                    if inflight[w].pop(msg.task_id, None) is not None:
+                        load[w] -= task_by_id[msg.task_id].n_sources
                     conds[w].notify_all()
                 if not first:
                     # A re-dispatched task whose first execution reported
@@ -471,7 +475,7 @@ class StageRunner:
                 self.counters.add_many(msg.counters)
                 report.add_worker_comm(w, **msg.comm)
                 self._apply_prefetch_stats(report, msg.prefetch)
-                task_s[w] += msg.seconds
+                task_s[w] += msg.busy
                 if msg.executed:
                     task = task_by_id[msg.task_id]
                     stage_elbo[0] += msg.elbo
@@ -492,6 +496,16 @@ class StageRunner:
         def pump(w: int) -> None:
             try:
                 while not failed.is_set() and not dead[w]:
+                    # Ask whenever the seat's lockstep has lanes its tasks
+                    # in flight cannot fill, not when they are all done:
+                    # the seat takes the grant at its next round, and the
+                    # Dtree's load balancing still sees completion times.
+                    with conds[w]:
+                        while (load[w] >= lane_limit and not failed.is_set()
+                               and not dead[w]):
+                            conds[w].wait(timeout=0.5)
+                    if failed.is_set() or dead[w]:
+                        return
                     t0 = time.perf_counter()
                     batch = dtree.request(w, max_batch=config.max_batch)
                     sched_s[w] += time.perf_counter() - t0
@@ -501,13 +515,6 @@ class StageRunner:
                         return
                     dispatch(w, [item_for(tid) for tid in batch],
                              self._lookahead_hint(dtree, w, batch, tasks))
-                    # Request the next batch only after this one completed,
-                    # so the Dtree's dynamic load balancing still sees
-                    # completion times.
-                    with conds[w]:
-                        while (pending[w] > 0 and not failed.is_set()
-                               and not dead[w]):
-                            conds[w].wait(timeout=0.5)
             except BaseException as exc:  # noqa: BLE001
                 fail(exc)
             finally:

@@ -1,9 +1,10 @@
-"""The worker side of the driver: what executing a Dtree grant needs.
+"""The worker side of the driver: what running Dtree grants needs.
 
-The seat body lives here — field access (:class:`_FieldStore`), grant
-execution (:func:`_execute_grant`), the per-stage state a seat binds
-(:class:`_WorkerState`) and the record it reports each task with
-(:class:`TaskDone`) — apart from the driver side: the stage loop in
+The seat body lives here — field access (:class:`_FieldStore`), task
+execution (:class:`_TaskRun` through the seat's one
+:class:`~repro.parallel.executor.RegionLockstep`), the per-stage state a
+seat binds (:class:`_WorkerState`) and the record it reports each task
+with (:class:`TaskDone`) — apart from the driver side: the stage loop in
 :mod:`repro.driver.stage` and config resolution, seeding and the entry
 point in :mod:`repro.driver.pipeline`.  The split is an import boundary:
 a spawned seat imports this module
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -26,7 +28,7 @@ from repro.core.joint import ContributionStore
 from repro.core.priors import Priors
 from repro.driver.shards import ShardedCatalog
 from repro.parallel import ParallelRegionConfig
-from repro.parallel.executor import RegionJob, optimize_regions_lockstep
+from repro.parallel.executor import RegionJob, RegionLockstep, RegionRun
 from repro.partition import Region, Task
 from repro.perf.counters import Counters
 from repro.survey.image import Image
@@ -190,72 +192,75 @@ def _task_seed(config: ParallelRegionConfig, task: Task) -> int:
     return config.seed + 7919 * task.task_id + task.stage
 
 
-def _execute_grant(
-    tasks: list[Task],
-    halos: list[list[int]],
-    counters: list[Counters],
-    base: ShardedCatalog,
-    working: ShardedCatalog,
-    store: _FieldStore,
-    priors: Priors,
-    config: TaskConfig,
-    contributions: ContributionStore | None = None,
-    enter_task=None,
-) -> list:
-    """Run one Dtree grant against the sharded catalog as one lockstep;
-    returns one region result per task, ``None`` for a task that had
-    nothing to optimize.
+class _TaskRun:
+    """One task on a seat: its region runs, its counter bag and its span.
 
-    Each task keeps its own region setup, its own task-seeded Cyclades
-    schedule, its own counter bag (``counters[i]``) and its own result;
-    :func:`repro.parallel.executor.optimize_regions_lockstep` joins their
-    rounds, so one ELBO call carries lanes of several tasks.  Tasks read
-    own sources and halo rows one-sidedly from the stage-start snapshot
-    (``base``) and put result rows into the live ``working`` array, so no
-    task of a grant sees another's results.  With ``halo_refresh`` the
-    halo is instead re-read from ``working`` at every pass and each pass's
-    results are published at once, so the grant's tasks read each other's
-    rows: they run one after another, in grant order (groups of one).
-    Region setup renders through the seat's ``contributions`` store either
-    way, since it is keyed by parameter values; without one, each region
-    renders into a store of its own.  ``enter_task(task)`` runs before
-    each task's catalog accesses (the seat's shadow attribution).
+    The task reads its own sources and halo rows one-sidedly from the
+    stage-start snapshot (``base``) and puts its result rows into the
+    live ``working`` array, so no task of a stage sees another's results.
+    With ``halo_refresh`` the halo is instead re-read from ``working`` at
+    every pass and each pass's results are published at once, so tasks
+    read each other's rows: a seat then runs one task at a time, in
+    arrival order (:attr:`_WorkerState.busy`).  Each pass is then a
+    region run of its own, seeded per pass.
     """
-    enter = enter_task or (lambda task: None)
-    pconfig = config.parallel
-    jobs: list = []
-    for task, c in zip(tasks, counters):
-        images, image_keys = store.region_images(task.region,
-                                                 config.image_margin)
-        enter(task)
-        entries = base.get_entries(task.source_indices)
-        jobs.append(
-            RegionJob(images, entries, None, image_keys, c,
-                      _task_seed(pconfig, task))
-            if images and entries else None)
-    live = [i for i, job in enumerate(jobs) if job is not None]
-    results: list = [None] * len(tasks)
-    if config.halo_refresh:
-        groups, halo_from = [[i] for i in live], working
-        passes = [replace(pconfig, n_passes=1)] * pconfig.n_passes
-    else:
-        groups, halo_from, passes = [live] if live else [], base, [pconfig]
-    for group in groups:
-        for p, pass_config in enumerate(passes):
-            for i in group:
-                enter(tasks[i])
-                jobs[i] = jobs[i]._replace(
-                    frozen_entries=halo_from.get_entries(halos[i]),
-                    seed=_task_seed(pconfig, tasks[i]) + 104729 * p)
-            out = optimize_regions_lockstep(
-                [jobs[i] for i in group], priors, pass_config, contributions)
-            for i, result in zip(group, out):
-                results[i] = result
-                jobs[i] = jobs[i]._replace(entries=list(result.catalog))
-                enter(tasks[i])
-                working.put_entries(tasks[i].source_indices,
-                                    jobs[i].entries)
-    return results
+
+    def __init__(self, task: Task, halo: list[int]):
+        self.task = task
+        self.halo = halo
+        self.counters = Counters()
+        self.job: RegionJob | None = None
+        self.result = None
+        self.pass_idx = 0
+        #: ``time.perf_counter()`` at the start of the task's region setup
+        #: and at its last fold-back.
+        self.started = self.finished = 0.0
+        self.done = False
+
+    def start(self, state: "_WorkerState") -> RegionRun | None:
+        """Set up the task's first region run; ``None`` when the task has
+        nothing to optimize."""
+        self.started = time.perf_counter()
+        task, config = self.task, state.config
+        images, image_keys = state.store.region_images(task.region,
+                                                       config.image_margin)
+        state._enter_task(task)
+        entries = state.base_view.get_entries(task.source_indices)
+        if not images or not entries:
+            return None
+        self.job = RegionJob(images, entries, None, image_keys,
+                             self.counters,
+                             _task_seed(config.parallel, task))
+        return self._run(state)
+
+    def _run(self, state: "_WorkerState") -> RegionRun:
+        """The region run of the task's next pass (of all its passes,
+        without ``halo_refresh``), with the halo read now."""
+        pconfig = state.config.parallel
+        halo_from, run_config = state.base_view, pconfig
+        if state.config.halo_refresh:
+            halo_from = state.work_view
+            run_config = replace(pconfig, n_passes=1)
+        state._enter_task(self.task)
+        job = self.job._replace(
+            frozen_entries=halo_from.get_entries(self.halo),
+            seed=_task_seed(pconfig, self.task) + 104729 * self.pass_idx)
+        return RegionRun(job, state.priors, run_config, state.contributions)
+
+    def finish_run(self, state: "_WorkerState", run: RegionRun
+                   ) -> RegionRun | None:
+        """Publish a finished run's rows; returns the next pass's run
+        under ``halo_refresh``, else ``None`` (the task is done)."""
+        self.result = state.lockstep.result(run)
+        entries = list(self.result.catalog)
+        state._enter_task(self.task)
+        state.work_view.put_entries(self.task.source_indices, entries)
+        self.pass_idx += 1
+        if (state.config.halo_refresh
+                and self.pass_idx < state.config.parallel.n_passes):
+            self.job = self.job._replace(entries=entries)
+            return self._run(state)
+        return None
 
 
 def _comm_totals(*recorders) -> dict:
@@ -286,6 +291,7 @@ class TaskDone(NamedTuple):
     executed: bool
     elbo: float
     seconds: float
+    busy: float
     counters: dict
     comm: dict
     prefetch: dict
@@ -341,6 +347,16 @@ class _WorkerState:
         self.prev_comm: dict = {}
         self.prev_prefetch: dict = {}
         self.contributions = ContributionStore()
+        #: The seat's one lockstep, and the tasks it holds: queued in
+        #: arrival order, and running (keyed by their current region run).
+        self.lockstep = RegionLockstep(config.parallel)
+        self._queued: deque[_TaskRun] = deque()
+        #: Every task not yet reported, in arrival order.
+        self._held: deque[_TaskRun] = deque()
+        self._running: dict[RegionRun, _TaskRun] = {}
+        self._first_bind_at: float | None = None
+        self._busy = 0.0
+        self._lap_start = time.perf_counter()
 
     def _maybe_die(self, task: Task, result_q) -> None:
         """Fault injection: hard-exit before reporting a task for which
@@ -372,47 +388,100 @@ class _WorkerState:
             self.base_shadow.set_task(actor, epoch)
             self.work_shadow.set_task(actor, epoch)
 
-    def execute(self, items: list[tuple], hint: list[int], result_q,
-                first_bind_at: float | None = None) -> None:
-        """Run one grant — ``items`` holds ``(task, halo indices)`` pairs —
-        as one lockstep, then report a :class:`TaskDone` per task, in
-        grant order.  Each record's ``seconds`` is the grant's wall clock
-        split evenly; the seat's RMA, prefetch and access-log deltas ride
-        on the first record."""
+    @property
+    def busy(self) -> bool:
+        """Whether the seat holds tasks it has not yet reported."""
+        return bool(self._held)
+
+    def take(self, items: list[tuple], hint: list[int],
+             first_bind_at: float | None = None) -> None:
+        """Queue a grant — ``items`` holds ``(task, halo indices)`` pairs —
+        behind the tasks the seat already holds; :meth:`step` starts them.
+        ``first_bind_at`` rides on the seat's next record."""
         self.store.hint_fields(hint)
-        tasks = [task for task, _ in items]
-        counters = [Counters() for _ in items]
-        t0 = time.perf_counter()
-        results = _execute_grant(
-            tasks, [halo for _, halo in items], counters, self.base_view,
-            self.work_view, self.store, self.priors, self.config,
-            self.contributions, self._enter_task,
-        )
-        seconds = (time.perf_counter() - t0) / len(items)
-        for task, result, c in zip(tasks, results, counters):
-            self._maybe_die(task, result_q)
-            comm = _comm_totals(self.base_rec, self.work_rec)
-            prefetch = {} if self.in_process else self.store.prefetch_stats()
-            result_q.put(TaskDone(
-                epoch=self.epoch,
-                worker=self.worker_id,
-                task_id=task.task_id,
-                executed=result is not None,
-                elbo=result.elbo_total if result is not None else 0.0,
-                seconds=seconds,
-                counters=c.snapshot(),
-                comm=_dict_delta(comm, self.prev_comm),
-                prefetch=_dict_delta(prefetch, self.prev_prefetch),
-                race_reports=(list(result.race_reports)
-                              if result is not None else []),
-                accesses=(self.access_log.drain()
-                          if self.access_log is not None else []),
-                numeric_reports=(list(result.numeric_reports)
-                                 if result is not None else []),
-                first_bind_at=first_bind_at,
-            ))
-            self.prev_comm, self.prev_prefetch = comm, prefetch
-            first_bind_at = None
+        runs = [_TaskRun(task, halo) for task, halo in items]
+        self._queued.extend(runs)
+        self._held.extend(runs)
+        if first_bind_at is not None:
+            self._first_bind_at = first_bind_at
+
+    def step(self, result_q) -> None:
+        """One round of the seat's lockstep, reporting every task whose
+        last source folded back in it.
+
+        Tasks start in arrival order whenever the lockstep has a free lane
+        that the tasks already started cannot fill (under
+        ``halo_refresh``, only when no task is running)."""
+        self._lap_start = time.perf_counter()
+        room = self.lockstep.admit()
+        while room > 0 and self._queued and not (
+                self.config.halo_refresh and self._running):
+            task_run = self._queued.popleft()
+            run = task_run.start(self)
+            if run is None:
+                self._done(task_run, result_q)
+                continue
+            self._running[run] = task_run
+            self.lockstep.add(run)
+            if run.done:
+                self._finished(run, result_q)
+            room = self.lockstep.admit()
+        for run in self.lockstep.step():
+            self._finished(run, result_q)
+        self._busy += time.perf_counter() - self._lap_start
+
+    def _finished(self, run: RegionRun, result_q) -> None:
+        task_run = self._running.pop(run)
+        after = task_run.finish_run(self, run)
+        if after is None:
+            self._done(task_run, result_q)
+        else:
+            self._running[after] = task_run
+            self.lockstep.add(after)
+            if after.done:
+                self._finished(after, result_q)
+
+    def _done(self, task_run: _TaskRun, result_q) -> None:
+        """Report every finished task that no earlier-arrived task is
+        still ahead of: records leave in arrival order, so a seat that
+        dies has reported a prefix of what it was given."""
+        task_run.done = True
+        task_run.finished = time.perf_counter()
+        while self._held and self._held[0].done:
+            self._report(self._held.popleft(), result_q)
+
+    def _report(self, task_run: _TaskRun, result_q) -> None:
+        """Put the task's :class:`TaskDone`.  ``seconds`` is its own span,
+        from the start of its region setup to its last fold-back; ``busy``
+        the seat's working time since its previous record.  The seat's
+        RMA, prefetch and access-log deltas ride along."""
+        task, result = task_run.task, task_run.result
+        now = time.perf_counter()
+        self._maybe_die(task, result_q)
+        comm = _comm_totals(self.base_rec, self.work_rec)
+        prefetch = {} if self.in_process else self.store.prefetch_stats()
+        result_q.put(TaskDone(
+            epoch=self.epoch,
+            worker=self.worker_id,
+            task_id=task.task_id,
+            executed=result is not None,
+            elbo=result.elbo_total if result is not None else 0.0,
+            seconds=task_run.finished - task_run.started,
+            busy=self._busy + now - self._lap_start,
+            counters=task_run.counters.snapshot(),
+            comm=_dict_delta(comm, self.prev_comm),
+            prefetch=_dict_delta(prefetch, self.prev_prefetch),
+            race_reports=(list(result.race_reports)
+                          if result is not None else []),
+            accesses=(self.access_log.drain()
+                      if self.access_log is not None else []),
+            numeric_reports=(list(result.numeric_reports)
+                             if result is not None else []),
+            first_bind_at=self._first_bind_at,
+        ))
+        self.prev_comm, self.prev_prefetch = comm, prefetch
+        self._first_bind_at = None
+        self._busy, self._lap_start = 0.0, now
 
     def close(self) -> None:
         if self.in_process:

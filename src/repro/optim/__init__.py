@@ -10,6 +10,7 @@ advantage against it (tens of iterations vs. up to 2000).
 
 from repro.optim.trust_region import solve_trust_region
 from repro.optim.lockstep import (
+    NewtonLockstep,
     newton_trust_region,
     newton_trust_region_batch,
 )
@@ -18,6 +19,7 @@ from repro.optim.result import OptimResult
 
 __all__ = [
     "solve_trust_region",
+    "NewtonLockstep",
     "newton_trust_region",
     "newton_trust_region_batch",
     "lbfgs_minimize",

@@ -4,18 +4,15 @@ A tiny registry of named counters incremented by the inference code:
 ``active_pixel_visits`` (the paper's FLOP-accounting unit), Newton
 iterations, objective evaluations (and ``kl_evaluations`` for KL-only
 calls, both counted by the objective front end), RMA get/put
-operations, and bytes loaded.  Thread-safe, since Cyclades runs source
-updates concurrently.
+operations, and bytes loaded.  Thread-safe, since a bag may be read by
+the stage loop's collector while a seat thread adds to it.
 
 **Batch occupancy.**  The batched objective front end
 (:func:`repro.core.elbo.elbo_batch`) counts ``elbo_batch_calls``,
-``elbo_batch_lanes`` (lanes swept, active or not), and
-``elbo_batch_lanes_active``.  A lockstep solve keeps converged sources'
-lanes in its compiled stacks until it repacks, so swept-but-inactive lanes
-are real wasted pixel work; :func:`batch_occupancy` turns the counters
-into the fraction of swept lanes that were live — 1.0 means no waste,
-and a low value means the repack threshold is letting dead lanes ride
-too long.
+``elbo_batch_lanes`` and ``elbo_batch_lanes_active`` (lanes evaluated).
+A lockstep call holds exactly the sources in flight, so the last two are
+equal and :func:`batch_occupancy` — the fraction of lanes that were
+evaluated — is 1.0; anything less would be wasted pixel work.
 
 ``elbo_batch_lanes / elbo_batch_calls`` is the width of a *call*: what
 its lanes share (the chain, the prologue over every (lane, patch) pair,

@@ -286,17 +286,6 @@ class TestAcquireRelease:
         """)
         assert _rules(out) == ["DET106"]
 
-    def test_batched_scratch_loop_without_release_flagged(self):
-        # The executor's loop shape: runs of an assignment through the
-        # batched unit of work (update_source is its batch of one).
-        out = _lint("""
-            from repro.core.joint import update_sources
-            def drive(runs):
-                for run in runs:
-                    update_sources(run)
-        """)
-        assert _rules(out) == ["DET106"]
-
     def test_scratch_loop_with_release_clean(self):
         out = _lint("""
             from repro.core.elbo import release_scratch

@@ -1218,8 +1218,8 @@ class TestEarlyPoolBoot:
         with open(paths[-1], "r+b") as f:
             f.truncate(int(os.path.getsize(paths[-1]) * keep))
         started = []
-        monkeypatch.setattr("repro.driver.worker._execute_grant",
-                            lambda tasks, *args: started.extend(tasks))
+        monkeypatch.setattr("repro.driver.worker._TaskRun.start",
+                            lambda task_run, state: started.append(task_run))
         with pytest.raises(ValueError, match="truncated or corrupt") as err:
             run_pipeline(paths, _driver_config(executor="thread"))
         assert paths[-1] in str(err.value)
@@ -1302,18 +1302,21 @@ class TestSeatFailure:
         bad = stage0[0].task_id
         started = []
 
-        def execute(grant, *args):
-            for task in grant:
-                started.append(task.task_id)
-                if task.task_id == bad:
-                    raise ValueError("injected task failure")
-                time.sleep(0.02)
-            return [None] * len(grant)
+        def start(task_run, state):
+            started.append(task_run.task.task_id)
+            if task_run.task.task_id == bad:
+                raise ValueError("injected task failure")
+            time.sleep(0.02)
+            return None
 
-        monkeypatch.setattr("repro.driver.worker._execute_grant", execute)
-        # Grants of two keep the bound below well under stage 0's size, so
-        # a driver that kept dispatching after the failure would exceed it.
+        monkeypatch.setattr("repro.driver.worker._TaskRun.start", start)
+        # A seat asks for work while its tasks in flight hold fewer sources
+        # than the lane limit, so it holds at most ``lane limit - 1 +
+        # max_batch`` one-source tasks.  Lane limit and grants of two keep
+        # that bound well under stage 0's size, so a driver that kept
+        # dispatching after the failure would exceed it.
         monkeypatch.setattr(DriverConfig, "max_batch", 2)
+        config = dataclasses.replace(config, elbo_batch_size=2)
         with pytest.raises(RuntimeError, match=r"node-worker \d+ failed") \
                 as err:
             run_pipeline(fields, config)
@@ -1321,7 +1324,7 @@ class TestSeatFailure:
         assert "Traceback" in message and "injected task failure" in message
         assert "process node-worker" not in message
         after = started[started.index(bad) + 1:]
-        assert len(after) <= config.n_nodes * DriverConfig.max_batch
+        assert len(after) <= config.n_nodes * (1 + DriverConfig.max_batch)
 
 
 class TestDoneRecord:
@@ -1335,7 +1338,9 @@ class TestDoneRecord:
             7, 0, _FieldStore([images]), None, default_priors(),
             _task_config(config), working, working, in_process=True)
         results = queue.Queue()
-        state.execute([(tasks[0], [1])], [], results, first_bind_at=12.5)
+        state.take([(tasks[0], [1])], [], first_bind_at=12.5)
+        while state.busy:
+            state.step(results)
         record = results.get_nowait()
         assert isinstance(record, TaskDone)
         assert (record.epoch, record.worker, record.task_id) == (7, 0, 0)
@@ -1348,7 +1353,7 @@ class TestDoneRecord:
 
 
 _SEAT_PROBE = """
-import json, sys
+import json, queue, sys
 import repro.driver.pool
 print(json.dumps(sorted(sys.modules)))
 
@@ -1359,10 +1364,9 @@ from repro.core.priors import default_priors
 from repro.core.joint import JointConfig
 from repro.core.single import OptimizeConfig
 from repro.driver.shards import ShardedCatalog
-from repro.driver.worker import TaskConfig, _FieldStore, _execute_grant
+from repro.driver.worker import TaskConfig, _FieldStore, _WorkerState
 from repro.parallel import ParallelRegionConfig
 from repro.partition import Region, Task
-from repro.perf.counters import Counters
 from repro.psf import default_psf
 from repro.survey import AffineWCS, ImageMeta, render_image
 
@@ -1377,9 +1381,13 @@ config = TaskConfig(
         n_passes=1, single=OptimizeConfig(max_iter=2))),
     image_margin=16.0, halo_refresh=False)
 task = Task(0, 0, Region(0.0, 32.0, 0.0, 32.0), [0, 1], entries)
-(result,) = _execute_grant([task], [[]], [Counters()], catalog, catalog,
-                           _FieldStore([[image]]), default_priors(), config)
-assert result is not None
+seat = _WorkerState(0, 0, _FieldStore([[image]]), None, default_priors(),
+                    config, catalog, catalog, in_process=True)
+done = queue.Queue()
+seat.take([(task, [])], [])
+while seat.busy:
+    seat.step(done)
+assert done.get_nowait().executed and done.empty()
 print(json.dumps(sorted(sys.modules)))
 """
 

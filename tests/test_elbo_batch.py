@@ -31,8 +31,7 @@ from repro.core.params import FREE
 from repro.driver import DriverConfig, run_pipeline
 from repro.driver.pipeline import ELBO_BATCH_ENV_VAR, _pin_config
 from repro.parallel import ParallelRegionConfig, optimize_region_parallel
-from repro.parallel.conflict import build_conflict_graph
-from repro.parallel.executor import _batchable_runs
+from repro.parallel.executor import RegionJob, RegionRun
 from repro.perf.counters import batch_occupancy
 from repro.psf import default_psf
 from repro.psf.gmm import MixturePSF
@@ -121,19 +120,18 @@ class TestBatchedEvaluationParity:
         with pytest.raises(ValueError):
             elbo_batch(ctxs[1:], frees[1:], compiled=compiled)
 
-    def test_active_mask_skips_lanes_and_accounting(self, make_random_context):
+    def test_every_lane_is_evaluated_and_accounted(self,
+                                                   make_random_context):
         ctxs, frees = _batch(make_random_context, UNIFORM)
-        active = [True, False, True, False, True]
-        outs = elbo_batch(ctxs, frees, order=2, active=active)
-        for flag, out in zip(active, outs):
-            assert (out is not None) == flag
-        # Inactive lanes are never accounted: no visits, no evaluations.
-        assert "active_pixel_visits" not in ctxs[1].counters.snapshot()
+        outs = elbo_batch(ctxs, frees, order=2)
+        assert all(out is not None for out in outs)
+        for ctx in ctxs:
+            assert ctx.counters.snapshot()["objective_evaluations"] >= 1.0
         snap = ctxs[0].counters.snapshot()
         assert snap["elbo_batch_calls"] == 1.0
         assert snap["elbo_batch_lanes"] == 5.0
-        assert snap["elbo_batch_lanes_active"] == 3.0
-        assert batch_occupancy(snap) == pytest.approx(0.6)
+        assert snap["elbo_batch_lanes_active"] == 5.0
+        assert batch_occupancy(snap) == 1.0
 
     def test_batch_occupancy_zero_batches(self):
         # A run where no batched evaluation ever happened wasted no lanes:
@@ -150,8 +148,6 @@ class TestBatchedEvaluationParity:
         ctxs, frees = _batch(make_random_context, UNIFORM[:2])
         with pytest.raises(ValueError):
             elbo_batch(ctxs, frees[:1])
-        with pytest.raises(ValueError):
-            elbo_batch(ctxs, frees, active=[True])
 
     def test_mixture_scratch_holds_one_patch(self, make_random_context):
         """Every (lane, patch) pair runs its own pixel pass, so a wide call
@@ -181,13 +177,6 @@ class TestBatchedEvaluationParity:
     def test_empty_batch(self):
         assert elbo_batch([], []) == []
 
-    def test_all_inactive_batch(self, make_random_context):
-        ctxs, frees = _batch(make_random_context, RAGGED)
-        outs = elbo_batch(ctxs, frees, order=2, active=[False] * len(ctxs))
-        assert outs == [None] * len(ctxs)
-        for ctx in ctxs:
-            assert "objective_evaluations" not in ctx.counters.snapshot()
-
 
 def _shared_chain_batch(make_random_context, perturbed_priors):
     """RAGGED on one shared Priors, with two lanes moved to a second one,
@@ -214,12 +203,8 @@ class TestSharedChain:
             self, make_random_context, perturbed_priors, order):
         ctxs, frees, _ = _shared_chain_batch(make_random_context,
                                              perturbed_priors)
-        active = [True, True, False, True, True, True, False, True]
-        outs = elbo_batch(ctxs, frees, order=order, active=active)
-        for ctx, free, flag, out in zip(ctxs, frees, active, outs):
-            if not flag:
-                assert out is None
-                continue
+        outs = elbo_batch(ctxs, frees, order=order)
+        for ctx, free, out in zip(ctxs, frees, outs):
             ref = elbo(ctx, free, order=order)
             assert float(out.val) == float(ref.val)
             np.testing.assert_array_equal(out.gradient(FREE.size),
@@ -259,7 +244,7 @@ class TestSharedChain:
                                         perturbed_priors, order):
         """Every LogitBox coordinate of a call goes through one pass, shared
         by the chain and the KL stack, whatever the lane, patch and band
-        counts and the active mask; no per-block bijector call remains."""
+        counts; no per-block bijector call remains."""
         from repro.core import kernel
         from repro.transforms import LogitBox
 
@@ -279,12 +264,9 @@ class TestSharedChain:
 
         monkeypatch.setattr(kernel, "_bijector_pass", counting_pass)
         monkeypatch.setattr(LogitBox, "forward_d012_vec", counting_vec)
-        for lanes, active in ((slice(None), None), (slice(0, 1), None),
-                              (slice(3, 6), None),
-                              (slice(None), [i % 3 != 1
-                                             for i in range(len(ctxs))])):
+        for lanes in (slice(None), slice(0, 1), slice(3, 6)):
             passes.clear()
-            elbo_batch(ctxs[lanes], frees[lanes], order=order, active=active)
+            elbo_batch(ctxs[lanes], frees[lanes], order=order)
             assert passes == [len(ctxs[lanes])]
         assert per_block == []
 
@@ -338,7 +320,6 @@ class TestSharedChain:
 
         ctxs, frees, _ = _shared_chain_batch(make_random_context,
                                              perturbed_priors)
-        active = [i % 4 != 2 for i in range(len(ctxs))]
         stacks = []
         real = kernel.KlWorkspace.evaluate_stacked
 
@@ -351,13 +332,13 @@ class TestSharedChain:
 
         monkeypatch.setattr(kernel.KlWorkspace, "evaluate_stacked",
                             capturing)
-        elbo_batch(ctxs, frees, order=order, active=active)
+        elbo_batch(ctxs, frees, order=order)
         fused = list(stacks)
         groups = compile_elbo_batch(ctxs).layout.kl_groups
         assert len(fused) == len(groups)
         for (_, lanes), (shared, (val, grad, hess)) in zip(groups, fused):
             assert shared
-            for i, lane in enumerate(l for l in lanes if active[l]):
+            for i, lane in enumerate(lanes):
                 alone = elbo_kl(ctxs[lane], frees[lane], order=order)
                 assert np.asarray(alone.val).tobytes() == val[i].tobytes()
                 for a, b in ((alone.grad, grad), (alone.hess, hess)):
@@ -410,23 +391,13 @@ class TestStackedPrologue:
         assert len(lay.kl_groups) == 2
         assert sorted({len(c.patches) for c in ctxs}) == [1, 2, 3]
 
-    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("vc", [True, False])
     @pytest.mark.parametrize("order", [1, 2])
     def test_lane_in_call_equals_lane_alone(self, make_random_context,
-                                            perturbed_priors, order, vc,
-                                            masked):
-        """``masked`` leaves two lanes inactive: they still ride through
-        the prologue and their pixel passes, and change no other lane."""
+                                            perturbed_priors, order, vc):
         ctxs, frees = _prologue_batch(make_random_context, perturbed_priors)
-        active = ([True, True, True, False, True, True, True, False]
-                  if masked else [True] * len(ctxs))
-        outs = elbo_batch(ctxs, frees, order=order, variance_correction=vc,
-                          active=active)
-        for ctx, free, flag, out in zip(ctxs, frees, active, outs):
-            if not flag:
-                assert out is None
-                continue
+        outs = elbo_batch(ctxs, frees, order=order, variance_correction=vc)
+        for ctx, free, out in zip(ctxs, frees, outs):
             ref = elbo(ctx, free, order=order, variance_correction=vc)
             assert np.asarray(out.val).tobytes() == \
                 np.asarray(ref.val).tobytes()
@@ -441,14 +412,12 @@ class TestLockstepOptimizer:
     """Lane independence of optimize_sources_batch: k lanes against k
     one-lane solves (``optimize_source`` is the batch of one)."""
 
-    def _solve_both(self, make_random_context, specs, config,
-                    **batch_kwargs):
+    def _solve_both(self, make_random_context, specs, config):
         ref_ctxs, entries = _cases(make_random_context, specs)
         bat_ctxs, _ = _cases(make_random_context, specs)
         ref = [optimize_source(ctx, e, config)
                for ctx, e in zip(ref_ctxs, entries)]
-        bat = optimize_sources_batch(bat_ctxs, entries, config,
-                                     **batch_kwargs)
+        bat = optimize_sources_batch(bat_ctxs, entries, config)
         return ref, bat, bat_ctxs
 
     def test_bit_for_bit_equals_scalar_solves(self, make_random_context):
@@ -462,24 +431,38 @@ class TestLockstepOptimizer:
             assert r.optim.message == b.optim.message
             assert r.converged == b.converged
 
-    def test_repack_thresholds_do_not_change_results(self,
-                                                     make_random_context):
-        config = OptimizeConfig(max_iter=20, grad_tol=1e-4)
-        frees = {}
-        for threshold in (0.0, 0.5, 1.0):
-            ctxs, entries = _cases(make_random_context, UNIFORM)
-            results = optimize_sources_batch(ctxs, entries, config,
-                                             repack_threshold=threshold)
-            frees[threshold] = [r.free for r in results]
-            if threshold == 1.0:
-                # Repacking on every drop keeps occupancy perfect: every
-                # swept lane is active.
-                snap = ctxs[0].counters.snapshot()
-                assert (snap["elbo_batch_lanes_active"]
-                        == snap["elbo_batch_lanes"])
-        for threshold in (0.5, 1.0):
-            for a, b in zip(frees[0.0], frees[threshold]):
-                np.testing.assert_array_equal(a, b)
+    def test_sources_admitted_mid_run_keep_their_bits(self,
+                                                      make_random_context):
+        """A source that joins a running lockstep solves exactly as it
+        does alone, and each call holds exactly the sources in flight."""
+        from repro.core.single import SourceLockstep
+
+        config = OptimizeConfig(max_iter=15, grad_tol=1e-4)
+        ref, _, _ = self._solve_both(make_random_context, RAGGED, config)
+        ctxs, entries = _cases(make_random_context, RAGGED)
+        lockstep = SourceLockstep(config)
+        joins = {0: [0, 1], 2: [2], 3: [3, 4, 5]}
+        out, round_ = {}, 0
+        while lockstep or round_ <= max(joins):
+            for i in joins.get(round_, []):
+                lockstep.admit(ctxs[i], entries[i], i)
+            lanes = len(lockstep)
+            calls = sum(c.counters.snapshot().get("elbo_batch_calls", 0)
+                        for c in ctxs)
+            out.update(lockstep.step())
+            after = sum(c.counters.snapshot().get("elbo_batch_calls", 0)
+                        for c in ctxs)
+            assert after - calls == (1 if lanes else 0)
+            round_ += 1
+        assert sorted(out) == list(range(len(ctxs)))
+        for i, r in enumerate(ref):
+            b = out[i]
+            assert r.free.tobytes() == b.free.tobytes()
+            assert r.elbo == b.elbo
+            assert (r.optim.n_iterations, r.optim.n_evaluations,
+                    r.optim.message) == (b.optim.n_iterations,
+                                         b.optim.n_evaluations,
+                                         b.optim.message)
 
     def test_counters_match_scalar_path(self, make_random_context):
         config = OptimizeConfig(max_iter=10, grad_tol=1e-4)
@@ -571,127 +554,63 @@ def _region_scene(n=10, spacing=12.0, seed=3):
     return images, entries
 
 
-class TestBatchableRuns:
-    def test_conflicting_sources_never_share_a_run(self):
-        pos = np.array([[0.0, 0.0], [8.0, 0.0], [40.0, 0.0], [80.0, 0.0]])
-        graph = build_conflict_graph(pos, radii=5.0)
-        assert graph.conflicts(0, 1)
-        runs = _batchable_runs([0, 1, 2, 3], graph, limit=4)
-        # Greedy list scheduling: the independent tail (2, 3) packs into
-        # source 0's chunk instead of fragmenting on the 0-1 conflict;
-        # 1 waits for the next round because it conflicts with 0.
-        assert runs == [[0, 2, 3], [1]]
-        # Conflicting pairs keep their relative order — chunking reorders
-        # only independent sources, so the schedule stays serially
-        # equivalent to the one-by-one loop.
-        flat_pos = {s: i for i, run in enumerate(runs) for s in run}
-        assert flat_pos[0] < flat_pos[1]
+class TestRegionRunOrder:
+    """A region run hands out sources in its schedule's serial order, each
+    only once every conflicting source before it (itself, in an earlier
+    pass) has folded back — the rule that keeps a barrier-free lockstep
+    bit-for-bit equal to the one-by-one loop."""
 
-    def test_conflict_chain_preserves_order(self):
-        # 0-1 and 1-2 conflict (chain); 3 is independent.  1 must not jump
-        # past 0, and 2 must not jump past 1 even though 2 does not
-        # conflict with 0 directly: deferral is transitive through the
-        # rest-scan, so the serialized component executes in order.
-        pos = np.array([[0.0, 0.0], [8.0, 0.0], [16.0, 0.0], [80.0, 0.0]])
-        graph = build_conflict_graph(pos, radii=5.0)
-        runs = _batchable_runs([0, 1, 2, 3], graph, limit=4)
-        assert runs == [[0, 3], [1], [2]]
+    @staticmethod
+    def _run(n_passes, batch_size=3, seed=0):
+        images, entries = _region_scene(n=10, spacing=12.0)
+        config = ParallelRegionConfig(
+            n_threads=2, n_passes=n_passes, batch_size=batch_size, seed=seed,
+            joint=JointConfig(n_passes=1, single=OptimizeConfig(max_iter=2)))
+        job = RegionJob(images, entries, None, None, None, seed)
+        return RegionRun(job, default_priors(), config)
 
-    def test_size_limit_respected(self):
-        pos = np.array([[40.0 * i, 0.0] for i in range(7)])
-        graph = build_conflict_graph(pos, radii=5.0)
-        runs = _batchable_runs(list(range(7)), graph, limit=3)
-        assert runs == [[0, 1, 2], [3, 4, 5], [6]]
+    @staticmethod
+    def _fake_result(run, item):
+        # Folding back the source's current parameters moves nothing.
+        from repro.core.single import SourceResult
 
-    def test_lane_limit_one_is_the_one_by_one_loop(self):
-        # Limit 1 never reorders anything, conflicts or not: the
-        # assignment's sources come back as singletons in their order.
-        pos = np.array([[0.0, 0.0], [8.0, 0.0], [16.0, 0.0], [80.0, 0.0]])
-        graph = build_conflict_graph(pos, radii=5.0)
-        assignment = [2, 0, 3, 1]
-        assert _batchable_runs(assignment, graph, 1) == [[2], [0], [3], [1]]
+        return SourceResult(params=run.opt.params[run.order[item]],
+                            free=None, elbo=0.0, optim=None)
 
+    @pytest.mark.parametrize("n_passes", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_admitted_sources_wait_for_conflicting_predecessors(
+            self, n_passes, seed):
+        run = self._run(n_passes, seed=seed)
+        assert sorted(run.order) == sorted(list(range(10)) * n_passes)
+        assert any(run.graph.conflicts(s, s + 1) for s in range(9))
+        rng = np.random.default_rng(seed)
+        done, in_flight = set(), []
+        while not run.done:
+            for i in run.ready(4 - len(in_flight)):
+                s = run.order[i]
+                for j in range(i):
+                    t = run.order[j]
+                    if t == s or run.graph.conflicts(s, t):
+                        assert j in done, (j, i)
+                in_flight.append(i)
+            assert 0 < len(in_flight) <= 4
+            item = in_flight.pop(int(rng.integers(len(in_flight))))
+            run.fold_back(item, self._fake_result(run, item))
+            done.add(item)
+        assert len(done) == len(run.order)
 
-class TestCoalesceBatches:
-    def _graph(self):
-        # 0-1 conflict; everything else is pairwise independent.
-        pos = np.array([[0.0, 0.0], [8.0, 0.0], [40.0, 0.0], [80.0, 0.0],
-                        [120.0, 0.0], [160.0, 0.0]])
-        return build_conflict_graph(pos, radii=5.0)
-
-    def test_merges_conflict_free_rounds(self):
-        from repro.parallel.cyclades import CycladesBatch
-        from repro.parallel.executor import _coalesce_batches
-
-        graph = self._graph()
-        batches = [
-            CycladesBatch(thread_assignments=[[2], [3]],
-                          components=[[2], [3]]),
-            CycladesBatch(thread_assignments=[[4], [5]],
-                          components=[[4], [5]]),
-        ]
-        out = _coalesce_batches(batches, graph, n_threads=2)
-        assert len(out) == 1
-        assert out[0].thread_assignments == [[2, 4], [3, 5]]
-        assert out[0].components == [[2], [3], [4], [5]]
-
-    def test_merges_co_threaded_conflicts(self):
-        from repro.parallel.cyclades import CycladesBatch
-        from repro.parallel.executor import _coalesce_batches
-
-        graph = self._graph()
-        # 0 and 1 conflict but land on the same thread in consecutive
-        # rounds: the barrier between them is redundant (intra-thread
-        # order already serializes them) and the rounds merge.
-        batches = [
-            CycladesBatch(thread_assignments=[[0], [2]],
-                          components=[[0], [2]]),
-            CycladesBatch(thread_assignments=[[1], [3]],
-                          components=[[1], [3]]),
-        ]
-        out = _coalesce_batches(batches, graph, n_threads=2)
-        assert len(out) == 1
-        assert out[0].thread_assignments == [[0, 1], [2, 3]]
-
-    def test_keeps_barrier_for_cross_thread_conflicts(self):
-        from repro.parallel.cyclades import CycladesBatch
-        from repro.parallel.executor import _coalesce_batches
-
-        graph = self._graph()
-        # 0 and 1 conflict and sit on *different* threads across the two
-        # rounds: merging would race them, so the barrier must survive.
-        batches = [
-            CycladesBatch(thread_assignments=[[0], [2]],
-                          components=[[0], [2]]),
-            CycladesBatch(thread_assignments=[[3], [1]],
-                          components=[[3], [1]]),
-        ]
-        out = _coalesce_batches(batches, graph, n_threads=2)
-        assert len(out) == 2
-        assert out[0].thread_assignments == [[0], [2]]
-        assert out[1].thread_assignments == [[3], [1]]
-
-    def test_conflict_with_any_group_member_blocks_merge(self):
-        from repro.parallel.cyclades import CycladesBatch
-        from repro.parallel.executor import _coalesce_batches
-
-        graph = self._graph()
-        # Round 3's source 1 conflicts with round 1's source 0 on another
-        # thread.  The merge check must look at the whole accumulated
-        # group, not just the previous round — otherwise 1 would slip in
-        # two rounds after 0 and race it.
-        batches = [
-            CycladesBatch(thread_assignments=[[0], [2]],
-                          components=[[0], [2]]),
-            CycladesBatch(thread_assignments=[[3], [4]],
-                          components=[[3], [4]]),
-            CycladesBatch(thread_assignments=[[5], [1]],
-                          components=[[5], [1]]),
-        ]
-        out = _coalesce_batches(batches, graph, n_threads=2)
-        assert len(out) == 2
-        assert out[0].thread_assignments == [[0, 3], [2, 4]]
-        assert out[1].thread_assignments == [[5], [1]]
+    def test_ready_admits_in_serial_order_up_to_the_room(self):
+        run = self._run(1, batch_size=10)
+        first = run.ready(16)
+        assert first == sorted(first) and first[0] == 0
+        # Every source not admitted waits on an earlier conflicting one.
+        for i in set(range(len(run.order))) - set(first):
+            s = run.order[i]
+            assert any(run.graph.conflicts(s, run.order[j])
+                       for j in range(i))
+        assert run.ready(16) == []          # nothing folded back yet
+        assert self._run(1, batch_size=10).ready(2) == first[:2]
 
 
 class TestExecutorBatching:
@@ -739,7 +658,7 @@ class TestExecutorBatching:
     @pytest.mark.parametrize("elbo_batch_size", [1])
     def test_lane_limit_one_runs_the_one_path(self, elbo_batch_size):
         """Lane limit 1 runs the same batched path: every evaluation is a
-        one-lane batch call, and no lane is ever swept masked."""
+        one-lane batch call."""
         _, snap = self._region_counters(elbo_batch_size)
         assert snap["objective_evaluations"] > 0
         assert snap["elbo_batch_calls"] == snap["objective_evaluations"]
@@ -766,60 +685,37 @@ class TestExecutorBatching:
             sixteen.catalog)
         assert unset_snap["elbo_batch_calls"] < one_snap["elbo_batch_calls"]
 
-    def test_cross_assignment_coalescing_bit_for_bit_and_fuller(
-            self, monkeypatch):
-        """Cross-assignment batching: batch coalescing (always on above
-        lane limit 1; switched off here by patching it out) lets lockstep
-        evaluation batches span multiple Cyclades rounds — measurably more
-        lanes per call on a clustered scene — while the catalog stays
-        bit-for-bit identical to the uncoalesced (and scalar) schedule."""
-        from repro.parallel import executor
+    def test_rolling_lockstep_needs_no_round_barrier(self):
+        """Well-separated sources conflict with nothing, so every source
+        of the region is ready at once: a tiny Cyclades sampling batch
+        (many small rounds) no longer caps the lanes of a call, and the
+        catalog keeps the bits of lane limit 1."""
         from repro.perf import Counters
 
-        # Well-separated sources: the conflict graph shatters, so every
-        # Cyclades round is mergeable and the only thing capping lockstep
-        # width is the round boundary itself — exactly what coalescing
-        # removes.  (Clustered scenes merge less; the unit tests above
-        # cover the conflict-blocked cases.)
         images, entries = _region_scene(n=12, spacing=30.0)
         priors = default_priors()
         joint = JointConfig(
             n_passes=1, single=OptimizeConfig(max_iter=6, grad_tol=2e-3),
         )
 
-        def run(coalesce):
+        def run(lanes):
             counters = Counters()
-            with monkeypatch.context() as patch:
-                if not coalesce:
-                    patch.setattr(executor, "_coalesce_batches",
-                                  lambda batches, graph, n_threads: batches)
-                result = optimize_region_parallel(
-                    images, entries, priors,
-                    ParallelRegionConfig(
-                        n_threads=2, n_passes=1, joint=joint,
-                        # A tiny sampling batch forces many small Cyclades
-                        # rounds — the regime where per-round chunking
-                        # starves the lockstep width.
-                        batch_size=3, elbo_batch_size=16, seed=0),
-                    counters=counters,
-                )
+            result = optimize_region_parallel(
+                images, entries, priors,
+                ParallelRegionConfig(n_threads=2, n_passes=1, joint=joint,
+                                     batch_size=3, elbo_batch_size=lanes,
+                                     seed=0),
+                counters=counters)
             return result, counters.snapshot()
 
-        split, split_snap = run(False)
-        merged, merged_snap = run(True)
-        for a, b in zip(split.catalog, merged.catalog):
-            np.testing.assert_array_equal(a.position, b.position)
-            assert a.flux_r == b.flux_r
-            np.testing.assert_array_equal(a.colors, b.colors)
-        assert split.elbo_total == merged.elbo_total
-
-        def lanes_per_call(snap):
-            return snap["elbo_batch_lanes"] / snap["elbo_batch_calls"]
-
-        # Coalescing exists to fill lanes: strictly fewer batch calls,
-        # strictly more lanes per call, on this scene.
-        assert merged_snap["elbo_batch_calls"] < split_snap["elbo_batch_calls"]
-        assert lanes_per_call(merged_snap) > lanes_per_call(split_snap)
+        one, _ = run(1)
+        wide, snap = run(16)
+        assert catalog_bits_digest(one.catalog) == catalog_bits_digest(
+            wide.catalog)
+        assert one.elbo_total == wide.elbo_total
+        # Every call holds every source still in flight, so there are no
+        # more calls than one solve's evaluations at most.
+        assert snap["elbo_batch_calls"] <= joint.single.max_iter + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,43 @@
-"""A seat runs each Dtree grant as one lockstep.
+"""A seat runs every task it holds in one rolling lockstep.
 
-The tasks of a grant keep their own region setup, schedule and result,
-while their rounds are joined so one ELBO call carries lanes of several
-tasks.  That must be invisible in the catalog: a run whose grants hold
-many tasks has the bits of one that hands seats one task at a time, on
-thread and process seats, under every schedule-shaped option.  A seat
+Each task keeps its own region setup, schedule and result, while one ELBO
+call carries lanes of every task the seat holds, across grants: the seat
+asks for more work whenever its tasks in flight hold fewer sources than
+the lane limit.  That must be invisible in the catalog: a run whose seats
+hold many tasks has the bits of one that hands seats one task at a time,
+on thread and process seats, under every schedule-shaped option.  A seat
 that dies between the reports of a grant has every unreported task of it
-re-dispatched.  And the grant rule itself: every task granted once, no
-grant above the cap, and a makespan with equal-cost tasks no worse than
-at a cap of two.
+re-dispatched.  Each task reports its own span.  And the request rule
+itself: every task granted once, no grant above the cap, and a makespan
+with equal-cost tasks no worse than at a cap of two.
 """
 
 import dataclasses
-import heapq
+import queue
 
 import numpy as np
 import pytest
 
+from repro.core.catalog import CatalogEntry
 from repro.core.joint import JointConfig
+from repro.core.priors import default_priors
 from repro.core.single import OptimizeConfig
 from repro.driver import DriverConfig, run_pipeline
 from repro.driver.pool import WorkerPool
+from repro.driver.shards import ShardedCatalog
+from repro.driver.worker import TaskConfig, _FieldStore, _WorkerState
 from repro.parallel import ParallelRegionConfig
+from repro.parallel.executor import DEFAULT_LANE_LIMIT
+from repro.partition import Region, Task
+from repro.psf import default_psf
 from repro.sched import Dtree, DtreeConfig
-from repro.survey import SyntheticSkyConfig, generate_survey_fields
+from repro.survey import (
+    AffineWCS,
+    ImageMeta,
+    SyntheticSkyConfig,
+    generate_survey_fields,
+    render_image,
+)
 
 from test_fault_injection import _kill_task
 from test_golden_pipeline import catalog_bits_digest
@@ -75,8 +89,11 @@ def test_grant_lockstep_matches_one_task_at_a_time(survey, executor,
                                                    variant, monkeypatch):
     config = _variant_config(executor, variant)
     grant = run_pipeline(survey, config)
+    # One task per grant, and at lane limit one a seat asks for the next
+    # only once nothing is in flight: one task, one lane at a time.
     monkeypatch.setattr(DriverConfig, "max_batch", 1)
-    single = run_pipeline(survey, config)
+    single = run_pipeline(survey, dataclasses.replace(config,
+                                                      elbo_batch_size=1))
     assert (catalog_bits_digest(grant.catalog)
             == catalog_bits_digest(single.catalog))
     assert grant.report.race_reports == single.report.race_reports == []
@@ -119,42 +136,90 @@ def test_seat_killed_mid_grant_redispatches_the_unreported_rest(
             == catalog_bits_digest(reference.catalog))
 
 
-def test_single_source_tasks_fill_calls_on_one_seat():
-    """One seat, default config, every task a single source: the lanes of
-    a call come from other tasks, and a call carries eight or more (each
-    stage is one grant of 15 tasks)."""
+@pytest.mark.parametrize("executor,n_nodes,n_fields", [("thread", 1, 4),
+                                                       ("process", 2, 8)])
+def test_single_source_tasks_fill_calls_on_one_seat(executor, n_nodes,
+                                                    n_fields):
+    """Default config, nearly every task a single source: the lanes of a
+    call come from other tasks, and a call carries eight or more.  On one
+    seat each stage of four fields is one grant of 15 tasks.  Two process seats
+    share a stage of eight fields, and the drain rule grants them a few
+    tasks at a time: each seat's lockstep stays open across its grants."""
     _, fields = generate_survey_fields(
-        4, field_shape_hw=(40, 40), overlap=8.0,
+        n_fields, field_shape_hw=(40, 40), overlap=8.0,
         config=SyntheticSkyConfig(source_density=50.0, min_separation=12.0,
                                   flux_floor=20.0),
         rng=np.random.default_rng(8), bands=(2,),
     )
-    config = DriverConfig(n_nodes=1, target_weight=1.0)
+    config = DriverConfig(n_nodes=n_nodes, executor=executor,
+                          target_weight=1.0)
     result = run_pipeline(fields, config)
     counters = result.counters
-    assert result.report.n_tasks == 30
-    assert counters["newton_solves"] == result.report.n_source_updates == 60
+    assert result.report.n_tasks >= 30 * n_fields // 4
+    assert counters["newton_solves"] == result.report.n_source_updates
     assert counters["elbo_batch_lanes"] / counters["elbo_batch_calls"] >= 8
+
+
+def test_each_task_reports_its_own_span():
+    """Two tasks of one grant, with one and six sources: the six overlap
+    in a row, so they run one after another, and the task holding them
+    reports a longer span than the one-source task beside it."""
+    row = [CatalogEntry([10.0 + 6.0 * i, 16.0], False, 300.0,
+                        [1.0, 0.8, 0.3, 0.1]) for i in range(6)]
+    lone = CatalogEntry([80.0, 16.0], False, 300.0, [1.0, 0.8, 0.3, 0.1])
+    entries = row + [lone]
+    meta = ImageMeta(band=2, wcs=AffineWCS.translation(0.0, 0.0),
+                     psf=default_psf(3.0), sky_level=100.0,
+                     calibration=100.0)
+    image = render_image(entries, meta, (32, 96),
+                         rng=np.random.default_rng(0))
+    catalog = ShardedCatalog.from_entries(entries, n_ranks=1)
+    config = TaskConfig(
+        parallel=ParallelRegionConfig(
+            n_threads=1, n_passes=1, joint=JointConfig(
+                n_passes=1, single=OptimizeConfig(max_iter=6))),
+        image_margin=16.0, halo_refresh=False)
+    tasks = [Task(0, 0, Region(0.0, 64.0, 0.0, 32.0), list(range(6)), row),
+             Task(1, 0, Region(64.0, 96.0, 0.0, 32.0), [6], [lone])]
+    seat = _WorkerState(0, 0, _FieldStore([[image]]), None, default_priors(),
+                        config, catalog, catalog, in_process=True)
+    done = queue.Queue()
+    seat.take([(task, []) for task in tasks], [])
+    while seat.busy:
+        seat.step(done)
+    records = {r.task_id: r for r in (done.get_nowait(), done.get_nowait())}
+    assert records[0].executed and records[1].executed
+    assert records[0].seconds > 2 * records[1].seconds > 0.0
+    assert records[0].counters["newton_solves"] == 6.0
 
 
 # ---------------------------------------------------------------------------
 # The grant rule
 
 
-def _drain(n_seats, n_tasks, cap):
-    """Equal-cost tasks on ``n_seats`` seats, each asking for its next
-    grant when the last one is done: ``(grants, makespan)``."""
+def _drain(n_seats, n_tasks, cap, lanes=DEFAULT_LANE_LIMIT):
+    """One-source tasks of equal cost on ``n_seats`` seats: a seat runs up
+    to ``lanes`` tasks at a time, each taking one time step, and asks for
+    a grant whenever the tasks it holds are fewer than ``lanes``.
+    ``(grants, makespan)``."""
     dtree = Dtree(n_seats, n_tasks, DtreeConfig())
-    ready = [(0, seat) for seat in range(n_seats)]
-    grants, makespan = [], 0
-    while ready:
-        now, seat = heapq.heappop(ready)
-        grant = dtree.request(seat, max_batch=cap)
-        if grant:
-            grants.append(grant)
-            makespan = max(makespan, now + len(grant))
-            heapq.heappush(ready, (now + len(grant), seat))
-    return grants, makespan
+    held = [0] * n_seats
+    grants, now, makespan = [], 0, 0
+    while True:
+        for seat in range(n_seats):
+            while held[seat] < lanes:
+                grant = dtree.request(seat, max_batch=cap)
+                if not grant:
+                    break
+                grants.append(grant)
+                held[seat] += len(grant)
+        if not any(held):
+            return grants, makespan
+        now += 1
+        for seat in range(n_seats):
+            if held[seat]:
+                held[seat] -= min(lanes, held[seat])
+                makespan = now
 
 
 @pytest.mark.parametrize("n_seats,n_tasks", [

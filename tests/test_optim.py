@@ -339,3 +339,41 @@ class TestPinnedSolverBehaviour:
     def test_every_case_is_pinned(self):
         assert set(PINNED_NEWTON) == set(_newton_cases())
         assert set(PINNED_LBFGS) == set(_lbfgs_cases())
+
+
+class TestAdmissionExactness:
+    """A problem admitted at round ``k`` of a running lockstep takes the
+    same iterates, iteration and evaluation counts, message and bits as
+    that problem solved alone — every pinned case, early exits included.
+    Other lanes run beside it from round zero, and one joins with it."""
+
+    @pytest.mark.parametrize("round_", [1, 2])
+    @pytest.mark.parametrize("case", sorted(PINNED_NEWTON))
+    def test_admitted_mid_run_matches_alone(self, case, round_):
+        from repro.optim import NewtonLockstep
+
+        fgh, x0, kwargs = _newton_cases()[case]
+        background = {"rosenbrock-a": (rosenbrock_fgh, np.array([-1.2, 1.0])),
+                      "rosenbrock-b": (rosenbrock_fgh, np.array([2.0, -1.5])),
+                      "saddle": (saddle_fgh, np.array([0.3, 0.5]))}
+        problems = dict(background, target=(fgh, x0))
+
+        def fgh_batch(names, xs):
+            return [problems[name][0](x) for name, x in zip(names, xs)]
+
+        engine = NewtonLockstep(fgh_batch, **kwargs)
+        engine.admit("rosenbrock-a", background["rosenbrock-a"][1])
+        engine.admit("saddle", background["saddle"][1])
+        results, rounds = {}, 0
+        while engine or "target" not in results and rounds <= round_:
+            if rounds == round_:
+                assert len(engine) > 0      # the lockstep is running
+                engine.admit("rosenbrock-b", background["rosenbrock-b"][1])
+                engine.admit("target", x0)
+            results.update(engine.step())
+            rounds += 1
+        assert _signature(results["target"]) == PINNED_NEWTON[case]
+        alone = {name: newton_trust_region(f, start, **kwargs)
+                 for name, (f, start) in background.items()}
+        for name, res in alone.items():
+            assert _signature(results[name]) == _signature(res), name
