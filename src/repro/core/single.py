@@ -55,7 +55,7 @@ class OptimizeConfig:
     # benchmarks/suite/layers.py reads.  It passes the first two to
     # ``elbo``/``elbo_batch`` (where anything but ``None`` is a ValueError
     # — there is one ELBO kernel).  The last two are what
-    # ``optimize_sources_batch`` passes on, so the suite replays the values
+    # :class:`SourceLockstep` passes on, so the suite replays the values
     # the solver runs with: the trust region's starting radius and the
     # evaluations' variance correction.
     backend = None

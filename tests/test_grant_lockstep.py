@@ -67,8 +67,8 @@ def _config(executor, n_nodes=1, **parallel):
 #: on one seat, whose grants are the largest (a stage of this survey is
 #: about eight tasks; with two seats the drain rule grants them one or two
 #: at a time).  One seat also fixes the completion order ``halo_refresh``
-#: results depend on (grant order is task order), so the grant's groups
-#: of one must reproduce one-task grants exactly.
+#: results depend on (arrival order is task order), so a seat running one
+#: task at a time must reproduce one-task grants exactly.
 _VARIANTS = {
     "n_threads2": ({}, dict(n_threads=2)),
     "n_passes2": ({}, dict(n_passes=2)),
