@@ -22,7 +22,9 @@ The pieces, in the style of
     :class:`AccessLog`) and reports any write/write or read/write overlap
     between *different actors in the same logical epoch*.  Different epochs
     never conflict: an epoch boundary is a synchronization point (a
-    Cyclades batch barrier, a driver stage).
+    driver stage).  Within a region's rolling lockstep a source's
+    fold-back is one: :meth:`RaceDetector.retire` drops its writes, so
+    only sources in flight together are compared.
 
 Enabled via ``ParallelRegionConfig.race_detect`` / ``REPRO_RACE_DETECT=1``;
 findings surface in :class:`repro.perf.driver.DriverReport`.
@@ -176,6 +178,13 @@ class RaceDetector:
                 if dedup not in self._seen:
                     self._seen.add(dedup)
                     self.reports.append(report)
+
+    def retire(self, actor: tuple) -> None:
+        """Drop every recorded access of ``actor``: its writes are
+        published, and whatever is recorded after them saw them."""
+        with self._lock:
+            for key, peers in self._accesses.items():
+                self._accesses[key] = [a for a in peers if a.actor != actor]
 
     def seal_before(self, epoch: tuple) -> None:
         """Drop recorded accesses from epochs other than ``epoch`` (their

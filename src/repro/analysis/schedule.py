@@ -1,17 +1,22 @@
 """Static schedule verifier: independent proof that a Cyclades plan is safe.
 
-Execution relies on two properties of every batch the scheduler emits:
+Execution relies on three properties:
 
-1. **Pixel disjointness** — patch boxes of sources assigned to *different*
+1. **Edge completeness** — every pair of sources whose patch boxes share
+   a pixel is an edge of the conflict graph.  A region's rolling
+   lockstep (:mod:`repro.parallel.executor`) keeps no round barrier: two
+   sources with no edge between them may share one ELBO call whatever
+   their rounds, and read each other's stale pixels if their boxes meet.
+2. **Pixel disjointness** — patch boxes of sources assigned to *different*
    threads within one batch never share a pixel, so concurrent fold-backs
    into the shared model image cannot lose updates (the PR-1 bug: diagonal
    neighbours whose Euclidean distance exceeded the radius sum but whose
    *rounded integer boxes* still overlapped).
-2. **Component atomicity** — a conflict-connected component is never split
+3. **Component atomicity** — a conflict-connected component is never split
    across threads: all sources whose boxes (transitively) touch run on one
    thread, serially.
 
-This module re-derives both properties from nothing but source positions
+This module re-derives all three from nothing but source positions
 and radii.  It deliberately shares no code with
 :mod:`repro.parallel.conflict` — it rounds to integer pixel boxes the way
 :func:`repro.survey.render.source_patch` does and intersects intervals,
@@ -19,10 +24,10 @@ rather than thresholding Chebyshev distances — so a bug in the conflict
 graph cannot hide itself from its own verifier.
 
 Entry points: :func:`verify_plan` (positions/radii + batches),
-:func:`verify_batches` (pre-built boxes, used by the executor's
-pre-execution hook), and :func:`audit_random_schedule` (a seeded
-end-to-end audit of the real scheduler, run from ``python -m
-repro.analysis``).
+:func:`verify_batches` and :func:`verify_conflict_edges` (pre-built
+boxes, used by the executor's pre-execution hook), and
+:func:`audit_random_schedule` (a seeded end-to-end audit of the real
+conflict graph and scheduler, run from ``python -m repro.analysis``).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "ScheduleError",
     "boxes_from_plan",
     "verify_batches",
+    "verify_conflict_edges",
     "verify_plan",
     "audit_random_schedule",
 ]
@@ -65,7 +71,7 @@ class PatchBox:
 class ScheduleViolation:
     """One failure of the schedule contract, with enough context to debug."""
 
-    kind: str  # "overlap" | "split-component" | "duplicate"
+    kind: str  # "overlap" | "split-component" | "duplicate" | "missing-edge"
     batch: int
     sources: tuple
     detail: str
@@ -188,6 +194,23 @@ def verify_batches(boxes, batches) -> list[ScheduleViolation]:
     return violations
 
 
+def verify_conflict_edges(boxes, adjacency) -> list[ScheduleViolation]:
+    """Check that every pair of sources whose patch boxes touch is an
+    edge of the conflict graph (``adjacency``: one neighbour set per
+    source).  A missing edge lets the two run together in a lockstep
+    whatever their rounds.  Violations carry ``batch == -1``: the graph
+    is not one batch's."""
+    violations: list[ScheduleViolation] = []
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if j not in adjacency[i] and _boxes_touch(boxes[i], boxes[j]):
+                violations.append(ScheduleViolation(
+                    kind="missing-edge", batch=-1, sources=(i, j),
+                    detail="pixel boxes %s and %s overlap with no conflict "
+                           "edge" % (boxes[i][0], boxes[j][0])))
+    return violations
+
+
 def verify_plan(positions, radii, batches,
                 n_images: int = 1) -> list[ScheduleViolation]:
     """End-to-end check from raw geometry: round boxes, then verify."""
@@ -202,8 +225,8 @@ def audit_random_schedule(seed: int = 0, n_sources: int = 200,
 
     Generates seeded random positions and radii, builds the production
     conflict graph and Cyclades batches (imported lazily so the checker
-    logic above never depends on the code it audits), and verifies every
-    batch.  Returns the number of batches proven safe; raises
+    logic above never depends on the code it audits), and verifies the
+    graph's edges and every batch.  Returns the number of batches proven safe; raises
     :class:`ScheduleError` if any violation is found.
     """
     import numpy as np
@@ -220,7 +243,8 @@ def audit_random_schedule(seed: int = 0, n_sources: int = 200,
         boxes = boxes_from_plan(positions, radii)
         batches = cyclades_batches(graph, n_threads=n_threads, rng=rng)
         plans = [b.thread_assignments for b in batches]
-        violations = verify_batches(boxes, plans)
+        violations = (verify_conflict_edges(boxes, graph.adjacency)
+                      + verify_batches(boxes, plans))
         if violations:
             raise ScheduleError(violations)
         n_checked += len(plans)

@@ -104,6 +104,7 @@ from repro.driver.worker import (
 from repro.envvars import env_flag, env_int, env_raw
 from repro.knobs import fingerprinted_values, knob
 from repro.parallel import ParallelRegionConfig
+from repro.parallel.executor import lane_limit
 from repro.partition import Region, Task, generate_tasks
 from repro.perf.counters import Counters
 from repro.perf.driver import DriverReport
@@ -301,11 +302,7 @@ def _pin_config(config: DriverConfig) -> DriverConfig:
     batch_size = _unless_set(
         config.elbo_batch_size,
         _unless_set(parallel.elbo_batch_size, env_int(ELBO_BATCH_ENV_VAR)))
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(
-            "elbo_batch_size must be a positive integer, got %r"
-            % (batch_size,)
-        )
+    lane_limit(batch_size)  # refuses a limit below one up front
     return replace(
         config,
         elbo_batch_size=batch_size,

@@ -21,7 +21,7 @@ from repro.driver.checkpoint import (
 from repro.driver.pool import WorkerPool
 from repro.driver.shards import ShardedCatalog
 from repro.driver.worker import TaskConfig, TaskDone, _dict_delta, _FieldStore
-from repro.parallel.executor import DEFAULT_LANE_LIMIT
+from repro.parallel.executor import lane_limit
 from repro.partition import Region, Task
 from repro.perf.counters import Counters
 from repro.perf.driver import DriverReport
@@ -301,7 +301,7 @@ class StageRunner:
             bind(w)
 
         dtree = Dtree(n, len(tasks), config.dtree)
-        lane_limit = config.parallel.elbo_batch_size or DEFAULT_LANE_LIMIT
+        lanes = lane_limit(config.parallel.elbo_batch_size)
         #: Per seat, the sources of its tasks in flight: the seat asks for
         #: more work while these are below the lane limit.
         load = [0] * n
@@ -501,7 +501,7 @@ class StageRunner:
                     # the seat takes the grant at its next round, and the
                     # Dtree's load balancing still sees completion times.
                     with conds[w]:
-                        while (load[w] >= lane_limit and not failed.is_set()
+                        while (load[w] >= lanes and not failed.is_set()
                                and not dead[w]):
                             conds[w].wait(timeout=0.5)
                     if failed.is_set() or dead[w]:

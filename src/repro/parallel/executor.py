@@ -98,17 +98,20 @@ class ParallelRegionConfig:
     #: fills it from ``DriverConfig.elbo_batch_size`` /
     #: ``REPRO_ELBO_BATCH``.
     elbo_batch_size: int | None = knob(None, provenance="neutral")
-    #: Record every scheduled source's patch-pixel write extents into a
-    #: shadow race detector (:mod:`repro.analysis.race`) and return any
-    #: same-round cross-thread overlaps in ``RegionResult.race_reports``;
+    #: Record every admitted source's patch-pixel write extents into a
+    #: shadow race detector (:mod:`repro.analysis.race`) until it folds
+    #: back, and return any overlap between sources in flight together
+    #: in ``RegionResult.race_reports``;
     #: under the driver, also shadow every one-sided catalog access, with
     #: findings in ``DriverReport.race_reports``.  Observational only —
     #: results are bit-identical either way (``REPRO_RACE_DETECT``).
     race_detect: bool | None = knob(None, provenance="observational")
-    #: Prove each pass's batches safe *before executing them* with the
-    #: independent static verifier (:mod:`repro.analysis.schedule`),
-    #: raising :class:`repro.analysis.schedule.ScheduleError` on any
-    #: cross-thread pixel overlap or split component.  Observational only
+    #: Prove a region's conflict graph and each pass's batches safe
+    #: *before executing them* with the independent static verifier
+    #: (:mod:`repro.analysis.schedule`), raising
+    #: :class:`repro.analysis.schedule.ScheduleError` on any pixel overlap
+    #: without a conflict edge, cross-thread pixel overlap or split
+    #: component.  Observational only
     #: (``REPRO_VERIFY_SCHEDULE``).
     verify_schedule: bool | None = knob(None, provenance="observational")
     #: Install the runtime float sanitizer
@@ -126,6 +129,17 @@ class ParallelRegionConfig:
 #: spelling nor ``REPRO_ELBO_BATCH`` sets one: the plateau of the kernel
 #: bench's ``batch_sweep`` (``BENCH_elbo_backend.json``).
 DEFAULT_LANE_LIMIT = 16
+
+
+def lane_limit(elbo_batch_size: int | None) -> int:
+    """The lane limit an ``elbo_batch_size`` setting runs at: ``None`` is
+    :data:`DEFAULT_LANE_LIMIT`; below one is refused."""
+    if elbo_batch_size is None:
+        return DEFAULT_LANE_LIMIT
+    if elbo_batch_size < 1:
+        raise ValueError("elbo_batch_size must be a positive integer, got %r"
+                         % (elbo_batch_size,))
+    return elbo_batch_size
 
 
 class RegionJob(NamedTuple):
@@ -151,14 +165,18 @@ _WAITING, _RUNNING, _DONE = 0, 1, 2
 class RegionRun:
     """One region's run through a seat's lockstep: its optimizer, its
     conflict graph and every pass's Cyclades schedule, drawn (and, when
-    asked, verified and shadowed) up front from its job's seed.
+    asked, verified) up front from its job's seed.
 
     The schedule flattens to the region's serial order — pass by pass,
     round by round, thread by thread — and :meth:`ready` hands out the
     items whose conflicting predecessors in that order have all folded
     back (a source is its own predecessor across passes).  Conflicting
     pairs therefore run in schedule order, as Cyclades' round barriers
-    and thread order would run them, with no barrier.
+    and thread order would run them, with no barrier — and any pair the
+    graph holds no edge for may share a call, whatever its rounds.  So
+    the race detector shadows each item's writes from its admission to
+    its fold-back, and the verifier checks the graph's edges as well as
+    each round.
     """
 
     def __init__(self, job: RegionJob, priors: Priors,
@@ -174,30 +192,46 @@ class RegionRun:
             radii,
         )
         rng = np.random.default_rng(job.seed)
-        detector = boxes = None
+        self._boxes = self._detector = None
         if config.race_detect or config.verify_schedule:
-            boxes = _source_patch_boxes(self.opt)
+            self._boxes = _source_patch_boxes(self.opt)
         if config.race_detect:
             from repro.analysis.race import RaceDetector
 
-            detector = RaceDetector()
-        #: Source index of each item of the serial order.
+            self._detector = RaceDetector()
+        violations = []
+        if config.verify_schedule:
+            from repro.analysis.schedule import (
+                ScheduleError,
+                verify_batches,
+                verify_conflict_edges,
+            )
+
+            violations += verify_conflict_edges(self._boxes,
+                                                self.graph.adjacency)
+        #: Source index of each item of the serial order, and, for the
+        #: race detector, its slot (pass, round, thread) in the schedule.
         self.order: list[int] = []
+        self._slots: list[tuple] = []
         for p in range(config.n_passes):
             rounds = [b.thread_assignments for b in cyclades_batches(
                 self.graph, config.n_threads, config.batch_size, rng=rng)]
             if config.verify_schedule:
-                _verify_pass(boxes, rounds)
+                violations += verify_batches(self._boxes, rounds)
             for r, assignments in enumerate(rounds):
-                if detector is not None:
-                    _shadow_round_writes(detector, boxes, assignments,
-                                         ("pass", p, "batch", r))
-                self.order.extend(s for a in assignments for s in a)
-        self.race_reports = ([] if detector is None
-                             else list(detector.reports))
+                for t, assignment in enumerate(assignments):
+                    self.order.extend(assignment)
+                    if self._detector is not None:
+                        self._slots.extend([(p, r, t)] * len(assignment))
+        if violations:
+            raise ScheduleError(violations)
         self._state = [_WAITING] * len(self.order)
         #: Every item before this one has folded back.
         self._first = 0
+
+    @property
+    def race_reports(self) -> list:
+        return [] if self._detector is None else list(self._detector.reports)
 
     @property
     def done(self) -> bool:
@@ -219,12 +253,36 @@ class RegionRun:
                     and blocked.isdisjoint(adjacency[s])):
                 self._state[i] = _RUNNING
                 out.append(i)
+                if self._detector is not None:
+                    self._shadow_writes(i)
             blocked.add(s)
         return out
+
+    def _actor(self, item: int) -> tuple:
+        p, r, t = self._slots[item]
+        return ("cyclades-thread", t, "pass", p, "batch", r,
+                "source", self.order[item])
+
+    def _shadow_writes(self, item: int) -> None:
+        """Record an admitted item's patch-pixel writes into the race
+        detector, where they meet those of every item in flight with it
+        (patch bounds are fixed for the whole run)."""
+        from repro.analysis.race import ShadowAccess
+
+        s = self.order[item]
+        for box in self._boxes[s]:
+            self._detector.record(ShadowAccess(
+                window=("model", box.image), op="put",
+                x0=box.x0, x1=box.x1, y0=box.y0, y1=box.y1,
+                actor=self._actor(item), epoch=("lockstep",),
+                tag=("source", s),
+            ))
 
     def fold_back(self, item: int, result) -> None:
         """Publish an item's result into the region's model images."""
         self.opt.fold_back(self.order[item], result)
+        if self._detector is not None:
+            self._detector.retire(self._actor(item))
         self._state[item] = _DONE
         while not self.done and self._state[self._first] == _DONE:
             self._first += 1
@@ -253,11 +311,7 @@ class RegionLockstep:
     """
 
     def __init__(self, config: ParallelRegionConfig):
-        if config.elbo_batch_size is not None and config.elbo_batch_size < 1:
-            raise ValueError(
-                "elbo_batch_size must be a positive integer, got %r"
-                % (config.elbo_batch_size,))
-        self.lane_limit = config.elbo_batch_size or DEFAULT_LANE_LIMIT
+        self.lane_limit = lane_limit(config.elbo_batch_size)
         self.runs: list[RegionRun] = []
         self.sanitizer = (NumericSanitizer() if config.numeric_check
                           else None)
@@ -358,36 +412,3 @@ def _source_patch_boxes(opt: RegionOptimizer) -> dict:
             for i, b in enumerate(opt.patch_bounds(s)) if b is not None]
         for s in range(opt.n_sources)
     }
-
-
-def _verify_pass(boxes: dict, rounds) -> None:
-    """Statically prove a pass's rounds safe before running any of them."""
-    from repro.analysis.schedule import ScheduleError, verify_batches
-
-    violations = verify_batches(boxes, rounds)
-    if violations:
-        raise ScheduleError(violations)
-
-
-def _shadow_round_writes(detector, boxes: dict, assignments,
-                         epoch: tuple) -> None:
-    """Record one round's scheduled write extents into the race detector.
-
-    Write sets are static (patch bounds never move during a region run), so
-    they are recorded up front — detection covers the schedule itself and
-    cannot miss a race just because this run's timing hid it.
-    """
-    from repro.analysis.race import ShadowAccess
-
-    for t, assignment in enumerate(assignments):
-        for s in assignment:
-            for box in boxes[s]:
-                detector.record(ShadowAccess(
-                    window=("model", box.image), op="put",
-                    x0=box.x0, x1=box.x1, y0=box.y0, y1=box.y1,
-                    actor=("cyclades-thread", t), epoch=epoch,
-                    tag=("source", s),
-                ))
-    # A finished round's accesses can never race later ones (conflicting
-    # sources of later rounds wait for them): free them.
-    detector.seal_before(epoch)

@@ -2,6 +2,8 @@
 box geometry, every violation kind, the seeded audit of the real scheduler,
 and the executor's pre-execution verification hook."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.analysis.schedule import (
     audit_random_schedule,
     boxes_from_plan,
     verify_batches,
+    verify_conflict_edges,
     verify_plan,
 )
 from repro.core.catalog import CatalogEntry
@@ -132,6 +135,17 @@ class TestVerifyPlan:
         assert "overlap" in {v.kind for v in out}
 
 
+class TestConflictEdges:
+    def test_every_touching_pair_needs_an_edge(self):
+        boxes = boxes_from_plan([(10.0, 10.0), (14.0, 10.0), (60.0, 60.0)],
+                                [3.0, 3.0, 3.0])
+        assert verify_conflict_edges(boxes, [{1}, {0}, set()]) == []
+        # A conservative extra edge is fine; a missing one is not.
+        assert verify_conflict_edges(boxes, [{1, 2}, {0}, {0}]) == []
+        (v,) = verify_conflict_edges(boxes, [set(), set(), set()])
+        assert (v.kind, v.sources, v.batch) == ("missing-edge", (0, 1), -1)
+
+
 class TestScheduleError:
     def test_message_lists_violations(self):
         v = ScheduleViolation(kind="overlap", batch=3, sources=(1, 2),
@@ -211,3 +225,20 @@ class TestExecutorVerificationHook:
                 _parallel_config(verify_schedule=True))
         kinds = {v.kind for v in exc.value.violations}
         assert "overlap" in kinds
+
+    def test_missing_edge_across_rounds_caught_before_execution(
+            self, small_field, monkeypatch):
+        # The same bug with one source per round: no round holds both,
+        # so every round's check passes, but the rolling lockstep would
+        # still run the pair together.  The graph check refuses it.
+        entries = _close_pair()
+        monkeypatch.setattr(
+            executor_mod, "conflict_radii",
+            lambda *a, **k: np.full(len(entries), 0.5))
+        with pytest.raises(ScheduleError) as exc:
+            optimize_region_parallel(
+                small_field, entries, default_priors(),
+                dataclasses.replace(_parallel_config(verify_schedule=True),
+                                    batch_size=1))
+        assert [(v.kind, v.sources) for v in exc.value.violations] == [
+            ("missing-edge", (0, 1))]

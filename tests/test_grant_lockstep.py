@@ -136,27 +136,33 @@ def test_seat_killed_mid_grant_redispatches_the_unreported_rest(
             == catalog_bits_digest(reference.catalog))
 
 
-@pytest.mark.parametrize("executor,n_nodes,n_fields", [("thread", 1, 4),
-                                                       ("process", 2, 8)])
-def test_single_source_tasks_fill_calls_on_one_seat(executor, n_nodes,
-                                                    n_fields):
-    """Default config, nearly every task a single source: the lanes of a
-    call come from other tasks, and a call carries eight or more.  On one
-    seat each stage of four fields is one grant of 15 tasks.  Two process seats
-    share a stage of eight fields, and the drain rule grants them a few
-    tasks at a time: each seat's lockstep stays open across its grants."""
+@pytest.mark.parametrize(
+    "executor,n_nodes,n_fields,seed,n_tasks,n_solves", [
+        ("thread", 1, 4, 8, 30, 60),
+        ("process", 2, 8, 12, 62, 124),
+    ])
+def test_single_source_tasks_fill_calls_on_one_seat(
+        executor, n_nodes, n_fields, seed, n_tasks, n_solves):
+    """Default config, every task a single source (two passes, so two
+    solves a task): the lanes of a call come from other tasks, and a call
+    carries eight or more.  On one seat
+    each stage of four fields is one grant of 15 tasks.  Two process
+    seats share a stage of eight fields, and the drain rule grants them a
+    few tasks at a time: each seat's lockstep stays open across its
+    grants."""
     _, fields = generate_survey_fields(
         n_fields, field_shape_hw=(40, 40), overlap=8.0,
         config=SyntheticSkyConfig(source_density=50.0, min_separation=12.0,
                                   flux_floor=20.0),
-        rng=np.random.default_rng(8), bands=(2,),
+        rng=np.random.default_rng(seed), bands=(2,),
     )
     config = DriverConfig(n_nodes=n_nodes, executor=executor,
                           target_weight=1.0)
     result = run_pipeline(fields, config)
     counters = result.counters
-    assert result.report.n_tasks >= 30 * n_fields // 4
-    assert counters["newton_solves"] == result.report.n_source_updates
+    assert result.report.n_tasks == n_tasks
+    assert (counters["newton_solves"] == result.report.n_source_updates
+            == n_solves)
     assert counters["elbo_batch_lanes"] / counters["elbo_batch_calls"] >= 8
 
 

@@ -267,6 +267,38 @@ class TestCycladesShadowWrites:
         assert {r.tag_a, r.tag_b} == {("source", 0), ("source", 1)}
         assert {r.actor_a[0], r.actor_b[0]} == {"cyclades-thread"}
 
+    def test_seeded_radius_bug_across_rounds_fires(self, small_field,
+                                                   monkeypatch):
+        # The same bug with one source per round: the pair lands in
+        # different rounds, and the lockstep, which keeps no round
+        # barrier, runs it in one call.  The detector must name it, with
+        # both schedule slots; at lane limit one the pair never shares a
+        # call, and nothing is reported.
+        entries = [
+            CatalogEntry(position=np.array([18.0, 20.0]), is_galaxy=False,
+                         flux_r=40.0, colors=np.zeros(4)),
+            CatalogEntry(position=np.array([22.0, 20.0]), is_galaxy=False,
+                         flux_r=35.0, colors=np.zeros(4)),
+        ]
+        monkeypatch.setattr(
+            executor_mod, "conflict_radii",
+            lambda *a, **k: np.full(len(entries), 0.5))
+        cfg = ParallelRegionConfig(
+            n_threads=2, n_passes=1, batch_size=1, race_detect=True,
+            joint=JointConfig(n_passes=1, single=OptimizeConfig(max_iter=4)),
+        )
+        result = optimize_region_parallel(
+            small_field, entries, default_priors(), cfg)
+        (r,) = result.race_reports
+        assert r.kind == "write/write"
+        assert {r.tag_a, r.tag_b} == {("source", 0), ("source", 1)}
+        assert {r.actor_a[0], r.actor_b[0]} == {"cyclades-thread"}
+        assert {r.actor_a[5], r.actor_b[5]} == {0, 1}  # two rounds
+        serial = optimize_region_parallel(
+            small_field, entries, default_priors(),
+            dataclasses.replace(cfg, elbo_batch_size=1))
+        assert serial.race_reports == []
+
 
 @pytest.fixture(scope="module")
 def tiny_survey():
