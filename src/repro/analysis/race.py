@@ -135,9 +135,8 @@ class RaceDetector:
     """Collects accesses and reports conflicts (thread-safe).
 
     Accesses are grouped by (epoch, window): epoch boundaries are
-    synchronization points, so only same-epoch accesses can race, and a
-    finished epoch's accesses can never conflict with later ones —
-    :meth:`seal_before` prunes them to bound memory on long runs.
+    synchronization points, so only same-epoch accesses can race.  An
+    actor whose writes are published leaves through :meth:`retire`.
     """
 
     def __init__(self):
@@ -185,13 +184,6 @@ class RaceDetector:
         with self._lock:
             for key, peers in self._accesses.items():
                 self._accesses[key] = [a for a in peers if a.actor != actor]
-
-    def seal_before(self, epoch: tuple) -> None:
-        """Drop recorded accesses from epochs other than ``epoch`` (their
-        conflicts, if any, are already in ``reports``)."""
-        with self._lock:
-            for key in [k for k in self._accesses if k[0] != epoch]:
-                del self._accesses[key]
 
     @property
     def n_reports(self) -> int:

@@ -123,15 +123,17 @@ class TestRaceDetector:
         det.absorb(list(det.reports))  # same finding from a worker
         assert det.n_reports == 1
 
-    def test_seal_before_prunes_finished_epochs(self):
+    def test_retire_drops_a_published_actor(self):
         det = RaceDetector()
-        det.record(_access(actor=("task", 0), epoch=("stage", 0)))
-        det.seal_before(("stage", 1))
-        # The sealed epoch's accesses are gone: a late same-epoch access
-        # finds no peers (its conflicts, had any existed, were already
-        # reported at record time).
-        det.record(_access(actor=("task", 1), epoch=("stage", 0)))
+        det.record(_access(actor=("task", 0)))
+        det.retire(("task", 0))
+        # Task 0's writes are published: a later overlapping access in the
+        # same epoch finds no peer.
+        det.record(_access(actor=("task", 1)))
+        det.record(_access(actor=("task", 2), x0=20, x1=30))
         assert det.n_reports == 0
+        det.record(_access(actor=("task", 3)))
+        assert det.n_reports == 1
 
 
 class TestRaceReport:
